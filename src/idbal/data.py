@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .rng import derive_rng
 
@@ -31,6 +32,8 @@ __all__ = [
     "split_dataset",
     "apply_logging",
     "to_dense_matrix",
+    "LabeledRows",
+    "to_labeled_rows",
 ]
 
 
@@ -318,3 +321,39 @@ def to_dense_matrix(instances: Sequence[FeatureVector], dim: int) -> np.ndarray:
                 raise ValueError(f"feature index {index} exceeds dimension {dim}")
             out[row, index] = value
     return out
+
+
+@dataclass(frozen=True)
+class LabeledRows:
+    """Labeled examples stacked for scoring: an (N, dim+1) CSR matrix with
+    the constant 1 bias in column 0 and each row's features in index order,
+    plus the 0/1 labels. Row i stores exactly what LinearModel.raw_score
+    sums for example i, in the same order."""
+
+    matrix: scipy.sparse.csr_array
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+
+def to_labeled_rows(examples: Sequence[Example], dim: int) -> LabeledRows:
+    """Stack examples into LabeledRows over dim features. Errors if any
+    instance uses an index above dim."""
+    indptr = [0]
+    indices: list[int] = []
+    values: list[float] = []
+    for ex in examples:
+        indices.append(0)
+        values.append(1.0)
+        for index, value in ex.x.items:
+            if index > dim:
+                raise ValueError(f"feature index {index} exceeds dimension {dim}")
+            indices.append(index)
+            values.append(value)
+        indptr.append(len(indices))
+    matrix = scipy.sparse.csr_array(
+        (np.array(values, dtype=float), np.array(indices, dtype=np.intp), np.array(indptr, dtype=np.intp)),
+        shape=(len(examples), dim + 1),
+    )
+    return LabeledRows(matrix, np.array([ex.y for ex in examples], dtype=np.int8))

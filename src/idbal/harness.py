@@ -31,6 +31,7 @@ from .data import (
     parse_sparse_dataset,
     split_dataset,
     to_dense_matrix,
+    to_labeled_rows,
 )
 from .hypotheses import LinearModel
 from .learners import ALGORITHMS, AlgoConfig
@@ -274,6 +275,7 @@ def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: list[Example], r
     dim = max((ex.x.max_index() for ex in data), default=1)
     logged_q0 = np.array([policy_prob(policy, t.x) for t in logged])
     logged_dense = to_dense_matrix([t.x for t in logged], dim)
+    test_rows = to_labeled_rows(split.test, dim)
     horizons = horizon_schedule(cfg.horizon_base, cfg.horizon_growth, len(split.online))
     records: list[RunRecord] = []
     for algorithm in cfg.algorithms:
@@ -295,7 +297,7 @@ def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: list[Example], r
                     LinearModel.zeros(dim),
                     run_cfg,
                     seed,
-                    test_data=split.test,
+                    test_data=test_rows,
                     logged_q0=logged_q0,
                     logged_dense=logged_dense,
                 )

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Example, FeatureVector
+from .data import Example, FeatureVector, LabeledRows
 from .estimators import WeightedSample, as_predictor
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "FiniteClass",
     "TableClassifier",
     "CandidateSetExact",
-    "predict",
     "classification_error",
     "erm_weighted",
     "update_candidates",
@@ -237,15 +236,27 @@ class CandidateSetExact:
         return index in self.active
 
 
-def predict(classifier, x: FeatureVector) -> int:
-    """Predict with any supported classifier representation."""
-    return int(as_predictor(classifier)(x))
+def classification_error(classifier, examples: Sequence[Example] | LabeledRows) -> float:
+    """Plain 0-1 error on fully labeled examples.
 
-
-def classification_error(classifier, examples: Sequence[Example]) -> float:
-    """Plain 0-1 error on fully labeled examples."""
+    LabeledRows are scored for a LinearModel with one sparse matrix-vector
+    product. CSR rows are summed left to right from the bias, exactly as
+    raw_score sums, so the error equals the per-example loop bit for bit,
+    overflow and NaN included.
+    """
     if len(examples) == 0:
         raise ValueError("error undefined on an empty example list")
+    if isinstance(examples, LabeledRows):
+        if not isinstance(classifier, LinearModel):
+            raise TypeError("row-form examples need a LinearModel")
+        w = classifier.weights
+        if examples.matrix.shape[1] != w.size:
+            raise ValueError(
+                f"rows have {examples.matrix.shape[1] - 1} features, model dimension is {classifier.dim}"
+            )
+        # ties (score exactly 0) go to label 1; a NaN score predicts 0
+        wrong = np.count_nonzero((examples.matrix @ w >= 0.0) != examples.labels)
+        return int(wrong) / len(examples)
     p = as_predictor(classifier)
     wrong = sum(1 for ex in examples if p(ex.x) != ex.y)
     return wrong / len(examples)

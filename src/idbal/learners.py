@@ -30,7 +30,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Example, FeatureVector, LabelSource, LoggedTriple, to_dense_matrix
+from .data import (
+    Example,
+    FeatureVector,
+    LabeledRows,
+    LabelSource,
+    LoggedTriple,
+    to_dense_matrix,
+    to_labeled_rows,
+)
 from .estimators import (
     BoundConfig,
     WeightedSample,
@@ -221,10 +229,18 @@ def _fingerprint(*parts: object) -> str:
     return digest.hexdigest()
 
 
-def _test_error(classifier, test_data: Sequence[Example] | None) -> float | None:
+def _test_error(classifier, test_data: Sequence[Example] | LabeledRows | None) -> float | None:
     if test_data is None or len(test_data) == 0:
         return None
     return classification_error(classifier, test_data)
+
+
+def _test_rows(test_data: Sequence[Example] | LabeledRows | None, dim: int) -> LabeledRows | None:
+    """Practical-mode test data in row form, stacked once per run unless the
+    caller already passed rows."""
+    if test_data is None or isinstance(test_data, LabeledRows):
+        return test_data
+    return to_labeled_rows(test_data, dim)
 
 
 def _logged_propensities(
@@ -269,6 +285,7 @@ def _run_disagreement_core(
         model = hypothesis_space
         hclass = None
         bound = None
+        test_data = _test_rows(test_data, model.dim)
         # unlabeled sample for estimating the propensity floor over the
         # (approximate) disagreement region; labels never touched
         if logged_dense is None:
@@ -535,6 +552,7 @@ def run_passive(
         if not isinstance(hypothesis_space, LinearModel):
             raise TypeError("practical mode needs a LinearModel")
         model = hypothesis_space
+        test_data = _test_rows(test_data, model.dim)
         for triple, p in zip(logged, q0_logged):
             if triple.z == 1:
                 model = ogd_update(model, triple.x, triple.y, 1.0 / float(p), cfg.eta)

@@ -19,6 +19,7 @@ from idbal.data import (
     split_dataset,
     synthetic_separator,
     to_dense_matrix,
+    to_labeled_rows,
 )
 from idbal.policies import IdenticalPolicy
 
@@ -231,3 +232,12 @@ class TestDenseMatrix:
     def test_index_beyond_dim_rejected(self):
         with pytest.raises(ValueError):
             to_dense_matrix([FeatureVector({5: 1.0})], 4)
+
+    def test_labeled_rows_store_bias_then_features_in_index_order(self):
+        xs = [FeatureVector({1: 2.0}), FeatureVector({}), FeatureVector({3: 4.0, 2: -1.0})]
+        rows = to_labeled_rows([Example(x, y) for x, y in zip(xs, (1, 0, 1))], 3)
+        assert rows.matrix.indices.tolist() == [0, 1, 0, 0, 2, 3]
+        assert rows.matrix.data.tolist() == [1.0, 2.0, 1.0, 1.0, -1.0, 4.0]
+        assert rows.matrix.shape == (3, 4)
+        np.testing.assert_array_equal(rows.labels, [1, 0, 1])
+        assert len(rows) == 3

@@ -2,6 +2,8 @@
 aggregation, the paired protocol, CSV reports, and flat-config parsing."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,21 @@ class TestPerSeedAndPairwise:
         assert table[("b", "a")] == (0, 2)
 
 
+def _sparse_libsvm_text(seed: int, rows: int, dim: int, nnz: int) -> str:
+    """Seeded LIBSVM lines: nnz +- 2 sorted 1-based indices per row, values
+    in U(-1, 1) at 4 decimals, labels from a random separator with 10% flips."""
+    rng = np.random.default_rng(seed)
+    separator = rng.standard_normal(dim)
+    lines = []
+    for _ in range(rows):
+        index = np.sort(rng.choice(dim, size=int(rng.integers(nnz - 2, nnz + 3)), replace=False))
+        value = np.round(rng.uniform(-1.0, 1.0, index.size), 4)
+        label = (value @ separator[index] >= 0.0) != (rng.random() < 0.1)
+        features = " ".join(f"{i + 1}:{v:.4f}" for i, v in zip(index, value))
+        lines.append(f"{'+1' if label else '-1'} {features}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="module")
 def tiny_protocol():
     cfg = ExperimentConfig(
@@ -301,10 +318,31 @@ class TestReport:
         assert by_algo["idbal"][3] != ""
 
     def test_rerun_is_byte_identical(self, tiny_protocol, tmp_path):
+        # Fresh runs of a dense and a sparse-file sweep must reproduce pinned
+        # report digests: any change that moves one score shows up here.
         cfg, result = tiny_protocol
         first = {name: path.read_bytes() for name, path in report(result, tmp_path / "a").items()}
-        second = {name: path.read_bytes() for name, path in report(result, tmp_path / "b").items()}
-        assert {k: v for k, v in first.items()} == second
+        second = {name: path.read_bytes() for name, path in report(run_protocol(cfg), tmp_path / "b").items()}
+        assert first == second
+        data_path = tmp_path / "sparse.txt"
+        data_path.write_text(_sparse_libsvm_text(seed=5, rows=320, dim=60, nnz=6), encoding="utf-8")
+        sparse = ExperimentConfig(
+            datasets=(DatasetSpec(name="sparse", path=str(data_path)),),
+            policy=PolicySpec(name="uncertainty", calibration_target=0.1),
+            repeats=2,
+            horizon_base=8,
+            horizon_growth=2,
+            capacity_grid=(0.64, 40.96),
+            eta_grid=(0.0064, 0.4096),
+            logged_fraction=0.7,
+            master_seed=11,
+        )
+        third = {name: path.read_bytes() for name, path in report(run_protocol(sparse), tmp_path / "c").items()}
+        digest = lambda blob: hashlib.blake2b(blob, digest_size=16).hexdigest()
+        assert digest(second["curves"]) == "d34ee9b674a5fd84e390c9f907a56c90"
+        assert digest(second["summary"]) == "e66c2ab346d0eee21853466776270837"
+        assert digest(third["curves"]) == "d0c70be534c3d74b7dd795f3b7a9ca5f"
+        assert digest(third["summary"]) == "49cfaa49746f2a447c0c3fb5e69c2c3d"
 
     def test_records_json_round_trip(self, tiny_protocol):
         cfg, result = tiny_protocol

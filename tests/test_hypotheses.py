@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from idbal.data import Example, FeatureVector, LoggedTriple
+from idbal.data import Example, FeatureVector, LoggedTriple, to_labeled_rows
 from idbal.estimators import WeightedSample
 from idbal.hypotheses import (
     CandidateSetExact,
@@ -293,3 +293,55 @@ class TestClassificationError:
         ]
         model = LinearModel(np.array([0.0, 1.0]))
         assert classification_error(model, examples) == 0.5
+
+    def test_rows_match_example_loop_exactly(self):
+        # rows with index gaps and empty vectors; weights from 1 to 1e306, so
+        # some scores overflow to inf and some to inf - inf = NaN
+        rng = np.random.default_rng(0)
+        dim = 12
+        examples = [Example(FeatureVector({}), 1), Example(FeatureVector({}), 0)]
+        for _ in range(80):
+            picked = rng.choice(np.arange(1, dim + 1), size=int(rng.integers(1, dim)), replace=False)
+            values = rng.uniform(-1e3, 1e3, picked.size)
+            examples.append(Example(FeatureVector(zip(picked.tolist(), values)), int(rng.integers(0, 2))))
+        rows = to_labeled_rows(examples, dim)
+        for scale in np.logspace(0.0, 306.0, 400):
+            weights = rng.standard_normal(dim + 1) * scale
+            weights[rng.random(dim + 1) < 0.2] = 0.0
+            model = LinearModel(weights)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = classification_error(model, examples)
+                scores = [model.raw_score(ex.x) for ex in examples]
+            assert classification_error(model, rows) == expected
+            np.testing.assert_array_equal(rows.matrix @ model.weights, scores)
+
+    def test_rows_tie_and_non_finite_conventions(self):
+        examples = [
+            Example(FeatureVector({}), 1),
+            Example(FeatureVector({2: 1.0}), 1),
+            Example(FeatureVector({1: -1.0, 3: 2.0}), 0),
+            Example(FeatureVector({1: 1.0}), 1),
+        ]
+        rows = to_labeled_rows(examples, 3)
+        inf, nan = math.inf, math.nan
+        cases = [
+            (np.zeros(4), 0.25),  # every score is 0: all predict 1
+            (np.array([nan, 0.0, 0.0, 0.0]), 0.75),  # every score NaN: all predict 0
+            (np.array([0.0, inf, 0.0, 0.0]), 0.0),  # scores 0, 0, -inf, +inf
+            (np.array([0.0, inf, 0.0, inf]), 0.0),  # scores 0, 0, NaN, +inf
+            (np.array([-inf, 0.0, 0.0, 0.0]), 0.75),  # -inf everywhere
+        ]
+        for weights, error in cases:
+            model = LinearModel(weights)
+            with np.errstate(invalid="ignore"):
+                assert classification_error(model, examples) == error
+            assert classification_error(model, rows) == error
+
+    def test_rows_reject_wide_features_and_width_mismatch(self):
+        with pytest.raises(ValueError):
+            to_labeled_rows([Example(FeatureVector({5: 1.0}), 1)], 4)
+        rows = to_labeled_rows([Example(FeatureVector({2: 1.0}), 1)], 4)
+        with pytest.raises(ValueError):
+            classification_error(LinearModel.zeros(3), rows)
+        with pytest.raises(ValueError):
+            classification_error(LinearModel.zeros(5), rows)
