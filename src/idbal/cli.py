@@ -91,8 +91,6 @@ def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
     horizon = int(config.get("horizon", str(len(split.online))))
     horizon = min(horizon, len(split.online))
     run_cfg = AlgoConfig(
-        mode=config.get("algo.mode", "practical"),
-        delta=float(config.get("algo.delta", "0.1")),
         capacity=float(config.get("algo.capacity", "0.01")),
         eta=float(config.get("algo.eta", "0.1")),
     )

@@ -31,9 +31,11 @@ __all__ = [
     "synthetic_separator",
     "split_dataset",
     "apply_logging",
-    "to_dense_matrix",
+    "stack_rows",
     "LabeledRows",
     "to_labeled_rows",
+    "SplitRows",
+    "to_split_rows",
 ]
 
 
@@ -310,25 +312,10 @@ def apply_logging(examples: Sequence[Example], policy, seed: int = 0) -> list[Lo
     return triples
 
 
-def to_dense_matrix(instances: Sequence[FeatureVector], dim: int) -> np.ndarray:
-    """Stack instances into an (N, dim+1) array with a constant 1 bias column
-    at position 0. Errors if any instance uses an index above dim."""
-    out = np.zeros((len(instances), dim + 1))
-    out[:, 0] = 1.0
-    for row, x in enumerate(instances):
-        for index, value in x.items:
-            if index > dim:
-                raise ValueError(f"feature index {index} exceeds dimension {dim}")
-            out[row, index] = value
-    return out
-
-
 @dataclass(frozen=True)
 class LabeledRows:
-    """Labeled examples stacked for scoring: an (N, dim+1) CSR matrix with
-    the constant 1 bias in column 0 and each row's features in index order,
-    plus the 0/1 labels. Row i stores exactly what LinearModel.raw_score
-    sums for example i, in the same order."""
+    """Labeled examples stacked for scoring: the stack_rows matrix of their
+    instances plus the 0/1 labels."""
 
     matrix: scipy.sparse.csr_array
     labels: np.ndarray
@@ -337,23 +324,75 @@ class LabeledRows:
         return self.labels.size
 
 
-def to_labeled_rows(examples: Sequence[Example], dim: int) -> LabeledRows:
-    """Stack examples into LabeledRows over dim features. Errors if any
-    instance uses an index above dim."""
+def stack_rows(instances: Sequence[FeatureVector], dim: int) -> scipy.sparse.csr_array:
+    """Stack instances into an (N, dim+1) CSR matrix with the constant 1 bias
+    in column 0 and each row's features in index order, so row i stores
+    exactly what LinearModel.raw_score sums for instance i, in the same
+    order. Errors if any instance uses an index above dim."""
     indptr = [0]
     indices: list[int] = []
     values: list[float] = []
-    for ex in examples:
+    for x in instances:
         indices.append(0)
         values.append(1.0)
-        for index, value in ex.x.items:
+        for index, value in x.items:
             if index > dim:
                 raise ValueError(f"feature index {index} exceeds dimension {dim}")
             indices.append(index)
             values.append(value)
         indptr.append(len(indices))
-    matrix = scipy.sparse.csr_array(
+    return scipy.sparse.csr_array(
         (np.array(values, dtype=float), np.array(indices, dtype=np.intp), np.array(indptr, dtype=np.intp)),
-        shape=(len(examples), dim + 1),
+        shape=(len(instances), dim + 1),
     )
+
+
+def to_labeled_rows(examples: Sequence[Example], dim: int) -> LabeledRows:
+    """Stack examples into LabeledRows over dim features. Errors if any
+    instance uses an index above dim."""
+    matrix = stack_rows([ex.x for ex in examples], dim)
     return LabeledRows(matrix, np.array([ex.y for ex in examples], dtype=np.int8))
+
+
+@dataclass(frozen=True)
+class SplitRows:
+    """One split as the learners read it: its records (Example or
+    LoggedTriple), each record's logging propensity q0 and, for linear
+    models, the stack_rows matrix with each row's squared norm 1 + sum v^2.
+    Slicing cuts every array alike, so split[:h] is the first h records."""
+
+    records: tuple
+    q0: np.ndarray
+    matrix: scipy.sparse.csr_array | None = None
+    norms: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.records)
+
+    def __getitem__(self, rows: slice) -> "SplitRows":
+        if self.matrix is None:
+            return SplitRows(self.records[rows], self.q0[rows])
+        return SplitRows(self.records[rows], self.q0[rows], self.matrix[rows], self.norms[rows])
+
+
+def to_split_rows(records, policy, dim: int | None = None) -> SplitRows:
+    """Records with their q0 under the policy and, when dim is given, their
+    rows and norms over dim features. SplitRows pass through, provided they
+    carry rows of that width."""
+    if isinstance(records, SplitRows):
+        if dim is not None and (records.matrix is None or records.matrix.shape[1] != dim + 1):
+            raise ValueError(f"split rows do not match dimension {dim}")
+        return records
+    from .policies import policy_prob
+
+    records = tuple(records)
+    q0 = np.array([policy_prob(policy, r.x) for r in records], dtype=float)
+    if dim is None:
+        return SplitRows(records, q0)
+    instances = [r.x for r in records]
+    # squared_norm sums in index order, so the norms match the scalar formula
+    norms = np.array([1.0 + x.squared_norm() for x in instances], dtype=float)
+    return SplitRows(records, q0, stack_rows(instances, dim), norms)

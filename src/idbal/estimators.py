@@ -23,9 +23,7 @@ from .data import FeatureVector, LoggedTriple
 __all__ = [
     "BoundConfig",
     "WeightedSample",
-    "is_error",
     "mis_error",
-    "empirical_disagreement",
     "sigma",
     "delta_bound",
 ]
@@ -39,18 +37,16 @@ def as_predictor(classifier) -> Callable[[FeatureVector], int]:
 
 @dataclass(frozen=True)
 class BoundConfig:
-    """Constants of the deviation bound: scale factors, class size, failure
-    probability. gamma0 scales the candidate-set threshold; gamma1 is the
-    matching constant of the two-sided estimator deviation."""
+    """Constants of the deviation bound: the scale factor gamma0 of the
+    candidate-set threshold, the class size and the failure probability."""
 
     gamma0: float = 1.0
-    gamma1: float = 1.0
     hypothesis_count: int = 2
     delta: float = 0.1
 
     def __post_init__(self):
-        if self.gamma0 <= 0 or self.gamma1 <= 0:
-            raise ValueError("scale factors must be positive")
+        if self.gamma0 <= 0:
+            raise ValueError("gamma0 must be positive")
         if self.hypothesis_count < 1:
             raise ValueError("hypothesis_count must be at least 1")
         if not 0.0 < self.delta < 1.0:
@@ -126,38 +122,6 @@ def mis_error(classifier, sample: WeightedSample) -> float:
         if predict(triple.x) != triple.y:
             total += 1.0 / denominator
     return total
-
-
-def is_error(
-    classifier,
-    logged: Sequence[tuple[LoggedTriple, float]],
-    online: Sequence[tuple[LoggedTriple, float]],
-) -> float:
-    """Plain importance sampling: average of 1{h(x) != y} * z / q over all
-    m + n records, q taken from the record's own phase."""
-    m, n = len(logged), len(online)
-    if m + n == 0:
-        raise ValueError("estimator undefined on an empty sample")
-    predict = as_predictor(classifier)
-    total = 0.0
-    for triple, q in list(logged) + list(online):
-        if triple.z == 0:
-            continue
-        if q <= 0.0:
-            raise ValueError("z = 1 record has non-positive reveal probability")
-        if predict(triple.x) != triple.y:
-            total += 1.0 / q
-    return total / (m + n)
-
-
-def empirical_disagreement(h1, h2, instances: Sequence[FeatureVector]) -> float:
-    """Fraction of instances where the two classifiers differ (labels unused)."""
-    if len(instances) == 0:
-        raise ValueError("disagreement undefined on an empty instance list")
-    p1 = as_predictor(h1)
-    p2 = as_predictor(h2)
-    differ = sum(1 for x in instances if p1(x) != p2(x))
-    return differ / len(instances)
 
 
 def sigma(sizes: tuple[int, int], xi: float, cfg: BoundConfig) -> float:

@@ -30,8 +30,8 @@ from .data import (
     generate_synthetic,
     parse_sparse_dataset,
     split_dataset,
-    to_dense_matrix,
     to_labeled_rows,
+    to_split_rows,
 )
 from .hypotheses import LinearModel
 from .learners import ALGORITHMS, AlgoConfig
@@ -45,7 +45,6 @@ from .policies import (
     calibrate_scale,
     fit_coarse_model,
     load_table_policy,
-    policy_prob,
 )
 from .rng import child_seed
 
@@ -273,8 +272,9 @@ def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: list[Example], r
     )
     digest = _data_digest(split, logged)
     dim = max((ex.x.max_index() for ex in data), default=1)
-    logged_q0 = np.array([policy_prob(policy, t.x) for t in logged])
-    logged_dense = to_dense_matrix([t.x for t in logged], dim)
+    # every run of the repeat reads the same propensities and rows
+    logged_rows = to_split_rows(logged, policy, dim)
+    online_rows = to_split_rows(split.online, policy, dim)
     test_rows = to_labeled_rows(split.test, dim)
     horizons = horizon_schedule(cfg.horizon_base, cfg.horizon_growth, len(split.online))
     records: list[RunRecord] = []
@@ -291,15 +291,13 @@ def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: list[Example], r
                     cfg.master_seed, spec.name, repeat, algorithm, capacity, eta, horizon
                 )
                 result = runner(
-                    logged,
-                    split.online[:horizon],
+                    logged_rows,
+                    online_rows[:horizon],
                     policy,
                     LinearModel.zeros(dim),
                     run_cfg,
                     seed,
                     test_data=test_rows,
-                    logged_q0=logged_q0,
-                    logged_dense=logged_dense,
                 )
                 records.append(
                     RunRecord(
@@ -340,13 +338,7 @@ def run_protocol(cfg: ExperimentConfig) -> ProtocolResult:
     else:
         for task in tasks:
             records.extend(_repeat_task(task))
-    records_tuple = tuple(records)
-    curves = aggregate_curves(records_tuple)
-    aucs = {key: auc(points) for key, points in curves.items()}
-    best: dict[tuple[str, str], BestChoice] = {}
-    for dataset, algorithm in sorted({(r.dataset, r.algorithm) for r in records_tuple}):
-        best[(dataset, algorithm)] = best_auc(aucs, dataset, algorithm)
-    return ProtocolResult(records=records_tuple, curves=curves, aucs=aucs, best=best)
+    return rebuild_result(records)
 
 
 def aggregate_curves(records: Iterable[RunRecord]) -> dict:

@@ -3,8 +3,8 @@
 Two worlds:
 
 * exact: a finite ordered class realized as a label table over a fixed
-  instance pool, with explicit candidate-set updates and an exhaustive
-  disagreement test;
+  instance pool, with explicit candidate-set updates and a disagreement mask
+  read off the table;
 * practical: a linear model with a bias coordinate, trained by online gradient
   descent on the squared surrogate (y mapped to {-1, +1}), with a margin-based
   approximation of the disagreement test that never materializes a candidate
@@ -32,7 +32,6 @@ __all__ = [
     "exact_dis_test",
     "ogd_stepsize",
     "ogd_update",
-    "approx_dis_test",
     "approx_dis_mask",
 ]
 
@@ -315,66 +314,39 @@ def update_candidates(
 
 
 def exact_dis_test(
-    hypothesis_class: FiniteClass, candidates: CandidateSetExact, x: FeatureVector
-) -> int:
-    """1 iff some pair of candidate members disagrees at x."""
-    column = hypothesis_class.labels[list(candidates.active), hypothesis_class.pool_position(x)]
-    return int(column.min() != column.max())
-
-
-def approx_dis_test(
-    model: LinearModel,
-    x: FeatureVector,
-    stepsize: float,
-    capacity: float,
-    erm_loss: float,
-    effective_n: float,
-    sample_count: int,
-) -> int:
-    """Margin proxy for the exact disagreement test.
-
-    Declares x in the disagreement region iff
-
-        |2 w . x~| / (stepsize * x~ . x~)
-            <= sqrt(capacity * erm_loss / effective_n)
-               + capacity * ln(sample_count) / effective_n
-
-    where x~ includes the bias coordinate, stepsize is the most recent
-    gradient stepsize, erm_loss is the current model's own weighted estimate,
-    and effective_n is the propensity-adjusted sample size m*xi + n.
-    """
-    if stepsize <= 0.0:
-        raise ValueError("stepsize must be positive")
-    if capacity <= 0.0:
-        raise ValueError("capacity must be positive")
-    if erm_loss < 0.0:
-        raise ValueError("erm_loss cannot be negative")
-    if effective_n <= 0.0:
-        raise ValueError("effective_n must be positive")
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
-    gap = abs(2.0 * model.raw_score(x)) / (stepsize * (1.0 + x.squared_norm()))
-    radius = math.sqrt(capacity * erm_loss / effective_n)
-    radius += capacity * math.log(sample_count) / effective_n
-    return 1 if gap <= radius else 0
+    hypothesis_class: FiniteClass, candidates: CandidateSetExact, positions: np.ndarray
+) -> np.ndarray:
+    """Mask over the given pool positions: True where some pair of
+    candidate members disagrees."""
+    columns = hypothesis_class.labels[list(candidates.active)][:, positions]
+    return columns.min(axis=0) != columns.max(axis=0)
 
 
 def approx_dis_mask(
-    model: LinearModel,
-    dense_instances: np.ndarray,
+    scores: np.ndarray,
+    norms: np.ndarray,
     stepsize: float,
     capacity: float,
     erm_loss: float,
     effective_n: float,
     sample_count: int,
 ) -> np.ndarray:
-    """Vectorized approx_dis_test over rows of a dense (N, dim+1) matrix with
-    the bias column at position 0. Same arithmetic, one boolean per row."""
+    """Margin proxy for the exact disagreement test, one boolean per row.
+
+    scores[i] = w . x~_i and norms[i] = x~_i . x~_i, where x~ includes the
+    bias coordinate. Row i is in the disagreement region iff
+
+        |2 w . x~| / (stepsize * x~ . x~)
+            <= sqrt(capacity * erm_loss / effective_n)
+               + capacity * ln(sample_count) / effective_n
+
+    where stepsize is the most recent gradient stepsize, erm_loss is the
+    current model's own weighted estimate, and effective_n is the
+    propensity-adjusted sample size m*xi + n. A NaN score is never inside.
+    """
     if stepsize <= 0.0 or capacity <= 0.0 or effective_n <= 0.0:
         raise ValueError("stepsize, capacity, and effective_n must be positive")
-    scores = dense_instances @ model.weights
-    squared = (dense_instances * dense_instances).sum(axis=1)  # bias column contributes 1
-    gap = np.abs(2.0 * scores) / (stepsize * squared)
+    gap = np.abs(2.0 * scores) / (stepsize * norms)
     radius = math.sqrt(capacity * erm_loss / effective_n)
     radius += capacity * math.log(sample_count) / effective_n
     return gap <= radius

@@ -32,12 +32,12 @@ import numpy as np
 
 from .data import (
     Example,
-    FeatureVector,
     LabeledRows,
     LabelSource,
     LoggedTriple,
-    to_dense_matrix,
+    SplitRows,
     to_labeled_rows,
+    to_split_rows,
 )
 from .estimators import (
     BoundConfig,
@@ -51,7 +51,6 @@ from .hypotheses import (
     FiniteClass,
     LinearModel,
     approx_dis_mask,
-    approx_dis_test,
     classification_error,
     erm_weighted,
     exact_dis_test,
@@ -191,8 +190,7 @@ class TracePoint:
 @dataclass(frozen=True)
 class IterationRecord:
     """Exact-mode audit trail for one iteration: the candidate set before and
-    after the update, the weighted sample it saw, and the genuine labels
-    (None where the logging phase hid them) aligned with the sample records."""
+    after the update and the weighted sample it saw."""
 
     k: int
     candidates_before: tuple[int, ...]
@@ -202,7 +200,6 @@ class IterationRecord:
     sigma_value: float
     xi: float
     sample: WeightedSample
-    true_labels: tuple[int | None, ...]
 
 
 @dataclass(frozen=True)
@@ -243,72 +240,153 @@ def _test_rows(test_data: Sequence[Example] | LabeledRows | None, dim: int) -> L
     return to_labeled_rows(test_data, dim)
 
 
-def _logged_propensities(
-    logged: Sequence[LoggedTriple], policy: LoggingPolicy, cache: np.ndarray | None
-) -> np.ndarray:
-    if cache is not None:
-        if len(cache) != len(logged):
-            raise ValueError("logged propensity cache does not match the logged data")
-        return np.asarray(cache, dtype=float)
-    return np.array([policy_prob(policy, t.x) for t in logged])
+class _ExactSteps:
+    """Exact mode over a FiniteClass: the weighted ERM within the candidate
+    set, which then keeps the members within the deviation slack of it; the
+    region is the pool points where the survivors disagree."""
+
+    def __init__(self, hclass: FiniteClass, cfg: AlgoConfig, online: SplitRows, policy: LoggingPolicy):
+        self.hclass = hclass
+        self.cfg = cfg
+        self.bound = replace(cfg.bound, hypothesis_count=len(hclass))
+        self.pool = np.arange(len(hclass.pool))
+        self.pool_q0 = np.array([policy_prob(policy, x) for x in hclass.pool])
+        self.positions = hclass.positions([ex.x for ex in online])
+        self.candidates = CandidateSetExact.full(hclass)
+        self.xi = float(self.pool_q0.min())
+        self.iterations: list[IterationRecord] | None = [] if cfg.record_iterations else None
+
+    def fit(self, sample: WeightedSample):
+        self.erm_index, self.erm_value = erm_weighted(self.hclass, sample, self.candidates)
+        return self.hclass.member(self.erm_index), self.erm_value
+
+    def shrink(self, k: int, sample: WeightedSample, mk: int, nk: int, xi: float, segment: slice):
+        """Prune the candidates after fit; (xi_next, region mask, ERM
+        predictions) at the online rows in segment."""
+        hclass, erm_index = self.hclass, self.erm_index
+        delta_k = self.cfg.delta / ((k + 1) * (k + 2))
+        if mk * xi + nk > 0.0:
+            sigma_value = sigma((mk, nk), xi, replace(self.bound, delta=delta_k / 2.0))
+        else:
+            sigma_value = math.inf
+        instances = sample.instances()
+        preds = hclass.predictions(instances) if instances else np.zeros((len(hclass), 0), dtype=np.int8)
+        before = self.candidates.active
+        if preds.shape[1] > 0:
+            rho_rows = (preds[list(before)] != preds[erm_index]).mean(axis=1)
+        else:
+            rho_rows = np.zeros(len(before))
+        rho_of = {index: float(r) for index, r in zip(before, rho_rows)}
+        threshold = lambda i, best: delta_bound(sigma_value, rho_of[i], self.bound)
+        self.candidates = update_candidates(hclass, sample, self.candidates, threshold)
+        pool_mask = exact_dis_test(hclass, self.candidates, self.pool)
+        xi_next = float(self.pool_q0[pool_mask].min()) if pool_mask.any() else 1.0
+        if self.iterations is not None:
+            self.iterations.append(
+                IterationRecord(
+                    k=k,
+                    candidates_before=before,
+                    candidates_after=self.candidates.active,
+                    erm_index=erm_index,
+                    erm_value=self.erm_value,
+                    sigma_value=sigma_value,
+                    xi=xi,
+                    sample=sample,
+                )
+            )
+        positions = self.positions[segment]
+        return xi_next, pool_mask[positions], hclass.labels[erm_index, positions]
+
+
+class _PracticalSteps:
+    """Practical mode over a LinearModel: importance-weighted gradient passes
+    instead of an ERM, and the margin test instead of a candidate set."""
+
+    def __init__(self, model: LinearModel, cfg: AlgoConfig, logged: SplitRows, online: SplitRows):
+        self.model = model
+        self.cfg = cfg
+        self.logged = logged
+        self.online = online
+        self.stepsize: float | None = None
+        self.xi = float(logged.q0.min())
+        self.iterations = None
+
+    def fit(self, sample: WeightedSample):
+        # mean-style importance weights: (m + n)/denominator reduces to
+        # 1/q0 on the warm segment and keeps gradient magnitudes O(1)
+        scale = sample.m + sample.n
+        for triple, denominator in sample.records:
+            if triple.z == 0:
+                continue
+            self.model = ogd_update(self.model, triple.x, triple.y, scale / denominator, self.cfg.eta)
+            # steps just advanced, so this is the stepsize that update used
+            self.stepsize = ogd_stepsize(self.model.steps, self.cfg.eta)
+        self.erm_value = mis_error(self.model, sample)
+        return self.model, self.erm_value
+
+    def shrink(self, k: int, sample: WeightedSample, mk: int, nk: int, xi: float, segment: slice):
+        """(xi_next, margin mask, predictions) at the online rows in segment,
+        all from the model fit left; xi_next is the floor over the logged
+        rows inside the margin."""
+        w = self.model.weights
+        scores = self.online.matrix[segment] @ w
+        effective = mk * xi + nk
+        if effective <= 0.0:
+            # no effective mass yet: treat everything as contested
+            return float(self.logged.q0.min()), np.ones(scores.size, dtype=bool), scores >= 0.0
+        stepsize = self.stepsize if self.stepsize is not None else ogd_stepsize(self.model.steps + 1, self.cfg.eta)
+        mask_args = (stepsize, self.cfg.capacity, self.erm_value, effective, mk + nk)
+        logged_mask = approx_dis_mask(self.logged.matrix @ w, self.logged.norms, *mask_args)
+        xi_next = float(self.logged.q0[logged_mask].min()) if logged_mask.any() else 1.0
+        # ties (score exactly 0) go to label 1, a NaN score predicts 0
+        return xi_next, approx_dis_mask(scores, self.online.norms[segment], *mask_args), scores >= 0.0
+
+
+def _mode_steps(hypothesis_space, cfg: AlgoConfig, logged, online, policy: LoggingPolicy, test_data):
+    """(logged, online, test_data, steps): the splits as SplitRows, the test
+    data and the per-iteration steps, all in the form cfg.mode reads."""
+    if cfg.mode == "exact":
+        if not isinstance(hypothesis_space, FiniteClass):
+            raise TypeError("exact mode needs a FiniteClass")
+        logged, online = to_split_rows(logged, policy), to_split_rows(online, policy)
+        return logged, online, test_data, _ExactSteps(hypothesis_space, cfg, online, policy)
+    if not isinstance(hypothesis_space, LinearModel):
+        raise TypeError("practical mode needs a LinearModel")
+    dim = hypothesis_space.dim
+    logged, online = to_split_rows(logged, policy, dim), to_split_rows(online, policy, dim)
+    steps = _PracticalSteps(hypothesis_space, cfg, logged, online)
+    return logged, online, _test_rows(test_data, dim), steps
 
 
 def _run_disagreement_core(
-    logged: Sequence[LoggedTriple],
-    online: Sequence[Example],
+    logged: Sequence[LoggedTriple] | SplitRows,
+    online: Sequence[Example] | SplitRows,
     policy: LoggingPolicy,
     hypothesis_space: FiniteClass | LinearModel,
     cfg: AlgoConfig,
     seed: int,
-    test_data: Sequence[Example] | None,
+    test_data: Sequence[Example] | LabeledRows | None,
     *,
     weighting: str,
     debias: bool,
     algo_name: str,
-    logged_q0: np.ndarray | None = None,
-    logged_dense: np.ndarray | None = None,
 ) -> RunResult:
     m, n = len(logged), len(online)
-    exact = cfg.mode == "exact"
-    q0_logged = _logged_propensities(logged, policy, logged_q0)
-
-    if exact:
-        if not isinstance(hypothesis_space, FiniteClass):
-            raise TypeError("exact mode needs a FiniteClass")
-        hclass = hypothesis_space
-        bound = replace(cfg.bound, hypothesis_count=len(hclass))
-        pool_q0 = np.array([policy_prob(policy, x) for x in hclass.pool])
-        model = None
-    else:
-        if not isinstance(hypothesis_space, LinearModel):
-            raise TypeError("practical mode needs a LinearModel")
-        model = hypothesis_space
-        hclass = None
-        bound = None
-        test_data = _test_rows(test_data, model.dim)
-        # unlabeled sample for estimating the propensity floor over the
-        # (approximate) disagreement region; labels never touched
-        if logged_dense is None:
-            logged_dense = to_dense_matrix([t.x for t in logged], model.dim)
-        elif logged_dense.shape != (m, model.dim + 1):
-            raise ValueError("dense cache shape does not match the logged data")
-
     if n == 0:
-        K = 0
-        n_parts: tuple[int, ...] = ()
-        m_parts: tuple[int, ...] = (m,)
-        alpha = math.inf
         if m < 3:
             raise ValueError(f"need at least 3 logged examples, got {m}")
+        K, n_parts, m_parts, alpha = 0, (), (m,), math.inf
     else:
         plan = plan_partition(m, n)
         K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
+    logged, online, test_data, steps = _mode_steps(hypothesis_space, cfg, logged, online, policy, test_data)
 
     logged_starts = np.concatenate(([0], np.cumsum(m_parts)))
+    online_starts = np.concatenate(([0], np.cumsum(n_parts)))
 
     def logged_segment(k: int) -> tuple[list[LoggedTriple], list[float]]:
         lo, hi = int(logged_starts[k]), int(logged_starts[k + 1])
-        return list(logged[lo:hi]), [float(v) for v in q0_logged[lo:hi]]
+        return list(logged.records[lo:hi]), logged.q0[lo:hi].tolist()
 
     def build_sample(
         triples: list[LoggedTriple],
@@ -325,227 +403,122 @@ def _run_disagreement_core(
     # S~_0 = T0^(0): no online mass yet, so both weightings coincide
     seg_triples, seg_q0 = logged_segment(0)
     sample = build_sample(seg_triples, seg_q0, [0.0] * len(seg_triples), seg_q0, m_parts[0], 0)
-    true_labels: list[int | None] = [t.y if t.z == 1 else None for t in seg_triples]
-
-    if exact:
-        candidates = CandidateSetExact.full(hclass)
-        xi = float(pool_q0.min())
-    else:
-        xi = float(q0_logged.min()) if m > 0 else 1.0
+    xi = steps.xi
 
     decisions: list[str] = []
     per_iteration_queries: list[int] = []
     trace: list[TracePoint] = []
-    iteration_log: list[IterationRecord] = []
     queries = inferred = skipped = 0
     consumed = 0
-    current_stepsize: float | None = None
-    final_classifier = None
-    final_value = 0.0
 
     for k in range(K + 1):
         mk = m_parts[k]
         nk = 0 if k == 0 else n_parts[k - 1]
 
         # best candidate on S~_k
-        if exact:
-            erm_index, erm_value = erm_weighted(hclass, sample, candidates)
-            current = hclass.member(erm_index)
-        else:
-            # mean-style importance weights: (m + n)/denominator reduces to
-            # 1/q0 on the warm segment and keeps gradient magnitudes O(1)
-            scale = sample.m + sample.n
-            for triple, denominator in sample.records:
-                if triple.z == 0:
-                    continue
-                model = ogd_update(model, triple.x, triple.y, scale / denominator, cfg.eta)
-                # steps just advanced, so this is the stepsize that update used
-                current_stepsize = ogd_stepsize(model.steps, cfg.eta)
-            erm_index = -1
-            erm_value = mis_error(model, sample)
-            current = model
-
+        current, erm_value = steps.fit(sample)
         trace.append(TracePoint(consumed, queries, _test_error(current, test_data)))
-
         if k == K:
-            final_classifier = current
-            final_value = erm_value
             break
 
-        # deviation scale for this iteration's sample
-        delta_k = cfg.delta / ((k + 1) * (k + 2))
-        effective = mk * xi + nk
-        if exact:
-            if effective > 0.0:
-                sigma_value = sigma((mk, nk), xi, replace(bound, delta=delta_k / 2.0))
-            else:
-                sigma_value = math.inf
-            instances = sample.instances()
-            preds = hclass.predictions(instances) if instances else np.zeros((len(hclass), 0), dtype=np.int8)
-            if preds.shape[1] > 0:
-                rho_rows = (preds[list(candidates.active)] != preds[erm_index]).mean(axis=1)
-            else:
-                rho_rows = np.zeros(len(candidates.active))
-            rho_of = {index: float(r) for index, r in zip(candidates.active, rho_rows)}
-            threshold = lambda i, best: delta_bound(sigma_value, rho_of[i], bound)
-            before = candidates.active
-            candidates = update_candidates(hclass, sample, candidates, threshold)
-            sub = hclass.labels[list(candidates.active)]
-            dis_mask = sub.min(axis=0) != sub.max(axis=0)
-            xi_next = float(pool_q0[dis_mask].min()) if dis_mask.any() else 1.0
-            in_region: Callable[[FeatureVector], int] = lambda x: exact_dis_test(hclass, candidates, x)
-            if cfg.record_iterations:
-                iteration_log.append(
-                    IterationRecord(
-                        k=k,
-                        candidates_before=before,
-                        candidates_after=candidates.active,
-                        erm_index=erm_index,
-                        erm_value=erm_value,
-                        sigma_value=sigma_value,
-                        xi=xi,
-                        sample=sample,
-                        true_labels=tuple(true_labels),
-                    )
-                )
-        else:
-            stepsize = current_stepsize if current_stepsize is not None else ogd_stepsize(model.steps + 1, cfg.eta)
-            count = mk + nk
-            if effective > 0.0:
-                mask = approx_dis_mask(
-                    model, logged_dense, stepsize, cfg.capacity, erm_value, effective, count
-                )
-                xi_next = float(q0_logged[mask].min()) if mask.any() else 1.0
-                snapshot = model
-                in_region = lambda x: approx_dis_test(
-                    snapshot, x, stepsize, cfg.capacity, erm_value, effective, count
-                )
-            else:
-                # no effective mass yet: treat everything as contested
-                xi_next = float(q0_logged.min()) if m > 0 else 1.0
-                in_region = lambda x: 1
-
-        # consume online segment k+1 with the updated region
-        next_n = n_parts[k]
-        next_m = m_parts[k + 1]
-        start = sum(n_parts[:k])
-        segment = online[start : start + next_n]
-        seg_queries = 0
+        # shrink to the disagreement region, then consume online segment
+        # k+1: query inside it, impute the current prediction outside it
+        lo, hi = int(online_starts[k]), int(online_starts[k + 1])
+        xi_next, in_region, guesses = steps.shrink(k, sample, mk, nk, xi, slice(lo, hi))
+        new_q0 = online.q0[lo:hi].tolist()
         new_triples: list[LoggedTriple] = []
-        new_q0: list[float] = []
         new_bits: list[float] = []
-        new_truth: list[int | None] = []
-        for ex in segment:
-            q0x = policy_prob(policy, ex.x)
+        seg_queries = 0
+        for ex, q0x, inside, guess in zip(online.records[lo:hi], new_q0, in_region, guesses):
             bit = debias_rule(q0x, xi_next, alpha) if debias else 1
             if bit == 0:
                 new_triples.append(LoggedTriple(ex.x, 0))
                 decisions.append(SKIP)
                 skipped += 1
-            elif in_region(ex.x):
+            elif inside:
                 new_triples.append(LoggedTriple(ex.x, 1, ex.y, LabelSource.QUERIED))
                 decisions.append(QUERY)
                 queries += 1
                 seg_queries += 1
             else:
-                guess = int(current.predict(ex.x)) if hasattr(current, "predict") else int(current(ex.x))
-                new_triples.append(LoggedTriple(ex.x, 1, guess, LabelSource.INFERRED))
+                new_triples.append(LoggedTriple(ex.x, 1, int(guess), LabelSource.INFERRED))
                 decisions.append(INFER)
                 inferred += 1
-            new_q0.append(q0x)
             new_bits.append(float(bit))
-            new_truth.append(ex.y)
-        consumed += next_n
+        consumed += hi - lo
         per_iteration_queries.append(seg_queries)
 
         # S~_{k+1} = T0^(k+1) plus the fresh online segment
         log_triples, log_q0 = logged_segment(k + 1)
         log_bits = [float(debias_rule(p, xi_next, alpha)) if debias else 1.0 for p in log_q0]
-        all_triples = log_triples + new_triples
-        all_q0 = log_q0 + new_q0
-        all_bits = log_bits + new_bits
-        own = log_q0 + new_bits
-        sample = build_sample(all_triples, all_q0, all_bits, own, next_m, next_n)
-        true_labels = [t.y if t.z == 1 else None for t in log_triples] + new_truth
+        sample = build_sample(
+            log_triples + new_triples, log_q0 + new_q0, log_bits + new_bits, log_q0 + new_bits,
+            m_parts[k + 1], hi - lo,
+        )
         xi = xi_next
 
     fingerprint = _fingerprint(
-        algo_name, cfg.mode, cfg.delta, cfg.bound.gamma0, cfg.bound.gamma1,
+        algo_name, cfg.mode, cfg.delta, cfg.bound.gamma0,
         cfg.capacity, cfg.eta, weighting, debias, m, n, seed,
     )
     return RunResult(
-        final_classifier=final_classifier,
-        final_value=final_value,
+        final_classifier=current,
+        final_value=erm_value,
         query_count=queries,
         inferred_count=inferred,
         skipped_count=skipped,
         per_iteration_queries=tuple(per_iteration_queries),
         decisions=tuple(decisions),
         trace=tuple(trace),
-        final_test_error=trace[-1].test_error if trace else None,
+        final_test_error=trace[-1].test_error,
         seed=seed,
         config_fingerprint=fingerprint,
-        iterations=tuple(iteration_log) if (exact and cfg.record_iterations) else None,
+        iterations=None if steps.iterations is None else tuple(steps.iterations),
     )
 
 
-def run_idbal(
-    logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0,
-    test_data=None, logged_q0=None, logged_dense=None,
-) -> RunResult:
+def run_idbal(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0, test_data=None) -> RunResult:
     """Balanced weighting plus the debiasing query rule (the full algorithm)."""
     return _run_disagreement_core(
         logged, online, policy, hypothesis_space, cfg, seed, test_data,
         weighting="mis", debias=True, algo_name="idbal",
-        logged_q0=logged_q0, logged_dense=logged_dense,
     )
 
 
-def run_dbalwm(
-    logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0,
-    test_data=None, logged_q0=None, logged_dense=None,
-) -> RunResult:
+def run_dbalwm(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0, test_data=None) -> RunResult:
     """Balanced weighting, no debiasing: every online point in the current
     segment is taken (queried inside the region, imputed outside)."""
     return _run_disagreement_core(
         logged, online, policy, hypothesis_space, cfg, seed, test_data,
         weighting="mis", debias=False, algo_name="dbalwm",
-        logged_q0=logged_q0, logged_dense=logged_dense,
     )
 
 
-def run_dbalw(
-    logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0,
-    test_data=None, logged_q0=None, logged_dense=None,
-) -> RunResult:
+def run_dbalw(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0, test_data=None) -> RunResult:
     """Per-phase importance weighting, no debiasing."""
     return _run_disagreement_core(
         logged, online, policy, hypothesis_space, cfg, seed, test_data,
         weighting="is", debias=False, algo_name="dbalw",
-        logged_q0=logged_q0, logged_dense=logged_dense,
     )
 
 
-def run_passive(
-    logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0,
-    test_data=None, logged_q0=None, logged_dense=None,
-) -> RunResult:
+def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0, test_data=None) -> RunResult:
     """Query every online label; fit with inverse-propensity weights on the
     logged phase and unit weights on the online phase."""
+    logged = to_split_rows(logged, policy)
     m, n = len(logged), len(online)
-    q0_logged = _logged_propensities(logged, policy, logged_q0)
+    q0 = logged.q0.tolist()
     online_triples = [LoggedTriple(ex.x, 1, ex.y, LabelSource.QUERIED) for ex in online]
+    sample = WeightedSample.phase_weighted(list(logged) + online_triples, q0 + [1.0] * n, m, n)
     trace: list[TracePoint] = []
 
     if cfg.mode == "exact":
         if not isinstance(hypothesis_space, FiniteClass):
             raise TypeError("exact mode needs a FiniteClass")
         hclass = hypothesis_space
-        warm = WeightedSample.phase_weighted(list(logged), [float(p) for p in q0_logged], m, 0)
+        warm = WeightedSample.phase_weighted(list(logged), q0, m, 0)
         warm_index, _ = erm_weighted(hclass, warm)
         trace.append(TracePoint(0, 0, _test_error(hclass.member(warm_index), test_data)))
-        own = [float(p) for p in q0_logged] + [1.0] * n
-        sample = WeightedSample.phase_weighted(list(logged) + online_triples, own, m, n)
         erm_index, final_value = erm_weighted(hclass, sample)
         final = hclass.member(erm_index)
     else:
@@ -553,15 +526,13 @@ def run_passive(
             raise TypeError("practical mode needs a LinearModel")
         model = hypothesis_space
         test_data = _test_rows(test_data, model.dim)
-        for triple, p in zip(logged, q0_logged):
+        for triple, p in zip(logged, q0):
             if triple.z == 1:
-                model = ogd_update(model, triple.x, triple.y, 1.0 / float(p), cfg.eta)
+                model = ogd_update(model, triple.x, triple.y, 1.0 / p, cfg.eta)
         trace.append(TracePoint(0, 0, _test_error(model, test_data)))
         for ex in online:
             model = ogd_update(model, ex.x, ex.y, 1.0, cfg.eta)
         final = model
-        own = [float(p) for p in q0_logged] + [1.0] * n
-        sample = WeightedSample.phase_weighted(list(logged) + online_triples, own, m, n)
         final_value = mis_error(final, sample)
 
     trace.append(TracePoint(n, n, _test_error(final, test_data)))

@@ -1,8 +1,7 @@
 """Brute-force ground truth on small discrete problems.
 
 Everything here is deliberately exhaustive or Monte Carlo: true errors by
-summing over the pool, disagreement balls and regions by enumeration, the
-propensity-restricted region by literal subset union when asked, and
+summing over the pool, disagreement balls and regions by enumeration, and
 estimator checks by resampling the full generative process. The learners
 never call into this module; it exists to verify them and the estimators.
 
@@ -12,7 +11,6 @@ point and independently coded oracles can agree to the last bit.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -21,7 +19,6 @@ import numpy as np
 
 from .data import Example, FeatureVector, LabelSource, LoggedTriple
 from .hypotheses import FiniteClass
-from .learners import PartitionPlan
 from .policies import TablePolicy
 from .rng import derive_rng
 
@@ -39,8 +36,6 @@ __all__ = [
     "variance_compare",
     "RateReport",
     "concentration_rate",
-    "TheoryQuantities",
-    "theory_sequences",
     "CheckRow",
     "run_verification_suite",
 ]
@@ -180,48 +175,19 @@ def dis_region(instance: DiscreteInstance, members: Iterable[int]) -> tuple[int,
     return tuple(int(i) for i in np.nonzero(mask)[0])
 
 
-def s_region(
-    instance: DiscreteInstance,
-    region: Iterable[int],
-    alpha: float,
-    variant: str = "restricted",
-) -> tuple[int, ...]:
-    """Propensity-restricted region.
-
-    variant="restricted": region points whose propensity is within 1/alpha of
-    the region's propensity floor. variant="literal": the union over all
-    nonempty subsets A' of the region of the same filter applied inside A'
-    (exhaustive; capped at 20 region points). The literal union always
-    contains each point via its own singleton subset, so it equals the
-    region; both are provided so that equivalence can be checked rather than
-    assumed.
-    """
+def s_region(instance: DiscreteInstance, region: Iterable[int], alpha: float) -> tuple[int, ...]:
+    """Propensity-restricted region: the region points whose propensity is
+    within 1/alpha of the region's propensity floor."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     points = sorted(set(int(i) for i in region))
     if not points:
         return ()
-    if variant == "restricted":
-        floor = float(instance.q0[points].min())
-        return tuple(i for i in points if instance.q0[i] <= floor + 1.0 / alpha)
-    if variant == "literal":
-        if len(points) > 20:
-            raise ValueError("literal variant is exponential; region capped at 20 points")
-        keep: set[int] = set()
-        for size in range(1, len(points) + 1):
-            for subset in itertools.combinations(points, size):
-                floor = float(instance.q0[list(subset)].min())
-                keep.update(i for i in subset if instance.q0[i] <= floor + 1.0 / alpha)
-        return tuple(sorted(keep))
-    raise ValueError(f"unknown variant {variant!r}")
+    floor = float(instance.q0[points].min())
+    return tuple(i for i in points if instance.q0[i] <= floor + 1.0 / alpha)
 
 
-def adjusted_dis_coefficient(
-    instance: DiscreteInstance,
-    r0: float,
-    alpha: float,
-    variant: str = "restricted",
-) -> float:
+def adjusted_dis_coefficient(instance: DiscreteInstance, r0: float, alpha: float) -> float:
     """sup over r > r0 of mass(s_region(DIS(ball(h*, r)), alpha)) / r.
 
     The ball is piecewise constant in r and 1/r is decreasing, so the
@@ -240,7 +206,7 @@ def adjusted_dis_coefficient(
     def mass_at(radius: float) -> float:
         members = dis_ball(instance, center, radius)
         region = dis_region(instance, members)
-        kept = s_region(instance, region, alpha, variant)
+        kept = s_region(instance, region, alpha)
         return float(instance.masses[list(kept)].sum()) if kept else 0.0
 
     best = 0.0
@@ -415,83 +381,6 @@ def concentration_rate(
 
 
 @dataclass(frozen=True)
-class TheoryQuantities:
-    """Spreadsheet-style evaluation of the deviation-driven sequences on a
-    discrete instance, for a given partition plan.
-
-    For k = 1..K (with delta_k = delta / ((k+1)(k+2)) and n_0 = 0):
-
-        zeta_k = max over the previous region of
-                 ln(2 * members / delta_k) / (m_{k-1} * q0(x) + n_{k-1})
-        eps_k  = gamma2 * zeta_k + gamma2 * sqrt(zeta_k * nu)
-        region_k = disagreement region of the ball of radius 2 nu + eps_k
-
-    zeta is the floor-sensitivity constant max over region_1 of
-    1 / (alpha * q0(x) + 1).
-    """
-
-    nu: float
-    h_star_index: int
-    zeta_k: tuple[float, ...]
-    epsilon_k: tuple[float, ...]
-    regions: tuple[tuple[int, ...], ...]
-    zeta: float
-    alpha: float
-    gamma2: float
-
-
-def theory_sequences(
-    instance: DiscreteInstance,
-    plan: PartitionPlan,
-    delta: float,
-    gamma2: float = 1.0,
-) -> TheoryQuantities:
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if gamma2 <= 0.0:
-        raise ValueError("gamma2 must be positive")
-    members = len(instance.classifiers)
-    nu = instance.nu
-    center = instance.h_star_index
-    region = tuple(range(len(instance.pool)))  # region_0 is everything
-    zetas: list[float] = []
-    epsilons: list[float] = []
-    regions: list[tuple[int, ...]] = []
-    for k in range(1, plan.K + 1):
-        delta_k = delta / ((k + 1) * (k + 2))
-        m_prev = plan.m_parts[k - 1]
-        n_prev = 0 if k == 1 else plan.n_parts[k - 2]
-        numerator = math.log(2.0 * members / delta_k)
-        worst = 0.0
-        for i in region:
-            denominator = m_prev * float(instance.q0[i]) + n_prev
-            term = math.inf if denominator <= 0.0 else numerator / denominator
-            worst = max(worst, term)
-        zeta_k = worst
-        eps_k = gamma2 * zeta_k + gamma2 * math.sqrt(zeta_k * nu) if math.isfinite(zeta_k) else math.inf
-        ball = dis_ball(instance, center, 2.0 * nu + eps_k)
-        region = dis_region(instance, ball)
-        zetas.append(zeta_k)
-        epsilons.append(eps_k)
-        regions.append(region)
-    first_region = regions[0] if regions else ()
-    zeta = max(
-        (1.0 / (plan.alpha * float(instance.q0[i]) + 1.0) for i in first_region),
-        default=0.0,
-    )
-    return TheoryQuantities(
-        nu=nu,
-        h_star_index=center,
-        zeta_k=tuple(zetas),
-        epsilon_k=tuple(epsilons),
-        regions=tuple(regions),
-        zeta=zeta,
-        alpha=plan.alpha,
-        gamma2=gamma2,
-    )
-
-
-@dataclass(frozen=True)
 class CheckRow:
     name: str
     passed: bool
@@ -540,7 +429,6 @@ def run_verification_suite(seed: int = 0, fixtures: int = 20, trials: int = 2000
             details=" ".join(f"{q:.4g}" for q in rate.quantiles),
         )
     )
-    mismatch = 0
     monotone_fail = 0
     for i in range(10):
         instance = random_instance(seed=seed * 31 + i)
@@ -549,11 +437,6 @@ def run_verification_suite(seed: int = 0, fixtures: int = 20, trials: int = 2000
         for alpha in (2.0, 4.0, 8.0):
             if adjusted_dis_coefficient(instance, r0, alpha) > base + 1e-12:
                 monotone_fail += 1
-        region = dis_region(instance, tuple(range(len(instance.classifiers))))
-        for alpha in (1.0, 2.0, 4.0):
-            literal = s_region(instance, region, alpha, variant="literal")
-            if literal != tuple(sorted(region)):
-                mismatch += 1
     rows.append(
         CheckRow(
             name="theta-alpha-monotone",
@@ -561,15 +444,6 @@ def run_verification_suite(seed: int = 0, fixtures: int = 20, trials: int = 2000
             statistic=float(monotone_fail),
             threshold=0.0,
             details="theta(r0, alpha) <= theta(r0, 1) over 10 fixtures",
-        )
-    )
-    rows.append(
-        CheckRow(
-            name="literal-region-collapse",
-            passed=mismatch == 0,
-            statistic=float(mismatch),
-            threshold=0.0,
-            details="literal subset-union region equals the plain region",
         )
     )
     return rows

@@ -13,7 +13,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from scipy.optimize import brentq
 
@@ -32,7 +32,6 @@ __all__ = [
     "group_of",
     "fit_coarse_model",
     "calibrate_scale",
-    "policy_infimum",
     "load_table_policy",
     "save_table_policy",
 ]
@@ -212,23 +211,6 @@ def calibrate_scale(
     else:
         raise ValueError(f"target {target} unreachable for {kind} policy on this sample")
     return float(brentq(gap, 0.0, hi, xtol=tolerance))
-
-
-def policy_infimum(
-    policy: LoggingPolicy,
-    region: Callable[[FeatureVector], bool],
-    sample: Iterable[FeatureVector],
-) -> float:
-    """Smallest reveal probability over sample members inside the region;
-    1.0 when nothing falls inside (vacuous infimum). Always an upper bound on
-    the true infimum over the region."""
-    best = 1.0
-    for x in sample:
-        if region(x):
-            p = policy_prob(policy, x)
-            if p < best:
-                best = p
-    return best
 
 
 def save_table_policy(pairs: Sequence[tuple[FeatureVector, float]]) -> str:

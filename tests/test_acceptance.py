@@ -233,7 +233,7 @@ class TestAcceptance:
         for seed in range(10):
             instance = random_instance(seed)
             r0 = 2.0 * instance.nu
-            ours = adjusted_dis_coefficient(instance, r0, alpha=1.0, variant="restricted")
+            ours = adjusted_dis_coefficient(instance, r0, alpha=1.0)
             theirs = independent_coefficient(instance, r0)
             if math.isclose(ours, theirs, rel_tol=1e-12, abs_tol=0.0):
                 matches += 1

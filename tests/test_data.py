@@ -17,9 +17,10 @@ from idbal.data import (
     generate_synthetic,
     parse_sparse_dataset,
     split_dataset,
+    stack_rows,
     synthetic_separator,
-    to_dense_matrix,
     to_labeled_rows,
+    to_split_rows,
 )
 from idbal.policies import IdenticalPolicy
 
@@ -223,15 +224,17 @@ class TestLogging:
 
 
 class TestDenseMatrix:
+    """The stacked row layout, read back densely and as stored."""
+
     def test_bias_column_and_values(self):
         xs = [FeatureVector({1: 2.0}), FeatureVector({2: -1.0, 3: 4.0})]
-        dense = to_dense_matrix(xs, 3)
+        dense = stack_rows(xs, 3).toarray()
         expected = np.array([[1.0, 2.0, 0.0, 0.0], [1.0, 0.0, -1.0, 4.0]])
         np.testing.assert_array_equal(dense, expected)
 
     def test_index_beyond_dim_rejected(self):
         with pytest.raises(ValueError):
-            to_dense_matrix([FeatureVector({5: 1.0})], 4)
+            stack_rows([FeatureVector({5: 1.0})], 4)
 
     def test_labeled_rows_store_bias_then_features_in_index_order(self):
         xs = [FeatureVector({1: 2.0}), FeatureVector({}), FeatureVector({3: 4.0, 2: -1.0})]
@@ -241,3 +244,41 @@ class TestDenseMatrix:
         assert rows.matrix.shape == (3, 4)
         np.testing.assert_array_equal(rows.labels, [1, 0, 1])
         assert len(rows) == 3
+
+
+class TestSplitRows:
+    def _examples(self) -> list[Example]:
+        xs = [FeatureVector({1: 2.0}), FeatureVector({}), FeatureVector({3: 4.0, 2: -1.0})]
+        return [Example(x, y) for x, y in zip(xs, (1, 0, 1))]
+
+    def test_propensities_rows_and_norms(self):
+        examples = self._examples()
+        rows = to_split_rows(examples, IdenticalPolicy(0.25), 3)
+        assert rows.records == tuple(examples)
+        assert list(rows) == examples
+        np.testing.assert_array_equal(rows.q0, [0.25, 0.25, 0.25])
+        np.testing.assert_array_equal(rows.matrix.toarray(), stack_rows([ex.x for ex in examples], 3).toarray())
+        np.testing.assert_array_equal(rows.norms, [5.0, 1.0, 18.0])
+
+    def test_slicing_cuts_every_array_alike(self):
+        rows = to_split_rows(self._examples(), IdenticalPolicy(0.25), 3)
+        head = rows[:2]
+        assert len(head) == 2 and head.records == rows.records[:2]
+        assert head.matrix.shape == (2, 4)
+        np.testing.assert_array_equal(head.matrix.toarray(), rows.matrix.toarray()[:2])
+        np.testing.assert_array_equal(head.norms, rows.norms[:2])
+        np.testing.assert_array_equal(head.q0, rows.q0[:2])
+
+    def test_without_a_dimension_no_rows_are_stacked(self):
+        rows = to_split_rows(self._examples(), IdenticalPolicy(0.25))
+        assert rows.matrix is None and rows.norms is None
+        assert len(rows[1:]) == 2
+
+    def test_passthrough_checks_the_width(self):
+        rows = to_split_rows(self._examples(), IdenticalPolicy(0.25), 3)
+        assert to_split_rows(rows, IdenticalPolicy(0.5), 3) is rows
+        assert to_split_rows(rows, IdenticalPolicy(0.5)) is rows
+        with pytest.raises(ValueError):
+            to_split_rows(rows, IdenticalPolicy(0.5), 4)
+        with pytest.raises(ValueError):
+            to_split_rows(to_split_rows(self._examples(), IdenticalPolicy(0.25)), IdenticalPolicy(0.5), 3)

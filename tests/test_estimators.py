@@ -11,8 +11,6 @@ from idbal.estimators import (
     BoundConfig,
     WeightedSample,
     delta_bound,
-    empirical_disagreement,
-    is_error,
     mis_error,
     sigma,
 )
@@ -94,42 +92,6 @@ class TestMisError:
             sample = WeightedSample.balanced(triples, q0, np.zeros(count), m=count, n=0)
             expected = sum(1.0 / (count * q0[i]) for i in range(count) if labels[i] == 1)
             np.testing.assert_allclose(mis_error(_Always(0), sample), expected)
-
-
-class TestIsError:
-    def test_hand_value(self):
-        logged = [(LoggedTriple(_x(1), 1, 1), 0.25)]
-        online = [(LoggedTriple(_x(2), 1, 1), 1.0)]
-        # (1/0.25 + 1/1.0) / 2
-        np.testing.assert_allclose(is_error(_Always(0), logged, online), 2.5)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            is_error(_Always(0), [], [])
-
-    def test_zero_propensity_on_revealed_rejected(self):
-        logged = [(LoggedTriple(_x(1), 1, 1), 0.0)]
-        with pytest.raises(ValueError):
-            is_error(_Always(0), logged, [])
-
-
-class TestDisagreement:
-    def test_fraction(self):
-        instances = [_x(i) for i in range(1, 5)]
-
-        class Threshold:
-            def __init__(self, cut):
-                self.cut = cut
-
-            def predict(self, x):
-                return int(x.items[0][1] >= self.cut)
-
-        value = empirical_disagreement(Threshold(2.0), Threshold(4.0), instances)
-        assert value == 0.5  # they differ at 2 and 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_disagreement(_Always(0), _Always(1), [])
 
 
 class TestBounds:

@@ -1,5 +1,5 @@
 """Linear models, gradient updates, the finite class, candidate pruning, and
-the two disagreement tests."""
+the exact and margin disagreement masks."""
 from __future__ import annotations
 
 import math
@@ -7,14 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from idbal.data import Example, FeatureVector, LoggedTriple, to_labeled_rows
+from idbal.data import Example, FeatureVector, LoggedTriple, to_labeled_rows, to_split_rows
 from idbal.estimators import WeightedSample
 from idbal.hypotheses import (
     CandidateSetExact,
     FiniteClass,
     LinearModel,
     approx_dis_mask,
-    approx_dis_test,
     classification_error,
     erm_weighted,
     exact_dis_test,
@@ -22,6 +21,7 @@ from idbal.hypotheses import (
     ogd_update,
     update_candidates,
 )
+from idbal.policies import IdenticalPolicy
 
 
 def _weighted_squared_loss(weights: np.ndarray, x: FeatureVector, y: int, u: float) -> float:
@@ -240,13 +240,27 @@ class TestExactDisagreement:
     def test_detects_split_predictions(self):
         hclass, pool = _tiny_class()
         candidates = CandidateSetExact((0, 2))
-        assert exact_dis_test(hclass, candidates, pool[1]) == 1  # 0 vs 1
-        assert exact_dis_test(hclass, candidates, pool[0]) == 0  # both say 0
+        # 0 vs 1 at pool point 1, both say 0 at pool point 0
+        assert exact_dis_test(hclass, candidates, np.array([1, 0])).tolist() == [True, False]
 
     def test_singleton_never_disagrees(self):
         hclass, pool = _tiny_class()
         candidates = CandidateSetExact((1,))
-        assert all(exact_dis_test(hclass, candidates, x) == 0 for x in pool)
+        assert not exact_dis_test(hclass, candidates, np.arange(len(pool))).any()
+
+
+def _in_region(model: LinearModel, x: FeatureVector, *args) -> bool:
+    """The margin test for one instance, written from its formula."""
+    stepsize, capacity, erm_loss, effective_n, sample_count = args
+    gap = abs(2.0 * model.raw_score(x)) / (stepsize * (1.0 + x.squared_norm()))
+    radius = math.sqrt(capacity * erm_loss / effective_n) + capacity * math.log(sample_count) / effective_n
+    return gap <= radius
+
+
+def _mask(model: LinearModel, xs: list[FeatureVector], *args) -> list[bool]:
+    """approx_dis_mask over the rows and norms the learners build."""
+    rows = to_split_rows([Example(x, 0) for x in xs], IdenticalPolicy(1.0), model.dim)
+    return approx_dis_mask(rows.matrix @ model.weights, rows.norms, *args).tolist()
 
 
 class TestApproxDisagreement:
@@ -254,33 +268,49 @@ class TestApproxDisagreement:
         model = LinearModel(np.array([0.0, 1.0, 0.0]))
         x = FeatureVector({1: 1.0, 2: 1.0})  # score 1, x~ . x~ = 3
         # gap = 2 / (0.1 * 3) = 6.667 against rhs ~ 0.0218: outside
-        assert approx_dis_test(model, x, 0.1, 0.01, 0.25, 9.0, 100) == 0
+        assert _mask(model, [x], 0.1, 0.01, 0.25, 9.0, 100) == [False]
         # capacity large enough flips the decision
-        assert approx_dis_test(model, x, 0.1, 500.0, 0.25, 9.0, 100) == 1
+        assert _mask(model, [x], 0.1, 500.0, 0.25, 9.0, 100) == [True]
 
     def test_zero_margin_always_inside(self):
         model = LinearModel(np.array([0.0, 1.0, 0.0]))
         x = FeatureVector({2: 1.0})  # score 0
-        assert approx_dis_test(model, x, 0.01, 0.01, 0.0, 100.0, 100) == 1
+        assert _mask(model, [x], 0.01, 0.01, 0.0, 100.0, 100) == [True]
 
-    def test_mask_agrees_with_pointwise(self):
+    def test_mask_matches_the_formula_exactly(self):
+        # rows with index gaps, an empty row and the two hand cases above;
+        # a zero model (every score exactly 0, against a zero radius too)
+        # and weights from 1 to 1e306, so some scores overflow to inf and
+        # some to inf - inf = NaN
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            dim = int(rng.integers(2, 6))
-            model = LinearModel(rng.normal(size=dim + 1), steps=int(rng.integers(1, 30)))
-            xs = [
-                FeatureVector({i + 1: float(v) for i, v in enumerate(rng.uniform(-1, 1, dim))})
-                for _ in range(15)
-            ]
-            dense = np.array([[1.0] + [dict(x.items).get(i + 1, 0.0) for i in range(dim)] for x in xs])
-            stepsize = float(rng.uniform(0.01, 0.5))
-            capacity = float(rng.choice([0.01, 0.64, 40.96]))
-            loss = float(rng.uniform(0.0, 0.5))
-            effective = float(rng.uniform(0.5, 50.0))
-            count = int(rng.integers(2, 500))
-            mask = approx_dis_mask(model, dense, stepsize, capacity, loss, effective, count)
-            pointwise = [approx_dis_test(model, x, stepsize, capacity, loss, effective, count) for x in xs]
-            np.testing.assert_array_equal(mask.astype(int), pointwise)
+        dim = 12
+        xs = [FeatureVector({}), FeatureVector({1: 1.0, 2: 1.0}), FeatureVector({2: 1.0})]
+        for _ in range(60):
+            picked = rng.choice(np.arange(1, dim + 1), size=int(rng.integers(1, dim)), replace=False)
+            xs.append(FeatureVector(zip(picked.tolist(), rng.uniform(-1e3, 1e3, picked.size))))
+        hand = np.zeros(dim + 1)
+        hand[1] = 1.0
+        models = [LinearModel.zeros(dim), LinearModel(hand)]
+        for scale in np.logspace(0.0, 306.0, 150):
+            weights = rng.standard_normal(dim + 1) * scale
+            weights[rng.random(dim + 1) < 0.2] = 0.0
+            models.append(LinearModel(weights))
+        settings = [
+            (0.1, 0.01, 0.25, 9.0, 100),
+            (0.1, 500.0, 0.25, 9.0, 100),
+            (0.01, 0.01, 0.0, 100.0, 100),
+            (0.5, 0.01, 0.0, 3.0, 1),  # radius exactly 0
+            (1e-3, 2621.44, 0.4, 1.5, 7),
+        ]
+        inside = 0
+        for model in models:
+            for args in settings:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = [_in_region(model, x, *args) for x in xs]
+                    mask = _mask(model, xs, *args)
+                assert mask == expected
+                inside += sum(mask)
+        assert 0 < inside < len(models) * len(settings) * len(xs)
 
 
 class TestClassificationError:

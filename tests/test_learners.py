@@ -2,6 +2,7 @@
 four run variants in both modes."""
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 
@@ -275,6 +276,29 @@ class TestExactRuns:
         assert a.decisions == b.decisions
         assert a.final_classifier.index == b.final_classifier.index
         assert a.skipped_count == 0
+
+    def test_runs_are_pinned(self):
+        # blake2b-128 over every run's counts, final member and decisions on
+        # 8 seeded worlds and all four learners; the hex was captured on the
+        # per-point region test, before the loop moved to per-run arrays.
+        # The worlds query, impute and skip, so each path is covered.
+        digest = hashlib.blake2b(digest_size=16)
+        seen = {QUERY: 0, INFER: 0, SKIP: 0}
+        cfg = AlgoConfig(mode="exact", delta=0.1, bound=BoundConfig(gamma0=0.25))
+        for seed in range(8):
+            inst = random_instance(seed, pool_size=6, class_size=16, force_low_propensity=seed % 2 == 1)
+            rng = derive_rng(seed, "pinned-exact-world")
+            logged = inst.draw_logged(rng, 1000)
+            online = inst.draw_examples(rng, 127)
+            for name in sorted(ALGORITHMS):
+                res = ALGORITHMS[name](logged, online, inst.logging_policy(), inst.classifiers, cfg, seed)
+                digest.update(f"{seed},{name},{res.query_count},{res.inferred_count},{res.skipped_count},"
+                              f"{res.final_classifier.index}:".encode())
+                digest.update(",".join(res.decisions).encode() + b";")
+                for decision in res.decisions:
+                    seen[decision] += 1
+        assert seen == {QUERY: 2131, INFER: 1646, SKIP: 287}
+        assert digest.hexdigest() == "1c15b3c85f27c49baf1ca65ec9d64831"
 
 
 class TestIsWeighting:

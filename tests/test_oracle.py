@@ -10,7 +10,6 @@ import pytest
 
 from idbal.data import FeatureVector
 from idbal.hypotheses import FiniteClass
-from idbal.learners import plan_partition
 from idbal.oracle import (
     DiscreteInstance,
     adjusted_dis_coefficient,
@@ -22,7 +21,6 @@ from idbal.oracle import (
     random_instance,
     run_verification_suite,
     s_region,
-    theory_sequences,
     true_error,
     variance_compare,
 )
@@ -105,24 +103,11 @@ class TestRegionGeometry:
         inst = _hand_instance()
         # region over all three points; threshold = min q0 + 1/alpha
         region = (0, 1, 2)
-        kept = s_region(inst, region, alpha=2.0, variant="restricted")
+        kept = s_region(inst, region, alpha=2.0)
         # min q0 = 0.125, cutoff 0.625: keeps q0 in {0.5, 0.125}
         assert kept == (0, 1)
-        everything = s_region(inst, region, alpha=1.0, variant="restricted")
+        everything = s_region(inst, region, alpha=1.0)
         assert everything == (0, 1, 2)
-
-    def test_literal_variant_collapses_to_the_whole_region(self):
-        # the subset-union definition admits singleton subsets, so every
-        # region point trivially qualifies; the restricted variant is the
-        # one that actually filters
-        for seed in range(6):
-            inst = random_instance(seed)
-            region = dis_region(inst, tuple(range(len(inst.classifiers))))
-            for alpha in (1.0, 2.0, 8.0):
-                restricted = s_region(inst, region, alpha, variant="restricted")
-                literal = s_region(inst, region, alpha, variant="literal")
-                assert literal == region
-                assert set(restricted) <= set(literal)
 
 
 def _independent_coefficient(inst: DiscreteInstance, r0: float) -> float:
@@ -155,7 +140,7 @@ class TestAdjustedCoefficient:
         for seed in range(10):
             inst = random_instance(seed)
             r0 = 2.0 * inst.nu
-            ours = adjusted_dis_coefficient(inst, r0, alpha=1.0, variant="restricted")
+            ours = adjusted_dis_coefficient(inst, r0, alpha=1.0)
             theirs = _independent_coefficient(inst, r0)
             np.testing.assert_allclose(ours, theirs, rtol=1e-12)
 
@@ -204,31 +189,6 @@ class TestMonteCarlo:
             mc_unbiasedness(inst, 0, m=5, n=5, trials=10, seed=0, estimator="nope")
 
 
-class TestTheorySequences:
-    def test_shapes_and_signs(self):
-        inst = random_instance(5)
-        plan = plan_partition(60, 15)
-        tq = theory_sequences(inst, plan, delta=0.1)
-        assert len(tq.zeta_k) == plan.K
-        assert len(tq.epsilon_k) == plan.K
-        # one refined region per step (the 0th region is the whole space
-        # and is not stored)
-        assert len(tq.regions) == plan.K
-        assert all(z >= 0 for z in tq.zeta_k)
-        assert all(e >= 0 for e in tq.epsilon_k)
-        assert 0.0 <= tq.zeta <= 1.0
-
-    def test_zeta_hand_value(self):
-        inst = _hand_instance()
-        plan = plan_partition(9, 3)  # alpha = 2
-        tq = theory_sequences(inst, plan, delta=0.1)
-        # zeta = max over the first refined region of 1 / (alpha * q0 + 1)
-        region = tq.regions[0]
-        if region:
-            expected = max(1.0 / (2.0 * float(inst.q0[j]) + 1.0) for j in region)
-            np.testing.assert_allclose(tq.zeta, expected)
-
-
 class TestVerificationSuite:
     def test_small_suite_all_green(self):
         rows = run_verification_suite(seed=0, fixtures=3, trials=4000)
@@ -238,4 +198,3 @@ class TestVerificationSuite:
         assert any("variance-dominance" in n for n in names)
         assert "concentration-slope" in names
         assert "theta-alpha-monotone" in names
-        assert "literal-region-collapse" in names

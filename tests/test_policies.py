@@ -16,7 +16,6 @@ from idbal.policies import (
     fit_coarse_model,
     group_of,
     load_table_policy,
-    policy_infimum,
     policy_prob,
     save_table_policy,
 )
@@ -146,17 +145,3 @@ class TestCoarseModelAndCalibration:
         instances = [_vec(i, dim=2) for i in range(10)]
         with pytest.raises(ValueError):
             calibrate_scale("certainty", model, instances, target=0.5)
-
-
-class TestPolicyInfimum:
-    def test_minimum_over_region_members(self):
-        xs = [_vec(i) for i in range(4)]
-        policy = TablePolicy(dict(zip(xs, (0.4, 0.1, 0.9, 0.3))))
-        region = {xs[0], xs[2]}
-        value = policy_infimum(policy, lambda x: x in region, xs)
-        assert value == 0.4
-
-    def test_empty_region_gives_one(self):
-        xs = [_vec(i) for i in range(3)]
-        policy = TablePolicy({x: 0.2 for x in xs})
-        assert policy_infimum(policy, lambda x: False, xs) == 1.0
