@@ -88,7 +88,11 @@ def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
         calibration_instances=[ex.x for ex in split.logged],
     )
     logged = apply_logging(split.logged, policy, seed=child_seed(seed, dataset.name, repeat, "logging"))
+    if not split.test:
+        raise ValueError("the test split is empty: raise split.test_fraction or data.count")
     horizon = int(config.get("horizon", str(len(split.online))))
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
     horizon = min(horizon, len(split.online))
     run_cfg = AlgoConfig(
         capacity=float(config.get("algo.capacity", "0.01")),

@@ -356,43 +356,49 @@ def to_labeled_rows(examples: Sequence[Example], dim: int) -> LabeledRows:
 
 @dataclass(frozen=True)
 class SplitRows:
-    """One split as the learners read it: its records (Example or
-    LoggedTriple), each record's logging propensity q0 and, for linear
-    models, the stack_rows matrix with each row's squared norm 1 + sum v^2.
-    Slicing cuts every array alike, so split[:h] is the first h records."""
+    """One split as the learners read it, as arrays: each record's logging
+    propensity q0, reveal bit z and label y (0 wherever z = 0, so a hidden
+    label is never stored), and the rows the hypothesis space reads. For a
+    linear model, rows is the stack_rows matrix and norms holds each row's
+    squared norm 1 + sum v^2; for a finite class, rows holds pool positions
+    and norms is None. Indexing with a slice or an index array cuts every
+    array alike, so split[:h] is the first h records."""
 
-    records: tuple
     q0: np.ndarray
-    matrix: scipy.sparse.csr_array | None = None
+    z: np.ndarray
+    y: np.ndarray
+    rows: scipy.sparse.csr_array | np.ndarray
     norms: np.ndarray | None = None
 
+    @classmethod
+    def from_records(cls, records: Sequence, q0: np.ndarray, rows, norms=None) -> "SplitRows":
+        """z and y read off Examples (always revealed) or LoggedTriples."""
+        z = np.array([r.z if isinstance(r, LoggedTriple) else 1 for r in records], dtype=np.int8)
+        # a z = 0 triple has y None, stored as 0
+        y = np.array([r.y or 0 for r in records], dtype=np.int8)
+        return cls(q0, z, y, rows, norms)
+
     def __len__(self) -> int:
-        return len(self.records)
+        return self.q0.size
 
-    def __iter__(self) -> Iterator:
-        return iter(self.records)
-
-    def __getitem__(self, rows: slice) -> "SplitRows":
-        if self.matrix is None:
-            return SplitRows(self.records[rows], self.q0[rows])
-        return SplitRows(self.records[rows], self.q0[rows], self.matrix[rows], self.norms[rows])
+    def __getitem__(self, index: slice | np.ndarray) -> "SplitRows":
+        norms = None if self.norms is None else self.norms[index]
+        return SplitRows(self.q0[index], self.z[index], self.y[index], self.rows[index], norms)
 
 
-def to_split_rows(records, policy, dim: int | None = None) -> SplitRows:
-    """Records with their q0 under the policy and, when dim is given, their
-    rows and norms over dim features. SplitRows pass through, provided they
-    carry rows of that width."""
+def to_split_rows(records, policy, dim: int) -> SplitRows:
+    """Records with their q0 under the policy, their rows over dim features
+    and their norms. SplitRows pass through, provided they carry rows of that
+    width."""
     if isinstance(records, SplitRows):
-        if dim is not None and (records.matrix is None or records.matrix.shape[1] != dim + 1):
+        if records.norms is None or records.rows.shape[1] != dim + 1:
             raise ValueError(f"split rows do not match dimension {dim}")
         return records
     from .policies import policy_prob
 
     records = tuple(records)
     q0 = np.array([policy_prob(policy, r.x) for r in records], dtype=float)
-    if dim is None:
-        return SplitRows(records, q0)
     instances = [r.x for r in records]
     # squared_norm sums in index order, so the norms match the scalar formula
     norms = np.array([1.0 + x.squared_norm() for x in instances], dtype=float)
-    return SplitRows(records, q0, stack_rows(instances, dim), norms)
+    return SplitRows.from_records(records, q0, stack_rows(instances, dim), norms)

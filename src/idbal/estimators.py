@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from .data import FeatureVector, LoggedTriple
+import numpy as np
 
 __all__ = [
     "BoundConfig",
@@ -27,12 +26,6 @@ __all__ = [
     "sigma",
     "delta_bound",
 ]
-
-
-def as_predictor(classifier) -> Callable[[FeatureVector], int]:
-    """Accept either an object with .predict(x) or a bare callable."""
-    predict = getattr(classifier, "predict", None)
-    return predict if predict is not None else classifier
 
 
 @dataclass(frozen=True)
@@ -55,73 +48,70 @@ class BoundConfig:
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Records paired with the positive denominator each z = 1 record is
-    divided by, plus the nominal phase sizes (m logged, n online) the
-    denominators were built from."""
+    """A weighted sample as aligned arrays: the records' rows (in the form
+    the hypothesis space reads: CSR rows or pool positions), reveal bits z,
+    labels y, and the positive denominator each z = 1 record is divided by,
+    plus the nominal phase sizes (m logged, n online) the denominators were
+    built from. y is stored as 0 wherever z = 0, so a hidden label cannot be
+    read back."""
 
-    records: tuple[tuple[LoggedTriple, float], ...]
+    rows: object
+    z: np.ndarray
+    y: np.ndarray
+    denominator: np.ndarray
     m: int
     n: int
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise ValueError("phase sizes cannot be negative")
-        for triple, denominator in self.records:
-            if triple.z == 1 and denominator <= 0.0:
-                raise ValueError("z = 1 record has non-positive denominator")
+        z, y = np.asarray(self.z), np.asarray(self.y)
+        denominator = np.asarray(self.denominator, dtype=float)
+        if not self.rows.shape[0] == z.size == y.size == denominator.size:
+            raise ValueError("propensity sequences must align with the records")
+        revealed = z == 1
+        if not (revealed | (z == 0)).all():
+            raise ValueError("reveal bits must be 0 or 1")
+        if not ((y[revealed] == 0) | (y[revealed] == 1)).all():
+            raise ValueError("z = 1 record must carry a 0/1 label")
+        if (denominator[revealed] <= 0.0).any():
+            raise ValueError("z = 1 record has non-positive denominator")
+        object.__setattr__(self, "z", z.astype(np.int8))
+        object.__setattr__(self, "y", np.where(revealed, y, 0).astype(np.int8))
+        object.__setattr__(self, "denominator", denominator)
 
     @classmethod
-    def balanced(
-        cls,
-        triples: Sequence[LoggedTriple],
-        q_logging: Sequence[float],
-        q_online: Sequence[float],
-        m: int,
-        n: int,
-    ) -> "WeightedSample":
+    def balanced(cls, rows, z, y, q_logging, q_online, m: int, n: int) -> "WeightedSample":
         """Balanced multiple importance sampling: denominator m*q0 + n*q1."""
-        if not len(triples) == len(q_logging) == len(q_online):
-            raise ValueError("propensity sequences must align with triples")
-        records = tuple(
-            (t, m * float(p0) + n * float(p1))
-            for t, p0, p1 in zip(triples, q_logging, q_online)
-        )
-        return cls(records=records, m=m, n=n)
+        q_logging = np.asarray(q_logging, dtype=float)
+        q_online = np.asarray(q_online, dtype=float)
+        if q_logging.shape != q_online.shape:
+            raise ValueError("propensity sequences must align with the records")
+        return cls(rows, z, y, m * q_logging + n * q_online, m, n)
 
     @classmethod
-    def phase_weighted(
-        cls,
-        triples: Sequence[LoggedTriple],
-        q_own: Sequence[float],
-        m: int,
-        n: int,
-    ) -> "WeightedSample":
+    def phase_weighted(cls, rows, z, y, q_own, m: int, n: int) -> "WeightedSample":
         """Plain importance sampling folded into the same shape: denominator
         (m+n)*q where q is the record's own phase's reveal probability."""
-        if len(triples) != len(q_own):
-            raise ValueError("propensity sequence must align with triples")
-        total = m + n
-        records = tuple((t, total * float(p)) for t, p in zip(triples, q_own))
-        return cls(records=records, m=m, n=n)
-
-    def instances(self) -> list[FeatureVector]:
-        return [t.x for t, _ in self.records]
+        return cls(rows, z, y, (m + n) * np.asarray(q_own, dtype=float), m, n)
 
 
-def mis_error(classifier, sample: WeightedSample) -> float:
-    """Sum of 1{h(x) != y} * z / denominator over the sample's records.
+def mis_error(model, sample: WeightedSample) -> float:
+    """Sum of 1{h(x) != y} * z / denominator over the sample's records, for
+    a linear model h over the sample's CSR rows.
 
     Unbiased for the true error when denominators are m*q0(x) + n*q1(x) and
-    never smaller in variance than either single-phase weighting.
+    never smaller in variance than either single-phase weighting. Summed in
+    record order (cumsum, unlike np.sum's pairwise order), so it equals a
+    per-record loop bit for bit.
     """
-    predict = as_predictor(classifier)
-    total = 0.0
-    for triple, denominator in sample.records:
-        if triple.z == 0:
-            continue
-        if predict(triple.x) != triple.y:
-            total += 1.0 / denominator
-    return total
+    w = model.weights
+    if sample.rows.ndim != 2 or sample.rows.shape[1] != w.size:
+        raise ValueError("sample rows do not match the model's width")
+    # ties (score exactly 0) go to label 1, a NaN score predicts 0
+    wrong = (sample.z == 1) & ((sample.rows @ w >= 0.0) != sample.y)
+    # the leading 0.0 makes an empty sum 0.0
+    return float(np.cumsum(np.append(0.0, 1.0 / sample.denominator[wrong]))[-1])
 
 
 def sigma(sizes: tuple[int, int], xi: float, cfg: BoundConfig) -> float:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Example, FeatureVector, LabeledRows
-from .estimators import WeightedSample, as_predictor
+from .estimators import WeightedSample
 
 __all__ = [
     "LinearModel",
@@ -34,6 +34,12 @@ __all__ = [
     "ogd_update",
     "approx_dis_mask",
 ]
+
+
+def as_predictor(classifier) -> Callable[[FeatureVector], int]:
+    """Accept either an object with .predict(x) or a bare callable."""
+    predict = getattr(classifier, "predict", None)
+    return predict if predict is not None else classifier
 
 
 @dataclass(frozen=True)
@@ -108,25 +114,39 @@ def ogd_stepsize(t: int, eta: float) -> float:
     return math.sqrt(eta / (t + eta))
 
 
-def ogd_update(model: LinearModel, x: FeatureVector, y: int, importance_weight: float, eta: float) -> LinearModel:
-    """One gradient step on the weighted squared surrogate (w . x~ - y~)^2
-    with y~ = 2y - 1. Uses the pre-increment step index for the stepsize; the
-    returned model has steps advanced by one even if the weight is 0.
+def ogd_update(model: LinearModel, rows, labels, importance_weights, eta: float) -> LinearModel:
+    """One in-order pass over CSR rows laid out as stack_rows does: a
+    gradient step per row on the weighted squared surrogate (w . x~ - y~)^2
+    with y~ = 2y - 1. Each step uses the pre-increment step index for its
+    stepsize; a row of weight 0 still advances steps. Scores are summed from
+    the bias left to right, so the weights do not depend on the batching.
     """
-    if y not in (0, 1):
+    w = model.weights
+    if rows.shape[1] != w.size:
+        raise ValueError(f"rows have {rows.shape[1] - 1} features, model dimension is {model.dim}")
+    labels = np.asarray(labels)
+    importance_weights = np.asarray(importance_weights, dtype=float)
+    if not labels.shape == importance_weights.shape == (rows.shape[0],):
+        raise ValueError("labels and importance weights must align with the rows")
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("label must be 0 or 1")
-    if importance_weight < 0.0:
+    if (importance_weights < 0.0).any():
         raise ValueError("importance weight cannot be negative")
-    step = ogd_stepsize(model.steps + 1, eta)
-    weights = model.weights.copy()
-    if importance_weight > 0.0:
-        target = 2.0 * y - 1.0
-        residual = model.raw_score(x) - target
-        scale = step * importance_weight * 2.0 * residual
-        weights[0] -= scale
-        for index, value in x.items:
-            weights[index] -= scale * value
-    return LinearModel(weights, model.steps + 1)
+    weights = w.tolist()
+    indptr, indices, values = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
+    steps = model.steps
+    for row, (y, u) in enumerate(zip(labels.tolist(), importance_weights.tolist())):
+        steps += 1
+        step = ogd_stepsize(steps, eta)
+        if u > 0.0:
+            lo, hi = indptr[row], indptr[row + 1]
+            score = 0.0
+            for j in range(lo, hi):
+                score += weights[indices[j]] * values[j]
+            scale = step * u * 2.0 * (score - (2.0 * y - 1.0))
+            for j in range(lo, hi):
+                weights[indices[j]] -= scale * values[j]
+    return LinearModel(np.array(weights), steps)
 
 
 class TableClassifier:
@@ -205,10 +225,6 @@ class FiniteClass:
     def positions(self, instances: Sequence[FeatureVector]) -> np.ndarray:
         return np.array([self.pool_position(x) for x in instances], dtype=np.intp)
 
-    def predictions(self, instances: Sequence[FeatureVector]) -> np.ndarray:
-        """(members, len(instances)) label matrix."""
-        return self.labels[:, self.positions(instances)]
-
 
 @dataclass(frozen=True)
 class CandidateSetExact:
@@ -266,14 +282,11 @@ def _weighted_losses(
 ) -> np.ndarray:
     """Estimator value per member over the sample, vectorized on the table."""
     rows = np.asarray(member_indices, dtype=np.intp)
-    live = [(t, d) for t, d in sample.records if t.z == 1]
-    if not live:
+    live = sample.z == 1
+    if not live.any():
         return np.zeros(len(rows))
-    cols = hypothesis_class.positions([t.x for t, _ in live])
-    targets = np.array([t.y for t, _ in live], dtype=np.int8)
-    inverse = np.array([1.0 / d for _, d in live])
-    mistakes = hypothesis_class.labels[np.ix_(rows, cols)] != targets
-    return mistakes @ inverse
+    mistakes = hypothesis_class.labels[np.ix_(rows, sample.rows[live])] != sample.y[live]
+    return mistakes @ (1.0 / sample.denominator[live])
 
 
 def erm_weighted(

@@ -29,11 +29,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .data import (
     Example,
     LabeledRows,
-    LabelSource,
     LoggedTriple,
     SplitRows,
     to_labeled_rows,
@@ -141,14 +141,16 @@ def plan_partition(m: int, n: int) -> PartitionPlan:
     )
 
 
-def debias_rule(q0_at_x: float, xi: float, alpha: float) -> int:
-    """Query bit 1{q0(x) <= xi + 1/alpha}: skip points the logging phase
-    already covered well beyond the region's floor."""
-    if not 0.0 <= q0_at_x <= 1.0 or not 0.0 <= xi <= 1.0:
+def debias_rule(q0_at_x, xi: float, alpha: float) -> np.ndarray:
+    """Query bits 1{q0(x) <= xi + 1/alpha}, elementwise over q0_at_x (a
+    number or an array): skip points the logging phase already covered well
+    beyond the region's floor."""
+    q0 = np.asarray(q0_at_x, dtype=float)
+    if not ((0.0 <= q0) & (q0 <= 1.0)).all() or not 0.0 <= xi <= 1.0:
         raise ValueError("propensities must be probabilities")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    return 1 if q0_at_x <= xi + 1.0 / alpha else 0
+    return (q0 <= xi + 1.0 / alpha).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -245,13 +247,13 @@ class _ExactSteps:
     set, which then keeps the members within the deviation slack of it; the
     region is the pool points where the survivors disagree."""
 
-    def __init__(self, hclass: FiniteClass, cfg: AlgoConfig, online: SplitRows, policy: LoggingPolicy):
+    def __init__(self, hclass: FiniteClass, cfg: AlgoConfig, pool_q0: np.ndarray, positions: np.ndarray):
         self.hclass = hclass
         self.cfg = cfg
         self.bound = replace(cfg.bound, hypothesis_count=len(hclass))
         self.pool = np.arange(len(hclass.pool))
-        self.pool_q0 = np.array([policy_prob(policy, x) for x in hclass.pool])
-        self.positions = hclass.positions([ex.x for ex in online])
+        self.pool_q0 = pool_q0
+        self.positions = positions
         self.candidates = CandidateSetExact.full(hclass)
         self.xi = float(self.pool_q0.min())
         self.iterations: list[IterationRecord] | None = [] if cfg.record_iterations else None
@@ -269,10 +271,9 @@ class _ExactSteps:
             sigma_value = sigma((mk, nk), xi, replace(self.bound, delta=delta_k / 2.0))
         else:
             sigma_value = math.inf
-        instances = sample.instances()
-        preds = hclass.predictions(instances) if instances else np.zeros((len(hclass), 0), dtype=np.int8)
         before = self.candidates.active
-        if preds.shape[1] > 0:
+        if sample.z.size:
+            preds = hclass.labels[:, sample.rows]
             rho_rows = (preds[list(before)] != preds[erm_index]).mean(axis=1)
         else:
             rho_rows = np.zeros(len(before))
@@ -312,14 +313,13 @@ class _PracticalSteps:
         self.iterations = None
 
     def fit(self, sample: WeightedSample):
-        # mean-style importance weights: (m + n)/denominator reduces to
-        # 1/q0 on the warm segment and keeps gradient magnitudes O(1)
-        scale = sample.m + sample.n
-        for triple, denominator in sample.records:
-            if triple.z == 0:
-                continue
-            self.model = ogd_update(self.model, triple.x, triple.y, scale / denominator, self.cfg.eta)
-            # steps just advanced, so this is the stepsize that update used
+        revealed = np.flatnonzero(sample.z)
+        if revealed.size:
+            # mean-style importance weights: (m + n)/denominator reduces to
+            # 1/q0 on the warm segment and keeps gradient magnitudes O(1)
+            weights = (sample.m + sample.n) / sample.denominator[revealed]
+            self.model = ogd_update(self.model, sample.rows[revealed], sample.y[revealed], weights, self.cfg.eta)
+            # steps just advanced, so this is the stepsize the last step used
             self.stepsize = ogd_stepsize(self.model.steps, self.cfg.eta)
         self.erm_value = mis_error(self.model, sample)
         return self.model, self.erm_value
@@ -329,33 +329,44 @@ class _PracticalSteps:
         all from the model fit left; xi_next is the floor over the logged
         rows inside the margin."""
         w = self.model.weights
-        scores = self.online.matrix[segment] @ w
+        scores = self.online.rows[segment] @ w
         effective = mk * xi + nk
         if effective <= 0.0:
             # no effective mass yet: treat everything as contested
             return float(self.logged.q0.min()), np.ones(scores.size, dtype=bool), scores >= 0.0
         stepsize = self.stepsize if self.stepsize is not None else ogd_stepsize(self.model.steps + 1, self.cfg.eta)
         mask_args = (stepsize, self.cfg.capacity, self.erm_value, effective, mk + nk)
-        logged_mask = approx_dis_mask(self.logged.matrix @ w, self.logged.norms, *mask_args)
+        logged_mask = approx_dis_mask(self.logged.rows @ w, self.logged.norms, *mask_args)
         xi_next = float(self.logged.q0[logged_mask].min()) if logged_mask.any() else 1.0
         # ties (score exactly 0) go to label 1, a NaN score predicts 0
         return xi_next, approx_dis_mask(scores, self.online.norms[segment], *mask_args), scores >= 0.0
 
 
-def _mode_steps(hypothesis_space, cfg: AlgoConfig, logged, online, policy: LoggingPolicy, test_data):
-    """(logged, online, test_data, steps): the splits as SplitRows, the test
-    data and the per-iteration steps, all in the form cfg.mode reads."""
+def _run_rows(hypothesis_space, cfg: AlgoConfig, logged, online, policy: LoggingPolicy):
+    """(logged, online, store, pool_q0): the splits as SplitRows in the form
+    cfg.mode reads, and store, the logged then the online records, which
+    samples index into. Exact mode hashes each record to its pool position
+    once and reads its q0 off pool_q0, the policy at each pool point;
+    practical mode has no pool_q0."""
     if cfg.mode == "exact":
         if not isinstance(hypothesis_space, FiniteClass):
             raise TypeError("exact mode needs a FiniteClass")
-        logged, online = to_split_rows(logged, policy), to_split_rows(online, policy)
-        return logged, online, test_data, _ExactSteps(hypothesis_space, cfg, online, policy)
+        pool_q0 = np.array([policy_prob(policy, x) for x in hypothesis_space.pool])
+        records = (*logged, *online)
+        positions = hypothesis_space.positions([r.x for r in records])
+        store = SplitRows.from_records(records, pool_q0[positions], positions)
+        return store[: len(logged)], store[len(logged):], store, pool_q0
     if not isinstance(hypothesis_space, LinearModel):
         raise TypeError("practical mode needs a LinearModel")
     dim = hypothesis_space.dim
     logged, online = to_split_rows(logged, policy, dim), to_split_rows(online, policy, dim)
-    steps = _PracticalSteps(hypothesis_space, cfg, logged, online)
-    return logged, online, _test_rows(test_data, dim), steps
+    joined = (np.concatenate((getattr(logged, name), getattr(online, name))) for name in ("q0", "z", "y"))
+    store = SplitRows(*joined, scipy.sparse.vstack((logged.rows, online.rows), format="csr"))
+    return logged, online, store, None
+
+
+# a record's decision is indexed by (query bit) * (1 + inside the region)
+_DECISIONS = (SKIP, INFER, QUERY)
 
 
 def _run_disagreement_core(
@@ -379,30 +390,28 @@ def _run_disagreement_core(
     else:
         plan = plan_partition(m, n)
         K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
-    logged, online, test_data, steps = _mode_steps(hypothesis_space, cfg, logged, online, policy, test_data)
+    logged, online, store, pool_q0 = _run_rows(hypothesis_space, cfg, logged, online, policy)
+    if cfg.mode == "exact":
+        steps = _ExactSteps(hypothesis_space, cfg, pool_q0, online.rows)
+    else:
+        steps = _PracticalSteps(hypothesis_space, cfg, logged, online)
+        test_data = _test_rows(test_data, hypothesis_space.dim)
 
     logged_starts = np.concatenate(([0], np.cumsum(m_parts)))
     online_starts = np.concatenate(([0], np.cumsum(n_parts)))
 
-    def logged_segment(k: int) -> tuple[list[LoggedTriple], list[float]]:
-        lo, hi = int(logged_starts[k]), int(logged_starts[k + 1])
-        return list(logged.records[lo:hi]), logged.q0[lo:hi].tolist()
-
-    def build_sample(
-        triples: list[LoggedTriple],
-        q_log: list[float],
-        q_query: list[float],
-        own: list[float],
-        mk: int,
-        nk: int,
-    ) -> WeightedSample:
+    def build_sample(index: np.ndarray, z: np.ndarray, y: np.ndarray, bits: np.ndarray, mk: int, nk: int):
+        """The sample over the store records at index, with their reveal
+        bits z, labels y and query bits."""
+        q0, rows = store.q0[index], store.rows[index]
         if weighting == "mis":
-            return WeightedSample.balanced(triples, q_log, q_query, mk, nk)
-        return WeightedSample.phase_weighted(triples, own, mk, nk)
+            return WeightedSample.balanced(rows, z, y, q0, bits, mk, nk)
+        # a logged record's own phase propensity is q0, an online one's its query bit
+        return WeightedSample.phase_weighted(rows, z, y, np.where(index < m, q0, bits), mk, nk)
 
     # S~_0 = T0^(0): no online mass yet, so both weightings coincide
-    seg_triples, seg_q0 = logged_segment(0)
-    sample = build_sample(seg_triples, seg_q0, [0.0] * len(seg_triples), seg_q0, m_parts[0], 0)
+    head = np.arange(m_parts[0])
+    sample = build_sample(head, store.z[head], store.y[head], np.zeros(head.size), m_parts[0], 0)
     xi = steps.xi
 
     decisions: list[str] = []
@@ -425,36 +434,21 @@ def _run_disagreement_core(
         # k+1: query inside it, impute the current prediction outside it
         lo, hi = int(online_starts[k]), int(online_starts[k + 1])
         xi_next, in_region, guesses = steps.shrink(k, sample, mk, nk, xi, slice(lo, hi))
-        new_q0 = online.q0[lo:hi].tolist()
-        new_triples: list[LoggedTriple] = []
-        new_bits: list[float] = []
-        seg_queries = 0
-        for ex, q0x, inside, guess in zip(online.records[lo:hi], new_q0, in_region, guesses):
-            bit = debias_rule(q0x, xi_next, alpha) if debias else 1
-            if bit == 0:
-                new_triples.append(LoggedTriple(ex.x, 0))
-                decisions.append(SKIP)
-                skipped += 1
-            elif inside:
-                new_triples.append(LoggedTriple(ex.x, 1, ex.y, LabelSource.QUERIED))
-                decisions.append(QUERY)
-                queries += 1
-                seg_queries += 1
-            else:
-                new_triples.append(LoggedTriple(ex.x, 1, int(guess), LabelSource.INFERRED))
-                decisions.append(INFER)
-                inferred += 1
-            new_bits.append(float(bit))
+        # S~_{k+1} = T0^(k+1) plus the fresh online segment
+        index = np.concatenate((np.arange(logged_starts[k + 1], logged_starts[k + 2]), m + np.arange(lo, hi)))
+        bits = debias_rule(store.q0[index], xi_next, alpha) if debias else np.ones(index.size, dtype=np.int8)
+        fresh = index >= m
+        codes = bits[fresh] * (1 + in_region)
+        decisions.extend(_DECISIONS[c] for c in codes.tolist())
+        seg_skipped, seg_inferred, seg_queries = np.bincount(codes, minlength=3).tolist()
+        queries += seg_queries
+        inferred += seg_inferred
+        skipped += seg_skipped
         consumed += hi - lo
         per_iteration_queries.append(seg_queries)
-
-        # S~_{k+1} = T0^(k+1) plus the fresh online segment
-        log_triples, log_q0 = logged_segment(k + 1)
-        log_bits = [float(debias_rule(p, xi_next, alpha)) if debias else 1.0 for p in log_q0]
-        sample = build_sample(
-            log_triples + new_triples, log_q0 + new_q0, log_bits + new_bits, log_q0 + new_bits,
-            m_parts[k + 1], hi - lo,
-        )
+        y = store.y[index]
+        y[fresh] = np.where(in_region, y[fresh], guesses)
+        sample = build_sample(index, np.where(fresh, bits, store.z[index]), y, bits, m_parts[k + 1], hi - lo)
         xi = xi_next
 
     fingerprint = _fingerprint(
@@ -505,34 +499,26 @@ def run_dbalw(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: i
 def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0, test_data=None) -> RunResult:
     """Query every online label; fit with inverse-propensity weights on the
     logged phase and unit weights on the online phase."""
-    logged = to_split_rows(logged, policy)
     m, n = len(logged), len(online)
-    q0 = logged.q0.tolist()
-    online_triples = [LoggedTriple(ex.x, 1, ex.y, LabelSource.QUERIED) for ex in online]
-    sample = WeightedSample.phase_weighted(list(logged) + online_triples, q0 + [1.0] * n, m, n)
+    logged, online, store, _ = _run_rows(hypothesis_space, cfg, logged, online, policy)
+    own = np.concatenate((logged.q0, np.ones(n)))
+    sample = WeightedSample.phase_weighted(store.rows, store.z, store.y, own, m, n)
     trace: list[TracePoint] = []
 
     if cfg.mode == "exact":
-        if not isinstance(hypothesis_space, FiniteClass):
-            raise TypeError("exact mode needs a FiniteClass")
         hclass = hypothesis_space
-        warm = WeightedSample.phase_weighted(list(logged), q0, m, 0)
+        warm = WeightedSample.phase_weighted(logged.rows, logged.z, logged.y, logged.q0, m, 0)
         warm_index, _ = erm_weighted(hclass, warm)
         trace.append(TracePoint(0, 0, _test_error(hclass.member(warm_index), test_data)))
         erm_index, final_value = erm_weighted(hclass, sample)
         final = hclass.member(erm_index)
     else:
-        if not isinstance(hypothesis_space, LinearModel):
-            raise TypeError("practical mode needs a LinearModel")
-        model = hypothesis_space
-        test_data = _test_rows(test_data, model.dim)
-        for triple, p in zip(logged, q0):
-            if triple.z == 1:
-                model = ogd_update(model, triple.x, triple.y, 1.0 / p, cfg.eta)
+        test_data = _test_rows(test_data, hypothesis_space.dim)
+        revealed = np.flatnonzero(logged.z)
+        weights = 1.0 / logged.q0[revealed]
+        model = ogd_update(hypothesis_space, logged.rows[revealed], logged.y[revealed], weights, cfg.eta)
         trace.append(TracePoint(0, 0, _test_error(model, test_data)))
-        for ex in online:
-            model = ogd_update(model, ex.x, ex.y, 1.0, cfg.eta)
-        final = model
+        final = ogd_update(model, online.rows, online.y, np.ones(n), cfg.eta)
         final_value = mis_error(final, sample)
 
     trace.append(TracePoint(n, n, _test_error(final, test_data)))

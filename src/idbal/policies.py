@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
 from scipy.optimize import brentq
 
-from .data import Example, FeatureVector
+from .data import Example, FeatureVector, to_labeled_rows
 from .hypotheses import LinearModel, ogd_update
 from .rng import derive_rng
 
@@ -163,12 +164,10 @@ def fit_coarse_model(
     if size < 1:
         raise ValueError("subsample is empty; raise the fraction or the dataset size")
     rng = derive_rng(seed, "coarse", "subsample")
-    picks = rng.choice(len(data), size=size, replace=False)
-    dim = max((data[i].x.max_index() for i in picks), default=1)
-    model = LinearModel.zeros(max(dim, 1))
-    for i in picks:
-        model = ogd_update(model, data[i].x, data[i].y, 1.0, eta)
-    return model
+    subsample = [data[i] for i in rng.choice(len(data), size=size, replace=False)]
+    dim = max(1, *(ex.x.max_index() for ex in subsample))
+    rows = to_labeled_rows(subsample, dim)
+    return ogd_update(LinearModel.zeros(dim), rows.matrix, rows.labels, np.ones(size), eta)
 
 
 def _mean_prob(make_policy: Callable[[float], LoggingPolicy], scale: float, instances: Sequence[FeatureVector]) -> float:

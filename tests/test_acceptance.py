@@ -15,6 +15,7 @@ from idbal.data import (
     apply_logging,
     generate_synthetic,
     split_dataset,
+    stack_rows,
 )
 from idbal.estimators import BoundConfig
 from idbal.harness import (
@@ -325,7 +326,7 @@ class TestAcceptance:
             u = float(rng.uniform(0.2, 3.0))
             steps = int(rng.integers(0, 50))
             model = LinearModel(weights.copy(), steps=steps)
-            updated = ogd_update(model, x, y, u, 0.5)
+            updated = ogd_update(model, stack_rows([x], dim), np.array([y]), np.array([u]), 0.5)
             stepsize = ogd_stepsize(steps + 1, 0.5)
             analytic = (weights - updated.weights) / stepsize
             h = 1e-6

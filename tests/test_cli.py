@@ -91,6 +91,17 @@ class TestRun:
         assert main(["run", "--horizon"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_horizon_exits_two(self, tmp_path, capsys):
+        assert main(self._args(tmp_path, "--horizon", "-100")) == 2
+        assert "error: horizon must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_empty_test_split_exits_two(self, tmp_path, capsys):
+        args = self._args(tmp_path, "--data.count", "60", "--split.test_fraction", "0.01")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "error: the test split is empty" in err and "split.test_fraction" in err
+
 
 class TestSweep:
     def test_writes_all_outputs(self, sweep_out):

@@ -11,6 +11,7 @@ from idbal.data import (
     LabelSource,
     LoggedTriple,
     ParseError,
+    SplitRows,
     SyntheticSpec,
     apply_logging,
     format_sparse_dataset,
@@ -254,31 +255,35 @@ class TestSplitRows:
     def test_propensities_rows_and_norms(self):
         examples = self._examples()
         rows = to_split_rows(examples, IdenticalPolicy(0.25), 3)
-        assert rows.records == tuple(examples)
-        assert list(rows) == examples
+        assert len(rows) == 3
+        np.testing.assert_array_equal(rows.z, [1, 1, 1])
+        np.testing.assert_array_equal(rows.y, [1, 0, 1])
         np.testing.assert_array_equal(rows.q0, [0.25, 0.25, 0.25])
-        np.testing.assert_array_equal(rows.matrix.toarray(), stack_rows([ex.x for ex in examples], 3).toarray())
+        np.testing.assert_array_equal(rows.rows.toarray(), stack_rows([ex.x for ex in examples], 3).toarray())
         np.testing.assert_array_equal(rows.norms, [5.0, 1.0, 18.0])
+
+    def test_hidden_labels_are_not_stored(self):
+        xs = [ex.x for ex in self._examples()]
+        triples = [LoggedTriple(xs[0], 1, 1), LoggedTriple(xs[1], 0), LoggedTriple(xs[2], 1, 0)]
+        rows = to_split_rows(triples, IdenticalPolicy(0.25), 3)
+        np.testing.assert_array_equal(rows.z, [1, 0, 1])
+        np.testing.assert_array_equal(rows.y, [1, 0, 0])
 
     def test_slicing_cuts_every_array_alike(self):
         rows = to_split_rows(self._examples(), IdenticalPolicy(0.25), 3)
-        head = rows[:2]
-        assert len(head) == 2 and head.records == rows.records[:2]
-        assert head.matrix.shape == (2, 4)
-        np.testing.assert_array_equal(head.matrix.toarray(), rows.matrix.toarray()[:2])
-        np.testing.assert_array_equal(head.norms, rows.norms[:2])
-        np.testing.assert_array_equal(head.q0, rows.q0[:2])
-
-    def test_without_a_dimension_no_rows_are_stacked(self):
-        rows = to_split_rows(self._examples(), IdenticalPolicy(0.25))
-        assert rows.matrix is None and rows.norms is None
-        assert len(rows[1:]) == 2
+        for index in (slice(0, 2), np.array([2, 0])):
+            head = rows[index]
+            assert len(head) == 2
+            assert head.rows.shape == (2, 4)
+            np.testing.assert_array_equal(head.rows.toarray(), rows.rows.toarray()[index])
+            for name in ("q0", "z", "y", "norms"):
+                np.testing.assert_array_equal(getattr(head, name), getattr(rows, name)[index])
 
     def test_passthrough_checks_the_width(self):
         rows = to_split_rows(self._examples(), IdenticalPolicy(0.25), 3)
         assert to_split_rows(rows, IdenticalPolicy(0.5), 3) is rows
-        assert to_split_rows(rows, IdenticalPolicy(0.5)) is rows
         with pytest.raises(ValueError):
             to_split_rows(rows, IdenticalPolicy(0.5), 4)
+        positions = SplitRows(rows.q0, rows.z, rows.y, np.arange(3))
         with pytest.raises(ValueError):
-            to_split_rows(to_split_rows(self._examples(), IdenticalPolicy(0.25)), IdenticalPolicy(0.5), 3)
+            to_split_rows(positions, IdenticalPolicy(0.5), 3)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from idbal.data import FeatureVector, LoggedTriple
+from idbal.data import FeatureVector, stack_rows
 from idbal.estimators import (
     BoundConfig,
     WeightedSample,
@@ -14,73 +14,77 @@ from idbal.estimators import (
     mis_error,
     sigma,
 )
+from idbal.hypotheses import LinearModel
+
+# score -1 everywhere: predicts label 0 on every row
+ALWAYS_ZERO = LinearModel(np.array([-1.0, 0.0]))
 
 
-def _x(i: int) -> FeatureVector:
-    return FeatureVector({1: float(i)})
+def _rows(count: int):
+    """count one-feature rows x = (1, i), i = 1..count."""
+    return stack_rows([FeatureVector({1: float(i + 1)}) for i in range(count)], 1)
 
 
-class _Always:
-    """Classifier with a constant prediction."""
-
-    def __init__(self, label: int):
-        self.label = label
-
-    def predict(self, x: FeatureVector) -> int:
-        return self.label
+def _sample(z, y, q0, q1, m: int, n: int) -> WeightedSample:
+    return WeightedSample.balanced(_rows(len(z)), np.array(z), np.array(y), q0, q1, m, n)
 
 
 class TestWeightedSample:
     def test_balanced_denominators(self):
-        triples = [LoggedTriple(_x(1), 1, 0), LoggedTriple(_x(2), 1, 1)]
-        sample = WeightedSample.balanced(triples, [0.2, 0.5], [1.0, 0.0], m=3, n=4)
-        denoms = [d for _, d in sample.records]
-        assert denoms == [3 * 0.2 + 4 * 1.0, 3 * 0.5]
+        sample = _sample([1, 1], [0, 1], [0.2, 0.5], [1.0, 0.0], m=3, n=4)
+        assert sample.denominator.tolist() == [3 * 0.2 + 4 * 1.0, 3 * 0.5]
 
     def test_phase_weighted_denominators(self):
-        triples = [LoggedTriple(_x(1), 1, 0), LoggedTriple(_x(2), 1, 1)]
-        sample = WeightedSample.phase_weighted(triples, [0.2, 1.0], m=1, n=1)
-        denoms = [d for _, d in sample.records]
-        assert denoms == [2 * 0.2, 2 * 1.0]
+        sample = WeightedSample.phase_weighted(_rows(2), np.array([1, 1]), np.array([0, 1]), [0.2, 1.0], m=1, n=1)
+        assert sample.denominator.tolist() == [2 * 0.2, 2 * 1.0]
 
     def test_misaligned_propensities_rejected(self):
-        triples = [LoggedTriple(_x(1), 1, 0)]
         with pytest.raises(ValueError):
-            WeightedSample.balanced(triples, [0.2, 0.3], [1.0], m=1, n=0)
+            _sample([1], [0], [0.2, 0.3], [1.0], m=1, n=0)
+        with pytest.raises(ValueError):
+            _sample([1], [0], [0.2, 0.3], [1.0, 1.0], m=1, n=0)
+        with pytest.raises(ValueError):
+            WeightedSample.phase_weighted(_rows(2), np.array([1]), np.array([0]), [0.5], m=1, n=0)
 
     def test_revealed_record_with_zero_denominator_rejected(self):
-        triples = [LoggedTriple(_x(1), 1, 0)]
         with pytest.raises(ValueError):
-            WeightedSample.balanced(triples, [0.0], [0.0], m=1, n=1)
+            _sample([1], [0], [0.0], [0.0], m=1, n=1)
 
     def test_hidden_record_with_zero_denominator_allowed(self):
-        triples = [LoggedTriple(_x(1), 0)]
-        sample = WeightedSample.balanced(triples, [0.0], [0.0], m=1, n=1)
-        assert len(sample.records) == 1
+        sample = _sample([0], [0], [0.0], [0.0], m=1, n=1)
+        assert sample.z.size == 1
+
+    def test_bits_and_labels_checked(self):
+        with pytest.raises(ValueError):
+            _sample([2], [0], [0.5], [0.0], m=1, n=0)
+        with pytest.raises(ValueError):
+            _sample([1], [2], [0.5], [0.0], m=1, n=0)
+        with pytest.raises(ValueError):
+            WeightedSample(_rows(1), np.array([1]), np.array([0]), np.array([0.5]), m=-1, n=0)
+
+    def test_hidden_labels_are_not_stored(self):
+        sample = _sample([0, 1, 0], [1, 1, 0], [0.5, 0.5, 0.5], [0.0] * 3, m=3, n=0)
+        assert sample.y.tolist() == [0, 1, 0]
 
 
 class TestMisError:
     def test_single_logged_mistake(self):
         # one logged record, propensity 1/2, classifier wrong: 1 / (1 * 0.5) = 2
-        triples = [LoggedTriple(_x(1), 1, 1)]
-        sample = WeightedSample.balanced(triples, [0.5], [0.0], m=1, n=0)
-        assert mis_error(_Always(0), sample) == 2.0
+        sample = _sample([1], [1], [0.5], [0.0], m=1, n=0)
+        assert mis_error(ALWAYS_ZERO, sample) == 2.0
 
     def test_two_phase_mixture(self):
         # both records wrong, both with denominator m*q0 + n*q1 = 0.2 + 1.0
-        triples = [LoggedTriple(_x(1), 1, 1), LoggedTriple(_x(2), 1, 1)]
-        sample = WeightedSample.balanced(triples, [0.2, 0.2], [1.0, 1.0], m=1, n=1)
-        np.testing.assert_allclose(mis_error(_Always(0), sample), 2.0 / 1.2)
+        sample = _sample([1, 1], [1, 1], [0.2, 0.2], [1.0, 1.0], m=1, n=1)
+        np.testing.assert_allclose(mis_error(ALWAYS_ZERO, sample), 2.0 / 1.2)
 
     def test_correct_predictions_contribute_nothing(self):
-        triples = [LoggedTriple(_x(1), 1, 0), LoggedTriple(_x(2), 1, 0)]
-        sample = WeightedSample.balanced(triples, [0.1, 0.9], [1.0, 1.0], m=5, n=5)
-        assert mis_error(_Always(0), sample) == 0.0
+        sample = _sample([1, 1], [0, 0], [0.1, 0.9], [1.0, 1.0], m=5, n=5)
+        assert mis_error(ALWAYS_ZERO, sample) == 0.0
 
     def test_hidden_records_contribute_nothing(self):
-        triples = [LoggedTriple(_x(1), 0), LoggedTriple(_x(2), 1, 1)]
-        sample = WeightedSample.balanced(triples, [0.5, 0.5], [0.0, 0.0], m=2, n=0)
-        assert mis_error(_Always(0), sample) == 1.0 / (2 * 0.5)
+        sample = _sample([0, 1], [1, 1], [0.5, 0.5], [0.0, 0.0], m=2, n=0)
+        assert mis_error(ALWAYS_ZERO, sample) == 1.0 / (2 * 0.5)
 
     def test_additive_over_mistakes(self):
         rng = np.random.default_rng(0)
@@ -88,10 +92,45 @@ class TestMisError:
             count = int(rng.integers(2, 12))
             q0 = rng.uniform(0.05, 1.0, count)
             labels = rng.integers(0, 2, count)
-            triples = [LoggedTriple(_x(i), 1, int(labels[i])) for i in range(count)]
-            sample = WeightedSample.balanced(triples, q0, np.zeros(count), m=count, n=0)
+            sample = _sample(np.ones(count, dtype=int), labels, q0, np.zeros(count), m=count, n=0)
             expected = sum(1.0 / (count * q0[i]) for i in range(count) if labels[i] == 1)
-            np.testing.assert_allclose(mis_error(_Always(0), sample), expected)
+            np.testing.assert_allclose(mis_error(ALWAYS_ZERO, sample), expected)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            mis_error(LinearModel.zeros(2), _sample([1], [1], [0.5], [0.0], m=1, n=0))
+
+    def test_matches_the_record_loop_exactly(self):
+        # the per-record loop mis_error replaced: predict with raw_score and
+        # add 1/denominator for each mistake, in record order. Denominators
+        # span 8 decades so the order of the additions shows in the last
+        # bit; weights reach 1e306, so scores overflow to inf and NaN.
+        rng = np.random.default_rng(11)
+        dim = 8
+        instances = [FeatureVector({}), FeatureVector({2: 1.0})]
+        for _ in range(60):
+            picked = rng.choice(np.arange(1, dim + 1), size=int(rng.integers(1, dim)), replace=False)
+            instances.append(FeatureVector(zip(picked.tolist(), rng.uniform(-1e3, 1e3, picked.size))))
+        rows = stack_rows(instances, dim)
+        models = [LinearModel.zeros(dim)]
+        for scale in np.logspace(0.0, 306.0, 120):
+            weights = rng.standard_normal(dim + 1) * scale
+            weights[rng.random(dim + 1) < 0.2] = 0.0
+            models.append(LinearModel(weights))
+        nonzero = 0
+        for model in models:
+            z = (rng.random(len(instances)) < 0.8).astype(int)
+            y = rng.integers(0, 2, len(instances))
+            denominator = 10.0 ** rng.uniform(-4.0, 4.0, len(instances))
+            sample = WeightedSample(rows, z, y, denominator, m=len(instances), n=0)
+            expected = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for x, zi, yi, d in zip(instances, z, y, denominator.tolist()):
+                    if zi == 1 and model.predict(x) != yi:
+                        expected += 1.0 / d
+            assert mis_error(model, sample) == expected
+            nonzero += expected > 0.0
+        assert nonzero > len(models) // 2
 
 
 class TestBounds:

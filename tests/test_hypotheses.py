@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from idbal.data import Example, FeatureVector, LoggedTriple, to_labeled_rows, to_split_rows
+from idbal.data import Example, FeatureVector, stack_rows, to_labeled_rows, to_split_rows
 from idbal.estimators import WeightedSample
 from idbal.hypotheses import (
     CandidateSetExact,
@@ -29,6 +29,31 @@ def _weighted_squared_loss(weights: np.ndarray, x: FeatureVector, y: int, u: flo
     score = weights[0] + sum(weights[i] * v for i, v in x.items)
     target = 2.0 * y - 1.0
     return u * (score - target) ** 2
+
+
+def _step(model: LinearModel, x: FeatureVector, y: int, u: float, eta: float) -> LinearModel:
+    """ogd_update over the single row x."""
+    return ogd_update(model, stack_rows([x], model.dim), np.array([y]), np.array([u]), eta)
+
+
+def _scalar_steps(model: LinearModel, xs, labels, weights, eta: float) -> LinearModel:
+    """The per-record step the row pass replaced, in Python floats: score
+    from the bias left to right, then the bias and each stored coordinate
+    moved by scale * value; a zero weight only advances the clock."""
+    w = model.weights.tolist()
+    steps = model.steps
+    for x, y, u in zip(xs, labels, weights):
+        steps += 1
+        step = ogd_stepsize(steps, eta)
+        if u > 0.0:
+            score = w[0]
+            for index, value in x.items:
+                score += w[index] * value
+            scale = step * u * 2.0 * (score - (2.0 * y - 1.0))
+            w[0] -= scale
+            for index, value in x.items:
+                w[index] -= scale * value
+    return LinearModel(np.array(w), steps)
 
 
 class TestLinearModel:
@@ -81,19 +106,60 @@ class TestOgdUpdate:
         # eta = 1, first update: stepsize sqrt(1/2); residual 0 - 1 = -1;
         # scale = sqrt(1/2) * 1 * 2 * (-1); bias and the active coordinate
         # both move by +sqrt(2)
-        model = ogd_update(LinearModel.zeros(1), FeatureVector({1: 1.0}), 1, 1.0, 1.0)
+        model = _step(LinearModel.zeros(1), FeatureVector({1: 1.0}), 1, 1.0, 1.0)
         np.testing.assert_allclose(model.weights, [math.sqrt(2.0), math.sqrt(2.0)])
         assert model.steps == 1
 
     def test_zero_weight_advances_clock_only(self):
         start = LinearModel(np.array([1.0, 2.0]))
-        model = ogd_update(start, FeatureVector({1: 1.0}), 0, 0.0, 1.0)
+        model = _step(start, FeatureVector({1: 1.0}), 0, 0.0, 1.0)
         np.testing.assert_array_equal(model.weights, start.weights)
         assert model.steps == 1
 
     def test_label_domain(self):
         with pytest.raises(ValueError):
-            ogd_update(LinearModel.zeros(1), FeatureVector({1: 1.0}), 2, 1.0, 1.0)
+            _step(LinearModel.zeros(1), FeatureVector({1: 1.0}), 2, 1.0, 1.0)
+
+    def test_negative_weight_misalignment_and_width_rejected(self):
+        rows = stack_rows([FeatureVector({1: 1.0})] * 2, 1)
+        model = LinearModel.zeros(1)
+        with pytest.raises(ValueError):
+            ogd_update(model, rows, np.array([1, 0]), np.array([1.0, -0.5]), 1.0)
+        with pytest.raises(ValueError):
+            ogd_update(model, rows, np.array([1]), np.array([1.0, 1.0]), 1.0)
+        with pytest.raises(ValueError):
+            ogd_update(LinearModel.zeros(2), rows, np.array([1, 0]), np.array([1.0, 1.0]), 1.0)
+
+    def test_row_pass_matches_the_scalar_steps(self):
+        # rows with index gaps, empty rows, zero weights and a score-0 tie;
+        # starting weights up to 1e306, so scores and steps overflow to inf
+        # and NaN. Compared as bytes, so every last bit and NaN counts.
+        rng = np.random.default_rng(23)
+        dim = 10
+        xs = [FeatureVector({}), FeatureVector({3: 1.0}), FeatureVector({})]
+        for _ in range(40):
+            picked = rng.choice(np.arange(1, dim + 1), size=int(rng.integers(1, dim)), replace=False)
+            xs.append(FeatureVector(zip(picked.tolist(), rng.uniform(-2.0, 2.0, picked.size))))
+        rows = stack_rows(xs, dim)
+        tie = np.zeros(dim + 1)
+        tie[1] = 1.0  # scores 0 on the rows without feature 1
+        starts = [LinearModel.zeros(dim), LinearModel(tie, steps=3)]
+        for scale in np.logspace(0.0, 306.0, 60):
+            weights = rng.standard_normal(dim + 1) * scale
+            weights[rng.random(dim + 1) < 0.2] = 0.0
+            starts.append(LinearModel(weights, steps=int(rng.integers(0, 100))))
+        nonfinite = 0
+        for start in starts:
+            labels = rng.integers(0, 2, len(xs))
+            weights = rng.uniform(0.0, 50.0, len(xs))
+            weights[rng.random(len(xs)) < 0.2] = 0.0
+            for eta in (0.01, 1.6):
+                expected = _scalar_steps(start, xs, labels.tolist(), weights.tolist(), eta)
+                updated = ogd_update(start, rows, labels, weights, eta)
+                assert updated.steps == expected.steps == start.steps + len(xs)
+                assert updated.weights.tobytes() == expected.weights.tobytes()
+                nonfinite += not np.isfinite(updated.weights).all()
+        assert 0 < nonfinite < 2 * len(starts)
 
     def test_descends_the_weighted_surrogate(self):
         rng = np.random.default_rng(3)
@@ -107,7 +173,7 @@ class TestOgdUpdate:
             before = _weighted_squared_loss(model.weights, x, y, u)
             if before < 1e-12:
                 continue
-            after_model = ogd_update(model, x, y, u, 0.01)
+            after_model = _step(model, x, y, u, 0.01)
             after = _weighted_squared_loss(after_model.weights, x, y, u)
             assert after < before
 
@@ -130,7 +196,7 @@ class TestOgdUpdate:
             u = float(rng.uniform(0.2, 3.0))
             steps = int(rng.integers(0, 50))
             model = LinearModel(weights.copy(), steps=steps)
-            updated = ogd_update(model, x, y, u, 0.5)
+            updated = _step(model, x, y, u, 0.5)
             stepsize = ogd_stepsize(steps + 1, 0.5)
             analytic = (weights - updated.weights) / stepsize
             h = 1e-6
@@ -169,12 +235,6 @@ class TestFiniteClass:
         with pytest.raises(ValueError):
             hclass.pool_position(FeatureVector({1: 99.0}))
 
-    def test_predictions_matrix(self):
-        hclass, pool = _tiny_class()
-        preds = hclass.predictions([pool[3], pool[0]])
-        np.testing.assert_array_equal(preds[:, 0], [0, 1, 0, 1])
-        np.testing.assert_array_equal(preds[:, 1], [0, 1, 0, 0])
-
     def test_from_classifiers(self):
         pool = [FeatureVector({1: 1.0}), FeatureVector({1: 2.0})]
         members = [LinearModel(np.array([0.0, 1.0])), LinearModel(np.array([1.5, -1.0]))]
@@ -184,10 +244,12 @@ class TestFiniteClass:
 
 class TestErmAndCandidates:
     def _sample(self, labels: list[int], q0: float = 0.5) -> WeightedSample:
-        _, pool = _tiny_class()
-        triples = [LoggedTriple(pool[i], 1, y) for i, y in enumerate(labels)]
+        """Pool points 0..len(labels)-1, each revealed with its label."""
         count = len(labels)
-        return WeightedSample.balanced(triples, [q0] * count, [0.0] * count, m=count, n=0)
+        positions = np.arange(count)
+        return WeightedSample.balanced(
+            positions, np.ones(count, dtype=int), np.array(labels), [q0] * count, [0.0] * count, m=count, n=0
+        )
 
     def test_erm_picks_minimum(self):
         hclass, _ = _tiny_class()
@@ -202,7 +264,8 @@ class TestErmAndCandidates:
         index, _ = erm_weighted(hclass, sample)
         assert index == 3
         # force an exact tie: empty sample makes every loss zero
-        empty = WeightedSample(records=(), m=1, n=0)
+        nothing = np.zeros(0, dtype=np.intp)
+        empty = WeightedSample(nothing, nothing, nothing, np.zeros(0), m=1, n=0)
         index, value = erm_weighted(hclass, empty)
         assert index == 0 and value == 0.0
 
@@ -260,7 +323,7 @@ def _in_region(model: LinearModel, x: FeatureVector, *args) -> bool:
 def _mask(model: LinearModel, xs: list[FeatureVector], *args) -> list[bool]:
     """approx_dis_mask over the rows and norms the learners build."""
     rows = to_split_rows([Example(x, 0) for x in xs], IdenticalPolicy(1.0), model.dim)
-    return approx_dis_mask(rows.matrix @ model.weights, rows.norms, *args).tolist()
+    return approx_dis_mask(rows.rows @ model.weights, rows.norms, *args).tolist()
 
 
 class TestApproxDisagreement:

@@ -26,7 +26,13 @@ from idbal.learners import (
     run_passive,
 )
 from idbal.oracle import random_instance
-from idbal.policies import IdenticalPolicy, UniformGroupsPolicy
+from idbal.policies import (
+    IdenticalPolicy,
+    UncertaintyPolicy,
+    UniformGroupsPolicy,
+    calibrate_scale,
+    fit_coarse_model,
+)
 from idbal.rng import derive_rng
 
 
@@ -200,6 +206,47 @@ class TestPracticalRuns:
         cfg = AlgoConfig(mode="practical", capacity=0.01, eta=0.01)
         with pytest.raises(ValueError):
             run_idbal(logged, [], policy, LinearModel.zeros(3), cfg, 0)
+
+    def test_runs_are_pinned(self):
+        # blake2b-128 over every run's counts, decisions, final value (repr)
+        # and final weight bytes: all four learners on seeded splits under
+        # uniform-groups and uncertainty logging, plus a 3000x30 split at
+        # eta 1600, whose weights overflow to inf/NaN. The hex was captured
+        # on the per-record sample, before the sample became arrays; the
+        # sweep digests round to 6 digits and cannot see a last-bit change.
+        digest = hashlib.blake2b(digest_size=16)
+        seen = {QUERY: 0, INFER: 0, SKIP: 0}
+        nonfinite = 0
+        stable = ((64, 40.96, 0.0064), (128, 0.64, 0.0256))
+        diverging = ((128, 2.56, 1600.0),)
+        for seed, count, dim, grid in ((0, 500, 6, stable), (1, 500, 6, stable), (2, 3000, 30, diverging)):
+            data = generate_synthetic(SyntheticSpec(count=count, dim=dim, flip_prob=0.1, seed=seed))
+            split = split_dataset(data, (0.2, 0.5), seed=seed + 1)
+            if seed == 1:
+                coarse = fit_coarse_model(data, 0.1, seed, 1.0)
+                scale = calibrate_scale("uncertainty", coarse, [ex.x for ex in split.logged], 0.1)
+                policy = UncertaintyPolicy(scale, coarse)
+            else:
+                policy = UniformGroupsPolicy(0.05, 0.2, 0.8, group_seed=seed)
+            logged = apply_logging(split.logged, policy, seed=seed + 2)
+            for horizon, capacity, eta in grid:
+                cfg = AlgoConfig(mode="practical", capacity=capacity, eta=eta)
+                for name in sorted(ALGORITHMS):
+                    res = ALGORITHMS[name](
+                        logged, split.online[:horizon], policy, LinearModel.zeros(dim), cfg, seed,
+                        test_data=split.test,
+                    )
+                    digest.update(repr((seed, horizon, name, res.query_count, res.inferred_count,
+                                        res.skipped_count, res.per_iteration_queries,
+                                        res.final_value)).encode())
+                    digest.update(",".join(res.decisions).encode() + b";")
+                    digest.update(res.final_classifier.weights.tobytes())
+                    for decision in res.decisions:
+                        seen[decision] += 1
+                    nonfinite += not np.isfinite(res.final_classifier.weights).all()
+        assert seen == {QUERY: 636, INFER: 1385, SKIP: 27}
+        assert nonfinite == 4
+        assert digest.hexdigest() == "623d80a157a66b74a5f3d0af0520fbdd"
 
     def test_wrong_hypothesis_type_rejected(self):
         split, policy, logged = _practical_setup(5)
