@@ -107,8 +107,8 @@ def ogd_stepsize(t: int, eta: float) -> float:
     """Schedule sqrt(eta / (t + eta)) for update number t (1-based); t = 0
     gives the degenerate value 1 for every eta, so callers pass the
     incremented counter."""
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     if t < 0:
         raise ValueError("t cannot be negative")
     return math.sqrt(eta / (t + eta))

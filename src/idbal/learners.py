@@ -175,8 +175,8 @@ class AlgoConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.capacity <= 0.0 or self.eta <= 0.0:
-            raise ValueError("capacity and eta must be positive")
+        if not (0.0 < self.capacity < math.inf and 0.0 < self.eta < math.inf):
+            raise ValueError("capacity and eta must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ point and independently coded oracles can agree to the last bit.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -60,6 +61,8 @@ class DiscreteInstance:
         q0 = np.asarray(self.q0, dtype=float)
         if masses.shape != (size,) or p1.shape != (size,) or q0.shape != (size,):
             raise ValueError("masses, p1, and q0 must each have one entry per pool instance")
+        if not (np.isfinite(masses).all() and np.isfinite(p1).all() and np.isfinite(q0).all()):
+            raise ValueError("masses, p1, and q0 must be finite")
         if (masses < 0).any() or abs(float(masses.sum()) - 1.0) > 1e-12:
             raise ValueError("masses must be nonnegative and sum to 1")
         if ((p1 < 0) | (p1 > 1)).any() or ((q0 < 0) | (q0 > 1)).any():
@@ -235,6 +238,75 @@ class UnbiasednessReport:
         return abs(self.mean - self.true_value) / self.stderr
 
 
+# Cells per streamed chunk: one chunk's uniforms and per-cell temporaries
+# stay in cache, and memory does not grow with the number of trials.
+_CHUNK_CELLS = 1 << 16
+
+
+def _uniform_chunks(rng: np.random.Generator, trials: int, total: int):
+    """The uniforms of three successive rng.random((b, total)) draws per
+    batch (picks, error or label bits, reveals), yielded as aligned row
+    chunks (u_pick, u_second, u_reveal). Three copies of the generator are
+    advanced to the starts of the three blocks and drawn in step, and rng
+    ends where the whole-block draws would leave it. One draw is one 64-bit
+    output on PCG64, the generator derive_rng returns."""
+    # Batches once bounded memory. They still fix where each batch's three
+    # blocks start in the stream, so changing this changes every statistic.
+    batch = max(1, int(2e7 // total))
+    step = max(1, _CHUNK_CELLS // total)
+    for start in range(0, trials, batch):
+        b = min(batch, trials - start)
+        streams = []
+        for k in range(3):
+            bits = copy.deepcopy(rng.bit_generator)
+            bits.advance(k * b * total)
+            streams.append(np.random.Generator(bits))
+        for row in range(0, b, step):
+            shape = (min(step, b - row), total)
+            yield tuple(stream.random(shape) for stream in streams)
+        rng.bit_generator.advance(3 * b * total)
+
+
+def _phase_tables(instance: DiscreteInstance, m: int, n: int, q1):
+    """Per-point tables for m logged then n online columns: Generator.choice's
+    cdf over the pool, the per-column offset (0 logged, pool size online),
+    and indexed by pick + offset, the reveal probability (q0, then q1) and
+    the balanced weight 1 / (m q0 + n q1), zero denominators read as 1.
+    Each value goes through the IEEE operations of the per-cell expression
+    it replaces, so it is bit-equal."""
+    size = len(instance.pool)
+    q0 = instance.q0
+    q1 = np.ones(size) if q1 is None else np.asarray(q1, dtype=float)
+    if q1.shape != q0.shape:
+        raise ValueError("q1 must have one entry per pool instance")
+    cdf = instance.masses.cumsum()
+    cdf /= cdf[-1]
+    offset = np.repeat(np.array([0, size], dtype=np.intp), (m, n))
+    denom = m * q0 + n * q1
+    return cdf, offset, np.concatenate([q0, q1]), np.tile(1.0 / np.where(denom > 0.0, denom, 1.0), 2)
+
+
+def _cell_keys(tables, second: np.ndarray, trials: int, rng: np.random.Generator):
+    """Row chunks of per-cell keys 4 * point + 2 * bit + revealed, where
+    point = pick + offset indexes the tables, bit = u_second < second[point]
+    and revealed = u_reveal < reveal[point]. The pick is Generator.choice's
+    for u_pick: the count of cdf entries at or below it, which is
+    cdf.searchsorted(u_pick, side="right") (the last entry is exactly 1)."""
+    cdf, offset, reveal, _ = tables
+    for u_pick, u_second, u_reveal in _uniform_chunks(rng, trials, len(offset)):
+        picks = np.zeros(u_pick.shape, dtype=np.min_scalar_type(len(cdf)))
+        for edge in cdf[:-1]:
+            picks += u_pick >= edge
+        point = picks.astype(np.intp) + offset
+        yield 4 * point + 2 * (u_second < second[point]) + (u_reveal < reveal[point])
+
+
+def _by_key(weight: np.ndarray, errs: np.ndarray) -> np.ndarray:
+    """Cell value per key: weight[point] where errs[point, bit] holds and
+    the label was revealed, else 0.0."""
+    return np.where(errs[:, :, None] & [False, True], weight[:, None, None], 0.0).ravel()
+
+
 def _simulate_estimates(
     instance: DiscreteInstance,
     h,
@@ -248,38 +320,33 @@ def _simulate_estimates(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-trial estimator values from full resamples of the generative
     process; shared draws when both estimators are requested."""
+    if m < 0 or n < 0 or m + n < 1:
+        raise ValueError(f"m and n must be non-negative with m + n at least 1, got m={m}, n={n}")
+    tables = _phase_tables(instance, m, n, q1)
+    _, _, reveal, balanced = tables
     row = _member_row(instance, h)
-    q0 = instance.q0
-    q1 = np.ones(len(instance.pool)) if q1 is None else np.asarray(q1, dtype=float)
-    total = m + n
-    batch = max(1, int(2e7 // max(total, 1)))
+    # label draw folded into the error event: P(h(x) != Y | x) is exactly
+    # the per-point error probability, which is all the estimator sees
+    err_prob = np.tile(np.where(row == 1, 1.0 - instance.p1, instance.p1), 2)
+    wrong = np.array([[False, True]])  # the second bit is the error event itself
+    by_key_is = _by_key(1.0 / np.where(reveal > 0.0, reveal, 1.0), wrong)
+    by_key_mis = _by_key(balanced, wrong)
     out_is: list[np.ndarray] = []
     out_mis: list[np.ndarray] = []
-    remaining = trials
-    while remaining > 0:
-        b = min(batch, remaining)
-        picks = rng.choice(len(instance.pool), size=(b, total), p=instance.masses)
-        # label draw folded into the error event: P(h(x) != Y | x) is exactly
-        # the per-point error probability, which is all the estimator sees
-        err_prob = np.where(row == 1, 1.0 - instance.p1, instance.p1)
-        wrong = rng.random((b, total)) < err_prob[picks]
-        reveal_prob = np.concatenate(
-            [q0[picks[:, :m]], q1[picks[:, m:]]], axis=1
-        )
-        revealed = rng.random((b, total)) < reveal_prob
-        hits = wrong & revealed
+    for keys in _cell_keys(tables, err_prob, trials, rng):
         if want_mis:
-            denom = m * q0[picks] + n * q1[picks]
-            safe = np.where(denom > 0.0, denom, 1.0)
-            out_mis.append(np.where(hits, 1.0 / safe, 0.0).sum(axis=1))
+            out_mis.append(by_key_mis[keys].sum(axis=1))
         if want_is:
-            safe = np.where(reveal_prob > 0.0, reveal_prob, 1.0)
-            out_is.append(np.where(hits, 1.0 / safe, 0.0).sum(axis=1) / total)
-        remaining -= b
+            out_is.append(by_key_is[keys].sum(axis=1) / (m + n))
     return (
         np.concatenate(out_is) if want_is else None,
         np.concatenate(out_mis) if want_mis else None,
     )
+
+
+def _check_trials(trials: int, least: int) -> None:
+    if trials < least:
+        raise ValueError(f"trials must be at least {least}, got {trials}")
 
 
 def mc_unbiasedness(
@@ -296,6 +363,7 @@ def mc_unbiasedness(
     mean, its standard error, and the exact target."""
     if estimator not in ("mis", "is"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    _check_trials(trials, 1)
     rng = derive_rng(seed, "mc-unbiasedness", estimator)
     est_is, est_mis = _simulate_estimates(
         instance, h, m, n, trials, rng, q1,
@@ -318,6 +386,7 @@ def variance_compare(
 ) -> tuple[float, float]:
     """(variance of the per-phase estimator, variance of the balanced
     estimator) on shared draws."""
+    _check_trials(trials, 2)  # a ddof=1 variance needs two values
     rng = derive_rng(seed, "mc-variance")
     est_is, est_mis = _simulate_estimates(
         instance, h, m, n, trials, rng, q1, want_is=True, want_mis=True
@@ -343,37 +412,26 @@ def concentration_rate(
     """Empirical 0.9-quantile of the deviation of the estimated error gap
     between two members from the true gap, at m = n = N for each N, plus the
     fitted log-log slope (about -1/2 when concentration goes as 1/sqrt(N))."""
+    _check_trials(trials, 1)
+    if any(size < 1 for size in effective_sizes):
+        raise ValueError(f"effective_sizes must each be at least 1, got {list(effective_sizes)}")
     h1, h2 = pair
     gap_true = true_error(instance, h1) - true_error(instance, h2)
+    member_errs = [np.tile(_member_row(instance, h), 2)[:, None] != [0, 1] for h in pair]
+    p1 = np.tile(instance.p1, 2)
     quantiles: list[float] = []
     for size_index, size in enumerate(effective_sizes):
         rng = derive_rng(seed, "mc-rate", size_index)
-        row1 = _member_row(instance, h1)
-        row2 = _member_row(instance, h2)
-        q0 = instance.q0
-        qq1 = np.ones(len(instance.pool)) if q1 is None else np.asarray(q1, dtype=float)
-        total = 2 * size
-        batch = max(1, int(2e7 // total))
+        tables = _phase_tables(instance, size, size, q1)
+        by_key = [_by_key(tables[3], errs) for errs in member_errs]
         devs: list[np.ndarray] = []
-        remaining = trials
-        while remaining > 0:
-            b = min(batch, remaining)
-            picks = rng.choice(len(instance.pool), size=(b, total), p=instance.masses)
-            labels = rng.random((b, total)) < instance.p1[picks]
-            reveal_prob = np.concatenate([q0[picks[:, :size]], qq1[picks[:, size:]]], axis=1)
-            revealed = rng.random((b, total)) < reveal_prob
-            denom = size * q0[picks] + size * qq1[picks]
-            safe = np.where(denom > 0.0, denom, 1.0)
-            wrong1 = row1[picks] != labels
-            wrong2 = row2[picks] != labels
-            est1 = np.where(wrong1 & revealed, 1.0 / safe, 0.0).sum(axis=1)
-            est2 = np.where(wrong2 & revealed, 1.0 / safe, 0.0).sum(axis=1)
+        for keys in _cell_keys(tables, p1, trials, rng):
+            est1, est2 = (table[keys].sum(axis=1) for table in by_key)
             devs.append(np.abs((est1 - est2) - gap_true))
-            remaining -= b
         quantiles.append(float(np.quantile(np.concatenate(devs), 0.9)))
     sizes = np.asarray(effective_sizes, dtype=float)
     quant = np.asarray(quantiles)
-    if (quant <= 0.0).any():
+    if len(set(sizes)) < 2 or (quant <= 0.0).any():  # no line through fewer than two points
         slope = math.nan
     else:
         slope = float(np.polyfit(np.log(sizes), np.log(quant), 1)[0])
@@ -391,6 +449,7 @@ class CheckRow:
 
 def run_verification_suite(seed: int = 0, fixtures: int = 20, trials: int = 20000) -> list[CheckRow]:
     """Self-contained estimator and geometry checks; returns one row per check."""
+    _check_trials(trials, 2)
     rows: list[CheckRow] = []
     for i in range(fixtures):
         instance = random_instance(seed=seed * 1000 + i, force_low_propensity=True)

@@ -96,6 +96,11 @@ class TestRun:
         assert "error: horizon must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_nan_eta_exits_two(self, tmp_path, capsys):
+        assert main(self._args(tmp_path, "--algo.eta", "nan")) == 2
+        assert "error: capacity and eta must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_empty_test_split_exits_two(self, tmp_path, capsys):
         args = self._args(tmp_path, "--data.count", "60", "--split.test_fraction", "0.01")
         assert main(args) == 2
@@ -159,6 +164,14 @@ class TestVerify:
         assert code == 0
         assert (tmp_path / "env-out" / "checks.csv").exists()
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize("trials", ["0", "-5", "1"])
+    def test_too_few_trials_exits_two(self, tmp_path, capsys, trials):
+        code = main(["verify", "--fixtures", "2", "--trials", trials, "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: trials must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "checks.csv").exists()
 
 
 class TestParserErrors:

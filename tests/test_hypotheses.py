@@ -99,6 +99,9 @@ class TestStepsizeSchedule:
             ogd_stepsize(1, 0.0)
         with pytest.raises(ValueError):
             ogd_stepsize(-1, 1.0)
+        for eta in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ogd_stepsize(1, eta)
 
 
 class TestOgdUpdate:

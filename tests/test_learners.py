@@ -127,6 +127,14 @@ class TestDebiasRule:
             debias_rule(0.5, 0.1, 0.0)
 
 
+class TestAlgoConfig:
+    @pytest.mark.parametrize("field", ["capacity", "eta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AlgoConfig(**{field: value})
+
+
 def _practical_setup(seed: int, count: int = 600, dim: int = 6, p=(0.05, 0.2, 0.8)):
     data = generate_synthetic(SyntheticSpec(count=count, dim=dim, flip_prob=0.1, seed=seed))
     split = split_dataset(data, (0.2, 0.5), seed=seed + 1)
