@@ -17,16 +17,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .data import SyntheticSpec, format_sparse_dataset, generate_synthetic, apply_logging, split_dataset
+from .data import SyntheticSpec, format_sparse_dataset, generate_synthetic
 from .harness import (
     apply_overrides,
-    build_policy,
     config_to_experiment,
     datasets_from_config,
     default_output_dir,
     load_dataset,
     parse_config_text,
     policy_from_config,
+    prepare_repeat,
     rebuild_result,
     records_from_json,
     records_to_json,
@@ -78,39 +78,28 @@ def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
     data = load_dataset(dataset)
     seed = int(config.get("seed", "0"))
     repeat = int(config.get("repeat", "0"))
-    split = split_dataset(
-        data,
-        (float(config.get("split.test_fraction", "0.2")), float(config.get("split.logged_fraction", "0.5"))),
-        seed=child_seed(seed, dataset.name, repeat, "split"),
-    )
-    policy = build_policy(
-        policy_from_config(config), data, dataset.name, seed,
-        calibration_instances=[ex.x for ex in split.logged],
-    )
-    logged = apply_logging(split.logged, policy, seed=child_seed(seed, dataset.name, repeat, "logging"))
-    if not split.test:
-        raise ValueError("the test split is empty: raise split.test_fraction or data.count")
-    horizon = int(config.get("horizon", str(len(split.online))))
+    fractions = (float(config.get("split.test_fraction", "0.2")), float(config.get("split.logged_fraction", "0.5")))
+    prepared = prepare_repeat(data, policy_from_config(config), dataset.name, seed, repeat, fractions)
+    online = len(prepared.online)
+    horizon = int(config.get("horizon", str(online)))
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
-    horizon = min(horizon, len(split.online))
+    horizon = min(horizon, online)
     run_cfg = AlgoConfig(
         capacity=float(config.get("algo.capacity", "0.01")),
         eta=float(config.get("algo.eta", "0.1")),
     )
-    dim = max((ex.x.max_index() for ex in data), default=1)
     result = ALGORITHMS[algorithm](
-        logged,
-        split.online[:horizon],
-        policy,
-        LinearModel.zeros(dim),
+        prepared.logged,
+        prepared.online[:horizon],
+        prepared.policy,
+        LinearModel.zeros(data.dim),
         run_cfg,
         child_seed(seed, dataset.name, repeat, algorithm, run_cfg.capacity, run_cfg.eta, horizon),
-        test_data=split.test,
+        test_data=prepared.test,
     )
-    revealed = sum(1 for t in logged if t.z == 1)
-    print(f"dataset {dataset.name}: {len(logged)} logged ({revealed} revealed), "
-          f"{horizon} online, {len(split.test)} test")
+    print(f"dataset {dataset.name}: {len(prepared.logged)} logged ({int(prepared.logged.z.sum())} revealed), "
+          f"{horizon} online, {len(prepared.test)} test")
     print(f"algorithm {algorithm}: {result.query_count} queries, "
           f"{result.inferred_count} inferred, {result.skipped_count} skipped")
     print(f"final test error {result.final_test_error:.6g}")

@@ -1,9 +1,12 @@
-"""Datasets, logging records, splits, and the synthetic generator.
+"""Datasets as rows, splits, logging, and the synthetic generator.
 
-Binary classification with sparse features. Labels are {0, 1} internally;
-{-1, +1} is accepted on input and mapped to {0, 1}. A logged record either
-carries a label (z = 1) or carries none at all (z = 0); nothing downstream can
-touch a label that the logging policy hid.
+Binary classification with sparse features. A dataset is one CSR matrix with
+a bias column plus its labels. Labels are {0, 1} internally; {-1, +1} is
+accepted on input and mapped to {0, 1}. Splits are arrays of row positions
+and logging yields one reveal bit per row; a hidden label (z = 0) is stored
+as 0, so nothing downstream can touch a label that the logging policy hid.
+The per-instance records (FeatureVector, Example, LoggedTriple) describe the
+exact mode's finite pools.
 """
 from __future__ import annotations
 
@@ -31,11 +34,9 @@ __all__ = [
     "synthetic_separator",
     "split_dataset",
     "apply_logging",
-    "stack_rows",
+    "row_keys",
     "LabeledRows",
-    "to_labeled_rows",
     "SplitRows",
-    "to_split_rows",
 ]
 
 
@@ -167,12 +168,12 @@ class LoggedTriple:
 
 @dataclass(frozen=True)
 class DataSplit:
-    """Disjoint logged / online / test partition of a dataset."""
+    """Disjoint logged / online / test partition of a dataset, as arrays of
+    row positions."""
 
-    logged: tuple[Example, ...]
-    online: tuple[Example, ...]
-    test: tuple[Example, ...]
-    seed: int
+    logged: np.ndarray
+    online: np.ndarray
+    test: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -194,23 +195,27 @@ class SyntheticSpec:
             raise ValueError("flip_prob must be in [0, 0.5)")
 
 
-def parse_sparse_dataset(text: str | bytes) -> list[Example]:
-    """Parse 'label index:value index:value ...' lines into examples.
+def parse_sparse_dataset(text: str | bytes) -> LabeledRows:
+    """Parse 'label index:value index:value ...' lines into rows.
 
     Labels may be {0,1} or {-1,+1} (mixed is fine); -1 maps to 0. Indices are
     1-based integers; duplicates, non-positive indices, and malformed tokens
     raise ParseError with the offending line number. Blank lines and lines
     starting with '#' are skipped. Both LF and CRLF line endings are accepted.
+    Zero values (-0.0 included) are dropped and each row is stored in index
+    order, so the matrix is as wide as the largest index with a non-zero
+    value, plus the bias column.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    examples: list[Example] = []
+    labels: list[int] = []
+    indptr, indices, values = [0], [], []
     for line_number, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r").strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        label = _canonical_label(tokens[0], line_number)
+        labels.append(_canonical_label(tokens[0], line_number))
         pairs: list[tuple[int, float]] = []
         seen: set[int] = set()
         for token in tokens[1:]:
@@ -232,17 +237,22 @@ def parse_sparse_dataset(text: str | bytes) -> list[Example]:
                 raise ParseError(line_number, f"value {value_text!r} is not numeric") from None
             if not math.isfinite(value):
                 raise ParseError(line_number, f"non-finite value at index {index}")
-            pairs.append((index, value))
-        examples.append(Example(FeatureVector(pairs), label))
-    return examples
+            if value != 0.0:
+                pairs.append((index, value))
+        pairs.sort()
+        indices += [0, *(i for i, _ in pairs)]
+        values += [1.0, *(v for _, v in pairs)]
+        indptr.append(len(indices))
+    matrix = scipy.sparse.csr_array(
+        (np.array(values, dtype=float), np.array(indices, dtype=np.intp), np.array(indptr, dtype=np.intp)),
+        shape=(len(labels), 1 + max(indices, default=0)),
+    )
+    return LabeledRows(matrix, np.array(labels, dtype=np.int8))
 
 
-def format_sparse_dataset(examples: Sequence[Example]) -> str:
+def format_sparse_dataset(data: LabeledRows) -> str:
     """Inverse of parse_sparse_dataset; floats use repr for exact round-trips."""
-    lines = []
-    for ex in examples:
-        parts = [str(ex.y)] + [f"{i}:{v!r}" for i, v in ex.x.items]
-        lines.append(" ".join(parts))
+    lines = [f"{y} {key}" if key else str(y) for y, key in zip(data.labels.tolist(), row_keys(data.matrix))]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -252,70 +262,63 @@ def synthetic_separator(spec: SyntheticSpec) -> np.ndarray:
     return rng.standard_normal(spec.dim)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[Example]:
+def generate_synthetic(spec: SyntheticSpec) -> LabeledRows:
     """Draw the synthetic dataset described by spec. Deterministic in spec.seed."""
     weights = synthetic_separator(spec)
     points_rng = derive_rng(spec.seed, "synthetic", "points")
     flips_rng = derive_rng(spec.seed, "synthetic", "flips")
     points = points_rng.uniform(-1.0, 1.0, size=(spec.count, spec.dim))
-    clean = (points @ weights >= 0.0).astype(np.int64)
+    clean = (points @ weights >= 0.0).astype(np.int8)
     flips = flips_rng.random(spec.count) < spec.flip_prob
     labels = np.where(flips, 1 - clean, clean)
-    examples = []
-    for row, label in zip(points, labels):
-        pairs = [(i + 1, float(v)) for i, v in enumerate(row)]
-        examples.append(Example(FeatureVector(pairs), int(label)))
-    return examples
+    # dense to CSR keeps the non-zeros of each row in column order
+    return LabeledRows(scipy.sparse.csr_array(np.hstack((np.ones((spec.count, 1)), points))), labels)
 
 
-def split_dataset(
-    data: Sequence[Example],
-    fractions: tuple[float, float] = (0.2, 0.5),
-    seed: int = 0,
-) -> DataSplit:
-    """Shuffle and cut into test / logged / online parts.
+def split_dataset(count: int, fractions: tuple[float, float] = (0.2, 0.5), seed: int = 0) -> DataSplit:
+    """Shuffle the positions 0..count-1 and cut them into test / logged /
+    online parts.
 
     fractions = (test_frac, logged_frac): the test part takes
-    floor(count * test_frac) examples, the logged part takes
+    floor(count * test_frac) positions, the logged part takes
     floor(remaining * logged_frac), and the online part takes the rest.
     """
     test_frac, logged_frac = fractions
     if not (0.0 < test_frac < 1.0 and 0.0 < logged_frac < 1.0):
         raise ValueError("fractions must lie strictly between 0 and 1")
-    count = len(data)
     if count < 3:
         raise ValueError(f"need at least 3 examples to split, got {count}")
     order = derive_rng(seed, "split", "shuffle").permutation(count)
     n_test = int(count * test_frac)
     n_logged = int((count - n_test) * logged_frac)
-    test = tuple(data[i] for i in order[:n_test])
-    logged = tuple(data[i] for i in order[n_test : n_test + n_logged])
-    online = tuple(data[i] for i in order[n_test + n_logged :])
-    return DataSplit(logged=logged, online=online, test=test, seed=seed)
+    return DataSplit(
+        logged=order[n_test : n_test + n_logged], online=order[n_test + n_logged :], test=order[:n_test]
+    )
 
 
-def apply_logging(examples: Sequence[Example], policy, seed: int = 0) -> list[LoggedTriple]:
-    """Simulate the logging phase: reveal each label with its policy probability.
-
-    z = 0 records keep the instance but drop the label entirely.
-    """
-    from .policies import policy_prob
-
+def apply_logging(q0: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Simulate the logging phase: reveal bit z = 1 with probability q0[i],
+    one uniform draw per record in order."""
     rng = derive_rng(seed, "logging", "reveal")
-    triples: list[LoggedTriple] = []
-    for ex in examples:
-        prob = policy_prob(policy, ex.x)
-        if rng.random() < prob:
-            triples.append(LoggedTriple(ex.x, 1, ex.y, LabelSource.QUERIED))
-        else:
-            triples.append(LoggedTriple(ex.x, 0))
-    return triples
+    return (rng.random(len(q0)) < q0).astype(np.int8)
+
+
+def row_keys(rows: scipy.sparse.csr_array) -> list[str]:
+    """Each row's canonical text form, "index:value" over its features in
+    index order; equal to FeatureVector.key() of the same instance. The bias,
+    stored first in every row, is left out."""
+    indptr, indices, values = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
+    return [
+        " ".join(f"{indices[j]}:{values[j]!r}" for j in range(lo + 1, hi))
+        for lo, hi in zip(indptr, indptr[1:])
+    ]
 
 
 @dataclass(frozen=True)
 class LabeledRows:
-    """Labeled examples stacked for scoring: the stack_rows matrix of their
-    instances plus the 0/1 labels."""
+    """A dataset as one (N, dim+1) CSR matrix, with the constant 1 bias in
+    column 0 and each row's features in index order, plus the 0/1 labels.
+    Indexing with a slice or an index array cuts rows and labels alike."""
 
     matrix: scipy.sparse.csr_array
     labels: np.ndarray
@@ -323,35 +326,13 @@ class LabeledRows:
     def __len__(self) -> int:
         return self.labels.size
 
+    @property
+    def dim(self) -> int:
+        """Number of feature columns, the bias not counted."""
+        return self.matrix.shape[1] - 1
 
-def stack_rows(instances: Sequence[FeatureVector], dim: int) -> scipy.sparse.csr_array:
-    """Stack instances into an (N, dim+1) CSR matrix with the constant 1 bias
-    in column 0 and each row's features in index order, so row i stores
-    exactly what LinearModel.raw_score sums for instance i, in the same
-    order. Errors if any instance uses an index above dim."""
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    for x in instances:
-        indices.append(0)
-        values.append(1.0)
-        for index, value in x.items:
-            if index > dim:
-                raise ValueError(f"feature index {index} exceeds dimension {dim}")
-            indices.append(index)
-            values.append(value)
-        indptr.append(len(indices))
-    return scipy.sparse.csr_array(
-        (np.array(values, dtype=float), np.array(indices, dtype=np.intp), np.array(indptr, dtype=np.intp)),
-        shape=(len(instances), dim + 1),
-    )
-
-
-def to_labeled_rows(examples: Sequence[Example], dim: int) -> LabeledRows:
-    """Stack examples into LabeledRows over dim features. Errors if any
-    instance uses an index above dim."""
-    matrix = stack_rows([ex.x for ex in examples], dim)
-    return LabeledRows(matrix, np.array([ex.y for ex in examples], dtype=np.int8))
+    def __getitem__(self, index: slice | np.ndarray) -> "LabeledRows":
+        return LabeledRows(self.matrix[index], self.labels[index])
 
 
 @dataclass(frozen=True)
@@ -359,7 +340,7 @@ class SplitRows:
     """One split as the learners read it, as arrays: each record's logging
     propensity q0, reveal bit z and label y (0 wherever z = 0, so a hidden
     label is never stored), and the rows the hypothesis space reads. For a
-    linear model, rows is the stack_rows matrix and norms holds each row's
+    linear model, rows is a LabeledRows matrix and norms holds each row's
     squared norm 1 + sum v^2; for a finite class, rows holds pool positions
     and norms is None. Indexing with a slice or an index array cuts every
     array alike, so split[:h] is the first h records."""
@@ -378,27 +359,19 @@ class SplitRows:
         y = np.array([r.y or 0 for r in records], dtype=np.int8)
         return cls(q0, z, y, rows, norms)
 
+    @classmethod
+    def from_labeled(cls, data: LabeledRows, q0: np.ndarray, z: np.ndarray | None = None) -> "SplitRows":
+        """Linear-model rows with their propensities q0 and reveal bits z
+        (every label revealed when z is None)."""
+        z = np.ones(len(data), dtype=np.int8) if z is None else z
+        features = data.matrix[:, 1:]
+        # a CSR product sums each row's squares in index order, as 1 + sum v^2 does
+        norms = 1.0 + features.multiply(features) @ np.ones(features.shape[1])
+        return cls(q0, z, data.labels * z, data.matrix, norms)
+
     def __len__(self) -> int:
         return self.q0.size
 
     def __getitem__(self, index: slice | np.ndarray) -> "SplitRows":
         norms = None if self.norms is None else self.norms[index]
         return SplitRows(self.q0[index], self.z[index], self.y[index], self.rows[index], norms)
-
-
-def to_split_rows(records, policy, dim: int) -> SplitRows:
-    """Records with their q0 under the policy, their rows over dim features
-    and their norms. SplitRows pass through, provided they carry rows of that
-    width."""
-    if isinstance(records, SplitRows):
-        if records.norms is None or records.rows.shape[1] != dim + 1:
-            raise ValueError(f"split rows do not match dimension {dim}")
-        return records
-    from .policies import policy_prob
-
-    records = tuple(records)
-    q0 = np.array([policy_prob(policy, r.x) for r in records], dtype=float)
-    instances = [r.x for r in records]
-    # squared_norm sums in index order, so the norms match the scalar formula
-    norms = np.array([1.0 + x.squared_norm() for x in instances], dtype=float)
-    return SplitRows.from_records(records, q0, stack_rows(instances, dim), norms)

@@ -20,18 +20,18 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .data import (
     DataSplit,
-    Example,
-    LoggedTriple,
+    LabeledRows,
+    SplitRows,
     SyntheticSpec,
     apply_logging,
     generate_synthetic,
     parse_sparse_dataset,
+    row_keys,
     split_dataset,
-    to_labeled_rows,
-    to_split_rows,
 )
 from .hypotheses import LinearModel
 from .learners import ALGORITHMS, AlgoConfig
@@ -45,6 +45,7 @@ from .policies import (
     calibrate_scale,
     fit_coarse_model,
     load_table_policy,
+    policy_prob,
 )
 from .rng import child_seed
 
@@ -59,8 +60,11 @@ __all__ = [
     "RunRecord",
     "CurvePoint",
     "ProtocolResult",
+    "RepeatData",
     "build_policy",
     "load_dataset",
+    "log_split",
+    "prepare_repeat",
     "horizon_schedule",
     "run_protocol",
     "auc",
@@ -190,7 +194,7 @@ class ProtocolResult:
     best: dict
 
 
-def load_dataset(spec: DatasetSpec) -> list[Example]:
+def load_dataset(spec: DatasetSpec) -> LabeledRows:
     if spec.synthetic is not None:
         return generate_synthetic(spec.synthetic)
     return parse_sparse_dataset(Path(spec.path).read_text(encoding="utf-8"))
@@ -198,14 +202,14 @@ def load_dataset(spec: DatasetSpec) -> list[Example]:
 
 def build_policy(
     spec: PolicySpec,
-    data: Sequence[Example],
+    data: LabeledRows,
     dataset_name: str,
     master_seed: int,
-    calibration_instances: Sequence | None = None,
+    calibration_rows: scipy.sparse.csr_array,
 ) -> LoggingPolicy:
     """Materialize a policy spec. Margin policies fit their coarse model on a
     seeded slice of the dataset and, unless a scale was given, calibrate it so
-    the mean reveal probability over calibration_instances hits the target."""
+    the mean reveal probability over calibration_rows hits the target."""
     if spec.name == "identical":
         return IdenticalPolicy(spec.p)
     if spec.name == "uniform":
@@ -220,9 +224,7 @@ def build_policy(
     if spec.scale is not None:
         scale = spec.scale
     else:
-        if not calibration_instances:
-            raise ValueError("margin policy calibration needs instances")
-        scale = calibrate_scale(spec.name, coarse, list(calibration_instances), spec.calibration_target)
+        scale = calibrate_scale(spec.name, coarse, calibration_rows, spec.calibration_target)
     if spec.name == "uncertainty":
         return UncertaintyPolicy(scale, coarse)
     return CertaintyPolicy(scale, coarse)
@@ -240,13 +242,57 @@ def horizon_schedule(base: int, growth: int, online_size: int) -> list[int]:
     return horizons
 
 
-def _data_digest(split: DataSplit, logged: Sequence[LoggedTriple]) -> str:
+@dataclass(frozen=True)
+class RepeatData:
+    """What every run of one repeat reads: the logging policy, the logged
+    and online splits with their propensities, reveal bits and norms, and
+    the test rows."""
+
+    policy: LoggingPolicy
+    logged: SplitRows
+    online: SplitRows
+    test: LabeledRows
+
+
+def log_split(data: LabeledRows, split: DataSplit, policy: LoggingPolicy, seed: int) -> RepeatData:
+    """Score the split's logged and online rows under the policy, draw the
+    logged part's reveal bits with the given seed, and cut the test rows."""
+    logged, online = data[split.logged], data[split.online]
+    q0 = policy_prob(policy, logged.matrix)
+    return RepeatData(
+        policy,
+        SplitRows.from_labeled(logged, q0, apply_logging(q0, seed)),
+        SplitRows.from_labeled(online, policy_prob(policy, online.matrix)),
+        data[split.test],
+    )
+
+
+def prepare_repeat(
+    data: LabeledRows,
+    spec: PolicySpec,
+    dataset_name: str,
+    master_seed: int,
+    repeat: int,
+    fractions: tuple[float, float],
+) -> RepeatData:
+    """Split, build the policy (calibrated on the logged rows) and log one
+    repeat of a dataset; seeds derive from (master_seed, dataset_name,
+    repeat), so every algorithm and grid point sees the same data."""
+    split = split_dataset(len(data), fractions, seed=child_seed(master_seed, dataset_name, repeat, "split"))
+    policy = build_policy(spec, data, dataset_name, master_seed, data.matrix[split.logged])
+    prepared = log_split(data, split, policy, child_seed(master_seed, dataset_name, repeat, "logging"))
+    if len(prepared.test) == 0:
+        raise ValueError("the test split is empty: raise split.test_fraction or data.count")
+    return prepared
+
+
+def _data_digest(prepared: RepeatData) -> str:
     digest = hashlib.blake2b(digest_size=6)
-    digest.update(f"{len(split.test)},{len(split.logged)},{len(split.online)};".encode())
-    digest.update(bytes(t.z for t in logged))
-    for part in (split.test[:3], split.online[:3]):
-        for ex in part:
-            digest.update(ex.x.key().encode("utf-8"))
+    digest.update(f"{len(prepared.test)},{len(prepared.logged)},{len(prepared.online)};".encode())
+    digest.update(prepared.logged.z.tobytes())
+    for rows in (prepared.test.matrix[:3], prepared.online.rows[:3]):
+        for key in row_keys(rows):
+            digest.update(key.encode("utf-8"))
             digest.update(b"|")
     return digest.hexdigest()
 
@@ -257,26 +303,12 @@ def _param_points(algorithm: str, cfg: ExperimentConfig) -> list[tuple[float | N
     return [(cap, eta) for cap in cfg.capacity_grid for eta in cfg.eta_grid]
 
 
-def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: list[Example], repeat: int) -> list[RunRecord]:
-    split = split_dataset(
-        data,
-        (cfg.test_fraction, cfg.logged_fraction),
-        seed=child_seed(cfg.master_seed, spec.name, repeat, "split"),
+def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: LabeledRows, repeat: int) -> list[RunRecord]:
+    prepared = prepare_repeat(
+        data, cfg.policy, spec.name, cfg.master_seed, repeat, (cfg.test_fraction, cfg.logged_fraction)
     )
-    policy = build_policy(
-        cfg.policy, data, spec.name, cfg.master_seed,
-        calibration_instances=[ex.x for ex in split.logged],
-    )
-    logged = apply_logging(
-        split.logged, policy, seed=child_seed(cfg.master_seed, spec.name, repeat, "logging")
-    )
-    digest = _data_digest(split, logged)
-    dim = max((ex.x.max_index() for ex in data), default=1)
-    # every run of the repeat reads the same propensities and rows
-    logged_rows = to_split_rows(logged, policy, dim)
-    online_rows = to_split_rows(split.online, policy, dim)
-    test_rows = to_labeled_rows(split.test, dim)
-    horizons = horizon_schedule(cfg.horizon_base, cfg.horizon_growth, len(split.online))
+    digest = _data_digest(prepared)
+    horizons = horizon_schedule(cfg.horizon_base, cfg.horizon_growth, len(prepared.online))
     records: list[RunRecord] = []
     for algorithm in cfg.algorithms:
         runner = ALGORITHMS[algorithm]
@@ -291,13 +323,13 @@ def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: list[Example], r
                     cfg.master_seed, spec.name, repeat, algorithm, capacity, eta, horizon
                 )
                 result = runner(
-                    logged_rows,
-                    online_rows[:horizon],
-                    policy,
-                    LinearModel.zeros(dim),
+                    prepared.logged,
+                    prepared.online[:horizon],
+                    prepared.policy,
+                    LinearModel.zeros(data.dim),
                     run_cfg,
                     seed,
-                    test_data=test_rows,
+                    test_data=prepared.test,
                 )
                 records.append(
                     RunRecord(

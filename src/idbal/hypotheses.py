@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Example, FeatureVector, LabeledRows
+from .data import FeatureVector, LabeledRows
 from .estimators import WeightedSample
 
 __all__ = [
@@ -34,12 +34,6 @@ __all__ = [
     "ogd_update",
     "approx_dis_mask",
 ]
-
-
-def as_predictor(classifier) -> Callable[[FeatureVector], int]:
-    """Accept either an object with .predict(x) or a bare callable."""
-    predict = getattr(classifier, "predict", None)
-    return predict if predict is not None else classifier
 
 
 @dataclass(frozen=True)
@@ -72,36 +66,6 @@ class LinearModel:
     def dim(self) -> int:
         return self.weights.size - 1
 
-    def raw_score(self, x: FeatureVector) -> float:
-        w = self.weights
-        total = w[0]
-        for index, value in x.items:
-            if index >= w.size:
-                raise ValueError(f"feature index {index} exceeds model dimension {self.dim}")
-            total += w[index] * value
-        return float(total)
-
-    def predict(self, x: FeatureVector) -> int:
-        # ties (score exactly 0) go to label 1
-        return 1 if self.raw_score(x) >= 0.0 else 0
-
-    def margin(self, x: FeatureVector) -> float:
-        """|w . x~| / ||w||_2, bias included on both sides; 0 for a zero model."""
-        norm = float(np.linalg.norm(self.weights))
-        if norm == 0.0:
-            return 0.0
-        return abs(self.raw_score(x)) / norm
-
-    def to_csv_line(self) -> str:
-        return ",".join(repr(float(v)) for v in self.weights)
-
-    @classmethod
-    def from_csv_line(cls, line: str, steps: int = 0) -> "LinearModel":
-        values = [float(tok) for tok in line.strip().split(",") if tok != ""]
-        if not values:
-            raise ValueError("empty weight line")
-        return cls(np.array(values), steps)
-
 
 def ogd_stepsize(t: int, eta: float) -> float:
     """Schedule sqrt(eta / (t + eta)) for update number t (1-based); t = 0
@@ -115,7 +79,7 @@ def ogd_stepsize(t: int, eta: float) -> float:
 
 
 def ogd_update(model: LinearModel, rows, labels, importance_weights, eta: float) -> LinearModel:
-    """One in-order pass over CSR rows laid out as stack_rows does: a
+    """One in-order pass over CSR rows laid out as LabeledRows stores them: a
     gradient step per row on the weighted squared surrogate (w . x~ - y~)^2
     with y~ = 2y - 1. Each step uses the pre-increment step index for its
     stepsize; a row of weight 0 still advances steps. Scores are summed from
@@ -199,15 +163,6 @@ class FiniteClass:
         if len(self._positions) != len(self.pool):
             raise ValueError("pool instances must be distinct")
 
-    @classmethod
-    def from_classifiers(cls, pool: Sequence[FeatureVector], members: Sequence) -> "FiniteClass":
-        """Tabulate arbitrary classifiers (fixed separators etc.) on the pool."""
-        rows = []
-        for member in members:
-            p = as_predictor(member)
-            rows.append([int(p(x)) for x in pool])
-        return cls(pool, np.array(rows, dtype=np.int8))
-
     def __len__(self) -> int:
         return self.labels.shape[0]
 
@@ -251,30 +206,21 @@ class CandidateSetExact:
         return index in self.active
 
 
-def classification_error(classifier, examples: Sequence[Example] | LabeledRows) -> float:
-    """Plain 0-1 error on fully labeled examples.
-
-    LabeledRows are scored for a LinearModel with one sparse matrix-vector
-    product. CSR rows are summed left to right from the bias, exactly as
-    raw_score sums, so the error equals the per-example loop bit for bit,
-    overflow and NaN included.
+def classification_error(model: LinearModel, data: LabeledRows) -> float:
+    """Plain 0-1 error of a linear model on labeled rows, from one sparse
+    matrix-vector product. CSR rows are summed left to right from the bias,
+    so every score is the in-order sum w0 + sum w_i v_i. A score of exactly 0
+    predicts label 1; a NaN score predicts 0.
     """
-    if len(examples) == 0:
+    if len(data) == 0:
         raise ValueError("error undefined on an empty example list")
-    if isinstance(examples, LabeledRows):
-        if not isinstance(classifier, LinearModel):
-            raise TypeError("row-form examples need a LinearModel")
-        w = classifier.weights
-        if examples.matrix.shape[1] != w.size:
-            raise ValueError(
-                f"rows have {examples.matrix.shape[1] - 1} features, model dimension is {classifier.dim}"
-            )
-        # ties (score exactly 0) go to label 1; a NaN score predicts 0
-        wrong = np.count_nonzero((examples.matrix @ w >= 0.0) != examples.labels)
-        return int(wrong) / len(examples)
-    p = as_predictor(classifier)
-    wrong = sum(1 for ex in examples if p(ex.x) != ex.y)
-    return wrong / len(examples)
+    if not isinstance(model, LinearModel):
+        raise TypeError("row-form examples need a LinearModel")
+    w = model.weights
+    if data.matrix.shape[1] != w.size:
+        raise ValueError(f"rows have {data.matrix.shape[1] - 1} features, model dimension is {model.dim}")
+    wrong = np.count_nonzero((data.matrix @ w >= 0.0) != data.labels)
+    return int(wrong) / len(data)
 
 
 def _weighted_losses(

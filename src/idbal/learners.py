@@ -22,7 +22,6 @@ explicit candidate set.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -31,14 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse
 
-from .data import (
-    Example,
-    LabeledRows,
-    LoggedTriple,
-    SplitRows,
-    to_labeled_rows,
-    to_split_rows,
-)
+from .data import Example, LabeledRows, LoggedTriple, SplitRows
 from .estimators import (
     BoundConfig,
     WeightedSample,
@@ -216,30 +208,13 @@ class RunResult:
     trace: tuple[TracePoint, ...]
     final_test_error: float | None
     seed: int
-    config_fingerprint: str
     iterations: tuple[IterationRecord, ...] | None = None
 
 
-def _fingerprint(*parts: object) -> str:
-    digest = hashlib.blake2b(digest_size=6)
-    for part in parts:
-        digest.update(str(part).encode("utf-8"))
-        digest.update(b"\x1f")
-    return digest.hexdigest()
-
-
-def _test_error(classifier, test_data: Sequence[Example] | LabeledRows | None) -> float | None:
+def _test_error(classifier, test_data: LabeledRows | None) -> float | None:
     if test_data is None or len(test_data) == 0:
         return None
     return classification_error(classifier, test_data)
-
-
-def _test_rows(test_data: Sequence[Example] | LabeledRows | None, dim: int) -> LabeledRows | None:
-    """Practical-mode test data in row form, stacked once per run unless the
-    caller already passed rows."""
-    if test_data is None or isinstance(test_data, LabeledRows):
-        return test_data
-    return to_labeled_rows(test_data, dim)
 
 
 class _ExactSteps:
@@ -345,21 +320,24 @@ class _PracticalSteps:
 def _run_rows(hypothesis_space, cfg: AlgoConfig, logged, online, policy: LoggingPolicy):
     """(logged, online, store, pool_q0): the splits as SplitRows in the form
     cfg.mode reads, and store, the logged then the online records, which
-    samples index into. Exact mode hashes each record to its pool position
-    once and reads its q0 off pool_q0, the policy at each pool point;
-    practical mode has no pool_q0."""
+    samples index into. Exact mode takes LoggedTriples and Examples, hashes
+    each record to its pool position once and reads its q0 off pool_q0, the
+    policy at each pool point. Practical mode takes SplitRows as they are and
+    has no pool_q0."""
     if cfg.mode == "exact":
         if not isinstance(hypothesis_space, FiniteClass):
             raise TypeError("exact mode needs a FiniteClass")
-        pool_q0 = np.array([policy_prob(policy, x) for x in hypothesis_space.pool])
+        pool_q0 = policy_prob(policy, hypothesis_space.pool)
         records = (*logged, *online)
         positions = hypothesis_space.positions([r.x for r in records])
         store = SplitRows.from_records(records, pool_q0[positions], positions)
         return store[: len(logged)], store[len(logged):], store, pool_q0
     if not isinstance(hypothesis_space, LinearModel):
         raise TypeError("practical mode needs a LinearModel")
-    dim = hypothesis_space.dim
-    logged, online = to_split_rows(logged, policy, dim), to_split_rows(online, policy, dim)
+    width = hypothesis_space.dim + 1
+    for part in (logged, online):
+        if not isinstance(part, SplitRows) or part.norms is None or part.rows.shape[1] != width:
+            raise ValueError(f"split rows do not match dimension {hypothesis_space.dim}")
     joined = (np.concatenate((getattr(logged, name), getattr(online, name))) for name in ("q0", "z", "y"))
     store = SplitRows(*joined, scipy.sparse.vstack((logged.rows, online.rows), format="csr"))
     return logged, online, store, None
@@ -376,11 +354,10 @@ def _run_disagreement_core(
     hypothesis_space: FiniteClass | LinearModel,
     cfg: AlgoConfig,
     seed: int,
-    test_data: Sequence[Example] | LabeledRows | None,
+    test_data: LabeledRows | None,
     *,
     weighting: str,
     debias: bool,
-    algo_name: str,
 ) -> RunResult:
     m, n = len(logged), len(online)
     if n == 0:
@@ -395,7 +372,6 @@ def _run_disagreement_core(
         steps = _ExactSteps(hypothesis_space, cfg, pool_q0, online.rows)
     else:
         steps = _PracticalSteps(hypothesis_space, cfg, logged, online)
-        test_data = _test_rows(test_data, hypothesis_space.dim)
 
     logged_starts = np.concatenate(([0], np.cumsum(m_parts)))
     online_starts = np.concatenate(([0], np.cumsum(n_parts)))
@@ -451,10 +427,6 @@ def _run_disagreement_core(
         sample = build_sample(index, np.where(fresh, bits, store.z[index]), y, bits, m_parts[k + 1], hi - lo)
         xi = xi_next
 
-    fingerprint = _fingerprint(
-        algo_name, cfg.mode, cfg.delta, cfg.bound.gamma0,
-        cfg.capacity, cfg.eta, weighting, debias, m, n, seed,
-    )
     return RunResult(
         final_classifier=current,
         final_value=erm_value,
@@ -466,7 +438,6 @@ def _run_disagreement_core(
         trace=tuple(trace),
         final_test_error=trace[-1].test_error,
         seed=seed,
-        config_fingerprint=fingerprint,
         iterations=None if steps.iterations is None else tuple(steps.iterations),
     )
 
@@ -475,7 +446,7 @@ def run_idbal(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: i
     """Balanced weighting plus the debiasing query rule (the full algorithm)."""
     return _run_disagreement_core(
         logged, online, policy, hypothesis_space, cfg, seed, test_data,
-        weighting="mis", debias=True, algo_name="idbal",
+        weighting="mis", debias=True,
     )
 
 
@@ -484,7 +455,7 @@ def run_dbalwm(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: 
     segment is taken (queried inside the region, imputed outside)."""
     return _run_disagreement_core(
         logged, online, policy, hypothesis_space, cfg, seed, test_data,
-        weighting="mis", debias=False, algo_name="dbalwm",
+        weighting="mis", debias=False,
     )
 
 
@@ -492,7 +463,7 @@ def run_dbalw(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: i
     """Per-phase importance weighting, no debiasing."""
     return _run_disagreement_core(
         logged, online, policy, hypothesis_space, cfg, seed, test_data,
-        weighting="is", debias=False, algo_name="dbalw",
+        weighting="is", debias=False,
     )
 
 
@@ -513,7 +484,6 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
         erm_index, final_value = erm_weighted(hclass, sample)
         final = hclass.member(erm_index)
     else:
-        test_data = _test_rows(test_data, hypothesis_space.dim)
         revealed = np.flatnonzero(logged.z)
         weights = 1.0 / logged.q0[revealed]
         model = ogd_update(hypothesis_space, logged.rows[revealed], logged.y[revealed], weights, cfg.eta)
@@ -522,7 +492,6 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
         final_value = mis_error(final, sample)
 
     trace.append(TracePoint(n, n, _test_error(final, test_data)))
-    fingerprint = _fingerprint("passive", cfg.mode, cfg.eta, m, n, seed)
     return RunResult(
         final_classifier=final,
         final_value=final_value,
@@ -534,7 +503,6 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
         trace=tuple(trace),
         final_test_error=trace[-1].test_error,
         seed=seed,
-        config_fingerprint=fingerprint,
         iterations=None,
     )
 

@@ -1,10 +1,11 @@
-"""Logging policies: per-instance label-reveal probabilities.
+"""Logging policies: label-reveal probabilities for a block of rows.
 
-A policy maps an instance to the probability that its label was recorded
+A policy maps each instance to the probability that its label was recorded
 during the logging phase. Besides the constant policy there are group-based
 and margin-based families, the latter driven by a coarse linear model fitted
 on a small slice of the data, plus an explicit per-instance table for finite
-pools.
+pools. Every policy scores the CSR rows of a LabeledRows matrix at once; the
+table policy also scores a sequence of pool FeatureVectors.
 """
 from __future__ import annotations
 
@@ -13,12 +14,13 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 from scipy.optimize import brentq
 
-from .data import Example, FeatureVector, to_labeled_rows
+from .data import FeatureVector, LabeledRows, row_keys
 from .hypotheses import LinearModel, ogd_update
 from .rng import derive_rng
 
@@ -31,6 +33,7 @@ __all__ = [
     "TablePolicy",
     "policy_prob",
     "group_of",
+    "margins",
     "fit_coarse_model",
     "calibrate_scale",
     "load_table_policy",
@@ -39,9 +42,10 @@ __all__ = [
 
 
 class LoggingPolicy:
-    """Base class; subclasses implement prob(x) in [0, 1]."""
+    """Base class; subclasses implement probs(rows), one value in [0, 1] per
+    row."""
 
-    def prob(self, x: FeatureVector) -> float:
+    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -55,17 +59,17 @@ class IdenticalPolicy(LoggingPolicy):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be a probability")
 
-    def prob(self, x: FeatureVector) -> float:
-        return self.p
+    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
+        return np.full(rows.shape[0], self.p)
 
 
-def group_of(x: FeatureVector, group_seed: int, groups: int = 3) -> int:
-    """Deterministic group assignment from the instance's canonical bytes and
-    the seed; independent of any dataset ordering."""
+def group_of(key: str, group_seed: int, groups: int = 3) -> int:
+    """Deterministic group assignment from an instance's canonical key (see
+    row_keys) and the seed; independent of any dataset ordering."""
     digest = hashlib.blake2b(digest_size=8)
     digest.update(str(int(group_seed)).encode("ascii"))
     digest.update(b"\x1f")
-    digest.update(x.key().encode("utf-8"))
+    digest.update(key.encode("utf-8"))
     return int.from_bytes(digest.digest(), "little") % groups
 
 
@@ -84,8 +88,31 @@ class UniformGroupsPolicy(LoggingPolicy):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("group probabilities must be probabilities")
 
-    def prob(self, x: FeatureVector) -> float:
-        return (self.p0, self.p1, self.p2)[group_of(x, self.group_seed)]
+    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
+        levels = (self.p0, self.p1, self.p2)
+        return np.array([levels[group_of(key, self.group_seed)] for key in row_keys(rows)], dtype=float)
+
+
+def margins(model: LinearModel, rows: scipy.sparse.csr_array) -> np.ndarray:
+    """|w . x~| / ||w||_2 per row, bias included on both sides; 0 for a zero
+    model. Only the columns that rows and model share are scored: a feature
+    the model never saw has weight 0, and the norm stays the model's own."""
+    w = model.weights
+    norm = float(np.linalg.norm(w))
+    if norm == 0.0:
+        return np.zeros(rows.shape[0])
+    if rows.shape[1] > w.size:
+        rows = rows[:, : w.size]
+    return np.abs(rows @ w[: rows.shape[1]]) / norm
+
+
+def _uncertainty(scale: float, r: np.ndarray) -> np.ndarray:
+    # math.exp per element: np.exp can differ from it in the last bit
+    return np.array([math.exp(v) for v in (-scale * r * r).tolist()], dtype=float)
+
+
+def _certainty(scale: float, r: np.ndarray) -> np.ndarray:
+    return np.minimum(scale * r * r, 1.0)
 
 
 @dataclass(frozen=True)
@@ -100,9 +127,8 @@ class UncertaintyPolicy(LoggingPolicy):
         if self.scale < 0.0:
             raise ValueError("scale cannot be negative")
 
-    def prob(self, x: FeatureVector) -> float:
-        r = self.model.margin(x)
-        return math.exp(-self.scale * r * r)
+    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
+        return _uncertainty(self.scale, margins(self.model, rows))
 
 
 @dataclass(frozen=True)
@@ -117,24 +143,25 @@ class CertaintyPolicy(LoggingPolicy):
         if self.scale < 0.0:
             raise ValueError("scale cannot be negative")
 
-    def prob(self, x: FeatureVector) -> float:
-        r = self.model.margin(x)
-        return min(self.scale * r * r, 1.0)
+    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
+        return _certainty(self.scale, margins(self.model, rows))
 
 
 class TablePolicy(LoggingPolicy):
     """Explicit instance -> probability map for finite pools; total coverage
-    of whatever it is asked about is required."""
+    of whatever it is asked about is required. It scores CSR rows or a
+    sequence of FeatureVectors, both by canonical key."""
 
     def __init__(self, table: dict[FeatureVector, float]):
         for x, p in table.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p!r} for {x!r} out of range")
-        self._table = dict(table)
+        self._table = {x.key(): p for x, p in table.items()}
 
-    def prob(self, x: FeatureVector) -> float:
+    def probs(self, rows: scipy.sparse.csr_array | Sequence[FeatureVector]) -> np.ndarray:
+        keys = row_keys(rows) if scipy.sparse.issparse(rows) else [x.key() for x in rows]
         try:
-            return self._table[x]
+            return np.array([self._table[key] for key in keys], dtype=float)
         except KeyError:
             raise ValueError("instance not covered by the table policy") from None
 
@@ -142,62 +169,61 @@ class TablePolicy(LoggingPolicy):
         return len(self._table)
 
 
-def policy_prob(policy: LoggingPolicy, x: FeatureVector) -> float:
-    """Evaluate the policy and enforce the [0, 1] contract."""
-    p = float(policy.prob(x))
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"policy produced probability {p} outside [0, 1]")
+def _checked(p: np.ndarray) -> np.ndarray:
+    outside = ~((0.0 <= p) & (p <= 1.0))
+    if outside.any():
+        raise ValueError(f"policy produced probability {p[outside][0]} outside [0, 1]")
     return p
 
 
-def fit_coarse_model(
-    data: Sequence[Example],
-    fraction: float = 0.1,
-    seed: int = 0,
-    eta: float = 1.0,
-) -> LinearModel:
+def policy_prob(policy: LoggingPolicy, rows) -> np.ndarray:
+    """Evaluate the policy on a block of rows and enforce the [0, 1]
+    contract elementwise; NaN is rejected."""
+    return _checked(np.asarray(policy.probs(rows), dtype=float))
+
+
+def fit_coarse_model(data: LabeledRows, fraction: float = 0.1, seed: int = 0, eta: float = 1.0) -> LinearModel:
     """Rough linear model from a seeded subsample: one unweighted gradient
-    pass, enough to give margin-based policies a boundary."""
+    pass, enough to give margin-based policies a boundary. The model is as
+    wide as the largest feature index the subsample uses."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
     size = int(len(data) * fraction)
     if size < 1:
         raise ValueError("subsample is empty; raise the fraction or the dataset size")
     rng = derive_rng(seed, "coarse", "subsample")
-    subsample = [data[i] for i in rng.choice(len(data), size=size, replace=False)]
-    dim = max(1, *(ex.x.max_index() for ex in subsample))
-    rows = to_labeled_rows(subsample, dim)
-    return ogd_update(LinearModel.zeros(dim), rows.matrix, rows.labels, np.ones(size), eta)
-
-
-def _mean_prob(make_policy: Callable[[float], LoggingPolicy], scale: float, instances: Sequence[FeatureVector]) -> float:
-    policy = make_policy(scale)
-    return sum(policy_prob(policy, x) for x in instances) / len(instances)
+    subsample = data[rng.choice(len(data), size=size, replace=False)]
+    sub = subsample.matrix
+    dim = max(1, int(sub.indices.max()))
+    rows = scipy.sparse.csr_array((sub.data, sub.indices, sub.indptr), shape=(size, dim + 1))
+    return ogd_update(LinearModel.zeros(dim), rows, subsample.labels, np.ones(size), eta)
 
 
 def calibrate_scale(
     kind: str,
     model: LinearModel,
-    instances: Sequence[FeatureVector],
+    rows: scipy.sparse.csr_array,
     target: float = 0.1,
     tolerance: float = 1e-9,
 ) -> float:
     """Scale constant for a margin policy so its mean reveal probability over
-    the given instances hits the target. kind is "uncertainty" (mean decreasing
+    the given rows hits the target. kind is "uncertainty" (mean decreasing
     in the scale) or "certainty" (increasing); unreachable targets raise."""
-    if len(instances) == 0:
+    if rows.shape[0] == 0:
         raise ValueError("calibration needs at least one instance")
     if not 0.0 < target < 1.0:
         raise ValueError("target must lie strictly between 0 and 1")
     if kind == "uncertainty":
-        make = lambda c: UncertaintyPolicy(c, model)
+        probs = _uncertainty
     elif kind == "certainty":
-        make = lambda c: CertaintyPolicy(c, model)
+        probs = _certainty
     else:
         raise ValueError(f"unknown margin policy kind {kind!r}")
+    r = margins(model, rows)
 
     def gap(scale: float) -> float:
-        return _mean_prob(make, scale, instances) - target
+        # a sequential sum, in row order, keeps the root finder's path fixed
+        return sum(_checked(probs(scale, r)).tolist()) / r.size - target
 
     at_zero = gap(0.0)
     if abs(at_zero) <= tolerance:

@@ -9,14 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from idbal.data import (
-    FeatureVector,
-    SyntheticSpec,
-    apply_logging,
-    generate_synthetic,
-    split_dataset,
-    stack_rows,
-)
+from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic, split_dataset
 from idbal.estimators import BoundConfig
 from idbal.harness import (
     EXAMPLE_CURVE,
@@ -28,6 +21,7 @@ from idbal.harness import (
     ExperimentConfig,
     PolicySpec,
     auc,
+    log_split,
     per_seed_best_auc,
     run_protocol,
 )
@@ -42,6 +36,8 @@ from idbal.oracle import (
 )
 from idbal.policies import IdenticalPolicy, UniformGroupsPolicy
 from idbal.rng import child_seed, derive_rng
+
+from reference import stack_rows
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str) -> None:
@@ -127,19 +123,19 @@ class TestAcceptance:
     def test_05_debiasing_queries_less_without_costing_accuracy(self):
         start = time.time()
         data = generate_synthetic(SyntheticSpec(count=2400, dim=10, flip_prob=0.1, seed=0))
-        dim = max(ex.x.max_index() for ex in data)
+        dim = data.dim
         policy = UniformGroupsPolicy(0.005, 0.05, 0.5, 0)
         dominated = 0
         gaps = []
         for seed in range(50):
-            split = split_dataset(data, (1.0 / 3.0, 0.5), seed=child_seed(seed, "split"))
-            logged = apply_logging(split.logged, policy, seed=child_seed(seed, "logging"))
-            online = split.online[:256]
+            split = split_dataset(len(data), (1.0 / 3.0, 0.5), seed=child_seed(seed, "split"))
+            rows = log_split(data, split, policy, child_seed(seed, "logging"))
+            logged, online = rows.logged, rows.online[:256]
             cfg = AlgoConfig(mode="practical", capacity=2621.44, eta=0.0064)
             with_skip = run_idbal(logged, online, policy, LinearModel.zeros(dim), cfg,
-                                  child_seed(seed, "idbal"), test_data=split.test)
+                                  child_seed(seed, "idbal"), test_data=rows.test)
             without = run_dbalwm(logged, online, policy, LinearModel.zeros(dim), cfg,
-                                 child_seed(seed, "dbalwm"), test_data=split.test)
+                                 child_seed(seed, "dbalwm"), test_data=rows.test)
             if with_skip.query_count <= without.query_count:
                 dominated += 1
             gaps.append(with_skip.final_test_error - without.final_test_error)
@@ -154,18 +150,18 @@ class TestAcceptance:
     def test_06_reveal_everything_logging_collapses_the_skip_rule(self):
         start = time.time()
         data = generate_synthetic(SyntheticSpec(count=1600, dim=8, flip_prob=0.1, seed=1))
-        dim = max(ex.x.max_index() for ex in data)
+        dim = data.dim
         policy = IdenticalPolicy(1.0)
         identical = 0
         for seed in range(20):
-            split = split_dataset(data, (0.25, 0.5), seed=child_seed(seed, "split"))
-            logged = apply_logging(split.logged, policy, seed=child_seed(seed, "logging"))
-            online = split.online[:127]
+            split = split_dataset(len(data), (0.25, 0.5), seed=child_seed(seed, "split"))
+            rows = log_split(data, split, policy, child_seed(seed, "logging"))
+            logged, online = rows.logged, rows.online[:127]
             cfg = AlgoConfig(mode="practical", capacity=655.36, eta=0.0064)
             with_skip = run_idbal(logged, online, policy, LinearModel.zeros(dim), cfg,
-                                  child_seed(seed, "run"), test_data=split.test)
+                                  child_seed(seed, "run"), test_data=rows.test)
             without = run_dbalwm(logged, online, policy, LinearModel.zeros(dim), cfg,
-                                 child_seed(seed, "run"), test_data=split.test)
+                                 child_seed(seed, "run"), test_data=rows.test)
             if (with_skip.decisions == without.decisions
                     and np.array_equal(with_skip.final_classifier.weights,
                                        without.final_classifier.weights)):

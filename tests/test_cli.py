@@ -128,6 +128,13 @@ class TestSweep:
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_test_split_exits_two(self, tmp_path, capsys):
+        # sweep and run prepare a repeat through the same harness path
+        args = ["sweep", "--data.count", "60", "--split.test_fraction", "0.01", "--repeats", "1",
+                "--sweep.algorithms", "passive", "--sweep.eta_grid", "0.01", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "error: the test split is empty" in capsys.readouterr().err
+
 
 class TestReport:
     def test_rebuilds_identical_summary(self, sweep_out, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Datasets: sparse vectors, the text format, synthetic generation, splits,
-and logging simulation."""
+logging simulation, and the row layout, compared with the per-record
+records they replace."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from idbal.data import (
     Example,
     FeatureVector,
+    LabeledRows,
     LabelSource,
     LoggedTriple,
     ParseError,
@@ -17,13 +19,25 @@ from idbal.data import (
     format_sparse_dataset,
     generate_synthetic,
     parse_sparse_dataset,
+    row_keys,
     split_dataset,
-    stack_rows,
     synthetic_separator,
-    to_labeled_rows,
-    to_split_rows,
 )
+from idbal.hypotheses import LinearModel
+from idbal.learners import AlgoConfig, run_passive
 from idbal.policies import IdenticalPolicy
+from idbal.rng import derive_rng
+
+from reference import labeled_rows
+
+
+def _same_rows(rows: LabeledRows, expected: LabeledRows) -> None:
+    """Equal as stored: shape, indptr, indices, values and labels."""
+    assert rows.matrix.shape == expected.matrix.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(rows.matrix, name).tolist() == getattr(expected.matrix, name).tolist(), name
+    assert rows.matrix.has_sorted_indices
+    assert rows.labels.dtype == np.int8 and rows.labels.tolist() == expected.labels.tolist()
 
 
 class TestFeatureVector:
@@ -89,13 +103,12 @@ class TestTextFormat:
     def test_basic_line(self):
         data = parse_sparse_dataset("1 1:0.5 3:-2.0\n0 2:1.0\n")
         assert len(data) == 2
-        assert data[0].y == 1
-        assert data[0].x.items == ((1, 0.5), (3, -2.0))
-        assert data[1].y == 0
+        assert data.labels.tolist() == [1, 0]
+        assert row_keys(data.matrix) == ["1:0.5 3:-2.0", "2:1.0"]
 
     def test_plus_minus_one_labels(self):
         data = parse_sparse_dataset("+1 1:1.0\n-1 2:1.0\n")
-        assert [ex.y for ex in data] == [1, 0]
+        assert data.labels.tolist() == [1, 0]
 
     def test_comments_blanks_and_crlf(self):
         text = "# header\r\n\r\n1 1:2.0\r\n"
@@ -119,79 +132,108 @@ class TestTextFormat:
                 indices = rng.choice(np.arange(1, 40), size=rng.integers(1, 8), replace=False)
                 x = FeatureVector({int(i): float(v) for i, v in zip(indices, rng.normal(size=len(indices)))})
                 examples.append(Example(x, int(rng.integers(0, 2))))
-            text = format_sparse_dataset(examples)
-            back = parse_sparse_dataset(text)
-            assert back == examples
+            rows = labeled_rows(examples, max(ex.x.max_index() for ex in examples))
+            text = format_sparse_dataset(rows)
+            assert text == "".join(f"{ex.y} {ex.x.key()}\n" for ex in examples)
+            _same_rows(parse_sparse_dataset(text), rows)
+
+    def test_parsed_rows_match_the_record_stack(self):
+        # unsorted indices, explicit 0 and -0.0 values, an index whose only
+        # value is 0 (it must not widen the matrix) and featureless lines,
+        # against FeatureVectors stacked over their largest index
+        rng = np.random.default_rng(3)
+        lines = ["1", "0 9:0", "1 4:-0.0 2:1.5", "-1 3:2.5 1:-0.0 2:0.0"]
+        for _ in range(200):
+            picked = rng.choice(np.arange(1, 30), size=int(rng.integers(0, 9)), replace=False)
+            values = rng.normal(size=picked.size).tolist()
+            values = [0.0 if rng.random() < 0.1 else -0.0 if rng.random() < 0.1 else v for v in values]
+            tokens = [f"{i}:{v!r}" for i, v in zip(picked.tolist(), values)]
+            lines.append(" ".join([str(int(rng.integers(0, 2)))] + tokens))
+        lines.append("0 40:0.0 41:-0.0")
+        examples = []
+        for line in lines:
+            label, *tokens = line.split()
+            pairs = [(int(t.partition(":")[0]), float(t.partition(":")[2])) for t in tokens]
+            examples.append(Example(FeatureVector(pairs), 1 if label == "1" else 0))
+        dim = max(ex.x.max_index() for ex in examples)
+        rows = parse_sparse_dataset("\n".join(lines))
+        assert rows.dim == dim < 40
+        _same_rows(rows, labeled_rows(examples, dim))
+        assert row_keys(rows.matrix) == [ex.x.key() for ex in examples]
+
+
+def _synthetic_examples(spec: SyntheticSpec) -> list[Example]:
+    """The per-example generator the row builder replaced."""
+    weights = synthetic_separator(spec)
+    points = derive_rng(spec.seed, "synthetic", "points").uniform(-1.0, 1.0, size=(spec.count, spec.dim))
+    clean = (points @ weights >= 0.0).astype(np.int64)
+    flips = derive_rng(spec.seed, "synthetic", "flips").random(spec.count) < spec.flip_prob
+    labels = np.where(flips, 1 - clean, clean)
+    return [
+        Example(FeatureVector([(i + 1, float(v)) for i, v in enumerate(row)]), int(label))
+        for row, label in zip(points, labels)
+    ]
 
 
 class TestSynthetic:
     def test_shape_and_range(self):
         data = generate_synthetic(SyntheticSpec(count=100, dim=7, flip_prob=0.1, seed=1))
         assert len(data) == 100
-        for ex in data:
-            assert ex.x.max_index() <= 7
-            assert all(-1.0 <= v <= 1.0 for _, v in ex.x.items)
-            assert ex.y in (0, 1)
+        assert data.matrix.shape == (100, 8)
+        dense = data.matrix.toarray()
+        assert (dense[:, 0] == 1.0).all()
+        assert ((-1.0 <= dense[:, 1:]) & (dense[:, 1:] <= 1.0)).all()
+        assert set(data.labels.tolist()) <= {0, 1}
 
     def test_deterministic_in_seed(self):
         a = generate_synthetic(SyntheticSpec(count=50, dim=5, seed=3))
         b = generate_synthetic(SyntheticSpec(count=50, dim=5, seed=3))
         c = generate_synthetic(SyntheticSpec(count=50, dim=5, seed=4))
-        assert a == b
-        assert a != c
+        _same_rows(a, b)
+        assert (a.matrix != c.matrix).nnz > 0
 
     def test_flip_rate_matches_parameter(self):
         spec = SyntheticSpec(count=4000, dim=6, flip_prob=0.1, seed=5)
         data = generate_synthetic(spec)
-        w = synthetic_separator(spec)
-        flips = 0
-        for ex in data:
-            dense = np.zeros(spec.dim)
-            for i, v in ex.x.items:
-                dense[i - 1] = v
-            clean = int(dense @ w >= 0.0)
-            flips += clean != ex.y
-        rate = flips / len(data)
+        clean = (data.matrix.toarray()[:, 1:] @ synthetic_separator(spec) >= 0.0).astype(int)
+        rate = float(np.mean(clean != data.labels))
         assert abs(rate - 0.1) < 0.02
 
     def test_zero_flip_prob_is_separable(self):
         spec = SyntheticSpec(count=300, dim=4, flip_prob=0.0, seed=9)
         data = generate_synthetic(spec)
-        w = synthetic_separator(spec)
-        for ex in data:
-            dense = np.zeros(spec.dim)
-            for i, v in ex.x.items:
-                dense[i - 1] = v
-            assert ex.y == int(dense @ w >= 0.0)
+        clean = (data.matrix.toarray()[:, 1:] @ synthetic_separator(spec) >= 0.0).astype(int)
+        assert clean.tolist() == data.labels.tolist()
+
+    @pytest.mark.parametrize("count, dim", [(600, 30), (200, 300), (1, 1)])
+    def test_rows_match_the_record_stack(self, count, dim):
+        spec = SyntheticSpec(count=count, dim=dim, flip_prob=0.2, seed=count + dim)
+        _same_rows(generate_synthetic(spec), labeled_rows(_synthetic_examples(spec), dim))
 
 
 class TestSplit:
     def test_sizes_and_partition(self):
-        data = generate_synthetic(SyntheticSpec(count=1000, dim=4, seed=0))
-        split = split_dataset(data, (0.2, 0.5), seed=1)
+        split = split_dataset(1000, (0.2, 0.5), seed=1)
         assert len(split.test) == 200
         assert len(split.logged) == 400
         assert len(split.online) == 400
-        combined = sorted(
-            [(ex.x.key(), ex.y) for ex in split.test + split.logged + split.online]
-        )
-        assert combined == sorted([(ex.x.key(), ex.y) for ex in data])
+        combined = np.concatenate((split.test, split.logged, split.online))
+        assert sorted(combined.tolist()) == list(range(1000))
 
     def test_deterministic_and_seed_sensitive(self):
-        data = generate_synthetic(SyntheticSpec(count=200, dim=4, seed=0))
-        a = split_dataset(data, (0.2, 0.5), seed=5)
-        b = split_dataset(data, (0.2, 0.5), seed=5)
-        c = split_dataset(data, (0.2, 0.5), seed=6)
-        assert a.logged == b.logged and a.online == b.online and a.test == b.test
-        assert a.logged != c.logged
+        a = split_dataset(200, (0.2, 0.5), seed=5)
+        b = split_dataset(200, (0.2, 0.5), seed=5)
+        c = split_dataset(200, (0.2, 0.5), seed=6)
+        for name in ("logged", "online", "test"):
+            assert getattr(a, name).tolist() == getattr(b, name).tolist()
+        assert a.logged.tolist() != c.logged.tolist()
 
     def test_random_fraction_accounting(self):
         rng = np.random.default_rng(11)
-        data = generate_synthetic(SyntheticSpec(count=507, dim=3, seed=2))
         for _ in range(20):
             tf = float(rng.uniform(0.05, 0.5))
             lf = float(rng.uniform(0.1, 0.9))
-            split = split_dataset(data, (tf, lf), seed=int(rng.integers(1 << 30)))
+            split = split_dataset(507, (tf, lf), seed=int(rng.integers(1 << 30)))
             assert len(split.test) + len(split.logged) + len(split.online) == 507
             assert abs(len(split.test) - tf * 507) < 3
             remaining = 507 - len(split.test)
@@ -200,77 +242,70 @@ class TestSplit:
 
 class TestLogging:
     def test_reveal_structure(self):
-        data = generate_synthetic(SyntheticSpec(count=400, dim=4, seed=1))
-        logged = apply_logging(data, IdenticalPolicy(0.3), seed=2)
-        assert len(logged) == 400
-        for triple, ex in zip(logged, data):
-            assert triple.x == ex.x
-            if triple.z == 1:
-                assert triple.y == ex.y
-                assert triple.label_source is LabelSource.QUERIED
-            else:
-                assert triple.y is None
+        q0 = np.repeat([0.0, 0.3, 1.0], 400)
+        z = apply_logging(q0, seed=2)
+        assert z.dtype == np.int8 and z.shape == (1200,)
+        assert set(z.tolist()) <= {0, 1}
+        assert not z[:400].any() and z[800:].all()
 
     def test_reveal_rate_tracks_policy(self):
-        data = generate_synthetic(SyntheticSpec(count=5000, dim=4, seed=1))
-        logged = apply_logging(data, IdenticalPolicy(0.25), seed=3)
-        rate = sum(t.z for t in logged) / len(logged)
-        assert abs(rate - 0.25) < 0.025
+        z = apply_logging(np.full(5000, 0.25), seed=3)
+        assert abs(z.mean() - 0.25) < 0.025
 
     def test_deterministic(self):
-        data = generate_synthetic(SyntheticSpec(count=100, dim=4, seed=1))
-        a = apply_logging(data, IdenticalPolicy(0.5), seed=4)
-        b = apply_logging(data, IdenticalPolicy(0.5), seed=4)
-        assert a == b
+        q0 = np.linspace(0.0, 1.0, 100)
+        assert apply_logging(q0, seed=4).tolist() == apply_logging(q0, seed=4).tolist()
+
+    def test_bits_match_the_per_record_draws(self):
+        rng = np.random.default_rng(8)
+        q0 = np.concatenate(([0.0, 1.0], rng.random(3000), np.full(50, 0.5)))
+        draws = derive_rng(6, "logging", "reveal")
+        expected = [1 if draws.random() < p else 0 for p in q0.tolist()]
+        assert apply_logging(q0, seed=6).tolist() == expected
 
 
 class TestDenseMatrix:
-    """The stacked row layout, read back densely and as stored."""
+    """The row layout, read back densely and as stored."""
 
     def test_bias_column_and_values(self):
-        xs = [FeatureVector({1: 2.0}), FeatureVector({2: -1.0, 3: 4.0})]
-        dense = stack_rows(xs, 3).toarray()
+        dense = parse_sparse_dataset("1 1:2.0\n0 2:-1.0 3:4.0\n").matrix.toarray()
         expected = np.array([[1.0, 2.0, 0.0, 0.0], [1.0, 0.0, -1.0, 4.0]])
         np.testing.assert_array_equal(dense, expected)
 
-    def test_index_beyond_dim_rejected(self):
-        with pytest.raises(ValueError):
-            stack_rows([FeatureVector({5: 1.0})], 4)
-
     def test_labeled_rows_store_bias_then_features_in_index_order(self):
-        xs = [FeatureVector({1: 2.0}), FeatureVector({}), FeatureVector({3: 4.0, 2: -1.0})]
-        rows = to_labeled_rows([Example(x, y) for x, y in zip(xs, (1, 0, 1))], 3)
+        rows = parse_sparse_dataset("1 1:2.0\n0\n1 3:4.0 2:-1.0\n")
         assert rows.matrix.indices.tolist() == [0, 1, 0, 0, 2, 3]
         assert rows.matrix.data.tolist() == [1.0, 2.0, 1.0, 1.0, -1.0, 4.0]
         assert rows.matrix.shape == (3, 4)
         np.testing.assert_array_equal(rows.labels, [1, 0, 1])
         assert len(rows) == 3
+        head = rows[np.array([2, 0])]
+        assert head.matrix.toarray().tolist() == rows.matrix.toarray()[[2, 0]].tolist()
+        assert head.labels.tolist() == [1, 1]
 
 
 class TestSplitRows:
-    def _examples(self) -> list[Example]:
-        xs = [FeatureVector({1: 2.0}), FeatureVector({}), FeatureVector({3: 4.0, 2: -1.0})]
-        return [Example(x, y) for x, y in zip(xs, (1, 0, 1))]
+    def _rows(self) -> LabeledRows:
+        return parse_sparse_dataset("1 1:2.0\n0\n1 3:4.0 2:-1.0\n")
 
     def test_propensities_rows_and_norms(self):
-        examples = self._examples()
-        rows = to_split_rows(examples, IdenticalPolicy(0.25), 3)
+        data = self._rows()
+        rows = SplitRows.from_labeled(data, np.full(3, 0.25))
         assert len(rows) == 3
         np.testing.assert_array_equal(rows.z, [1, 1, 1])
         np.testing.assert_array_equal(rows.y, [1, 0, 1])
         np.testing.assert_array_equal(rows.q0, [0.25, 0.25, 0.25])
-        np.testing.assert_array_equal(rows.rows.toarray(), stack_rows([ex.x for ex in examples], 3).toarray())
+        assert rows.rows is data.matrix
         np.testing.assert_array_equal(rows.norms, [5.0, 1.0, 18.0])
 
     def test_hidden_labels_are_not_stored(self):
-        xs = [ex.x for ex in self._examples()]
-        triples = [LoggedTriple(xs[0], 1, 1), LoggedTriple(xs[1], 0), LoggedTriple(xs[2], 1, 0)]
-        rows = to_split_rows(triples, IdenticalPolicy(0.25), 3)
+        data = parse_sparse_dataset("1 1:2.0\n1\n0 3:4.0 2:-1.0\n")
+        rows = SplitRows.from_labeled(data, np.full(3, 0.25), np.array([1, 0, 1], dtype=np.int8))
         np.testing.assert_array_equal(rows.z, [1, 0, 1])
         np.testing.assert_array_equal(rows.y, [1, 0, 0])
 
     def test_slicing_cuts_every_array_alike(self):
-        rows = to_split_rows(self._examples(), IdenticalPolicy(0.25), 3)
+        rows = SplitRows.from_labeled(self._rows(), np.full(3, 0.25))
         for index in (slice(0, 2), np.array([2, 0])):
             head = rows[index]
             assert len(head) == 2
@@ -280,10 +315,31 @@ class TestSplitRows:
                 np.testing.assert_array_equal(getattr(head, name), getattr(rows, name)[index])
 
     def test_passthrough_checks_the_width(self):
-        rows = to_split_rows(self._examples(), IdenticalPolicy(0.25), 3)
-        assert to_split_rows(rows, IdenticalPolicy(0.5), 3) is rows
+        # the practical learners take split rows as they are, provided they
+        # carry norms and rows as wide as the model
+        rows = SplitRows.from_labeled(self._rows(), np.full(3, 0.5))
+        cfg = AlgoConfig(eta=0.1)
+        assert run_passive(rows, rows, IdenticalPolicy(0.5), LinearModel.zeros(3), cfg).query_count == 3
         with pytest.raises(ValueError):
-            to_split_rows(rows, IdenticalPolicy(0.5), 4)
+            run_passive(rows, rows, IdenticalPolicy(0.5), LinearModel.zeros(4), cfg)
         positions = SplitRows(rows.q0, rows.z, rows.y, np.arange(3))
         with pytest.raises(ValueError):
-            to_split_rows(positions, IdenticalPolicy(0.5), 3)
+            run_passive(rows, positions, IdenticalPolicy(0.5), LinearModel.zeros(3), cfg)
+
+    def test_norms_match_the_in_order_sum(self):
+        # 1 + sum v^2 over each row's features in index order, as Python adds
+        # them; rows up to 300 features wide, where a pairwise sum differs
+        rng = np.random.default_rng(13)
+        examples = []
+        for _ in range(300):
+            picked = rng.choice(np.arange(1, 301), size=int(rng.integers(0, 300)), replace=False)
+            values = rng.normal(size=picked.size) * 10.0 ** rng.uniform(-3, 3, picked.size)
+            examples.append(Example(FeatureVector(zip(picked.tolist(), values)), 0))
+        rows = SplitRows.from_labeled(labeled_rows(examples, 300), np.ones(300))
+        expected = []
+        for ex in examples:
+            total = 0.0
+            for _, v in ex.x.items:
+                total += v * v
+            expected.append(1.0 + total)
+        assert rows.norms.tolist() == expected

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from idbal.data import FeatureVector, stack_rows
+from idbal.data import FeatureVector
 from idbal.estimators import (
     BoundConfig,
     WeightedSample,
@@ -15,6 +15,8 @@ from idbal.estimators import (
     sigma,
 )
 from idbal.hypotheses import LinearModel
+
+from reference import predict, stack_rows
 
 # score -1 everywhere: predicts label 0 on every row
 ALWAYS_ZERO = LinearModel(np.array([-1.0, 0.0]))
@@ -101,7 +103,7 @@ class TestMisError:
             mis_error(LinearModel.zeros(2), _sample([1], [1], [0.5], [0.0], m=1, n=0))
 
     def test_matches_the_record_loop_exactly(self):
-        # the per-record loop mis_error replaced: predict with raw_score and
+        # the per-record loop mis_error replaced: predict with the scalar score and
         # add 1/denominator for each mistake, in record order. Denominators
         # span 8 decades so the order of the additions shows in the last
         # bit; weights reach 1e306, so scores overflow to inf and NaN.
@@ -126,7 +128,7 @@ class TestMisError:
             expected = 0.0
             with np.errstate(over="ignore", invalid="ignore"):
                 for x, zi, yi, d in zip(instances, z, y, denominator.tolist()):
-                    if zi == 1 and model.predict(x) != yi:
+                    if zi == 1 and predict(model.weights, x) != yi:
                         expected += 1.0 / d
             assert mis_error(model, sample) == expected
             nonzero += expected > 0.0

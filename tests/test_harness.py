@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from idbal.data import SyntheticSpec
+from idbal.data import SyntheticSpec, split_dataset
 from idbal.harness import (
     DEFAULT_CAPACITY_GRID,
     DEFAULT_ETA_GRID,
@@ -24,6 +24,7 @@ from idbal.harness import (
     best_auc,
     config_to_experiment,
     horizon_schedule,
+    load_dataset,
     pairwise_wins,
     parse_config_text,
     per_seed_best_auc,
@@ -33,6 +34,8 @@ from idbal.harness import (
     report,
     run_protocol,
 )
+from idbal.policies import fit_coarse_model
+from idbal.rng import child_seed, derive_rng
 
 
 class TestHorizonSchedule:
@@ -274,6 +277,37 @@ class TestRunProtocol:
         again = run_protocol(cfg)
         assert again.records == result.records
         assert again.best == result.best
+
+    @pytest.mark.parametrize("policy", ["uncertainty", "certainty"])
+    def test_margin_policy_scores_features_the_coarse_model_never_saw(self, tmp_path, policy):
+        # 400 rows over features 1..5, plus feature 6 on one logged row that
+        # the coarse model's 10% subsample misses, so the model is narrower
+        # than the rows it scores
+        seed, name = 4, "wide"
+        subsample = derive_rng(child_seed(seed, name, "policy"), "coarse", "subsample").choice(400, 40, replace=False)
+        logged = split_dataset(400, (0.2, 0.7), seed=child_seed(seed, name, 0, "split")).logged
+        wide = next(i for i in logged.tolist() if i not in subsample.tolist())
+        lines = _sparse_libsvm_text(seed=9, rows=400, dim=5, nnz=3).splitlines()
+        lines[wide] += " 6:0.5"
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        spec = DatasetSpec(name=name, path=str(path))
+        data = load_dataset(spec)
+        assert fit_coarse_model(data, 0.1, seed=child_seed(seed, name, "policy")).dim < data.dim == 6
+        cfg = ExperimentConfig(
+            datasets=(spec,),
+            policy=PolicySpec(name=policy),
+            algorithms=("passive", "idbal"),
+            repeats=1,
+            horizon_base=8,
+            capacity_grid=(0.64,),
+            eta_grid=(0.0064,),
+            logged_fraction=0.7,
+            master_seed=seed,
+        )
+        records = run_protocol(cfg).records
+        assert len(records) == 2 * 4
+        assert all(0.0 <= r.test_error <= 1.0 for r in records)
 
     def test_worker_pool_matches_serial(self, tiny_protocol):
         cfg, result = tiny_protocol

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from idbal.data import Example, FeatureVector, stack_rows, to_labeled_rows, to_split_rows
+from idbal.data import Example, FeatureVector, LabeledRows, SplitRows
 from idbal.estimators import WeightedSample
 from idbal.hypotheses import (
     CandidateSetExact,
@@ -21,7 +21,9 @@ from idbal.hypotheses import (
     ogd_update,
     update_candidates,
 )
-from idbal.policies import IdenticalPolicy
+from idbal.policies import margins
+
+from reference import example_error, labeled_rows, raw_score, stack_rows
 
 
 def _weighted_squared_loss(weights: np.ndarray, x: FeatureVector, y: int, u: float) -> float:
@@ -59,31 +61,23 @@ def _scalar_steps(model: LinearModel, xs, labels, weights, eta: float) -> Linear
 class TestLinearModel:
     def test_score_with_bias(self):
         model = LinearModel(np.array([0.5, 2.0, -1.0]))
-        x = FeatureVector({1: 3.0, 2: 1.0})
-        assert model.raw_score(x) == 0.5 + 6.0 - 1.0
+        rows = stack_rows([FeatureVector({1: 3.0, 2: 1.0})], 2)
+        assert (rows @ model.weights).tolist() == [0.5 + 6.0 - 1.0]
 
     def test_predict_tie_goes_positive(self):
         model = LinearModel(np.zeros(3))
-        assert model.predict(FeatureVector({1: 1.0})) == 1
+        rows = stack_rows([FeatureVector({1: 1.0})], 2)
+        assert classification_error(model, LabeledRows(rows, np.array([1], dtype=np.int8))) == 0.0
+        assert classification_error(model, LabeledRows(rows, np.array([0], dtype=np.int8))) == 1.0
 
     def test_margin_normalizes_by_weight_norm(self):
+        # a narrower row scores the model's leading columns only
         model = LinearModel(np.array([0.0, 3.0, 4.0]))
-        x = FeatureVector({1: 1.0})
-        np.testing.assert_allclose(model.margin(x), 3.0 / 5.0)
+        np.testing.assert_allclose(margins(model, stack_rows([FeatureVector({1: 1.0})], 1)), [3.0 / 5.0])
 
     def test_margin_zero_weights(self):
         model = LinearModel(np.zeros(2))
-        assert model.margin(FeatureVector({1: 5.0})) == 0.0
-
-    def test_index_beyond_dimension_rejected(self):
-        model = LinearModel.zeros(2)
-        with pytest.raises(ValueError):
-            model.raw_score(FeatureVector({3: 1.0}))
-
-    def test_csv_round_trip(self):
-        model = LinearModel(np.array([0.125, -2.5, 1e-9]))
-        back = LinearModel.from_csv_line(model.to_csv_line())
-        np.testing.assert_array_equal(back.weights, model.weights)
+        assert margins(model, stack_rows([FeatureVector({1: 5.0})], 1)).tolist() == [0.0]
 
 
 class TestStepsizeSchedule:
@@ -238,11 +232,6 @@ class TestFiniteClass:
         with pytest.raises(ValueError):
             hclass.pool_position(FeatureVector({1: 99.0}))
 
-    def test_from_classifiers(self):
-        pool = [FeatureVector({1: 1.0}), FeatureVector({1: 2.0})]
-        members = [LinearModel(np.array([0.0, 1.0])), LinearModel(np.array([1.5, -1.0]))]
-        hclass = FiniteClass.from_classifiers(pool, members)
-        np.testing.assert_array_equal(hclass.labels, [[1, 1], [1, 0]])
 
 
 class TestErmAndCandidates:
@@ -318,14 +307,14 @@ class TestExactDisagreement:
 def _in_region(model: LinearModel, x: FeatureVector, *args) -> bool:
     """The margin test for one instance, written from its formula."""
     stepsize, capacity, erm_loss, effective_n, sample_count = args
-    gap = abs(2.0 * model.raw_score(x)) / (stepsize * (1.0 + x.squared_norm()))
+    gap = abs(2.0 * raw_score(model.weights, x)) / (stepsize * (1.0 + x.squared_norm()))
     radius = math.sqrt(capacity * erm_loss / effective_n) + capacity * math.log(sample_count) / effective_n
     return gap <= radius
 
 
 def _mask(model: LinearModel, xs: list[FeatureVector], *args) -> list[bool]:
     """approx_dis_mask over the rows and norms the learners build."""
-    rows = to_split_rows([Example(x, 0) for x in xs], IdenticalPolicy(1.0), model.dim)
+    rows = SplitRows.from_labeled(labeled_rows([Example(x, 0) for x in xs], model.dim), np.ones(len(xs)))
     return approx_dis_mask(rows.rows @ model.weights, rows.norms, *args).tolist()
 
 
@@ -388,7 +377,7 @@ class TestClassificationError:
             Example(FeatureVector({1: -2.0}), 0),
         ]
         model = LinearModel(np.array([0.0, 1.0]))
-        assert classification_error(model, examples) == 0.5
+        assert classification_error(model, labeled_rows(examples, 1)) == 0.5
 
     def test_rows_match_example_loop_exactly(self):
         # rows with index gaps and empty vectors; weights from 1 to 1e306, so
@@ -400,14 +389,14 @@ class TestClassificationError:
             picked = rng.choice(np.arange(1, dim + 1), size=int(rng.integers(1, dim)), replace=False)
             values = rng.uniform(-1e3, 1e3, picked.size)
             examples.append(Example(FeatureVector(zip(picked.tolist(), values)), int(rng.integers(0, 2))))
-        rows = to_labeled_rows(examples, dim)
+        rows = labeled_rows(examples, dim)
         for scale in np.logspace(0.0, 306.0, 400):
             weights = rng.standard_normal(dim + 1) * scale
             weights[rng.random(dim + 1) < 0.2] = 0.0
             model = LinearModel(weights)
             with np.errstate(over="ignore", invalid="ignore"):
-                expected = classification_error(model, examples)
-                scores = [model.raw_score(ex.x) for ex in examples]
+                expected = example_error(weights, examples)
+                scores = [raw_score(weights, ex.x) for ex in examples]
             assert classification_error(model, rows) == expected
             np.testing.assert_array_equal(rows.matrix @ model.weights, scores)
 
@@ -418,7 +407,7 @@ class TestClassificationError:
             Example(FeatureVector({1: -1.0, 3: 2.0}), 0),
             Example(FeatureVector({1: 1.0}), 1),
         ]
-        rows = to_labeled_rows(examples, 3)
+        rows = labeled_rows(examples, 3)
         inf, nan = math.inf, math.nan
         cases = [
             (np.zeros(4), 0.25),  # every score is 0: all predict 1
@@ -430,13 +419,11 @@ class TestClassificationError:
         for weights, error in cases:
             model = LinearModel(weights)
             with np.errstate(invalid="ignore"):
-                assert classification_error(model, examples) == error
+                assert example_error(weights, examples) == error
             assert classification_error(model, rows) == error
 
     def test_rows_reject_wide_features_and_width_mismatch(self):
-        with pytest.raises(ValueError):
-            to_labeled_rows([Example(FeatureVector({5: 1.0}), 1)], 4)
-        rows = to_labeled_rows([Example(FeatureVector({2: 1.0}), 1)], 4)
+        rows = labeled_rows([Example(FeatureVector({2: 1.0}), 1)], 4)
         with pytest.raises(ValueError):
             classification_error(LinearModel.zeros(3), rows)
         with pytest.raises(ValueError):

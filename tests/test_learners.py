@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from idbal.data import SyntheticSpec, generate_synthetic, split_dataset, apply_logging
+from idbal.data import SplitRows, SyntheticSpec, apply_logging, generate_synthetic, split_dataset
 from idbal.estimators import BoundConfig
+from idbal.harness import log_split
 from idbal.hypotheses import LinearModel
 from idbal.learners import (
     ALGORITHMS,
@@ -136,11 +137,12 @@ class TestAlgoConfig:
 
 
 def _practical_setup(seed: int, count: int = 600, dim: int = 6, p=(0.05, 0.2, 0.8)):
+    """(rows, policy, logged): the split's rows under uniform-groups logging."""
     data = generate_synthetic(SyntheticSpec(count=count, dim=dim, flip_prob=0.1, seed=seed))
-    split = split_dataset(data, (0.2, 0.5), seed=seed + 1)
+    split = split_dataset(len(data), (0.2, 0.5), seed=seed + 1)
     policy = UniformGroupsPolicy(*p, group_seed=0)
-    logged = apply_logging(split.logged, policy, seed=seed + 2)
-    return split, policy, logged
+    rows = log_split(data, split, policy, seed + 2)
+    return rows, policy, rows.logged
 
 
 class TestPracticalRuns:
@@ -181,20 +183,19 @@ class TestPracticalRuns:
         b = run_idbal(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, 5, test_data=split.test)
         assert a.decisions == b.decisions
         np.testing.assert_array_equal(a.final_classifier.weights, b.final_classifier.weights)
-        assert a.config_fingerprint == b.config_fingerprint
 
     def test_degenerate_logging_makes_debias_vacuous(self):
         # reveal probability identically 1: the skip rule can never fire and
         # the debiasing variant must match its non-debiasing twin decision
         # for decision
         data = generate_synthetic(SyntheticSpec(count=400, dim=5, flip_prob=0.1, seed=7))
-        split = split_dataset(data, (0.2, 0.5), seed=8)
         policy = IdenticalPolicy(1.0)
-        logged = apply_logging(split.logged, policy, seed=9)
+        rows = log_split(data, split_dataset(len(data), (0.2, 0.5), seed=8), policy, 9)
+        logged = rows.logged
         cfg = AlgoConfig(mode="practical", capacity=40.96, eta=0.0256)
         for seed in (0, 1):
-            a = run_idbal(logged, split.online[:64], policy, LinearModel.zeros(5), cfg, seed, test_data=split.test)
-            b = run_dbalwm(logged, split.online[:64], policy, LinearModel.zeros(5), cfg, seed, test_data=split.test)
+            a = run_idbal(logged, rows.online[:64], policy, LinearModel.zeros(5), cfg, seed, test_data=rows.test)
+            b = run_dbalwm(logged, rows.online[:64], policy, LinearModel.zeros(5), cfg, seed, test_data=rows.test)
             assert a.decisions == b.decisions
             assert a.skipped_count == 0
             np.testing.assert_array_equal(a.final_classifier.weights, b.final_classifier.weights)
@@ -202,18 +203,19 @@ class TestPracticalRuns:
     def test_no_online_data_runs_warm_only(self):
         split, policy, logged = _practical_setup(4)
         cfg = AlgoConfig(mode="practical", capacity=0.01, eta=0.01)
-        res = run_idbal(logged, [], policy, LinearModel.zeros(6), cfg, 1, test_data=split.test)
+        res = run_idbal(logged, split.online[:0], policy, LinearModel.zeros(6), cfg, 1, test_data=split.test)
         assert res.query_count == 0
         assert len(res.trace) == 1
-        assert res.final_classifier.steps == sum(t.z for t in logged)
+        assert res.final_classifier.steps == logged.z.sum()
 
     def test_tiny_logged_set_rejected_without_online(self):
         policy = IdenticalPolicy(0.5)
         data = generate_synthetic(SyntheticSpec(count=2, dim=3, seed=0))
-        logged = apply_logging(data, policy, seed=0)
+        q0 = np.full(2, 0.5)
+        logged = SplitRows.from_labeled(data, q0, apply_logging(q0, seed=0))
         cfg = AlgoConfig(mode="practical", capacity=0.01, eta=0.01)
         with pytest.raises(ValueError):
-            run_idbal(logged, [], policy, LinearModel.zeros(3), cfg, 0)
+            run_idbal(logged, logged[:0], policy, LinearModel.zeros(3), cfg, 0)
 
     def test_runs_are_pinned(self):
         # blake2b-128 over every run's counts, decisions, final value (repr)
@@ -229,20 +231,20 @@ class TestPracticalRuns:
         diverging = ((128, 2.56, 1600.0),)
         for seed, count, dim, grid in ((0, 500, 6, stable), (1, 500, 6, stable), (2, 3000, 30, diverging)):
             data = generate_synthetic(SyntheticSpec(count=count, dim=dim, flip_prob=0.1, seed=seed))
-            split = split_dataset(data, (0.2, 0.5), seed=seed + 1)
+            split = split_dataset(len(data), (0.2, 0.5), seed=seed + 1)
             if seed == 1:
                 coarse = fit_coarse_model(data, 0.1, seed, 1.0)
-                scale = calibrate_scale("uncertainty", coarse, [ex.x for ex in split.logged], 0.1)
+                scale = calibrate_scale("uncertainty", coarse, data.matrix[split.logged], 0.1)
                 policy = UncertaintyPolicy(scale, coarse)
             else:
                 policy = UniformGroupsPolicy(0.05, 0.2, 0.8, group_seed=seed)
-            logged = apply_logging(split.logged, policy, seed=seed + 2)
+            rows = log_split(data, split, policy, seed + 2)
             for horizon, capacity, eta in grid:
                 cfg = AlgoConfig(mode="practical", capacity=capacity, eta=eta)
                 for name in sorted(ALGORITHMS):
                     res = ALGORITHMS[name](
-                        logged, split.online[:horizon], policy, LinearModel.zeros(dim), cfg, seed,
-                        test_data=split.test,
+                        rows.logged, rows.online[:horizon], policy, LinearModel.zeros(dim), cfg, seed,
+                        test_data=rows.test,
                     )
                     digest.update(repr((seed, horizon, name, res.query_count, res.inferred_count,
                                         res.skipped_count, res.per_iteration_queries,

@@ -1,10 +1,13 @@
-"""Logging policies: constant, grouped, margin-based, and table lookup."""
+"""Logging policies: constant, grouped, margin-based, and table lookup, each
+scoring a block of rows, compared with the per-instance formulas."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic
+from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic, row_keys
 from idbal.hypotheses import LinearModel
 from idbal.policies import (
     CertaintyPolicy,
@@ -20,17 +23,22 @@ from idbal.policies import (
     save_table_policy,
 )
 
+from reference import certainty_prob, stack_rows, uncertainty_prob
+
 
 def _vec(seed: int, dim: int = 4) -> FeatureVector:
     rng = np.random.default_rng(seed)
     return FeatureVector({i + 1: float(v) for i, v in enumerate(rng.uniform(-1, 1, dim))})
 
 
+def _rows(*xs: FeatureVector):
+    return stack_rows(xs, max(1, *(x.max_index() for x in xs)))
+
+
 class TestIdentical:
     def test_constant(self):
         p = IdenticalPolicy(0.005)
-        assert p.prob(_vec(0)) == 0.005
-        assert p.prob(_vec(1)) == 0.005
+        assert p.probs(_rows(_vec(0), _vec(1))).tolist() == [0.005, 0.005]
 
     def test_probability_domain(self):
         with pytest.raises(ValueError):
@@ -42,23 +50,23 @@ class TestIdentical:
 class TestUniformGroups:
     def test_values_come_from_the_three_levels(self):
         policy = UniformGroupsPolicy(0.005, 0.05, 0.5, group_seed=0)
-        seen = {policy.prob(_vec(i)) for i in range(200)}
+        seen = set(policy.probs(_rows(*(_vec(i) for i in range(200)))).tolist())
         assert seen == {0.005, 0.05, 0.5}
 
     def test_group_assignment_deterministic(self):
-        x = _vec(3)
-        assert group_of(x, 7) == group_of(x, 7)
+        key = _vec(3).key()
+        assert group_of(key, 7) == group_of(key, 7)
 
     def test_group_depends_on_seed(self):
-        xs = [_vec(i) for i in range(50)]
-        a = [group_of(x, 0) for x in xs]
-        b = [group_of(x, 1) for x in xs]
+        keys = [_vec(i).key() for i in range(50)]
+        a = [group_of(key, 0) for key in keys]
+        b = [group_of(key, 1) for key in keys]
         assert a != b
 
     def test_groups_roughly_balanced(self):
         counts = np.zeros(3)
         for i in range(3000):
-            counts[group_of(_vec(i), 0)] += 1
+            counts[group_of(_vec(i).key(), 0)] += 1
         assert counts.min() > 800
 
 
@@ -67,54 +75,104 @@ class TestMarginPolicies:
         model = LinearModel(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
         policy = UncertaintyPolicy(2.0, model)
         on_boundary = FeatureVector({2: 1.0})  # weight on index 1 is the only nonzero
-        assert policy.prob(on_boundary) == 1.0
         far = FeatureVector({1: 5.0})
-        assert policy.prob(far) < 1e-8
+        near, away = policy.probs(stack_rows([on_boundary, far], 4)).tolist()
+        assert near == 1.0
+        assert away < 1e-8
 
     def test_uncertainty_decreasing_in_margin(self):
         model = LinearModel(np.array([0.0, 1.0]))
         policy = UncertaintyPolicy(1.0, model)
-        probs = [policy.prob(FeatureVector({1: v})) for v in (0.1, 0.5, 1.0, 2.0)]
+        probs = policy.probs(_rows(*(FeatureVector({1: v}) for v in (0.1, 0.5, 1.0, 2.0)))).tolist()
         assert probs == sorted(probs, reverse=True)
 
     def test_certainty_zero_at_boundary_and_clamped(self):
         model = LinearModel(np.array([0.0, 1.0, 0.0]))
         policy = CertaintyPolicy(3.0, model)
-        assert policy.prob(FeatureVector({2: 1.0})) == 0.0
-        assert policy.prob(FeatureVector({1: 100.0})) == 1.0
+        assert policy.probs(_rows(FeatureVector({2: 1.0}), FeatureVector({1: 100.0}))).tolist() == [0.0, 1.0]
 
     def test_certainty_increasing_in_margin(self):
         model = LinearModel(np.array([0.0, 1.0]))
         policy = CertaintyPolicy(0.5, model)
-        probs = [policy.prob(FeatureVector({1: v})) for v in (0.1, 0.5, 1.0)]
+        probs = policy.probs(_rows(*(FeatureVector({1: v}) for v in (0.1, 0.5, 1.0)))).tolist()
         assert probs == sorted(probs)
+
+    def test_rows_wider_than_the_model_score_its_own_columns(self):
+        # a feature the coarse model never saw has weight 0; the norm stays
+        # the model's own
+        model = LinearModel(np.array([0.5, -2.0, 1.0]))
+        xs = [FeatureVector({1: 1.0, 5: 3.0}), FeatureVector({6: 2.0}), FeatureVector({2: 0.25})]
+        expected = [uncertainty_prob(1.5, model.weights, x) for x in xs]
+        assert UncertaintyPolicy(1.5, model).probs(stack_rows(xs, 6)).tolist() == expected
+
+
+class TestRowParity:
+    """Each row policy against its per-instance formula, compared with ==."""
+
+    def _instances(self, dim: int) -> list[FeatureVector]:
+        rng = np.random.default_rng(19)
+        xs = [FeatureVector({}), FeatureVector({1: 0.1, 2: 0.2}), FeatureVector({dim: 1e-3})]
+        for _ in range(400):
+            picked = rng.choice(np.arange(1, dim + 1), size=int(rng.integers(1, dim + 1)), replace=False)
+            xs.append(FeatureVector(zip(picked.tolist(), rng.uniform(-1.0, 1.0, picked.size))))
+        return xs
+
+    def test_margin_policies_match_the_scalar_formulas(self):
+        dim = 12
+        xs = self._instances(dim)
+        rows = stack_rows(xs, dim)
+        rng = np.random.default_rng(29)
+        models = [LinearModel.zeros(dim), LinearModel(rng.normal(size=dim + 1))]
+        models += [LinearModel(rng.normal(size=dim + 1) * 10.0 ** k) for k in (-3, 0, 2)]
+        for model in models:
+            for scale in (0.0, 0.37, 4.0, 123.456):
+                uncertain = [uncertainty_prob(scale, model.weights, x) for x in xs]
+                certain = [certainty_prob(scale, model.weights, x) for x in xs]
+                assert policy_prob(UncertaintyPolicy(scale, model), rows).tolist() == uncertain
+                assert policy_prob(CertaintyPolicy(scale, model), rows).tolist() == certain
+
+    def test_uniform_groups_match_the_instance_keys(self):
+        xs = self._instances(8)
+        policy = UniformGroupsPolicy(0.005, 0.05, 0.5, group_seed=11)
+        expected = [(0.005, 0.05, 0.5)[group_of(x.key(), 11)] for x in xs]
+        assert policy_prob(policy, stack_rows(xs, 8)).tolist() == expected
+
+    def test_row_keys_match_instance_keys(self):
+        # 0.1 and 1e-3 are floats whose numpy scalar repr differs from repr()
+        xs = self._instances(30)
+        assert row_keys(stack_rows(xs, 30)) == [x.key() for x in xs]
 
 
 class TestTablePolicy:
     def test_lookup_and_missing(self):
         x = _vec(0)
         policy = TablePolicy({x: 0.25})
-        assert policy.prob(x) == 0.25
+        assert policy.probs([x, x]).tolist() == [0.25, 0.25]
+        assert policy.probs(_rows(x)).tolist() == [0.25]
         with pytest.raises(ValueError):
-            policy.prob(_vec(1))
+            policy.probs([_vec(1)])
 
     def test_save_load_round_trip(self):
         xs = [_vec(i) for i in range(5)]
         pairs = [(x, 1.0 / (i + 2)) for i, x in enumerate(xs)]
         text = save_table_policy(pairs)
         back = load_table_policy(text)
-        for x, p in pairs:
-            assert back.prob(x) == p
+        assert back.probs(xs).tolist() == [p for _, p in pairs]
 
 
 class TestPolicyProb:
     def test_rejects_out_of_range(self):
         class Bad:
-            def prob(self, x):
-                return 1.5
+            def __init__(self, value):
+                self.value = value
 
-        with pytest.raises(ValueError):
-            policy_prob(Bad(), _vec(0))
+            def probs(self, rows):
+                return np.array([0.5, self.value])
+
+        assert policy_prob(Bad(1.0), None).tolist() == [0.5, 1.0]
+        for value in (1.5, -0.25, math.nan):
+            with pytest.raises(ValueError):
+                policy_prob(Bad(value), None)
 
 
 class TestCoarseModelAndCalibration:
@@ -133,15 +191,15 @@ class TestCoarseModelAndCalibration:
     def test_calibration_hits_target(self):
         data = generate_synthetic(SyntheticSpec(count=800, dim=6, seed=2))
         model = fit_coarse_model(data, 0.1, seed=3)
-        instances = [ex.x for ex in data[:400]]
+        rows = data.matrix[:400]
         for kind in ("uncertainty", "certainty"):
-            scale = calibrate_scale(kind, model, instances, target=0.1)
+            scale = calibrate_scale(kind, model, rows, target=0.1)
             policy = UncertaintyPolicy(scale, model) if kind == "uncertainty" else CertaintyPolicy(scale, model)
-            mean = float(np.mean([policy.prob(x) for x in instances]))
+            mean = float(np.mean(policy_prob(policy, rows)))
             assert abs(mean - 0.1) < 1e-6
 
     def test_unreachable_target_rejected(self):
         model = LinearModel(np.zeros(3))  # margin 0 everywhere
-        instances = [_vec(i, dim=2) for i in range(10)]
+        rows = _rows(*(_vec(i, dim=2) for i in range(10)))
         with pytest.raises(ValueError):
-            calibrate_scale("certainty", model, instances, target=0.5)
+            calibrate_scale("certainty", model, rows, target=0.5)
