@@ -33,7 +33,7 @@ from .data import (
     row_keys,
     split_dataset,
 )
-from .hypotheses import LinearModel
+from .hypotheses import LinearModel, ogd_memo
 from .learners import ALGORITHMS, AlgoConfig
 from .policies import (
     CertaintyPolicy,
@@ -297,55 +297,54 @@ def _data_digest(prepared: RepeatData) -> str:
     return digest.hexdigest()
 
 
-def _param_points(algorithm: str, cfg: ExperimentConfig) -> list[tuple[float | None, float]]:
-    if algorithm == "passive":
-        return [(None, eta) for eta in cfg.eta_grid]
-    return [(cap, eta) for cap in cfg.capacity_grid for eta in cfg.eta_grid]
-
-
 def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: LabeledRows, repeat: int) -> list[RunRecord]:
+    """Every run of one repeat, eta outermost: each eta's runs share one
+    ogd_memo() block, so a gradient pass that recurs across algorithms, C
+    and horizons (the same warm start, for one) is trained once. Records
+    come back in (algorithm, C, eta, horizon) grid order."""
     prepared = prepare_repeat(
         data, cfg.policy, spec.name, cfg.master_seed, repeat, (cfg.test_fraction, cfg.logged_fraction)
     )
     digest = _data_digest(prepared)
     horizons = horizon_schedule(cfg.horizon_base, cfg.horizon_growth, len(prepared.online))
-    records: list[RunRecord] = []
-    for algorithm in cfg.algorithms:
-        runner = ALGORITHMS[algorithm]
-        for capacity, eta in _param_points(algorithm, cfg):
-            for index, horizon in enumerate(horizons):
-                run_cfg = AlgoConfig(
-                    mode="practical",
-                    capacity=capacity if capacity is not None else 0.01,
-                    eta=eta,
-                )
-                seed = child_seed(
-                    cfg.master_seed, spec.name, repeat, algorithm, capacity, eta, horizon
-                )
-                result = runner(
-                    prepared.logged,
-                    prepared.online[:horizon],
-                    prepared.policy,
-                    LinearModel.zeros(data.dim),
-                    run_cfg,
-                    seed,
-                    test_data=prepared.test,
-                )
-                records.append(
-                    RunRecord(
-                        dataset=spec.name,
-                        algorithm=algorithm,
-                        capacity=capacity,
-                        eta=eta,
-                        repeat=repeat,
-                        horizon_index=index,
-                        horizon=horizon,
-                        queries=result.query_count,
-                        test_error=float(result.final_test_error),
-                        data_digest=digest,
-                    )
-                )
-    return records
+    outcomes: dict[tuple[int, int, int, int], RunRecord] = {}
+    for e, eta in enumerate(cfg.eta_grid):
+        with ogd_memo():
+            for a, algorithm in enumerate(cfg.algorithms):
+                runner = ALGORITHMS[algorithm]
+                capacities = (None,) if algorithm == "passive" else cfg.capacity_grid
+                for c, capacity in enumerate(capacities):
+                    for index, horizon in enumerate(horizons):
+                        run_cfg = AlgoConfig(
+                            mode="practical",
+                            capacity=capacity if capacity is not None else 0.01,
+                            eta=eta,
+                        )
+                        seed = child_seed(
+                            cfg.master_seed, spec.name, repeat, algorithm, capacity, eta, horizon
+                        )
+                        result = runner(
+                            prepared.logged,
+                            prepared.online[:horizon],
+                            prepared.policy,
+                            LinearModel.zeros(data.dim),
+                            run_cfg,
+                            seed,
+                            test_data=prepared.test,
+                        )
+                        outcomes[a, c, e, index] = RunRecord(
+                            dataset=spec.name,
+                            algorithm=algorithm,
+                            capacity=capacity,
+                            eta=eta,
+                            repeat=repeat,
+                            horizon_index=index,
+                            horizon=horizon,
+                            queries=result.query_count,
+                            test_error=float(result.final_test_error),
+                            data_digest=digest,
+                        )
+    return [outcomes[key] for key in sorted(outcomes)]
 
 
 def _repeat_task(payload: tuple) -> list[RunRecord]:

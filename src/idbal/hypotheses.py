@@ -12,7 +12,10 @@ Two worlds:
 """
 from __future__ import annotations
 
+import hashlib
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,11 +30,15 @@ __all__ = [
     "TableClassifier",
     "CandidateSetExact",
     "classification_error",
+    "weighted_losses",
+    "best_candidate",
     "erm_weighted",
+    "prune_candidates",
     "update_candidates",
     "exact_dis_test",
     "ogd_stepsize",
     "ogd_update",
+    "ogd_memo",
     "approx_dis_mask",
 ]
 
@@ -78,12 +85,59 @@ def ogd_stepsize(t: int, eta: float) -> float:
     return math.sqrt(eta / (t + eta))
 
 
+# Finished passes of ogd_update, keyed by _pass_key; None outside ogd_memo().
+# A context variable, so a block is seen only by the thread that opened it.
+_passes: ContextVar[dict[bytes, tuple[np.ndarray, int]] | None] = ContextVar("ogd_passes", default=None)
+
+
+@contextmanager
+def ogd_memo():
+    """Within the block, an ogd_update call that repeats a pass already made
+    in it returns that pass's result instead of running the row loop again.
+    The results are the same to the bit, since the key covers every input
+    the pass reads. Whatever the block stored is dropped when it exits, by
+    an exception too; a nested block starts empty and restores the outer
+    one's passes."""
+    token = _passes.set({})
+    try:
+        yield
+    finally:
+        _passes.reset(token)
+
+
+def _pass_key(model: LinearModel, rows, labels: np.ndarray, importance_weights: np.ndarray, eta: float) -> bytes:
+    """256-bit SHA-256 digest of everything an ogd_update pass reads: the
+    start weights and steps, eta, the row width and the CSR arrays, the
+    labels (as int8) and the importance weights (as float64). Each array is
+    hashed after a 'dtype:byte length;' header, so no two different inputs
+    frame to the same byte stream; non-finite weights hash as their bytes.
+    SHA-256 rather than BLAKE2: with the CPU's SHA extensions it hashes the
+    rows about three times as fast."""
+    digest = hashlib.sha256()
+    fields = (
+        model.weights,
+        np.array([model.steps, rows.shape[0], rows.shape[1]], dtype=np.int64),
+        np.array([eta], dtype=np.float64),
+        rows.indptr,
+        rows.indices,
+        rows.data,
+        labels.astype(np.int8),
+        importance_weights,
+    )
+    for part in fields:
+        part = np.ascontiguousarray(part)
+        digest.update(f"{part.dtype.str}:{part.nbytes};".encode())
+        digest.update(part)
+    return digest.digest()
+
+
 def ogd_update(model: LinearModel, rows, labels, importance_weights, eta: float) -> LinearModel:
     """One in-order pass over CSR rows laid out as LabeledRows stores them: a
     gradient step per row on the weighted squared surrogate (w . x~ - y~)^2
     with y~ = 2y - 1. Each step uses the pre-increment step index for its
     stepsize; a row of weight 0 still advances steps. Scores are summed from
     the bias left to right, so the weights do not depend on the batching.
+    Inside ogd_memo() a repeated pass is looked up after the same checks.
     """
     w = model.weights
     if rows.shape[1] != w.size:
@@ -96,12 +150,21 @@ def ogd_update(model: LinearModel, rows, labels, importance_weights, eta: float)
         raise ValueError("label must be 0 or 1")
     if (importance_weights < 0.0).any():
         raise ValueError("importance weight cannot be negative")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
+    eta = float(eta)  # the key holds eta as a float64, so the loop must compute with one
+    passes = _passes.get()
+    if passes is not None:
+        key = _pass_key(model, rows, labels, importance_weights, eta)
+        done = passes.get(key)
+        if done is not None:
+            return LinearModel(done[0].copy(), done[1])
     weights = w.tolist()
     indptr, indices, values = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
     steps = model.steps
     for row, (y, u) in enumerate(zip(labels.tolist(), importance_weights.tolist())):
         steps += 1
-        step = ogd_stepsize(steps, eta)
+        step = math.sqrt(eta / (steps + eta))  # ogd_stepsize(steps, eta), unchecked
         if u > 0.0:
             lo, hi = indptr[row], indptr[row + 1]
             score = 0.0
@@ -110,7 +173,10 @@ def ogd_update(model: LinearModel, rows, labels, importance_weights, eta: float)
             scale = step * u * 2.0 * (score - (2.0 * y - 1.0))
             for j in range(lo, hi):
                 weights[indices[j]] -= scale * values[j]
-    return LinearModel(np.array(weights), steps)
+    result = LinearModel(np.array(weights), steps)
+    if passes is not None:
+        passes[key] = (result.weights.copy(), steps)
+    return result
 
 
 class TableClassifier:
@@ -162,6 +228,8 @@ class FiniteClass:
         self._positions: dict[FeatureVector, int] = {x: i for i, x in enumerate(self.pool)}
         if len(self._positions) != len(self.pool):
             raise ValueError("pool instances must be distinct")
+        # the pool holds its objects, so their ids stay unique while it lives
+        self._positions_by_id: dict[int, int] = {id(x): i for i, x in enumerate(self.pool)}
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -178,7 +246,13 @@ class FiniteClass:
             raise ValueError("instance is not in the class's pool") from None
 
     def positions(self, instances: Sequence[FeatureVector]) -> np.ndarray:
-        return np.array([self.pool_position(x) for x in instances], dtype=np.intp)
+        """Pool positions of the instances: the pool's own objects are found
+        by identity, without hashing; an equal copy falls back to
+        pool_position."""
+        found = list(map(self._positions_by_id.get, map(id, instances)))
+        if None in found:
+            found = [self.pool_position(x) if i is None else i for x, i in zip(instances, found)]
+        return np.array(found, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -223,16 +297,24 @@ def classification_error(model: LinearModel, data: LabeledRows) -> float:
     return int(wrong) / len(data)
 
 
-def _weighted_losses(
-    hypothesis_class: FiniteClass, sample: WeightedSample, member_indices: Sequence[int]
+def weighted_losses(
+    hypothesis_class: FiniteClass, sample: WeightedSample, candidates: CandidateSetExact
 ) -> np.ndarray:
-    """Estimator value per member over the sample, vectorized on the table."""
-    rows = np.asarray(member_indices, dtype=np.intp)
+    """Estimator value per candidate over the sample, in candidates.active
+    order, vectorized on the table."""
+    rows = np.asarray(candidates.active, dtype=np.intp)
     live = sample.z == 1
     if not live.any():
         return np.zeros(len(rows))
     mistakes = hypothesis_class.labels[np.ix_(rows, sample.rows[live])] != sample.y[live]
     return mistakes @ (1.0 / sample.denominator[live])
+
+
+def best_candidate(candidates: CandidateSetExact, losses: np.ndarray) -> tuple[int, float]:
+    """(member index, loss) of the smallest of weighted_losses' values; ties
+    break toward the lowest member index."""
+    best = int(np.argmin(losses))  # argmin returns the first minimum: lowest index
+    return candidates.active[best], float(losses[best])
 
 
 def erm_weighted(
@@ -247,9 +329,21 @@ def erm_weighted(
     """
     if restrict is None:
         restrict = CandidateSetExact.full(hypothesis_class)
-    losses = _weighted_losses(hypothesis_class, sample, restrict.active)
-    best = int(np.argmin(losses))  # argmin returns the first minimum: lowest index
-    return restrict.active[best], float(losses[best])
+    return best_candidate(restrict, weighted_losses(hypothesis_class, sample, restrict))
+
+
+def prune_candidates(
+    current: CandidateSetExact, losses: np.ndarray, threshold: Callable[[int, int], float]
+) -> CandidateSetExact:
+    """Keep the members whose loss (weighted_losses over current) is within
+    threshold(member, best) of the minimizer's. The minimizer always stays."""
+    best_index, best_loss = best_candidate(current, losses)
+    kept = [
+        index
+        for index, loss in zip(current.active, losses)
+        if index == best_index or loss <= best_loss + threshold(index, best_index)
+    ]
+    return CandidateSetExact(tuple(kept))
 
 
 def update_candidates(
@@ -258,18 +352,8 @@ def update_candidates(
     current: CandidateSetExact,
     threshold: Callable[[int, int], float],
 ) -> CandidateSetExact:
-    """Keep the members whose estimated error is within threshold(member,
-    best) of the restricted minimizer. The minimizer itself always stays."""
-    losses = _weighted_losses(hypothesis_class, sample, current.active)
-    best_pos = int(np.argmin(losses))
-    best_index = current.active[best_pos]
-    best_loss = float(losses[best_pos])
-    kept = [
-        index
-        for index, loss in zip(current.active, losses)
-        if index == best_index or loss <= best_loss + threshold(index, best_index)
-    ]
-    return CandidateSetExact(tuple(kept))
+    """prune_candidates on the losses of current over the sample."""
+    return prune_candidates(current, weighted_losses(hypothesis_class, sample, current), threshold)
 
 
 def exact_dis_test(

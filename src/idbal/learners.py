@@ -43,12 +43,14 @@ from .hypotheses import (
     FiniteClass,
     LinearModel,
     approx_dis_mask,
+    best_candidate,
     classification_error,
     erm_weighted,
     exact_dis_test,
     ogd_stepsize,
     ogd_update,
-    update_candidates,
+    prune_candidates,
+    weighted_losses,
 )
 from .policies import LoggingPolicy, policy_prob
 
@@ -234,7 +236,9 @@ class _ExactSteps:
         self.iterations: list[IterationRecord] | None = [] if cfg.record_iterations else None
 
     def fit(self, sample: WeightedSample):
-        self.erm_index, self.erm_value = erm_weighted(self.hclass, sample, self.candidates)
+        # shrink prunes from these same losses: same sample, same candidates
+        self.losses = weighted_losses(self.hclass, sample, self.candidates)
+        self.erm_index, self.erm_value = best_candidate(self.candidates, self.losses)
         return self.hclass.member(self.erm_index), self.erm_value
 
     def shrink(self, k: int, sample: WeightedSample, mk: int, nk: int, xi: float, segment: slice):
@@ -254,7 +258,7 @@ class _ExactSteps:
             rho_rows = np.zeros(len(before))
         rho_of = {index: float(r) for index, r in zip(before, rho_rows)}
         threshold = lambda i, best: delta_bound(sigma_value, rho_of[i], self.bound)
-        self.candidates = update_candidates(hclass, sample, self.candidates, threshold)
+        self.candidates = prune_candidates(self.candidates, self.losses, threshold)
         pool_mask = exact_dis_test(hclass, self.candidates, self.pool)
         xi_next = float(self.pool_q0[pool_mask].min()) if pool_mask.any() else 1.0
         if self.iterations is not None:

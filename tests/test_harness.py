@@ -7,6 +7,9 @@ import hashlib
 import numpy as np
 import pytest
 
+import idbal.harness as harness
+import idbal.hypotheses as hypotheses
+import idbal.learners as learners
 from idbal.data import SyntheticSpec, split_dataset
 from idbal.harness import (
     DEFAULT_CAPACITY_GRID,
@@ -28,12 +31,15 @@ from idbal.harness import (
     pairwise_wins,
     parse_config_text,
     per_seed_best_auc,
+    prepare_repeat,
     rebuild_result,
     records_from_json,
     records_to_json,
     report,
     run_protocol,
 )
+from idbal.hypotheses import LinearModel
+from idbal.learners import ALGORITHMS, AlgoConfig
 from idbal.policies import fit_coarse_model
 from idbal.rng import child_seed, derive_rng
 
@@ -326,6 +332,135 @@ class TestRunProtocol:
             workers=2,
         )
         assert run_protocol(parallel).records == result.records
+
+
+def _diverging_sweep(tmp_path) -> ExperimentConfig:
+    """A sparse-file sweep whose feature values reach 1e5, so that the
+    longer runs' weights overflow through inf to NaN."""
+    text = _sparse_libsvm_text(seed=5, rows=200, dim=12, nnz=6).replace(":0.", ":99999.").replace(":-0.", ":-99999.")
+    path = tmp_path / "diverging.txt"
+    path.write_text(text, encoding="utf-8")
+    return ExperimentConfig(
+        datasets=(DatasetSpec(name="diverging", path=str(path)),),
+        policy=PolicySpec(name="identical", p=0.05),
+        repeats=1,
+        horizon_base=4,
+        capacity_grid=(0.64, 40.96),
+        eta_grid=(0.0064, 0.4096),
+        logged_fraction=0.7,
+        master_seed=11,
+    )
+
+
+def _direct_records(cfg: ExperimentConfig) -> list[tuple]:
+    """run_protocol's records rebuilt from one direct runner call per run,
+    outside any ogd_memo() block, in (algorithm, C, eta, horizon) order."""
+    out = []
+    for spec in cfg.datasets:
+        data = load_dataset(spec)
+        for repeat in range(cfg.repeats):
+            prepared = prepare_repeat(
+                data, cfg.policy, spec.name, cfg.master_seed, repeat, (cfg.test_fraction, cfg.logged_fraction)
+            )
+            horizons = horizon_schedule(cfg.horizon_base, cfg.horizon_growth, len(prepared.online))
+            for algorithm in cfg.algorithms:
+                for capacity in (None,) if algorithm == "passive" else cfg.capacity_grid:
+                    for eta in cfg.eta_grid:
+                        for index, horizon in enumerate(horizons):
+                            result = ALGORITHMS[algorithm](
+                                prepared.logged,
+                                prepared.online[:horizon],
+                                prepared.policy,
+                                LinearModel.zeros(data.dim),
+                                AlgoConfig(capacity=0.01 if capacity is None else capacity, eta=eta),
+                                child_seed(cfg.master_seed, spec.name, repeat, algorithm, capacity, eta, horizon),
+                                test_data=prepared.test,
+                            )
+                            out.append((spec.name, algorithm, capacity, eta, repeat, index, horizon,
+                                        result.query_count, result.final_test_error))
+    return out
+
+
+class TestTrainingMemo:
+    """run_protocol trains each distinct gradient pass once per (repeat,
+    eta) block; the records must not show it."""
+
+    @pytest.fixture(params=["dense", "sparse", "diverging"])
+    def sweep(self, request, tmp_path):
+        if request.param == "dense":
+            return ExperimentConfig(
+                datasets=(DatasetSpec(name="toy", synthetic=SyntheticSpec(count=300, dim=4, flip_prob=0.1, seed=3)),),
+                policy=PolicySpec(name="uniform", p0=0.01, p1=0.05, p2=0.5),
+                repeats=2,
+                horizon_base=4,
+                capacity_grid=(0.01, 40.96),
+                eta_grid=(0.0064, 0.4096),
+                master_seed=7,
+            )
+        if request.param == "diverging":
+            return _diverging_sweep(tmp_path)
+        path = tmp_path / "sparse.txt"
+        path.write_text(_sparse_libsvm_text(seed=5, rows=200, dim=12, nnz=6), encoding="utf-8")
+        return ExperimentConfig(
+            datasets=(DatasetSpec(name="sparse", path=str(path)),),
+            policy=PolicySpec(name="uncertainty", calibration_target=0.1),
+            repeats=1,
+            horizon_base=4,
+            capacity_grid=(0.64, 40.96),
+            eta_grid=(0.0064, 0.4096),
+            logged_fraction=0.7,
+            master_seed=11,
+        )
+
+    def test_records_match_direct_runs_without_the_memo(self, sweep, monkeypatch):
+        served = []
+        update = learners.ogd_update
+
+        def counted(*args):
+            before = len(hypotheses._passes.get())
+            result = update(*args)
+            served.append(len(hypotheses._passes.get()) == before)
+            return result
+
+        monkeypatch.setattr(learners, "ogd_update", counted)
+        records = run_protocol(sweep).records
+        assert any(served) and not all(served)
+        monkeypatch.undo()
+        assert [
+            (r.dataset, r.algorithm, r.capacity, r.eta, r.repeat, r.horizon_index, r.horizon, r.queries, r.test_error)
+            for r in records
+        ] == _direct_records(sweep)
+
+    def test_diverging_sweep_reaches_non_finite_weights(self, tmp_path):
+        cfg = _diverging_sweep(tmp_path)
+        data = load_dataset(cfg.datasets[0])
+        prepared = prepare_repeat(data, cfg.policy, "diverging", cfg.master_seed, 0, (0.2, 0.7))
+        for algorithm in ("passive", "idbal"):
+            result = ALGORITHMS[algorithm](
+                prepared.logged, prepared.online, prepared.policy, LinearModel.zeros(data.dim),
+                AlgoConfig(capacity=0.64, eta=0.0064), 0, test_data=prepared.test,
+            )
+            assert np.isnan(result.final_classifier.weights).all()
+
+    def test_memo_is_gone_after_the_protocol(self, tiny_protocol):
+        cfg, _ = tiny_protocol
+        run_protocol(cfg)
+        assert hypotheses._passes.get() is None
+
+    def test_memo_is_gone_after_a_runner_raises(self, tiny_protocol, monkeypatch):
+        cfg, _ = tiny_protocol
+        stored = []
+
+        def failing(*args, **kwargs):
+            ALGORITHMS["idbal"](*args, **kwargs)
+            stored.append(len(hypotheses._passes.get()))
+            raise RuntimeError("runner failed")
+
+        monkeypatch.setattr(harness, "ALGORITHMS", {**ALGORITHMS, "idbal": failing})
+        with pytest.raises(RuntimeError):
+            run_protocol(cfg)
+        assert stored and stored[0] > 0
+        assert hypotheses._passes.get() is None
 
 
 class TestReport:

@@ -3,23 +3,29 @@ the exact and margin disagreement masks."""
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from idbal.data import Example, FeatureVector, LabeledRows, SplitRows
 from idbal.estimators import WeightedSample
+import idbal.hypotheses as hypotheses
 from idbal.hypotheses import (
     CandidateSetExact,
     FiniteClass,
     LinearModel,
     approx_dis_mask,
+    best_candidate,
     classification_error,
     erm_weighted,
     exact_dis_test,
+    ogd_memo,
     ogd_stepsize,
     ogd_update,
+    prune_candidates,
     update_candidates,
+    weighted_losses,
 )
 from idbal.policies import margins
 
@@ -207,6 +213,154 @@ class TestOgdUpdate:
                 np.testing.assert_allclose(analytic[coord], numeric, rtol=1e-5, atol=1e-7)
 
 
+class TestOgdMemo:
+    """ogd_memo(): a repeated pass is served from the block's store, to the
+    bit, and nothing outlives the block."""
+
+    def _pass(self, seed: int = 31):
+        """(model, rows, labels, importance weights, eta) for an 8-feature
+        pass of 30 rows, about a fifth of them with weight 0."""
+        rng = np.random.default_rng(seed)
+        xs = [
+            FeatureVector(zip(rng.choice(np.arange(1, 9), size=3, replace=False).tolist(), rng.uniform(-1, 1, 3)))
+            for _ in range(30)
+        ]
+        weights = rng.uniform(0.0, 20.0, len(xs))
+        weights[rng.random(len(xs)) < 0.2] = 0.0
+        start = LinearModel(rng.standard_normal(9), steps=5)
+        return start, stack_rows(xs, 8), rng.integers(0, 2, len(xs)).astype(np.int8), weights, 0.05
+
+    @staticmethod
+    def _same(a: LinearModel, b: LinearModel) -> bool:
+        return a.steps == b.steps and a.weights.tobytes() == b.weights.tobytes()
+
+    def test_repeat_is_served_from_the_block(self):
+        args = self._pass()
+        plain = ogd_update(*args)
+        assert hypotheses._passes.get() is None
+        with ogd_memo():
+            first = ogd_update(*args)
+            again = ogd_update(*args)
+            assert len(hypotheses._passes.get()) == 1
+        assert self._same(first, plain) and self._same(again, plain)
+        assert hypotheses._passes.get() is None
+
+    def test_every_input_is_in_the_key(self):
+        # each variant changes one input the pass reads; served from the
+        # base pass's entry, it would come back with the base's weights
+        model, rows, labels, weights, eta = self._pass()
+        live = np.flatnonzero(weights)[0]
+        flipped = labels.copy()
+        flipped[live] ^= 1
+        heavier = weights.copy()
+        heavier[live] *= 2.0
+        moved = rows.copy()
+        moved.data[rows.indptr[live] + 1] += 0.5
+        shifted = model.weights.copy()
+        shifted[3] += 0.25
+        variants = [
+            (model, rows, labels, weights, 2.0 * eta),
+            (LinearModel(model.weights, model.steps + 1), rows, labels, weights, eta),
+            (LinearModel(shifted, model.steps), rows, labels, weights, eta),
+            (model, rows, flipped, weights, eta),
+            (model, rows, labels, heavier, eta),
+            (model, moved, labels, weights, eta),
+        ]
+        expected = [ogd_update(*variant) for variant in variants]
+        base = ogd_update(model, rows, labels, weights, eta)
+        assert not any(self._same(base, e) for e in expected)
+        with ogd_memo():
+            ogd_update(model, rows, labels, weights, eta)
+            for variant, reference in zip(variants, expected):
+                assert self._same(ogd_update(*variant), reference)
+            assert len(hypotheses._passes.get()) == 1 + len(variants)
+
+    def test_label_and_weight_dtypes_share_an_entry(self):
+        model, rows, labels, weights, eta = self._pass()
+        plain = ogd_update(model, rows, labels, weights, eta)
+        with ogd_memo():
+            for y, u in ((labels, weights), (labels.astype(bool), weights.tolist()), (labels.astype(float), weights)):
+                assert self._same(ogd_update(model, rows, y, u, eta), plain)
+            assert len(hypotheses._passes.get()) == 1
+
+    def test_returned_weights_are_fresh_copies(self):
+        args = self._pass()
+        plain = ogd_update(*args)
+        with ogd_memo():
+            stored = ogd_update(*args)
+            stored.weights[:] = 99.0
+            served = ogd_update(*args)
+            assert self._same(served, plain)
+            served.weights[:] = -1.0
+            assert self._same(ogd_update(*args), plain)
+
+    def test_checks_run_before_the_lookup(self):
+        model, rows, labels, weights, eta = self._pass()
+        with ogd_memo():
+            ogd_update(model, rows, labels, weights, eta)
+            negative = weights.copy()
+            negative[0] = -1.0
+            bad_labels = labels.copy()
+            bad_labels[0] = 2
+            with pytest.raises(ValueError):
+                ogd_update(model, rows, labels, negative, eta)
+            with pytest.raises(ValueError):
+                ogd_update(model, rows, bad_labels, weights, eta)
+            with pytest.raises(ValueError):
+                ogd_update(model, rows, labels[:-1], weights, eta)
+            with pytest.raises(ValueError):
+                ogd_update(LinearModel.zeros(9), rows, labels, weights, eta)
+            for bad_eta in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    ogd_update(model, rows, labels, weights, bad_eta)
+
+    def test_empty_pass_checks_eta(self):
+        empty = stack_rows([], 2)
+        nothing = np.zeros(0)
+        assert ogd_update(LinearModel.zeros(2), empty, nothing, nothing, 0.5).steps == 0
+        for bad_eta in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                ogd_update(LinearModel.zeros(2), empty, nothing, nothing, bad_eta)
+
+    def test_non_finite_weights_are_served_as_their_bytes(self):
+        model, rows, labels, weights, eta = self._pass()
+        start = model.weights.copy()
+        start[[1, 4]] = (np.inf, np.nan)
+        model = LinearModel(start, model.steps)
+        plain = ogd_update(model, rows, labels, weights, eta)
+        assert not np.isfinite(plain.weights).any()
+        with ogd_memo():
+            assert self._same(ogd_update(model, rows, labels, weights, eta), plain)
+            assert self._same(ogd_update(model, rows, labels, weights, eta), plain)
+            assert len(hypotheses._passes.get()) == 1
+
+    def test_block_is_dropped_on_exit_and_on_error(self):
+        args = self._pass()
+        with ogd_memo():
+            ogd_update(*args)
+            outer = hypotheses._passes.get()
+            with ogd_memo():
+                assert hypotheses._passes.get() == {}
+                ogd_update(*args)
+            assert hypotheses._passes.get() is outer and len(outer) == 1
+        assert hypotheses._passes.get() is None
+        with pytest.raises(RuntimeError):
+            with ogd_memo():
+                ogd_update(*args)
+                raise RuntimeError("runner failed")
+        assert hypotheses._passes.get() is None
+
+    def test_block_is_local_to_its_thread(self):
+        seen = []
+        with ogd_memo():
+            worker = threading.Thread(target=lambda: seen.append(hypotheses._passes.get()))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert hypotheses._passes.get() == {}
+        assert seen == [None]
+
+
 def _tiny_class() -> tuple[FiniteClass, list[FeatureVector]]:
     pool = [FeatureVector({1: float(i + 1)}) for i in range(4)]
     labels = np.array(
@@ -231,6 +385,16 @@ class TestFiniteClass:
         hclass, _ = _tiny_class()
         with pytest.raises(ValueError):
             hclass.pool_position(FeatureVector({1: 99.0}))
+        with pytest.raises(ValueError):
+            hclass.positions([hclass.pool[0], FeatureVector({1: 99.0})])
+
+    def test_positions_of_pool_objects_and_equal_copies(self):
+        hclass, pool = _tiny_class()
+        assert hclass.positions([pool[2], pool[0], pool[2]]).tolist() == [2, 0, 2]
+        copy = FeatureVector({1: 2.0})
+        assert copy is not pool[1] and copy == pool[1]
+        assert hclass.positions([pool[3], copy]).tolist() == [3, 1]
+        assert hclass.positions([]).dtype == np.intp
 
 
 
@@ -277,6 +441,17 @@ class TestErmAndCandidates:
         assert kept.active == (2,)
         kept = update_candidates(hclass, sample, current, lambda i, best: 1.0)
         assert kept.active == (0, 1, 2, 3)
+
+    def test_pruning_from_given_losses_matches_update(self):
+        hclass, _ = _tiny_class()
+        sample = self._sample([0, 1, 1, 0])
+        current = CandidateSetExact((0, 1, 3))
+        losses = weighted_losses(hclass, sample, current)
+        assert losses.tolist() == [1.0, 1.0, 1.0]
+        assert best_candidate(current, losses) == erm_weighted(hclass, sample, current) == (0, 1.0)
+        for slack in (-1.0, 0.0, 0.6):
+            threshold = lambda i, best: slack * (i == 3)
+            assert prune_candidates(current, losses, threshold) == update_candidates(hclass, sample, current, threshold)
 
     def test_best_survives_negative_threshold(self):
         hclass, _ = _tiny_class()
