@@ -48,8 +48,9 @@ class BoundConfig:
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """A weighted sample as aligned arrays: the records' rows (in the form
-    the hypothesis space reads: CSR rows or pool positions), reveal bits z,
+    """A weighted sample as aligned arrays: the records' rows (where the
+    hypothesis space finds them: positions into the run's store for a linear
+    model, pool positions for a finite class), reveal bits z,
     labels y, and the positive denominator each z = 1 record is divided by,
     plus the nominal phase sizes (m logged, n online) the denominators were
     built from. y is stored as 0 wherever z = 0, so a hidden label cannot be
@@ -96,20 +97,19 @@ class WeightedSample:
         return cls(rows, z, y, (m + n) * np.asarray(q_own, dtype=float), m, n)
 
 
-def mis_error(model, sample: WeightedSample) -> float:
-    """Sum of 1{h(x) != y} * z / denominator over the sample's records, for
-    a linear model h over the sample's CSR rows.
+def mis_error(predictions, sample: WeightedSample) -> float:
+    """Sum of 1{h(x) != y} * z / denominator over the sample's records, given
+    the predictions h(x), one 0/1 label per record.
 
     Unbiased for the true error when denominators are m*q0(x) + n*q1(x) and
     never smaller in variance than either single-phase weighting. Summed in
     record order (cumsum, unlike np.sum's pairwise order), so it equals a
     per-record loop bit for bit.
     """
-    w = model.weights
-    if sample.rows.ndim != 2 or sample.rows.shape[1] != w.size:
-        raise ValueError("sample rows do not match the model's width")
-    # ties (score exactly 0) go to label 1, a NaN score predicts 0
-    wrong = (sample.z == 1) & ((sample.rows @ w >= 0.0) != sample.y)
+    predictions = np.asarray(predictions)
+    if predictions.shape != sample.z.shape:
+        raise ValueError("predictions must align with the sample's records")
+    wrong = (sample.z == 1) & (predictions != sample.y)
     # the leading 0.0 makes an empty sum 0.0
     return float(np.cumsum(np.append(0.0, 1.0 / sample.denominator[wrong]))[-1])
 
@@ -128,16 +128,18 @@ def sigma(sizes: tuple[int, int], xi: float, cfg: BoundConfig) -> float:
     return math.log(cfg.hypothesis_count / cfg.delta) / denominator
 
 
-def delta_bound(sigma_value: float, rho: float, cfg: BoundConfig) -> float:
-    """Candidate-set slack gamma0 * (sigma + sqrt(sigma * rho)).
+def delta_bound(sigma_value: float, rho, cfg: BoundConfig):
+    """Candidate-set slack gamma0 * (sigma + sqrt(sigma * rho)), elementwise
+    over rho (a number or an array).
 
     Nondecreasing in both arguments; an infinite sigma yields an infinite
     slack (no filtering) rather than a NaN.
     """
+    rho = np.asarray(rho, dtype=float)
     if sigma_value < 0.0:
         raise ValueError("sigma must be nonnegative")
-    if not 0.0 <= rho <= 1.0:
+    if not ((0.0 <= rho) & (rho <= 1.0)).all():
         raise ValueError("rho is a disagreement fraction in [0, 1]")
     if math.isinf(sigma_value):
-        return math.inf
-    return cfg.gamma0 * (sigma_value + math.sqrt(sigma_value * rho))
+        return np.full(rho.shape, math.inf)[()]
+    return cfg.gamma0 * (sigma_value + np.sqrt(sigma_value * rho))

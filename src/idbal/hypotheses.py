@@ -17,7 +17,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -332,28 +332,20 @@ def erm_weighted(
     return best_candidate(restrict, weighted_losses(hypothesis_class, sample, restrict))
 
 
-def prune_candidates(
-    current: CandidateSetExact, losses: np.ndarray, threshold: Callable[[int, int], float]
-) -> CandidateSetExact:
+def prune_candidates(current: CandidateSetExact, losses: np.ndarray, slack) -> CandidateSetExact:
     """Keep the members whose loss (weighted_losses over current) is within
-    threshold(member, best) of the minimizer's. The minimizer always stays."""
+    slack (one number, or one per member) of the minimizer's, which stays."""
     best_index, best_loss = best_candidate(current, losses)
-    kept = [
-        index
-        for index, loss in zip(current.active, losses)
-        if index == best_index or loss <= best_loss + threshold(index, best_index)
-    ]
-    return CandidateSetExact(tuple(kept))
+    active = np.asarray(current.active)
+    kept = (losses <= best_loss + np.asarray(slack, dtype=float)) | (active == best_index)
+    return CandidateSetExact(tuple(active[kept].tolist()))
 
 
 def update_candidates(
-    hypothesis_class: FiniteClass,
-    sample: WeightedSample,
-    current: CandidateSetExact,
-    threshold: Callable[[int, int], float],
+    hypothesis_class: FiniteClass, sample: WeightedSample, current: CandidateSetExact, slack
 ) -> CandidateSetExact:
     """prune_candidates on the losses of current over the sample."""
-    return prune_candidates(current, weighted_losses(hypothesis_class, sample, current), threshold)
+    return prune_candidates(current, weighted_losses(hypothesis_class, sample, current), slack)
 
 
 def exact_dis_test(

@@ -243,7 +243,7 @@ class _ExactSteps:
 
     def shrink(self, k: int, sample: WeightedSample, mk: int, nk: int, xi: float, segment: slice):
         """Prune the candidates after fit; (xi_next, region mask, ERM
-        predictions) at the online rows in segment."""
+        predictions) at the store's online records in segment."""
         hclass, erm_index = self.hclass, self.erm_index
         delta_k = self.cfg.delta / ((k + 1) * (k + 2))
         if mk * xi + nk > 0.0:
@@ -251,14 +251,11 @@ class _ExactSteps:
         else:
             sigma_value = math.inf
         before = self.candidates.active
-        if sample.z.size:
-            preds = hclass.labels[:, sample.rows]
-            rho_rows = (preds[list(before)] != preds[erm_index]).mean(axis=1)
-        else:
-            rho_rows = np.zeros(len(before))
-        rho_of = {index: float(r) for index, r in zip(before, rho_rows)}
-        threshold = lambda i, best: delta_bound(sigma_value, rho_of[i], self.bound)
-        self.candidates = prune_candidates(self.candidates, self.losses, threshold)
+        # each member's share of the sample it labels unlike the ERM: an exact
+        # integer over the sample size, as a mean gives, and 0 on no sample
+        counts = np.bincount(sample.rows, minlength=len(hclass.pool))
+        rho = (hclass.labels[list(before)] != hclass.labels[erm_index]) @ counts / max(sample.z.size, 1)
+        self.candidates = prune_candidates(self.candidates, self.losses, delta_bound(sigma_value, rho, self.bound))
         pool_mask = exact_dis_test(hclass, self.candidates, self.pool)
         xi_next = float(self.pool_q0[pool_mask].min()) if pool_mask.any() else 1.0
         if self.iterations is not None:
@@ -280,15 +277,17 @@ class _ExactSteps:
 
 class _PracticalSteps:
     """Practical mode over a LinearModel: importance-weighted gradient passes
-    instead of an ERM, and the margin test instead of a candidate set."""
+    instead of an ERM, and the margin test instead of a candidate set. Fit
+    scores the whole store (logged records first) once, with the weights it
+    fits, and the iteration reads every score off that product."""
 
-    def __init__(self, model: LinearModel, cfg: AlgoConfig, logged: SplitRows, online: SplitRows):
+    def __init__(self, model: LinearModel, cfg: AlgoConfig, store: SplitRows, m: int):
         self.model = model
         self.cfg = cfg
-        self.logged = logged
-        self.online = online
+        self.store = store
+        self.m = m
         self.stepsize: float | None = None
-        self.xi = float(logged.q0.min())
+        self.xi = float(store.q0[:m].min())
         self.iterations = None
 
     def fit(self, sample: WeightedSample):
@@ -297,37 +296,40 @@ class _PracticalSteps:
             # mean-style importance weights: (m + n)/denominator reduces to
             # 1/q0 on the warm segment and keeps gradient magnitudes O(1)
             weights = (sample.m + sample.n) / sample.denominator[revealed]
-            self.model = ogd_update(self.model, sample.rows[revealed], sample.y[revealed], weights, self.cfg.eta)
+            rows = self.store.rows[sample.rows[revealed]]
+            self.model = ogd_update(self.model, rows, sample.y[revealed], weights, self.cfg.eta)
             # steps just advanced, so this is the stepsize the last step used
             self.stepsize = ogd_stepsize(self.model.steps, self.cfg.eta)
-        self.erm_value = mis_error(self.model, sample)
+        # CSR rows are summed one by one, so each score has its row's own bits
+        self.scores = self.store.rows @ self.model.weights
+        # ties (score exactly 0) go to label 1, a NaN score predicts 0
+        self.erm_value = mis_error(self.scores[sample.rows] >= 0.0, sample)
         return self.model, self.erm_value
 
     def shrink(self, k: int, sample: WeightedSample, mk: int, nk: int, xi: float, segment: slice):
-        """(xi_next, margin mask, predictions) at the online rows in segment,
-        all from the model fit left; xi_next is the floor over the logged
-        rows inside the margin."""
-        w = self.model.weights
-        scores = self.online.rows[segment] @ w
+        """(xi_next, margin mask, predictions) at the store's online records
+        in segment, all from the model fit left; xi_next is the floor over
+        the logged records inside the margin."""
+        m, store = self.m, self.store
+        scores = self.scores[segment]
         effective = mk * xi + nk
         if effective <= 0.0:
             # no effective mass yet: treat everything as contested
-            return float(self.logged.q0.min()), np.ones(scores.size, dtype=bool), scores >= 0.0
+            return self.xi, np.ones(scores.size, dtype=bool), scores >= 0.0
         stepsize = self.stepsize if self.stepsize is not None else ogd_stepsize(self.model.steps + 1, self.cfg.eta)
         mask_args = (stepsize, self.cfg.capacity, self.erm_value, effective, mk + nk)
-        logged_mask = approx_dis_mask(self.logged.rows @ w, self.logged.norms, *mask_args)
-        xi_next = float(self.logged.q0[logged_mask].min()) if logged_mask.any() else 1.0
-        # ties (score exactly 0) go to label 1, a NaN score predicts 0
-        return xi_next, approx_dis_mask(scores, self.online.norms[segment], *mask_args), scores >= 0.0
+        logged_mask = approx_dis_mask(self.scores[:m], store.norms[:m], *mask_args)
+        xi_next = float(store.q0[:m][logged_mask].min()) if logged_mask.any() else 1.0
+        return xi_next, approx_dis_mask(scores, store.norms[segment], *mask_args), scores >= 0.0
 
 
 def _run_rows(hypothesis_space, cfg: AlgoConfig, logged, online, policy: LoggingPolicy):
     """(logged, online, store, pool_q0): the splits as SplitRows in the form
-    cfg.mode reads, and store, the logged then the online records, which
-    samples index into. Exact mode takes LoggedTriples and Examples, hashes
-    each record to its pool position once and reads its q0 off pool_q0, the
-    policy at each pool point. Practical mode takes SplitRows as they are and
-    has no pool_q0."""
+    cfg.mode reads, and store, the logged then the online records. Exact
+    mode takes LoggedTriples and Examples, hashes each record to its pool
+    position once and reads its q0 off pool_q0, the policy at each pool
+    point. Practical mode takes SplitRows as they are, joins their rows and
+    norms into the store and has no pool_q0."""
     if cfg.mode == "exact":
         if not isinstance(hypothesis_space, FiniteClass):
             raise TypeError("exact mode needs a FiniteClass")
@@ -342,8 +344,8 @@ def _run_rows(hypothesis_space, cfg: AlgoConfig, logged, online, policy: Logging
     for part in (logged, online):
         if not isinstance(part, SplitRows) or part.norms is None or part.rows.shape[1] != width:
             raise ValueError(f"split rows do not match dimension {hypothesis_space.dim}")
-    joined = (np.concatenate((getattr(logged, name), getattr(online, name))) for name in ("q0", "z", "y"))
-    store = SplitRows(*joined, scipy.sparse.vstack((logged.rows, online.rows), format="csr"))
+    joined = {f: np.concatenate((getattr(logged, f), getattr(online, f))) for f in ("q0", "z", "y", "norms")}
+    store = SplitRows(rows=scipy.sparse.vstack((logged.rows, online.rows), format="csr"), **joined)
     return logged, online, store, None
 
 
@@ -371,19 +373,20 @@ def _run_disagreement_core(
     else:
         plan = plan_partition(m, n)
         K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
-    logged, online, store, pool_q0 = _run_rows(hypothesis_space, cfg, logged, online, policy)
+    _, _, store, pool_q0 = _run_rows(hypothesis_space, cfg, logged, online, policy)
     if cfg.mode == "exact":
-        steps = _ExactSteps(hypothesis_space, cfg, pool_q0, online.rows)
+        steps = _ExactSteps(hypothesis_space, cfg, pool_q0, store.rows)
     else:
-        steps = _PracticalSteps(hypothesis_space, cfg, logged, online)
+        steps = _PracticalSteps(hypothesis_space, cfg, store, m)
+    # samples hold pool positions in exact mode, store positions in practical mode
+    sample_rows = store.rows if cfg.mode == "exact" else np.arange(m + n)
 
     logged_starts = np.concatenate(([0], np.cumsum(m_parts)))
-    online_starts = np.concatenate(([0], np.cumsum(n_parts)))
 
     def build_sample(index: np.ndarray, z: np.ndarray, y: np.ndarray, bits: np.ndarray, mk: int, nk: int):
         """The sample over the store records at index, with their reveal
         bits z, labels y and query bits."""
-        q0, rows = store.q0[index], store.rows[index]
+        q0, rows = store.q0[index], sample_rows[index]
         if weighting == "mis":
             return WeightedSample.balanced(rows, z, y, q0, bits, mk, nk)
         # a logged record's own phase propensity is q0, an online one's its query bit
@@ -412,8 +415,8 @@ def _run_disagreement_core(
 
         # shrink to the disagreement region, then consume online segment
         # k+1: query inside it, impute the current prediction outside it
-        lo, hi = int(online_starts[k]), int(online_starts[k + 1])
-        xi_next, in_region, guesses = steps.shrink(k, sample, mk, nk, xi, slice(lo, hi))
+        lo, hi = consumed, consumed + n_parts[k]
+        xi_next, in_region, guesses = steps.shrink(k, sample, mk, nk, xi, slice(m + lo, m + hi))
         # S~_{k+1} = T0^(k+1) plus the fresh online segment
         index = np.concatenate((np.arange(logged_starts[k + 1], logged_starts[k + 2]), m + np.arange(lo, hi)))
         bits = debias_rule(store.q0[index], xi_next, alpha) if debias else np.ones(index.size, dtype=np.int8)
@@ -477,7 +480,8 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
     m, n = len(logged), len(online)
     logged, online, store, _ = _run_rows(hypothesis_space, cfg, logged, online, policy)
     own = np.concatenate((logged.q0, np.ones(n)))
-    sample = WeightedSample.phase_weighted(store.rows, store.z, store.y, own, m, n)
+    sample_rows = store.rows if cfg.mode == "exact" else np.arange(m + n)
+    sample = WeightedSample.phase_weighted(sample_rows, store.z, store.y, own, m, n)
     trace: list[TracePoint] = []
 
     if cfg.mode == "exact":
@@ -493,7 +497,8 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
         model = ogd_update(hypothesis_space, logged.rows[revealed], logged.y[revealed], weights, cfg.eta)
         trace.append(TracePoint(0, 0, _test_error(model, test_data)))
         final = ogd_update(model, online.rows, online.y, np.ones(n), cfg.eta)
-        final_value = mis_error(final, sample)
+        # ties (score exactly 0) go to label 1, a NaN score predicts 0
+        final_value = mis_error(store.rows @ final.weights >= 0.0, sample)
 
     trace.append(TracePoint(n, n, _test_error(final, test_data)))
     return RunResult(

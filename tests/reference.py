@@ -2,19 +2,31 @@
 
 These are the scalar forms the library used before its data path became
 CSR rows: stacking FeatureVectors into rows, the in-order score, the
-per-example error loop and the margin policies' per-instance formulas.
-Importable from any test module, because pytest puts this directory on
-sys.path.
+per-example error loop and the margin policies' per-instance formulas. Also
+the candidate pruning that took its slack from a callable, and the
+practical learners as they ran before samples held store positions: every
+sample a CSR copy of its rows, scored on its own. Importable from any test
+module, because pytest puts this directory on sys.path.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse
 
-from idbal.data import Example, FeatureVector, LabeledRows
+from idbal.data import Example, FeatureVector, LabeledRows, SplitRows
+from idbal.estimators import WeightedSample
+from idbal.hypotheses import (
+    CandidateSetExact,
+    LinearModel,
+    approx_dis_mask,
+    classification_error,
+    ogd_stepsize,
+    ogd_update,
+)
+from idbal.learners import INFER, QUERY, SKIP, AlgoConfig, RunResult, TracePoint, debias_rule, plan_partition
 
 
 def stack_rows(instances: Sequence[FeatureVector], dim: int) -> scipy.sparse.csr_array:
@@ -76,3 +88,181 @@ def uncertainty_prob(scale: float, weights: np.ndarray, x: FeatureVector) -> flo
 def certainty_prob(scale: float, weights: np.ndarray, x: FeatureVector) -> float:
     r = margin(weights, x)
     return min(scale * r * r, 1.0)
+
+
+def sparse_libsvm_text(seed: int, rows: int, dim: int, nnz: int) -> str:
+    """Seeded LIBSVM lines: nnz +- 2 sorted 1-based indices per row, values
+    in U(-1, 1) at 4 decimals, labels from a random separator with 10% flips."""
+    rng = np.random.default_rng(seed)
+    separator = rng.standard_normal(dim)
+    lines = []
+    for _ in range(rows):
+        index = np.sort(rng.choice(dim, size=int(rng.integers(nnz - 2, nnz + 3)), replace=False))
+        value = np.round(rng.uniform(-1.0, 1.0, index.size), 4)
+        label = (value @ separator[index] >= 0.0) != (rng.random() < 0.1)
+        features = " ".join(f"{i + 1}:{v:.4f}" for i, v in zip(index, value))
+        lines.append(f"{'+1' if label else '-1'} {features}")
+    return "\n".join(lines) + "\n"
+
+
+def prune_by_threshold(
+    current: CandidateSetExact, losses: np.ndarray, threshold: Callable[[int, int], float]
+) -> CandidateSetExact:
+    """The member loop: keep each member whose loss is within
+    threshold(member, best) of the lowest; the first lowest always stays."""
+    best = int(np.argmin(losses))
+    best_index, best_loss = current.active[best], float(losses[best])
+    kept = [
+        index
+        for index, loss in zip(current.active, losses)
+        if index == best_index or loss <= best_loss + threshold(index, best_index)
+    ]
+    return CandidateSetExact(tuple(kept))
+
+
+def model_mis_error(model: LinearModel, sample: WeightedSample) -> float:
+    """The estimate from a model: score the sample's own CSR rows, then add
+    1/denominator for each revealed mistake, in record order."""
+    # ties (score exactly 0) go to label 1, a NaN score predicts 0
+    wrong = (sample.z == 1) & ((sample.rows @ model.weights >= 0.0) != sample.y)
+    return float(np.cumsum(np.append(0.0, 1.0 / sample.denominator[wrong]))[-1])
+
+
+def _test_error(model: LinearModel, test_data: LabeledRows | None) -> float | None:
+    return None if test_data is None or len(test_data) == 0 else classification_error(model, test_data)
+
+
+def practical_run(
+    logged: SplitRows,
+    online: SplitRows,
+    model: LinearModel,
+    cfg: AlgoConfig,
+    seed: int,
+    test_data: LabeledRows | None,
+    *,
+    weighting: str,
+    debias: bool,
+) -> RunResult:
+    """The practical disagreement learner, one iteration at a time: each
+    sample holds a CSR copy of its rows, fit scores that copy, and the
+    region scores a copy of the next online segment and every logged row
+    again, all with the weights fit left. Decisions are made record by
+    record."""
+    m, n = len(logged), len(online)
+    if n == 0:
+        K, n_parts, m_parts, alpha = 0, (), (m,), math.inf
+    else:
+        plan = plan_partition(m, n)
+        K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
+    rows = scipy.sparse.vstack((logged.rows, online.rows), format="csr")
+    q0 = np.concatenate((logged.q0, online.q0))
+    z = np.concatenate((logged.z, online.z))
+    y = np.concatenate((logged.y, online.y))
+
+    def build(index, sample_z, sample_y, bits, mk, nk):
+        if weighting == "mis":
+            return WeightedSample.balanced(rows[index], sample_z, sample_y, q0[index], bits, mk, nk)
+        own = np.where(index < m, q0[index], bits)
+        return WeightedSample.phase_weighted(rows[index], sample_z, sample_y, own, mk, nk)
+
+    head = np.arange(m_parts[0])
+    sample = build(head, z[head], y[head], np.zeros(head.size), m_parts[0], 0)
+    xi = float(logged.q0.min())
+    stepsize = None
+    decisions, per_iteration_queries, trace = [], [], []
+    queries = inferred = skipped = consumed = 0
+    logged_start, online_start = m_parts[0], 0
+    for k in range(K + 1):
+        mk = m_parts[k]
+        nk = 0 if k == 0 else n_parts[k - 1]
+        revealed = np.flatnonzero(sample.z)
+        if revealed.size:
+            weights = (sample.m + sample.n) / sample.denominator[revealed]
+            model = ogd_update(model, sample.rows[revealed], sample.y[revealed], weights, cfg.eta)
+            stepsize = ogd_stepsize(model.steps, cfg.eta)
+        erm_value = model_mis_error(model, sample)
+        trace.append(TracePoint(consumed, queries, _test_error(model, test_data)))
+        if k == K:
+            break
+
+        lo, hi = online_start, online_start + n_parts[k]
+        scores = online.rows[lo:hi] @ model.weights
+        effective = mk * xi + nk
+        if effective <= 0.0:
+            xi_next, in_region = float(logged.q0.min()), np.ones(hi - lo, dtype=bool)
+        else:
+            step = stepsize if stepsize is not None else ogd_stepsize(model.steps + 1, cfg.eta)
+            args = (step, cfg.capacity, erm_value, effective, mk + nk)
+            logged_mask = approx_dis_mask(logged.rows @ model.weights, logged.norms, *args)
+            xi_next = float(logged.q0[logged_mask].min()) if logged_mask.any() else 1.0
+            in_region = approx_dis_mask(scores, online.norms[lo:hi], *args)
+
+        old = np.arange(logged_start, logged_start + m_parts[k + 1])
+        index = np.concatenate((old, m + np.arange(lo, hi)))
+        bits = debias_rule(q0[index], xi_next, alpha) if debias else np.ones(index.size, dtype=np.int8)
+        sample_z, sample_y = z[index].copy(), y[index].copy()
+        segment_queries = 0
+        for j in range(old.size, index.size):
+            i = j - old.size
+            sample_z[j] = bits[j]
+            if not bits[j]:
+                decisions.append(SKIP)
+                skipped += 1
+            elif in_region[i]:
+                decisions.append(QUERY)
+                queries += 1
+                segment_queries += 1
+            else:
+                decisions.append(INFER)
+                inferred += 1
+                # ties (score exactly 0) go to label 1, a NaN score predicts 0
+                sample_y[j] = 1 if scores[i] >= 0.0 else 0
+        per_iteration_queries.append(segment_queries)
+        consumed += hi - lo
+        sample = build(index, sample_z, sample_y, bits, m_parts[k + 1], hi - lo)
+        xi = xi_next
+        logged_start += m_parts[k + 1]
+        online_start = hi
+
+    return RunResult(
+        final_classifier=model,
+        final_value=erm_value,
+        query_count=queries,
+        inferred_count=inferred,
+        skipped_count=skipped,
+        per_iteration_queries=tuple(per_iteration_queries),
+        decisions=tuple(decisions),
+        trace=tuple(trace),
+        final_test_error=trace[-1].test_error,
+        seed=seed,
+    )
+
+
+def practical_passive(
+    logged: SplitRows, online: SplitRows, model: LinearModel, cfg: AlgoConfig, seed: int, test_data: LabeledRows | None
+) -> RunResult:
+    """The passive learner, its estimate scored over a CSR copy of every row."""
+    m, n = len(logged), len(online)
+    revealed = np.flatnonzero(logged.z)
+    warm = ogd_update(model, logged.rows[revealed], logged.y[revealed], 1.0 / logged.q0[revealed], cfg.eta)
+    final = ogd_update(warm, online.rows, online.y, np.ones(n), cfg.eta)
+    sample = WeightedSample.phase_weighted(
+        scipy.sparse.vstack((logged.rows, online.rows), format="csr"),
+        np.concatenate((logged.z, online.z)),
+        np.concatenate((logged.y, online.y)),
+        np.concatenate((logged.q0, np.ones(n))),
+        m,
+        n,
+    )
+    return RunResult(
+        final_classifier=final,
+        final_value=model_mis_error(final, sample),
+        query_count=n,
+        inferred_count=0,
+        skipped_count=0,
+        per_iteration_queries=(n,),
+        decisions=(QUERY,) * n,
+        trace=(TracePoint(0, 0, _test_error(warm, test_data)), TracePoint(n, n, _test_error(final, test_data))),
+        final_test_error=_test_error(final, test_data),
+        seed=seed,
+    )

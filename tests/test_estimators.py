@@ -28,7 +28,14 @@ def _rows(count: int):
 
 
 def _sample(z, y, q0, q1, m: int, n: int) -> WeightedSample:
-    return WeightedSample.balanced(_rows(len(z)), np.array(z), np.array(y), q0, q1, m, n)
+    """A sample over the records at positions 0..len(z)-1."""
+    return WeightedSample.balanced(np.arange(len(z)), np.array(z), np.array(y), q0, q1, m, n)
+
+
+def _predict(model: LinearModel, sample: WeightedSample) -> np.ndarray:
+    """The model's predictions at the sample's records, the rows of _rows by
+    position; ties (score exactly 0) go to label 1, a NaN score predicts 0."""
+    return _rows(sample.z.size)[sample.rows] @ model.weights >= 0.0
 
 
 class TestWeightedSample:
@@ -37,7 +44,7 @@ class TestWeightedSample:
         assert sample.denominator.tolist() == [3 * 0.2 + 4 * 1.0, 3 * 0.5]
 
     def test_phase_weighted_denominators(self):
-        sample = WeightedSample.phase_weighted(_rows(2), np.array([1, 1]), np.array([0, 1]), [0.2, 1.0], m=1, n=1)
+        sample = WeightedSample.phase_weighted(np.arange(2), np.array([1, 1]), np.array([0, 1]), [0.2, 1.0], m=1, n=1)
         assert sample.denominator.tolist() == [2 * 0.2, 2 * 1.0]
 
     def test_misaligned_propensities_rejected(self):
@@ -46,7 +53,7 @@ class TestWeightedSample:
         with pytest.raises(ValueError):
             _sample([1], [0], [0.2, 0.3], [1.0, 1.0], m=1, n=0)
         with pytest.raises(ValueError):
-            WeightedSample.phase_weighted(_rows(2), np.array([1]), np.array([0]), [0.5], m=1, n=0)
+            WeightedSample.phase_weighted(np.arange(2), np.array([1]), np.array([0]), [0.5], m=1, n=0)
 
     def test_revealed_record_with_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
@@ -62,7 +69,7 @@ class TestWeightedSample:
         with pytest.raises(ValueError):
             _sample([1], [2], [0.5], [0.0], m=1, n=0)
         with pytest.raises(ValueError):
-            WeightedSample(_rows(1), np.array([1]), np.array([0]), np.array([0.5]), m=-1, n=0)
+            WeightedSample(np.arange(1), np.array([1]), np.array([0]), np.array([0.5]), m=-1, n=0)
 
     def test_hidden_labels_are_not_stored(self):
         sample = _sample([0, 1, 0], [1, 1, 0], [0.5, 0.5, 0.5], [0.0] * 3, m=3, n=0)
@@ -73,20 +80,20 @@ class TestMisError:
     def test_single_logged_mistake(self):
         # one logged record, propensity 1/2, classifier wrong: 1 / (1 * 0.5) = 2
         sample = _sample([1], [1], [0.5], [0.0], m=1, n=0)
-        assert mis_error(ALWAYS_ZERO, sample) == 2.0
+        assert mis_error(_predict(ALWAYS_ZERO, sample), sample) == 2.0
 
     def test_two_phase_mixture(self):
         # both records wrong, both with denominator m*q0 + n*q1 = 0.2 + 1.0
         sample = _sample([1, 1], [1, 1], [0.2, 0.2], [1.0, 1.0], m=1, n=1)
-        np.testing.assert_allclose(mis_error(ALWAYS_ZERO, sample), 2.0 / 1.2)
+        np.testing.assert_allclose(mis_error(_predict(ALWAYS_ZERO, sample), sample), 2.0 / 1.2)
 
     def test_correct_predictions_contribute_nothing(self):
         sample = _sample([1, 1], [0, 0], [0.1, 0.9], [1.0, 1.0], m=5, n=5)
-        assert mis_error(ALWAYS_ZERO, sample) == 0.0
+        assert mis_error(_predict(ALWAYS_ZERO, sample), sample) == 0.0
 
     def test_hidden_records_contribute_nothing(self):
         sample = _sample([0, 1], [1, 1], [0.5, 0.5], [0.0, 0.0], m=2, n=0)
-        assert mis_error(ALWAYS_ZERO, sample) == 1.0 / (2 * 0.5)
+        assert mis_error(_predict(ALWAYS_ZERO, sample), sample) == 1.0 / (2 * 0.5)
 
     def test_additive_over_mistakes(self):
         rng = np.random.default_rng(0)
@@ -96,11 +103,19 @@ class TestMisError:
             labels = rng.integers(0, 2, count)
             sample = _sample(np.ones(count, dtype=int), labels, q0, np.zeros(count), m=count, n=0)
             expected = sum(1.0 / (count * q0[i]) for i in range(count) if labels[i] == 1)
-            np.testing.assert_allclose(mis_error(ALWAYS_ZERO, sample), expected)
+            np.testing.assert_allclose(mis_error(_predict(ALWAYS_ZERO, sample), sample), expected)
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mis_error(LinearModel.zeros(2), _sample([1], [1], [0.5], [0.0], m=1, n=0))
+    def test_misaligned_predictions_rejected(self):
+        sample = _sample([1, 1], [1, 0], [0.5, 0.5], [0.0, 0.0], m=2, n=0)
+        for predictions in (np.zeros(1, dtype=bool), np.zeros(3, dtype=bool), np.zeros((2, 1), dtype=bool)):
+            with pytest.raises(ValueError):
+                mis_error(predictions, sample)
+
+    def test_predictions_are_read_as_labels(self):
+        # bools and 0/1 integers alike; hidden records never count
+        sample = _sample([1, 1, 0], [1, 0, 1], [0.5, 0.25, 0.5], [0.0] * 3, m=3, n=0)
+        for predictions in ([False, True, False], np.array([0, 1, 0])):
+            assert mis_error(predictions, sample) == 1.0 / 1.5 + 1.0 / 0.75
 
     def test_matches_the_record_loop_exactly(self):
         # the per-record loop mis_error replaced: predict with the scalar score and
@@ -124,13 +139,14 @@ class TestMisError:
             z = (rng.random(len(instances)) < 0.8).astype(int)
             y = rng.integers(0, 2, len(instances))
             denominator = 10.0 ** rng.uniform(-4.0, 4.0, len(instances))
-            sample = WeightedSample(rows, z, y, denominator, m=len(instances), n=0)
+            sample = WeightedSample(np.arange(len(instances)), z, y, denominator, m=len(instances), n=0)
             expected = 0.0
             with np.errstate(over="ignore", invalid="ignore"):
                 for x, zi, yi, d in zip(instances, z, y, denominator.tolist()):
                     if zi == 1 and predict(model.weights, x) != yi:
                         expected += 1.0 / d
-            assert mis_error(model, sample) == expected
+            # ties (score exactly 0) go to label 1, a NaN score predicts 0
+            assert mis_error(rows @ model.weights >= 0.0, sample) == expected
             nonzero += expected > 0.0
         assert nonzero > len(models) // 2
 
@@ -163,6 +179,34 @@ class TestBounds:
     def test_delta_bound_infinite_sigma(self):
         cfg = BoundConfig(gamma0=1.0)
         assert delta_bound(math.inf, 0.3, cfg) == math.inf
+        assert delta_bound(math.inf, np.array([0.0, 0.3, 1.0]), cfg).tolist() == [math.inf] * 3
+
+    def test_delta_bound_over_an_array_matches_the_scalar_loop(self):
+        rng = np.random.default_rng(5)
+        rho = np.concatenate(([0.0, 1.0], rng.random(200), rng.integers(0, 97, 50) / 97))
+        for gamma0 in (0.3, 1.0, 2.5):
+            cfg = BoundConfig(gamma0=gamma0)
+            for sigma_value in (0.0, 1e-12, 0.0173, 0.5, 3.0, 1e300):
+                slack = delta_bound(sigma_value, rho, cfg)
+                loop = [gamma0 * (sigma_value + math.sqrt(sigma_value * r)) for r in rho.tolist()]
+                assert slack.tolist() == loop
+                assert [delta_bound(sigma_value, r, cfg) for r in rho.tolist()] == loop
+
+    def test_delta_bound_checks_its_arguments(self):
+        cfg = BoundConfig()
+        for sigma_value, rho in (
+            (-0.1, 0.5),
+            (-0.1, np.array([0.5])),
+            (0.5, 1.5),
+            (0.5, -0.1),
+            (0.5, np.array([0.2, 1.0 + 1e-12])),
+            (0.5, np.array([0.2, -1e-12])),
+            (0.5, math.nan),
+            (0.5, np.array([0.2, math.nan])),
+            (math.inf, np.array([math.nan])),
+        ):
+            with pytest.raises(ValueError):
+                delta_bound(sigma_value, rho, cfg)
 
     def test_bound_config_validation(self):
         with pytest.raises(ValueError):

@@ -43,6 +43,8 @@ from idbal.learners import ALGORITHMS, AlgoConfig
 from idbal.policies import fit_coarse_model
 from idbal.rng import child_seed, derive_rng
 
+from reference import sparse_libsvm_text
+
 
 class TestHorizonSchedule:
     def test_hand_case(self):
@@ -215,21 +217,6 @@ class TestPerSeedAndPairwise:
         assert table[("b", "a")] == (0, 2)
 
 
-def _sparse_libsvm_text(seed: int, rows: int, dim: int, nnz: int) -> str:
-    """Seeded LIBSVM lines: nnz +- 2 sorted 1-based indices per row, values
-    in U(-1, 1) at 4 decimals, labels from a random separator with 10% flips."""
-    rng = np.random.default_rng(seed)
-    separator = rng.standard_normal(dim)
-    lines = []
-    for _ in range(rows):
-        index = np.sort(rng.choice(dim, size=int(rng.integers(nnz - 2, nnz + 3)), replace=False))
-        value = np.round(rng.uniform(-1.0, 1.0, index.size), 4)
-        label = (value @ separator[index] >= 0.0) != (rng.random() < 0.1)
-        features = " ".join(f"{i + 1}:{v:.4f}" for i, v in zip(index, value))
-        lines.append(f"{'+1' if label else '-1'} {features}")
-    return "\n".join(lines) + "\n"
-
-
 @pytest.fixture(scope="module")
 def tiny_protocol():
     cfg = ExperimentConfig(
@@ -293,7 +280,7 @@ class TestRunProtocol:
         subsample = derive_rng(child_seed(seed, name, "policy"), "coarse", "subsample").choice(400, 40, replace=False)
         logged = split_dataset(400, (0.2, 0.7), seed=child_seed(seed, name, 0, "split")).logged
         wide = next(i for i in logged.tolist() if i not in subsample.tolist())
-        lines = _sparse_libsvm_text(seed=9, rows=400, dim=5, nnz=3).splitlines()
+        lines = sparse_libsvm_text(seed=9, rows=400, dim=5, nnz=3).splitlines()
         lines[wide] += " 6:0.5"
         path = tmp_path / f"{name}.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -337,7 +324,7 @@ class TestRunProtocol:
 def _diverging_sweep(tmp_path) -> ExperimentConfig:
     """A sparse-file sweep whose feature values reach 1e5, so that the
     longer runs' weights overflow through inf to NaN."""
-    text = _sparse_libsvm_text(seed=5, rows=200, dim=12, nnz=6).replace(":0.", ":99999.").replace(":-0.", ":-99999.")
+    text = sparse_libsvm_text(seed=5, rows=200, dim=12, nnz=6).replace(":0.", ":99999.").replace(":-0.", ":-99999.")
     path = tmp_path / "diverging.txt"
     path.write_text(text, encoding="utf-8")
     return ExperimentConfig(
@@ -400,7 +387,7 @@ class TestTrainingMemo:
         if request.param == "diverging":
             return _diverging_sweep(tmp_path)
         path = tmp_path / "sparse.txt"
-        path.write_text(_sparse_libsvm_text(seed=5, rows=200, dim=12, nnz=6), encoding="utf-8")
+        path.write_text(sparse_libsvm_text(seed=5, rows=200, dim=12, nnz=6), encoding="utf-8")
         return ExperimentConfig(
             datasets=(DatasetSpec(name="sparse", path=str(path)),),
             policy=PolicySpec(name="uncertainty", calibration_target=0.1),
@@ -494,7 +481,7 @@ class TestReport:
         second = {name: path.read_bytes() for name, path in report(run_protocol(cfg), tmp_path / "b").items()}
         assert first == second
         data_path = tmp_path / "sparse.txt"
-        data_path.write_text(_sparse_libsvm_text(seed=5, rows=320, dim=60, nnz=6), encoding="utf-8")
+        data_path.write_text(sparse_libsvm_text(seed=5, rows=320, dim=60, nnz=6), encoding="utf-8")
         sparse = ExperimentConfig(
             datasets=(DatasetSpec(name="sparse", path=str(data_path)),),
             policy=PolicySpec(name="uncertainty", calibration_target=0.1),

@@ -29,7 +29,7 @@ from idbal.hypotheses import (
 )
 from idbal.policies import margins
 
-from reference import example_error, labeled_rows, raw_score, stack_rows
+from reference import example_error, labeled_rows, prune_by_threshold, raw_score, stack_rows
 
 
 def _weighted_squared_loss(weights: np.ndarray, x: FeatureVector, y: int, u: float) -> float:
@@ -437,10 +437,13 @@ class TestErmAndCandidates:
         current = CandidateSetExact.full(hclass)
         # per-mistake cost is 1/(4*0.5) = 0.5; member 2 has loss 0,
         # members 0 and 3 have loss 1.0, member 1 has loss 1.0
-        kept = update_candidates(hclass, sample, current, lambda i, best: 0.6)
+        kept = update_candidates(hclass, sample, current, 0.6)
         assert kept.active == (2,)
-        kept = update_candidates(hclass, sample, current, lambda i, best: 1.0)
+        kept = update_candidates(hclass, sample, current, 1.0)
         assert kept.active == (0, 1, 2, 3)
+        # per member: 3 is held to slack 0.6, everyone else to 1.0
+        kept = update_candidates(hclass, sample, current, np.array([1.0, 1.0, 1.0, 0.6]))
+        assert kept.active == (0, 1, 2)
 
     def test_pruning_from_given_losses_matches_update(self):
         hclass, _ = _tiny_class()
@@ -449,15 +452,47 @@ class TestErmAndCandidates:
         losses = weighted_losses(hclass, sample, current)
         assert losses.tolist() == [1.0, 1.0, 1.0]
         assert best_candidate(current, losses) == erm_weighted(hclass, sample, current) == (0, 1.0)
-        for slack in (-1.0, 0.0, 0.6):
-            threshold = lambda i, best: slack * (i == 3)
-            assert prune_candidates(current, losses, threshold) == update_candidates(hclass, sample, current, threshold)
+        for scale in (-1.0, 0.0, 0.6):
+            slack = scale * (np.array(current.active) == 3)
+            assert prune_candidates(current, losses, slack) == update_candidates(hclass, sample, current, slack)
 
     def test_best_survives_negative_threshold(self):
         hclass, _ = _tiny_class()
         sample = self._sample([0, 1, 1, 0])
-        kept = update_candidates(hclass, sample, CandidateSetExact.full(hclass), lambda i, best: -5.0)
+        kept = update_candidates(hclass, sample, CandidateSetExact.full(hclass), -5.0)
         assert kept.active == (2,)
+        kept = update_candidates(hclass, sample, CandidateSetExact.full(hclass), np.full(4, -5.0))
+        assert kept.active == (2,)
+
+    def test_array_slack_matches_the_callable_pruning(self):
+        # random tables, samples and per-member slacks, against the
+        # per-member loop that took the slack from a callable
+        rng = np.random.default_rng(3)
+        pruned = 0
+        for _ in range(200):
+            members, pool = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            hclass = FiniteClass(
+                [FeatureVector({1: float(i)}) for i in range(pool)], rng.integers(0, 2, (members, pool))
+            )
+            size = int(rng.integers(0, 30))
+            sample = WeightedSample.balanced(
+                rng.integers(0, pool, size), rng.integers(0, 2, size), rng.integers(0, 2, size),
+                rng.uniform(0.05, 1.0, size), rng.uniform(0.0, 1.0, size), m=size, n=int(rng.integers(0, 5)),
+            )
+            chosen = rng.choice(members, int(rng.integers(1, members + 1)), replace=False)
+            current = CandidateSetExact(tuple(chosen.tolist()))
+            losses = weighted_losses(hclass, sample, current)
+            slack = rng.choice([-1.0, 0.0, 0.3, math.inf], len(current)) * rng.uniform(0.5, 1.0, len(current))
+            slack_of = dict(zip(current.active, slack.tolist()))
+            expected = prune_by_threshold(current, losses, lambda i, best: slack_of[i])
+            assert prune_candidates(current, losses, slack) == expected
+            assert update_candidates(hclass, sample, current, slack) == expected
+            scalar = float(slack[0])
+            assert prune_candidates(current, losses, scalar) == prune_by_threshold(
+                current, losses, lambda i, best: scalar
+            )
+            pruned += len(expected) < len(current)
+        assert pruned > 50
 
     def test_candidate_set_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 four run variants in both modes."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -9,16 +10,17 @@ import warnings
 import numpy as np
 import pytest
 
-from idbal.data import SplitRows, SyntheticSpec, apply_logging, generate_synthetic, split_dataset
+from idbal.data import SplitRows, SyntheticSpec, apply_logging, generate_synthetic, parse_sparse_dataset, split_dataset
 from idbal.estimators import BoundConfig
-from idbal.harness import log_split
-from idbal.hypotheses import LinearModel
+from idbal.harness import PolicySpec, RepeatData, log_split, prepare_repeat
+from idbal.hypotheses import CandidateSetExact, LinearModel, weighted_losses
 from idbal.learners import (
     ALGORITHMS,
     INFER,
     QUERY,
     SKIP,
     AlgoConfig,
+    RunResult,
     debias_rule,
     plan_partition,
     run_dbalw,
@@ -35,6 +37,8 @@ from idbal.policies import (
     fit_coarse_model,
 )
 from idbal.rng import derive_rng
+
+from reference import practical_passive, practical_run, prune_by_threshold, sparse_libsvm_text
 
 
 class TestPartitionPlan:
@@ -258,6 +262,15 @@ class TestPracticalRuns:
         assert nonfinite == 4
         assert digest.hexdigest() == "623d80a157a66b74a5f3d0af0520fbdd"
 
+    def test_width_mismatch_rejected(self):
+        # the run checks the rows' width once, before any row is scored
+        split, policy, logged = _practical_setup(5)
+        cfg = AlgoConfig(mode="practical", capacity=0.01, eta=0.01)
+        for dim in (5, 7):
+            for runner in ALGORITHMS.values():
+                with pytest.raises(ValueError, match="dimension"):
+                    runner(logged, split.online[:8], policy, LinearModel.zeros(dim), cfg, 0)
+
     def test_wrong_hypothesis_type_rejected(self):
         split, policy, logged = _practical_setup(5)
         hclass = random_instance(0).classifiers
@@ -285,6 +298,39 @@ class TestExactRuns:
                 assert set(rec.candidates_after) <= set(rec.candidates_before)
                 assert rec.erm_index in rec.candidates_after
                 previous = rec.candidates_after
+
+    def test_pruning_matches_the_member_loop(self):
+        # each recorded iteration again, member by member: rho as the mean
+        # disagreement with the ERM over the sample's table columns, the
+        # slack from the scalar bound, the pruning from a callable
+        pruned = 0
+        for seed in range(12):
+            inst, logged, online = self._world(seed, m=[9, 40, 400][seed % 3], n=[15, 31][seed % 2])
+            hclass = inst.classifiers
+            for gamma0 in np.geomspace(0.01, 4.0, 25).tolist():
+                cfg = AlgoConfig(mode="exact", delta=0.1, bound=BoundConfig(gamma0=gamma0), record_iterations=True)
+                bound = dataclasses.replace(cfg.bound, hypothesis_count=len(hclass))
+                for runner in (run_idbal, run_dbalwm, run_dbalw):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)  # alpha < 1 on the smallest worlds
+                        res = runner(logged, online, inst.logging_policy(), hclass, cfg, seed)
+                    for rec in res.iterations:
+                        before = CandidateSetExact(rec.candidates_before)
+                        losses = weighted_losses(hclass, rec.sample, before)
+                        if rec.sample.z.size:
+                            preds = hclass.labels[:, rec.sample.rows]
+                            rho = (preds[list(before.active)] != preds[rec.erm_index]).mean(axis=1)
+                        else:
+                            rho = np.zeros(len(before))
+                        slack_of = {
+                            index: math.inf if math.isinf(rec.sigma_value)
+                            else bound.gamma0 * (rec.sigma_value + math.sqrt(rec.sigma_value * r))
+                            for index, r in zip(before.active, rho.tolist())
+                        }
+                        expected = prune_by_threshold(before, losses, lambda i, best: slack_of[i])
+                        assert expected.active == rec.candidates_after
+                        pruned += len(rec.candidates_after) < len(rec.candidates_before)
+        assert pruned > 20
 
     def test_final_classifier_comes_from_last_candidate_set(self):
         inst, logged, online = self._world(3)
@@ -367,3 +413,76 @@ class TestIsWeighting:
         a = run_dbalw(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, 1, test_data=split.test)
         assert a.skipped_count == 0
         assert len(a.decisions) == 64
+
+
+# learner -> (weighting, debias) of the per-sample reference
+_REFERENCE_VARIANTS = {"idbal": ("mis", True), "dbalwm": ("mis", False), "dbalw": ("is", False)}
+
+
+class TestStoreScores:
+    """A practical iteration scores the run's store once with the weights fit
+    left and reads the sample, logged and online scores off that product.
+    Every run must equal the reference that copies and scores each sample's
+    rows on its own, field for field and bit for bit."""
+
+    @pytest.fixture(params=["dense", "shifted", "sparse", "diverging"])
+    def world(self, request):
+        """(kind, prepared split, policy, dim, (horizon, capacity, eta) grid)."""
+        grid = [(h, c, e) for h in (37, 128) for c in (0.64, 40.96, 655.36) for e in (0.0064, 0.0256)]
+        if request.param == "dense":
+            prepared, policy, _ = _practical_setup(12)
+            return request.param, prepared, policy, 6, grid
+        if request.param == "shifted":
+            # every online propensity lies below every logged one, so a
+            # logged floor xi that reads an online record moves
+            data = generate_synthetic(SyntheticSpec(count=600, dim=6, flip_prob=0.1, seed=13))
+            split = split_dataset(len(data), (0.2, 0.5), seed=14)
+            q0 = np.random.default_rng(15).choice([0.3, 0.6], len(split.logged))
+            prepared = RepeatData(
+                IdenticalPolicy(0.3),
+                SplitRows.from_labeled(data[split.logged], q0, apply_logging(q0, seed=16)),
+                SplitRows.from_labeled(data[split.online], np.full(len(split.online), 0.05)),
+                data[split.test],
+            )
+            return request.param, prepared, prepared.policy, 6, grid
+        text = sparse_libsvm_text(seed=5, rows=200, dim=12, nnz=6)
+        if request.param == "sparse":
+            spec = PolicySpec(name="uncertainty", calibration_target=0.1)
+        else:
+            # feature values reach 1e5, so the longer runs overflow to NaN
+            text = text.replace(":0.", ":99999.").replace(":-0.", ":-99999.")
+            spec = PolicySpec(name="identical", p=0.05)
+        data = parse_sparse_dataset(text)
+        prepared = prepare_repeat(data, spec, request.param, 11, 0, (0.2, 0.7))
+        grid = [(h, c, e) for h in (20, 48) for c in (0.64, 40.96) for e in (0.0064, 0.4096)]
+        return request.param, prepared, prepared.policy, data.dim, grid
+
+    def test_runs_match_the_per_sample_reference(self, world):
+        kind, prepared, policy, dim, grid = world
+        seen = {QUERY: 0, INFER: 0, SKIP: 0}
+        nonfinite = 0
+        for horizon, capacity, eta in grid:
+            cfg = AlgoConfig(mode="practical", capacity=capacity, eta=eta)
+            online = prepared.online[:horizon]
+            for name, runner in ALGORITHMS.items():
+                got = runner(prepared.logged, online, policy, LinearModel.zeros(dim), cfg, 3, test_data=prepared.test)
+                if name == "passive":
+                    want = practical_passive(prepared.logged, online, LinearModel.zeros(dim), cfg, 3, prepared.test)
+                else:
+                    weighting, debias = _REFERENCE_VARIANTS[name]
+                    want = practical_run(
+                        prepared.logged, online, LinearModel.zeros(dim), cfg, 3, prepared.test,
+                        weighting=weighting, debias=debias,
+                    )
+                for field in dataclasses.fields(RunResult):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    if field.name == "final_classifier":
+                        assert (a.weights.tobytes(), a.steps) == (b.weights.tobytes(), b.steps), (name, horizon)
+                    else:
+                        assert a == b, (field.name, name, horizon, capacity, eta)
+                for decision in got.decisions:
+                    seen[decision] += 1
+                nonfinite += not np.isfinite(got.final_classifier.weights).all()
+        # online propensities of 0.05 always pass the debiasing rule
+        assert seen[QUERY] > 0 and seen[INFER] > 0 and (seen[SKIP] > 0) == (kind in ("dense", "sparse"))
+        assert (nonfinite > 0) == (kind == "diverging")
