@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .data import SyntheticSpec, format_sparse_dataset, generate_synthetic
 from .harness import (
+    ProtocolResult,
     apply_overrides,
     config_to_experiment,
     datasets_from_config,
@@ -31,12 +32,12 @@ from .harness import (
     records_from_json,
     records_to_json,
     report,
+    run_point,
     run_protocol,
+    write_csv,
 )
-from .hypotheses import LinearModel
-from .learners import ALGORITHMS, AlgoConfig
+from .learners import ALGORITHMS
 from .oracle import run_verification_suite
-from .rng import child_seed
 
 
 def _load_config(args: argparse.Namespace, extra: list[str]) -> dict[str, str]:
@@ -75,29 +76,18 @@ def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
         print(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}", file=sys.stderr)
         return 2
     dataset = datasets_from_config(config)[0]
-    data = load_dataset(dataset)
     seed = int(config.get("seed", "0"))
     repeat = int(config.get("repeat", "0"))
     fractions = (float(config.get("split.test_fraction", "0.2")), float(config.get("split.logged_fraction", "0.5")))
-    prepared = prepare_repeat(data, policy_from_config(config), dataset.name, seed, repeat, fractions)
+    prepared = prepare_repeat(load_dataset(dataset), policy_from_config(config), dataset.name, seed, repeat, fractions)
     online = len(prepared.online)
     horizon = int(config.get("horizon", str(online)))
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     horizon = min(horizon, online)
-    run_cfg = AlgoConfig(
-        capacity=float(config.get("algo.capacity", "0.01")),
-        eta=float(config.get("algo.eta", "0.1")),
-    )
-    result = ALGORITHMS[algorithm](
-        prepared.logged,
-        prepared.online[:horizon],
-        prepared.policy,
-        LinearModel.zeros(data.dim),
-        run_cfg,
-        child_seed(seed, dataset.name, repeat, algorithm, run_cfg.capacity, run_cfg.eta, horizon),
-        test_data=prepared.test,
-    )
+    capacity = float(config.get("algo.capacity", "0.01"))
+    eta = float(config.get("algo.eta", "0.1"))
+    result = run_point(prepared, dataset.name, seed, repeat, algorithm, capacity, eta, horizon)
     print(f"dataset {dataset.name}: {len(prepared.logged)} logged ({int(prepared.logged.z.sum())} revealed), "
           f"{horizon} online, {len(prepared.test)} test")
     print(f"algorithm {algorithm}: {result.query_count} queries, "
@@ -106,15 +96,24 @@ def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
     print("trace (consumed, queries, test_error):")
     for point in result.trace:
         print(f"  {point.consumed:6d} {point.queries:6d} {point.test_error:.6g}")
-    out = _out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.csv"
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("consumed,queries,test_error\n")
-        for point in result.trace:
-            fh.write(f"{point.consumed},{point.queries},{point.test_error:.6g}\n")
+    trace_path = write_csv(
+        _out_dir(config) / "trace.csv",
+        ("consumed", "queries", "test_error"),
+        ((point.consumed, point.queries, f"{point.test_error:.6g}") for point in result.trace),
+    )
     print(f"trace written to {trace_path}")
     return 0
+
+
+def _print_best(result: ProtocolResult, paths: dict[str, Path]) -> None:
+    """Print each (dataset, algorithm)'s best grid point and where the
+    summary and curves went; sweep and report both end with this."""
+    for (dataset, algorithm), choice in sorted(result.best.items()):
+        cap = "-" if choice.capacity is None else f"{choice.capacity:.6g}"
+        print(f"{dataset:>16} {algorithm:>8}: best AUC {choice.auc:.6g} "
+              f"(C={cap}, eta={choice.eta:.6g})")
+    print(f"summary written to {paths['summary']}")
+    print(f"curves written to {paths['curves']}")
 
 
 def _cmd_sweep(args: argparse.Namespace, extra: list[str]) -> int:
@@ -123,14 +122,8 @@ def _cmd_sweep(args: argparse.Namespace, extra: list[str]) -> int:
     result = run_protocol(experiment)
     out = _out_dir(config)
     paths = report(result, out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "records.json").write_text(records_to_json(result.records), encoding="utf-8")
-    for (dataset, algorithm), choice in sorted(result.best.items()):
-        cap = "-" if choice.capacity is None else f"{choice.capacity:.6g}"
-        print(f"{dataset:>16} {algorithm:>8}: best AUC {choice.auc:.6g} "
-              f"(C={cap}, eta={choice.eta:.6g})")
-    print(f"summary written to {paths['summary']}")
-    print(f"curves written to {paths['curves']}")
+    _print_best(result, paths)
     print(f"records written to {out / 'records.json'}")
     return 0
 
@@ -142,14 +135,11 @@ def _cmd_verify(args: argparse.Namespace, extra: list[str]) -> int:
         fixtures=int(config.get("verify.fixtures", str(args.fixtures))),
         trials=int(config.get("verify.trials", str(args.trials))),
     )
-    out = _out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    checks_path = out / "checks.csv"
-    with open(checks_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("name,passed,statistic,threshold,details\n")
-        for row in rows:
-            fh.write(f"{row.name},{int(row.passed)},{row.statistic:.6g},"
-                     f"{row.threshold:.6g},{row.details}\n")
+    checks_path = write_csv(
+        _out_dir(config) / "checks.csv",
+        ("name", "passed", "statistic", "threshold", "details"),
+        ((row.name, int(row.passed), f"{row.statistic:.6g}", f"{row.threshold:.6g}", row.details) for row in rows),
+    )
     failures = [row for row in rows if not row.passed]
     for row in rows:
         mark = "ok " if row.passed else "FAIL"
@@ -163,14 +153,7 @@ def _cmd_report(args: argparse.Namespace, extra: list[str]) -> int:
     config = _load_config(args, extra)
     records = records_from_json(Path(args.records).read_text(encoding="utf-8"))
     result = rebuild_result(records)
-    out = _out_dir(config)
-    paths = report(result, out)
-    for (dataset, algorithm), choice in sorted(result.best.items()):
-        cap = "-" if choice.capacity is None else f"{choice.capacity:.6g}"
-        print(f"{dataset:>16} {algorithm:>8}: best AUC {choice.auc:.6g} "
-              f"(C={cap}, eta={choice.eta:.6g})")
-    print(f"summary written to {paths['summary']}")
-    print(f"curves written to {paths['curves']}")
+    _print_best(result, report(result, _out_dir(config)))
     return 0
 
 

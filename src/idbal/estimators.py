@@ -20,30 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BoundConfig",
     "WeightedSample",
     "mis_error",
     "sigma",
     "delta_bound",
 ]
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    """Constants of the deviation bound: the scale factor gamma0 of the
-    candidate-set threshold, the class size and the failure probability."""
-
-    gamma0: float = 1.0
-    hypothesis_count: int = 2
-    delta: float = 0.1
-
-    def __post_init__(self):
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
-        if self.hypothesis_count < 1:
-            raise ValueError("hypothesis_count must be at least 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -114,32 +95,39 @@ def mis_error(predictions, sample: WeightedSample) -> float:
     return float(np.cumsum(np.append(0.0, 1.0 / sample.denominator[wrong]))[-1])
 
 
-def sigma(sizes: tuple[int, int], xi: float, cfg: BoundConfig) -> float:
+def sigma(sizes: tuple[int, int], xi: float, hypothesis_count: int, delta: float) -> float:
     """Deviation scale ln(hypothesis_count / delta) / (m*xi + n) where xi
-    lower-bounds the logging propensity over the region of interest."""
+    lower-bounds the logging propensity over the region of interest and
+    delta is the failure probability."""
     m, n = sizes
     if m < 0 or n < 0:
         raise ValueError("phase sizes cannot be negative")
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must be a probability")
+    if hypothesis_count < 1:
+        raise ValueError("hypothesis_count must be at least 1")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     denominator = m * xi + n
     if denominator <= 0.0:
         raise ValueError("zero effective sample size (empty-segment configuration)")
-    return math.log(cfg.hypothesis_count / cfg.delta) / denominator
+    return math.log(hypothesis_count / delta) / denominator
 
 
-def delta_bound(sigma_value: float, rho, cfg: BoundConfig):
+def delta_bound(sigma_value: float, rho, gamma0: float):
     """Candidate-set slack gamma0 * (sigma + sqrt(sigma * rho)), elementwise
-    over rho (a number or an array).
+    over rho (a number or an array); gamma0 scales the threshold.
 
     Nondecreasing in both arguments; an infinite sigma yields an infinite
     slack (no filtering) rather than a NaN.
     """
     rho = np.asarray(rho, dtype=float)
+    if gamma0 <= 0:
+        raise ValueError("gamma0 must be positive")
     if sigma_value < 0.0:
         raise ValueError("sigma must be nonnegative")
     if not ((0.0 <= rho) & (rho <= 1.0)).all():
         raise ValueError("rho is a disagreement fraction in [0, 1]")
     if math.isinf(sigma_value):
         return np.full(rho.shape, math.inf)[()]
-    return cfg.gamma0 * (sigma_value + np.sqrt(sigma_value * rho))
+    return gamma0 * (sigma_value + np.sqrt(sigma_value * rho))

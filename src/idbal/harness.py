@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import itertools
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -34,7 +36,7 @@ from .data import (
     split_dataset,
 )
 from .hypotheses import LinearModel, ogd_memo
-from .learners import ALGORITHMS, AlgoConfig
+from .learners import ALGORITHMS, AlgoConfig, RunResult
 from .policies import (
     CertaintyPolicy,
     IdenticalPolicy,
@@ -65,17 +67,21 @@ __all__ = [
     "load_dataset",
     "log_split",
     "prepare_repeat",
+    "run_point",
     "horizon_schedule",
     "run_protocol",
     "auc",
     "aggregate_curves",
+    "grid_order",
     "best_auc",
     "per_seed_best_auc",
     "pairwise_wins",
+    "write_csv",
     "report",
     "records_to_json",
     "records_from_json",
     "parse_config_text",
+    "CONFIG_KEYS",
     "apply_overrides",
     "config_to_experiment",
     "default_output_dir",
@@ -297,6 +303,33 @@ def _data_digest(prepared: RepeatData) -> str:
     return digest.hexdigest()
 
 
+def run_point(
+    prepared: RepeatData,
+    dataset: str,
+    master_seed: int,
+    repeat: int,
+    algorithm: str,
+    capacity: float | None,
+    eta: float,
+    horizon: int,
+) -> RunResult:
+    """One practical run of algorithm at grid point (capacity, eta) on the
+    first horizon online records of a prepared repeat, from a zero model,
+    scored on the repeat's test rows. The seed derives from the whole grid
+    point; passive's capacity is None and runs at the default C, which it
+    never reads. The runner is looked up in ALGORITHMS at call time."""
+    run_cfg = AlgoConfig(capacity=0.01 if capacity is None else capacity, eta=eta)
+    return ALGORITHMS[algorithm](
+        prepared.logged,
+        prepared.online[:horizon],
+        prepared.policy,
+        LinearModel.zeros(prepared.test.dim),
+        run_cfg,
+        child_seed(master_seed, dataset, repeat, algorithm, capacity, eta, horizon),
+        test_data=prepared.test,
+    )
+
+
 def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: LabeledRows, repeat: int) -> list[RunRecord]:
     """Every run of one repeat, eta outermost: each eta's runs share one
     ogd_memo() block, so a gradient pass that recurs across algorithms, C
@@ -311,26 +344,11 @@ def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: LabeledRows, rep
     for e, eta in enumerate(cfg.eta_grid):
         with ogd_memo():
             for a, algorithm in enumerate(cfg.algorithms):
-                runner = ALGORITHMS[algorithm]
                 capacities = (None,) if algorithm == "passive" else cfg.capacity_grid
                 for c, capacity in enumerate(capacities):
                     for index, horizon in enumerate(horizons):
-                        run_cfg = AlgoConfig(
-                            mode="practical",
-                            capacity=capacity if capacity is not None else 0.01,
-                            eta=eta,
-                        )
-                        seed = child_seed(
-                            cfg.master_seed, spec.name, repeat, algorithm, capacity, eta, horizon
-                        )
-                        result = runner(
-                            prepared.logged,
-                            prepared.online[:horizon],
-                            prepared.policy,
-                            LinearModel.zeros(data.dim),
-                            run_cfg,
-                            seed,
-                            test_data=prepared.test,
+                        result = run_point(
+                            prepared, spec.name, cfg.master_seed, repeat, algorithm, capacity, eta, horizon
                         )
                         outcomes[a, c, e, index] = RunRecord(
                             dataset=spec.name,
@@ -347,11 +365,6 @@ def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: LabeledRows, rep
     return [outcomes[key] for key in sorted(outcomes)]
 
 
-def _repeat_task(payload: tuple) -> list[RunRecord]:
-    cfg, spec, data, repeat = payload
-    return _run_repeat(cfg, spec, data, repeat)
-
-
 def run_protocol(cfg: ExperimentConfig) -> ProtocolResult:
     """Execute the full paired protocol and aggregate curves, AUCs, and the
     per-algorithm best grid points. Deterministic in cfg.master_seed
@@ -359,17 +372,13 @@ def run_protocol(cfg: ExperimentConfig) -> ProtocolResult:
     tasks = []
     for spec in cfg.datasets:
         data = load_dataset(spec)
-        for repeat in range(cfg.repeats):
-            tasks.append((cfg, spec, data, repeat))
-    records: list[RunRecord] = []
+        tasks.extend((cfg, spec, data, repeat) for repeat in range(cfg.repeats))
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for chunk in pool.map(_repeat_task, tasks):
-                records.extend(chunk)
+            chunks = list(pool.map(_run_repeat, *zip(*tasks)))
     else:
-        for task in tasks:
-            records.extend(_repeat_task(task))
-    return rebuild_result(records)
+        chunks = [_run_repeat(*task) for task in tasks]
+    return rebuild_result(record for chunk in chunks for record in chunk)
 
 
 def aggregate_curves(records: Iterable[RunRecord]) -> dict:
@@ -417,19 +426,20 @@ EXAMPLE_CURVE: tuple[CurvePoint, ...] = (
 EXAMPLE_CURVE_AREA: float = 15.0
 
 
+def grid_order(capacity: float | None, eta: float) -> tuple[float, float]:
+    """Sort key of a grid point: passive's None capacity first, then C,
+    then eta. Best-point ties and report rows both follow it."""
+    return (-math.inf if capacity is None else capacity, eta)
+
+
 def best_auc(aucs: dict, dataset: str, algorithm: str) -> BestChoice:
-    """Smallest AUC over the grid; ties break toward the smallest
-    (capacity, eta) pair."""
-    entries = [
-        (value, key[2] if key[2] is not None else -1.0, key[3])
-        for key, value in aucs.items()
-        if key[0] == dataset and key[1] == algorithm
-    ]
-    if not entries:
+    """Smallest AUC over the grid; ties break toward the first grid point
+    in grid_order."""
+    keys = [key for key in aucs if key[:2] == (dataset, algorithm)]
+    if not keys:
         raise ValueError(f"no runs recorded for {dataset}/{algorithm}")
-    value, cap_key, eta = min(entries)
-    capacity = None if cap_key == -1.0 else cap_key
-    return BestChoice(capacity=capacity, eta=eta, auc=value)
+    best = min(keys, key=lambda key: (aucs[key], grid_order(key[2], key[3])))
+    return BestChoice(capacity=best[2], eta=best[3], auc=aucs[best])
 
 
 def _fmt(value: float | None) -> str:
@@ -438,69 +448,64 @@ def _fmt(value: float | None) -> str:
     return format(float(value), ".6g")
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
+    """Write a header and rows of cells, comma-joined, as UTF-8 lines
+    ending in LF, making the parent directory; cells come preformatted."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+    return path
+
+
 def report(result: ProtocolResult, out_dir: str | Path) -> dict[str, Path]:
-    """Write summary.csv (best grid point per dataset and algorithm) and
-    curves.csv (every raw run). UTF-8, LF, 6 significant digits; re-running
-    the same protocol writes byte-identical files."""
+    """Write summary.csv (best grid point per dataset and algorithm),
+    curves.csv (every raw run) and pairwise.csv (paired win rates). UTF-8,
+    LF, 6 significant digits; re-running the same protocol writes
+    byte-identical files."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary_path = out / "summary.csv"
-    curves_path = out / "curves.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dataset,algorithm,best_auc,best_C,best_eta\n")
-        for (dataset, algorithm), choice in sorted(result.best.items()):
-            fh.write(
-                f"{dataset},{algorithm},{_fmt(choice.auc)},{_fmt(choice.capacity)},{_fmt(choice.eta)}\n"
-            )
-    with open(curves_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dataset,algorithm,repeat,horizon,queries,test_error\n")
-        ordered = sorted(
-            result.records,
-            key=lambda r: (
-                r.dataset,
-                r.algorithm,
-                r.capacity if r.capacity is not None else -1.0,
-                r.eta,
-                r.repeat,
-                r.horizon_index,
-            ),
-        )
-        for r in ordered:
-            fh.write(
-                f"{r.dataset},{r.algorithm},{r.repeat},{r.horizon},{r.queries},{_fmt(r.test_error)}\n"
-            )
-    pairwise_path = out / "pairwise.csv"
-    with open(pairwise_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dataset,algorithm_a,algorithm_b,wins_a,repeats,fraction\n")
-        for dataset in sorted({r.dataset for r in result.records}):
-            table = pairwise_wins(result.records, dataset)
-            for (a, b), (wins, total) in sorted(table.items()):
-                fh.write(f"{dataset},{a},{b},{wins},{total},{_fmt(wins / total)}\n")
-    return {"summary": summary_path, "curves": curves_path, "pairwise": pairwise_path}
+    ordered = sorted(
+        result.records,
+        key=lambda r: (r.dataset, r.algorithm, *grid_order(r.capacity, r.eta), r.repeat, r.horizon_index),
+    )
+    pairwise = (
+        (dataset, a, b, wins, total, _fmt(wins / total))
+        for dataset in sorted({r.dataset for r in result.records})
+        for (a, b), (wins, total) in sorted(pairwise_wins(result.records, dataset).items())
+    )
+    return {
+        "summary": write_csv(
+            out / "summary.csv",
+            ("dataset", "algorithm", "best_auc", "best_C", "best_eta"),
+            ((d, a, _fmt(c.auc), _fmt(c.capacity), _fmt(c.eta)) for (d, a), c in sorted(result.best.items())),
+        ),
+        "curves": write_csv(
+            out / "curves.csv",
+            ("dataset", "algorithm", "repeat", "horizon", "queries", "test_error"),
+            ((r.dataset, r.algorithm, r.repeat, r.horizon, r.queries, _fmt(r.test_error)) for r in ordered),
+        ),
+        "pairwise": write_csv(
+            out / "pairwise.csv",
+            ("dataset", "algorithm_a", "algorithm_b", "wins_a", "repeats", "fraction"),
+            pairwise,
+        ),
+    }
 
 
 def per_seed_best_auc(records: Iterable[RunRecord], dataset: str, algorithm: str) -> dict[int, float]:
-    """For each repeat: the smallest per-repeat curve area over the grid.
-
-    The per-repeat curve is (queries, test_error) across horizons, sorted by
-    query count. This is the paired quantity: two algorithms' values at the
-    same repeat index saw the same split and logging realization.
+    """For each repeat: the best area over the grid, scored by
+    rebuild_result on that repeat's records alone, so each curve is the
+    repeat's own (queries, test_error) points. This is the paired quantity:
+    two algorithms' values at the same repeat index saw the same split and
+    logging realization.
     """
-    by_param: dict[tuple, dict[int, list[RunRecord]]] = {}
-    for record in records:
-        if record.dataset != dataset or record.algorithm != algorithm:
-            continue
-        by_param.setdefault((record.capacity, record.eta), {}).setdefault(record.repeat, []).append(record)
-    best: dict[int, float] = {}
-    for param_runs in by_param.values():
-        for repeat, rows in param_runs.items():
-            rows = sorted(rows, key=lambda r: r.horizon_index)
-            points = [CurvePoint(r.horizon_index, float(r.queries), r.test_error) for r in rows]
-            points.sort(key=lambda p: (p.n_bar, p.horizon_index))
-            value = auc(points)
-            if repeat not in best or value < best[repeat]:
-                best[repeat] = value
-    return best
+    mine = [r for r in records if r.dataset == dataset and r.algorithm == algorithm]
+    return {
+        repeat: rebuild_result(r for r in mine if r.repeat == repeat).best[dataset, algorithm].auc
+        for repeat in dict.fromkeys(r.repeat for r in mine)
+    }
 
 
 def pairwise_wins(records: Iterable[RunRecord], dataset: str) -> dict[tuple[str, str], tuple[int, int]]:
@@ -510,14 +515,10 @@ def pairwise_wins(records: Iterable[RunRecord], dataset: str) -> dict[tuple[str,
     algorithms = sorted({r.algorithm for r in records})
     per_algo = {a: per_seed_best_auc(records, dataset, a) for a in algorithms}
     out: dict[tuple[str, str], tuple[int, int]] = {}
-    for a in algorithms:
-        for b in algorithms:
-            if a == b:
-                continue
-            shared = sorted(set(per_algo[a]) & set(per_algo[b]))
-            wins = sum(1 for k in shared if per_algo[a][k] < per_algo[b][k])
-            if shared:
-                out[(a, b)] = (wins, len(shared))
+    for a, b in itertools.permutations(algorithms, 2):
+        shared = set(per_algo[a]) & set(per_algo[b])
+        if shared:
+            out[a, b] = (sum(per_algo[a][k] < per_algo[b][k] for k in shared), len(shared))
     return out
 
 
@@ -558,8 +559,22 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+# every key a command reads: the README's config table, plus the repeat
+# that `idbal run` prepares
+CONFIG_KEYS = frozenset((
+    "data.source", "data.path", "data.count", "data.dim", "data.flip_prob", "data.seed",
+    "policy.name", "policy.p", "policy.p0", "policy.p1", "policy.p2", "policy.group_seed",
+    "policy.scale", "policy.target", "policy.coarse_fraction", "policy.table",
+    "split.test_fraction", "split.logged_fraction", "algo.name", "algo.capacity", "algo.eta",
+    "horizon", "repeat", "repeats", "sweep.algorithms", "sweep.capacity_grid", "sweep.eta_grid",
+    "sweep.horizon_base", "sweep.horizon_growth", "verify.fixtures", "verify.trials",
+    "seed", "workers", "out",
+))
+
+
 def apply_overrides(config: dict[str, str], pairs: Sequence[str]) -> dict[str, str]:
-    """Overlay '--key value' pairs from the command line onto a config dict."""
+    """Overlay '--key value' pairs from the command line onto a config dict;
+    a key outside CONFIG_KEYS, from either source, is an error."""
     merged = dict(config)
     if len(pairs) % 2 != 0:
         raise ValueError("overrides must come in '--key value' pairs")
@@ -567,6 +582,9 @@ def apply_overrides(config: dict[str, str], pairs: Sequence[str]) -> dict[str, s
         if not flag.startswith("--"):
             raise ValueError(f"expected '--key', got {flag!r}")
         merged[flag[2:]] = value
+    unknown = sorted(set(merged) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
     return merged
 
 

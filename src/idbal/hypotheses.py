@@ -276,9 +276,6 @@ class CandidateSetExact:
     def __len__(self) -> int:
         return len(self.active)
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.active
-
 
 def classification_error(model: LinearModel, data: LabeledRows) -> float:
     """Plain 0-1 error of a linear model on labeled rows, from one sparse

@@ -24,20 +24,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse
 
 from .data import Example, LabeledRows, LoggedTriple, SplitRows
-from .estimators import (
-    BoundConfig,
-    WeightedSample,
-    delta_bound,
-    mis_error,
-    sigma,
-)
+from .estimators import WeightedSample, delta_bound, mis_error, sigma
 from .hypotheses import (
     CandidateSetExact,
     FiniteClass,
@@ -152,14 +146,15 @@ class AlgoConfig:
     """Knobs shared by all learners.
 
     mode selects the hypothesis representation: "exact" drives a FiniteClass
-    with delta/bound, "practical" drives a LinearModel with capacity (the
+    with delta (the failure probability) and gamma0 (the scale of the
+    candidate-set slack), "practical" drives a LinearModel with capacity (the
     tuned stand-in for the log-class-size term) and eta (gradient schedule).
     record_iterations keeps the exact mode's per-iteration audit trail.
     """
 
     mode: str = "practical"
     delta: float = 0.1
-    bound: BoundConfig = field(default_factory=BoundConfig)
+    gamma0: float = 1.0
     capacity: float = 0.01
     eta: float = 0.1
     record_iterations: bool = False
@@ -169,6 +164,8 @@ class AlgoConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if self.gamma0 <= 0:
+            raise ValueError("gamma0 must be positive")
         if not (0.0 < self.capacity < math.inf and 0.0 < self.eta < math.inf):
             raise ValueError("capacity and eta must be positive and finite")
 
@@ -227,7 +224,6 @@ class _ExactSteps:
     def __init__(self, hclass: FiniteClass, cfg: AlgoConfig, pool_q0: np.ndarray, positions: np.ndarray):
         self.hclass = hclass
         self.cfg = cfg
-        self.bound = replace(cfg.bound, hypothesis_count=len(hclass))
         self.pool = np.arange(len(hclass.pool))
         self.pool_q0 = pool_q0
         self.positions = positions
@@ -247,7 +243,7 @@ class _ExactSteps:
         hclass, erm_index = self.hclass, self.erm_index
         delta_k = self.cfg.delta / ((k + 1) * (k + 2))
         if mk * xi + nk > 0.0:
-            sigma_value = sigma((mk, nk), xi, replace(self.bound, delta=delta_k / 2.0))
+            sigma_value = sigma((mk, nk), xi, len(hclass), delta_k / 2.0)
         else:
             sigma_value = math.inf
         before = self.candidates.active
@@ -255,7 +251,7 @@ class _ExactSteps:
         # integer over the sample size, as a mean gives, and 0 on no sample
         counts = np.bincount(sample.rows, minlength=len(hclass.pool))
         rho = (hclass.labels[list(before)] != hclass.labels[erm_index]) @ counts / max(sample.z.size, 1)
-        self.candidates = prune_candidates(self.candidates, self.losses, delta_bound(sigma_value, rho, self.bound))
+        self.candidates = prune_candidates(self.candidates, self.losses, delta_bound(sigma_value, rho, self.cfg.gamma0))
         pool_mask = exact_dis_test(hclass, self.candidates, self.pool)
         xi_next = float(self.pool_q0[pool_mask].min()) if pool_mask.any() else 1.0
         if self.iterations is not None:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic, split_dataset
-from idbal.estimators import BoundConfig
 from idbal.harness import (
     EXAMPLE_CURVE,
     EXAMPLE_CURVE_AREA,
@@ -102,7 +101,7 @@ class TestAcceptance:
             rng = derive_rng(seed, "exact-world")
             logged = instance.draw_logged(rng, 800)
             online = instance.draw_examples(rng, 63)
-            cfg = AlgoConfig(mode="exact", delta=0.1, bound=BoundConfig(gamma0=0.5),
+            cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5,
                              record_iterations=True)
             result = run_idbal(logged, online, instance.logging_policy(),
                                instance.classifiers, cfg, seed)

@@ -2,11 +2,14 @@
 config file plumbing, inline overrides, and error exit codes."""
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from idbal.cli import main
 from idbal.data import parse_sparse_dataset
-from idbal.harness import OUTPUT_DIR_ENV
+from idbal.harness import CONFIG_KEYS, OUTPUT_DIR_ENV
 
 SWEEP_CONFIG = """
 # tiny paired sweep
@@ -82,6 +85,18 @@ class TestRun:
     def test_passive_runs_too(self, tmp_path, capsys):
         assert main(self._args(tmp_path, "--algo.name", "passive")) == 0
         assert "algorithm passive" in capsys.readouterr().out
+
+    def test_matches_the_sweep_at_the_same_grid_point(self, sweep_out, tmp_path):
+        # run and sweep make a grid point's run through one path, so the
+        # trace's last row is the sweep's record for that repeat and horizon
+        curves = (sweep_out / "curves.csv").read_text(encoding="utf-8").splitlines()
+        for algorithm, repeat, horizon in (("idbal", "1", "16"), ("passive", "0", "64")):
+            args = ["run", "--data.count", "240", "--data.dim", "4", "--data.seed", "3", "--policy.name", "identical",
+                    "--policy.p", "0.5", "--seed", "7", "--repeat", repeat, "--algo.name", algorithm,
+                    "--algo.capacity", "0.64", "--algo.eta", "0.0064", "--horizon", horizon, "--out", str(tmp_path)]
+            assert main(args) == 0
+            last = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()[-1]
+            assert f"synthetic,{algorithm},{repeat},{last}" in curves
 
     def test_unknown_algorithm_exits_two(self, tmp_path, capsys):
         assert main(self._args(tmp_path, "--algo.name", "boosting")) == 2
@@ -179,6 +194,38 @@ class TestVerify:
         assert code == 2
         assert "error: trials must be at least 2" in capsys.readouterr().err
         assert not (tmp_path / "checks.csv").exists()
+
+
+class TestUnknownKeys:
+    def test_misspelt_run_key_exits_two_before_running(self, tmp_path, capsys):
+        assert main(["run", "--algo.capcity", "5", "--out", str(tmp_path / "run")]) == 2
+        assert "unknown config key 'algo.capcity'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_misspelt_verify_flag_exits_two_before_checking(self, tmp_path, capsys):
+        assert main(["verify", "--trails", "5", "--out", str(tmp_path / "verify")]) == 2
+        captured = capsys.readouterr()
+        assert "unknown config key 'trails'" in captured.err
+        assert "checks passed" not in captured.out
+        assert not (tmp_path / "verify").exists()
+
+    def test_unknown_key_in_config_file_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SWEEP_CONFIG + "sweep.repeats = 3\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep")]) == 2
+        assert "unknown config key 'sweep.repeats'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_known_keys_are_the_readme_table_plus_repeat(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+        documented = {
+            key
+            for line in table.splitlines()
+            if line.startswith("| `")
+            for key in re.findall(r"`([a-z_.0-9]+)`", line.split("|")[1])
+        }
+        assert CONFIG_KEYS == documented | {"repeat"}
 
 
 class TestParserErrors:

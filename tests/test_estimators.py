@@ -8,13 +8,13 @@ import pytest
 
 from idbal.data import FeatureVector
 from idbal.estimators import (
-    BoundConfig,
     WeightedSample,
     delta_bound,
     mis_error,
     sigma,
 )
 from idbal.hypotheses import LinearModel
+from idbal.learners import AlgoConfig
 
 from reference import predict, stack_rows
 
@@ -153,47 +153,39 @@ class TestMisError:
 
 class TestBounds:
     def test_sigma_hand_value(self):
-        cfg = BoundConfig(hypothesis_count=8, delta=0.5)
         # ln(8 / 0.5) / (2 * 1 + 2) = ln(16) / 4
-        np.testing.assert_allclose(sigma((2, 2), 1.0, cfg), math.log(16.0) / 4.0)
+        np.testing.assert_allclose(sigma((2, 2), 1.0, 8, 0.5), math.log(16.0) / 4.0)
 
     def test_sigma_zero_mass_rejected(self):
-        cfg = BoundConfig(hypothesis_count=4, delta=0.5)
         with pytest.raises(ValueError):
-            sigma((0, 0), 0.5, cfg)
+            sigma((0, 0), 0.5, 4, 0.5)
 
     def test_sigma_decreasing_in_sample_size(self):
-        cfg = BoundConfig(hypothesis_count=8, delta=0.1)
-        values = [sigma((m, m), 0.5, cfg) for m in (1, 2, 4, 8, 16)]
+        values = [sigma((m, m), 0.5, 8, 0.1) for m in (1, 2, 4, 8, 16)]
         assert values == sorted(values, reverse=True)
 
     def test_delta_bound_hand_value(self):
-        cfg = BoundConfig(gamma0=1.0)
         # 0.25 + sqrt(0.25 * 0.25) = 0.5
-        np.testing.assert_allclose(delta_bound(0.25, 0.25, cfg), 0.5)
+        np.testing.assert_allclose(delta_bound(0.25, 0.25, 1.0), 0.5)
 
     def test_delta_bound_scales_with_gamma(self):
-        cfg = BoundConfig(gamma0=2.0)
-        np.testing.assert_allclose(delta_bound(0.25, 0.25, cfg), 1.0)
+        np.testing.assert_allclose(delta_bound(0.25, 0.25, 2.0), 1.0)
 
     def test_delta_bound_infinite_sigma(self):
-        cfg = BoundConfig(gamma0=1.0)
-        assert delta_bound(math.inf, 0.3, cfg) == math.inf
-        assert delta_bound(math.inf, np.array([0.0, 0.3, 1.0]), cfg).tolist() == [math.inf] * 3
+        assert delta_bound(math.inf, 0.3, 1.0) == math.inf
+        assert delta_bound(math.inf, np.array([0.0, 0.3, 1.0]), 1.0).tolist() == [math.inf] * 3
 
     def test_delta_bound_over_an_array_matches_the_scalar_loop(self):
         rng = np.random.default_rng(5)
         rho = np.concatenate(([0.0, 1.0], rng.random(200), rng.integers(0, 97, 50) / 97))
         for gamma0 in (0.3, 1.0, 2.5):
-            cfg = BoundConfig(gamma0=gamma0)
             for sigma_value in (0.0, 1e-12, 0.0173, 0.5, 3.0, 1e300):
-                slack = delta_bound(sigma_value, rho, cfg)
+                slack = delta_bound(sigma_value, rho, gamma0)
                 loop = [gamma0 * (sigma_value + math.sqrt(sigma_value * r)) for r in rho.tolist()]
                 assert slack.tolist() == loop
-                assert [delta_bound(sigma_value, r, cfg) for r in rho.tolist()] == loop
+                assert [delta_bound(sigma_value, r, gamma0) for r in rho.tolist()] == loop
 
     def test_delta_bound_checks_its_arguments(self):
-        cfg = BoundConfig()
         for sigma_value, rho in (
             (-0.1, 0.5),
             (-0.1, np.array([0.5])),
@@ -206,12 +198,17 @@ class TestBounds:
             (math.inf, np.array([math.nan])),
         ):
             with pytest.raises(ValueError):
-                delta_bound(sigma_value, rho, cfg)
+                delta_bound(sigma_value, rho, 1.0)
 
     def test_bound_config_validation(self):
-        with pytest.raises(ValueError):
-            BoundConfig(gamma0=0.0)
-        with pytest.raises(ValueError):
-            BoundConfig(delta=0.0)
-        with pytest.raises(ValueError):
-            BoundConfig(hypothesis_count=0)
+        # the bound's constants: gamma0 > 0, delta in (0, 1), at least one hypothesis
+        for gamma0 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="gamma0"):
+                delta_bound(0.25, 0.25, gamma0)
+            with pytest.raises(ValueError, match="gamma0"):
+                AlgoConfig(gamma0=gamma0)
+        for delta in (0.0, 1.0):
+            with pytest.raises(ValueError, match="delta"):
+                sigma((2, 2), 0.5, 8, delta)
+        with pytest.raises(ValueError, match="hypothesis_count"):
+            sigma((2, 2), 0.5, 0, 0.5)

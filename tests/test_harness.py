@@ -497,8 +497,10 @@ class TestReport:
         digest = lambda blob: hashlib.blake2b(blob, digest_size=16).hexdigest()
         assert digest(second["curves"]) == "d34ee9b674a5fd84e390c9f907a56c90"
         assert digest(second["summary"]) == "e66c2ab346d0eee21853466776270837"
+        assert digest(second["pairwise"]) == "4926e2e1da8a85169bf0a2425563eb69"
         assert digest(third["curves"]) == "d0c70be534c3d74b7dd795f3b7a9ca5f"
         assert digest(third["summary"]) == "49cfaa49746f2a447c0c3fb5e69c2c3d"
+        assert digest(third["pairwise"]) == "cd6c9f574a5dd191e9f91843ec0ea9ee"
 
     def test_records_json_round_trip(self, tiny_protocol):
         cfg, result = tiny_protocol

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from idbal.data import SplitRows, SyntheticSpec, apply_logging, generate_synthetic, parse_sparse_dataset, split_dataset
-from idbal.estimators import BoundConfig
 from idbal.harness import PolicySpec, RepeatData, log_split, prepare_repeat
 from idbal.hypotheses import CandidateSetExact, LinearModel, weighted_losses
 from idbal.learners import (
@@ -290,7 +289,7 @@ class TestExactRuns:
     def test_candidates_nested_and_erm_retained(self):
         for seed in range(8):
             inst, logged, online = self._world(seed)
-            cfg = AlgoConfig(mode="exact", delta=0.1, bound=BoundConfig(gamma0=0.5), record_iterations=True)
+            cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5, record_iterations=True)
             res = run_idbal(logged, online, inst.logging_policy(), inst.classifiers, cfg, seed)
             previous = tuple(range(len(inst.classifiers)))
             for rec in res.iterations:
@@ -308,8 +307,7 @@ class TestExactRuns:
             inst, logged, online = self._world(seed, m=[9, 40, 400][seed % 3], n=[15, 31][seed % 2])
             hclass = inst.classifiers
             for gamma0 in np.geomspace(0.01, 4.0, 25).tolist():
-                cfg = AlgoConfig(mode="exact", delta=0.1, bound=BoundConfig(gamma0=gamma0), record_iterations=True)
-                bound = dataclasses.replace(cfg.bound, hypothesis_count=len(hclass))
+                cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=gamma0, record_iterations=True)
                 for runner in (run_idbal, run_dbalwm, run_dbalw):
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", UserWarning)  # alpha < 1 on the smallest worlds
@@ -324,7 +322,7 @@ class TestExactRuns:
                             rho = np.zeros(len(before))
                         slack_of = {
                             index: math.inf if math.isinf(rec.sigma_value)
-                            else bound.gamma0 * (rec.sigma_value + math.sqrt(rec.sigma_value * r))
+                            else gamma0 * (rec.sigma_value + math.sqrt(rec.sigma_value * r))
                             for index, r in zip(before.active, rho.tolist())
                         }
                         expected = prune_by_threshold(before, losses, lambda i, best: slack_of[i])
@@ -334,7 +332,7 @@ class TestExactRuns:
 
     def test_final_classifier_comes_from_last_candidate_set(self):
         inst, logged, online = self._world(3)
-        cfg = AlgoConfig(mode="exact", delta=0.1, bound=BoundConfig(gamma0=0.5), record_iterations=True)
+        cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5, record_iterations=True)
         res = run_idbal(logged, online, inst.logging_policy(), inst.classifiers, cfg, 3)
         assert res.final_classifier.index in res.iterations[-1].candidates_after
 
@@ -343,7 +341,7 @@ class TestExactRuns:
         # where by definition every surviving candidate predicts alike
         for seed in range(6):
             inst, logged, online = self._world(seed, m=600, n=63)
-            cfg = AlgoConfig(mode="exact", delta=0.1, bound=BoundConfig(gamma0=0.5), record_iterations=True)
+            cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5, record_iterations=True)
             res = run_idbal(logged, online, inst.logging_policy(), inst.classifiers, cfg, seed)
             # candidate sets only shrink, so unanimity inside the final set
             # is implied by unanimity inside whichever set was active at the
@@ -373,7 +371,7 @@ class TestExactRuns:
         for ex in inst.draw_examples(rng, 200):
             logged.append(LoggedTriple(ex.x, 1, ex.y))
         online = inst.draw_examples(rng, 15)
-        cfg = AlgoConfig(mode="exact", delta=0.1, bound=BoundConfig(gamma0=0.5))
+        cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5)
         a = run_idbal(logged, online, policy, inst.classifiers, cfg, 1)
         b = run_dbalwm(logged, online, policy, inst.classifiers, cfg, 1)
         assert a.decisions == b.decisions
@@ -387,7 +385,7 @@ class TestExactRuns:
         # The worlds query, impute and skip, so each path is covered.
         digest = hashlib.blake2b(digest_size=16)
         seen = {QUERY: 0, INFER: 0, SKIP: 0}
-        cfg = AlgoConfig(mode="exact", delta=0.1, bound=BoundConfig(gamma0=0.25))
+        cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.25)
         for seed in range(8):
             inst = random_instance(seed, pool_size=6, class_size=16, force_low_propensity=seed % 2 == 1)
             rng = derive_rng(seed, "pinned-exact-world")
