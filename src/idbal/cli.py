@@ -9,7 +9,9 @@ Subcommands:
 
 All subcommands accept --config FILE with flat 'key = value' lines, and any
 config key can be overridden inline as '--key value' (e.g. --seed 7
---policy.name uniform). Output defaults to ./out or $IDBAL_OUTDIR.
+--policy.name uniform). gen-data's and verify's short flags (--count,
+--trials, ...) are other names for their keys and override the file too.
+Output defaults to ./out or $IDBAL_OUTDIR.
 """
 from __future__ import annotations
 
@@ -19,14 +21,14 @@ from pathlib import Path
 
 from .data import SyntheticSpec, format_sparse_dataset, generate_synthetic
 from .harness import (
+    CONFIG_KEYS,
     ProtocolResult,
     apply_overrides,
     config_to_experiment,
-    datasets_from_config,
+    config_values,
     default_output_dir,
     load_dataset,
     parse_config_text,
-    policy_from_config,
     prepare_repeat,
     rebuild_result,
     records_from_json,
@@ -36,33 +38,29 @@ from .harness import (
     run_protocol,
     write_csv,
 )
-from .learners import ALGORITHMS
+from .learners import ALGORITHMS, AlgoConfig
 from .oracle import run_verification_suite
 
 
 def _load_config(args: argparse.Namespace, extra: list[str]) -> dict[str, str]:
+    """The config file's keys, overridden by the inline ones: first the short
+    flags (whose dest is a config key), then the '--key value' pairs."""
     config: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         config = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-    return apply_overrides(config, extra)
+    flags = [item for key, value in vars(args).items() if key in CONFIG_KEYS for item in (f"--{key}", value)]
+    return apply_overrides(config, flags + extra)
 
 
 def _out_dir(config: dict[str, str]) -> Path:
-    if "out" in config:
-        return Path(config["out"])
-    return default_output_dir()
+    return config_values(config, "output").get("out") or default_output_dir()
 
 
 def _cmd_gen_data(args: argparse.Namespace, extra: list[str]) -> int:
     config = _load_config(args, extra)
-    spec = SyntheticSpec(
-        count=int(config.get("data.count", args.count)),
-        dim=int(config.get("data.dim", args.dim)),
-        flip_prob=float(config.get("data.flip_prob", args.flip_prob)),
-        seed=int(config.get("data.seed", args.seed)),
-    )
+    spec = SyntheticSpec(**config_values(config, "synthetic"))
     data = generate_synthetic(spec)
-    out_path = Path(args.out)
+    out_path = Path(args.target)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(format_sparse_dataset(data), encoding="utf-8")
     print(f"wrote {len(data)} examples ({spec.dim} features) to {out_path}")
@@ -71,23 +69,23 @@ def _cmd_gen_data(args: argparse.Namespace, extra: list[str]) -> int:
 
 def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
     config = _load_config(args, extra)
-    algorithm = config.get("algo.name", "idbal")
+    run = config_values(config, "run")
+    algorithm = run.get("algorithm", "idbal")
     if algorithm not in ALGORITHMS:
         print(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}", file=sys.stderr)
         return 2
-    dataset = datasets_from_config(config)[0]
-    seed = int(config.get("seed", "0"))
-    repeat = int(config.get("repeat", "0"))
-    fractions = (float(config.get("split.test_fraction", "0.2")), float(config.get("split.logged_fraction", "0.5")))
-    prepared = prepare_repeat(load_dataset(dataset), policy_from_config(config), dataset.name, seed, repeat, fractions)
+    # split, logging and seed come from the same reader a sweep uses
+    experiment = config_to_experiment(config)
+    algo = AlgoConfig(**config_values(config, "algo"))
+    dataset, seed, repeat = experiment.datasets[0], experiment.master_seed, run.get("repeat", 0)
+    fractions = (experiment.test_fraction, experiment.logged_fraction)
+    prepared = prepare_repeat(load_dataset(dataset), experiment.policy, dataset.name, seed, repeat, fractions)
     online = len(prepared.online)
-    horizon = int(config.get("horizon", str(online)))
+    horizon = run.get("horizon", online)
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     horizon = min(horizon, online)
-    capacity = float(config.get("algo.capacity", "0.01"))
-    eta = float(config.get("algo.eta", "0.1"))
-    result = run_point(prepared, dataset.name, seed, repeat, algorithm, capacity, eta, horizon)
+    result = run_point(prepared, dataset.name, seed, repeat, algorithm, algo.capacity, algo.eta, horizon)
     print(f"dataset {dataset.name}: {len(prepared.logged)} logged ({int(prepared.logged.z.sum())} revealed), "
           f"{horizon} online, {len(prepared.test)} test")
     print(f"algorithm {algorithm}: {result.query_count} queries, "
@@ -130,11 +128,8 @@ def _cmd_sweep(args: argparse.Namespace, extra: list[str]) -> int:
 
 def _cmd_verify(args: argparse.Namespace, extra: list[str]) -> int:
     config = _load_config(args, extra)
-    rows = run_verification_suite(
-        seed=int(config.get("seed", str(args.seed))),
-        fixtures=int(config.get("verify.fixtures", str(args.fixtures))),
-        trials=int(config.get("verify.trials", str(args.trials))),
-    )
+    # the suite runs at the master seed a sweep of this config would use
+    rows = run_verification_suite(config_to_experiment(config).master_seed, **config_values(config, "verify"))
     checks_path = write_csv(
         _out_dir(config) / "checks.csv",
         ("name", "passed", "statistic", "threshold", "details"),
@@ -157,6 +152,13 @@ def _cmd_report(args: argparse.Namespace, extra: list[str]) -> int:
     return 0
 
 
+def _add_aliases(parser: argparse.ArgumentParser, *pairs: tuple[str, str]) -> None:
+    """Short flags that are other names for config keys: no defaults of
+    their own, and like '--key value' they override the config file."""
+    for flag, key in pairs:
+        parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=f"same as --{key}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idbal",
@@ -166,11 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="write a synthetic sparse dataset")
-    gen.add_argument("--out", required=True, help="output text file")
-    gen.add_argument("--count", type=int, default=6000)
-    gen.add_argument("--dim", type=int, default=30)
-    gen.add_argument("--flip-prob", dest="flip_prob", type=float, default=0.1)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--out", dest="target", metavar="FILE", required=True, help="output text file")
+    _add_aliases(gen, ("--count", "data.count"), ("--dim", "data.dim"), ("--flip-prob", "data.flip_prob"),
+                 ("--seed", "data.seed"))
     gen.add_argument("--config")
     gen.set_defaults(func=_cmd_gen_data)
 
@@ -186,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="estimator and region self-checks")
     verify.add_argument("--config")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--fixtures", type=int, default=20)
-    verify.add_argument("--trials", type=int, default=20000)
+    _add_aliases(verify, ("--fixtures", "verify.fixtures"), ("--trials", "verify.trials"))
     verify.set_defaults(func=_cmd_verify)
 
     rep = sub.add_parser("report", help="rebuild CSV reports from records.json")

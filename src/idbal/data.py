@@ -275,7 +275,7 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledRows:
     return LabeledRows(scipy.sparse.csr_array(np.hstack((np.ones((spec.count, 1)), points))), labels)
 
 
-def split_dataset(count: int, fractions: tuple[float, float] = (0.2, 0.5), seed: int = 0) -> DataSplit:
+def split_dataset(count: int, fractions: tuple[float, float], seed: int = 0) -> DataSplit:
     """Shuffle the positions 0..count-1 and cut them into test / logged /
     online parts.
 

@@ -12,6 +12,7 @@ point.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import hashlib
 import itertools
 import json
@@ -19,7 +20,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -81,7 +82,9 @@ __all__ = [
     "records_to_json",
     "records_from_json",
     "parse_config_text",
+    "CONFIG_TABLE",
     "CONFIG_KEYS",
+    "config_values",
     "apply_overrides",
     "config_to_experiment",
     "default_output_dir",
@@ -318,7 +321,7 @@ def run_point(
     scored on the repeat's test rows. The seed derives from the whole grid
     point; passive's capacity is None and runs at the default C, which it
     never reads. The runner is looked up in ALGORITHMS at call time."""
-    run_cfg = AlgoConfig(capacity=0.01 if capacity is None else capacity, eta=eta)
+    run_cfg = AlgoConfig(eta=eta) if capacity is None else AlgoConfig(capacity=capacity, eta=eta)
     return ALGORITHMS[algorithm](
         prepared.logged,
         prepared.online[:horizon],
@@ -449,14 +452,15 @@ def _fmt(value: float | None) -> str:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
-    """Write a header and rows of cells, comma-joined, as UTF-8 lines
-    ending in LF, making the parent directory; cells come preformatted."""
+    """Write a header and rows of preformatted cells as UTF-8 lines ending
+    in LF, making the parent directory. A cell holding a comma, a double
+    quote or a line break is quoted, as RFC 4180 does."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 
@@ -559,17 +563,64 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-# every key a command reads: the README's config table, plus the repeat
-# that `idbal run` prepares
-CONFIG_KEYS = frozenset((
-    "data.source", "data.path", "data.count", "data.dim", "data.flip_prob", "data.seed",
-    "policy.name", "policy.p", "policy.p0", "policy.p1", "policy.p2", "policy.group_seed",
-    "policy.scale", "policy.target", "policy.coarse_fraction", "policy.table",
-    "split.test_fraction", "split.logged_fraction", "algo.name", "algo.capacity", "algo.eta",
-    "horizon", "repeat", "repeats", "sweep.algorithms", "sweep.capacity_grid", "sweep.eta_grid",
-    "sweep.horizon_base", "sweep.horizon_growth", "verify.fixtures", "verify.trials",
-    "seed", "workers", "out",
-))
+def _comma_list(parse):
+    return lambda text: tuple(parse(tok.strip()) for tok in text.split(",") if tok.strip())
+
+
+# Every config key: what it configures, the field or argument it sets there,
+# and how its text is parsed. The targets are SyntheticSpec ("synthetic"),
+# _main_dataset ("dataset"), PolicySpec, ExperimentConfig, AlgoConfig,
+# run_verification_suite ("verify"), the output directory, and "run" for the
+# keys only `idbal run` reads. Each default lives on that field or argument
+# (in `idbal run` for its own keys).
+CONFIG_TABLE: dict[str, tuple[str, str, Callable[[str], object]]] = {
+    "data.source": ("dataset", "source", str),
+    "data.path": ("dataset", "path", str),
+    "data.count": ("synthetic", "count", int),
+    "data.dim": ("synthetic", "dim", int),
+    "data.flip_prob": ("synthetic", "flip_prob", float),
+    "data.seed": ("synthetic", "seed", int),
+    "policy.name": ("policy", "name", str),
+    "policy.p": ("policy", "p", float),
+    "policy.p0": ("policy", "p0", float),
+    "policy.p1": ("policy", "p1", float),
+    "policy.p2": ("policy", "p2", float),
+    "policy.group_seed": ("policy", "group_seed", int),
+    "policy.scale": ("policy", "scale", lambda text: float(text) if text else None),
+    "policy.target": ("policy", "calibration_target", float),
+    "policy.coarse_fraction": ("policy", "coarse_fraction", float),
+    "policy.table": ("policy", "table_path", lambda text: text or None),
+    "split.test_fraction": ("experiment", "test_fraction", float),
+    "split.logged_fraction": ("experiment", "logged_fraction", float),
+    "repeats": ("experiment", "repeats", int),
+    "sweep.algorithms": ("experiment", "algorithms", _comma_list(str)),
+    "sweep.capacity_grid": ("experiment", "capacity_grid", _comma_list(float)),
+    "sweep.eta_grid": ("experiment", "eta_grid", _comma_list(float)),
+    "sweep.horizon_base": ("experiment", "horizon_base", int),
+    "sweep.horizon_growth": ("experiment", "horizon_growth", int),
+    "seed": ("experiment", "master_seed", int),
+    "workers": ("experiment", "workers", int),
+    "algo.capacity": ("algo", "capacity", float),
+    "algo.eta": ("algo", "eta", float),
+    "algo.name": ("run", "algorithm", str),
+    "horizon": ("run", "horizon", int),
+    "repeat": ("run", "repeat", int),
+    "verify.fixtures": ("verify", "fixtures", int),
+    "verify.trials": ("verify", "trials", int),
+    "out": ("output", "out", Path),
+}
+CONFIG_KEYS = frozenset(CONFIG_TABLE)
+
+
+def config_values(config: dict[str, str], target: str) -> dict[str, object]:
+    """The parsed values config sets for one target of CONFIG_TABLE, keyed
+    by the field or argument they set. Absent keys are left out, so each
+    keeps the default of its field."""
+    return {
+        name: parse(config[key])
+        for key, (owner, name, parse) in CONFIG_TABLE.items()
+        if owner == target and key in config
+    }
 
 
 def apply_overrides(config: dict[str, str], pairs: Sequence[str]) -> dict[str, str]:
@@ -588,85 +639,30 @@ def apply_overrides(config: dict[str, str], pairs: Sequence[str]) -> dict[str, s
     return merged
 
 
-def _get(config: dict[str, str], key: str, default):
-    if key not in config:
-        return default
-    text = config[key]
-    if isinstance(default, bool):
-        return text.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    return text
-
-
-def _float_list(config: dict[str, str], key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-    if key not in config:
-        return default
-    return tuple(float(tok) for tok in config[key].split(",") if tok.strip())
-
-
-def policy_from_config(config: dict[str, str]) -> PolicySpec:
-    scale_text = config.get("policy.scale", "")
-    return PolicySpec(
-        name=_get(config, "policy.name", "identical"),
-        p=_get(config, "policy.p", 0.005),
-        p0=_get(config, "policy.p0", 0.005),
-        p1=_get(config, "policy.p1", 0.05),
-        p2=_get(config, "policy.p2", 0.5),
-        group_seed=_get(config, "policy.group_seed", 0),
-        scale=float(scale_text) if scale_text else None,
-        calibration_target=_get(config, "policy.target", 0.1),
-        coarse_fraction=_get(config, "policy.coarse_fraction", 0.1),
-        table_path=config.get("policy.table") or None,
-    )
-
-
-def datasets_from_config(config: dict[str, str], quick: bool = False) -> tuple[DatasetSpec, ...]:
-    source = _get(config, "data.source", "synthetic")
-    if source == "file":
-        path = config.get("data.path")
-        if not path:
-            raise ValueError("data.source = file needs data.path")
-        return (DatasetSpec(name=Path(path).stem, path=path),)
-    spec = SyntheticSpec(
-        count=_get(config, "data.count", 6000),
-        dim=_get(config, "data.dim", 30),
-        flip_prob=_get(config, "data.flip_prob", 0.1),
-        seed=_get(config, "data.seed", 0),
-    )
-    main = DatasetSpec(name="synthetic", synthetic=spec)
-    if not quick:
-        return (main,)
-    return (
-        main,
-        DatasetSpec(name="synthetic-small", synthetic=SyntheticSpec(1500, 10, 0.1, seed=1)),
-        DatasetSpec(name="synthetic-tiny", synthetic=SyntheticSpec(1000, 5, 0.1, seed=2)),
-    )
+def _main_dataset(synthetic: dict, source: str = "synthetic", path: str | None = None) -> DatasetSpec:
+    """The dataset the data.* keys describe: the text file at path when
+    source is 'file', else synthetic data with the given SyntheticSpec fields."""
+    if source != "file":
+        return DatasetSpec(name="synthetic", synthetic=SyntheticSpec(**synthetic))
+    if not path:
+        raise ValueError("data.source = file needs data.path")
+    return DatasetSpec(name=Path(path).stem, path=path)
 
 
 def config_to_experiment(config: dict[str, str], quick: bool = False) -> ExperimentConfig:
-    """Build the sweep configuration from a flat config dict. quick shrinks
-    repeats and the grids and adds two small companion datasets."""
-    algorithms = tuple(
-        tok.strip()
-        for tok in config.get("sweep.algorithms", "passive,dbalw,dbalwm,idbal").split(",")
-        if tok.strip()
-    )
-    cap_default = QUICK_CAPACITY_GRID if quick else DEFAULT_CAPACITY_GRID
-    eta_default = QUICK_ETA_GRID if quick else DEFAULT_ETA_GRID
+    """Build the sweep configuration from a flat config dict. quick adds two
+    small companion datasets and shrinks the defaults of repeats and both
+    grids; keys the config sets still win."""
+    datasets = (_main_dataset(config_values(config, "synthetic"), **config_values(config, "dataset")),)
+    shrunk = {}
+    if quick:
+        datasets += (
+            DatasetSpec(name="synthetic-small", synthetic=SyntheticSpec(1500, 10, 0.1, seed=1)),
+            DatasetSpec(name="synthetic-tiny", synthetic=SyntheticSpec(1000, 5, 0.1, seed=2)),
+        )
+        shrunk = {"repeats": 5, "capacity_grid": QUICK_CAPACITY_GRID, "eta_grid": QUICK_ETA_GRID}
     return ExperimentConfig(
-        datasets=datasets_from_config(config, quick=quick),
-        policy=policy_from_config(config),
-        algorithms=algorithms,
-        repeats=_get(config, "repeats", 5 if quick else 10),
-        horizon_base=_get(config, "sweep.horizon_base", 10),
-        horizon_growth=_get(config, "sweep.horizon_growth", 2),
-        capacity_grid=_float_list(config, "sweep.capacity_grid", cap_default),
-        eta_grid=_float_list(config, "sweep.eta_grid", eta_default),
-        test_fraction=_get(config, "split.test_fraction", 0.2),
-        logged_fraction=_get(config, "split.logged_fraction", 0.5),
-        master_seed=_get(config, "seed", 0),
-        workers=_get(config, "workers", 1),
+        datasets=datasets,
+        policy=PolicySpec(**config_values(config, "policy")),
+        **(shrunk | config_values(config, "experiment")),
     )

@@ -34,7 +34,6 @@ __all__ = [
     "best_candidate",
     "erm_weighted",
     "prune_candidates",
-    "update_candidates",
     "exact_dis_test",
     "ogd_stepsize",
     "ogd_update",
@@ -336,13 +335,6 @@ def prune_candidates(current: CandidateSetExact, losses: np.ndarray, slack) -> C
     active = np.asarray(current.active)
     kept = (losses <= best_loss + np.asarray(slack, dtype=float)) | (active == best_index)
     return CandidateSetExact(tuple(active[kept].tolist()))
-
-
-def update_candidates(
-    hypothesis_class: FiniteClass, sample: WeightedSample, current: CandidateSetExact, slack
-) -> CandidateSetExact:
-    """prune_candidates on the losses of current over the sample."""
-    return prune_candidates(current, weighted_losses(hypothesis_class, sample, current), slack)
 
 
 def exact_dis_test(

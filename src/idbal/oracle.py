@@ -447,7 +447,7 @@ class CheckRow:
     details: str
 
 
-def run_verification_suite(seed: int = 0, fixtures: int = 20, trials: int = 20000) -> list[CheckRow]:
+def run_verification_suite(seed: int, fixtures: int = 20, trials: int = 20000) -> list[CheckRow]:
     """Self-contained estimator and geometry checks; returns one row per check."""
     _check_trials(trials, 2)
     rows: list[CheckRow] = []

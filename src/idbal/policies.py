@@ -53,7 +53,7 @@ class LoggingPolicy:
 class IdenticalPolicy(LoggingPolicy):
     """Every instance is revealed with the same probability."""
 
-    p: float = 0.005
+    p: float
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -78,10 +78,10 @@ class UniformGroupsPolicy(LoggingPolicy):
     """Instances hash into three fixed groups, each with its own constant
     reveal probability."""
 
-    p0: float = 0.005
-    p1: float = 0.05
-    p2: float = 0.5
-    group_seed: int = 0
+    p0: float
+    p1: float
+    p2: float
+    group_seed: int
 
     def __post_init__(self):
         for p in (self.p0, self.p1, self.p2):
@@ -182,7 +182,7 @@ def policy_prob(policy: LoggingPolicy, rows) -> np.ndarray:
     return _checked(np.asarray(policy.probs(rows), dtype=float))
 
 
-def fit_coarse_model(data: LabeledRows, fraction: float = 0.1, seed: int = 0, eta: float = 1.0) -> LinearModel:
+def fit_coarse_model(data: LabeledRows, fraction: float, seed: int = 0, eta: float = 1.0) -> LinearModel:
     """Rough linear model from a seeded subsample: one unweighted gradient
     pass, enough to give margin-based policies a boundary. The model is as
     wide as the largest feature index the subsample uses."""
@@ -203,7 +203,7 @@ def calibrate_scale(
     kind: str,
     model: LinearModel,
     rows: scipy.sparse.csr_array,
-    target: float = 0.1,
+    target: float,
     tolerance: float = 1e-9,
 ) -> float:
     """Scale constant for a margin policy so its mean reveal probability over

@@ -2,14 +2,19 @@
 config file plumbing, inline overrides, and error exit codes."""
 from __future__ import annotations
 
+import csv
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-from idbal.cli import main
+from idbal import harness
+from idbal.cli import _out_dir, main
 from idbal.data import parse_sparse_dataset
-from idbal.harness import CONFIG_KEYS, OUTPUT_DIR_ENV
+from idbal.harness import CONFIG_KEYS, CONFIG_TABLE, OUTPUT_DIR_ENV, config_to_experiment
+from idbal.learners import AlgoConfig
+from idbal.oracle import run_verification_suite
 
 SWEEP_CONFIG = """
 # tiny paired sweep
@@ -52,6 +57,14 @@ class TestGenData:
         target = tmp_path / "toy.txt"
         assert main(["gen-data", "--config", str(config), "--out", str(target)]) == 0
         assert len(parse_sparse_dataset(target.read_text(encoding="utf-8"))) == 30
+
+    def test_inline_flag_beats_the_config_file(self, tmp_path, capsys):
+        config = tmp_path / "gen.cfg"
+        config.write_text("data.count = 30\ndata.dim = 3\n", encoding="utf-8")
+        target = tmp_path / "toy.txt"
+        assert main(["gen-data", "--config", str(config), "--count", "50", "--out", str(target)]) == 0
+        assert len(parse_sparse_dataset(target.read_text(encoding="utf-8"))) == 50
+        assert "50 examples (3 features)" in capsys.readouterr().out
 
     def test_missing_out_flag_exits(self):
         with pytest.raises(SystemExit):
@@ -174,11 +187,28 @@ class TestVerify:
             "--out", str(tmp_path),
         ])
         assert code == 0
-        rows = (tmp_path / "checks.csv").read_text(encoding="utf-8").splitlines()
-        assert rows[0] == "name,passed,statistic,threshold,details"
+        with open(tmp_path / "checks.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["name", "passed", "statistic", "threshold", "details"]
         assert len(rows) > 1
-        assert all(row.split(",")[1] == "1" for row in rows[1:])
+        # a details cell with commas in it is quoted, so every row reads back whole
+        assert all(len(row) == 5 and row[1] == "1" for row in rows[1:])
         assert "checks passed" in capsys.readouterr().out
+
+    def test_inline_flags_beat_the_config_file(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "verify.cfg"
+        config.write_text("seed = 5\nverify.fixtures = 1\nverify.trials = 100\n", encoding="utf-8")
+        calls = []
+
+        def suite(seed, fixtures, trials):
+            calls.append((seed, fixtures, trials))
+            return []
+
+        monkeypatch.setattr("idbal.cli.run_verification_suite", suite)
+        args = ["verify", "--config", str(config), "--seed", "0", "--trials", "3000", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert calls == [(0, 1, 3000)]
+        capsys.readouterr()
 
     def test_output_dir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env-out"))
@@ -217,15 +247,63 @@ class TestUnknownKeys:
         assert not (tmp_path / "sweep").exists()
 
     def test_known_keys_are_the_readme_table_plus_repeat(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        table = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
-        documented = {
-            key
-            for line in table.splitlines()
-            if line.startswith("| `")
-            for key in re.findall(r"`([a-z_.0-9]+)`", line.split("|")[1])
-        }
+        documented = {key for keys, _ in _readme_config_rows() for key in keys}
         assert CONFIG_KEYS == documented | {"repeat"}
+
+
+def _readme_config_rows() -> list[tuple[list[str], str]]:
+    """(keys, default cell) for each row of the README's config table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|") for line in table.splitlines() if line.startswith("| `")]
+    return [(re.findall(r"`([a-z_.0-9]+)`", row[1]), row[2].strip()) for row in cells]
+
+
+def _parameter_defaults(function) -> dict[str, object]:
+    return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+
+class _Ran(Exception):
+    pass
+
+
+def _stop_at_run_point(prepared, dataset, master_seed, repeat, algorithm, capacity, eta, horizon):
+    raise _Ran({"algorithm": algorithm, "repeat": repeat, "horizon": horizon})
+
+
+class TestDefaults:
+    def _empty_config_values(self, monkeypatch) -> dict[str, object]:
+        """What each key reads as when no config sets it: the field or
+        argument that CONFIG_TABLE says the key sets, as the readers build it."""
+        experiment = config_to_experiment({})
+        monkeypatch.setattr("idbal.cli.run_point", _stop_at_run_point)
+        with pytest.raises(_Ran) as ran:
+            main(["run"])
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        by_target = {
+            "dataset": _parameter_defaults(harness._main_dataset),
+            "synthetic": vars(experiment.datasets[0].synthetic),
+            "policy": vars(experiment.policy),
+            "experiment": vars(experiment),
+            "algo": vars(AlgoConfig()),
+            "run": ran.value.args[0],
+            "verify": _parameter_defaults(run_verification_suite),
+            "output": {"out": _out_dir({})},
+        }
+        return {key: by_target[target][name] for key, (target, name, _) in CONFIG_TABLE.items()}
+
+    def test_readme_defaults_match_an_empty_config(self, monkeypatch):
+        # only rows giving one plain number or backticked word per key
+        values = self._empty_config_values(monkeypatch)
+        checked = []
+        for keys, cell in _readme_config_rows():
+            words = [re.fullmatch(r"`([^` ]+)`|([0-9.]+)", tok.strip()) for tok in cell.split(",")]
+            if len(words) != len(keys) or not all(words):
+                continue
+            for key, word in zip(keys, words):
+                assert type(values[key])(word.group(1) or word.group(2)) == values[key], key
+                checked.append(key)
+        assert len(checked) >= 25, checked
 
 
 class TestParserErrors:

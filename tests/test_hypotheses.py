@@ -24,7 +24,6 @@ from idbal.hypotheses import (
     ogd_stepsize,
     ogd_update,
     prune_candidates,
-    update_candidates,
     weighted_losses,
 )
 from idbal.policies import margins
@@ -431,37 +430,41 @@ class TestErmAndCandidates:
         index, _ = erm_weighted(hclass, sample, CandidateSetExact((1, 3)))
         assert index in (1, 3)
 
+    def _prune(self, hclass, sample, current, slack):
+        return prune_candidates(current, weighted_losses(hclass, sample, current), slack)
+
     def test_update_keeps_within_threshold(self):
         hclass, _ = _tiny_class()
         sample = self._sample([0, 1, 1, 0])
         current = CandidateSetExact.full(hclass)
         # per-mistake cost is 1/(4*0.5) = 0.5; member 2 has loss 0,
         # members 0 and 3 have loss 1.0, member 1 has loss 1.0
-        kept = update_candidates(hclass, sample, current, 0.6)
+        kept = self._prune(hclass, sample, current, 0.6)
         assert kept.active == (2,)
-        kept = update_candidates(hclass, sample, current, 1.0)
+        kept = self._prune(hclass, sample, current, 1.0)
         assert kept.active == (0, 1, 2, 3)
         # per member: 3 is held to slack 0.6, everyone else to 1.0
-        kept = update_candidates(hclass, sample, current, np.array([1.0, 1.0, 1.0, 0.6]))
+        kept = self._prune(hclass, sample, current, np.array([1.0, 1.0, 1.0, 0.6]))
         assert kept.active == (0, 1, 2)
 
-    def test_pruning_from_given_losses_matches_update(self):
+    def test_pruning_from_given_losses(self):
         hclass, _ = _tiny_class()
         sample = self._sample([0, 1, 1, 0])
         current = CandidateSetExact((0, 1, 3))
         losses = weighted_losses(hclass, sample, current)
         assert losses.tolist() == [1.0, 1.0, 1.0]
         assert best_candidate(current, losses) == erm_weighted(hclass, sample, current) == (0, 1.0)
-        for scale in (-1.0, 0.0, 0.6):
+        # every loss ties the minimizer's, so only member 3's own slack decides
+        for scale, kept in ((-1.0, (0, 1)), (0.0, (0, 1, 3)), (0.6, (0, 1, 3))):
             slack = scale * (np.array(current.active) == 3)
-            assert prune_candidates(current, losses, slack) == update_candidates(hclass, sample, current, slack)
+            assert prune_candidates(current, losses, slack).active == kept
 
     def test_best_survives_negative_threshold(self):
         hclass, _ = _tiny_class()
         sample = self._sample([0, 1, 1, 0])
-        kept = update_candidates(hclass, sample, CandidateSetExact.full(hclass), -5.0)
+        kept = self._prune(hclass, sample, CandidateSetExact.full(hclass), -5.0)
         assert kept.active == (2,)
-        kept = update_candidates(hclass, sample, CandidateSetExact.full(hclass), np.full(4, -5.0))
+        kept = self._prune(hclass, sample, CandidateSetExact.full(hclass), np.full(4, -5.0))
         assert kept.active == (2,)
 
     def test_array_slack_matches_the_callable_pruning(self):
@@ -486,7 +489,6 @@ class TestErmAndCandidates:
             slack_of = dict(zip(current.active, slack.tolist()))
             expected = prune_by_threshold(current, losses, lambda i, best: slack_of[i])
             assert prune_candidates(current, losses, slack) == expected
-            assert update_candidates(hclass, sample, current, slack) == expected
             scalar = float(slack[0])
             assert prune_candidates(current, losses, scalar) == prune_by_threshold(
                 current, losses, lambda i, best: scalar
