@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 import scipy.sparse
@@ -350,14 +350,6 @@ class SplitRows:
     y: np.ndarray
     rows: scipy.sparse.csr_array | np.ndarray
     norms: np.ndarray | None = None
-
-    @classmethod
-    def from_records(cls, records: Sequence, q0: np.ndarray, rows, norms=None) -> "SplitRows":
-        """z and y read off Examples (always revealed) or LoggedTriples."""
-        z = np.array([r.z if isinstance(r, LoggedTriple) else 1 for r in records], dtype=np.int8)
-        # a z = 0 triple has y None, stored as 0
-        y = np.array([r.y or 0 for r in records], dtype=np.int8)
-        return cls(q0, z, y, rows, norms)
 
     @classmethod
     def from_labeled(cls, data: LabeledRows, q0: np.ndarray, z: np.ndarray | None = None) -> "SplitRows":

@@ -615,12 +615,16 @@ CONFIG_KEYS = frozenset(CONFIG_TABLE)
 def config_values(config: dict[str, str], target: str) -> dict[str, object]:
     """The parsed values config sets for one target of CONFIG_TABLE, keyed
     by the field or argument they set. Absent keys are left out, so each
-    keeps the default of its field."""
-    return {
-        name: parse(config[key])
-        for key, (owner, name, parse) in CONFIG_TABLE.items()
-        if owner == target and key in config
-    }
+    keeps the default of its field. A value that does not parse is a
+    ValueError that names its key."""
+    values = {}
+    for key, (owner, name, parse) in CONFIG_TABLE.items():
+        if owner == target and key in config:
+            try:
+                values[name] = parse(config[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    return values
 
 
 def apply_overrides(config: dict[str, str], pairs: Sequence[str]) -> dict[str, str]:
@@ -640,10 +644,12 @@ def apply_overrides(config: dict[str, str], pairs: Sequence[str]) -> dict[str, s
 
 
 def _main_dataset(synthetic: dict, source: str = "synthetic", path: str | None = None) -> DatasetSpec:
-    """The dataset the data.* keys describe: the text file at path when
-    source is 'file', else synthetic data with the given SyntheticSpec fields."""
-    if source != "file":
+    """The dataset the data.* keys describe: synthetic data with the given
+    SyntheticSpec fields, or the text file at path when source is 'file'."""
+    if source == "synthetic":
         return DatasetSpec(name="synthetic", synthetic=SyntheticSpec(**synthetic))
+    if source != "file":
+        raise ValueError(f"unknown data.source {source!r}; choose 'synthetic' or 'file'")
     if not path:
         raise ValueError("data.source = file needs data.path")
     return DatasetSpec(name=Path(path).stem, path=path)

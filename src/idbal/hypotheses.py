@@ -28,11 +28,9 @@ __all__ = [
     "LinearModel",
     "FiniteClass",
     "TableClassifier",
-    "CandidateSetExact",
     "classification_error",
     "weighted_losses",
     "best_candidate",
-    "erm_weighted",
     "prune_candidates",
     "exact_dis_test",
     "ogd_stepsize",
@@ -254,28 +252,6 @@ class FiniteClass:
         return np.array(found, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class CandidateSetExact:
-    """A nonempty subset of a FiniteClass, held as sorted member indices."""
-
-    active: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.active) == 0:
-            raise ValueError("candidate set cannot be empty")
-        ordered = tuple(sorted(set(int(i) for i in self.active)))
-        if len(ordered) != len(self.active):
-            raise ValueError("candidate indices must be distinct")
-        object.__setattr__(self, "active", ordered)
-
-    @classmethod
-    def full(cls, hypothesis_class: FiniteClass) -> "CandidateSetExact":
-        return cls(tuple(range(len(hypothesis_class))))
-
-    def __len__(self) -> int:
-        return len(self.active)
-
-
 def classification_error(model: LinearModel, data: LabeledRows) -> float:
     """Plain 0-1 error of a linear model on labeled rows, from one sparse
     matrix-vector product. CSR rows are summed left to right from the bias,
@@ -293,56 +269,37 @@ def classification_error(model: LinearModel, data: LabeledRows) -> float:
     return int(wrong) / len(data)
 
 
-def weighted_losses(
-    hypothesis_class: FiniteClass, sample: WeightedSample, candidates: CandidateSetExact
-) -> np.ndarray:
-    """Estimator value per candidate over the sample, in candidates.active
-    order, vectorized on the table."""
-    rows = np.asarray(candidates.active, dtype=np.intp)
+def weighted_losses(hypothesis_class: FiniteClass, sample: WeightedSample, candidates: np.ndarray) -> np.ndarray:
+    """Estimator value per candidate over the sample, in the order of
+    candidates (sorted member indices), vectorized on the table."""
     live = sample.z == 1
     if not live.any():
-        return np.zeros(len(rows))
-    mistakes = hypothesis_class.labels[np.ix_(rows, sample.rows[live])] != sample.y[live]
+        return np.zeros(len(candidates))
+    mistakes = hypothesis_class.labels[np.ix_(candidates, sample.rows[live])] != sample.y[live]
     return mistakes @ (1.0 / sample.denominator[live])
 
 
-def best_candidate(candidates: CandidateSetExact, losses: np.ndarray) -> tuple[int, float]:
+def best_candidate(candidates: np.ndarray, losses: np.ndarray) -> tuple[int, float]:
     """(member index, loss) of the smallest of weighted_losses' values; ties
-    break toward the lowest member index."""
+    break toward the lowest member index, and an empty or fully unrevealed
+    sample makes every loss 0, so the lowest candidate wins."""
     best = int(np.argmin(losses))  # argmin returns the first minimum: lowest index
-    return candidates.active[best], float(losses[best])
+    return int(candidates[best]), float(losses[best])
 
 
-def erm_weighted(
-    hypothesis_class: FiniteClass,
-    sample: WeightedSample,
-    restrict: CandidateSetExact | None = None,
-) -> tuple[int, float]:
-    """Member minimizing the weighted estimator over the restricted set.
-
-    Ties break toward the lowest member index; an empty or fully unrevealed
-    sample makes every loss 0, so the lowest restricted index wins.
-    """
-    if restrict is None:
-        restrict = CandidateSetExact.full(hypothesis_class)
-    return best_candidate(restrict, weighted_losses(hypothesis_class, sample, restrict))
+def prune_candidates(candidates: np.ndarray, losses: np.ndarray, slack) -> np.ndarray:
+    """The candidates whose loss (weighted_losses over them) is within slack
+    (one number, or one per member) of the minimizer's, which stays, so the
+    result is sorted and never empty."""
+    best_index, best_loss = best_candidate(candidates, losses)
+    kept = (losses <= best_loss + np.asarray(slack, dtype=float)) | (candidates == best_index)
+    return candidates[kept]
 
 
-def prune_candidates(current: CandidateSetExact, losses: np.ndarray, slack) -> CandidateSetExact:
-    """Keep the members whose loss (weighted_losses over current) is within
-    slack (one number, or one per member) of the minimizer's, which stays."""
-    best_index, best_loss = best_candidate(current, losses)
-    active = np.asarray(current.active)
-    kept = (losses <= best_loss + np.asarray(slack, dtype=float)) | (active == best_index)
-    return CandidateSetExact(tuple(active[kept].tolist()))
-
-
-def exact_dis_test(
-    hypothesis_class: FiniteClass, candidates: CandidateSetExact, positions: np.ndarray
-) -> np.ndarray:
+def exact_dis_test(hypothesis_class: FiniteClass, candidates: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Mask over the given pool positions: True where some pair of
     candidate members disagrees."""
-    columns = hypothesis_class.labels[list(candidates.active)][:, positions]
+    columns = hypothesis_class.labels[candidates][:, positions]
     return columns.min(axis=0) != columns.max(axis=0)
 
 

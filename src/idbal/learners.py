@@ -33,13 +33,11 @@ import scipy.sparse
 from .data import Example, LabeledRows, LoggedTriple, SplitRows
 from .estimators import WeightedSample, delta_bound, mis_error, sigma
 from .hypotheses import (
-    CandidateSetExact,
     FiniteClass,
     LinearModel,
     approx_dis_mask,
     best_candidate,
     classification_error,
-    erm_weighted,
     exact_dis_test,
     ogd_stepsize,
     ogd_update,
@@ -218,16 +216,25 @@ def _test_error(classifier, test_data: LabeledRows | None) -> float | None:
 
 class _ExactSteps:
     """Exact mode over a FiniteClass: the weighted ERM within the candidate
-    set, which then keeps the members within the deviation slack of it; the
-    region is the pool points where the survivors disagree."""
+    set (sorted member indices), which then keeps the members within the
+    deviation slack of it; the region is the pool points where the survivors
+    disagree. The store holds the logged triples then the online Examples;
+    its rows, which samples hold, are their pool positions, hashed once."""
 
-    def __init__(self, hclass: FiniteClass, cfg: AlgoConfig, pool_q0: np.ndarray, positions: np.ndarray):
+    def __init__(self, hclass: FiniteClass, cfg: AlgoConfig, logged, online, policy: LoggingPolicy):
+        if not isinstance(hclass, FiniteClass):
+            raise TypeError("exact mode needs a FiniteClass")
         self.hclass = hclass
         self.cfg = cfg
         self.pool = np.arange(len(hclass.pool))
-        self.pool_q0 = pool_q0
-        self.positions = positions
-        self.candidates = CandidateSetExact.full(hclass)
+        self.pool_q0 = policy_prob(policy, hclass.pool)
+        records = (*logged, *online)
+        self.rows = hclass.positions([r.x for r in records])
+        # online Examples are always revealed; a z = 0 triple has y None, stored as 0
+        z = np.array([r.z for r in logged] + [1] * len(online), dtype=np.int8)
+        y = np.array([r.y or 0 for r in records], dtype=np.int8)
+        self.store = SplitRows(self.pool_q0[self.rows], z, y, self.rows)
+        self.candidates = np.arange(len(hclass))
         self.xi = float(self.pool_q0.min())
         self.iterations: list[IterationRecord] | None = [] if cfg.record_iterations else None
 
@@ -246,20 +253,20 @@ class _ExactSteps:
             sigma_value = sigma((mk, nk), xi, len(hclass), delta_k / 2.0)
         else:
             sigma_value = math.inf
-        before = self.candidates.active
+        before = self.candidates
         # each member's share of the sample it labels unlike the ERM: an exact
         # integer over the sample size, as a mean gives, and 0 on no sample
         counts = np.bincount(sample.rows, minlength=len(hclass.pool))
-        rho = (hclass.labels[list(before)] != hclass.labels[erm_index]) @ counts / max(sample.z.size, 1)
-        self.candidates = prune_candidates(self.candidates, self.losses, delta_bound(sigma_value, rho, self.cfg.gamma0))
+        rho = (hclass.labels[before] != hclass.labels[erm_index]) @ counts / max(sample.z.size, 1)
+        self.candidates = prune_candidates(before, self.losses, delta_bound(sigma_value, rho, self.cfg.gamma0))
         pool_mask = exact_dis_test(hclass, self.candidates, self.pool)
         xi_next = float(self.pool_q0[pool_mask].min()) if pool_mask.any() else 1.0
         if self.iterations is not None:
             self.iterations.append(
                 IterationRecord(
                     k=k,
-                    candidates_before=before,
-                    candidates_after=self.candidates.active,
+                    candidates_before=tuple(before.tolist()),
+                    candidates_after=tuple(self.candidates.tolist()),
                     erm_index=erm_index,
                     erm_value=self.erm_value,
                     sigma_value=sigma_value,
@@ -267,23 +274,32 @@ class _ExactSteps:
                     sample=sample,
                 )
             )
-        positions = self.positions[segment]
+        positions = self.rows[segment]
         return xi_next, pool_mask[positions], hclass.labels[erm_index, positions]
 
 
 class _PracticalSteps:
     """Practical mode over a LinearModel: importance-weighted gradient passes
-    instead of an ERM, and the margin test instead of a candidate set. Fit
-    scores the whole store (logged records first) once, with the weights it
-    fits, and the iteration reads every score off that product."""
+    instead of an ERM, and the margin test instead of a candidate set. The
+    store joins the logged then the online rows, whose q0 the splits carry
+    (the policy is not read), and samples hold store positions. Fit scores
+    the whole store once, with the weights it fits, and the iteration reads
+    every score off that product."""
 
-    def __init__(self, model: LinearModel, cfg: AlgoConfig, store: SplitRows, m: int):
+    def __init__(self, model: LinearModel, cfg: AlgoConfig, logged: SplitRows, online: SplitRows, policy):
+        if not isinstance(model, LinearModel):
+            raise TypeError("practical mode needs a LinearModel")
+        for part in (logged, online):
+            if not isinstance(part, SplitRows) or part.norms is None or part.rows.shape[1] != model.dim + 1:
+                raise ValueError(f"split rows do not match dimension {model.dim}")
+        joined = {f: np.concatenate((getattr(logged, f), getattr(online, f))) for f in ("q0", "z", "y", "norms")}
+        self.store = SplitRows(rows=scipy.sparse.vstack((logged.rows, online.rows), format="csr"), **joined)
+        self.rows = np.arange(len(self.store))
         self.model = model
         self.cfg = cfg
-        self.store = store
-        self.m = m
+        self.m = len(logged)
         self.stepsize: float | None = None
-        self.xi = float(store.q0[:m].min())
+        self.xi = float(logged.q0.min(initial=1.0))
         self.iterations = None
 
     def fit(self, sample: WeightedSample):
@@ -319,30 +335,8 @@ class _PracticalSteps:
         return xi_next, approx_dis_mask(scores, store.norms[segment], *mask_args), scores >= 0.0
 
 
-def _run_rows(hypothesis_space, cfg: AlgoConfig, logged, online, policy: LoggingPolicy):
-    """(logged, online, store, pool_q0): the splits as SplitRows in the form
-    cfg.mode reads, and store, the logged then the online records. Exact
-    mode takes LoggedTriples and Examples, hashes each record to its pool
-    position once and reads its q0 off pool_q0, the policy at each pool
-    point. Practical mode takes SplitRows as they are, joins their rows and
-    norms into the store and has no pool_q0."""
-    if cfg.mode == "exact":
-        if not isinstance(hypothesis_space, FiniteClass):
-            raise TypeError("exact mode needs a FiniteClass")
-        pool_q0 = policy_prob(policy, hypothesis_space.pool)
-        records = (*logged, *online)
-        positions = hypothesis_space.positions([r.x for r in records])
-        store = SplitRows.from_records(records, pool_q0[positions], positions)
-        return store[: len(logged)], store[len(logged):], store, pool_q0
-    if not isinstance(hypothesis_space, LinearModel):
-        raise TypeError("practical mode needs a LinearModel")
-    width = hypothesis_space.dim + 1
-    for part in (logged, online):
-        if not isinstance(part, SplitRows) or part.norms is None or part.rows.shape[1] != width:
-            raise ValueError(f"split rows do not match dimension {hypothesis_space.dim}")
-    joined = {f: np.concatenate((getattr(logged, f), getattr(online, f))) for f in ("q0", "z", "y", "norms")}
-    store = SplitRows(rows=scipy.sparse.vstack((logged.rows, online.rows), format="csr"), **joined)
-    return logged, online, store, None
+# the one place a run reads cfg.mode: each mode's steps build the run's store
+_STEPS = {"exact": _ExactSteps, "practical": _PracticalSteps}
 
 
 # a record's decision is indexed by (query bit) * (1 + inside the region)
@@ -369,13 +363,8 @@ def _run_disagreement_core(
     else:
         plan = plan_partition(m, n)
         K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
-    _, _, store, pool_q0 = _run_rows(hypothesis_space, cfg, logged, online, policy)
-    if cfg.mode == "exact":
-        steps = _ExactSteps(hypothesis_space, cfg, pool_q0, store.rows)
-    else:
-        steps = _PracticalSteps(hypothesis_space, cfg, store, m)
-    # samples hold pool positions in exact mode, store positions in practical mode
-    sample_rows = store.rows if cfg.mode == "exact" else np.arange(m + n)
+    steps = _STEPS[cfg.mode](hypothesis_space, cfg, logged, online, policy)
+    store, sample_rows = steps.store, steps.rows
 
     logged_starts = np.concatenate(([0], np.cumsum(m_parts)))
 
@@ -474,20 +463,19 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
     """Query every online label; fit with inverse-propensity weights on the
     logged phase and unit weights on the online phase."""
     m, n = len(logged), len(online)
-    logged, online, store, _ = _run_rows(hypothesis_space, cfg, logged, online, policy)
-    own = np.concatenate((logged.q0, np.ones(n)))
-    sample_rows = store.rows if cfg.mode == "exact" else np.arange(m + n)
-    sample = WeightedSample.phase_weighted(sample_rows, store.z, store.y, own, m, n)
+    steps = _STEPS[cfg.mode](hypothesis_space, cfg, logged, online, policy)
+    store = steps.store
+    own = np.concatenate((store.q0[:m], np.ones(n)))
+    sample = WeightedSample.phase_weighted(steps.rows, store.z, store.y, own, m, n)
     trace: list[TracePoint] = []
 
     if cfg.mode == "exact":
-        hclass = hypothesis_space
-        warm = WeightedSample.phase_weighted(logged.rows, logged.z, logged.y, logged.q0, m, 0)
-        warm_index, _ = erm_weighted(hclass, warm)
-        trace.append(TracePoint(0, 0, _test_error(hclass.member(warm_index), test_data)))
-        erm_index, final_value = erm_weighted(hclass, sample)
-        final = hclass.member(erm_index)
+        # the candidates are still the whole class, so each fit is its ERM
+        warm = WeightedSample.phase_weighted(steps.rows[:m], store.z[:m], store.y[:m], store.q0[:m], m, 0)
+        trace.append(TracePoint(0, 0, _test_error(steps.fit(warm)[0], test_data)))
+        final, final_value = steps.fit(sample)
     else:
+        # the splits are SplitRows here, read as given: slicing the store copies CSR rows
         revealed = np.flatnonzero(logged.z)
         weights = 1.0 / logged.q0[revealed]
         model = ogd_update(hypothesis_space, logged.rows[revealed], logged.y[revealed], weights, cfg.eta)

@@ -19,7 +19,6 @@ import scipy.sparse
 from idbal.data import Example, FeatureVector, LabeledRows, SplitRows
 from idbal.estimators import WeightedSample
 from idbal.hypotheses import (
-    CandidateSetExact,
     LinearModel,
     approx_dis_mask,
     classification_error,
@@ -106,18 +105,18 @@ def sparse_libsvm_text(seed: int, rows: int, dim: int, nnz: int) -> str:
 
 
 def prune_by_threshold(
-    current: CandidateSetExact, losses: np.ndarray, threshold: Callable[[int, int], float]
-) -> CandidateSetExact:
-    """The member loop: keep each member whose loss is within
-    threshold(member, best) of the lowest; the first lowest always stays."""
+    current: tuple[int, ...], losses: np.ndarray, threshold: Callable[[int, int], float]
+) -> tuple[int, ...]:
+    """The member loop: keep each member of current (sorted member indices)
+    whose loss is within threshold(member, best) of the lowest; the first
+    lowest always stays."""
     best = int(np.argmin(losses))
-    best_index, best_loss = current.active[best], float(losses[best])
-    kept = [
+    best_index, best_loss = current[best], float(losses[best])
+    return tuple(
         index
-        for index, loss in zip(current.active, losses)
+        for index, loss in zip(current, losses)
         if index == best_index or loss <= best_loss + threshold(index, best_index)
-    ]
-    return CandidateSetExact(tuple(kept))
+    )
 
 
 def model_mis_error(model: LinearModel, sample: WeightedSample) -> float:

@@ -129,6 +129,16 @@ class TestRun:
         assert "error: capacity and eta must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_unknown_data_source_exits_two(self, tmp_path, capsys):
+        args = ["run", "--data.source", "flie", "--data.count", "300", "--horizon", "20", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "'flie'" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_unparsable_value_names_its_key(self, tmp_path, capsys):
+        assert main(self._args(tmp_path, "--data.count", "abc")) == 2
+        assert "error: data.count: invalid literal" in capsys.readouterr().err
+
     def test_empty_test_split_exits_two(self, tmp_path, capsys):
         args = self._args(tmp_path, "--data.count", "60", "--split.test_fraction", "0.01")
         assert main(args) == 2

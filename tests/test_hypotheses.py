@@ -12,13 +12,11 @@ from idbal.data import Example, FeatureVector, LabeledRows, SplitRows
 from idbal.estimators import WeightedSample
 import idbal.hypotheses as hypotheses
 from idbal.hypotheses import (
-    CandidateSetExact,
     FiniteClass,
     LinearModel,
     approx_dis_mask,
     best_candidate,
     classification_error,
-    erm_weighted,
     exact_dis_test,
     ogd_memo,
     ogd_stepsize,
@@ -406,66 +404,71 @@ class TestErmAndCandidates:
             positions, np.ones(count, dtype=int), np.array(labels), [q0] * count, [0.0] * count, m=count, n=0
         )
 
+    def _erm(self, hclass, sample, candidates=None):
+        """The weighted ERM within candidates (the whole class when None)."""
+        candidates = np.arange(len(hclass)) if candidates is None else np.array(candidates)
+        return best_candidate(candidates, weighted_losses(hclass, sample, candidates))
+
     def test_erm_picks_minimum(self):
         hclass, _ = _tiny_class()
         sample = self._sample([0, 1, 1, 0])  # member 2 matches exactly
-        index, value = erm_weighted(hclass, sample)
+        index, value = self._erm(hclass, sample)
         assert index == 2
         assert value == 0.0
 
     def test_erm_tie_breaks_low_index(self):
         hclass, _ = _tiny_class()
         sample = self._sample([0, 0, 1, 1])  # members 0 and 3 both make 1 mistake... member 3 matches
-        index, _ = erm_weighted(hclass, sample)
+        index, _ = self._erm(hclass, sample)
         assert index == 3
         # force an exact tie: empty sample makes every loss zero
         nothing = np.zeros(0, dtype=np.intp)
         empty = WeightedSample(nothing, nothing, nothing, np.zeros(0), m=1, n=0)
-        index, value = erm_weighted(hclass, empty)
+        index, value = self._erm(hclass, empty)
         assert index == 0 and value == 0.0
 
     def test_erm_respects_restriction(self):
         hclass, _ = _tiny_class()
         sample = self._sample([0, 1, 1, 0])
-        index, _ = erm_weighted(hclass, sample, CandidateSetExact((1, 3)))
+        index, _ = self._erm(hclass, sample, (1, 3))
         assert index in (1, 3)
 
     def _prune(self, hclass, sample, current, slack):
-        return prune_candidates(current, weighted_losses(hclass, sample, current), slack)
+        return prune_candidates(current, weighted_losses(hclass, sample, current), slack).tolist()
 
     def test_update_keeps_within_threshold(self):
         hclass, _ = _tiny_class()
         sample = self._sample([0, 1, 1, 0])
-        current = CandidateSetExact.full(hclass)
+        current = np.arange(len(hclass))
         # per-mistake cost is 1/(4*0.5) = 0.5; member 2 has loss 0,
         # members 0 and 3 have loss 1.0, member 1 has loss 1.0
         kept = self._prune(hclass, sample, current, 0.6)
-        assert kept.active == (2,)
+        assert kept == [2]
         kept = self._prune(hclass, sample, current, 1.0)
-        assert kept.active == (0, 1, 2, 3)
+        assert kept == [0, 1, 2, 3]
         # per member: 3 is held to slack 0.6, everyone else to 1.0
         kept = self._prune(hclass, sample, current, np.array([1.0, 1.0, 1.0, 0.6]))
-        assert kept.active == (0, 1, 2)
+        assert kept == [0, 1, 2]
 
     def test_pruning_from_given_losses(self):
         hclass, _ = _tiny_class()
         sample = self._sample([0, 1, 1, 0])
-        current = CandidateSetExact((0, 1, 3))
+        current = np.array([0, 1, 3])
         losses = weighted_losses(hclass, sample, current)
         assert losses.tolist() == [1.0, 1.0, 1.0]
-        assert best_candidate(current, losses) == erm_weighted(hclass, sample, current) == (0, 1.0)
+        assert best_candidate(current, losses) == self._erm(hclass, sample, current) == (0, 1.0)
         # every loss ties the minimizer's, so only member 3's own slack decides
-        for scale, kept in ((-1.0, (0, 1)), (0.0, (0, 1, 3)), (0.6, (0, 1, 3))):
-            slack = scale * (np.array(current.active) == 3)
-            assert prune_candidates(current, losses, slack).active == kept
+        for scale, kept in ((-1.0, [0, 1]), (0.0, [0, 1, 3]), (0.6, [0, 1, 3])):
+            slack = scale * (current == 3)
+            assert prune_candidates(current, losses, slack).tolist() == kept
 
     def test_best_survives_negative_threshold(self):
         hclass, _ = _tiny_class()
         sample = self._sample([0, 1, 1, 0])
-        kept = self._prune(hclass, sample, CandidateSetExact.full(hclass), -5.0)
-        assert kept.active == (2,)
-        kept = self._prune(hclass, sample, CandidateSetExact.full(hclass), np.full(4, -5.0))
-        assert kept.active == (2,)
+        kept = self._prune(hclass, sample, np.arange(len(hclass)), -5.0)
+        assert kept == [2]
+        kept = self._prune(hclass, sample, np.arange(len(hclass)), np.full(4, -5.0))
+        assert kept == [2]
 
     def test_array_slack_matches_the_callable_pruning(self):
         # random tables, samples and per-member slacks, against the
@@ -483,36 +486,30 @@ class TestErmAndCandidates:
                 rng.uniform(0.05, 1.0, size), rng.uniform(0.0, 1.0, size), m=size, n=int(rng.integers(0, 5)),
             )
             chosen = rng.choice(members, int(rng.integers(1, members + 1)), replace=False)
-            current = CandidateSetExact(tuple(chosen.tolist()))
+            current = np.sort(chosen)
             losses = weighted_losses(hclass, sample, current)
             slack = rng.choice([-1.0, 0.0, 0.3, math.inf], len(current)) * rng.uniform(0.5, 1.0, len(current))
-            slack_of = dict(zip(current.active, slack.tolist()))
-            expected = prune_by_threshold(current, losses, lambda i, best: slack_of[i])
-            assert prune_candidates(current, losses, slack) == expected
+            slack_of = dict(zip(current.tolist(), slack.tolist()))
+            expected = prune_by_threshold(tuple(current.tolist()), losses, lambda i, best: slack_of[i])
+            assert tuple(prune_candidates(current, losses, slack).tolist()) == expected
             scalar = float(slack[0])
-            assert prune_candidates(current, losses, scalar) == prune_by_threshold(
-                current, losses, lambda i, best: scalar
+            assert tuple(prune_candidates(current, losses, scalar).tolist()) == prune_by_threshold(
+                tuple(current.tolist()), losses, lambda i, best: scalar
             )
             pruned += len(expected) < len(current)
         assert pruned > 50
-
-    def test_candidate_set_validation(self):
-        with pytest.raises(ValueError):
-            CandidateSetExact(())
-        with pytest.raises(ValueError):
-            CandidateSetExact((1, 1))
 
 
 class TestExactDisagreement:
     def test_detects_split_predictions(self):
         hclass, pool = _tiny_class()
-        candidates = CandidateSetExact((0, 2))
+        candidates = np.array([0, 2])
         # 0 vs 1 at pool point 1, both say 0 at pool point 0
         assert exact_dis_test(hclass, candidates, np.array([1, 0])).tolist() == [True, False]
 
     def test_singleton_never_disagrees(self):
         hclass, pool = _tiny_class()
-        candidates = CandidateSetExact((1,))
+        candidates = np.array([1])
         assert not exact_dis_test(hclass, candidates, np.arange(len(pool))).any()
 
 

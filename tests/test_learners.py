@@ -12,7 +12,7 @@ import pytest
 
 from idbal.data import SplitRows, SyntheticSpec, apply_logging, generate_synthetic, parse_sparse_dataset, split_dataset
 from idbal.harness import PolicySpec, RepeatData, log_split, prepare_repeat
-from idbal.hypotheses import CandidateSetExact, LinearModel, weighted_losses
+from idbal.hypotheses import LinearModel, weighted_losses
 from idbal.learners import (
     ALGORITHMS,
     INFER,
@@ -270,12 +270,21 @@ class TestPracticalRuns:
                 with pytest.raises(ValueError, match="dimension"):
                     runner(logged, split.online[:8], policy, LinearModel.zeros(dim), cfg, 0)
 
-    def test_wrong_hypothesis_type_rejected(self):
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_wrong_hypothesis_type_rejected(self, name):
         split, policy, logged = _practical_setup(5)
         hclass = random_instance(0).classifiers
         cfg = AlgoConfig(mode="practical", capacity=0.01, eta=0.01)
         with pytest.raises(TypeError):
-            run_idbal(logged, split.online[:8], policy, hclass, cfg, 0)
+            ALGORITHMS[name](logged, split.online[:8], policy, hclass, cfg, 0)
+
+    def test_passive_without_logged_data(self):
+        split, policy, logged = _practical_setup(6)
+        cfg = AlgoConfig(mode="practical", capacity=0.01, eta=0.01)
+        res = run_passive(logged[:0], split.online[:50], policy, LinearModel.zeros(6), cfg, 1, test_data=split.test)
+        assert res.query_count == 50 and res.decisions == (QUERY,) * 50
+        assert res.final_classifier.steps == 50
+        assert math.isfinite(res.final_test_error)
 
 
 class TestExactRuns:
@@ -313,20 +322,20 @@ class TestExactRuns:
                         warnings.simplefilter("ignore", UserWarning)  # alpha < 1 on the smallest worlds
                         res = runner(logged, online, inst.logging_policy(), hclass, cfg, seed)
                     for rec in res.iterations:
-                        before = CandidateSetExact(rec.candidates_before)
-                        losses = weighted_losses(hclass, rec.sample, before)
+                        before = rec.candidates_before
+                        losses = weighted_losses(hclass, rec.sample, np.array(before))
                         if rec.sample.z.size:
                             preds = hclass.labels[:, rec.sample.rows]
-                            rho = (preds[list(before.active)] != preds[rec.erm_index]).mean(axis=1)
+                            rho = (preds[list(before)] != preds[rec.erm_index]).mean(axis=1)
                         else:
                             rho = np.zeros(len(before))
                         slack_of = {
                             index: math.inf if math.isinf(rec.sigma_value)
                             else gamma0 * (rec.sigma_value + math.sqrt(rec.sigma_value * r))
-                            for index, r in zip(before.active, rho.tolist())
+                            for index, r in zip(before, rho.tolist())
                         }
                         expected = prune_by_threshold(before, losses, lambda i, best: slack_of[i])
-                        assert expected.active == rec.candidates_after
+                        assert expected == rec.candidates_after
                         pruned += len(rec.candidates_after) < len(rec.candidates_before)
         assert pruned > 20
 
@@ -352,11 +361,20 @@ class TestExactRuns:
                     column = inst.classifiers.labels[list(final_set), inst.classifiers.pool_position(ex.x)]
                     assert column.min() == column.max()
 
-    def test_exact_mode_demands_finite_class(self):
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_exact_mode_demands_finite_class(self, name):
         inst, logged, online = self._world(0)
         cfg = AlgoConfig(mode="exact", delta=0.1)
         with pytest.raises(TypeError):
-            run_idbal(logged, online, inst.logging_policy(), LinearModel.zeros(3), cfg, 0)
+            ALGORITHMS[name](logged, online, inst.logging_policy(), LinearModel.zeros(3), cfg, 0)
+
+    def test_passive_without_logged_data(self):
+        inst, _, online = self._world(1)
+        cfg = AlgoConfig(mode="exact", delta=0.1)
+        res = run_passive((), online, inst.logging_policy(), inst.classifiers, cfg, 1)
+        assert res.query_count == len(online) and res.decisions == (QUERY,) * len(online)
+        assert 0 <= res.final_classifier.index < len(inst.classifiers)
+        assert res.final_classifier.owner is inst.classifiers
 
     def test_probability_one_logging_degeneracy_exact(self):
         inst = random_instance(11, pool_size=5, class_size=6)
