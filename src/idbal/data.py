@@ -79,10 +79,6 @@ class FeatureVector:
     def items(self) -> tuple[tuple[int, float], ...]:
         return self._items
 
-    @property
-    def entries(self) -> dict[int, float]:
-        return dict(self._items)
-
     def max_index(self) -> int:
         """Largest populated index; 0 for the empty vector."""
         return self._items[-1][0] if self._items else 0

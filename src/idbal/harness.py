@@ -42,7 +42,6 @@ from .policies import (
     CertaintyPolicy,
     IdenticalPolicy,
     LoggingPolicy,
-    TablePolicy,
     UncertaintyPolicy,
     UniformGroupsPolicy,
     calibrate_scale,

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureVector, LabeledRows
+from .data import FeatureVector, LabeledRows, parse_sparse_dataset
 from .estimators import WeightedSample
 
 __all__ = [
@@ -207,7 +207,8 @@ class FiniteClass:
 
     Stored as a (members x pool) 0/1 label table: membership tests,
     disagreement checks, and weighted empirical errors reduce to array
-    lookups. Members are addressed by their index.
+    lookups. Members are addressed by their index. rows holds the pool as
+    CSR rows, bias in column 0, so a logging policy scores it like a dataset.
     """
 
     def __init__(self, pool: Sequence[FeatureVector], labels: np.ndarray):
@@ -227,6 +228,12 @@ class FiniteClass:
             raise ValueError("pool instances must be distinct")
         # the pool holds its objects, so their ids stay unique while it lives
         self._positions_by_id: dict[int, int] = {id(x): i for i, x in enumerate(self.pool)}
+        # parsed from the canonical keys, so row_keys(rows) gives them back
+        self._rows = parse_sparse_dataset("".join(f"0 {x.key()}\n" for x in self.pool)).matrix
+
+    @property
+    def rows(self):
+        return self._rows
 
     def __len__(self) -> int:
         return self.labels.shape[0]

@@ -227,7 +227,7 @@ class _ExactSteps:
         self.hclass = hclass
         self.cfg = cfg
         self.pool = np.arange(len(hclass.pool))
-        self.pool_q0 = policy_prob(policy, hclass.pool)
+        self.pool_q0 = policy_prob(policy, hclass.rows)
         records = (*logged, *online)
         self.rows = hclass.positions([r.x for r in records])
         # online Examples are always revealed; a z = 0 triple has y None, stored as 0

@@ -140,17 +140,9 @@ def random_instance(
     return DiscreteInstance(pool=pool, masses=masses, p1=p1, classifiers=hclass, q0=q0)
 
 
-def _member_row(instance: DiscreteInstance, h) -> np.ndarray:
-    if isinstance(h, (int, np.integer)):
-        return instance.classifiers.labels[int(h)]
-    return np.array([int(h.predict(x)) for x in instance.pool], dtype=np.int8)
-
-
-def true_error(instance: DiscreteInstance, h) -> float:
-    """Exact error of a member (by index) or any classifier total on the pool."""
-    row = _member_row(instance, h)
-    per_point = np.where(row == 1, 1.0 - instance.p1, instance.p1)
-    return float(per_point @ instance.masses)
+def true_error(instance: DiscreteInstance, h: int) -> float:
+    """Exact error of member h (by index)."""
+    return float(instance.true_errors[h])
 
 
 def disagreement_mass(instance: DiscreteInstance, i: int, j: int) -> float:
@@ -307,41 +299,33 @@ def _by_key(weight: np.ndarray, errs: np.ndarray) -> np.ndarray:
     return np.where(errs[:, :, None] & [False, True], weight[:, None, None], 0.0).ravel()
 
 
+def _cell_sums(tables, second: np.ndarray, values: Sequence[np.ndarray], trials: int, rng) -> list[np.ndarray]:
+    """Per-trial sums of each cell-value table in values (see _by_key), all
+    over the same draws of _cell_keys."""
+    sums: list[list[np.ndarray]] = [[] for _ in values]
+    for keys in _cell_keys(tables, second, trials, rng):
+        for out, value in zip(sums, values):
+            out.append(value[keys].sum(axis=1))
+    return [np.concatenate(out) for out in sums]
+
+
 def _simulate_estimates(
-    instance: DiscreteInstance,
-    h,
-    m: int,
-    n: int,
-    trials: int,
-    rng: np.random.Generator,
-    q1: np.ndarray | None,
-    want_is: bool,
-    want_mis: bool,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Per-trial estimator values from full resamples of the generative
-    process; shared draws when both estimators are requested."""
+    instance: DiscreteInstance, h: int, m: int, n: int, trials: int, rng, q1, estimators: Sequence[str]
+) -> list[np.ndarray]:
+    """Per-trial values of each named estimator ("is" per-phase, "mis"
+    balanced) from full resamples of the generative process, on shared draws."""
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError(f"m and n must be non-negative with m + n at least 1, got m={m}, n={n}")
     tables = _phase_tables(instance, m, n, q1)
     _, _, reveal, balanced = tables
-    row = _member_row(instance, h)
+    row = instance.classifiers.labels[h]
     # label draw folded into the error event: P(h(x) != Y | x) is exactly
     # the per-point error probability, which is all the estimator sees
     err_prob = np.tile(np.where(row == 1, 1.0 - instance.p1, instance.p1), 2)
     wrong = np.array([[False, True]])  # the second bit is the error event itself
-    by_key_is = _by_key(1.0 / np.where(reveal > 0.0, reveal, 1.0), wrong)
-    by_key_mis = _by_key(balanced, wrong)
-    out_is: list[np.ndarray] = []
-    out_mis: list[np.ndarray] = []
-    for keys in _cell_keys(tables, err_prob, trials, rng):
-        if want_mis:
-            out_mis.append(by_key_mis[keys].sum(axis=1))
-        if want_is:
-            out_is.append(by_key_is[keys].sum(axis=1) / (m + n))
-    return (
-        np.concatenate(out_is) if want_is else None,
-        np.concatenate(out_mis) if want_mis else None,
-    )
+    weights = {"is": 1.0 / np.where(reveal > 0.0, reveal, 1.0), "mis": balanced}
+    sums = _cell_sums(tables, err_prob, [_by_key(weights[name], wrong) for name in estimators], trials, rng)
+    return [total / (m + n) if name == "is" else total for name, total in zip(estimators, sums)]
 
 
 def _check_trials(trials: int, least: int) -> None:
@@ -351,7 +335,7 @@ def _check_trials(trials: int, least: int) -> None:
 
 def mc_unbiasedness(
     instance: DiscreteInstance,
-    h,
+    h: int,
     m: int,
     n: int,
     trials: int,
@@ -365,11 +349,7 @@ def mc_unbiasedness(
         raise ValueError(f"unknown estimator {estimator!r}")
     _check_trials(trials, 1)
     rng = derive_rng(seed, "mc-unbiasedness", estimator)
-    est_is, est_mis = _simulate_estimates(
-        instance, h, m, n, trials, rng, q1,
-        want_is=estimator == "is", want_mis=estimator == "mis",
-    )
-    values = est_mis if estimator == "mis" else est_is
+    (values,) = _simulate_estimates(instance, h, m, n, trials, rng, q1, (estimator,))
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return UnbiasednessReport(mean=mean, stderr=stderr, true_value=true_error(instance, h), trials=trials)
@@ -377,7 +357,7 @@ def mc_unbiasedness(
 
 def variance_compare(
     instance: DiscreteInstance,
-    h,
+    h: int,
     m: int,
     n: int,
     trials: int,
@@ -388,9 +368,7 @@ def variance_compare(
     estimator) on shared draws."""
     _check_trials(trials, 2)  # a ddof=1 variance needs two values
     rng = derive_rng(seed, "mc-variance")
-    est_is, est_mis = _simulate_estimates(
-        instance, h, m, n, trials, rng, q1, want_is=True, want_mis=True
-    )
+    est_is, est_mis = _simulate_estimates(instance, h, m, n, trials, rng, q1, ("is", "mis"))
     return float(est_is.var(ddof=1)), float(est_mis.var(ddof=1))
 
 
@@ -415,20 +393,15 @@ def concentration_rate(
     _check_trials(trials, 1)
     if any(size < 1 for size in effective_sizes):
         raise ValueError(f"effective_sizes must each be at least 1, got {list(effective_sizes)}")
-    h1, h2 = pair
-    gap_true = true_error(instance, h1) - true_error(instance, h2)
-    member_errs = [np.tile(_member_row(instance, h), 2)[:, None] != [0, 1] for h in pair]
+    gap_true = true_error(instance, pair[0]) - true_error(instance, pair[1])
+    member_errs = [np.tile(instance.classifiers.labels[h], 2)[:, None] != [0, 1] for h in pair]
     p1 = np.tile(instance.p1, 2)
     quantiles: list[float] = []
     for size_index, size in enumerate(effective_sizes):
-        rng = derive_rng(seed, "mc-rate", size_index)
         tables = _phase_tables(instance, size, size, q1)
         by_key = [_by_key(tables[3], errs) for errs in member_errs]
-        devs: list[np.ndarray] = []
-        for keys in _cell_keys(tables, p1, trials, rng):
-            est1, est2 = (table[keys].sum(axis=1) for table in by_key)
-            devs.append(np.abs((est1 - est2) - gap_true))
-        quantiles.append(float(np.quantile(np.concatenate(devs), 0.9)))
+        est1, est2 = _cell_sums(tables, p1, by_key, trials, derive_rng(seed, "mc-rate", size_index))
+        quantiles.append(float(np.quantile(np.abs((est1 - est2) - gap_true), 0.9)))
     sizes = np.asarray(effective_sizes, dtype=float)
     quant = np.asarray(quantiles)
     if len(set(sizes)) < 2 or (quant <= 0.0).any():  # no line through fewer than two points

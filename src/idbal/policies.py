@@ -4,8 +4,8 @@ A policy maps each instance to the probability that its label was recorded
 during the logging phase. Besides the constant policy there are group-based
 and margin-based families, the latter driven by a coarse linear model fitted
 on a small slice of the data, plus an explicit per-instance table for finite
-pools. Every policy scores the CSR rows of a LabeledRows matrix at once; the
-table policy also scores a sequence of pool FeatureVectors.
+pools. Every policy scores a block of CSR rows at once: a LabeledRows
+matrix, or a finite class's pool (FiniteClass.rows).
 """
 from __future__ import annotations
 
@@ -149,8 +149,8 @@ class CertaintyPolicy(LoggingPolicy):
 
 class TablePolicy(LoggingPolicy):
     """Explicit instance -> probability map for finite pools; total coverage
-    of whatever it is asked about is required. It scores CSR rows or a
-    sequence of FeatureVectors, both by canonical key."""
+    of whatever it is asked about is required. Rows are looked up by their
+    canonical key."""
 
     def __init__(self, table: dict[FeatureVector, float]):
         for x, p in table.items():
@@ -158,10 +158,9 @@ class TablePolicy(LoggingPolicy):
                 raise ValueError(f"probability {p!r} for {x!r} out of range")
         self._table = {x.key(): p for x, p in table.items()}
 
-    def probs(self, rows: scipy.sparse.csr_array | Sequence[FeatureVector]) -> np.ndarray:
-        keys = row_keys(rows) if scipy.sparse.issparse(rows) else [x.key() for x in rows]
+    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
         try:
-            return np.array([self._table[key] for key in keys], dtype=float)
+            return np.array([self._table[key] for key in row_keys(rows)], dtype=float)
         except KeyError:
             raise ValueError("instance not covered by the table policy") from None
 

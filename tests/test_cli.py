@@ -11,10 +11,11 @@ import pytest
 
 from idbal import harness
 from idbal.cli import _out_dir, main
-from idbal.data import parse_sparse_dataset
+from idbal.data import FeatureVector, parse_sparse_dataset
 from idbal.harness import CONFIG_KEYS, CONFIG_TABLE, OUTPUT_DIR_ENV, config_to_experiment
 from idbal.learners import AlgoConfig
 from idbal.oracle import run_verification_suite
+from idbal.policies import save_table_policy
 
 SWEEP_CONFIG = """
 # tiny paired sweep
@@ -110,6 +111,34 @@ class TestRun:
             assert main(args) == 0
             last = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()[-1]
             assert f"synthetic,{algorithm},{repeat},{last}" in curves
+
+    def _table_args(self, tmp_path, drop: int | None):
+        """Args for a run on a gen-data file under a table policy saved over
+        its rows, all of them or all but row drop."""
+        data_path = tmp_path / "data.txt"
+        assert main(["gen-data", "--out", str(data_path), "--count", "300", "--dim", "4", "--seed", "2"]) == 0
+        rows = parse_sparse_dataset(data_path.read_text(encoding="utf-8")).matrix
+        xs = [
+            FeatureVector(zip(rows.indices[lo + 1 : hi].tolist(), rows.data[lo + 1 : hi].tolist()))
+            for lo, hi in zip(rows.indptr.tolist(), rows.indptr[1:].tolist())
+        ]
+        table_path = tmp_path / "table.csv"
+        pairs = [(x, 0.25 + 0.5 * (i % 2)) for i, x in enumerate(xs) if i != drop]
+        table_path.write_text(save_table_policy(pairs), encoding="utf-8")
+        return ["run", "--data.source", "file", "--data.path", str(data_path), "--policy.name", "table",
+                "--policy.table", str(table_path), "--split.test_fraction", "0.01", "--horizon", "32",
+                "--out", str(tmp_path / "out")]
+
+    def test_table_policy_from_a_file(self, tmp_path, capsys):
+        assert main(self._table_args(tmp_path, drop=None)) == 0
+        trace = (tmp_path / "out" / "trace.csv").read_text(encoding="utf-8").splitlines()
+        assert trace[0] == "consumed,queries,test_error" and len(trace) > 1
+
+    def test_table_policy_missing_a_row_exits_two(self, tmp_path, capsys):
+        # 3 of the 300 rows are test rows, which no policy scores; row 0 is
+        # a logged or online row at this seed
+        assert main(self._table_args(tmp_path, drop=0)) == 2
+        assert "not covered" in capsys.readouterr().err
 
     def test_unknown_algorithm_exits_two(self, tmp_path, capsys):
         assert main(self._args(tmp_path, "--algo.name", "boosting")) == 2

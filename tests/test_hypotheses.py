@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from idbal.data import Example, FeatureVector, LabeledRows, SplitRows
+from idbal.data import Example, FeatureVector, LabeledRows, SplitRows, row_keys
 from idbal.estimators import WeightedSample
 import idbal.hypotheses as hypotheses
 from idbal.hypotheses import (
@@ -392,6 +392,14 @@ class TestFiniteClass:
         assert copy is not pool[1] and copy == pool[1]
         assert hclass.positions([pool[3], copy]).tolist() == [3, 1]
         assert hclass.positions([]).dtype == np.intp
+
+    def test_rows_hold_the_pool_by_key(self):
+        pool = [FeatureVector({2: 0.1, 5: -1e-3}), FeatureVector({}), FeatureVector({1: 3.0, 7: 1 / 3})]
+        hclass = FiniteClass(pool, np.zeros((2, 3), dtype=np.int8))
+        assert row_keys(hclass.rows) == [x.key() for x in hclass.pool]
+        assert hclass.rows.shape == (3, 8) and hclass.rows[:, [0]].toarray().ravel().tolist() == [1.0] * 3
+        with pytest.raises(AttributeError):
+            hclass.rows = None
 
 
 

@@ -30,10 +30,12 @@ from idbal.learners import (
 from idbal.oracle import random_instance
 from idbal.policies import (
     IdenticalPolicy,
+    TablePolicy,
     UncertaintyPolicy,
     UniformGroupsPolicy,
     calibrate_scale,
     fit_coarse_model,
+    policy_prob,
 )
 from idbal.rng import derive_rng
 
@@ -376,11 +378,28 @@ class TestExactRuns:
         assert 0 <= res.final_classifier.index < len(inst.classifiers)
         assert res.final_classifier.owner is inst.classifiers
 
+    @pytest.mark.parametrize("runner", [run_idbal, run_passive])
+    @pytest.mark.parametrize(
+        "policy", [IdenticalPolicy(0.5), UniformGroupsPolicy(0.05, 0.25, 0.75, group_seed=2)], ids=["identical", "groups"]
+    )
+    def test_any_policy_runs_like_its_table(self, policy, runner):
+        # the policy scores the pool's rows; a table of those same values
+        # must give the same run, and the world logs with them too
+        base = random_instance(5, pool_size=5, class_size=8)
+        q0 = policy_prob(policy, base.classifiers.rows)
+        inst = dataclasses.replace(base, q0=q0)
+        table = TablePolicy({x: float(p) for x, p in zip(inst.pool, q0)})
+        rng = derive_rng(5, "any-policy")
+        logged, online = inst.draw_logged(rng, 400), inst.draw_examples(rng, 31)
+        cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5)
+        ours = runner(logged, online, policy, inst.classifiers, cfg, 5)
+        theirs = runner(logged, online, table, inst.classifiers, cfg, 5)
+        assert ours.decisions == theirs.decisions
+        assert ours.final_classifier == theirs.final_classifier
+
     def test_probability_one_logging_degeneracy_exact(self):
         inst = random_instance(11, pool_size=5, class_size=6)
         # force reveal probability 1 everywhere by overriding the table
-        from idbal.policies import TablePolicy
-
         policy = TablePolicy({x: 1.0 for x in inst.pool})
         rng = derive_rng(11, "degenerate")
         logged = []

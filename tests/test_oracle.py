@@ -14,7 +14,6 @@ from idbal.data import FeatureVector
 from idbal.hypotheses import FiniteClass
 from idbal.oracle import (
     DiscreteInstance,
-    _member_row,
     _simulate_estimates,
     _uniform_chunks,
     adjusted_dis_coefficient,
@@ -176,7 +175,7 @@ class TestAdjustedCoefficient:
 def _reference_estimates(instance, h, m, n, trials, rng, q1):
     """The whole-batch kernel the streamed one replaced, kept verbatim as the
     reference: (per-phase IS, balanced) estimates per trial."""
-    row = _member_row(instance, h)
+    row = instance.classifiers.labels[h]
     q0 = instance.q0
     q1 = np.ones(len(instance.pool)) if q1 is None else np.asarray(q1, dtype=float)
     total = m + n
@@ -203,7 +202,7 @@ def _reference_estimates(instance, h, m, n, trials, rng, q1):
 def _reference_rate_quantile(instance, pair, size, trials, rng, q1):
     """The whole-batch concentration_rate body, kept verbatim as the
     reference: the 0.9-quantile of the gap deviation at m = n = size."""
-    row1, row2 = (_member_row(instance, h) for h in pair)
+    row1, row2 = (instance.classifiers.labels[h] for h in pair)
     gap_true = true_error(instance, pair[0]) - true_error(instance, pair[1])
     q0 = instance.q0
     qq1 = np.ones(len(instance.pool)) if q1 is None else np.asarray(q1, dtype=float)
@@ -246,7 +245,7 @@ class TestStreamedKernels:
         inst = random_instance(seed, force_low_propensity=True)
         q1 = _q1_with_zeros(inst) if zeros else None
         ours, theirs = derive_rng(seed, "parity"), derive_rng(seed, "parity")
-        est_is, est_mis = _simulate_estimates(inst, seed % 8, m, n, trials, ours, q1, True, True)
+        est_is, est_mis = _simulate_estimates(inst, seed % 8, m, n, trials, ours, q1, ("is", "mis"))
         ref_is, ref_mis = _reference_estimates(inst, seed % 8, m, n, trials, theirs, q1)
         assert np.array_equal(est_is, ref_is) and np.array_equal(est_mis, ref_mis)
         assert ours.bit_generator.state == theirs.bit_generator.state

@@ -147,17 +147,17 @@ class TestTablePolicy:
     def test_lookup_and_missing(self):
         x = _vec(0)
         policy = TablePolicy({x: 0.25})
-        assert policy.probs([x, x]).tolist() == [0.25, 0.25]
+        assert policy.probs(_rows(x, x)).tolist() == [0.25, 0.25]
         assert policy.probs(_rows(x)).tolist() == [0.25]
-        with pytest.raises(ValueError):
-            policy.probs([_vec(1)])
+        with pytest.raises(ValueError, match="not covered"):
+            policy.probs(_rows(x, _vec(1)))
 
     def test_save_load_round_trip(self):
         xs = [_vec(i) for i in range(5)]
         pairs = [(x, 1.0 / (i + 2)) for i, x in enumerate(xs)]
         text = save_table_policy(pairs)
         back = load_table_policy(text)
-        assert back.probs(xs).tolist() == [p for _, p in pairs]
+        assert back.probs(_rows(*xs)).tolist() == [p for _, p in pairs]
 
 
 class TestPolicyProb:
