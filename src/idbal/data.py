@@ -116,7 +116,7 @@ def _canonical_label(token: str, line_number: int) -> int:
     return 1 if value == 1.0 else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
     """A fully labeled instance."""
 
@@ -133,7 +133,7 @@ class LabelSource(Enum):
     INFERRED = "inferred"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoggedTriple:
     """An instance with a reveal bit; the label exists only when z = 1.
 

@@ -209,6 +209,9 @@ class FiniteClass:
     disagreement checks, and weighted empirical errors reduce to array
     lookups. Members are addressed by their index. rows holds the pool as
     CSR rows, bias in column 0, so a logging policy scores it like a dataset.
+    mistakes is the read-only (members x 2*pool) bool table whose column
+    2p + y is labels[:, p] != y: each member's loss on a record at pool
+    position p with label y.
     """
 
     def __init__(self, pool: Sequence[FeatureVector], labels: np.ndarray):
@@ -223,6 +226,7 @@ class FiniteClass:
             raise ValueError("labels must be 0/1")
         self.pool: tuple[FeatureVector, ...] = tuple(pool)
         self.labels: np.ndarray = table.astype(np.int8)
+        self.labels.flags.writeable = False  # the mistake table below is derived from it
         self._positions: dict[FeatureVector, int] = {x: i for i, x in enumerate(self.pool)}
         if len(self._positions) != len(self.pool):
             raise ValueError("pool instances must be distinct")
@@ -230,10 +234,16 @@ class FiniteClass:
         self._positions_by_id: dict[int, int] = {id(x): i for i, x in enumerate(self.pool)}
         # parsed from the canonical keys, so row_keys(rows) gives them back
         self._rows = parse_sparse_dataset("".join(f"0 {x.key()}\n" for x in self.pool)).matrix
+        self._mistakes = np.stack((self.labels != 0, self.labels != 1), axis=2).reshape(len(self), -1)
+        self._mistakes.flags.writeable = False
 
     @property
     def rows(self):
         return self._rows
+
+    @property
+    def mistakes(self) -> np.ndarray:
+        return self._mistakes
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -278,12 +288,15 @@ def classification_error(model: LinearModel, data: LabeledRows) -> float:
 
 def weighted_losses(hypothesis_class: FiniteClass, sample: WeightedSample, candidates: np.ndarray) -> np.ndarray:
     """Estimator value per candidate over the sample, in the order of
-    candidates (sorted member indices), vectorized on the table."""
+    candidates (sorted member indices), read off the class's mistake table
+    at each revealed record's code 2 * position + label. The gathered
+    (candidates x records) bool matrix is C-contiguous, as a gather from
+    labels would be, so the product sums each loss in the same order."""
     live = sample.z == 1
     if not live.any():
         return np.zeros(len(candidates))
-    mistakes = hypothesis_class.labels[np.ix_(candidates, sample.rows[live])] != sample.y[live]
-    return mistakes @ (1.0 / sample.denominator[live])
+    codes = 2 * sample.rows[live] + sample.y[live]
+    return np.take(hypothesis_class.mistakes[candidates], codes, axis=1) @ (1.0 / sample.denominator[live])
 
 
 def best_candidate(candidates: np.ndarray, losses: np.ndarray) -> tuple[int, float]:

@@ -249,7 +249,8 @@ def save_table_policy(pairs: Sequence[tuple[FeatureVector, float]]) -> str:
 
 
 def load_table_policy(text: str) -> TablePolicy:
-    """Parse the CSV written by save_table_policy back into a policy."""
+    """Parse the CSV written by save_table_policy back into a policy. Every
+    malformed row is reported with its 1-based row number."""
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows or rows[0] != ["instance", "probability"]:
@@ -258,12 +259,15 @@ def load_table_policy(text: str) -> TablePolicy:
     for row_number, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise ValueError(f"row {row_number}: expected 2 columns")
-        pairs = []
-        for token in row[0].split():
-            index_text, _, value_text = token.partition(":")
-            pairs.append((int(index_text), float(value_text)))
-        x = FeatureVector(pairs)
+        try:
+            tokens = (token.partition(":") for token in row[0].split())
+            x = FeatureVector([(int(index), float(value)) for index, _, value in tokens])
+            p = float(row[1])
+        except ValueError as error:
+            raise ValueError(f"row {row_number}: {error}") from None
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"row {row_number}: probability {row[1]!r} outside [0, 1]")
         if x in table:
             raise ValueError(f"row {row_number}: duplicate instance")
-        table[x] = float(row[1])
+        table[x] = p
     return TablePolicy(table)

@@ -3,7 +3,8 @@
 These are the scalar forms the library used before its data path became
 CSR rows: stacking FeatureVectors into rows, the in-order score, the
 per-example error loop and the margin policies' per-instance formulas. Also
-the candidate pruning that took its slack from a callable, and the
+the finite class's losses gathered from its label table, the candidate
+pruning that took its slack from a callable, and the
 practical learners as they ran before samples held store positions: every
 sample a CSR copy of its rows, scored on its own. Importable from any test
 module, because pytest puts this directory on sys.path.
@@ -19,6 +20,7 @@ import scipy.sparse
 from idbal.data import Example, FeatureVector, LabeledRows, SplitRows
 from idbal.estimators import WeightedSample
 from idbal.hypotheses import (
+    FiniteClass,
     LinearModel,
     approx_dis_mask,
     classification_error,
@@ -102,6 +104,16 @@ def sparse_libsvm_text(seed: int, rows: int, dim: int, nnz: int) -> str:
         features = " ".join(f"{i + 1}:{v:.4f}" for i, v in zip(index, value))
         lines.append(f"{'+1' if label else '-1'} {features}")
     return "\n".join(lines) + "\n"
+
+
+def gathered_losses(hclass: FiniteClass, sample: WeightedSample, candidates: np.ndarray) -> np.ndarray:
+    """weighted_losses as it gathered from the label table: one np.ix_ read
+    of the candidates' labels at the revealed records' positions."""
+    live = sample.z == 1
+    if not live.any():
+        return np.zeros(len(candidates))
+    mistakes = hclass.labels[np.ix_(candidates, sample.rows[live])] != sample.y[live]
+    return mistakes @ (1.0 / sample.denominator[live])
 
 
 def prune_by_threshold(

@@ -3,6 +3,8 @@ logging simulation, and the row layout, compared with the per-record
 records they replace."""
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,17 @@ class TestRecords:
     def test_revealed_default_source_is_queried(self):
         t = LoggedTriple(FeatureVector({1: 1.0}), 1, 0)
         assert t.label_source is LabelSource.QUERIED
+
+    def test_records_are_slotted_and_pickle(self):
+        x = FeatureVector({1: 1.0, 3: -2.5})
+        records = [Example(x, 1), LoggedTriple(x, 0), LoggedTriple(x, 1, 0), LoggedTriple(x, 1, 1, LabelSource.INFERRED)]
+        for record in records:
+            assert not hasattr(record, "__dict__")
+            back = pickle.loads(pickle.dumps(record))
+            assert back == record and type(back) is type(record)
+        assert pickle.loads(pickle.dumps(records[2])).label_source is LabelSource.QUERIED
+        with pytest.raises(AttributeError):
+            records[1].z = 1
 
 
 class TestTextFormat:

@@ -26,7 +26,7 @@ from idbal.hypotheses import (
 )
 from idbal.policies import margins
 
-from reference import example_error, labeled_rows, prune_by_threshold, raw_score, stack_rows
+from reference import example_error, gathered_losses, labeled_rows, prune_by_threshold, raw_score, stack_rows
 
 
 def _weighted_squared_loss(weights: np.ndarray, x: FeatureVector, y: int, u: float) -> float:
@@ -401,6 +401,21 @@ class TestFiniteClass:
         with pytest.raises(AttributeError):
             hclass.rows = None
 
+    def test_mistake_table_reads_the_labels(self):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 2, (9, 6))
+        hclass = FiniteClass([FeatureVector({1: float(i)}) for i in range(6)], labels)
+        table = hclass.mistakes
+        assert table.dtype == bool and table.shape == (9, 12)
+        for p in range(6):
+            for y in (0, 1):
+                assert (table[:, 2 * p + y] == (labels[:, p] != y)).all()
+        for array in (table, hclass.labels):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1 - array[0, 0]
+        with pytest.raises(AttributeError):
+            hclass.mistakes = None
+
 
 
 class TestErmAndCandidates:
@@ -506,6 +521,34 @@ class TestErmAndCandidates:
             )
             pruned += len(expected) < len(current)
         assert pruned > 50
+
+    @pytest.mark.parametrize("revealed", ["none", "one", "some", "over-4000"])
+    @pytest.mark.parametrize("subset", ["single", "some", "all"])
+    def test_losses_equal_the_label_gather_to_the_bit(self, revealed, subset):
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            members, pool = int(rng.integers(1, 80)), int(rng.integers(1, 16))
+            hclass = FiniteClass(
+                [FeatureVector({1: float(i)}) for i in range(pool)], rng.integers(0, 2, (members, pool))
+            )
+            size = 5000 if revealed == "over-4000" else 60
+            z = {
+                "none": np.zeros(size, dtype=int),
+                "one": (np.arange(size) == rng.integers(size)).astype(int),
+                "some": rng.integers(0, 2, size),
+                "over-4000": (rng.random(size) < 0.9).astype(int),
+            }[revealed]
+            assert revealed != "over-4000" or z.sum() >= 4000
+            sample = WeightedSample.balanced(
+                rng.integers(0, pool, size), z, rng.integers(0, 2, size),
+                rng.uniform(0.01, 1.0, size), rng.uniform(0.0, 1.0, size), m=size, n=int(rng.integers(0, 300)),
+            )
+            count = {"single": 1, "some": int(rng.integers(1, members + 1)), "all": members}[subset]
+            candidates = np.sort(rng.choice(members, count, replace=False))
+            losses = weighted_losses(hclass, sample, candidates)
+            expected = gathered_losses(hclass, sample, candidates)
+            assert losses.dtype == expected.dtype and losses.shape == (count,)
+            assert losses.tobytes() == expected.tobytes()
 
 
 class TestExactDisagreement:

@@ -159,6 +159,27 @@ class TestTablePolicy:
         back = load_table_policy(text)
         assert back.probs(_rows(*xs)).tolist() == [p for _, p in pairs]
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("abc:0.5,0.5", "invalid literal for int"),
+            ("1:abc,0.5", "could not convert string to float: 'abc'"),
+            ("0:0.5,0.5", "feature index 0 is not positive"),
+            ("1:0.5,abc", "could not convert string to float: 'abc'"),
+            ("1:0.5,1.5", "probability '1.5' outside"),
+            ("1:0.5,nan", "probability 'nan' outside"),
+        ],
+        ids=["bad-index", "bad-value", "non-positive-index", "bad-probability", "probability-above-1", "nan-probability"],
+    )
+    def test_load_names_the_bad_row(self, row, message):
+        text = f"instance,probability\n2:1.0,0.5\n{row}\n"
+        with pytest.raises(ValueError, match=f"^row 3: {message}"):
+            load_table_policy(text)
+
+    def test_load_names_a_duplicate_row(self):
+        with pytest.raises(ValueError, match="^row 3: duplicate instance"):
+            load_table_policy("instance,probability\n1:0.5,0.5\n1:0.5,0.25\n")
+
 
 class TestPolicyProb:
     def test_rejects_out_of_range(self):
