@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -160,6 +160,9 @@ class ExperimentConfig:
             raise ValueError("repeats and horizon_base must be >= 1, growth >= 2")
         if not self.capacity_grid or not self.eta_grid:
             raise ValueError("parameter grids cannot be empty")
+        bad = [value for value in self.capacity_grid + self.eta_grid if not 0.0 < value < math.inf]
+        if bad:
+            raise ValueError(f"capacity and eta grid values must be positive and finite, got {bad}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -530,7 +533,19 @@ def records_to_json(records: Iterable[RunRecord]) -> str:
 
 
 def records_from_json(text: str) -> tuple[RunRecord, ...]:
+    """Records from records_to_json's text; a row that is not an object, or
+    that misses or adds a field, is a ValueError naming its 1-based row."""
     rows = json.loads(text)
+    if not isinstance(rows, list):
+        raise ValueError("records must be a JSON list of objects")
+    names = [f.name for f in fields(RunRecord)]
+    for number, row in enumerate(rows, start=1):
+        if not isinstance(row, dict):
+            raise ValueError(f"row {number}: not a JSON object")
+        missing = [name for name in names if name not in row]
+        unknown = [key for key in row if key not in names]
+        if missing or unknown:
+            raise ValueError(f"row {number}: missing fields {missing}, unknown fields {unknown}")
     return tuple(RunRecord(**row) for row in rows)
 
 

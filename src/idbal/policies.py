@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import brentq
 
 from .data import FeatureVector, LabeledRows, row_keys
 from .hypotheses import LinearModel, ogd_update
@@ -234,6 +233,7 @@ def calibrate_scale(
         hi *= 2.0
     else:
         raise ValueError(f"target {target} unreachable for {kind} policy on this sample")
+    from scipy.optimize import brentq  # here, so `import idbal` skips scipy.optimize
     return float(brentq(gap, 0.0, hi, xtol=tolerance))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -195,6 +196,14 @@ class TestSweep:
         assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("sweep.capacity_grid", "0"), ("sweep.eta_grid", "nan")])
+    def test_bad_grid_value_exits_two_before_any_run(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.setattr("idbal.cli.run_protocol", lambda experiment: pytest.fail("a run started"))
+        out = tmp_path / "out"
+        assert main(["sweep", f"--{key}", value, "--out", str(out)]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_test_split_exits_two(self, tmp_path, capsys):
         # sweep and run prepare a repeat through the same harness path
         args = ["sweep", "--data.count", "60", "--split.test_fraction", "0.01", "--repeats", "1",
@@ -214,6 +223,19 @@ class TestReport:
         assert (tmp_path / "summary.csv").read_bytes() == (sweep_out / "summary.csv").read_bytes()
         assert (tmp_path / "curves.csv").read_bytes() == (sweep_out / "curves.csv").read_bytes()
         assert "best AUC" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: {"dataset": row["dataset"], "algorithm": row["algorithm"]}, "row 1: missing fields ['capacity',"),
+        (lambda row: row | {"extra": 1}, "row 1: missing fields [], unknown fields ['extra']"),
+        (lambda row: list(row.values()), "row 1: not a JSON object"),
+    ], ids=["missing-field", "unknown-field", "not-an-object"])
+    def test_malformed_record_exits_two(self, sweep_out, tmp_path, capsys, edit, message):
+        row = json.loads((sweep_out / "records.json").read_text(encoding="utf-8"))[0]
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps([edit(row)]), encoding="utf-8")
+        assert main(["report", "--records", str(records), "--out", str(tmp_path / "report")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
 
 class TestVerify:

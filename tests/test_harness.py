@@ -3,6 +3,7 @@ aggregation, the paired protocol, CSV reports, and flat-config parsing."""
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -44,6 +45,9 @@ from idbal.policies import fit_coarse_model
 from idbal.rng import child_seed, derive_rng
 
 from reference import sparse_libsvm_text
+
+RECORD_ROW = {"dataset": "d", "algorithm": "passive", "capacity": None, "eta": 0.1, "repeat": 0,
+              "horizon_index": 0, "horizon": 10, "queries": 10, "test_error": 0.5, "data_digest": "ab"}
 
 
 class TestHorizonSchedule:
@@ -507,6 +511,19 @@ class TestReport:
         text = records_to_json(result.records)
         assert records_from_json(text) == result.records
 
+    @pytest.mark.parametrize("rows, message", [
+        ([{"dataset": "d", "algorithm": "passive"}], "row 1: missing fields ['capacity', 'eta',"),
+        ([RECORD_ROW, RECORD_ROW | {"extra": 1}], "row 2: missing fields [], unknown fields ['extra']"),
+        ([{k: v for k, v in RECORD_ROW.items() if k != "eta"} | {"ETA": 0.1}],
+         "row 1: missing fields ['eta'], unknown fields ['ETA']"),
+        ([RECORD_ROW, "row"], "row 2: not a JSON object"),
+        (RECORD_ROW, "records must be a JSON list of objects"),
+    ], ids=["missing-fields", "unknown-field", "renamed-field", "not-an-object", "not-a-list"])
+    def test_malformed_records_name_the_row(self, rows, message):
+        with pytest.raises(ValueError) as caught:
+            records_from_json(json.dumps(rows))
+        assert str(caught.value).startswith(message)
+
     def test_rebuild_from_records(self, tiny_protocol):
         cfg, result = tiny_protocol
         rebuilt = rebuild_result(result.records)
@@ -607,6 +624,17 @@ class TestExperimentConfigValidation:
     def test_requires_nonempty_grids(self):
         with pytest.raises(ValueError):
             ExperimentConfig(datasets=self._dataset(), capacity_grid=())
+
+    @pytest.mark.parametrize("key", ["sweep.capacity_grid", "sweep.eta_grid"])
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf", "0.64, nan"])
+    def test_rejects_grid_values_algo_config_rejects(self, key, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            config_to_experiment({key: value})
+
+    def test_valid_grids_are_kept(self):
+        cfg = config_to_experiment({"sweep.capacity_grid": "0.01, 2.56", "sweep.eta_grid": "0.0001"})
+        assert cfg.capacity_grid == (0.01, 2.56)
+        assert cfg.eta_grid == (0.0001,)
 
     def test_requires_positive_workers(self):
         with pytest.raises(ValueError):

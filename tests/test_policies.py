@@ -2,11 +2,17 @@
 scoring a block of rows, compared with the per-instance formulas."""
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import idbal
 from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic, row_keys
 from idbal.hypotheses import LinearModel
 from idbal.policies import (
@@ -224,3 +230,33 @@ class TestCoarseModelAndCalibration:
         rows = _rows(*(_vec(i, dim=2) for i in range(10)))
         with pytest.raises(ValueError):
             calibrate_scale("certainty", model, rows, target=0.5)
+
+    def test_calibrated_scales_are_pinned(self):
+        # the values brentq returned while it was imported at module level
+        data = generate_synthetic(SyntheticSpec(count=800, dim=6, seed=2))
+        model = fit_coarse_model(data, 0.1, seed=3)
+        rows = data.matrix[:400]
+        assert calibrate_scale("uncertainty", model, rows, target=0.1) == float.fromhex("0x1.100197bc3414ap+7")
+        assert calibrate_scale("certainty", model, rows, target=0.1) == float.fromhex("0x1.1980e74c137e8p-2")
+
+
+COLD_IMPORT = """
+import json, sys
+import idbal, idbal.cli
+from idbal.hypotheses import LinearModel
+from idbal.policies import calibrate_scale
+import numpy as np, scipy.sparse
+after_import = "scipy.optimize" in sys.modules
+rows = scipy.sparse.csr_array(np.array([[1.0, -2.0], [1.0, 0.5], [1.0, 3.0]]))
+calibrate_scale("uncertainty", LinearModel(np.array([0.1, 1.0])), rows, target=0.5)
+print(json.dumps([after_import, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter: this process may have loaded scipy.optimize already
+    env = dict(os.environ, PYTHONPATH=str(Path(idbal.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, capture_output=True, text=True, check=True)
+    after_import, after_calibration = json.loads(done.stdout)
+    assert not after_import
+    assert after_calibration
