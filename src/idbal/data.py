@@ -36,6 +36,7 @@ __all__ = [
     "apply_logging",
     "row_keys",
     "LabeledRows",
+    "RowTable",
     "SplitRows",
 ]
 
@@ -332,20 +333,54 @@ class LabeledRows:
 
 
 @dataclass(frozen=True)
+class RowTable:
+    """CSR rows as a gradient pass reads them, width columns wide: rows[i]
+    is row i's pair (indices, values) of read-only memoryviews, one indices
+    view per distinct pattern, or None for a row no pass reads. Indexing
+    shares the row objects, so their ids tell one pass's rows apart."""
+
+    rows: np.ndarray
+    width: int
+
+    @classmethod
+    def from_csr(cls, matrix: scipy.sparse.csr_array, keep: np.ndarray | None = None) -> "RowTable":
+        """Every row of matrix, or those where keep is nonzero; the views
+        hold a copy of those rows alone."""
+        kept = np.arange(matrix.shape[0]) if keep is None else np.flatnonzero(keep)
+        part = matrix[kept]
+        bounds, index_bytes = part.indptr.tolist(), part.indices.astype(np.int64).tobytes()
+        values = memoryview(part.data.astype(np.float64).tobytes()).cast("d")
+        patterns: dict[bytes, memoryview] = {}
+        rows = np.full(matrix.shape[0], None, dtype=object)
+        for r, lo, hi in zip(kept.tolist(), bounds, bounds[1:]):
+            pattern = index_bytes[8 * lo : 8 * hi]
+            rows[r] = (patterns.setdefault(pattern, memoryview(pattern).cast("q")), values[lo:hi])
+        return cls(rows, matrix.shape[1])
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+    def __getitem__(self, index: slice | np.ndarray) -> "RowTable":
+        return RowTable(self.rows[index], self.width)
+
+
+@dataclass(frozen=True)
 class SplitRows:
     """One split as the learners read it, as arrays: each record's logging
     propensity q0, reveal bit z and label y (0 wherever z = 0, so a hidden
     label is never stored), and the rows the hypothesis space reads. For a
-    linear model, rows is a LabeledRows matrix and norms holds each row's
-    squared norm 1 + sum v^2; for a finite class, rows holds pool positions
-    and norms is None. Indexing with a slice or an index array cuts every
-    array alike, so split[:h] is the first h records."""
+    linear model, rows is a LabeledRows matrix, norms holds each row's
+    squared norm 1 + sum v^2 and table the revealed rows' RowTable; for a
+    finite class, rows holds pool positions. Indexing with a slice or an
+    index array cuts every array alike, so split[:h] is the first h records
+    and shares the table's row objects."""
 
     q0: np.ndarray
     z: np.ndarray
     y: np.ndarray
     rows: scipy.sparse.csr_array | np.ndarray
     norms: np.ndarray | None = None
+    table: RowTable | None = None
 
     @classmethod
     def from_labeled(cls, data: LabeledRows, q0: np.ndarray, z: np.ndarray | None = None) -> "SplitRows":
@@ -355,11 +390,12 @@ class SplitRows:
         features = data.matrix[:, 1:]
         # a CSR product sums each row's squares in index order, as 1 + sum v^2 does
         norms = 1.0 + features.multiply(features) @ np.ones(features.shape[1])
-        return cls(q0, z, data.labels * z, data.matrix, norms)
+        return cls(q0, z, data.labels * z, data.matrix, norms, RowTable.from_csr(data.matrix, z))
 
     def __len__(self) -> int:
         return self.q0.size
 
     def __getitem__(self, index: slice | np.ndarray) -> "SplitRows":
         norms = None if self.norms is None else self.norms[index]
-        return SplitRows(self.q0[index], self.z[index], self.y[index], self.rows[index], norms)
+        table = None if self.table is None else self.table[index]
+        return SplitRows(self.q0[index], self.z[index], self.y[index], self.rows[index], norms, table)

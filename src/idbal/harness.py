@@ -533,12 +533,15 @@ def records_to_json(records: Iterable[RunRecord]) -> str:
 
 
 def records_from_json(text: str) -> tuple[RunRecord, ...]:
-    """Records from records_to_json's text; a row that is not an object, or
-    that misses or adds a field, is a ValueError naming its 1-based row."""
+    """Records from records_to_json's text; a row that is not an object,
+    that misses or adds a field, or whose field holds a value of the wrong
+    type, is a ValueError naming its 1-based row (and the field)."""
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("records must be a JSON list of objects")
     names = [f.name for f in fields(RunRecord)]
+    # the JSON values each RunRecord annotation accepts; a bool is never one
+    kinds = {"str": (str,), "int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
     for number, row in enumerate(rows, start=1):
         if not isinstance(row, dict):
             raise ValueError(f"row {number}: not a JSON object")
@@ -546,6 +549,10 @@ def records_from_json(text: str) -> tuple[RunRecord, ...]:
         unknown = [key for key in row if key not in names]
         if missing or unknown:
             raise ValueError(f"row {number}: missing fields {missing}, unknown fields {unknown}")
+        for f in fields(RunRecord):
+            value = row[f.name]
+            if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
+                raise ValueError(f"row {number}: {f.name} must be {f.type}, got {value!r}")
     return tuple(RunRecord(**row) for row in rows)
 
 

@@ -6,14 +6,15 @@ Two worlds:
   instance pool, with explicit candidate-set updates and a disagreement mask
   read off the table;
 * practical: a linear model with a bias coordinate, trained by online gradient
-  descent on the squared surrogate (y mapped to {-1, +1}), with a margin-based
-  approximation of the disagreement test that never materializes a candidate
-  set.
+  descent on the squared surrogate (y mapped to {-1, +1}) over a RowTable's
+  rows, with a margin-based approximation of the disagreement test that never
+  materializes a candidate set.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureVector, LabeledRows, parse_sparse_dataset
+from .data import FeatureVector, LabeledRows, RowTable, parse_sparse_dataset
 from .estimators import WeightedSample
 
 __all__ = [
@@ -82,9 +83,9 @@ def ogd_stepsize(t: int, eta: float) -> float:
     return math.sqrt(eta / (t + eta))
 
 
-# Finished passes of ogd_update, keyed by _pass_key; None outside ogd_memo().
-# A context variable, so a block is seen only by the thread that opened it.
-_passes: ContextVar[dict[bytes, tuple[np.ndarray, int]] | None] = ContextVar("ogd_passes", default=None)
+# Finished passes of ogd_update; None outside ogd_memo(). A context variable,
+# so a block is seen only by the thread that opened it.
+_passes: ContextVar[dict[tuple, tuple[np.ndarray, int, list]] | None] = ContextVar("ogd_passes", default=None)
 
 
 @contextmanager
@@ -92,9 +93,11 @@ def ogd_memo():
     """Within the block, an ogd_update call that repeats a pass already made
     in it returns that pass's result instead of running the row loop again.
     The results are the same to the bit, since the key covers every input
-    the pass reads. Whatever the block stored is dropped when it exits, by
-    an exception too; a nested block starts empty and restores the outer
-    one's passes."""
+    the pass reads: its rows by their ids (the entry holds them, so no id
+    is reused), the start weights by SHA-256 digest, steps, eta, and the
+    labels and importance weights as bytes. Whatever the block stored is
+    dropped when it exits, by an exception too; a nested block starts empty
+    and restores the outer one's passes."""
     token = _passes.set({})
     try:
         yield
@@ -102,46 +105,20 @@ def ogd_memo():
         _passes.reset(token)
 
 
-def _pass_key(model: LinearModel, rows, labels: np.ndarray, importance_weights: np.ndarray, eta: float) -> bytes:
-    """256-bit SHA-256 digest of everything an ogd_update pass reads: the
-    start weights and steps, eta, the row width and the CSR arrays, the
-    labels (as int8) and the importance weights (as float64). Each array is
-    hashed after a 'dtype:byte length;' header, so no two different inputs
-    frame to the same byte stream; non-finite weights hash as their bytes.
-    SHA-256 rather than BLAKE2: with the CPU's SHA extensions it hashes the
-    rows about three times as fast."""
-    digest = hashlib.sha256()
-    fields = (
-        model.weights,
-        np.array([model.steps, rows.shape[0], rows.shape[1]], dtype=np.int64),
-        np.array([eta], dtype=np.float64),
-        rows.indptr,
-        rows.indices,
-        rows.data,
-        labels.astype(np.int8),
-        importance_weights,
-    )
-    for part in fields:
-        part = np.ascontiguousarray(part)
-        digest.update(f"{part.dtype.str}:{part.nbytes};".encode())
-        digest.update(part)
-    return digest.digest()
-
-
-def ogd_update(model: LinearModel, rows, labels, importance_weights, eta: float) -> LinearModel:
-    """One in-order pass over CSR rows laid out as LabeledRows stores them: a
-    gradient step per row on the weighted squared surrogate (w . x~ - y~)^2
-    with y~ = 2y - 1. Each step uses the pre-increment step index for its
-    stepsize; a row of weight 0 still advances steps. Scores are summed from
-    the bias left to right, so the weights do not depend on the batching.
-    Inside ogd_memo() a repeated pass is looked up after the same checks.
+def ogd_update(model: LinearModel, rows: RowTable, labels, importance_weights, eta: float) -> LinearModel:
+    """One in-order pass over a RowTable's rows: a gradient step per row on
+    the weighted squared surrogate (w . x~ - y~)^2 with y~ = 2y - 1. Each
+    step uses the pre-increment step index for its stepsize; a row of
+    weight 0 still advances steps. Scores are summed from the bias left to
+    right, so the weights do not depend on the batching. Inside ogd_memo() a
+    repeated pass is looked up after the same checks.
     """
     w = model.weights
-    if rows.shape[1] != w.size:
-        raise ValueError(f"rows have {rows.shape[1] - 1} features, model dimension is {model.dim}")
+    if rows.width != w.size:
+        raise ValueError(f"rows have {rows.width - 1} features, model dimension is {model.dim}")
     labels = np.asarray(labels)
     importance_weights = np.asarray(importance_weights, dtype=float)
-    if not labels.shape == importance_weights.shape == (rows.shape[0],):
+    if not labels.shape == importance_weights.shape == (len(rows),):
         raise ValueError("labels and importance weights must align with the rows")
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("label must be 0 or 1")
@@ -149,30 +126,33 @@ def ogd_update(model: LinearModel, rows, labels, importance_weights, eta: float)
         raise ValueError("importance weight cannot be negative")
     if not 0.0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
-    eta = float(eta)  # the key holds eta as a float64, so the loop must compute with one
+    eta = float(eta)  # the key holds eta as a float, so the loop must compute with one
+    table = rows.rows.tolist()
     passes = _passes.get()
     if passes is not None:
-        key = _pass_key(model, rows, labels, importance_weights, eta)
+        # the start weights are as wide as the model, so the key holds their
+        # digest: on a 1,000-feature model, their bytes would hold 8 KB a pass
+        start = hashlib.sha256(np.ascontiguousarray(w)).digest()
+        ids = array("Q", map(id, table)).tobytes()
+        key = (ids, start, model.steps, eta, labels.astype(np.int8).tobytes(), importance_weights.tobytes())
         done = passes.get(key)
         if done is not None:
             return LinearModel(done[0].copy(), done[1])
     weights = w.tolist()
-    indptr, indices, values = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
     steps = model.steps
-    for row, (y, u) in enumerate(zip(labels.tolist(), importance_weights.tolist())):
+    for (indices, values), y, u in zip(table, labels.tolist(), importance_weights.tolist()):
         steps += 1
         step = math.sqrt(eta / (steps + eta))  # ogd_stepsize(steps, eta), unchecked
         if u > 0.0:
-            lo, hi = indptr[row], indptr[row + 1]
             score = 0.0
-            for j in range(lo, hi):
-                score += weights[indices[j]] * values[j]
+            for i, v in zip(indices, values):
+                score += weights[i] * v
             scale = step * u * 2.0 * (score - (2.0 * y - 1.0))
-            for j in range(lo, hi):
-                weights[indices[j]] -= scale * values[j]
+            for i, v in zip(indices, values):
+                weights[i] -= scale * v
     result = LinearModel(np.array(weights), steps)
     if passes is not None:
-        passes[key] = (result.weights.copy(), steps)
+        passes[key] = (result.weights.copy(), steps, table)
     return result
 
 

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse
 
-from .data import Example, LabeledRows, LoggedTriple, SplitRows
+from .data import Example, LabeledRows, LoggedTriple, RowTable, SplitRows
 from .estimators import WeightedSample, delta_bound, mis_error, sigma
 from .hypotheses import (
     FiniteClass,
@@ -281,20 +280,22 @@ class _ExactSteps:
 class _PracticalSteps:
     """Practical mode over a LinearModel: importance-weighted gradient passes
     instead of an ERM, and the margin test instead of a candidate set. The
-    store joins the logged then the online rows, whose q0 the splits carry
-    (the policy is not read), and samples hold store positions. Fit scores
-    the whole store once, with the weights it fits, and the iteration reads
-    every score off that product."""
+    store joins the logged then the online records, whose q0 the splits
+    carry (the policy is not read), and their row tables; samples hold store
+    positions. Fit scores every record once, with the weights it fits, and
+    the iteration reads every score off that product."""
 
     def __init__(self, model: LinearModel, cfg: AlgoConfig, logged: SplitRows, online: SplitRows, policy):
         if not isinstance(model, LinearModel):
             raise TypeError("practical mode needs a LinearModel")
         for part in (logged, online):
-            if not isinstance(part, SplitRows) or part.norms is None or part.rows.shape[1] != model.dim + 1:
+            if not isinstance(part, SplitRows) or part.table is None or part.rows.shape[1] != model.dim + 1:
                 raise ValueError(f"split rows do not match dimension {model.dim}")
         joined = {f: np.concatenate((getattr(logged, f), getattr(online, f))) for f in ("q0", "z", "y", "norms")}
-        self.store = SplitRows(rows=scipy.sparse.vstack((logged.rows, online.rows), format="csr"), **joined)
-        self.rows = np.arange(len(self.store))
+        self.rows = np.arange(len(logged) + len(online))
+        table = RowTable(np.concatenate((logged.table.rows, online.table.rows)), model.dim + 1)
+        self.store = SplitRows(rows=self.rows, table=table, **joined)
+        self.parts = (logged.rows, online.rows)
         self.model = model
         self.cfg = cfg
         self.m = len(logged)
@@ -302,18 +303,21 @@ class _PracticalSteps:
         self.xi = float(logged.q0.min(initial=1.0))
         self.iterations = None
 
+    def score(self, weights: np.ndarray) -> np.ndarray:
+        """Every store record's score, each with its CSR row's own bits."""
+        return np.concatenate([rows @ weights for rows in self.parts])
+
     def fit(self, sample: WeightedSample):
         revealed = np.flatnonzero(sample.z)
         if revealed.size:
             # mean-style importance weights: (m + n)/denominator reduces to
             # 1/q0 on the warm segment and keeps gradient magnitudes O(1)
             weights = (sample.m + sample.n) / sample.denominator[revealed]
-            rows = self.store.rows[sample.rows[revealed]]
+            rows = self.store.table[sample.rows[revealed]]
             self.model = ogd_update(self.model, rows, sample.y[revealed], weights, self.cfg.eta)
             # steps just advanced, so this is the stepsize the last step used
             self.stepsize = ogd_stepsize(self.model.steps, self.cfg.eta)
-        # CSR rows are summed one by one, so each score has its row's own bits
-        self.scores = self.store.rows @ self.model.weights
+        self.scores = self.score(self.model.weights)
         # ties (score exactly 0) go to label 1, a NaN score predicts 0
         self.erm_value = mis_error(self.scores[sample.rows] >= 0.0, sample)
         return self.model, self.erm_value
@@ -475,14 +479,13 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
         trace.append(TracePoint(0, 0, _test_error(steps.fit(warm)[0], test_data)))
         final, final_value = steps.fit(sample)
     else:
-        # the splits are SplitRows here, read as given: slicing the store copies CSR rows
         revealed = np.flatnonzero(logged.z)
         weights = 1.0 / logged.q0[revealed]
-        model = ogd_update(hypothesis_space, logged.rows[revealed], logged.y[revealed], weights, cfg.eta)
+        model = ogd_update(hypothesis_space, logged.table[revealed], logged.y[revealed], weights, cfg.eta)
         trace.append(TracePoint(0, 0, _test_error(model, test_data)))
-        final = ogd_update(model, online.rows, online.y, np.ones(n), cfg.eta)
+        final = ogd_update(model, online.table, online.y, np.ones(n), cfg.eta)
         # ties (score exactly 0) go to label 1, a NaN score predicts 0
-        final_value = mis_error(store.rows @ final.weights >= 0.0, sample)
+        final_value = mis_error(steps.score(final.weights) >= 0.0, sample)
 
     trace.append(TracePoint(n, n, _test_error(final, test_data)))
     return RunResult(

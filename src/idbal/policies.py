@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse
 
-from .data import FeatureVector, LabeledRows, row_keys
+from .data import FeatureVector, LabeledRows, RowTable, row_keys
 from .hypotheses import LinearModel, ogd_update
 from .rng import derive_rng
 
@@ -194,7 +194,7 @@ def fit_coarse_model(data: LabeledRows, fraction: float, seed: int = 0, eta: flo
     sub = subsample.matrix
     dim = max(1, int(sub.indices.max()))
     rows = scipy.sparse.csr_array((sub.data, sub.indices, sub.indptr), shape=(size, dim + 1))
-    return ogd_update(LinearModel.zeros(dim), rows, subsample.labels, np.ones(size), eta)
+    return ogd_update(LinearModel.zeros(dim), RowTable.from_csr(rows), subsample.labels, np.ones(size), eta)
 
 
 def calibrate_scale(

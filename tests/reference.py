@@ -6,7 +6,8 @@ per-example error loop and the margin policies' per-instance formulas. Also
 the finite class's losses gathered from its label table, the candidate
 pruning that took its slack from a callable, and the
 practical learners as they ran before samples held store positions: every
-sample a CSR copy of its rows, scored on its own. Importable from any test
+sample a CSR copy of its rows, scored on its own; and the gradient pass as
+it ran over CSR arrays before passes read row tables. Importable from any test
 module, because pytest puts this directory on sys.path.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse
 
-from idbal.data import Example, FeatureVector, LabeledRows, SplitRows
+from idbal.data import Example, FeatureVector, LabeledRows, RowTable, SplitRows
 from idbal.estimators import WeightedSample
 from idbal.hypotheses import (
     FiniteClass,
@@ -47,6 +48,26 @@ def stack_rows(instances: Sequence[FeatureVector], dim: int) -> scipy.sparse.csr
         (np.array(values, dtype=float), np.array(indices, dtype=np.intp), np.array(indptr, dtype=np.intp)),
         shape=(len(instances), dim + 1),
     )
+
+
+def csr_pass(model: LinearModel, rows: scipy.sparse.csr_array, labels, importance_weights, eta: float) -> LinearModel:
+    """ogd_update's row loop as it read CSR arrays: each row's score and
+    update walk indices[j] and values[j] over its indptr bounds."""
+    weights = model.weights.tolist()
+    indptr, indices, values = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
+    steps = model.steps
+    for row, (y, u) in enumerate(zip(np.asarray(labels).tolist(), np.asarray(importance_weights, dtype=float).tolist())):
+        steps += 1
+        step = math.sqrt(eta / (steps + eta))
+        if u > 0.0:
+            lo, hi = indptr[row], indptr[row + 1]
+            score = 0.0
+            for j in range(lo, hi):
+                score += weights[indices[j]] * values[j]
+            scale = step * u * 2.0 * (score - (2.0 * y - 1.0))
+            for j in range(lo, hi):
+                weights[indices[j]] -= scale * values[j]
+    return LinearModel(np.array(weights), steps)
 
 
 def labeled_rows(examples: Sequence[Example], dim: int) -> LabeledRows:
@@ -189,7 +210,7 @@ def practical_run(
         revealed = np.flatnonzero(sample.z)
         if revealed.size:
             weights = (sample.m + sample.n) / sample.denominator[revealed]
-            model = ogd_update(model, sample.rows[revealed], sample.y[revealed], weights, cfg.eta)
+            model = ogd_update(model, RowTable.from_csr(sample.rows[revealed]), sample.y[revealed], weights, cfg.eta)
             stepsize = ogd_stepsize(model.steps, cfg.eta)
         erm_value = model_mis_error(model, sample)
         trace.append(TracePoint(consumed, queries, _test_error(model, test_data)))
@@ -255,8 +276,10 @@ def practical_passive(
     """The passive learner, its estimate scored over a CSR copy of every row."""
     m, n = len(logged), len(online)
     revealed = np.flatnonzero(logged.z)
-    warm = ogd_update(model, logged.rows[revealed], logged.y[revealed], 1.0 / logged.q0[revealed], cfg.eta)
-    final = ogd_update(warm, online.rows, online.y, np.ones(n), cfg.eta)
+    warm = ogd_update(
+        model, RowTable.from_csr(logged.rows[revealed]), logged.y[revealed], 1.0 / logged.q0[revealed], cfg.eta
+    )
+    final = ogd_update(warm, RowTable.from_csr(online.rows), online.y, np.ones(n), cfg.eta)
     sample = WeightedSample.phase_weighted(
         scipy.sparse.vstack((logged.rows, online.rows), format="csr"),
         np.concatenate((logged.z, online.z)),

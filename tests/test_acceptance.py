@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic, split_dataset
+from idbal.data import FeatureVector, RowTable, SyntheticSpec, generate_synthetic, split_dataset
 from idbal.harness import (
     EXAMPLE_CURVE,
     EXAMPLE_CURVE_AREA,
@@ -321,7 +321,7 @@ class TestAcceptance:
             u = float(rng.uniform(0.2, 3.0))
             steps = int(rng.integers(0, 50))
             model = LinearModel(weights.copy(), steps=steps)
-            updated = ogd_update(model, stack_rows([x], dim), np.array([y]), np.array([u]), 0.5)
+            updated = ogd_update(model, RowTable.from_csr(stack_rows([x], dim)), np.array([y]), np.array([u]), 0.5)
             stepsize = ogd_stepsize(steps + 1, 0.5)
             analytic = (weights - updated.weights) / stepsize
             h = 1e-6

@@ -228,7 +228,8 @@ class TestReport:
         (lambda row: {"dataset": row["dataset"], "algorithm": row["algorithm"]}, "row 1: missing fields ['capacity',"),
         (lambda row: row | {"extra": 1}, "row 1: missing fields [], unknown fields ['extra']"),
         (lambda row: list(row.values()), "row 1: not a JSON object"),
-    ], ids=["missing-field", "unknown-field", "not-an-object"])
+        (lambda row: row | {"horizon": "ten"}, "row 1: horizon must be int, got 'ten'"),
+    ], ids=["missing-field", "unknown-field", "not-an-object", "text-horizon"])
     def test_malformed_record_exits_two(self, sweep_out, tmp_path, capsys, edit, message):
         row = json.loads((sweep_out / "records.json").read_text(encoding="utf-8"))[0]
         records = tmp_path / "records.json"

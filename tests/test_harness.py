@@ -343,6 +343,34 @@ def _diverging_sweep(tmp_path) -> ExperimentConfig:
     )
 
 
+def _training_sweep(name: str, tmp_path) -> ExperimentConfig:
+    """TestTrainingMemo's sweeps: dense synthetic, sparse file, diverging file."""
+    if name == "dense":
+        return ExperimentConfig(
+            datasets=(DatasetSpec(name="toy", synthetic=SyntheticSpec(count=300, dim=4, flip_prob=0.1, seed=3)),),
+            policy=PolicySpec(name="uniform", p0=0.01, p1=0.05, p2=0.5),
+            repeats=2,
+            horizon_base=4,
+            capacity_grid=(0.01, 40.96),
+            eta_grid=(0.0064, 0.4096),
+            master_seed=7,
+        )
+    if name == "diverging":
+        return _diverging_sweep(tmp_path)
+    path = tmp_path / "sparse.txt"
+    path.write_text(sparse_libsvm_text(seed=5, rows=200, dim=12, nnz=6), encoding="utf-8")
+    return ExperimentConfig(
+        datasets=(DatasetSpec(name="sparse", path=str(path)),),
+        policy=PolicySpec(name="uncertainty", calibration_target=0.1),
+        repeats=1,
+        horizon_base=4,
+        capacity_grid=(0.64, 40.96),
+        eta_grid=(0.0064, 0.4096),
+        logged_fraction=0.7,
+        master_seed=11,
+    )
+
+
 def _direct_records(cfg: ExperimentConfig) -> list[tuple]:
     """run_protocol's records rebuilt from one direct runner call per run,
     outside any ogd_memo() block, in (algorithm, C, eta, horizon) order."""
@@ -378,30 +406,40 @@ class TestTrainingMemo:
 
     @pytest.fixture(params=["dense", "sparse", "diverging"])
     def sweep(self, request, tmp_path):
-        if request.param == "dense":
-            return ExperimentConfig(
-                datasets=(DatasetSpec(name="toy", synthetic=SyntheticSpec(count=300, dim=4, flip_prob=0.1, seed=3)),),
-                policy=PolicySpec(name="uniform", p0=0.01, p1=0.05, p2=0.5),
-                repeats=2,
-                horizon_base=4,
-                capacity_grid=(0.01, 40.96),
-                eta_grid=(0.0064, 0.4096),
-                master_seed=7,
-            )
-        if request.param == "diverging":
-            return _diverging_sweep(tmp_path)
-        path = tmp_path / "sparse.txt"
-        path.write_text(sparse_libsvm_text(seed=5, rows=200, dim=12, nnz=6), encoding="utf-8")
-        return ExperimentConfig(
-            datasets=(DatasetSpec(name="sparse", path=str(path)),),
-            policy=PolicySpec(name="uncertainty", calibration_target=0.1),
-            repeats=1,
-            horizon_base=4,
-            capacity_grid=(0.64, 40.96),
-            eta_grid=(0.0064, 0.4096),
-            logged_fraction=0.7,
-            master_seed=11,
-        )
+        return _training_sweep(request.param, tmp_path)
+
+    @pytest.mark.parametrize("name, served, trained", [("dense", 297, 4148), ("sparse", 100, 1226)])
+    def test_reuse_is_pinned(self, name, served, trained, tmp_path, monkeypatch):
+        # passes served from the memo and row steps trained, as counted when
+        # the memo keyed each pass by its CSR bytes: keying by row objects
+        # must find every repeat that keying by content found
+        counts = [0, 0]
+        update = learners.ogd_update
+
+        def counted(model, rows, *args):
+            before = len(hypotheses._passes.get())
+            result = update(model, rows, *args)
+            if len(hypotheses._passes.get()) == before:
+                counts[0] += 1
+            else:
+                counts[1] += len(rows)
+            return result
+
+        monkeypatch.setattr(learners, "ogd_update", counted)
+        run_protocol(_training_sweep(name, tmp_path))
+        assert counts == [served, trained]
+
+    def test_horizon_slices_share_the_row_objects(self, tmp_path):
+        cfg = _training_sweep("sparse", tmp_path)
+        fractions = (cfg.test_fraction, cfg.logged_fraction)
+        prepared = prepare_repeat(load_dataset(cfg.datasets[0]), cfg.policy, "sparse", cfg.master_seed, 0, fractions)
+        for h in horizon_schedule(cfg.horizon_base, cfg.horizon_growth, len(prepared.online)):
+            head = prepared.online[:h].table
+            assert head.width == prepared.online.table.width
+            assert all(a is b for a, b in zip(head.rows, prepared.online.table.rows[:h], strict=True))
+        revealed = prepared.logged.z == 1
+        assert all(row is not None for row in prepared.logged.table.rows[revealed])
+        assert all(row is None for row in prepared.logged.table.rows[~revealed])
 
     def test_records_match_direct_runs_without_the_memo(self, sweep, monkeypatch):
         served = []
@@ -518,11 +556,25 @@ class TestReport:
          "row 1: missing fields ['eta'], unknown fields ['ETA']"),
         ([RECORD_ROW, "row"], "row 2: not a JSON object"),
         (RECORD_ROW, "records must be a JSON list of objects"),
-    ], ids=["missing-fields", "unknown-field", "renamed-field", "not-an-object", "not-a-list"])
+        ([RECORD_ROW | {"horizon": "ten"}, RECORD_ROW | {"horizon": 12}], "row 1: horizon must be int, got 'ten'"),
+        ([RECORD_ROW, RECORD_ROW | {"queries": True}], "row 2: queries must be int, got True"),
+        ([RECORD_ROW | {"repeat": 0.0}], "row 1: repeat must be int, got 0.0"),
+        ([RECORD_ROW | {"eta": None}], "row 1: eta must be float, got None"),
+        ([RECORD_ROW | {"test_error": "0.5"}], "row 1: test_error must be float, got '0.5'"),
+        ([RECORD_ROW | {"capacity": "0.01"}], "row 1: capacity must be float | None, got '0.01'"),
+        ([RECORD_ROW | {"algorithm": 3}], "row 1: algorithm must be str, got 3"),
+    ], ids=["missing-fields", "unknown-field", "renamed-field", "not-an-object", "not-a-list", "text-count",
+            "bool-count", "float-count", "null-eta", "text-error", "text-capacity", "number-name"])
     def test_malformed_records_name_the_row(self, rows, message):
         with pytest.raises(ValueError) as caught:
             records_from_json(json.dumps(rows))
         assert str(caught.value).startswith(message)
+
+    def test_numbers_of_either_kind_are_accepted(self):
+        rows = [RECORD_ROW | {"capacity": 1, "eta": 1, "test_error": 0}, RECORD_ROW | {"capacity": 0.64}]
+        assert [(r.capacity, r.eta, r.test_error) for r in records_from_json(json.dumps(rows))] == [
+            (1, 1, 0), (0.64, 0.1, 0.5)
+        ]
 
     def test_rebuild_from_records(self, tiny_protocol):
         cfg, result = tiny_protocol

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from idbal.data import Example, FeatureVector, LabeledRows, SplitRows, row_keys
+from idbal.data import Example, FeatureVector, LabeledRows, RowTable, SplitRows, parse_sparse_dataset, row_keys
 from idbal.estimators import WeightedSample
 import idbal.hypotheses as hypotheses
 from idbal.hypotheses import (
@@ -26,7 +26,16 @@ from idbal.hypotheses import (
 )
 from idbal.policies import margins
 
-from reference import example_error, gathered_losses, labeled_rows, prune_by_threshold, raw_score, stack_rows
+from reference import (
+    csr_pass,
+    example_error,
+    gathered_losses,
+    labeled_rows,
+    prune_by_threshold,
+    raw_score,
+    sparse_libsvm_text,
+    stack_rows,
+)
 
 
 def _weighted_squared_loss(weights: np.ndarray, x: FeatureVector, y: int, u: float) -> float:
@@ -38,7 +47,7 @@ def _weighted_squared_loss(weights: np.ndarray, x: FeatureVector, y: int, u: flo
 
 def _step(model: LinearModel, x: FeatureVector, y: int, u: float, eta: float) -> LinearModel:
     """ogd_update over the single row x."""
-    return ogd_update(model, stack_rows([x], model.dim), np.array([y]), np.array([u]), eta)
+    return ogd_update(model, RowTable.from_csr(stack_rows([x], model.dim)), np.array([y]), np.array([u]), eta)
 
 
 def _scalar_steps(model: LinearModel, xs, labels, weights, eta: float) -> LinearModel:
@@ -121,7 +130,7 @@ class TestOgdUpdate:
             _step(LinearModel.zeros(1), FeatureVector({1: 1.0}), 2, 1.0, 1.0)
 
     def test_negative_weight_misalignment_and_width_rejected(self):
-        rows = stack_rows([FeatureVector({1: 1.0})] * 2, 1)
+        rows = RowTable.from_csr(stack_rows([FeatureVector({1: 1.0})] * 2, 1))
         model = LinearModel.zeros(1)
         with pytest.raises(ValueError):
             ogd_update(model, rows, np.array([1, 0]), np.array([1.0, -0.5]), 1.0)
@@ -140,7 +149,7 @@ class TestOgdUpdate:
         for _ in range(40):
             picked = rng.choice(np.arange(1, dim + 1), size=int(rng.integers(1, dim)), replace=False)
             xs.append(FeatureVector(zip(picked.tolist(), rng.uniform(-2.0, 2.0, picked.size))))
-        rows = stack_rows(xs, dim)
+        rows = RowTable.from_csr(stack_rows(xs, dim))
         tie = np.zeros(dim + 1)
         tie[1] = 1.0  # scores 0 on the rows without feature 1
         starts = [LinearModel.zeros(dim), LinearModel(tie, steps=3)]
@@ -160,6 +169,28 @@ class TestOgdUpdate:
                 assert updated.weights.tobytes() == expected.weights.tobytes()
                 nonfinite += not np.isfinite(updated.weights).all()
         assert 0 < nonfinite < 2 * len(starts)
+
+    def test_row_table_pass_matches_the_csr_loop(self):
+        # the pass over CSR arrays it replaced, compared as bytes: seeded
+        # dense rows, sparse rows over a wide index range, passes where most
+        # weights are 0, and starts large enough to overflow to inf and NaN
+        rng = np.random.default_rng(29)
+        dense = stack_rows([FeatureVector(enumerate(rng.uniform(-1.0, 1.0, 12), start=1)) for _ in range(50)], 12)
+        sparse = parse_sparse_dataset(sparse_libsvm_text(seed=3, rows=60, dim=400, nnz=8)).matrix
+        overflowed = 0
+        for rows in (dense, sparse):
+            table = RowTable.from_csr(rows)
+            for scale, zero_share in ((1.0, 0.0), (1.0, 0.9), (1e150, 0.2), (1e306, 0.0)):
+                start = LinearModel(rng.standard_normal(rows.shape[1]) * scale, steps=int(rng.integers(0, 50)))
+                labels = rng.integers(0, 2, rows.shape[0])
+                weights = rng.uniform(0.0, 50.0, rows.shape[0])
+                weights[rng.random(rows.shape[0]) < zero_share] = 0.0
+                expected = csr_pass(start, rows, labels, weights, 0.3)
+                updated = ogd_update(start, table, labels, weights, 0.3)
+                assert updated.steps == expected.steps == start.steps + rows.shape[0]
+                assert updated.weights.tobytes() == expected.weights.tobytes()
+                overflowed += np.isnan(updated.weights).any()
+        assert overflowed >= 2
 
     def test_descends_the_weighted_surrogate(self):
         rng = np.random.default_rng(3)
@@ -216,7 +247,8 @@ class TestOgdMemo:
 
     def _pass(self, seed: int = 31):
         """(model, rows, labels, importance weights, eta) for an 8-feature
-        pass of 30 rows, about a fifth of them with weight 0."""
+        pass of 30 rows, about a fifth of them with weight 0; the row table
+        is built once, so every call with it passes the same row objects."""
         rng = np.random.default_rng(seed)
         xs = [
             FeatureVector(zip(rng.choice(np.arange(1, 9), size=3, replace=False).tolist(), rng.uniform(-1, 1, 3)))
@@ -225,7 +257,8 @@ class TestOgdMemo:
         weights = rng.uniform(0.0, 20.0, len(xs))
         weights[rng.random(len(xs)) < 0.2] = 0.0
         start = LinearModel(rng.standard_normal(9), steps=5)
-        return start, stack_rows(xs, 8), rng.integers(0, 2, len(xs)).astype(np.int8), weights, 0.05
+        rows = RowTable.from_csr(stack_rows(xs, 8))
+        return start, rows, rng.integers(0, 2, len(xs)).astype(np.int8), weights, 0.05
 
     @staticmethod
     def _same(a: LinearModel, b: LinearModel) -> bool:
@@ -251,8 +284,12 @@ class TestOgdMemo:
         flipped[live] ^= 1
         heavier = weights.copy()
         heavier[live] *= 2.0
-        moved = rows.copy()
-        moved.data[rows.indptr[live] + 1] += 0.5
+        # the same table but for one new row object, whose first feature moved
+        moved = RowTable(rows.rows.copy(), rows.width)
+        indices, values = rows.rows[live]
+        shifted_values = np.array(values)
+        shifted_values[1] += 0.5
+        moved.rows[live] = (indices, memoryview(shifted_values.tobytes()).cast("d"))
         shifted = model.weights.copy()
         shifted[3] += 0.25
         variants = [
@@ -312,7 +349,7 @@ class TestOgdMemo:
                     ogd_update(model, rows, labels, weights, bad_eta)
 
     def test_empty_pass_checks_eta(self):
-        empty = stack_rows([], 2)
+        empty = RowTable.from_csr(stack_rows([], 2))
         nothing = np.zeros(0)
         assert ogd_update(LinearModel.zeros(2), empty, nothing, nothing, 0.5).steps == 0
         for bad_eta in (0.0, math.nan):
