@@ -38,6 +38,7 @@ from .harness import (
     run_protocol,
     write_csv,
 )
+from .hypotheses import classification_error
 from .learners import ALGORITHMS, AlgoConfig
 from .oracle import run_verification_suite
 
@@ -86,19 +87,17 @@ def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     horizon = min(horizon, online)
     result = run_point(prepared, dataset.name, seed, repeat, algorithm, algo.capacity, algo.eta, horizon)
+    # the run returns a classifier per trace point; score each on the test rows
+    rows = [(p.consumed, p.queries, f"{classification_error(p.classifier, prepared.test):.6g}") for p in result.trace]
     print(f"dataset {dataset.name}: {len(prepared.logged)} logged ({int(prepared.logged.z.sum())} revealed), "
           f"{horizon} online, {len(prepared.test)} test")
     print(f"algorithm {algorithm}: {result.query_count} queries, "
           f"{result.inferred_count} inferred, {result.skipped_count} skipped")
-    print(f"final test error {result.final_test_error:.6g}")
+    print(f"final test error {rows[-1][2]}")
     print("trace (consumed, queries, test_error):")
-    for point in result.trace:
-        print(f"  {point.consumed:6d} {point.queries:6d} {point.test_error:.6g}")
-    trace_path = write_csv(
-        _out_dir(config) / "trace.csv",
-        ("consumed", "queries", "test_error"),
-        ((point.consumed, point.queries, f"{point.test_error:.6g}") for point in result.trace),
-    )
+    for consumed, queries, error in rows:
+        print(f"  {consumed:6d} {queries:6d} {error}")
+    trace_path = write_csv(_out_dir(config) / "trace.csv", ("consumed", "queries", "test_error"), rows)
     print(f"trace written to {trace_path}")
     return 0
 

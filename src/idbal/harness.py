@@ -36,7 +36,7 @@ from .data import (
     row_keys,
     split_dataset,
 )
-from .hypotheses import LinearModel, ogd_memo
+from .hypotheses import LinearModel, classification_error, ogd_memo
 from .learners import ALGORITHMS, AlgoConfig, RunResult
 from .policies import (
     CertaintyPolicy,
@@ -319,10 +319,12 @@ def run_point(
     horizon: int,
 ) -> RunResult:
     """One practical run of algorithm at grid point (capacity, eta) on the
-    first horizon online records of a prepared repeat, from a zero model,
-    scored on the repeat's test rows. The seed derives from the whole grid
-    point; passive's capacity is None and runs at the default C, which it
-    never reads. The runner is looked up in ALGORITHMS at call time."""
+    first horizon online records of a prepared repeat, from a zero model as
+    wide as the repeat's rows. The run does not score itself: callers score
+    the classifiers it returns on prepared.test. The seed derives from the
+    whole grid point; passive's capacity is None and runs at the default C,
+    which it never reads. The runner is looked up in ALGORITHMS at call
+    time."""
     run_cfg = AlgoConfig(eta=eta) if capacity is None else AlgoConfig(capacity=capacity, eta=eta)
     return ALGORITHMS[algorithm](
         prepared.logged,
@@ -331,15 +333,15 @@ def run_point(
         LinearModel.zeros(prepared.test.dim),
         run_cfg,
         child_seed(master_seed, dataset, repeat, algorithm, capacity, eta, horizon),
-        test_data=prepared.test,
     )
 
 
 def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: LabeledRows, repeat: int) -> list[RunRecord]:
     """Every run of one repeat, eta outermost: each eta's runs share one
     ogd_memo() block, so a gradient pass that recurs across algorithms, C
-    and horizons (the same warm start, for one) is trained once. Records
-    come back in (algorithm, C, eta, horizon) grid order."""
+    and horizons (the same warm start, for one) is trained once. Each run's
+    final classifier is scored on the test rows once. Records come back in
+    (algorithm, C, eta, horizon) grid order."""
     prepared = prepare_repeat(
         data, cfg.policy, spec.name, cfg.master_seed, repeat, (cfg.test_fraction, cfg.logged_fraction)
     )
@@ -364,7 +366,7 @@ def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: LabeledRows, rep
                             horizon_index=index,
                             horizon=horizon,
                             queries=result.query_count,
-                            test_error=float(result.final_test_error),
+                            test_error=classification_error(result.final_classifier, prepared.test),
                             data_digest=digest,
                         )
     return [outcomes[key] for key in sorted(outcomes)]
@@ -534,8 +536,10 @@ def records_to_json(records: Iterable[RunRecord]) -> str:
 
 def records_from_json(text: str) -> tuple[RunRecord, ...]:
     """Records from records_to_json's text; a row that is not an object,
-    that misses or adds a field, or whose field holds a value of the wrong
-    type, is a ValueError naming its 1-based row (and the field)."""
+    that misses or adds a field, whose field holds a value of the wrong
+    type, a negative count, more queries than its horizon, or a test error
+    outside [0, 1] (NaN included), is a ValueError naming its 1-based row
+    (and the field)."""
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("records must be a JSON list of objects")
@@ -553,6 +557,12 @@ def records_from_json(text: str) -> tuple[RunRecord, ...]:
             value = row[f.name]
             if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
                 raise ValueError(f"row {number}: {f.name} must be {f.type}, got {value!r}")
+            if f.type == "int" and value < 0:
+                raise ValueError(f"row {number}: {f.name} must be non-negative, got {value!r}")
+        if row["queries"] > row["horizon"]:
+            raise ValueError(f"row {number}: queries must be at most horizon {row['horizon']}, got {row['queries']}")
+        if not 0.0 <= row["test_error"] <= 1.0:
+            raise ValueError(f"row {number}: test_error must lie in [0, 1], got {row['test_error']!r}")
     return tuple(RunRecord(**row) for row in rows)
 
 

@@ -29,14 +29,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Example, LabeledRows, LoggedTriple, RowTable, SplitRows
+from .data import Example, LoggedTriple, RowTable, SplitRows
 from .estimators import WeightedSample, delta_bound, mis_error, sigma
 from .hypotheses import (
     FiniteClass,
     LinearModel,
     approx_dis_mask,
     best_candidate,
-    classification_error,
     exact_dis_test,
     ogd_stepsize,
     ogd_update,
@@ -75,21 +74,10 @@ class PartitionPlan:
     remainder; alpha = 2m / (3n).
     """
 
-    total_logged: int
-    total_online: int
     K: int
     n_parts: tuple[int, ...]
     m_parts: tuple[int, ...]
     alpha: float
-
-    def logged_bounds(self, k: int) -> tuple[int, int]:
-        start = sum(self.m_parts[:k])
-        return start, start + self.m_parts[k]
-
-    def online_bounds(self, k: int) -> tuple[int, int]:
-        """Bounds of online segment k (1-based)."""
-        start = sum(self.n_parts[: k - 1])
-        return start, start + self.n_parts[k - 1]
 
 
 def plan_partition(m: int, n: int) -> PartitionPlan:
@@ -116,14 +104,7 @@ def plan_partition(m: int, n: int) -> PartitionPlan:
         )
     m_rest = [int(alpha * nk) for nk in n_parts]
     m_parts = [m - sum(m_rest)] + m_rest
-    return PartitionPlan(
-        total_logged=m,
-        total_online=n,
-        K=K,
-        n_parts=tuple(n_parts),
-        m_parts=tuple(m_parts),
-        alpha=alpha,
-    )
+    return PartitionPlan(K=K, n_parts=tuple(n_parts), m_parts=tuple(m_parts), alpha=alpha)
 
 
 def debias_rule(q0_at_x, xi: float, alpha: float) -> np.ndarray:
@@ -170,11 +151,12 @@ class AlgoConfig:
 @dataclass(frozen=True)
 class TracePoint:
     """State after consuming `consumed` online examples: cumulative queries
-    and the test error of the classifier the run would output if stopped."""
+    and the classifier the run would output if stopped there. Callers score
+    it; the queries of each iteration are the differences between points."""
 
     consumed: int
     queries: int
-    test_error: float | None
+    classifier: object
 
 
 @dataclass(frozen=True)
@@ -199,18 +181,10 @@ class RunResult:
     query_count: int
     inferred_count: int
     skipped_count: int
-    per_iteration_queries: tuple[int, ...]
     decisions: tuple[str, ...]
     trace: tuple[TracePoint, ...]
-    final_test_error: float | None
     seed: int
     iterations: tuple[IterationRecord, ...] | None = None
-
-
-def _test_error(classifier, test_data: LabeledRows | None) -> float | None:
-    if test_data is None or len(test_data) == 0:
-        return None
-    return classification_error(classifier, test_data)
 
 
 class _ExactSteps:
@@ -339,7 +313,7 @@ class _PracticalSteps:
         return xi_next, approx_dis_mask(scores, store.norms[segment], *mask_args), scores >= 0.0
 
 
-# the one place a run reads cfg.mode: each mode's steps build the run's store
+# each mode's steps build the run's store; only run_passive reads cfg.mode again
 _STEPS = {"exact": _ExactSteps, "practical": _PracticalSteps}
 
 
@@ -354,7 +328,6 @@ def _run_disagreement_core(
     hypothesis_space: FiniteClass | LinearModel,
     cfg: AlgoConfig,
     seed: int,
-    test_data: LabeledRows | None,
     *,
     weighting: str,
     debias: bool,
@@ -387,7 +360,6 @@ def _run_disagreement_core(
     xi = steps.xi
 
     decisions: list[str] = []
-    per_iteration_queries: list[int] = []
     trace: list[TracePoint] = []
     queries = inferred = skipped = 0
     consumed = 0
@@ -398,7 +370,7 @@ def _run_disagreement_core(
 
         # best candidate on S~_k
         current, erm_value = steps.fit(sample)
-        trace.append(TracePoint(consumed, queries, _test_error(current, test_data)))
+        trace.append(TracePoint(consumed, queries, current))
         if k == K:
             break
 
@@ -417,7 +389,6 @@ def _run_disagreement_core(
         inferred += seg_inferred
         skipped += seg_skipped
         consumed += hi - lo
-        per_iteration_queries.append(seg_queries)
         y = store.y[index]
         y[fresh] = np.where(in_region, y[fresh], guesses)
         sample = build_sample(index, np.where(fresh, bits, store.z[index]), y, bits, m_parts[k + 1], hi - lo)
@@ -429,41 +400,39 @@ def _run_disagreement_core(
         query_count=queries,
         inferred_count=inferred,
         skipped_count=skipped,
-        per_iteration_queries=tuple(per_iteration_queries),
         decisions=tuple(decisions),
         trace=tuple(trace),
-        final_test_error=trace[-1].test_error,
         seed=seed,
         iterations=None if steps.iterations is None else tuple(steps.iterations),
     )
 
 
-def run_idbal(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0, test_data=None) -> RunResult:
+def run_idbal(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0) -> RunResult:
     """Balanced weighting plus the debiasing query rule (the full algorithm)."""
     return _run_disagreement_core(
-        logged, online, policy, hypothesis_space, cfg, seed, test_data,
+        logged, online, policy, hypothesis_space, cfg, seed,
         weighting="mis", debias=True,
     )
 
 
-def run_dbalwm(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0, test_data=None) -> RunResult:
+def run_dbalwm(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0) -> RunResult:
     """Balanced weighting, no debiasing: every online point in the current
     segment is taken (queried inside the region, imputed outside)."""
     return _run_disagreement_core(
-        logged, online, policy, hypothesis_space, cfg, seed, test_data,
+        logged, online, policy, hypothesis_space, cfg, seed,
         weighting="mis", debias=False,
     )
 
 
-def run_dbalw(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0, test_data=None) -> RunResult:
+def run_dbalw(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0) -> RunResult:
     """Per-phase importance weighting, no debiasing."""
     return _run_disagreement_core(
-        logged, online, policy, hypothesis_space, cfg, seed, test_data,
+        logged, online, policy, hypothesis_space, cfg, seed,
         weighting="is", debias=False,
     )
 
 
-def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0, test_data=None) -> RunResult:
+def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0) -> RunResult:
     """Query every online label; fit with inverse-propensity weights on the
     logged phase and unit weights on the online phase."""
     m, n = len(logged), len(online)
@@ -473,31 +442,30 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
     sample = WeightedSample.phase_weighted(steps.rows, store.z, store.y, own, m, n)
     trace: list[TracePoint] = []
 
+    # a gradient pass continues from the warm model, an exact fit refits the
+    # whole sample: the candidates are still the whole class, so it is the ERM
     if cfg.mode == "exact":
-        # the candidates are still the whole class, so each fit is its ERM
         warm = WeightedSample.phase_weighted(steps.rows[:m], store.z[:m], store.y[:m], store.q0[:m], m, 0)
-        trace.append(TracePoint(0, 0, _test_error(steps.fit(warm)[0], test_data)))
+        trace.append(TracePoint(0, 0, steps.fit(warm)[0]))
         final, final_value = steps.fit(sample)
     else:
         revealed = np.flatnonzero(logged.z)
         weights = 1.0 / logged.q0[revealed]
         model = ogd_update(hypothesis_space, logged.table[revealed], logged.y[revealed], weights, cfg.eta)
-        trace.append(TracePoint(0, 0, _test_error(model, test_data)))
+        trace.append(TracePoint(0, 0, model))
         final = ogd_update(model, online.table, online.y, np.ones(n), cfg.eta)
         # ties (score exactly 0) go to label 1, a NaN score predicts 0
         final_value = mis_error(steps.score(final.weights) >= 0.0, sample)
 
-    trace.append(TracePoint(n, n, _test_error(final, test_data)))
+    trace.append(TracePoint(n, n, final))
     return RunResult(
         final_classifier=final,
         final_value=final_value,
         query_count=n,
         inferred_count=0,
         skipped_count=0,
-        per_iteration_queries=(n,),
         decisions=tuple([QUERY] * n),
         trace=tuple(trace),
-        final_test_error=trace[-1].test_error,
         seed=seed,
         iterations=None,
     )

@@ -24,7 +24,6 @@ from idbal.hypotheses import (
     FiniteClass,
     LinearModel,
     approx_dis_mask,
-    classification_error,
     ogd_stepsize,
     ogd_update,
 )
@@ -160,17 +159,12 @@ def model_mis_error(model: LinearModel, sample: WeightedSample) -> float:
     return float(np.cumsum(np.append(0.0, 1.0 / sample.denominator[wrong]))[-1])
 
 
-def _test_error(model: LinearModel, test_data: LabeledRows | None) -> float | None:
-    return None if test_data is None or len(test_data) == 0 else classification_error(model, test_data)
-
-
 def practical_run(
     logged: SplitRows,
     online: SplitRows,
     model: LinearModel,
     cfg: AlgoConfig,
     seed: int,
-    test_data: LabeledRows | None,
     *,
     weighting: str,
     debias: bool,
@@ -201,7 +195,7 @@ def practical_run(
     sample = build(head, z[head], y[head], np.zeros(head.size), m_parts[0], 0)
     xi = float(logged.q0.min())
     stepsize = None
-    decisions, per_iteration_queries, trace = [], [], []
+    decisions, trace = [], []
     queries = inferred = skipped = consumed = 0
     logged_start, online_start = m_parts[0], 0
     for k in range(K + 1):
@@ -213,7 +207,7 @@ def practical_run(
             model = ogd_update(model, RowTable.from_csr(sample.rows[revealed]), sample.y[revealed], weights, cfg.eta)
             stepsize = ogd_stepsize(model.steps, cfg.eta)
         erm_value = model_mis_error(model, sample)
-        trace.append(TracePoint(consumed, queries, _test_error(model, test_data)))
+        trace.append(TracePoint(consumed, queries, model))
         if k == K:
             break
 
@@ -233,7 +227,6 @@ def practical_run(
         index = np.concatenate((old, m + np.arange(lo, hi)))
         bits = debias_rule(q0[index], xi_next, alpha) if debias else np.ones(index.size, dtype=np.int8)
         sample_z, sample_y = z[index].copy(), y[index].copy()
-        segment_queries = 0
         for j in range(old.size, index.size):
             i = j - old.size
             sample_z[j] = bits[j]
@@ -243,13 +236,11 @@ def practical_run(
             elif in_region[i]:
                 decisions.append(QUERY)
                 queries += 1
-                segment_queries += 1
             else:
                 decisions.append(INFER)
                 inferred += 1
                 # ties (score exactly 0) go to label 1, a NaN score predicts 0
                 sample_y[j] = 1 if scores[i] >= 0.0 else 0
-        per_iteration_queries.append(segment_queries)
         consumed += hi - lo
         sample = build(index, sample_z, sample_y, bits, m_parts[k + 1], hi - lo)
         xi = xi_next
@@ -262,16 +253,14 @@ def practical_run(
         query_count=queries,
         inferred_count=inferred,
         skipped_count=skipped,
-        per_iteration_queries=tuple(per_iteration_queries),
         decisions=tuple(decisions),
         trace=tuple(trace),
-        final_test_error=trace[-1].test_error,
         seed=seed,
     )
 
 
 def practical_passive(
-    logged: SplitRows, online: SplitRows, model: LinearModel, cfg: AlgoConfig, seed: int, test_data: LabeledRows | None
+    logged: SplitRows, online: SplitRows, model: LinearModel, cfg: AlgoConfig, seed: int
 ) -> RunResult:
     """The passive learner, its estimate scored over a CSR copy of every row."""
     m, n = len(logged), len(online)
@@ -294,9 +283,7 @@ def practical_passive(
         query_count=n,
         inferred_count=0,
         skipped_count=0,
-        per_iteration_queries=(n,),
         decisions=(QUERY,) * n,
-        trace=(TracePoint(0, 0, _test_error(warm, test_data)), TracePoint(n, n, _test_error(final, test_data))),
-        final_test_error=_test_error(final, test_data),
+        trace=(TracePoint(0, 0, warm), TracePoint(n, n, final)),
         seed=seed,
     )

@@ -24,7 +24,7 @@ from idbal.harness import (
     per_seed_best_auc,
     run_protocol,
 )
-from idbal.hypotheses import LinearModel, ogd_stepsize, ogd_update
+from idbal.hypotheses import LinearModel, classification_error, ogd_stepsize, ogd_update
 from idbal.learners import AlgoConfig, plan_partition, run_dbalwm, run_idbal
 from idbal.oracle import (
     adjusted_dis_coefficient,
@@ -132,12 +132,13 @@ class TestAcceptance:
             logged, online = rows.logged, rows.online[:256]
             cfg = AlgoConfig(mode="practical", capacity=2621.44, eta=0.0064)
             with_skip = run_idbal(logged, online, policy, LinearModel.zeros(dim), cfg,
-                                  child_seed(seed, "idbal"), test_data=rows.test)
+                                  child_seed(seed, "idbal"))
             without = run_dbalwm(logged, online, policy, LinearModel.zeros(dim), cfg,
-                                 child_seed(seed, "dbalwm"), test_data=rows.test)
+                                 child_seed(seed, "dbalwm"))
             if with_skip.query_count <= without.query_count:
                 dominated += 1
-            gaps.append(with_skip.final_test_error - without.final_test_error)
+            gaps.append(classification_error(with_skip.final_classifier, rows.test)
+                        - classification_error(without.final_classifier, rows.test))
         mean_gap = float(np.mean(gaps))
         elapsed = time.time() - start
         passed = dominated == 50 and mean_gap <= 0.02 and elapsed <= 300.0
@@ -158,9 +159,9 @@ class TestAcceptance:
             logged, online = rows.logged, rows.online[:127]
             cfg = AlgoConfig(mode="practical", capacity=655.36, eta=0.0064)
             with_skip = run_idbal(logged, online, policy, LinearModel.zeros(dim), cfg,
-                                  child_seed(seed, "run"), test_data=rows.test)
+                                  child_seed(seed, "run"))
             without = run_dbalwm(logged, online, policy, LinearModel.zeros(dim), cfg,
-                                 child_seed(seed, "run"), test_data=rows.test)
+                                 child_seed(seed, "run"))
             if (with_skip.decisions == without.decisions
                     and np.array_equal(with_skip.final_classifier.weights,
                                        without.final_classifier.weights)):

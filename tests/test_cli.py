@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
@@ -112,6 +113,21 @@ class TestRun:
             assert main(args) == 0
             last = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()[-1]
             assert f"synthetic,{algorithm},{repeat},{last}" in curves
+
+    def test_last_trace_row_is_the_sweeps_record(self, tmp_path):
+        # the sweep scores each run's final classifier and run scores every
+        # trace point: at one config, grid point and horizon the two agree
+        data = ["--data.count", "600", "--data.dim", "5"]
+        assert main(["sweep", *data, "--repeats", "1", "--sweep.algorithms", "passive,idbal",
+                     "--sweep.capacity_grid", "0.64", "--sweep.eta_grid", "0.0064", "--out", str(tmp_path)]) == 0
+        curves = (tmp_path / "curves.csv").read_text(encoding="utf-8").splitlines()
+        for algorithm, want in (("passive", "80,80,0.208333"), ("idbal", "80,1,0.466667")):
+            out = tmp_path / algorithm
+            assert main(["run", *data, "--algo.name", algorithm, "--algo.capacity", "0.64", "--algo.eta", "0.0064",
+                         "--horizon", "80", "--out", str(out)]) == 0
+            last = (out / "trace.csv").read_text(encoding="utf-8").splitlines()[-1]
+            assert last == want
+            assert f"synthetic,{algorithm},0,{last}" in curves
 
     def _table_args(self, tmp_path, drop: int | None):
         """Args for a run on a gen-data file under a table policy saved over
@@ -229,11 +245,13 @@ class TestReport:
         (lambda row: row | {"extra": 1}, "row 1: missing fields [], unknown fields ['extra']"),
         (lambda row: list(row.values()), "row 1: not a JSON object"),
         (lambda row: row | {"horizon": "ten"}, "row 1: horizon must be int, got 'ten'"),
-    ], ids=["missing-field", "unknown-field", "not-an-object", "text-horizon"])
+        (lambda row: row | {"queries": -5, "test_error": math.nan}, "row 1: queries must be non-negative, got -5"),
+    ], ids=["missing-field", "unknown-field", "not-an-object", "text-horizon", "negative-queries-nan-error"])
     def test_malformed_record_exits_two(self, sweep_out, tmp_path, capsys, edit, message):
-        row = json.loads((sweep_out / "records.json").read_text(encoding="utf-8"))[0]
+        # the edited first row, then a valid one
+        rows = json.loads((sweep_out / "records.json").read_text(encoding="utf-8"))
         records = tmp_path / "records.json"
-        records.write_text(json.dumps([edit(row)]), encoding="utf-8")
+        records.write_text(json.dumps([edit(rows[0]), rows[1]]), encoding="utf-8")
         assert main(["report", "--records", str(records), "--out", str(tmp_path / "report")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()

@@ -39,7 +39,7 @@ from idbal.harness import (
     report,
     run_protocol,
 )
-from idbal.hypotheses import LinearModel
+from idbal.hypotheses import LinearModel, classification_error
 from idbal.learners import ALGORITHMS, AlgoConfig
 from idbal.policies import fit_coarse_model
 from idbal.rng import child_seed, derive_rng
@@ -275,6 +275,15 @@ class TestRunProtocol:
         assert again.records == result.records
         assert again.best == result.best
 
+    def test_each_run_is_scored_once(self, tiny_protocol, monkeypatch):
+        # the learners return classifiers; the sweep scores each run's final one
+        cfg, result = tiny_protocol
+        calls = []
+        score = harness.classification_error
+        monkeypatch.setattr(harness, "classification_error", lambda *args: calls.append(args) or score(*args))
+        assert run_protocol(cfg).records == result.records
+        assert len(calls) == len(result.records)
+
     @pytest.mark.parametrize("policy", ["uncertainty", "certainty"])
     def test_margin_policy_scores_features_the_coarse_model_never_saw(self, tmp_path, policy):
         # 400 rows over features 1..5, plus feature 6 on one logged row that
@@ -393,10 +402,10 @@ def _direct_records(cfg: ExperimentConfig) -> list[tuple]:
                                 LinearModel.zeros(data.dim),
                                 AlgoConfig(capacity=0.01 if capacity is None else capacity, eta=eta),
                                 child_seed(cfg.master_seed, spec.name, repeat, algorithm, capacity, eta, horizon),
-                                test_data=prepared.test,
                             )
+                            error = classification_error(result.final_classifier, prepared.test)
                             out.append((spec.name, algorithm, capacity, eta, repeat, index, horizon,
-                                        result.query_count, result.final_test_error))
+                                        result.query_count, error))
     return out
 
 
@@ -467,7 +476,7 @@ class TestTrainingMemo:
         for algorithm in ("passive", "idbal"):
             result = ALGORITHMS[algorithm](
                 prepared.logged, prepared.online, prepared.policy, LinearModel.zeros(data.dim),
-                AlgoConfig(capacity=0.64, eta=0.0064), 0, test_data=prepared.test,
+                AlgoConfig(capacity=0.64, eta=0.0064), 0,
             )
             assert np.isnan(result.final_classifier.weights).all()
 
@@ -563,8 +572,20 @@ class TestReport:
         ([RECORD_ROW | {"test_error": "0.5"}], "row 1: test_error must be float, got '0.5'"),
         ([RECORD_ROW | {"capacity": "0.01"}], "row 1: capacity must be float | None, got '0.01'"),
         ([RECORD_ROW | {"algorithm": 3}], "row 1: algorithm must be str, got 3"),
+        ([RECORD_ROW | {"repeat": -1}], "row 1: repeat must be non-negative, got -1"),
+        ([RECORD_ROW, RECORD_ROW | {"horizon": -10}], "row 2: horizon must be non-negative, got -10"),
+        ([RECORD_ROW | {"queries": -5, "test_error": float("nan")}, RECORD_ROW],
+         "row 1: queries must be non-negative, got -5"),
+        ([RECORD_ROW | {"horizon_index": -1}], "row 1: horizon_index must be non-negative, got -1"),
+        ([RECORD_ROW | {"queries": 11}], "row 1: queries must be at most horizon 10, got 11"),
+        ([RECORD_ROW, RECORD_ROW | {"test_error": float("nan")}], "row 2: test_error must lie in [0, 1], got nan"),
+        ([RECORD_ROW | {"test_error": float("inf")}], "row 1: test_error must lie in [0, 1], got inf"),
+        ([RECORD_ROW | {"test_error": -0.1}], "row 1: test_error must lie in [0, 1], got -0.1"),
+        ([RECORD_ROW | {"test_error": 1.5}], "row 1: test_error must lie in [0, 1], got 1.5"),
     ], ids=["missing-fields", "unknown-field", "renamed-field", "not-an-object", "not-a-list", "text-count",
-            "bool-count", "float-count", "null-eta", "text-error", "text-capacity", "number-name"])
+            "bool-count", "float-count", "null-eta", "text-error", "text-capacity", "number-name",
+            "negative-repeat", "negative-horizon", "negative-queries", "negative-horizon-index",
+            "queries-over-horizon", "nan-error", "infinite-error", "negative-error", "error-above-one"])
     def test_malformed_records_name_the_row(self, rows, message):
         with pytest.raises(ValueError) as caught:
             records_from_json(json.dumps(rows))

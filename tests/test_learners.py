@@ -12,7 +12,7 @@ import pytest
 
 from idbal.data import SplitRows, SyntheticSpec, apply_logging, generate_synthetic, parse_sparse_dataset, split_dataset
 from idbal.harness import PolicySpec, RepeatData, log_split, prepare_repeat
-from idbal.hypotheses import LinearModel, weighted_losses
+from idbal.hypotheses import LinearModel, classification_error, weighted_losses
 from idbal.learners import (
     ALGORITHMS,
     INFER,
@@ -97,13 +97,6 @@ class TestPartitionPlan:
         with pytest.warns(UserWarning):
             plan_partition(3, 100)
 
-    def test_bounds_accessors(self):
-        plan = plan_partition(9, 3)
-        assert plan.logged_bounds(0) == (0, 3)
-        assert plan.logged_bounds(1) == (3, 5)
-        assert plan.online_bounds(1) == (0, 1)
-        assert plan.online_bounds(2) == (1, 3)
-
     def test_too_little_data_rejected(self):
         with pytest.raises(ValueError):
             plan_partition(2, 5)
@@ -154,7 +147,7 @@ class TestPracticalRuns:
     def test_passive_queries_everything(self):
         split, policy, logged = _practical_setup(0)
         cfg = AlgoConfig(mode="practical", capacity=0.01, eta=0.01)
-        res = run_passive(logged, split.online[:100], policy, LinearModel.zeros(6), cfg, 1, test_data=split.test)
+        res = run_passive(logged, split.online[:100], policy, LinearModel.zeros(6), cfg, 1)
         assert res.query_count == 100
         assert res.inferred_count == 0 and res.skipped_count == 0
         assert res.decisions == (QUERY,) * 100
@@ -162,30 +155,30 @@ class TestPracticalRuns:
     def test_decision_bookkeeping(self):
         split, policy, logged = _practical_setup(1)
         cfg = AlgoConfig(mode="practical", capacity=40.96, eta=0.01)
-        res = run_idbal(logged, split.online[:128], policy, LinearModel.zeros(6), cfg, 2, test_data=split.test)
+        res = run_idbal(logged, split.online[:128], policy, LinearModel.zeros(6), cfg, 2)
         assert len(res.decisions) == 128
         assert res.decisions.count(QUERY) == res.query_count
         assert res.decisions.count(INFER) == res.inferred_count
         assert res.decisions.count(SKIP) == res.skipped_count
         assert res.query_count + res.inferred_count + res.skipped_count == 128
-        assert sum(res.per_iteration_queries) == res.query_count
+        assert res.trace[-1].queries == res.query_count
 
     def test_trace_queries_nondecreasing(self):
         split, policy, logged = _practical_setup(2)
         for name, runner in ALGORITHMS.items():
             cfg = AlgoConfig(mode="practical", capacity=655.36, eta=0.0064)
-            res = runner(logged, split.online[:128], policy, LinearModel.zeros(6), cfg, 3, test_data=split.test)
+            res = runner(logged, split.online[:128], policy, LinearModel.zeros(6), cfg, 3)
             consumed = [p.consumed for p in res.trace]
             queries = [p.queries for p in res.trace]
             assert consumed == sorted(consumed), name
             assert queries == sorted(queries), name
-            assert res.trace[-1].test_error == res.final_test_error
+            assert res.trace[-1].classifier is res.final_classifier
 
     def test_deterministic_given_seed(self):
         split, policy, logged = _practical_setup(3)
         cfg = AlgoConfig(mode="practical", capacity=2621.44, eta=0.0064)
-        a = run_idbal(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, 5, test_data=split.test)
-        b = run_idbal(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, 5, test_data=split.test)
+        a = run_idbal(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, 5)
+        b = run_idbal(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, 5)
         assert a.decisions == b.decisions
         np.testing.assert_array_equal(a.final_classifier.weights, b.final_classifier.weights)
 
@@ -199,8 +192,8 @@ class TestPracticalRuns:
         logged = rows.logged
         cfg = AlgoConfig(mode="practical", capacity=40.96, eta=0.0256)
         for seed in (0, 1):
-            a = run_idbal(logged, rows.online[:64], policy, LinearModel.zeros(5), cfg, seed, test_data=rows.test)
-            b = run_dbalwm(logged, rows.online[:64], policy, LinearModel.zeros(5), cfg, seed, test_data=rows.test)
+            a = run_idbal(logged, rows.online[:64], policy, LinearModel.zeros(5), cfg, seed)
+            b = run_dbalwm(logged, rows.online[:64], policy, LinearModel.zeros(5), cfg, seed)
             assert a.decisions == b.decisions
             assert a.skipped_count == 0
             np.testing.assert_array_equal(a.final_classifier.weights, b.final_classifier.weights)
@@ -208,7 +201,7 @@ class TestPracticalRuns:
     def test_no_online_data_runs_warm_only(self):
         split, policy, logged = _practical_setup(4)
         cfg = AlgoConfig(mode="practical", capacity=0.01, eta=0.01)
-        res = run_idbal(logged, split.online[:0], policy, LinearModel.zeros(6), cfg, 1, test_data=split.test)
+        res = run_idbal(logged, split.online[:0], policy, LinearModel.zeros(6), cfg, 1)
         assert res.query_count == 0
         assert len(res.trace) == 1
         assert res.final_classifier.steps == logged.z.sum()
@@ -249,10 +242,10 @@ class TestPracticalRuns:
                 for name in sorted(ALGORITHMS):
                     res = ALGORITHMS[name](
                         rows.logged, rows.online[:horizon], policy, LinearModel.zeros(dim), cfg, seed,
-                        test_data=rows.test,
                     )
+                    per_iteration_queries = tuple(b.queries - a.queries for a, b in zip(res.trace, res.trace[1:]))
                     digest.update(repr((seed, horizon, name, res.query_count, res.inferred_count,
-                                        res.skipped_count, res.per_iteration_queries,
+                                        res.skipped_count, per_iteration_queries,
                                         res.final_value)).encode())
                     digest.update(",".join(res.decisions).encode() + b";")
                     digest.update(res.final_classifier.weights.tobytes())
@@ -283,10 +276,10 @@ class TestPracticalRuns:
     def test_passive_without_logged_data(self):
         split, policy, logged = _practical_setup(6)
         cfg = AlgoConfig(mode="practical", capacity=0.01, eta=0.01)
-        res = run_passive(logged[:0], split.online[:50], policy, LinearModel.zeros(6), cfg, 1, test_data=split.test)
+        res = run_passive(logged[:0], split.online[:50], policy, LinearModel.zeros(6), cfg, 1)
         assert res.query_count == 50 and res.decisions == (QUERY,) * 50
         assert res.final_classifier.steps == 50
-        assert math.isfinite(res.final_test_error)
+        assert math.isfinite(classification_error(res.final_classifier, split.test))
 
 
 class TestExactRuns:
@@ -445,7 +438,7 @@ class TestIsWeighting:
         # produce sane books on the same inputs
         split, policy, logged = _practical_setup(9)
         cfg = AlgoConfig(mode="practical", capacity=655.36, eta=0.0064)
-        a = run_dbalw(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, 1, test_data=split.test)
+        a = run_dbalw(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, 1)
         assert a.skipped_count == 0
         assert len(a.decisions) == 64
 
@@ -500,19 +493,24 @@ class TestStoreScores:
             cfg = AlgoConfig(mode="practical", capacity=capacity, eta=eta)
             online = prepared.online[:horizon]
             for name, runner in ALGORITHMS.items():
-                got = runner(prepared.logged, online, policy, LinearModel.zeros(dim), cfg, 3, test_data=prepared.test)
+                got = runner(prepared.logged, online, policy, LinearModel.zeros(dim), cfg, 3)
                 if name == "passive":
-                    want = practical_passive(prepared.logged, online, LinearModel.zeros(dim), cfg, 3, prepared.test)
+                    want = practical_passive(prepared.logged, online, LinearModel.zeros(dim), cfg, 3)
                 else:
                     weighting, debias = _REFERENCE_VARIANTS[name]
                     want = practical_run(
-                        prepared.logged, online, LinearModel.zeros(dim), cfg, 3, prepared.test,
+                        prepared.logged, online, LinearModel.zeros(dim), cfg, 3,
                         weighting=weighting, debias=debias,
                     )
                 for field in dataclasses.fields(RunResult):
                     a, b = getattr(got, field.name), getattr(want, field.name)
                     if field.name == "final_classifier":
                         assert (a.weights.tobytes(), a.steps) == (b.weights.tobytes(), b.steps), (name, horizon)
+                    elif field.name == "trace":
+                        assert [(p.consumed, p.queries, p.classifier.weights.tobytes(), p.classifier.steps)
+                                for p in a] == [
+                            (p.consumed, p.queries, p.classifier.weights.tobytes(), p.classifier.steps) for p in b
+                        ], (name, horizon)
                     else:
                         assert a == b, (field.name, name, horizon, capacity, eta)
                 for decision in got.decisions:
