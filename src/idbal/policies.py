@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -197,13 +198,67 @@ def fit_coarse_model(data: LabeledRows, fraction: float, seed: int = 0, eta: flo
     return ogd_update(LinearModel.zeros(dim), RowTable.from_csr(rows), subsample.labels, np.ones(size), eta)
 
 
-def calibrate_scale(
-    kind: str,
-    model: LinearModel,
-    rows: scipy.sparse.csr_array,
-    target: float,
-    tolerance: float = 1e-9,
-) -> float:
+# Brent's root finder as scipy's brentq runs it (Zeros/brentq.c): the
+# same float operations in the same order, so the same root bit for bit
+_XTOL = 1e-9
+_RTOL = 4 * sys.float_info.epsilon
+_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f in [xa, xb], whose ends must differ in sign (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4). A NaN
+    value, a same-sign bracket or _MAXITER steps without convergence raise."""
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ValueError(f"no convergence after {_MAXITER} iterations, value is {xcur}")
+
+
+def calibrate_scale(kind: str, model: LinearModel, rows: scipy.sparse.csr_array, target: float) -> float:
     """Scale constant for a margin policy so its mean reveal probability over
     the given rows hits the target. kind is "uncertainty" (mean decreasing
     in the scale) or "certainty" (increasing); unreachable targets raise."""
@@ -224,7 +279,7 @@ def calibrate_scale(
         return sum(_checked(probs(scale, r)).tolist()) / r.size - target
 
     at_zero = gap(0.0)
-    if abs(at_zero) <= tolerance:
+    if abs(at_zero) <= _XTOL:
         return 0.0
     hi = 1.0
     for _ in range(80):
@@ -233,8 +288,7 @@ def calibrate_scale(
         hi *= 2.0
     else:
         raise ValueError(f"target {target} unreachable for {kind} policy on this sample")
-    from scipy.optimize import brentq  # here, so `import idbal` skips scipy.optimize
-    return float(brentq(gap, 0.0, hi, xtol=tolerance))
+    return _brentq(gap, 0.0, hi)
 
 
 def save_table_policy(pairs: Sequence[tuple[FeatureVector, float]]) -> str:

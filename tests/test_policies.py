@@ -2,7 +2,6 @@
 scoring a block of rows, compared with the per-instance formulas."""
 from __future__ import annotations
 
-import json
 import math
 import os
 import subprocess
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 import idbal
+from idbal import policies
 from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic, row_keys
 from idbal.hypotheses import LinearModel
 from idbal.policies import (
@@ -240,23 +240,87 @@ class TestCoarseModelAndCalibration:
         assert calibrate_scale("certainty", model, rows, target=0.1) == float.fromhex("0x1.1980e74c137e8p-2")
 
 
-COLD_IMPORT = """
-import json, sys
-import idbal, idbal.cli
-from idbal.hypotheses import LinearModel
-from idbal.policies import calibrate_scale
-import numpy as np, scipy.sparse
-after_import = "scipy.optimize" in sys.modules
-rows = scipy.sparse.csr_array(np.array([[1.0, -2.0], [1.0, 0.5], [1.0, 3.0]]))
-calibrate_scale("uncertainty", LinearModel(np.array([0.1, 1.0])), rows, target=0.5)
-print(json.dumps([after_import, "scipy.optimize" in sys.modules]))
+# policies._brentq copies scipy.optimize.brentq step by step; these tests import
+# scipy.optimize inside each test, so idbal itself never loads it
+def _gap(kind: str, r: np.ndarray, target: float):
+    probs = policies._uncertainty if kind == "uncertainty" else policies._certainty
+    return lambda scale: sum(probs(scale, r).tolist()) / r.size - target
+
+
+def _bracket(gap) -> float:
+    hi = 1.0
+    while gap(0.0) * gap(hi) > 0.0:
+        hi *= 2.0
+    return hi
+
+
+class TestBrentPort:
+    @pytest.mark.parametrize("xtol", [1e-6, 1e-9, 1e-12])
+    def test_matches_brentq_on_calibration_gaps(self, monkeypatch, xtol):
+        from scipy.optimize import brentq
+        monkeypatch.setattr(policies, "_XTOL", xtol)
+        rng = np.random.default_rng(17)
+        for trial in range(500):
+            kind = ("uncertainty", "certainty")[trial % 2]
+            r = rng.exponential(rng.uniform(0.05, 2.0), size=int(rng.integers(1, 60)))
+            gap = _gap(kind, r, float(rng.uniform(0.02, 0.98)))
+            hi = _bracket(gap)
+            assert policies._brentq(gap, 0.0, hi).hex() == brentq(gap, 0.0, hi, xtol=xtol).hex()
+
+    # each takes interpolation steps; all but atan extrapolate, and the cube,
+    # exp and flat fifth power also bisect. At a coarse tolerance the choice
+    # between a short step and bisection turns on the delta in its bound.
+    @pytest.mark.parametrize("f, a, b, xtol", [
+        (lambda x: x**3 - 2.0, 0.0, 3.0, 1e-9),
+        (lambda x: math.cos(x) - x, 0.0, 2.0, 1e-9),
+        (lambda x: math.exp(x) - 10.0, -5.0, 10.0, 1e-9),
+        (lambda x: (x - 0.3) ** 5, 0.0, 1.0, 1e-9),
+        (lambda x: math.atan(x - 1.7), -100.0, 10.0, 1e-9),
+        (lambda x: math.exp(5.0 * x) - math.exp(2.0), 0.0, 1.0, 1e-2),
+    ])
+    def test_matches_brentq_off_calibration(self, monkeypatch, f, a, b, xtol):
+        from scipy.optimize import brentq
+        monkeypatch.setattr(policies, "_XTOL", xtol)
+        assert policies._brentq(f, a, b).hex() == brentq(f, a, b, xtol=xtol).hex()
+
+    def test_root_on_a_bracket_end(self):
+        from scipy.optimize import brentq
+        for a, b in ((1.0, 4.0), (-2.0, 1.0)):
+            assert policies._brentq(lambda x: x - 1.0, a, b) == brentq(lambda x: x - 1.0, a, b, xtol=1e-9) == 1.0
+
+    @pytest.mark.parametrize("f, b", [
+        (lambda x: x + 1.0, 1.0),  # same sign at both ends
+        (lambda x: math.nan if x > 0.5 else x - 0.75, 1.0),
+        (lambda x: -1.0 if x < 1.0 else 1.0, 1e300),  # a step: 100 halvings of 1e300 are not enough
+    ])
+    def test_rejects_what_brentq_rejects(self, f, b):
+        from scipy.optimize import brentq
+        with pytest.raises(ValueError):
+            policies._brentq(f, 0.0, b)
+        with pytest.raises((ValueError, RuntimeError)):
+            brentq(f, 0.0, b, xtol=1e-9)
+
+
+COLD_CLI = """
+import sys
+from pathlib import Path
+from idbal.cli import main
+out = Path(sys.argv[1])
+data = ["--data.count", "200", "--data.dim", "4"]
+for kind in ("uncertainty", "certainty"):
+    assert main(["run", *data, "--policy.name", kind, "--out", str(out / kind)]) == 0
+assert main(["sweep", *data, "--policy.name", "uncertainty", "--repeats", "1", "--sweep.algorithms", "passive",
+             "--sweep.capacity_grid", "0.64", "--sweep.eta_grid", "0.0064", "--out", str(out / "sweep")]) == 0
+assert main(["report", "--records", str(out / "sweep" / "records.json"), "--out", str(out / "report")]) == 0
+print(" ".join(sorted({name.split(".")[1] for name in sys.modules if name.startswith("scipy.")})))
 """
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # a fresh interpreter: this process may have loaded scipy.optimize already
+def test_cli_loads_no_scipy_subpackage_but_sparse(tmp_path):
+    # a fresh interpreter: this process may have loaded other subpackages already
     env = dict(os.environ, PYTHONPATH=str(Path(idbal.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, capture_output=True, text=True, check=True)
-    after_import, after_calibration = json.loads(done.stdout)
-    assert not after_import
-    assert after_calibration
+    done = subprocess.run([sys.executable, "-c", COLD_CLI, str(tmp_path)], env=env, capture_output=True, text=True,
+                          check=True)
+    loaded = set(done.stdout.splitlines()[-1].split())
+    assert "sparse" in loaded
+    assert loaded <= {"sparse", "_lib", "_cyutility", "__config__", "version", "_distributor_init"}
