@@ -9,147 +9,9 @@ verification, and a paired benchmark harness with CSV reports.
 """
 from __future__ import annotations
 
-from .data import (
-    DataSplit,
-    Example,
-    FeatureVector,
-    LabelSource,
-    LoggedTriple,
-    ParseError,
-    SyntheticSpec,
-    apply_logging,
-    format_sparse_dataset,
-    generate_synthetic,
-    parse_sparse_dataset,
-    split_dataset,
-)
-from .estimators import (
-    WeightedSample,
-    delta_bound,
-    mis_error,
-    sigma,
-)
-from .harness import (
-    DEFAULT_CAPACITY_GRID,
-    DEFAULT_ETA_GRID,
-    CurvePoint,
-    DatasetSpec,
-    ExperimentConfig,
-    PolicySpec,
-    ProtocolResult,
-    RunRecord,
-    auc,
-    aggregate_curves,
-    best_auc,
-    report,
-    run_protocol,
-)
-from .hypotheses import (
-    FiniteClass,
-    LinearModel,
-    classification_error,
-    ogd_stepsize,
-    ogd_update,
-)
-from .learners import (
-    ALGORITHMS,
-    AlgoConfig,
-    PartitionPlan,
-    RunResult,
-    TracePoint,
-    debias_rule,
-    plan_partition,
-    run_dbalw,
-    run_dbalwm,
-    run_idbal,
-    run_passive,
-)
-from .oracle import (
-    DiscreteInstance,
-    adjusted_dis_coefficient,
-    concentration_rate,
-    mc_unbiasedness,
-    random_instance,
-    run_verification_suite,
-    variance_compare,
-)
-from .policies import (
-    CertaintyPolicy,
-    IdenticalPolicy,
-    LoggingPolicy,
-    TablePolicy,
-    UncertaintyPolicy,
-    UniformGroupsPolicy,
-    calibrate_scale,
-    fit_coarse_model,
-    policy_prob,
-)
-from .rng import child_seed, derive_rng
+# import each name from its module; a bare `import idbal` still loads (and perfbench times) these eight
+from . import data, estimators, harness, hypotheses, learners, oracle, policies, rng
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "AlgoConfig",
-    "CertaintyPolicy",
-    "CurvePoint",
-    "DEFAULT_CAPACITY_GRID",
-    "DEFAULT_ETA_GRID",
-    "DataSplit",
-    "DatasetSpec",
-    "DiscreteInstance",
-    "Example",
-    "ExperimentConfig",
-    "FeatureVector",
-    "FiniteClass",
-    "IdenticalPolicy",
-    "LabelSource",
-    "LinearModel",
-    "LoggedTriple",
-    "LoggingPolicy",
-    "ParseError",
-    "PartitionPlan",
-    "PolicySpec",
-    "ProtocolResult",
-    "RunRecord",
-    "RunResult",
-    "SyntheticSpec",
-    "TablePolicy",
-    "TracePoint",
-    "UncertaintyPolicy",
-    "UniformGroupsPolicy",
-    "WeightedSample",
-    "adjusted_dis_coefficient",
-    "aggregate_curves",
-    "apply_logging",
-    "auc",
-    "best_auc",
-    "calibrate_scale",
-    "child_seed",
-    "classification_error",
-    "concentration_rate",
-    "debias_rule",
-    "delta_bound",
-    "derive_rng",
-    "fit_coarse_model",
-    "format_sparse_dataset",
-    "generate_synthetic",
-    "mc_unbiasedness",
-    "mis_error",
-    "ogd_stepsize",
-    "ogd_update",
-    "parse_sparse_dataset",
-    "plan_partition",
-    "policy_prob",
-    "random_instance",
-    "report",
-    "run_dbalw",
-    "run_dbalwm",
-    "run_idbal",
-    "run_passive",
-    "run_protocol",
-    "run_verification_suite",
-    "sigma",
-    "split_dataset",
-    "variance_compare",
-]
+__all__ = ["data", "estimators", "harness", "hypotheses", "learners", "oracle", "policies", "rng"]

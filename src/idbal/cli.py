@@ -79,6 +79,8 @@ def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
     experiment = config_to_experiment(config)
     algo = AlgoConfig(**config_values(config, "algo"))
     dataset, seed, repeat = experiment.datasets[0], experiment.master_seed, run.get("repeat", 0)
+    if repeat < 0:
+        raise ValueError(f"repeat must be non-negative, got {repeat}")
     fractions = (experiment.test_fraction, experiment.logged_fraction)
     prepared = prepare_repeat(load_dataset(dataset), experiment.policy, dataset.name, seed, repeat, fractions)
     online = len(prepared.online)

@@ -6,7 +6,8 @@ accepted on input and mapped to {0, 1}. Splits are arrays of row positions
 and logging yields one reveal bit per row; a hidden label (z = 0) is stored
 as 0, so nothing downstream can touch a label that the logging policy hid.
 The per-instance records (FeatureVector, Example, LoggedTriple) describe the
-exact mode's finite pools.
+exact mode's finite pools; no learner builds them, since a run keeps its
+queried and inferred labels in arrays.
 """
 from __future__ import annotations
 
@@ -138,9 +139,9 @@ class LabelSource(Enum):
 class LoggedTriple:
     """An instance with a reveal bit; the label exists only when z = 1.
 
-    label_source records whether a revealed label came from the labeler
-    (QUERIED) or from a learner's own prediction (INFERRED); inferred labels
-    only arise on online-phase records.
+    label_source records where a revealed label came from: the labeler
+    (QUERIED, the default when z = 1) or a prediction (INFERRED). The
+    learners build no records, so their inferred labels never appear here.
     """
 
     x: FeatureVector

@@ -537,9 +537,11 @@ def records_to_json(records: Iterable[RunRecord]) -> str:
 def records_from_json(text: str) -> tuple[RunRecord, ...]:
     """Records from records_to_json's text; a row that is not an object,
     that misses or adds a field, whose field holds a value of the wrong
-    type, a negative count, more queries than its horizon, or a test error
-    outside [0, 1] (NaN included), is a ValueError naming its 1-based row
-    (and the field)."""
+    type, a negative count, more queries than its horizon, a test error
+    outside [0, 1] (NaN included), an algorithm not in ALGORITHMS, an eta
+    that is not positive and finite, or a capacity that is set for passive
+    or otherwise not positive and finite, is a ValueError naming its
+    1-based row (and the field)."""
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("records must be a JSON list of objects")
@@ -563,6 +565,15 @@ def records_from_json(text: str) -> tuple[RunRecord, ...]:
             raise ValueError(f"row {number}: queries must be at most horizon {row['horizon']}, got {row['queries']}")
         if not 0.0 <= row["test_error"] <= 1.0:
             raise ValueError(f"row {number}: test_error must lie in [0, 1], got {row['test_error']!r}")
+        if row["algorithm"] not in ALGORITHMS:
+            raise ValueError(f"row {number}: algorithm must be one of {sorted(ALGORITHMS)}, got {row['algorithm']!r}")
+        if not 0.0 < row["eta"] < math.inf:
+            raise ValueError(f"row {number}: eta must be positive and finite, got {row['eta']!r}")
+        if row["algorithm"] == "passive":
+            if row["capacity"] is not None:
+                raise ValueError(f"row {number}: capacity must be null for passive, got {row['capacity']!r}")
+        elif row["capacity"] is None or not 0.0 < row["capacity"] < math.inf:
+            raise ValueError(f"row {number}: capacity must be positive and finite, got {row['capacity']!r}")
     return tuple(RunRecord(**row) for row in rows)
 
 

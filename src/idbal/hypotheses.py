@@ -157,16 +157,14 @@ def ogd_update(model: LinearModel, rows: RowTable, labels, importance_weights, e
 
 
 class TableClassifier:
-    """A single member of a FiniteClass; total on the class's pool only."""
+    """A single member of a FiniteClass, by index: its predictions on the
+    class's pool are the owner's labels[index] row."""
 
     __slots__ = ("owner", "index")
 
     def __init__(self, owner: "FiniteClass", index: int):
         self.owner = owner
         self.index = index
-
-    def predict(self, x: FeatureVector) -> int:
-        return int(self.owner.labels[self.index, self.owner.pool_position(x)])
 
     def __repr__(self) -> str:
         return f"TableClassifier(index={self.index})"
@@ -233,19 +231,16 @@ class FiniteClass:
             raise ValueError(f"member index {index} out of range")
         return TableClassifier(self, index)
 
-    def pool_position(self, x: FeatureVector) -> int:
-        try:
-            return self._positions[x]
-        except KeyError:
-            raise ValueError("instance is not in the class's pool") from None
-
     def positions(self, instances: Sequence[FeatureVector]) -> np.ndarray:
         """Pool positions of the instances: the pool's own objects are found
-        by identity, without hashing; an equal copy falls back to
-        pool_position."""
+        by identity, without hashing; an equal copy falls back to a hashed
+        lookup, and an instance outside the pool is a ValueError."""
         found = list(map(self._positions_by_id.get, map(id, instances)))
         if None in found:
-            found = [self.pool_position(x) if i is None else i for x, i in zip(instances, found)]
+            try:
+                found = [self._positions[x] if i is None else i for x, i in zip(instances, found)]
+            except KeyError:
+                raise ValueError("instance is not in the class's pool") from None
         return np.array(found, dtype=np.intp)
 
 

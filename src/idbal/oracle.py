@@ -26,7 +26,6 @@ from .rng import derive_rng
 __all__ = [
     "DiscreteInstance",
     "random_instance",
-    "true_error",
     "disagreement_mass",
     "dis_ball",
     "dis_region",
@@ -138,11 +137,6 @@ def random_instance(
         q0[rng.integers(0, pool_size)] = rng.integers(1, 4) / 64.0
     hclass = FiniteClass(pool, np.array(rows, dtype=np.int8))
     return DiscreteInstance(pool=pool, masses=masses, p1=p1, classifiers=hclass, q0=q0)
-
-
-def true_error(instance: DiscreteInstance, h: int) -> float:
-    """Exact error of member h (by index)."""
-    return float(instance.true_errors[h])
 
 
 def disagreement_mass(instance: DiscreteInstance, i: int, j: int) -> float:
@@ -352,7 +346,7 @@ def mc_unbiasedness(
     (values,) = _simulate_estimates(instance, h, m, n, trials, rng, q1, (estimator,))
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    return UnbiasednessReport(mean=mean, stderr=stderr, true_value=true_error(instance, h), trials=trials)
+    return UnbiasednessReport(mean=mean, stderr=stderr, true_value=float(instance.true_errors[h]), trials=trials)
 
 
 def variance_compare(
@@ -393,7 +387,7 @@ def concentration_rate(
     _check_trials(trials, 1)
     if any(size < 1 for size in effective_sizes):
         raise ValueError(f"effective_sizes must each be at least 1, got {list(effective_sizes)}")
-    gap_true = true_error(instance, pair[0]) - true_error(instance, pair[1])
+    gap_true = instance.true_errors[pair[0]] - instance.true_errors[pair[1]]
     member_errs = [np.tile(instance.classifiers.labels[h], 2)[:, None] != [0, 1] for h in pair]
     p1 = np.tile(instance.p1, 2)
     quantiles: list[float] = []
@@ -421,8 +415,11 @@ class CheckRow:
 
 
 def run_verification_suite(seed: int, fixtures: int = 20, trials: int = 20000) -> list[CheckRow]:
-    """Self-contained estimator and geometry checks; returns one row per check."""
+    """Self-contained estimator and geometry checks over at least one
+    fixture and two trials; returns one row per check."""
     _check_trials(trials, 2)
+    if fixtures < 1:
+        raise ValueError(f"fixtures must be at least 1, got {fixtures}")
     rows: list[CheckRow] = []
     for i in range(fixtures):
         instance = random_instance(seed=seed * 1000 + i, force_low_propensity=True)

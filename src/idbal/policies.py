@@ -63,14 +63,14 @@ class IdenticalPolicy(LoggingPolicy):
         return np.full(rows.shape[0], self.p)
 
 
-def group_of(key: str, group_seed: int, groups: int = 3) -> int:
-    """Deterministic group assignment from an instance's canonical key (see
+def group_of(key: str, group_seed: int) -> int:
+    """Deterministic group (0, 1 or 2) from an instance's canonical key (see
     row_keys) and the seed; independent of any dataset ordering."""
     digest = hashlib.blake2b(digest_size=8)
     digest.update(str(int(group_seed)).encode("ascii"))
     digest.update(b"\x1f")
     digest.update(key.encode("utf-8"))
-    return int.from_bytes(digest.digest(), "little") % groups
+    return int.from_bytes(digest.digest(), "little") % 3
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,10 @@ def policy_prob(policy: LoggingPolicy, rows) -> np.ndarray:
     return _checked(np.asarray(policy.probs(rows), dtype=float))
 
 
-def fit_coarse_model(data: LabeledRows, fraction: float, seed: int = 0, eta: float = 1.0) -> LinearModel:
+def fit_coarse_model(data: LabeledRows, fraction: float, seed: int = 0) -> LinearModel:
     """Rough linear model from a seeded subsample: one unweighted gradient
-    pass, enough to give margin-based policies a boundary. The model is as
-    wide as the largest feature index the subsample uses."""
+    pass at eta 1, enough to give margin-based policies a boundary. The model
+    is as wide as the largest feature index the subsample uses."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
     size = int(len(data) * fraction)
@@ -195,7 +195,7 @@ def fit_coarse_model(data: LabeledRows, fraction: float, seed: int = 0, eta: flo
     sub = subsample.matrix
     dim = max(1, int(sub.indices.max()))
     rows = scipy.sparse.csr_array((sub.data, sub.indices, sub.indptr), shape=(size, dim + 1))
-    return ogd_update(LinearModel.zeros(dim), RowTable.from_csr(rows), subsample.labels, np.ones(size), eta)
+    return ogd_update(LinearModel.zeros(dim), RowTable.from_csr(rows), subsample.labels, np.ones(size), 1.0)
 
 
 # Brent's root finder as scipy's brentq runs it (Zeros/brentq.c): the

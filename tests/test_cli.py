@@ -170,6 +170,11 @@ class TestRun:
         assert "error: horizon must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_negative_repeat_exits_two(self, tmp_path, capsys):
+        assert main(self._args(tmp_path, "--repeat", "-1")) == 2
+        assert "error: repeat must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_nan_eta_exits_two(self, tmp_path, capsys):
         assert main(self._args(tmp_path, "--algo.eta", "nan")) == 2
         assert "error: capacity and eta must be positive and finite" in capsys.readouterr().err
@@ -246,7 +251,9 @@ class TestReport:
         (lambda row: list(row.values()), "row 1: not a JSON object"),
         (lambda row: row | {"horizon": "ten"}, "row 1: horizon must be int, got 'ten'"),
         (lambda row: row | {"queries": -5, "test_error": math.nan}, "row 1: queries must be non-negative, got -5"),
-    ], ids=["missing-field", "unknown-field", "not-an-object", "text-horizon", "negative-queries-nan-error"])
+        (lambda row: row | {"eta": math.nan}, "row 1: eta must be positive and finite, got nan"),
+    ], ids=["missing-field", "unknown-field", "not-an-object", "text-horizon", "negative-queries-nan-error",
+            "nan-eta"])
     def test_malformed_record_exits_two(self, sweep_out, tmp_path, capsys, edit, message):
         # the edited first row, then a valid one
         rows = json.loads((sweep_out / "records.json").read_text(encoding="utf-8"))
@@ -297,6 +304,13 @@ class TestVerify:
         assert (tmp_path / "env-out" / "checks.csv").exists()
         capsys.readouterr()
 
+    def test_no_fixtures_exits_two(self, tmp_path, capsys):
+        code = main(["verify", "--fixtures", "-3", "--trials", "200", "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: fixtures must be at least 1, got -3" in captured.err
+        assert "checks passed" not in captured.out
+        assert not (tmp_path / "checks.csv").exists()
 
     @pytest.mark.parametrize("trials", ["0", "-5", "1"])
     def test_too_few_trials_exits_two(self, tmp_path, capsys, trials):

@@ -582,17 +582,31 @@ class TestReport:
         ([RECORD_ROW | {"test_error": float("inf")}], "row 1: test_error must lie in [0, 1], got inf"),
         ([RECORD_ROW | {"test_error": -0.1}], "row 1: test_error must lie in [0, 1], got -0.1"),
         ([RECORD_ROW | {"test_error": 1.5}], "row 1: test_error must lie in [0, 1], got 1.5"),
+        ([RECORD_ROW, RECORD_ROW | {"algorithm": "nonsense"}],
+         "row 2: algorithm must be one of ['dbalw', 'dbalwm', 'idbal', 'passive'], got 'nonsense'"),
+        ([RECORD_ROW | {"eta": float("nan")}], "row 1: eta must be positive and finite, got nan"),
+        ([RECORD_ROW | {"eta": float("inf")}], "row 1: eta must be positive and finite, got inf"),
+        ([RECORD_ROW | {"eta": 0}], "row 1: eta must be positive and finite, got 0"),
+        ([RECORD_ROW | {"capacity": 0.64}], "row 1: capacity must be null for passive, got 0.64"),
+        ([RECORD_ROW | {"algorithm": "idbal"}], "row 1: capacity must be positive and finite, got None"),
+        ([RECORD_ROW, RECORD_ROW | {"algorithm": "dbalw", "capacity": -3}],
+         "row 2: capacity must be positive and finite, got -3"),
+        ([RECORD_ROW | {"algorithm": "dbalwm", "capacity": float("nan")}],
+         "row 1: capacity must be positive and finite, got nan"),
     ], ids=["missing-fields", "unknown-field", "renamed-field", "not-an-object", "not-a-list", "text-count",
             "bool-count", "float-count", "null-eta", "text-error", "text-capacity", "number-name",
             "negative-repeat", "negative-horizon", "negative-queries", "negative-horizon-index",
-            "queries-over-horizon", "nan-error", "infinite-error", "negative-error", "error-above-one"])
+            "queries-over-horizon", "nan-error", "infinite-error", "negative-error", "error-above-one",
+            "unknown-algorithm", "nan-eta", "infinite-eta", "zero-eta", "passive-capacity", "null-capacity",
+            "negative-capacity", "nan-capacity"])
     def test_malformed_records_name_the_row(self, rows, message):
         with pytest.raises(ValueError) as caught:
             records_from_json(json.dumps(rows))
         assert str(caught.value).startswith(message)
 
     def test_numbers_of_either_kind_are_accepted(self):
-        rows = [RECORD_ROW | {"capacity": 1, "eta": 1, "test_error": 0}, RECORD_ROW | {"capacity": 0.64}]
+        rows = [RECORD_ROW | {"algorithm": "idbal", "capacity": 1, "eta": 1, "test_error": 0},
+                RECORD_ROW | {"algorithm": "idbal", "capacity": 0.64}]
         assert [(r.capacity, r.eta, r.test_error) for r in records_from_json(json.dumps(rows))] == [
             (1, 1, 0), (0.64, 0.1, 0.5)
         ]

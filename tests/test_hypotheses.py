@@ -412,14 +412,15 @@ def _tiny_class() -> tuple[FiniteClass, list[FeatureVector]]:
 class TestFiniteClass:
     def test_member_prediction(self):
         hclass, pool = _tiny_class()
-        assert hclass.member(2).predict(pool[1]) == 1
-        assert hclass.member(0).predict(pool[1]) == 0
+        position = hclass.positions([pool[1]])[0]
+        assert hclass.labels[hclass.member(2).index, position] == 1
+        assert hclass.labels[hclass.member(0).index, position] == 0
 
     def test_unknown_instance_rejected(self):
         hclass, _ = _tiny_class()
-        with pytest.raises(ValueError):
-            hclass.pool_position(FeatureVector({1: 99.0}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not in the class's pool"):
+            hclass.positions([FeatureVector({1: 99.0})])
+        with pytest.raises(ValueError, match="not in the class's pool"):
             hclass.positions([hclass.pool[0], FeatureVector({1: 99.0})])
 
     def test_positions_of_pool_objects_and_equal_copies(self):

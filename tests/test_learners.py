@@ -231,7 +231,7 @@ class TestPracticalRuns:
             data = generate_synthetic(SyntheticSpec(count=count, dim=dim, flip_prob=0.1, seed=seed))
             split = split_dataset(len(data), (0.2, 0.5), seed=seed + 1)
             if seed == 1:
-                coarse = fit_coarse_model(data, 0.1, seed, 1.0)
+                coarse = fit_coarse_model(data, 0.1, seed)
                 scale = calibrate_scale("uncertainty", coarse, data.matrix[split.logged], 0.1)
                 policy = UncertaintyPolicy(scale, coarse)
             else:
@@ -353,7 +353,7 @@ class TestExactRuns:
             final_set = res.iterations[-1].candidates_after
             for decision, ex in zip(res.decisions, online):
                 if decision == INFER:
-                    column = inst.classifiers.labels[list(final_set), inst.classifiers.pool_position(ex.x)]
+                    column = inst.classifiers.labels[list(final_set), inst.classifiers.positions([ex.x])[0]]
                     assert column.min() == column.max()
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))

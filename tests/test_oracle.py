@@ -25,7 +25,6 @@ from idbal.oracle import (
     random_instance,
     run_verification_suite,
     s_region,
-    true_error,
     variance_compare,
 )
 from idbal.rng import derive_rng
@@ -88,7 +87,7 @@ class TestDiscreteInstance:
                 * (inst.p1[j] if inst.classifiers.labels[member, j] == 0 else 1.0 - inst.p1[j])
                 for j in range(len(inst.pool))
             )
-            np.testing.assert_allclose(true_error(inst, member), slow, rtol=1e-12)
+            np.testing.assert_allclose(inst.true_errors[member], slow, rtol=1e-12)
 
 
 class TestRegionGeometry:
@@ -203,7 +202,7 @@ def _reference_rate_quantile(instance, pair, size, trials, rng, q1):
     """The whole-batch concentration_rate body, kept verbatim as the
     reference: the 0.9-quantile of the gap deviation at m = n = size."""
     row1, row2 = (instance.classifiers.labels[h] for h in pair)
-    gap_true = true_error(instance, pair[0]) - true_error(instance, pair[1])
+    gap_true = float(instance.true_errors[pair[0]]) - float(instance.true_errors[pair[1]])
     q0 = instance.q0
     qq1 = np.ones(len(instance.pool)) if q1 is None else np.asarray(q1, dtype=float)
     total = 2 * size
