@@ -43,11 +43,12 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Malformed dataset text; carries the 1-based line number."""
+    """Malformed dataset text; carries the 1-based line number and the
+    message without it."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+        self.line_number, self.message = line_number, message
 
 
 class FeatureVector:

@@ -39,10 +39,9 @@ from .data import (
 from .hypotheses import LinearModel, classification_error, ogd_memo
 from .learners import ALGORITHMS, AlgoConfig, RunResult
 from .policies import (
-    CertaintyPolicy,
     IdenticalPolicy,
     LoggingPolicy,
-    UncertaintyPolicy,
+    MarginPolicy,
     UniformGroupsPolicy,
     calibrate_scale,
     fit_coarse_model,
@@ -158,11 +157,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms {unknown}")
         if self.repeats < 1 or self.horizon_base < 1 or self.horizon_growth < 2:
             raise ValueError("repeats and horizon_base must be >= 1, growth >= 2")
-        if not self.capacity_grid or not self.eta_grid:
-            raise ValueError("parameter grids cannot be empty")
+        if not (self.algorithms and self.capacity_grid and self.eta_grid):
+            raise ValueError("algorithms and parameter grids cannot be empty")
         bad = [value for value in self.capacity_grid + self.eta_grid if not 0.0 < value < math.inf]
         if bad:
             raise ValueError(f"capacity and eta grid values must be positive and finite, got {bad}")
+        # a repeat would record one grid point twice
+        names = tuple(spec.name for spec in self.datasets)
+        for label, values in (("dataset names", names), ("algorithms", self.algorithms),
+                              ("capacity_grid", self.capacity_grid), ("eta_grid", self.eta_grid)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{label} cannot repeat a value, got {list(values)}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -236,9 +241,7 @@ def build_policy(
         scale = spec.scale
     else:
         scale = calibrate_scale(spec.name, coarse, calibration_rows, spec.calibration_target)
-    if spec.name == "uncertainty":
-        return UncertaintyPolicy(scale, coarse)
-    return CertaintyPolicy(scale, coarse)
+    return MarginPolicy(spec.name, scale, coarse)
 
 
 def horizon_schedule(base: int, growth: int, online_size: int) -> list[int]:
@@ -380,8 +383,10 @@ def run_protocol(cfg: ExperimentConfig) -> ProtocolResult:
     for spec in cfg.datasets:
         data = load_dataset(spec)
         tasks.extend((cfg, spec, data, repeat) for repeat in range(cfg.repeats))
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # a pool starts all its processes at once: never more than there are tasks
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_repeat, *zip(*tasks)))
     else:
         chunks = [_run_repeat(*task) for task in tasks]
@@ -539,15 +544,16 @@ def records_from_json(text: str) -> tuple[RunRecord, ...]:
     that misses or adds a field, whose field holds a value of the wrong
     type, a negative count, more queries than its horizon, a test error
     outside [0, 1] (NaN included), an algorithm not in ALGORITHMS, an eta
-    that is not positive and finite, or a capacity that is set for passive
-    or otherwise not positive and finite, is a ValueError naming its
-    1-based row (and the field)."""
+    that is not positive and finite, a capacity that is set for passive or
+    otherwise not positive and finite, or the grid point and horizon of an
+    earlier row, is a ValueError naming its 1-based row (and the field)."""
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("records must be a JSON list of objects")
     names = [f.name for f in fields(RunRecord)]
     # the JSON values each RunRecord annotation accepts; a bool is never one
     kinds = {"str": (str,), "int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
+    seen: dict[tuple, int] = {}  # row number by (dataset, ..., horizon_index)
     for number, row in enumerate(rows, start=1):
         if not isinstance(row, dict):
             raise ValueError(f"row {number}: not a JSON object")
@@ -574,6 +580,9 @@ def records_from_json(text: str) -> tuple[RunRecord, ...]:
                 raise ValueError(f"row {number}: capacity must be null for passive, got {row['capacity']!r}")
         elif row["capacity"] is None or not 0.0 < row["capacity"] < math.inf:
             raise ValueError(f"row {number}: capacity must be positive and finite, got {row['capacity']!r}")
+        key = tuple(row[name] for name in ("dataset", "algorithm", "capacity", "eta", "repeat", "horizon_index"))
+        if seen.setdefault(key, number) != number:
+            raise ValueError(f"row {number}: repeats row {seen[key]}'s grid point {key}")
     return tuple(RunRecord(**row) for row in rows)
 
 

@@ -62,6 +62,8 @@ __all__ = [
 QUERY = "query"
 INFER = "infer"
 SKIP = "skip"
+# the exact mode's failure probability, split over iterations as delta_k
+DELTA = 0.1
 
 
 @dataclass(frozen=True)
@@ -124,14 +126,13 @@ class AlgoConfig:
     """Knobs shared by all learners.
 
     mode selects the hypothesis representation: "exact" drives a FiniteClass
-    with delta (the failure probability) and gamma0 (the scale of the
-    candidate-set slack), "practical" drives a LinearModel with capacity (the
+    with gamma0 (the scale of the candidate-set slack) at failure
+    probability DELTA, "practical" drives a LinearModel with capacity (the
     tuned stand-in for the log-class-size term) and eta (gradient schedule).
     record_iterations keeps the exact mode's per-iteration audit trail.
     """
 
     mode: str = "practical"
-    delta: float = 0.1
     gamma0: float = 1.0
     capacity: float = 0.01
     eta: float = 0.1
@@ -140,8 +141,6 @@ class AlgoConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "practical"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
         if self.gamma0 <= 0:
             raise ValueError("gamma0 must be positive")
         if not (0.0 < self.capacity < math.inf and 0.0 < self.eta < math.inf):
@@ -221,7 +220,7 @@ class _ExactSteps:
         """Prune the candidates after fit; (xi_next, region mask, ERM
         predictions) at the store's online records in segment."""
         hclass, erm_index = self.hclass, self.erm_index
-        delta_k = self.cfg.delta / ((k + 1) * (k + 2))
+        delta_k = DELTA / ((k + 1) * (k + 2))
         if mk * xi + nk > 0.0:
             sigma_value = sigma((mk, nk), xi, len(hclass), delta_k / 2.0)
         else:

@@ -88,7 +88,7 @@ class DiscreteInstance:
         return float(self._true_errors[self.h_star_index])
 
     def logging_policy(self) -> TablePolicy:
-        return TablePolicy({x: float(p) for x, p in zip(self.pool, self.q0)})
+        return TablePolicy({x.key(): float(p) for x, p in zip(self.pool, self.q0)})
 
     def draw_examples(self, rng: np.random.Generator, count: int) -> list[Example]:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)

@@ -10,34 +10,29 @@ matrix, or a finite class's pool (FiniteClass.rows).
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse
 
-from .data import FeatureVector, LabeledRows, RowTable, row_keys
+from .data import LabeledRows, ParseError, RowTable, parse_sparse_dataset, row_keys
 from .hypotheses import LinearModel, ogd_update
-from .rng import derive_rng
+from .rng import child_seed, derive_rng
 
 __all__ = [
     "LoggingPolicy",
     "IdenticalPolicy",
     "UniformGroupsPolicy",
-    "UncertaintyPolicy",
-    "CertaintyPolicy",
+    "MarginPolicy",
     "TablePolicy",
     "policy_prob",
-    "group_of",
     "margins",
     "fit_coarse_model",
     "calibrate_scale",
     "load_table_policy",
-    "save_table_policy",
 ]
 
 
@@ -63,20 +58,11 @@ class IdenticalPolicy(LoggingPolicy):
         return np.full(rows.shape[0], self.p)
 
 
-def group_of(key: str, group_seed: int) -> int:
-    """Deterministic group (0, 1 or 2) from an instance's canonical key (see
-    row_keys) and the seed; independent of any dataset ordering."""
-    digest = hashlib.blake2b(digest_size=8)
-    digest.update(str(int(group_seed)).encode("ascii"))
-    digest.update(b"\x1f")
-    digest.update(key.encode("utf-8"))
-    return int.from_bytes(digest.digest(), "little") % 3
-
-
 @dataclass(frozen=True)
 class UniformGroupsPolicy(LoggingPolicy):
-    """Instances hash into three fixed groups, each with its own constant
-    reveal probability."""
+    """Instances fall into three fixed groups, each with its own constant
+    reveal probability: child_seed(group_seed, key) mod 3 of the canonical
+    key (see row_keys), whatever the dataset's order."""
 
     p0: float
     p1: float
@@ -90,7 +76,7 @@ class UniformGroupsPolicy(LoggingPolicy):
 
     def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
         levels = (self.p0, self.p1, self.p2)
-        return np.array([levels[group_of(key, self.group_seed)] for key in row_keys(rows)], dtype=float)
+        return np.array([levels[child_seed(self.group_seed, key) % 3] for key in row_keys(rows)], dtype=float)
 
 
 def margins(model: LinearModel, rows: scipy.sparse.csr_array) -> np.ndarray:
@@ -107,56 +93,49 @@ def margins(model: LinearModel, rows: scipy.sparse.csr_array) -> np.ndarray:
 
 
 def _uncertainty(scale: float, r: np.ndarray) -> np.ndarray:
+    """exp(-scale * r^2): certain regions are logged rarely."""
     # math.exp per element: np.exp can differ from it in the last bit
     return np.array([math.exp(v) for v in (-scale * r * r).tolist()], dtype=float)
 
 
 def _certainty(scale: float, r: np.ndarray) -> np.ndarray:
+    """min(scale * r^2, 1): certain regions are logged heavily."""
     return np.minimum(scale * r * r, 1.0)
 
 
-@dataclass(frozen=True)
-class UncertaintyPolicy(LoggingPolicy):
-    """Reveal probability exp(-scale * r^2) at geometric margin r from the
-    coarse model's boundary: certain regions are logged rarely."""
+# reveal probability at geometric margin r, by margin policy kind
+_MARGIN_PROBS = {"uncertainty": _uncertainty, "certainty": _certainty}
 
+
+@dataclass(frozen=True)
+class MarginPolicy(LoggingPolicy):
+    """Reveal probability from the geometric margin r to the coarse model's
+    boundary, by the formula _MARGIN_PROBS holds for kind."""
+
+    kind: str
     scale: float
     model: LinearModel
 
     def __post_init__(self):
+        if self.kind not in _MARGIN_PROBS:
+            raise ValueError(f"unknown margin policy kind {self.kind!r}")
         if self.scale < 0.0:
             raise ValueError("scale cannot be negative")
 
     def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
-        return _uncertainty(self.scale, margins(self.model, rows))
-
-
-@dataclass(frozen=True)
-class CertaintyPolicy(LoggingPolicy):
-    """Reveal probability scale * r^2 clamped to [0, 1]: certain regions are
-    logged heavily, the boundary not at all."""
-
-    scale: float
-    model: LinearModel
-
-    def __post_init__(self):
-        if self.scale < 0.0:
-            raise ValueError("scale cannot be negative")
-
-    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
-        return _certainty(self.scale, margins(self.model, rows))
+        return _MARGIN_PROBS[self.kind](self.scale, margins(self.model, rows))
 
 
 class TablePolicy(LoggingPolicy):
-    """Explicit instance -> probability map for finite pools; total coverage
-    of whatever it is asked about is required. Rows are looked up by their
-    canonical key."""
+    """Explicit instance -> probability map for finite pools, keyed by each
+    instance's canonical key (see row_keys); total coverage of whatever it
+    is asked about is required."""
 
-    def __init__(self, table: dict[FeatureVector, float]):
-        for x, p in table.items():
+    def __init__(self, table: dict[str, float]):
+        for key, p in table.items():
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p!r} for {x!r} out of range")
-        self._table = {x.key(): p for x, p in table.items()}
+                raise ValueError(f"probability {p!r} for {key!r} out of range")
+        self._table = dict(table)
 
     def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
         try:
@@ -266,13 +245,9 @@ def calibrate_scale(kind: str, model: LinearModel, rows: scipy.sparse.csr_array,
         raise ValueError("calibration needs at least one instance")
     if not 0.0 < target < 1.0:
         raise ValueError("target must lie strictly between 0 and 1")
-    if kind == "uncertainty":
-        probs = _uncertainty
-    elif kind == "certainty":
-        probs = _certainty
-    else:
+    if kind not in _MARGIN_PROBS:
         raise ValueError(f"unknown margin policy kind {kind!r}")
-    r = margins(model, rows)
+    probs, r = _MARGIN_PROBS[kind], margins(model, rows)
 
     def gap(scale: float) -> float:
         # a sequential sum, in row order, keeps the root finder's path fixed
@@ -291,37 +266,30 @@ def calibrate_scale(kind: str, model: LinearModel, rows: scipy.sparse.csr_array,
     return _brentq(gap, 0.0, hi)
 
 
-def save_table_policy(pairs: Sequence[tuple[FeatureVector, float]]) -> str:
-    """Two-column CSV text (instance id, probability); ids are canonical
-    instance keys."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["instance", "probability"])
-    for x, p in pairs:
-        writer.writerow([x.key(), repr(float(p))])
-    return out.getvalue()
-
-
 def load_table_policy(text: str) -> TablePolicy:
-    """Parse the CSV written by save_table_policy back into a policy. Every
-    malformed row is reported with its 1-based row number."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    """Policy from CSV text headed 'instance,probability'. An instance cell
+    holds "index:value" tokens as parse_sparse_dataset reads them and is
+    stored by its canonical key, so token order and explicit zeros do not
+    matter. Every malformed row is reported with its 1-based row number."""
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["instance", "probability"]:
         raise ValueError("table policy CSV must start with 'instance,probability'")
-    table: dict[FeatureVector, float] = {}
+    table: dict[str, float] = {}
     for row_number, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise ValueError(f"row {row_number}: expected 2 columns")
         try:
-            tokens = (token.partition(":") for token in row[0].split())
-            x = FeatureVector([(int(index), float(value)) for index, _, value in tokens])
+            # one line per cell, behind a placeholder label
+            (key,) = row_keys(parse_sparse_dataset("0 " + " ".join(row[0].split())).matrix)
+        except ParseError as error:
+            raise ValueError(f"row {row_number}: {error.message}") from None
+        try:
             p = float(row[1])
         except ValueError as error:
             raise ValueError(f"row {row_number}: {error}") from None
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"row {row_number}: probability {row[1]!r} outside [0, 1]")
-        if x in table:
+        if key in table:
             raise ValueError(f"row {row_number}: duplicate instance")
-        table[x] = p
+        table[key] = p
     return TablePolicy(table)

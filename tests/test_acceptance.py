@@ -101,7 +101,7 @@ class TestAcceptance:
             rng = derive_rng(seed, "exact-world")
             logged = instance.draw_logged(rng, 800)
             online = instance.draw_examples(rng, 63)
-            cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5,
+            cfg = AlgoConfig(mode="exact", gamma0=0.5,
                              record_iterations=True)
             result = run_idbal(logged, online, instance.logging_policy(),
                                instance.classifiers, cfg, seed)

@@ -13,11 +13,10 @@ import pytest
 
 from idbal import harness
 from idbal.cli import _out_dir, main
-from idbal.data import FeatureVector, parse_sparse_dataset
+from idbal.data import parse_sparse_dataset, row_keys
 from idbal.harness import CONFIG_KEYS, CONFIG_TABLE, OUTPUT_DIR_ENV, config_to_experiment
 from idbal.learners import AlgoConfig
 from idbal.oracle import run_verification_suite
-from idbal.policies import save_table_policy
 
 SWEEP_CONFIG = """
 # tiny paired sweep
@@ -130,18 +129,14 @@ class TestRun:
             assert f"synthetic,{algorithm},0,{last}" in curves
 
     def _table_args(self, tmp_path, drop: int | None):
-        """Args for a run on a gen-data file under a table policy saved over
-        its rows, all of them or all but row drop."""
+        """Args for a run on a gen-data file under a table policy written over
+        its rows' keys, all of them or all but row drop."""
         data_path = tmp_path / "data.txt"
         assert main(["gen-data", "--out", str(data_path), "--count", "300", "--dim", "4", "--seed", "2"]) == 0
-        rows = parse_sparse_dataset(data_path.read_text(encoding="utf-8")).matrix
-        xs = [
-            FeatureVector(zip(rows.indices[lo + 1 : hi].tolist(), rows.data[lo + 1 : hi].tolist()))
-            for lo, hi in zip(rows.indptr.tolist(), rows.indptr[1:].tolist())
-        ]
+        keys = row_keys(parse_sparse_dataset(data_path.read_text(encoding="utf-8")).matrix)
         table_path = tmp_path / "table.csv"
-        pairs = [(x, 0.25 + 0.5 * (i % 2)) for i, x in enumerate(xs) if i != drop]
-        table_path.write_text(save_table_policy(pairs), encoding="utf-8")
+        lines = [f"{key},{0.25 + 0.5 * (i % 2)!r}" for i, key in enumerate(keys) if i != drop]
+        table_path.write_text("\n".join(["instance,probability", *lines]) + "\n", encoding="utf-8")
         return ["run", "--data.source", "file", "--data.path", str(data_path), "--policy.name", "table",
                 "--policy.table", str(table_path), "--split.test_fraction", "0.01", "--horizon", "32",
                 "--out", str(tmp_path / "out")]
@@ -225,6 +220,20 @@ class TestSweep:
         assert "positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--sweep.algorithms", "passive,idbal,idbal", "--sweep.capacity_grid", "0.64,0.64"],
+         "algorithms cannot repeat a value"),
+        (["--sweep.capacity_grid", "0.64,0.64"], "capacity_grid cannot repeat a value"),
+        (["--sweep.eta_grid", "0.0064,0.0064"], "eta_grid cannot repeat a value"),
+        (["--sweep.algorithms", ","], "algorithms and parameter grids cannot be empty"),
+    ], ids=["algorithm-and-capacity", "capacity", "eta", "no-algorithm"])
+    def test_repeated_grid_point_exits_two_before_any_run(self, tmp_path, capsys, monkeypatch, args, message):
+        monkeypatch.setattr("idbal.cli.run_protocol", lambda experiment: pytest.fail("a run started"))
+        out = tmp_path / "out"
+        assert main(["sweep", *args, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_test_split_exits_two(self, tmp_path, capsys):
         # sweep and run prepare a repeat through the same harness path
         args = ["sweep", "--data.count", "60", "--split.test_fraction", "0.01", "--repeats", "1",
@@ -261,6 +270,15 @@ class TestReport:
         records.write_text(json.dumps([edit(rows[0]), rows[1]]), encoding="utf-8")
         assert main(["report", "--records", str(records), "--out", str(tmp_path / "report")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    def test_repeated_record_exits_two(self, sweep_out, tmp_path, capsys):
+        # a copy of the first row with other outcomes would be averaged into its grid point
+        rows = json.loads((sweep_out / "records.json").read_text(encoding="utf-8"))
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps(rows + [rows[0] | {"queries": 0, "test_error": 0}]), encoding="utf-8")
+        assert main(["report", "--records", str(records), "--out", str(tmp_path / "report")]) == 2
+        assert f"error: row {len(rows) + 1}: repeats row 1's grid point" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
 

@@ -2,6 +2,8 @@
 aggregation, the paired protocol, CSV reports, and flat-config parsing."""
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import hashlib
 import json
 
@@ -333,6 +335,33 @@ class TestRunProtocol:
         )
         assert run_protocol(parallel).records == result.records
 
+    @pytest.mark.parametrize("workers, repeats, pool_size", [(100_000, 2, 2), (3, 2, 2), (2, 3, 2), (4, 1, None)],
+                             ids=["huge", "one-extra", "fewer-workers", "serial"])
+    def test_pool_never_outnumbers_the_tasks(self, tiny_protocol, monkeypatch, workers, repeats, pool_size):
+        # the fake pool maps in this process and records its size: a real
+        # pool starts every process it may use at its first submit
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg, result = tiny_protocol
+        records = run_protocol(dataclasses.replace(cfg, repeats=repeats, workers=workers)).records
+        assert sizes == ([] if pool_size is None else [pool_size])
+        shared = min(repeats, cfg.repeats)
+        assert [r for r in records if r.repeat < shared] == [r for r in result.records if r.repeat < shared]
+
 
 def _diverging_sweep(tmp_path) -> ExperimentConfig:
     """A sparse-file sweep whose feature values reach 1e5, so that the
@@ -593,12 +622,17 @@ class TestReport:
          "row 2: capacity must be positive and finite, got -3"),
         ([RECORD_ROW | {"algorithm": "dbalwm", "capacity": float("nan")}],
          "row 1: capacity must be positive and finite, got nan"),
+        ([RECORD_ROW, RECORD_ROW | {"repeat": 1}, RECORD_ROW | {"queries": 0, "test_error": 0}],
+         "row 3: repeats row 1's grid point ('d', 'passive', None, 0.1, 0, 0)"),
+        ([RECORD_ROW | {"algorithm": "idbal", "capacity": 1, "eta": 1},
+          RECORD_ROW | {"algorithm": "idbal", "capacity": 1.0, "eta": 1.0}],
+         "row 2: repeats row 1's grid point ('d', 'idbal', 1.0, 1.0, 0, 0)"),
     ], ids=["missing-fields", "unknown-field", "renamed-field", "not-an-object", "not-a-list", "text-count",
             "bool-count", "float-count", "null-eta", "text-error", "text-capacity", "number-name",
             "negative-repeat", "negative-horizon", "negative-queries", "negative-horizon-index",
             "queries-over-horizon", "nan-error", "infinite-error", "negative-error", "error-above-one",
             "unknown-algorithm", "nan-eta", "infinite-eta", "zero-eta", "passive-capacity", "null-capacity",
-            "negative-capacity", "nan-capacity"])
+            "negative-capacity", "nan-capacity", "repeated-point", "repeated-point-as-float"])
     def test_malformed_records_name_the_row(self, rows, message):
         with pytest.raises(ValueError) as caught:
             records_from_json(json.dumps(rows))
@@ -722,6 +756,18 @@ class TestExperimentConfigValidation:
         cfg = config_to_experiment({"sweep.capacity_grid": "0.01, 2.56", "sweep.eta_grid": "0.0001"})
         assert cfg.capacity_grid == (0.01, 2.56)
         assert cfg.eta_grid == (0.0001,)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("algorithms", (), "algorithms and parameter grids cannot be empty"),
+        ("algorithms", ("passive", "idbal", "idbal"), "algorithms cannot repeat a value"),
+        ("capacity_grid", (0.64, 0.64), "capacity_grid cannot repeat a value"),
+        ("eta_grid", (0.01, 0.0064, 0.01), "eta_grid cannot repeat a value"),
+        ("datasets", None, "dataset names cannot repeat a value"),
+    ], ids=["no-algorithm", "algorithm", "capacity", "eta", "dataset-name"])
+    def test_rejects_what_would_record_a_grid_point_twice(self, field, value, message):
+        value = self._dataset() * 2 if value is None else value
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{"datasets": self._dataset(), field: value})
 
     def test_requires_positive_workers(self):
         with pytest.raises(ValueError):

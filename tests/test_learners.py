@@ -30,8 +30,8 @@ from idbal.learners import (
 from idbal.oracle import random_instance
 from idbal.policies import (
     IdenticalPolicy,
+    MarginPolicy,
     TablePolicy,
-    UncertaintyPolicy,
     UniformGroupsPolicy,
     calibrate_scale,
     fit_coarse_model,
@@ -233,7 +233,7 @@ class TestPracticalRuns:
             if seed == 1:
                 coarse = fit_coarse_model(data, 0.1, seed)
                 scale = calibrate_scale("uncertainty", coarse, data.matrix[split.logged], 0.1)
-                policy = UncertaintyPolicy(scale, coarse)
+                policy = MarginPolicy("uncertainty", scale, coarse)
             else:
                 policy = UniformGroupsPolicy(0.05, 0.2, 0.8, group_seed=seed)
             rows = log_split(data, split, policy, seed + 2)
@@ -293,7 +293,7 @@ class TestExactRuns:
     def test_candidates_nested_and_erm_retained(self):
         for seed in range(8):
             inst, logged, online = self._world(seed)
-            cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5, record_iterations=True)
+            cfg = AlgoConfig(mode="exact", gamma0=0.5, record_iterations=True)
             res = run_idbal(logged, online, inst.logging_policy(), inst.classifiers, cfg, seed)
             previous = tuple(range(len(inst.classifiers)))
             for rec in res.iterations:
@@ -311,7 +311,7 @@ class TestExactRuns:
             inst, logged, online = self._world(seed, m=[9, 40, 400][seed % 3], n=[15, 31][seed % 2])
             hclass = inst.classifiers
             for gamma0 in np.geomspace(0.01, 4.0, 25).tolist():
-                cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=gamma0, record_iterations=True)
+                cfg = AlgoConfig(mode="exact", gamma0=gamma0, record_iterations=True)
                 for runner in (run_idbal, run_dbalwm, run_dbalw):
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", UserWarning)  # alpha < 1 on the smallest worlds
@@ -336,7 +336,7 @@ class TestExactRuns:
 
     def test_final_classifier_comes_from_last_candidate_set(self):
         inst, logged, online = self._world(3)
-        cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5, record_iterations=True)
+        cfg = AlgoConfig(mode="exact", gamma0=0.5, record_iterations=True)
         res = run_idbal(logged, online, inst.logging_policy(), inst.classifiers, cfg, 3)
         assert res.final_classifier.index in res.iterations[-1].candidates_after
 
@@ -345,7 +345,7 @@ class TestExactRuns:
         # where by definition every surviving candidate predicts alike
         for seed in range(6):
             inst, logged, online = self._world(seed, m=600, n=63)
-            cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5, record_iterations=True)
+            cfg = AlgoConfig(mode="exact", gamma0=0.5, record_iterations=True)
             res = run_idbal(logged, online, inst.logging_policy(), inst.classifiers, cfg, seed)
             # candidate sets only shrink, so unanimity inside the final set
             # is implied by unanimity inside whichever set was active at the
@@ -359,13 +359,13 @@ class TestExactRuns:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_exact_mode_demands_finite_class(self, name):
         inst, logged, online = self._world(0)
-        cfg = AlgoConfig(mode="exact", delta=0.1)
+        cfg = AlgoConfig(mode="exact")
         with pytest.raises(TypeError):
             ALGORITHMS[name](logged, online, inst.logging_policy(), LinearModel.zeros(3), cfg, 0)
 
     def test_passive_without_logged_data(self):
         inst, _, online = self._world(1)
-        cfg = AlgoConfig(mode="exact", delta=0.1)
+        cfg = AlgoConfig(mode="exact")
         res = run_passive((), online, inst.logging_policy(), inst.classifiers, cfg, 1)
         assert res.query_count == len(online) and res.decisions == (QUERY,) * len(online)
         assert 0 <= res.final_classifier.index < len(inst.classifiers)
@@ -381,10 +381,10 @@ class TestExactRuns:
         base = random_instance(5, pool_size=5, class_size=8)
         q0 = policy_prob(policy, base.classifiers.rows)
         inst = dataclasses.replace(base, q0=q0)
-        table = TablePolicy({x: float(p) for x, p in zip(inst.pool, q0)})
+        table = TablePolicy({x.key(): float(p) for x, p in zip(inst.pool, q0)})
         rng = derive_rng(5, "any-policy")
         logged, online = inst.draw_logged(rng, 400), inst.draw_examples(rng, 31)
-        cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5)
+        cfg = AlgoConfig(mode="exact", gamma0=0.5)
         ours = runner(logged, online, policy, inst.classifiers, cfg, 5)
         theirs = runner(logged, online, table, inst.classifiers, cfg, 5)
         assert ours.decisions == theirs.decisions
@@ -393,7 +393,7 @@ class TestExactRuns:
     def test_probability_one_logging_degeneracy_exact(self):
         inst = random_instance(11, pool_size=5, class_size=6)
         # force reveal probability 1 everywhere by overriding the table
-        policy = TablePolicy({x: 1.0 for x in inst.pool})
+        policy = TablePolicy({x.key(): 1.0 for x in inst.pool})
         rng = derive_rng(11, "degenerate")
         logged = []
         from idbal.data import LoggedTriple
@@ -401,7 +401,7 @@ class TestExactRuns:
         for ex in inst.draw_examples(rng, 200):
             logged.append(LoggedTriple(ex.x, 1, ex.y))
         online = inst.draw_examples(rng, 15)
-        cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.5)
+        cfg = AlgoConfig(mode="exact", gamma0=0.5)
         a = run_idbal(logged, online, policy, inst.classifiers, cfg, 1)
         b = run_dbalwm(logged, online, policy, inst.classifiers, cfg, 1)
         assert a.decisions == b.decisions
@@ -415,7 +415,7 @@ class TestExactRuns:
         # The worlds query, impute and skip, so each path is covered.
         digest = hashlib.blake2b(digest_size=16)
         seen = {QUERY: 0, INFER: 0, SKIP: 0}
-        cfg = AlgoConfig(mode="exact", delta=0.1, gamma0=0.25)
+        cfg = AlgoConfig(mode="exact", gamma0=0.25)
         for seed in range(8):
             inst = random_instance(seed, pool_size=6, class_size=16, force_low_propensity=seed % 2 == 1)
             rng = derive_rng(seed, "pinned-exact-world")

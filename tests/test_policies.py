@@ -16,18 +16,16 @@ from idbal import policies
 from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic, row_keys
 from idbal.hypotheses import LinearModel
 from idbal.policies import (
-    CertaintyPolicy,
     IdenticalPolicy,
+    MarginPolicy,
     TablePolicy,
-    UncertaintyPolicy,
     UniformGroupsPolicy,
     calibrate_scale,
     fit_coarse_model,
-    group_of,
     load_table_policy,
     policy_prob,
-    save_table_policy,
 )
+from idbal.rng import child_seed
 
 from reference import certainty_prob, stack_rows, uncertainty_prob
 
@@ -59,27 +57,32 @@ class TestUniformGroups:
         seen = set(policy.probs(_rows(*(_vec(i) for i in range(200)))).tolist())
         assert seen == {0.005, 0.05, 0.5}
 
-    def test_group_assignment_deterministic(self):
-        key = _vec(3).key()
-        assert group_of(key, 7) == group_of(key, 7)
-
     def test_group_depends_on_seed(self):
-        keys = [_vec(i).key() for i in range(50)]
-        a = [group_of(key, 0) for key in keys]
-        b = [group_of(key, 1) for key in keys]
+        rows = _rows(*(_vec(i) for i in range(50)))
+        a = UniformGroupsPolicy(0.005, 0.05, 0.5, group_seed=0).probs(rows).tolist()
+        b = UniformGroupsPolicy(0.005, 0.05, 0.5, group_seed=1).probs(rows).tolist()
         assert a != b
 
     def test_groups_roughly_balanced(self):
         counts = np.zeros(3)
         for i in range(3000):
-            counts[group_of(_vec(i).key(), 0)] += 1
+            counts[child_seed(0, _vec(i).key()) % 3] += 1
         assert counts.min() > 800
+
+    def test_probabilities_are_pinned(self):
+        # a change to the group hash would move every uniform-groups sweep
+        rows = generate_synthetic(SyntheticSpec(count=24, dim=3, seed=4)).matrix
+        low, mid, high = 0.005, 0.05, 0.5
+        assert policy_prob(UniformGroupsPolicy(low, mid, high, group_seed=9), rows).tolist() == [
+            low, mid, mid, mid, mid, low, mid, low, mid, mid, low, mid,
+            high, low, high, low, low, low, low, low, high, mid, mid, low,
+        ]
 
 
 class TestMarginPolicies:
     def test_uncertainty_peaks_at_the_boundary(self):
         model = LinearModel(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-        policy = UncertaintyPolicy(2.0, model)
+        policy = MarginPolicy("uncertainty", 2.0, model)
         on_boundary = FeatureVector({2: 1.0})  # weight on index 1 is the only nonzero
         far = FeatureVector({1: 5.0})
         near, away = policy.probs(stack_rows([on_boundary, far], 4)).tolist()
@@ -88,18 +91,18 @@ class TestMarginPolicies:
 
     def test_uncertainty_decreasing_in_margin(self):
         model = LinearModel(np.array([0.0, 1.0]))
-        policy = UncertaintyPolicy(1.0, model)
+        policy = MarginPolicy("uncertainty", 1.0, model)
         probs = policy.probs(_rows(*(FeatureVector({1: v}) for v in (0.1, 0.5, 1.0, 2.0)))).tolist()
         assert probs == sorted(probs, reverse=True)
 
     def test_certainty_zero_at_boundary_and_clamped(self):
         model = LinearModel(np.array([0.0, 1.0, 0.0]))
-        policy = CertaintyPolicy(3.0, model)
+        policy = MarginPolicy("certainty", 3.0, model)
         assert policy.probs(_rows(FeatureVector({2: 1.0}), FeatureVector({1: 100.0}))).tolist() == [0.0, 1.0]
 
     def test_certainty_increasing_in_margin(self):
         model = LinearModel(np.array([0.0, 1.0]))
-        policy = CertaintyPolicy(0.5, model)
+        policy = MarginPolicy("certainty", 0.5, model)
         probs = policy.probs(_rows(*(FeatureVector({1: v}) for v in (0.1, 0.5, 1.0)))).tolist()
         assert probs == sorted(probs)
 
@@ -109,7 +112,16 @@ class TestMarginPolicies:
         model = LinearModel(np.array([0.5, -2.0, 1.0]))
         xs = [FeatureVector({1: 1.0, 5: 3.0}), FeatureVector({6: 2.0}), FeatureVector({2: 0.25})]
         expected = [uncertainty_prob(1.5, model.weights, x) for x in xs]
-        assert UncertaintyPolicy(1.5, model).probs(stack_rows(xs, 6)).tolist() == expected
+        assert MarginPolicy("uncertainty", 1.5, model).probs(stack_rows(xs, 6)).tolist() == expected
+
+    @pytest.mark.parametrize("kind, scale, message", [
+        ("identical", 1.0, "unknown margin policy kind 'identical'"),
+        ("Uncertainty", 1.0, "unknown margin policy kind 'Uncertainty'"),
+        ("certainty", -0.5, "scale cannot be negative"),
+    ], ids=["other-policy", "capitalised", "negative-scale"])
+    def test_rejects_an_unknown_kind_and_a_negative_scale(self, kind, scale, message):
+        with pytest.raises(ValueError, match=message):
+            MarginPolicy(kind, scale, LinearModel(np.array([0.0, 1.0])))
 
 
 class TestRowParity:
@@ -134,13 +146,13 @@ class TestRowParity:
             for scale in (0.0, 0.37, 4.0, 123.456):
                 uncertain = [uncertainty_prob(scale, model.weights, x) for x in xs]
                 certain = [certainty_prob(scale, model.weights, x) for x in xs]
-                assert policy_prob(UncertaintyPolicy(scale, model), rows).tolist() == uncertain
-                assert policy_prob(CertaintyPolicy(scale, model), rows).tolist() == certain
+                assert policy_prob(MarginPolicy("uncertainty", scale, model), rows).tolist() == uncertain
+                assert policy_prob(MarginPolicy("certainty", scale, model), rows).tolist() == certain
 
     def test_uniform_groups_match_the_instance_keys(self):
         xs = self._instances(8)
         policy = UniformGroupsPolicy(0.005, 0.05, 0.5, group_seed=11)
-        expected = [(0.005, 0.05, 0.5)[group_of(x.key(), 11)] for x in xs]
+        expected = [(0.005, 0.05, 0.5)[child_seed(11, x.key()) % 3] for x in xs]
         assert policy_prob(policy, stack_rows(xs, 8)).tolist() == expected
 
     def test_row_keys_match_instance_keys(self):
@@ -152,25 +164,31 @@ class TestRowParity:
 class TestTablePolicy:
     def test_lookup_and_missing(self):
         x = _vec(0)
-        policy = TablePolicy({x: 0.25})
+        policy = TablePolicy({x.key(): 0.25})
         assert policy.probs(_rows(x, x)).tolist() == [0.25, 0.25]
         assert policy.probs(_rows(x)).tolist() == [0.25]
         with pytest.raises(ValueError, match="not covered"):
             policy.probs(_rows(x, _vec(1)))
 
-    def test_save_load_round_trip(self):
+    def test_load_reads_canonical_keys(self):
         xs = [_vec(i) for i in range(5)]
-        pairs = [(x, 1.0 / (i + 2)) for i, x in enumerate(xs)]
-        text = save_table_policy(pairs)
-        back = load_table_policy(text)
-        assert back.probs(_rows(*xs)).tolist() == [p for _, p in pairs]
+        probabilities = [1.0 / (i + 2) for i in range(5)]
+        lines = [f"{x.key()},{p!r}" for x, p in zip(xs, probabilities)]
+        back = load_table_policy("\n".join(["instance,probability", *lines]) + "\n")
+        assert back.probs(_rows(*xs)).tolist() == probabilities
+
+    @pytest.mark.parametrize("cell", ['"1:0.25\n2:0.5"', '"1:0.25\r\n 2:0.5\n"', '" 2:0.5\t1:0.25 3:0 "'],
+                             ids=["line-break", "crlf-and-indent", "order-zero-and-tabs"])
+    def test_token_layout_does_not_change_the_key(self, cell):
+        policy = load_table_policy(f"instance,probability\n{cell},0.5\n")
+        assert policy.probs(_rows(FeatureVector({1: 0.25, 2: 0.5}))).tolist() == [0.5]
 
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("abc:0.5,0.5", "invalid literal for int"),
-            ("1:abc,0.5", "could not convert string to float: 'abc'"),
-            ("0:0.5,0.5", "feature index 0 is not positive"),
+            ("abc:0.5,0.5", "index 'abc' is not an integer"),
+            ("1:abc,0.5", "value 'abc' is not numeric"),
+            ("0:0.5,0.5", "index 0 is not positive"),
             ("1:0.5,abc", "could not convert string to float: 'abc'"),
             ("1:0.5,1.5", "probability '1.5' outside"),
             ("1:0.5,nan", "probability 'nan' outside"),
@@ -182,9 +200,11 @@ class TestTablePolicy:
         with pytest.raises(ValueError, match=f"^row 3: {message}"):
             load_table_policy(text)
 
-    def test_load_names_a_duplicate_row(self):
+    @pytest.mark.parametrize("first, second", [("1:0.5", "1:0.5"), ("2:0.5 1:0.25", "1:0.25 2:0.5 3:0")],
+                             ids=["same-text", "same-instance"])
+    def test_load_names_a_duplicate_row(self, first, second):
         with pytest.raises(ValueError, match="^row 3: duplicate instance"):
-            load_table_policy("instance,probability\n1:0.5,0.5\n1:0.5,0.25\n")
+            load_table_policy(f"instance,probability\n{first},0.5\n{second},0.25\n")
 
 
 class TestPolicyProb:
@@ -221,8 +241,7 @@ class TestCoarseModelAndCalibration:
         rows = data.matrix[:400]
         for kind in ("uncertainty", "certainty"):
             scale = calibrate_scale(kind, model, rows, target=0.1)
-            policy = UncertaintyPolicy(scale, model) if kind == "uncertainty" else CertaintyPolicy(scale, model)
-            mean = float(np.mean(policy_prob(policy, rows)))
+            mean = float(np.mean(policy_prob(MarginPolicy(kind, scale, model), rows)))
             assert abs(mean - 0.1) < 1e-6
 
     def test_unreachable_target_rejected(self):
@@ -243,7 +262,7 @@ class TestCoarseModelAndCalibration:
 # policies._brentq copies scipy.optimize.brentq step by step; these tests import
 # scipy.optimize inside each test, so idbal itself never loads it
 def _gap(kind: str, r: np.ndarray, target: float):
-    probs = policies._uncertainty if kind == "uncertainty" else policies._certainty
+    probs = policies._MARGIN_PROBS[kind]
     return lambda scale: sum(probs(scale, r).tolist()) / r.size - target
 
 
