@@ -302,15 +302,21 @@ def apply_logging(q0: np.ndarray, seed: int = 0) -> np.ndarray:
     return (rng.random(len(q0)) < q0).astype(np.int8)
 
 
-def row_keys(rows: scipy.sparse.csr_array) -> list[str]:
-    """Each row's canonical text form, "index:value" over its features in
-    index order; equal to FeatureVector.key() of the same instance. The bias,
-    stored first in every row, is left out."""
-    indptr, indices, values = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
-    return [
-        " ".join(f"{indices[j]}:{values[j]!r}" for j in range(lo + 1, hi))
-        for lo, hi in zip(indptr, indptr[1:])
-    ]
+# Rows that row_keys turns into Python objects at a time
+_KEY_BLOCK_ROWS = 256
+
+
+def row_keys(rows: scipy.sparse.csr_array) -> Iterator[str]:
+    """Each row's canonical text form, in row order: "index:value" over its
+    features in index order, equal to FeatureVector.key() of the same
+    instance, the bias (stored first in every row) left out. Made block by
+    block, so at most _KEY_BLOCK_ROWS rows are Python objects at once."""
+    for start in range(0, rows.shape[0], _KEY_BLOCK_ROWS):
+        ptr = rows.indptr[start : start + _KEY_BLOCK_ROWS + 1]
+        indices, values = rows.indices[ptr[0] : ptr[-1]].tolist(), rows.data[ptr[0] : ptr[-1]].tolist()
+        bounds = (ptr - ptr[0]).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield " ".join(f"{indices[j]}:{values[j]!r}" for j in range(lo + 1, hi))
 
 
 @dataclass(frozen=True)

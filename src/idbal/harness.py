@@ -113,7 +113,6 @@ class PolicySpec:
     group_seed: int = 0
     scale: float | None = None
     calibration_target: float = 0.1
-    coarse_fraction: float = 0.1
     table_path: str | None = None
 
     def __post_init__(self):
@@ -234,9 +233,7 @@ def build_policy(
         if spec.table_path is None:
             raise ValueError("table policy needs table_path")
         return load_table_policy(Path(spec.table_path).read_text(encoding="utf-8"))
-    coarse = fit_coarse_model(
-        data, spec.coarse_fraction, seed=child_seed(master_seed, dataset_name, "policy")
-    )
+    coarse = fit_coarse_model(data, seed=child_seed(master_seed, dataset_name, "policy"))
     if spec.scale is not None:
         scale = spec.scale
     else:
@@ -639,7 +636,6 @@ CONFIG_TABLE: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "policy.group_seed": ("policy", "group_seed", int),
     "policy.scale": ("policy", "scale", lambda text: float(text) if text else None),
     "policy.target": ("policy", "calibration_target", float),
-    "policy.coarse_fraction": ("policy", "coarse_fraction", float),
     "policy.table": ("policy", "table_path", lambda text: text or None),
     "split.test_fraction": ("experiment", "test_fraction", float),
     "split.logged_fraction": ("experiment", "logged_fraction", float),

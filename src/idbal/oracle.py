@@ -224,9 +224,9 @@ class UnbiasednessReport:
         return abs(self.mean - self.true_value) / self.stderr
 
 
-# Cells per streamed chunk: one chunk's uniforms and per-cell temporaries
-# stay in cache, and memory does not grow with the number of trials.
-_CHUNK_CELLS = 1 << 16
+# Cells per streamed chunk: its three uniform arrays (384 KiB) and per-cell
+# temporaries stay near cache size, and memory does not grow with the trials.
+_CHUNK_CELLS = 1 << 14
 
 
 def _uniform_chunks(rng: np.random.Generator, trials: int, total: int):

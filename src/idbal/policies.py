@@ -30,6 +30,7 @@ __all__ = [
     "TablePolicy",
     "policy_prob",
     "margins",
+    "COARSE_FRACTION",
     "fit_coarse_model",
     "calibrate_scale",
     "load_table_policy",
@@ -76,7 +77,7 @@ class UniformGroupsPolicy(LoggingPolicy):
 
     def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
         levels = (self.p0, self.p1, self.p2)
-        return np.array([levels[child_seed(self.group_seed, key) % 3] for key in row_keys(rows)], dtype=float)
+        return np.fromiter((levels[child_seed(self.group_seed, k) % 3] for k in row_keys(rows)), float, rows.shape[0])
 
 
 def margins(model: LinearModel, rows: scipy.sparse.csr_array) -> np.ndarray:
@@ -139,7 +140,7 @@ class TablePolicy(LoggingPolicy):
 
     def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
         try:
-            return np.array([self._table[key] for key in row_keys(rows)], dtype=float)
+            return np.fromiter((self._table[key] for key in row_keys(rows)), float, rows.shape[0])
         except KeyError:
             raise ValueError("instance not covered by the table policy") from None
 
@@ -160,15 +161,16 @@ def policy_prob(policy: LoggingPolicy, rows) -> np.ndarray:
     return _checked(np.asarray(policy.probs(rows), dtype=float))
 
 
-def fit_coarse_model(data: LabeledRows, fraction: float, seed: int = 0) -> LinearModel:
-    """Rough linear model from a seeded subsample: one unweighted gradient
-    pass at eta 1, enough to give margin-based policies a boundary. The model
-    is as wide as the largest feature index the subsample uses."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
-    size = int(len(data) * fraction)
+COARSE_FRACTION = 0.1  # share of the rows a margin policy's coarse model is fitted on
+
+
+def fit_coarse_model(data: LabeledRows, seed: int = 0) -> LinearModel:
+    """Rough linear model from a seeded COARSE_FRACTION of the rows: one
+    unweighted gradient pass at eta 1, enough to give margin-based policies
+    a boundary. The model is as wide as the largest feature index it uses."""
+    size = int(len(data) * COARSE_FRACTION)
     if size < 1:
-        raise ValueError("subsample is empty; raise the fraction or the dataset size")
+        raise ValueError("subsample is empty; raise the dataset size")
     rng = derive_rng(seed, "coarse", "subsample")
     subsample = data[rng.choice(len(data), size=size, replace=False)]
     sub = subsample.matrix

@@ -6,9 +6,10 @@ per-example error loop and the margin policies' per-instance formulas. Also
 the finite class's losses gathered from its label table, the candidate
 pruning that took its slack from a callable, and the
 practical learners as they ran before samples held store positions: every
-sample a CSR copy of its rows, scored on its own; and the gradient pass as
-it ran over CSR arrays before passes read row tables. Importable from any test
-module, because pytest puts this directory on sys.path.
+sample a CSR copy of its rows, scored on its own; the gradient pass as
+it ran over CSR arrays before passes read row tables; and the canonical row
+keys as one list, built from the whole matrix at once. Importable from any
+test module, because pytest puts this directory on sys.path.
 """
 from __future__ import annotations
 
@@ -47,6 +48,15 @@ def stack_rows(instances: Sequence[FeatureVector], dim: int) -> scipy.sparse.csr
         (np.array(values, dtype=float), np.array(indices, dtype=np.intp), np.array(indptr, dtype=np.intp)),
         shape=(len(instances), dim + 1),
     )
+
+
+def whole_row_keys(rows: scipy.sparse.csr_array) -> list[str]:
+    """row_keys as it converted the whole matrix to Python lists at once."""
+    indptr, indices, values = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
+    return [
+        " ".join(f"{indices[j]}:{values[j]!r}" for j in range(lo + 1, hi))
+        for lo, hi in zip(indptr, indptr[1:])
+    ]
 
 
 def csr_pass(model: LinearModel, rows: scipy.sparse.csr_array, labels, importance_weights, eta: float) -> LinearModel:

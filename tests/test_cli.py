@@ -415,7 +415,7 @@ class TestDefaults:
             for key, word in zip(keys, words):
                 assert type(values[key])(word.group(1) or word.group(2)) == values[key], key
                 checked.append(key)
-        assert len(checked) >= 25, checked
+        assert len(checked) >= 24, checked
 
 
 class TestParserErrors:

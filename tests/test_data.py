@@ -7,6 +7,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from idbal.data import (
     Example,
@@ -30,7 +31,7 @@ from idbal.learners import AlgoConfig, run_passive
 from idbal.policies import IdenticalPolicy
 from idbal.rng import derive_rng
 
-from reference import labeled_rows
+from reference import labeled_rows, whole_row_keys
 
 
 def _same_rows(rows: LabeledRows, expected: LabeledRows) -> None:
@@ -117,7 +118,7 @@ class TestTextFormat:
         data = parse_sparse_dataset("1 1:0.5 3:-2.0\n0 2:1.0\n")
         assert len(data) == 2
         assert data.labels.tolist() == [1, 0]
-        assert row_keys(data.matrix) == ["1:0.5 3:-2.0", "2:1.0"]
+        assert list(row_keys(data.matrix)) == ["1:0.5 3:-2.0", "2:1.0"]
 
     def test_plus_minus_one_labels(self):
         data = parse_sparse_dataset("+1 1:1.0\n-1 2:1.0\n")
@@ -172,7 +173,43 @@ class TestTextFormat:
         rows = parse_sparse_dataset("\n".join(lines))
         assert rows.dim == dim < 40
         _same_rows(rows, labeled_rows(examples, dim))
-        assert row_keys(rows.matrix) == [ex.x.key() for ex in examples]
+        assert list(row_keys(rows.matrix)) == [ex.x.key() for ex in examples]
+
+
+class TestRowKeyBlocks:
+    """row_keys against the whole-matrix reference: the same keys in the
+    same order, whichever block a row falls in."""
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 513])
+    def test_keys_match_at_block_edges(self, count):
+        rows = generate_synthetic(SyntheticSpec(count=513, dim=7, seed=4)).matrix[:count]
+        assert list(row_keys(rows)) == whole_row_keys(rows)
+
+    def test_rows_without_features(self):
+        # bias-only rows among others, and rows with no stored entry at all
+        parsed = parse_sparse_dataset("1\n0 2:1.0\n" * 200 + "0\n").matrix
+        assert list(row_keys(parsed)) == whole_row_keys(parsed) == ["", "2:1.0"] * 200 + [""]
+        empty = scipy.sparse.csr_array((300, 5))
+        assert list(row_keys(empty)) == whole_row_keys(empty) == [""] * 300
+
+    def test_wide_sparse_rows_with_small_values(self):
+        # values whose repr is in exponent form or needs all 17 digits
+        rng = np.random.default_rng(8)
+        choices = [1e-05, -2.5e-07, 0.1, 1 / 3, -123456.789, 1e22]
+        lines = []
+        for _ in range(600):
+            picked = np.sort(rng.choice(1000, size=int(rng.integers(0, 12)), replace=False)) + 1
+            lines.append(" ".join(["1", *(f"{i}:{choices[rng.integers(6)]!r}" for i in picked.tolist())]))
+        lines.append("0 1000:1e-05")
+        rows = parse_sparse_dataset("\n".join(lines)).matrix
+        assert rows.shape == (601, 1001)
+        keys = list(row_keys(rows))
+        assert keys == whole_row_keys(rows) and keys[-1] == "1000:1e-05"
+
+    def test_keys_are_made_lazily(self):
+        keys = row_keys(generate_synthetic(SyntheticSpec(count=300, dim=3, seed=1)).matrix)
+        assert iter(keys) is keys
+        assert len(list(keys)) == 300
 
 
 def _synthetic_examples(spec: SyntheticSpec) -> list[Example]:

@@ -301,7 +301,7 @@ class TestRunProtocol:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         spec = DatasetSpec(name=name, path=str(path))
         data = load_dataset(spec)
-        assert fit_coarse_model(data, 0.1, seed=child_seed(seed, name, "policy")).dim < data.dim == 6
+        assert fit_coarse_model(data, seed=child_seed(seed, name, "policy")).dim < data.dim == 6
         cfg = ExperimentConfig(
             datasets=(spec,),
             policy=PolicySpec(name=policy),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -434,7 +435,7 @@ class TestFiniteClass:
     def test_rows_hold_the_pool_by_key(self):
         pool = [FeatureVector({2: 0.1, 5: -1e-3}), FeatureVector({}), FeatureVector({1: 3.0, 7: 1 / 3})]
         hclass = FiniteClass(pool, np.zeros((2, 3), dtype=np.int8))
-        assert row_keys(hclass.rows) == [x.key() for x in hclass.pool]
+        assert list(row_keys(hclass.rows)) == [x.key() for x in hclass.pool]
         assert hclass.rows.shape == (3, 8) and hclass.rows[:, [0]].toarray().ravel().tolist() == [1.0] * 3
         with pytest.raises(AttributeError):
             hclass.rows = None
@@ -629,6 +630,13 @@ class TestApproxDisagreement:
         model = LinearModel(np.array([0.0, 1.0, 0.0]))
         x = FeatureVector({2: 1.0})  # score 0
         assert _mask(model, [x], 0.01, 0.01, 0.0, 100.0, 100) == [True]
+
+    def test_overflowing_gap_is_outside_without_a_warning(self):
+        scores = np.array([1e308, -1e308, math.inf, math.nan, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = approx_dis_mask(scores, np.ones(5), 1.0, 1.0, 0.1, 10.0, 10)
+        assert mask.tolist() == [False, False, False, False, True]
 
     def test_mask_matches_the_formula_exactly(self):
         # rows with index gaps, an empty row and the two hand cases above;

@@ -231,7 +231,7 @@ class TestPracticalRuns:
             data = generate_synthetic(SyntheticSpec(count=count, dim=dim, flip_prob=0.1, seed=seed))
             split = split_dataset(len(data), (0.2, 0.5), seed=seed + 1)
             if seed == 1:
-                coarse = fit_coarse_model(data, 0.1, seed)
+                coarse = fit_coarse_model(data, seed)
                 scale = calibrate_scale("uncertainty", coarse, data.matrix[split.logged], 0.1)
                 policy = MarginPolicy("uncertainty", scale, coarse)
             else:

@@ -235,10 +235,11 @@ class TestStreamedKernels:
     equal values and the same generator state afterwards. Row widths are
     below, at and above the chunk, and trial counts end mid-chunk."""
 
+    # m + n = 8192 + 8192 is one chunk's width exactly
     @pytest.mark.parametrize(
         "seed, m, n, trials, zeros",
         [(1, 60, 40, 3000, False), (2, 3, 17, 777, True), (3, 0, 5, 100, False),
-         (5, 70000, 3, 3, True), (6, 2, 2, 40000, False)],
+         (5, 70000, 3, 3, True), (6, 2, 2, 40000, False), (7, 8192, 8192, 3, False)],
     )
     def test_estimates_match_whole_batch_kernel(self, seed, m, n, trials, zeros):
         inst = random_instance(seed, force_low_propensity=True)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import idbal
 from idbal import policies
-from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic, row_keys
+from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic, row_keys, split_dataset
 from idbal.hypotheses import LinearModel
 from idbal.policies import (
     IdenticalPolicy,
@@ -155,10 +156,26 @@ class TestRowParity:
         expected = [(0.005, 0.05, 0.5)[child_seed(11, x.key()) % 3] for x in xs]
         assert policy_prob(policy, stack_rows(xs, 8)).tolist() == expected
 
+    def test_group_scoring_holds_one_block_of_keys(self):
+        # the 2,400 logged rows of the 6000x30 paired benchmark; keying them
+        # all as Python objects at once peaked at 4.6 MiB
+        data = generate_synthetic(SyntheticSpec(count=6000, dim=30, flip_prob=0.1, seed=0))
+        rows = data.matrix[split_dataset(len(data), (0.2, 0.5), seed=child_seed(0, "synthetic", 0, "split")).logged]
+        policy = UniformGroupsPolicy(0.005, 0.05, 0.5, group_seed=0)
+        expected = [(0.005, 0.05, 0.5)[child_seed(0, key) % 3] for key in row_keys(rows)]
+        tracemalloc.start()
+        try:
+            probs = policy.probs(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape[0] == 2400 and probs.tolist() == expected
+        assert peak <= 1.5e6
+
     def test_row_keys_match_instance_keys(self):
         # 0.1 and 1e-3 are floats whose numpy scalar repr differs from repr()
         xs = self._instances(30)
-        assert row_keys(stack_rows(xs, 30)) == [x.key() for x in xs]
+        assert list(row_keys(stack_rows(xs, 30))) == [x.key() for x in xs]
 
 
 class TestTablePolicy:
@@ -169,6 +186,15 @@ class TestTablePolicy:
         assert policy.probs(_rows(x)).tolist() == [0.25]
         with pytest.raises(ValueError, match="not covered"):
             policy.probs(_rows(x, _vec(1)))
+
+    def test_lookup_across_key_blocks(self):
+        # 600 rows span three blocks of keys; the last row alone is missing
+        rows = generate_synthetic(SyntheticSpec(count=600, dim=3, seed=5)).matrix
+        keys = list(row_keys(rows))
+        policy = TablePolicy({key: 1.0 / (i % 7 + 1) for i, key in enumerate(keys[:-1])})
+        assert policy.probs(rows[:-1]).tolist() == [1.0 / (i % 7 + 1) for i in range(599)]
+        with pytest.raises(ValueError, match="not covered"):
+            policy.probs(rows)
 
     def test_load_reads_canonical_keys(self):
         xs = [_vec(i) for i in range(5)]
@@ -225,19 +251,19 @@ class TestPolicyProb:
 class TestCoarseModelAndCalibration:
     def test_coarse_model_deterministic(self):
         data = generate_synthetic(SyntheticSpec(count=500, dim=6, seed=0))
-        a = fit_coarse_model(data, 0.1, seed=1)
-        b = fit_coarse_model(data, 0.1, seed=1)
+        a = fit_coarse_model(data, seed=1)
+        b = fit_coarse_model(data, seed=1)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.steps == 50
 
     def test_coarse_model_empty_subsample_rejected(self):
         data = generate_synthetic(SyntheticSpec(count=5, dim=3, seed=0))
         with pytest.raises(ValueError):
-            fit_coarse_model(data, 0.01, seed=1)
+            fit_coarse_model(data, seed=1)
 
     def test_calibration_hits_target(self):
         data = generate_synthetic(SyntheticSpec(count=800, dim=6, seed=2))
-        model = fit_coarse_model(data, 0.1, seed=3)
+        model = fit_coarse_model(data, seed=3)
         rows = data.matrix[:400]
         for kind in ("uncertainty", "certainty"):
             scale = calibrate_scale(kind, model, rows, target=0.1)
@@ -253,7 +279,7 @@ class TestCoarseModelAndCalibration:
     def test_calibrated_scales_are_pinned(self):
         # the values brentq returned while it was imported at module level
         data = generate_synthetic(SyntheticSpec(count=800, dim=6, seed=2))
-        model = fit_coarse_model(data, 0.1, seed=3)
+        model = fit_coarse_model(data, seed=3)
         rows = data.matrix[:400]
         assert calibrate_scale("uncertainty", model, rows, target=0.1) == float.fromhex("0x1.100197bc3414ap+7")
         assert calibrate_scale("certainty", model, rows, target=0.1) == float.fromhex("0x1.1980e74c137e8p-2")
