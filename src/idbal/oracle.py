@@ -1,9 +1,14 @@
 """Brute-force ground truth on small discrete problems.
 
-Everything here is deliberately exhaustive or Monte Carlo: true errors by
-summing over the pool, disagreement balls and regions by enumeration, and
-estimator checks by resampling the full generative process. The learners
-never call into this module; it exists to verify them and the estimators.
+Everything here is deliberately exhaustive: true errors by summing over the
+pool, and disagreement balls and regions by enumeration. The estimator
+checks read one cell table per (instance, m, n, q1): a record's cell is its
+phase, pool point, label and reveal bit, and its value comes from the
+library's estimator (`WeightedSample` and `mis_error` on a one-record
+sample). An estimator's exact mean and variance are sums over that table,
+and its Monte Carlo draws are multinomial record counts per cell. The
+learners never call into this module; it exists to verify them and the
+estimators.
 
 Masses and propensities from `random_instance` live on dyadic grids
 (denominators 128 and 64), so sums and comparisons are exact in floating
@@ -11,7 +16,6 @@ point and independently coded oracles can agree to the last bit.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -19,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Example, FeatureVector, LabelSource, LoggedTriple
+from .estimators import WeightedSample, mis_error
 from .hypotheses import FiniteClass
 from .policies import TablePolicy
 from .rng import derive_rng
@@ -32,6 +37,7 @@ __all__ = [
     "s_region",
     "adjusted_dis_coefficient",
     "UnbiasednessReport",
+    "exact_moments",
     "mc_unbiasedness",
     "variance_compare",
     "RateReport",
@@ -224,102 +230,88 @@ class UnbiasednessReport:
         return abs(self.mean - self.true_value) / self.stderr
 
 
-# Cells per streamed chunk: its three uniform arrays (384 KiB) and per-cell
-# temporaries stay near cache size, and memory does not grow with the trials.
-_CHUNK_CELLS = 1 << 14
+def _check_member(instance: DiscreteInstance, h: int) -> None:
+    count = len(instance.classifiers)
+    if not 0 <= h < count:
+        raise ValueError(f"member index {h} outside [0, {count})")
 
 
-def _uniform_chunks(rng: np.random.Generator, trials: int, total: int):
-    """The uniforms of three successive rng.random((b, total)) draws per
-    batch (picks, error or label bits, reveals), yielded as aligned row
-    chunks (u_pick, u_second, u_reveal). Three copies of the generator are
-    advanced to the starts of the three blocks and drawn in step, and rng
-    ends where the whole-block draws would leave it. One draw is one 64-bit
-    output on PCG64, the generator derive_rng returns."""
-    # Batches once bounded memory. They still fix where each batch's three
-    # blocks start in the stream, so changing this changes every statistic.
-    batch = max(1, int(2e7 // total))
-    step = max(1, _CHUNK_CELLS // total)
-    for start in range(0, trials, batch):
-        b = min(batch, trials - start)
-        streams = []
-        for k in range(3):
-            bits = copy.deepcopy(rng.bit_generator)
-            bits.advance(k * b * total)
-            streams.append(np.random.Generator(bits))
-        for row in range(0, b, step):
-            shape = (min(step, b - row), total)
-            yield tuple(stream.random(shape) for stream in streams)
-        rng.bit_generator.advance(3 * b * total)
+def _cell_table(
+    instance: DiscreteInstance, m: int, n: int, q1, columns: Sequence[tuple[int, str]]
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(records, probabilities, values) for each phase that has records,
+    logged then online, with one value column per (member, estimator) pair
+    in columns; the estimator is "mis" (balanced) or "is" (per-phase).
 
-
-def _phase_tables(instance: DiscreteInstance, m: int, n: int, q1):
-    """Per-point tables for m logged then n online columns: Generator.choice's
-    cdf over the pool, the per-column offset (0 logged, pool size online),
-    and indexed by pick + offset, the reveal probability (q0, then q1) and
-    the balanced weight 1 / (m q0 + n q1), zero denominators read as 1.
-    Each value goes through the IEEE operations of the per-cell expression
-    it replaces, so it is bit-equal."""
-    size = len(instance.pool)
-    q0 = instance.q0
-    q1 = np.ones(size) if q1 is None else np.asarray(q1, dtype=float)
-    if q1.shape != q0.shape:
-        raise ValueError("q1 must have one entry per pool instance")
-    cdf = instance.masses.cumsum()
-    cdf /= cdf[-1]
-    offset = np.repeat(np.array([0, size], dtype=np.intp), (m, n))
-    denom = m * q0 + n * q1
-    return cdf, offset, np.concatenate([q0, q1]), np.tile(1.0 / np.where(denom > 0.0, denom, 1.0), 2)
-
-
-def _cell_keys(tables, second: np.ndarray, trials: int, rng: np.random.Generator):
-    """Row chunks of per-cell keys 4 * point + 2 * bit + revealed, where
-    point = pick + offset indexes the tables, bit = u_second < second[point]
-    and revealed = u_reveal < reveal[point]. The pick is Generator.choice's
-    for u_pick: the count of cdf entries at or below it, which is
-    cdf.searchsorted(u_pick, side="right") (the last entry is exactly 1)."""
-    cdf, offset, reveal, _ = tables
-    for u_pick, u_second, u_reveal in _uniform_chunks(rng, trials, len(offset)):
-        picks = np.zeros(u_pick.shape, dtype=np.min_scalar_type(len(cdf)))
-        for edge in cdf[:-1]:
-            picks += u_pick >= edge
-        point = picks.astype(np.intp) + offset
-        yield 4 * point + 2 * (u_second < second[point]) + (u_reveal < reveal[point])
-
-
-def _by_key(weight: np.ndarray, errs: np.ndarray) -> np.ndarray:
-    """Cell value per key: weight[point] where errs[point, bit] holds and
-    the label was revealed, else 0.0."""
-    return np.where(errs[:, :, None] & [False, True], weight[:, None, None], 0.0).ravel()
-
-
-def _cell_sums(tables, second: np.ndarray, values: Sequence[np.ndarray], trials: int, rng) -> list[np.ndarray]:
-    """Per-trial sums of each cell-value table in values (see _by_key), all
-    over the same draws of _cell_keys."""
-    sums: list[list[np.ndarray]] = [[] for _ in values]
-    for keys in _cell_keys(tables, second, trials, rng):
-        for out, value in zip(sums, values):
-            out.append(value[keys].sum(axis=1))
-    return [np.concatenate(out) for out in sums]
-
-
-def _simulate_estimates(
-    instance: DiscreteInstance, h: int, m: int, n: int, trials: int, rng, q1, estimators: Sequence[str]
-) -> list[np.ndarray]:
-    """Per-trial values of each named estimator ("is" per-phase, "mis"
-    balanced) from full resamples of the generative process, on shared draws."""
+    A record's cell is its pool point, label and reveal bit. Records are
+    independent and a record's contribution depends only on its cell, so the
+    table fixes each estimator's distribution. A cell's value is the
+    library's: mis_error on a one-record WeightedSample. Cells of probability
+    0 are dropped (a z = 1 record at q = 0 has no valid denominator) and
+    cells with equal values are merged, so a draw has few categories."""
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError(f"m and n must be non-negative with m + n at least 1, got m={m}, n={n}")
-    tables = _phase_tables(instance, m, n, q1)
-    _, _, reveal, balanced = tables
-    row = instance.classifiers.labels[h]
-    # label draw folded into the error event: P(h(x) != Y | x) is exactly
-    # the per-point error probability, which is all the estimator sees
-    err_prob = np.tile(np.where(row == 1, 1.0 - instance.p1, instance.p1), 2)
-    wrong = np.array([[False, True]])  # the second bit is the error event itself
-    weights = {"is": 1.0 / np.where(reveal > 0.0, reveal, 1.0), "mis": balanced}
-    sums = _cell_sums(tables, err_prob, [_by_key(weights[name], wrong) for name in estimators], trials, rng)
-    return [total / (m + n) if name == "is" else total for name, total in zip(estimators, sums)]
+    q0 = instance.q0
+    q1 = np.ones(len(instance.pool)) if q1 is None else np.asarray(q1, dtype=float)
+    if q1.shape != q0.shape:
+        raise ValueError("q1 must have one entry per pool instance")
+    if not ((q1 >= 0.0) & (q1 <= 1.0)).all():
+        raise ValueError("q1 must be probabilities")
+    for h, estimator in columns:
+        _check_member(instance, h)
+        if estimator not in ("mis", "is"):
+            raise ValueError(f"unknown estimator {estimator!r}")
+    point = np.repeat(np.arange(len(instance.pool)), 4)
+    y = np.tile([0, 0, 1, 1], len(instance.pool))
+    z = np.tile([0, 1], 2 * len(instance.pool))
+    label_prob = np.where(y == 1, instance.p1[point], 1.0 - instance.p1[point])
+    labels = instance.classifiers.labels
+    tables = []
+    for records, q_own in ((m, q0), (n, q1)):
+        if records == 0:
+            continue
+        prob = instance.masses[point] * label_prob * np.where(z == 1, q_own[point], 1.0 - q_own[point])
+        cells = np.flatnonzero(prob > 0.0)
+        values = np.empty((cells.size, len(columns)))
+        for row, k in enumerate(cells):
+            at, z_k, y_k = point[k : k + 1], z[k : k + 1], y[k : k + 1]
+            values[row] = [
+                mis_error(
+                    labels[h, at],
+                    WeightedSample.balanced(at, z_k, y_k, q0[at], q1[at], m, n)
+                    if estimator == "mis"
+                    else WeightedSample.phase_weighted(at, z_k, y_k, q_own[at], m, n),
+                )
+                for h, estimator in columns
+            ]
+        distinct, inverse = np.unique(values, axis=0, return_inverse=True)
+        tables.append((records, np.bincount(inverse.ravel(), weights=prob[cells]), distinct))
+    return tables
+
+
+def _draw_estimates(tables, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """(trials, columns) estimates from a cell table: each trial's per-value
+    record counts are one multinomial draw per phase, logged phase first."""
+    return sum(rng.multinomial(records, prob, size=trials) @ values for records, prob, values in tables)
+
+
+def exact_moments(
+    instance: DiscreteInstance,
+    h: int,
+    m: int,
+    n: int,
+    q1: np.ndarray | None = None,
+    estimator: str = "mis",
+) -> tuple[float, float]:
+    """Exact (mean, variance) of the named estimator ("mis" balanced, "is"
+    per-phase) of member h's error over m logged and n online records: each
+    phase adds its record count times one record's mean and variance."""
+    mean = variance = 0.0
+    for records, prob, values in _cell_table(instance, m, n, q1, [(h, estimator)]):
+        record_mean = prob @ values[:, 0]
+        mean += records * record_mean
+        variance += records * (prob @ (values[:, 0] - record_mean) ** 2)
+    return float(mean), float(variance)
 
 
 def _check_trials(trials: int, least: int) -> None:
@@ -337,13 +329,11 @@ def mc_unbiasedness(
     q1: np.ndarray | None = None,
     estimator: str = "mis",
 ) -> UnbiasednessReport:
-    """Resample the generative process and report the estimator's empirical
-    mean, its standard error, and the exact target."""
-    if estimator not in ("mis", "is"):
-        raise ValueError(f"unknown estimator {estimator!r}")
+    """Draw the estimator trials times and report its empirical mean, its
+    standard error, and the exact target."""
     _check_trials(trials, 1)
-    rng = derive_rng(seed, "mc-unbiasedness", estimator)
-    (values,) = _simulate_estimates(instance, h, m, n, trials, rng, q1, (estimator,))
+    tables = _cell_table(instance, m, n, q1, [(h, estimator)])
+    values = _draw_estimates(tables, trials, derive_rng(seed, "mc-unbiasedness", estimator))[:, 0]
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return UnbiasednessReport(mean=mean, stderr=stderr, true_value=float(instance.true_errors[h]), trials=trials)
@@ -361,9 +351,9 @@ def variance_compare(
     """(variance of the per-phase estimator, variance of the balanced
     estimator) on shared draws."""
     _check_trials(trials, 2)  # a ddof=1 variance needs two values
-    rng = derive_rng(seed, "mc-variance")
-    est_is, est_mis = _simulate_estimates(instance, h, m, n, trials, rng, q1, ("is", "mis"))
-    return float(est_is.var(ddof=1)), float(est_mis.var(ddof=1))
+    tables = _cell_table(instance, m, n, q1, [(h, "is"), (h, "mis")])
+    var_is, var_mis = _draw_estimates(tables, trials, derive_rng(seed, "mc-variance")).var(axis=0, ddof=1)
+    return float(var_is), float(var_mis)
 
 
 @dataclass(frozen=True)
@@ -387,15 +377,14 @@ def concentration_rate(
     _check_trials(trials, 1)
     if any(size < 1 for size in effective_sizes):
         raise ValueError(f"effective_sizes must each be at least 1, got {list(effective_sizes)}")
+    for h in pair:
+        _check_member(instance, h)
     gap_true = instance.true_errors[pair[0]] - instance.true_errors[pair[1]]
-    member_errs = [np.tile(instance.classifiers.labels[h], 2)[:, None] != [0, 1] for h in pair]
-    p1 = np.tile(instance.p1, 2)
     quantiles: list[float] = []
     for size_index, size in enumerate(effective_sizes):
-        tables = _phase_tables(instance, size, size, q1)
-        by_key = [_by_key(tables[3], errs) for errs in member_errs]
-        est1, est2 = _cell_sums(tables, p1, by_key, trials, derive_rng(seed, "mc-rate", size_index))
-        quantiles.append(float(np.quantile(np.abs((est1 - est2) - gap_true), 0.9)))
+        tables = _cell_table(instance, size, size, q1, [(h, "mis") for h in pair])
+        est = _draw_estimates(tables, trials, derive_rng(seed, "mc-rate", size_index))
+        quantiles.append(float(np.quantile(np.abs((est[:, 0] - est[:, 1]) - gap_true), 0.9)))
     sizes = np.asarray(effective_sizes, dtype=float)
     quant = np.asarray(quantiles)
     if len(set(sizes)) < 2 or (quant <= 0.0).any():  # no line through fewer than two points
