@@ -88,7 +88,7 @@ def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     horizon = min(horizon, online)
-    result = run_point(prepared, dataset.name, seed, repeat, algorithm, algo.capacity, algo.eta, horizon)
+    result = run_point(prepared, algorithm, algo.capacity, algo.eta, horizon)
     # the run returns a classifier per trace point; score each on the test rows
     rows = [(p.consumed, p.queries, f"{classification_error(p.classifier, prepared.test):.6g}") for p in result.trace]
     print(f"dataset {dataset.name}: {len(prepared.logged)} logged ({int(prepared.logged.z.sum())} revealed), "

@@ -308,31 +308,16 @@ def _data_digest(prepared: RepeatData) -> str:
     return digest.hexdigest()
 
 
-def run_point(
-    prepared: RepeatData,
-    dataset: str,
-    master_seed: int,
-    repeat: int,
-    algorithm: str,
-    capacity: float | None,
-    eta: float,
-    horizon: int,
-) -> RunResult:
+def run_point(prepared: RepeatData, algorithm: str, capacity: float | None, eta: float, horizon: int) -> RunResult:
     """One practical run of algorithm at grid point (capacity, eta) on the
     first horizon online records of a prepared repeat, from a zero model as
     wide as the repeat's rows. The run does not score itself: callers score
-    the classifiers it returns on prepared.test. The seed derives from the
-    whole grid point; passive's capacity is None and runs at the default C,
-    which it never reads. The runner is looked up in ALGORITHMS at call
-    time."""
+    the classifiers it returns on prepared.test. Passive's capacity is None
+    and runs at the default C, which it never reads. The runner is looked up
+    in ALGORITHMS at call time."""
     run_cfg = AlgoConfig(eta=eta) if capacity is None else AlgoConfig(capacity=capacity, eta=eta)
     return ALGORITHMS[algorithm](
-        prepared.logged,
-        prepared.online[:horizon],
-        prepared.policy,
-        LinearModel.zeros(prepared.test.dim),
-        run_cfg,
-        child_seed(master_seed, dataset, repeat, algorithm, capacity, eta, horizon),
+        prepared.logged, prepared.online[:horizon], prepared.policy, LinearModel.zeros(prepared.test.dim), run_cfg
     )
 
 
@@ -354,9 +339,7 @@ def _run_repeat(cfg: ExperimentConfig, spec: DatasetSpec, data: LabeledRows, rep
                 capacities = (None,) if algorithm == "passive" else cfg.capacity_grid
                 for c, capacity in enumerate(capacities):
                     for index, horizon in enumerate(horizons):
-                        result = run_point(
-                            prepared, spec.name, cfg.master_seed, repeat, algorithm, capacity, eta, horizon
-                        )
+                        result = run_point(prepared, algorithm, capacity, eta, horizon)
                         outcomes[a, c, e, index] = RunRecord(
                             dataset=spec.name,
                             algorithm=algorithm,

@@ -17,7 +17,7 @@ import math
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -156,28 +156,14 @@ def ogd_update(model: LinearModel, rows: RowTable, labels, importance_weights, e
     return result
 
 
+@dataclass(frozen=True, slots=True)
 class TableClassifier:
     """A single member of a FiniteClass, by index: its predictions on the
-    class's pool are the owner's labels[index] row."""
+    class's pool are the owner's labels[index] row. Members of one class
+    are equal when their indices are; a class equals only itself."""
 
-    __slots__ = ("owner", "index")
-
-    def __init__(self, owner: "FiniteClass", index: int):
-        self.owner = owner
-        self.index = index
-
-    def __repr__(self) -> str:
-        return f"TableClassifier(index={self.index})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TableClassifier)
-            and other.index == self.index
-            and other.owner is self.owner
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.owner), self.index))
+    owner: "FiniteClass" = field(repr=False)
+    index: int
 
 
 class FiniteClass:
@@ -291,9 +277,10 @@ def prune_candidates(candidates: np.ndarray, losses: np.ndarray, slack) -> np.nd
     return candidates[kept]
 
 
-def exact_dis_test(hypothesis_class: FiniteClass, candidates: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Mask over the given pool positions: True where some pair of
-    candidate members disagrees."""
+def exact_dis_test(hypothesis_class: FiniteClass, candidates: np.ndarray, positions: np.ndarray | slice) -> np.ndarray:
+    """Mask over the given pool positions (an index array, or a slice such
+    as the whole pool's): True where some pair of candidate members
+    disagrees."""
     columns = hypothesis_class.labels[candidates][:, positions]
     return columns.min(axis=0) != columns.max(axis=0)
 

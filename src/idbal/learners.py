@@ -198,14 +198,13 @@ class _ExactSteps:
             raise TypeError("exact mode needs a FiniteClass")
         self.hclass = hclass
         self.cfg = cfg
-        self.pool = np.arange(len(hclass.pool))
         self.pool_q0 = policy_prob(policy, hclass.rows)
         records = (*logged, *online)
-        self.rows = hclass.positions([r.x for r in records])
+        rows = hclass.positions([r.x for r in records])
         # online Examples are always revealed; a z = 0 triple has y None, stored as 0
         z = np.array([r.z for r in logged] + [1] * len(online), dtype=np.int8)
         y = np.array([r.y or 0 for r in records], dtype=np.int8)
-        self.store = SplitRows(self.pool_q0[self.rows], z, y, self.rows)
+        self.store = SplitRows(self.pool_q0[rows], z, y, rows)
         self.candidates = np.arange(len(hclass))
         self.xi = float(self.pool_q0.min())
         self.iterations: list[IterationRecord] | None = [] if cfg.record_iterations else None
@@ -216,13 +215,13 @@ class _ExactSteps:
         self.erm_index, self.erm_value = best_candidate(self.candidates, self.losses)
         return self.hclass.member(self.erm_index), self.erm_value
 
-    def shrink(self, k: int, sample: WeightedSample, mk: int, nk: int, xi: float, segment: slice):
+    def shrink(self, k: int, sample: WeightedSample, xi: float, segment: slice):
         """Prune the candidates after fit; (xi_next, region mask, ERM
         predictions) at the store's online records in segment."""
         hclass, erm_index = self.hclass, self.erm_index
         delta_k = DELTA / ((k + 1) * (k + 2))
-        if mk * xi + nk > 0.0:
-            sigma_value = sigma((mk, nk), xi, len(hclass), delta_k / 2.0)
+        if sample.m * xi + sample.n > 0.0:
+            sigma_value = sigma((sample.m, sample.n), xi, len(hclass), delta_k / 2.0)
         else:
             sigma_value = math.inf
         before = self.candidates
@@ -231,7 +230,7 @@ class _ExactSteps:
         counts = np.bincount(sample.rows, minlength=len(hclass.pool))
         rho = (hclass.labels[before] != hclass.labels[erm_index]) @ counts / max(sample.z.size, 1)
         self.candidates = prune_candidates(before, self.losses, delta_bound(sigma_value, rho, self.cfg.gamma0))
-        pool_mask = exact_dis_test(hclass, self.candidates, self.pool)
+        pool_mask = exact_dis_test(hclass, self.candidates, slice(None))
         xi_next = float(self.pool_q0[pool_mask].min()) if pool_mask.any() else 1.0
         if self.iterations is not None:
             self.iterations.append(
@@ -246,7 +245,7 @@ class _ExactSteps:
                     sample=sample,
                 )
             )
-        positions = self.rows[segment]
+        positions = self.store.rows[segment]
         return xi_next, pool_mask[positions], hclass.labels[erm_index, positions]
 
 
@@ -265,9 +264,8 @@ class _PracticalSteps:
             if not isinstance(part, SplitRows) or part.table is None or part.rows.shape[1] != model.dim + 1:
                 raise ValueError(f"split rows do not match dimension {model.dim}")
         joined = {f: np.concatenate((getattr(logged, f), getattr(online, f))) for f in ("q0", "z", "y", "norms")}
-        self.rows = np.arange(len(logged) + len(online))
         table = RowTable(np.concatenate((logged.table.rows, online.table.rows)), model.dim + 1)
-        self.store = SplitRows(rows=self.rows, table=table, **joined)
+        self.store = SplitRows(rows=np.arange(len(logged) + len(online)), table=table, **joined)
         self.parts = (logged.rows, online.rows)
         self.model = model
         self.cfg = cfg
@@ -295,18 +293,18 @@ class _PracticalSteps:
         self.erm_value = mis_error(self.scores[sample.rows] >= 0.0, sample)
         return self.model, self.erm_value
 
-    def shrink(self, k: int, sample: WeightedSample, mk: int, nk: int, xi: float, segment: slice):
+    def shrink(self, k: int, sample: WeightedSample, xi: float, segment: slice):
         """(xi_next, margin mask, predictions) at the store's online records
         in segment, all from the model fit left; xi_next is the floor over
         the logged records inside the margin."""
         m, store = self.m, self.store
         scores = self.scores[segment]
-        effective = mk * xi + nk
+        effective = sample.m * xi + sample.n
         if effective <= 0.0:
             # no effective mass yet: treat everything as contested
             return self.xi, np.ones(scores.size, dtype=bool), scores >= 0.0
         stepsize = self.stepsize if self.stepsize is not None else ogd_stepsize(self.model.steps + 1, self.cfg.eta)
-        mask_args = (stepsize, self.cfg.capacity, self.erm_value, effective, mk + nk)
+        mask_args = (stepsize, self.cfg.capacity, self.erm_value, effective, sample.m + sample.n)
         logged_mask = approx_dis_mask(self.scores[:m], store.norms[:m], *mask_args)
         xi_next = float(store.q0[:m][logged_mask].min()) if logged_mask.any() else 1.0
         return xi_next, approx_dis_mask(scores, store.norms[segment], *mask_args), scores >= 0.0
@@ -340,14 +338,14 @@ def _run_disagreement_core(
         plan = plan_partition(m, n)
         K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
     steps = _STEPS[cfg.mode](hypothesis_space, cfg, logged, online, policy)
-    store, sample_rows = steps.store, steps.rows
+    store = steps.store
 
     logged_starts = np.concatenate(([0], np.cumsum(m_parts)))
 
     def build_sample(index: np.ndarray, z: np.ndarray, y: np.ndarray, bits: np.ndarray, mk: int, nk: int):
         """The sample over the store records at index, with their reveal
         bits z, labels y and query bits."""
-        q0, rows = store.q0[index], sample_rows[index]
+        q0, rows = store.q0[index], store.rows[index]
         if weighting == "mis":
             return WeightedSample.balanced(rows, z, y, q0, bits, mk, nk)
         # a logged record's own phase propensity is q0, an online one's its query bit
@@ -364,9 +362,6 @@ def _run_disagreement_core(
     consumed = 0
 
     for k in range(K + 1):
-        mk = m_parts[k]
-        nk = 0 if k == 0 else n_parts[k - 1]
-
         # best candidate on S~_k
         current, erm_value = steps.fit(sample)
         trace.append(TracePoint(consumed, queries, current))
@@ -376,7 +371,7 @@ def _run_disagreement_core(
         # shrink to the disagreement region, then consume online segment
         # k+1: query inside it, impute the current prediction outside it
         lo, hi = consumed, consumed + n_parts[k]
-        xi_next, in_region, guesses = steps.shrink(k, sample, mk, nk, xi, slice(m + lo, m + hi))
+        xi_next, in_region, guesses = steps.shrink(k, sample, xi, slice(m + lo, m + hi))
         # S~_{k+1} = T0^(k+1) plus the fresh online segment
         index = np.concatenate((np.arange(logged_starts[k + 1], logged_starts[k + 2]), m + np.arange(lo, hi)))
         bits = debias_rule(store.q0[index], xi_next, alpha) if debias else np.ones(index.size, dtype=np.int8)
@@ -438,13 +433,13 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
     steps = _STEPS[cfg.mode](hypothesis_space, cfg, logged, online, policy)
     store = steps.store
     own = np.concatenate((store.q0[:m], np.ones(n)))
-    sample = WeightedSample.phase_weighted(steps.rows, store.z, store.y, own, m, n)
+    sample = WeightedSample.phase_weighted(store.rows, store.z, store.y, own, m, n)
     trace: list[TracePoint] = []
 
     # a gradient pass continues from the warm model, an exact fit refits the
     # whole sample: the candidates are still the whole class, so it is the ERM
     if cfg.mode == "exact":
-        warm = WeightedSample.phase_weighted(steps.rows[:m], store.z[:m], store.y[:m], store.q0[:m], m, 0)
+        warm = WeightedSample.phase_weighted(store.rows[:m], store.z[:m], store.y[:m], store.q0[:m], m, 0)
         trace.append(TracePoint(0, 0, steps.fit(warm)[0]))
         final, final_value = steps.fit(sample)
     else:

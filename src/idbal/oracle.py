@@ -1,7 +1,8 @@
 """Brute-force ground truth on small discrete problems.
 
 Everything here is deliberately exhaustive: true errors by summing over the
-pool, and disagreement balls and regions by enumeration. The estimator
+pool, a center's distance to each member as one masked sum, and balls and
+regions read off those distances as masks over the pool. The estimator
 checks read one cell table per (instance, m, n, q1): a record's cell is its
 phase, pool point, label and reveal bit, and its value comes from the
 library's estimator (`WeightedSample` and `mis_error` on a one-record
@@ -51,7 +52,8 @@ __all__ = [
 class DiscreteInstance:
     """A finite generative problem: pool instances with masses, conditional
     label probabilities, a finite hypothesis class over the pool, and the
-    logging propensity at each pool instance."""
+    logging propensity at each pool instance. pool must equal the class's
+    pool, in order; the instance keeps the class's tuple."""
 
     pool: tuple[FeatureVector, ...]
     masses: np.ndarray
@@ -60,10 +62,11 @@ class DiscreteInstance:
     q0: np.ndarray
 
     def __post_init__(self):
+        if tuple(self.pool) != self.classifiers.pool:
+            raise ValueError("pool must be the hypothesis class's pool, in its order")
+        object.__setattr__(self, "pool", self.classifiers.pool)
         size = len(self.pool)
-        masses = np.asarray(self.masses, dtype=float)
-        p1 = np.asarray(self.p1, dtype=float)
-        q0 = np.asarray(self.q0, dtype=float)
+        masses, p1, q0 = (np.asarray(a, dtype=float) for a in (self.masses, self.p1, self.q0))
         if masses.shape != (size,) or p1.shape != (size,) or q0.shape != (size,):
             raise ValueError("masses, p1, and q0 must each have one entry per pool instance")
         if not (np.isfinite(masses).all() and np.isfinite(p1).all() and np.isfinite(q0).all()):
@@ -72,14 +75,11 @@ class DiscreteInstance:
             raise ValueError("masses must be nonnegative and sum to 1")
         if ((p1 < 0) | (p1 > 1)).any() or ((q0 < 0) | (q0 > 1)).any():
             raise ValueError("p1 and q0 must be probabilities")
-        if self.classifiers.labels.shape[1] != size:
-            raise ValueError("hypothesis class pool must match the instance pool")
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "q0", q0)
         errors = self.classifiers.labels * (1.0 - p1) + (1 - self.classifiers.labels) * p1
-        per_member = errors @ masses
-        object.__setattr__(self, "_true_errors", per_member)
+        object.__setattr__(self, "_true_errors", errors @ masses)
 
     @property
     def true_errors(self) -> np.ndarray:
@@ -105,13 +105,10 @@ class DiscreteInstance:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)
         labels = rng.random(count) < self.p1[picks]
         reveals = rng.random(count) < self.q0[picks]
-        out = []
-        for i, y, z in zip(picks, labels, reveals):
-            if z:
-                out.append(LoggedTriple(self.pool[i], 1, int(y), LabelSource.QUERIED))
-            else:
-                out.append(LoggedTriple(self.pool[i], 0))
-        return out
+        return [
+            LoggedTriple(self.pool[i], 1, int(y), LabelSource.QUERIED) if z else LoggedTriple(self.pool[i], 0)
+            for i, y, z in zip(picks, labels, reveals)
+        ]
 
 
 def random_instance(
@@ -145,41 +142,58 @@ def random_instance(
     return DiscreteInstance(pool=pool, masses=masses, p1=p1, classifiers=hclass, q0=q0)
 
 
+def _check_member(instance: DiscreteInstance, *members: int) -> None:
+    count = len(instance.classifiers)
+    for h in members:
+        if not 0 <= h < count:
+            raise ValueError(f"member index {h} outside [0, {count})")
+
+
+def _distances(instance: DiscreteInstance, center: int) -> np.ndarray:
+    """The center's disagreement mass with each member, one masked sum each."""
+    _check_member(instance, center)
+    labels, masses = instance.classifiers.labels, instance.masses
+    return np.array([masses[row != labels[center]].sum() for row in labels])
+
+
+def _region(labels: np.ndarray) -> np.ndarray:
+    """Pool mask where some pair of the label rows disagrees (none for no rows)."""
+    return (labels != labels[:1]).any(axis=0)
+
+
+def _s_mask(instance: DiscreteInstance, region: np.ndarray, alpha: float) -> np.ndarray:
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    return region & (instance.q0 <= instance.q0[region].min(initial=math.inf) + 1.0 / alpha)
+
+
 def disagreement_mass(instance: DiscreteInstance, i: int, j: int) -> float:
     """Mass of the pool points where members i and j differ."""
-    labels = instance.classifiers.labels
-    return float(instance.masses[labels[i] != labels[j]].sum())
+    _check_member(instance, j)
+    return float(_distances(instance, i)[j])
 
 
 def dis_ball(instance: DiscreteInstance, center: int, radius: float) -> tuple[int, ...]:
-    """Members within disagreement mass radius of the center, by enumeration."""
-    return tuple(
-        j
-        for j in range(len(instance.classifiers))
-        if disagreement_mass(instance, center, j) <= radius
-    )
+    """Members within disagreement mass radius of the center."""
+    return tuple(np.flatnonzero(_distances(instance, center) <= radius).tolist())
 
 
 def dis_region(instance: DiscreteInstance, members: Iterable[int]) -> tuple[int, ...]:
     """Pool indices where some pair of the given members disagrees."""
     rows = list(members)
-    if not rows:
-        return ()
-    sub = instance.classifiers.labels[rows]
-    mask = sub.min(axis=0) != sub.max(axis=0)
-    return tuple(int(i) for i in np.nonzero(mask)[0])
+    _check_member(instance, *rows)
+    return tuple(np.flatnonzero(_region(instance.classifiers.labels[rows])).tolist())
 
 
 def s_region(instance: DiscreteInstance, region: Iterable[int], alpha: float) -> tuple[int, ...]:
     """Propensity-restricted region: the region points whose propensity is
     within 1/alpha of the region's propensity floor."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    points = sorted(set(int(i) for i in region))
-    if not points:
-        return ()
-    floor = float(instance.q0[points].min())
-    return tuple(i for i in points if instance.q0[i] <= floor + 1.0 / alpha)
+    points = [int(i) for i in region]
+    mask = np.zeros(len(instance.pool), dtype=bool)
+    if not all(0 <= i < mask.size for i in points):
+        raise ValueError(f"pool index outside [0, {mask.size}) in {points}")
+    mask[points] = True
+    return tuple(np.flatnonzero(_s_mask(instance, mask, alpha)).tolist())
 
 
 def adjusted_dis_coefficient(instance: DiscreteInstance, r0: float, alpha: float) -> float:
@@ -189,25 +203,17 @@ def adjusted_dis_coefficient(instance: DiscreteInstance, r0: float, alpha: float
     supremum is attained either at one of the achievable disagreement-mass
     values above r0 or in the limit r -> r0 from above; both are enumerated.
     """
-    if r0 < 0.0:
-        raise ValueError("r0 cannot be negative")
-    center = instance.h_star_index
+    if not 0.0 <= r0 < math.inf:
+        raise ValueError(f"r0 must be finite and non-negative, got {r0}")
     if r0 < 2.0 * instance.nu - 1e-12:
         raise ValueError("r0 must be at least twice the best achievable error")
-    distances = sorted(
-        {disagreement_mass(instance, center, j) for j in range(len(instance.classifiers))}
-    )
+    distances = _distances(instance, instance.h_star_index)
 
     def mass_at(radius: float) -> float:
-        members = dis_ball(instance, center, radius)
-        region = dis_region(instance, members)
-        kept = s_region(instance, region, alpha)
-        return float(instance.masses[list(kept)].sum()) if kept else 0.0
+        kept = _s_mask(instance, _region(instance.classifiers.labels[distances <= radius]), alpha)
+        return float(instance.masses[kept].sum())
 
-    best = 0.0
-    for r in distances:
-        if r > r0:
-            best = max(best, mass_at(r) / r)
+    best = max((mass_at(r) / r for r in np.unique(distances[distances > r0]).tolist()), default=0.0)
     limit_mass = mass_at(r0)
     if r0 > 0.0:
         best = max(best, limit_mass / r0)
@@ -228,12 +234,6 @@ class UnbiasednessReport:
         if self.stderr == 0.0:
             return 0.0 if self.mean == self.true_value else math.inf
         return abs(self.mean - self.true_value) / self.stderr
-
-
-def _check_member(instance: DiscreteInstance, h: int) -> None:
-    count = len(instance.classifiers)
-    if not 0 <= h < count:
-        raise ValueError(f"member index {h} outside [0, {count})")
 
 
 def _cell_table(
@@ -377,8 +377,7 @@ def concentration_rate(
     _check_trials(trials, 1)
     if any(size < 1 for size in effective_sizes):
         raise ValueError(f"effective_sizes must each be at least 1, got {list(effective_sizes)}")
-    for h in pair:
-        _check_member(instance, h)
+    _check_member(instance, *pair)
     gap_true = instance.true_errors[pair[0]] - instance.true_errors[pair[1]]
     quantiles: list[float] = []
     for size_index, size in enumerate(effective_sizes):

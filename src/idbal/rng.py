@@ -6,9 +6,10 @@ single integer seed. The rule:
     child_seed(seed, *path) = blake2b(str(seed) | 0x1f | str(path[0]) | ...)
 
 truncated to 64 bits, fed to numpy's PCG64. Distinct paths give independent
-streams, so one master seed can drive dataset splitting, logging simulation,
-label noise, and learner internals without accidental coupling, and any single
-stage can be replayed in isolation.
+streams, so one master seed can drive dataset generation and splitting,
+logging simulation, the coarse policy fit and the oracle's Monte Carlo draws
+without accidental coupling, and any single stage can be replayed in
+isolation. The learners draw no randomness.
 """
 from __future__ import annotations
 

@@ -4,7 +4,8 @@ These are the scalar forms the library used before its data path became
 CSR rows: stacking FeatureVectors into rows, the in-order score, the
 per-example error loop and the margin policies' per-instance formulas. Also
 the finite class's losses gathered from its label table, the candidate
-pruning that took its slack from a callable, and the
+pruning that took its slack from a callable, the oracle's disagreement
+coefficient by plain enumeration, and the
 practical learners as they ran before samples held store positions: every
 sample a CSR copy of its rows, scored on its own; the gradient pass as
 it ran over CSR arrays before passes read row tables; and the canonical row
@@ -159,6 +160,24 @@ def prune_by_threshold(
         for index, loss in zip(current, losses)
         if index == best_index or loss <= best_loss + threshold(index, best_index)
     )
+
+
+def independent_coefficient(instance, r0: float) -> float:
+    """The disagreement coefficient at alpha = 1 of an oracle world, by direct
+    enumeration against its raw arrays, without the oracle's helpers: the
+    largest region mass over radius among the balls around the best member
+    at each achievable distance above r0, and at r0 itself when r0 > 0."""
+    labels = np.asarray(instance.classifiers.labels)
+    star = int(np.argmin(instance.true_errors))
+    distances = np.array([float(instance.masses[labels[star] != row].sum()) for row in labels])
+    radii = sorted({d for d in distances if d > r0})
+    if r0 > 0.0:
+        radii.append(r0)
+    best = 0.0
+    for r in radii:
+        ball = labels[distances <= r + 1e-15]
+        best = max(best, float(instance.masses[ball.min(axis=0) != ball.max(axis=0)].sum()) / r)
+    return best
 
 
 def model_mis_error(model: LinearModel, sample: WeightedSample) -> float:

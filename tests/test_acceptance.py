@@ -37,7 +37,7 @@ from idbal.oracle import (
 from idbal.policies import IdenticalPolicy, UniformGroupsPolicy
 from idbal.rng import child_seed, derive_rng
 
-from reference import stack_rows
+from reference import independent_coefficient, stack_rows
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str) -> None:
@@ -211,28 +211,6 @@ class TestAcceptance:
 
     def test_08_adjusted_coefficient_matches_an_independent_oracle(self):
         start = time.time()
-
-        def independent_coefficient(instance, r0: float) -> float:
-            # direct enumeration against the raw arrays, no oracle helpers
-            labels = np.asarray(instance.classifiers.labels)
-            star = int(np.argmin(instance.true_errors))
-            count = labels.shape[0]
-            distances = np.array([
-                float(instance.masses[labels[star] != labels[j]].sum())
-                for j in range(count)
-            ])
-            candidates = sorted({d for d in distances if d > r0})
-            if r0 > 0.0:
-                candidates.append(r0)
-            best = 0.0
-            for r in candidates:
-                ball = distances <= r + 1e-15
-                sub = labels[ball]
-                region_mask = sub.min(axis=0) != sub.max(axis=0)
-                mass = float(instance.masses[region_mask].sum())
-                best = max(best, mass / r)
-            return best
-
         matches = 0
         monotone = True
         for seed in range(10):

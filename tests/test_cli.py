@@ -379,16 +379,22 @@ class _Ran(Exception):
     pass
 
 
-def _stop_at_run_point(prepared, dataset, master_seed, repeat, algorithm, capacity, eta, horizon):
-    raise _Ran({"algorithm": algorithm, "repeat": repeat, "horizon": horizon})
-
-
 class TestDefaults:
     def _empty_config_values(self, monkeypatch) -> dict[str, object]:
         """What each key reads as when no config sets it: the field or
         argument that CONFIG_TABLE says the key sets, as the readers build it."""
         experiment = config_to_experiment({})
-        monkeypatch.setattr("idbal.cli.run_point", _stop_at_run_point)
+        prepared_repeats = []
+
+        def record_repeat(data, spec, dataset_name, master_seed, repeat, fractions):
+            prepared_repeats.append(repeat)
+            return harness.prepare_repeat(data, spec, dataset_name, master_seed, repeat, fractions)
+
+        def stop_at_run_point(prepared, algorithm, capacity, eta, horizon):
+            raise _Ran({"algorithm": algorithm, "repeat": prepared_repeats[-1], "horizon": horizon})
+
+        monkeypatch.setattr("idbal.cli.prepare_repeat", record_repeat)
+        monkeypatch.setattr("idbal.cli.run_point", stop_at_run_point)
         with pytest.raises(_Ran) as ran:
             main(["run"])
         monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)

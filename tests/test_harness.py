@@ -430,7 +430,6 @@ def _direct_records(cfg: ExperimentConfig) -> list[tuple]:
                                 prepared.policy,
                                 LinearModel.zeros(data.dim),
                                 AlgoConfig(capacity=0.01 if capacity is None else capacity, eta=eta),
-                                child_seed(cfg.master_seed, spec.name, repeat, algorithm, capacity, eta, horizon),
                             )
                             error = classification_error(result.final_classifier, prepared.test)
                             out.append((spec.name, algorithm, capacity, eta, repeat, index, horizon,

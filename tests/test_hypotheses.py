@@ -417,6 +417,17 @@ class TestFiniteClass:
         assert hclass.labels[hclass.member(2).index, position] == 1
         assert hclass.labels[hclass.member(0).index, position] == 0
 
+    def test_members_compare_by_class_and_index(self):
+        hclass, pool = _tiny_class()
+        twin = FiniteClass(pool, hclass.labels)
+        member = hclass.member(2)
+        assert member == hclass.member(2) and hash(member) == hash(hclass.member(2))
+        assert member != hclass.member(1) and member != twin.member(2)
+        assert member.owner is hclass and member.index == 2
+        assert repr(member) == "TableClassifier(index=2)"
+        with pytest.raises(AttributeError):
+            member.index = 1
+
     def test_unknown_instance_rejected(self):
         hclass, _ = _tiny_class()
         with pytest.raises(ValueError, match="not in the class's pool"):

@@ -28,6 +28,8 @@ from idbal.oracle import (
     variance_compare,
 )
 
+from reference import independent_coefficient
+
 
 def _hand_instance() -> DiscreteInstance:
     """Three points, three classifiers, all numbers dyadic."""
@@ -71,6 +73,15 @@ class TestDiscreteInstance:
         with pytest.raises(ValueError, match="finite"):
             DiscreteInstance(pool=inst.pool, classifiers=inst.classifiers, **arrays)
 
+    def test_class_over_a_permuted_pool_rejected(self):
+        # masses, p1 and q0 index the instance's pool; a class over the same
+        # points in another order would label other points than they describe
+        inst = _hand_instance()
+        permuted = FiniteClass(inst.pool[::-1], inst.classifiers.labels[:, ::-1])
+        with pytest.raises(ValueError, match="class's pool"):
+            DiscreteInstance(pool=inst.pool, masses=inst.masses, p1=inst.p1, classifiers=permuted, q0=inst.q0)
+        assert inst.pool is inst.classifiers.pool
+
     def test_forced_low_propensity(self):
         for seed in range(5):
             inst = random_instance(seed, force_low_propensity=True)
@@ -111,6 +122,20 @@ class TestRegionGeometry:
         assert dis_region(inst, (0, 1)) == (2,)
         assert dis_region(inst, (0,)) == ()
 
+    def test_indices_outside_the_class_or_pool_rejected(self):
+        # a negative index used to wrap around to the last member or point
+        inst = _hand_instance()
+        with pytest.raises(ValueError, match="member index -1 outside"):
+            dis_ball(inst, -1, 0.5)
+        with pytest.raises(ValueError, match="member index -1 outside"):
+            dis_region(inst, (-1, 0))
+        with pytest.raises(ValueError, match="member index 3 outside"):
+            disagreement_mass(inst, 0, len(inst.classifiers))
+        with pytest.raises(ValueError, match="pool index outside"):
+            s_region(inst, (-1,), 2.0)
+        with pytest.raises(ValueError, match="pool index outside"):
+            s_region(inst, (0, len(inst.pool)), 2.0)
+
     def test_s_region_restricted_hand(self):
         inst = _hand_instance()
         # region over all three points; threshold = min q0 + 1/alpha
@@ -122,39 +147,15 @@ class TestRegionGeometry:
         assert everything == (0, 1, 2)
 
 
-def _independent_coefficient(inst: DiscreteInstance, r0: float) -> float:
-    """Standard disagreement coefficient by direct enumeration, written
-    against the raw arrays rather than the oracle helpers."""
-    labels = np.asarray(inst.classifiers.labels)
-    star = int(np.argmin(inst.true_errors))
-    count = labels.shape[0]
-    distances = np.array([
-        float(inst.masses[labels[star] != labels[j]].sum()) for j in range(count)
-    ])
-    candidates = sorted({d for d in distances if d > r0})
-    best = 0.0
-    for r in candidates + [r0]:
-        if r <= r0:
-            if r0 == 0.0:
-                continue
-            r = r0
-        ball = distances <= r + 1e-15
-        sub = labels[ball]
-        region_mask = sub.min(axis=0) != sub.max(axis=0)
-        mass = float(inst.masses[region_mask].sum())
-        ratio = mass / r if r > 0 else (math.inf if mass > 0 else 0.0)
-        best = max(best, ratio)
-    return best
-
-
 class TestAdjustedCoefficient:
     def test_alpha_one_matches_independent_enumeration(self):
-        for seed in range(10):
-            inst = random_instance(seed)
-            r0 = 2.0 * inst.nu
-            ours = adjusted_dis_coefficient(inst, r0, alpha=1.0)
-            theirs = _independent_coefficient(inst, r0)
-            np.testing.assert_allclose(ours, theirs, rtol=1e-12)
+        # the default worlds and the pool-8, 64-member worlds of the benchmark
+        for size in ({}, {"pool_size": 8, "class_size": 64}):
+            for seed in range(10):
+                inst = random_instance(seed, **size)
+                r0 = 2.0 * inst.nu
+                ours = adjusted_dis_coefficient(inst, r0, alpha=1.0)
+                np.testing.assert_allclose(ours, independent_coefficient(inst, r0), rtol=1e-12)
 
     def test_monotone_in_alpha(self):
         for seed in range(6):
@@ -168,6 +169,12 @@ class TestAdjustedCoefficient:
         inst = random_instance(0)
         with pytest.raises(ValueError):
             adjusted_dis_coefficient(inst, 0.5 * inst.nu, alpha=1.0)
+
+    @pytest.mark.parametrize("r0", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, r0):
+        # both used to answer 0.0: nothing is above NaN, and every mass over inf is 0
+        with pytest.raises(ValueError, match="r0 must be finite"):
+            adjusted_dis_coefficient(random_instance(0), r0, alpha=1.0)
 
 
 def _q1_with_zeros(instance):
