@@ -122,8 +122,8 @@ def delta_bound(sigma_value: float, rho, gamma0: float):
     slack (no filtering) rather than a NaN.
     """
     rho = np.asarray(rho, dtype=float)
-    if gamma0 <= 0:
-        raise ValueError("gamma0 must be positive")
+    if not 0.0 < gamma0 < math.inf:
+        raise ValueError("gamma0 must be positive and finite")
     if sigma_value < 0.0:
         raise ValueError("sigma must be nonnegative")
     if not ((0.0 <= rho) & (rho <= 1.0)).all():

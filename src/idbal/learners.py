@@ -141,8 +141,8 @@ class AlgoConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "practical"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
+        if not 0.0 < self.gamma0 < math.inf:
+            raise ValueError("gamma0 must be positive and finite")
         if not (0.0 < self.capacity < math.inf and 0.0 < self.eta < math.inf):
             raise ValueError("capacity and eta must be positive and finite")
 

@@ -6,10 +6,10 @@ regions read off those distances as masks over the pool. The estimator
 checks read one cell table per (instance, m, n, q1): a record's cell is its
 phase, pool point, label and reveal bit, and its value comes from the
 library's estimator (`WeightedSample` and `mis_error` on a one-record
-sample). An estimator's exact mean and variance are sums over that table,
-and its Monte Carlo draws are multinomial record counts per cell. The
-learners never call into this module; it exists to verify them and the
-estimators.
+sample). An estimator's mean and variance are exact sums over that table;
+only the concentration quantile is drawn, as multinomial record counts per
+cell. The learners never call into this module; it exists to verify them
+and the estimators.
 
 Masses and propensities from `random_instance` live on dyadic grids
 (denominators 128 and 64), so sums and comparisons are exact in floating
@@ -37,10 +37,7 @@ __all__ = [
     "dis_region",
     "s_region",
     "adjusted_dis_coefficient",
-    "UnbiasednessReport",
     "exact_moments",
-    "mc_unbiasedness",
-    "variance_compare",
     "RateReport",
     "concentration_rate",
     "CheckRow",
@@ -222,20 +219,6 @@ def adjusted_dis_coefficient(instance: DiscreteInstance, r0: float, alpha: float
     return best
 
 
-@dataclass(frozen=True)
-class UnbiasednessReport:
-    mean: float
-    stderr: float
-    true_value: float
-    trials: int
-
-    @property
-    def deviation_in_stderr(self) -> float:
-        if self.stderr == 0.0:
-            return 0.0 if self.mean == self.true_value else math.inf
-        return abs(self.mean - self.true_value) / self.stderr
-
-
 def _cell_table(
     instance: DiscreteInstance, m: int, n: int, q1, columns: Sequence[tuple[int, str]]
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -314,46 +297,9 @@ def exact_moments(
     return float(mean), float(variance)
 
 
-def _check_trials(trials: int, least: int) -> None:
-    if trials < least:
-        raise ValueError(f"trials must be at least {least}, got {trials}")
-
-
-def mc_unbiasedness(
-    instance: DiscreteInstance,
-    h: int,
-    m: int,
-    n: int,
-    trials: int,
-    seed: int = 0,
-    q1: np.ndarray | None = None,
-    estimator: str = "mis",
-) -> UnbiasednessReport:
-    """Draw the estimator trials times and report its empirical mean, its
-    standard error, and the exact target."""
-    _check_trials(trials, 1)
-    tables = _cell_table(instance, m, n, q1, [(h, estimator)])
-    values = _draw_estimates(tables, trials, derive_rng(seed, "mc-unbiasedness", estimator))[:, 0]
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    return UnbiasednessReport(mean=mean, stderr=stderr, true_value=float(instance.true_errors[h]), trials=trials)
-
-
-def variance_compare(
-    instance: DiscreteInstance,
-    h: int,
-    m: int,
-    n: int,
-    trials: int,
-    seed: int = 0,
-    q1: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """(variance of the per-phase estimator, variance of the balanced
-    estimator) on shared draws."""
-    _check_trials(trials, 2)  # a ddof=1 variance needs two values
-    tables = _cell_table(instance, m, n, q1, [(h, "is"), (h, "mis")])
-    var_is, var_mis = _draw_estimates(tables, trials, derive_rng(seed, "mc-variance")).var(axis=0, ddof=1)
-    return float(var_is), float(var_mis)
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -374,7 +320,7 @@ def concentration_rate(
     """Empirical 0.9-quantile of the deviation of the estimated error gap
     between two members from the true gap, at m = n = N for each N, plus the
     fitted log-log slope (about -1/2 when concentration goes as 1/sqrt(N))."""
-    _check_trials(trials, 1)
+    _check_trials(trials)
     if any(size < 1 for size in effective_sizes):
         raise ValueError(f"effective_sizes must each be at least 1, got {list(effective_sizes)}")
     _check_member(instance, *pair)
@@ -404,26 +350,30 @@ class CheckRow:
 
 def run_verification_suite(seed: int, fixtures: int = 20, trials: int = 20000) -> list[CheckRow]:
     """Self-contained estimator and geometry checks over at least one
-    fixture and two trials; returns one row per check."""
-    _check_trials(trials, 2)
+    fixture; returns one row per check. The estimator rows are exact sums
+    over the cell table; trials sets the concentration check's draws (at
+    least 4,000)."""
+    _check_trials(trials)
     if fixtures < 1:
         raise ValueError(f"fixtures must be at least 1, got {fixtures}")
     rows: list[CheckRow] = []
     for i in range(fixtures):
         instance = random_instance(seed=seed * 1000 + i, force_low_propensity=True)
         h = i % len(instance.classifiers)
-        for estimator in ("mis", "is"):
-            report = mc_unbiasedness(instance, h, m=8, n=8, trials=trials, seed=seed * 77 + i, estimator=estimator)
+        truth = float(instance.true_errors[h])
+        moments = {name: exact_moments(instance, h, m=8, n=8, estimator=name) for name in ("mis", "is")}
+        for estimator, (mean, _) in moments.items():
+            bias = abs(mean - truth)
             rows.append(
                 CheckRow(
                     name=f"unbiasedness-{estimator}-{i}",
-                    passed=report.deviation_in_stderr <= 4.0,
-                    statistic=report.deviation_in_stderr,
-                    threshold=4.0,
-                    details=f"mean {report.mean:.6g} true {report.true_value:.6g}",
+                    passed=bias <= 1e-12,
+                    statistic=bias,
+                    threshold=1e-12,
+                    details=f"mean {mean:.6g} true {truth:.6g}",
                 )
             )
-        var_is, var_mis = variance_compare(instance, h, m=8, n=8, trials=trials, seed=seed * 77 + i)
+        var_is, var_mis = moments["is"][1], moments["mis"][1]
         ratio = var_mis / var_is if var_is > 0.0 else (0.0 if var_mis == 0.0 else math.inf)
         rows.append(
             CheckRow(
@@ -435,8 +385,7 @@ def run_verification_suite(seed: int, fixtures: int = 20, trials: int = 20000) -
             )
         )
     instance = random_instance(seed=seed, pool_size=6, class_size=8)
-    pair = (0, 1)
-    rate = concentration_rate(instance, pair, [32, 64, 128, 256, 512], trials=max(trials, 4000), seed=seed)
+    rate = concentration_rate(instance, (0, 1), [32, 64, 128, 256, 512], trials=max(trials, 4000), seed=seed)
     rows.append(
         CheckRow(
             name="concentration-slope",

@@ -120,8 +120,8 @@ class MarginPolicy(LoggingPolicy):
     def __post_init__(self):
         if self.kind not in _MARGIN_PROBS:
             raise ValueError(f"unknown margin policy kind {self.kind!r}")
-        if self.scale < 0.0:
-            raise ValueError("scale cannot be negative")
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError(f"scale cannot be negative or non-finite, got {self.scale}")
 
     def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
         return _MARGIN_PROBS[self.kind](self.scale, margins(self.model, rows))

@@ -175,6 +175,15 @@ class TestRun:
         assert "error: capacity and eta must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_non_finite_policy_scale_exits_two(self, tmp_path, capsys, scale):
+        # an infinite uncertainty scale used to log every row with no label revealed
+        args = ["run", "--data.count", "600", "--data.dim", "5", "--policy.name", "uncertainty",
+                "--policy.scale", scale, "--horizon", "64", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert f"error: scale cannot be negative or non-finite, got {scale}" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_unknown_data_source_exits_two(self, tmp_path, capsys):
         args = ["run", "--data.source", "flie", "--data.count", "300", "--horizon", "20", "--out", str(tmp_path)]
         assert main(args) == 2
@@ -330,11 +339,11 @@ class TestVerify:
         assert "checks passed" not in captured.out
         assert not (tmp_path / "checks.csv").exists()
 
-    @pytest.mark.parametrize("trials", ["0", "-5", "1"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_too_few_trials_exits_two(self, tmp_path, capsys, trials):
         code = main(["verify", "--fixtures", "2", "--trials", trials, "--out", str(tmp_path)])
         assert code == 2
-        assert "error: trials must be at least 2" in capsys.readouterr().err
+        assert f"error: trials must be at least 1, got {trials}" in capsys.readouterr().err
         assert not (tmp_path / "checks.csv").exists()
 
 

@@ -171,6 +171,12 @@ class TestBounds:
     def test_delta_bound_scales_with_gamma(self):
         np.testing.assert_allclose(delta_bound(0.25, 0.25, 2.0), 1.0)
 
+    @pytest.mark.parametrize("gamma0", [math.nan, math.inf])
+    def test_delta_bound_rejects_a_non_finite_gamma(self, gamma0):
+        # a NaN slack prunes every candidate but the ERM, silently
+        with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
+            delta_bound(0.25, 0.25, gamma0)
+
     def test_delta_bound_infinite_sigma(self):
         assert delta_bound(math.inf, 0.3, 1.0) == math.inf
         assert delta_bound(math.inf, np.array([0.0, 0.3, 1.0]), 1.0).tolist() == [math.inf] * 3

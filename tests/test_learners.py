@@ -127,7 +127,7 @@ class TestDebiasRule:
 
 
 class TestAlgoConfig:
-    @pytest.mark.parametrize("field", ["capacity", "eta"])
+    @pytest.mark.parametrize("field", ["capacity", "eta", "gamma0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_non_positive_or_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -1,5 +1,6 @@
-"""Brute-force oracle: exact truths on small discrete worlds, Monte Carlo
-checks, region geometry, and the adjusted disagreement coefficient."""
+"""Brute-force oracle: exact truths on small discrete worlds, exact estimator
+moments, the concentration draws, region geometry, and the adjusted
+disagreement coefficient."""
 from __future__ import annotations
 
 import hashlib
@@ -21,11 +22,9 @@ from idbal.oracle import (
     dis_region,
     disagreement_mass,
     exact_moments,
-    mc_unbiasedness,
     random_instance,
     run_verification_suite,
     s_region,
-    variance_compare,
 )
 
 from reference import independent_coefficient
@@ -183,30 +182,31 @@ def _q1_with_zeros(instance):
 
 class TestMonteCarlo:
     def test_outputs_are_pinned(self):
-        # Every check row of a small suite and one rate quantile. The draws
-        # are one multinomial per phase (logged, then online) over the merged
-        # cell values in np.unique order; changing that layout moves the hex.
+        # Every check row of a small suite and one rate quantile. The estimator
+        # rows are exact sums over the cell table. The rate draws are one
+        # multinomial per phase (logged, then online) over the merged cell
+        # values in np.unique order; changing that layout moves the hex.
         digest = hashlib.blake2b(digest_size=16)
         for row in run_verification_suite(0, 3, 4000):
             digest.update(f"{row.name}|{row.passed}|{row.statistic!r}|{row.details}\n".encode())
         rate = concentration_rate(random_instance(0), (0, 1), (512,), trials=20000, seed=0)
         digest.update(repr(rate.quantiles).encode())
-        assert digest.hexdigest() == "89974c115fb700654a5cfd69180591cc"
+        assert digest.hexdigest() == "208e6703d268988e210f541176ee014e"
 
     def test_mis_unbiased_quick(self):
         inst = random_instance(1)
-        rep = mc_unbiasedness(inst, inst.h_star_index, m=30, n=30, trials=5000, seed=0)
-        assert rep.deviation_in_stderr < 4.0
-        assert rep.trials == 5000
+        mean, _ = exact_moments(inst, inst.h_star_index, m=30, n=30)
+        assert abs(mean - inst.nu) <= 1e-12
 
     def test_is_unbiased_quick(self):
         inst = random_instance(2)
-        rep = mc_unbiasedness(inst, 1, m=25, n=25, trials=5000, seed=1, estimator="is")
-        assert rep.deviation_in_stderr < 4.0
+        mean, _ = exact_moments(inst, 1, m=25, n=25, estimator="is")
+        assert abs(mean - inst.true_errors[1]) <= 1e-12
 
     def test_balanced_variance_not_worse_quick(self):
         inst = random_instance(3, force_low_propensity=True)
-        var_is, var_mis = variance_compare(inst, inst.h_star_index, m=40, n=40, trials=4000, seed=2)
+        _, var_is = exact_moments(inst, inst.h_star_index, m=40, n=40, estimator="is")
+        _, var_mis = exact_moments(inst, inst.h_star_index, m=40, n=40)
         assert var_mis <= 1.05 * var_is
 
     def test_concentration_slope_band(self):
@@ -225,26 +225,28 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_too_few_trials_rejected(self, trials):
-        inst = random_instance(0)
-        with pytest.raises(ValueError, match="trials"):
-            mc_unbiasedness(inst, 0, m=5, n=5, trials=trials, seed=0)
-        with pytest.raises(ValueError, match="trials"):
-            concentration_rate(inst, (0, 1), (32,), trials=trials, seed=0)
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            concentration_rate(random_instance(0), (0, 1), (32,), trials=trials, seed=0)
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            run_verification_suite(seed=0, fixtures=1, trials=trials)
 
-    def test_variance_needs_two_trials(self):
-        inst = random_instance(0)
-        with pytest.raises(ValueError, match="trials must be at least 2"):
-            variance_compare(inst, 0, m=5, n=5, trials=1, seed=0)
-        with pytest.raises(ValueError, match="trials must be at least 2"):
-            run_verification_suite(seed=0, fixtures=0, trials=1)
+    def test_one_trial_suffices(self):
+        # only the concentration check draws, and it draws at least 4,000
+        rate = concentration_rate(random_instance(0), (0, 1), (32,), trials=1, seed=0)
+        assert len(rate.quantiles) == 1
+        rows = run_verification_suite(seed=0, fixtures=1, trials=1)
+        assert [row.name for row in rows] == [
+            "unbiasedness-mis-0", "unbiasedness-is-0", "variance-dominance-0",
+            "concentration-slope", "theta-alpha-monotone",
+        ]
+        assert rows[3] == run_verification_suite(seed=0, fixtures=1, trials=4000)[3]
 
     @pytest.mark.parametrize("m, n", [(0, 0), (-3, 5), (5, -1)])
     def test_bad_sample_sizes_rejected(self, m, n):
         inst = random_instance(0)
-        with pytest.raises(ValueError, match="m and n"):
-            mc_unbiasedness(inst, 0, m=m, n=n, trials=10, seed=0, estimator="is")
-        with pytest.raises(ValueError, match="m and n"):
-            variance_compare(inst, 0, m=m, n=n, trials=10, seed=0)
+        for estimator in ("mis", "is"):
+            with pytest.raises(ValueError, match="m and n"):
+                exact_moments(inst, 0, m=m, n=n, estimator=estimator)
 
     def test_effective_sizes_below_one_rejected(self):
         with pytest.raises(ValueError, match="effective_sizes"):
@@ -252,8 +254,11 @@ class TestMonteCarlo:
 
     def test_q1_must_cover_the_pool(self):
         inst = random_instance(0)
+        q1 = np.ones(len(inst.pool) + 1)
         with pytest.raises(ValueError, match="q1"):
-            mc_unbiasedness(inst, 0, m=5, n=5, trials=10, seed=0, q1=np.ones(len(inst.pool) + 1))
+            exact_moments(inst, 0, m=5, n=5, q1=q1)
+        with pytest.raises(ValueError, match="q1"):
+            concentration_rate(inst, (0, 1), (32,), trials=10, seed=0, q1=q1)
 
     @pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan])
     def test_q1_must_be_probabilities(self, bad):
@@ -263,15 +268,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="q1 must be probabilities"):
             exact_moments(inst, 0, m=5, n=5, q1=q1)
         with pytest.raises(ValueError, match="q1 must be probabilities"):
-            mc_unbiasedness(inst, 0, m=5, n=5, trials=10, seed=0, q1=q1)
+            concentration_rate(inst, (0, 1), (32,), trials=10, seed=0, q1=q1)
 
     @pytest.mark.parametrize("h", [-1, -2, 8])
     def test_member_outside_the_class_rejected(self, h):
         inst = random_instance(0)  # eight members
-        with pytest.raises(ValueError, match=f"member index {h} outside"):
-            mc_unbiasedness(inst, h, m=5, n=5, trials=10, seed=0)
-        with pytest.raises(ValueError, match=f"member index {h} outside"):
-            variance_compare(inst, h, m=5, n=5, trials=10, seed=0)
         with pytest.raises(ValueError, match=f"member index {h} outside"):
             exact_moments(inst, h, m=5, n=5)
         for pair in ((0, h), (h, 0)):
@@ -290,25 +291,24 @@ class TestMonteCarlo:
         monkeypatch.setattr(WeightedSample, "balanced", classmethod(one_phase_denominator))
         mean, _ = exact_moments(inst, h, m=8, n=8)
         assert abs(mean - inst.true_errors[h]) > 1e-3
-        assert mc_unbiasedness(inst, h, m=8, n=8, trials=20000, seed=0).deviation_in_stderr > 4.0
+        rows = {row.name: row.passed for row in run_verification_suite(seed=0, fixtures=3, trials=1)}
+        assert [rows[f"unbiasedness-{name}-{i}"] for name in ("mis", "is") for i in range(3)] == [False] * 3 + [True] * 3
 
     def test_zero_online_propensities(self):
         inst = random_instance(2, force_low_propensity=True)
         q1 = _q1_with_zeros(inst)
         h = 3
         assert (inst.q0 > 0.0).all() and (q1 == 0.0).any()
-        mean, variance = exact_moments(inst, h, m=10, n=10, q1=q1)
-        assert abs(mean - inst.true_errors[h]) <= 1e-12 and variance > 0.0
-        assert mc_unbiasedness(inst, h, m=10, n=10, trials=2000, seed=0, q1=q1).deviation_in_stderr < 4.0
-        var_is, var_mis = variance_compare(inst, h, m=10, n=10, trials=2000, seed=0, q1=q1)
+        mean, var_mis = exact_moments(inst, h, m=10, n=10, q1=q1)
+        _, var_is = exact_moments(inst, h, m=10, n=10, q1=q1, estimator="is")
+        assert abs(mean - inst.true_errors[h]) <= 1e-12
         assert var_is > 0.0 and var_mis > 0.0
         rate = concentration_rate(inst, (0, h), (16, 64), trials=500, seed=0, q1=q1)
         assert all(q > 0.0 for q in rate.quantiles)
 
     def test_unknown_estimator_rejected(self):
-        inst = random_instance(0)
-        with pytest.raises(ValueError):
-            mc_unbiasedness(inst, 0, m=5, n=5, trials=10, seed=0, estimator="nope")
+        with pytest.raises(ValueError, match="unknown estimator 'nope'"):
+            exact_moments(random_instance(0), 0, m=5, n=5, estimator="nope")
 
 
 class TestVerificationSuite:

@@ -119,7 +119,9 @@ class TestMarginPolicies:
         ("identical", 1.0, "unknown margin policy kind 'identical'"),
         ("Uncertainty", 1.0, "unknown margin policy kind 'Uncertainty'"),
         ("certainty", -0.5, "scale cannot be negative"),
-    ], ids=["other-policy", "capitalised", "negative-scale"])
+        ("uncertainty", math.inf, "scale cannot be negative or non-finite, got inf"),
+        ("certainty", math.nan, "scale cannot be negative or non-finite, got nan"),
+    ], ids=["other-policy", "capitalised", "negative-scale", "infinite-scale", "nan-scale"])
     def test_rejects_an_unknown_kind_and_a_negative_scale(self, kind, scale, message):
         with pytest.raises(ValueError, match=message):
             MarginPolicy(kind, scale, LinearModel(np.array([0.0, 1.0])))
