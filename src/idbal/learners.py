@@ -50,7 +50,6 @@ __all__ = [
     "debias_rule",
     "AlgoConfig",
     "TracePoint",
-    "IterationRecord",
     "RunResult",
     "run_idbal",
     "run_dbalw",
@@ -73,7 +72,7 @@ class PartitionPlan:
     n_parts holds the online segment sizes n_1..n_K (doubling, with the last
     segment absorbing any shortfall); m_parts holds the logged segment sizes
     m_0..m_K where m_k = floor(alpha * n_k) for k >= 1 and m_0 takes the
-    remainder; alpha = 2m / (3n).
+    remainder; alpha = 2m / (3n), infinite for an empty stream (K = 0).
     """
 
     K: int
@@ -93,8 +92,10 @@ def plan_partition(m: int, n: int) -> PartitionPlan:
     """
     if m < 3:
         raise ValueError(f"need at least 3 logged examples, got {m}")
-    if n < 1:
-        raise ValueError(f"need at least 1 online example, got {n}")
+    if n < 0:
+        raise ValueError(f"online example count cannot be negative, got {n}")
+    if n == 0:
+        return PartitionPlan(K=0, n_parts=(), m_parts=(m,), alpha=math.inf)
     K = max(1, math.ceil(math.log2(n + 1)))
     n_parts = [2 ** (k - 1) for k in range(1, K + 1)]
     n_parts[-1] = n - sum(n_parts[:-1])
@@ -129,14 +130,12 @@ class AlgoConfig:
     with gamma0 (the scale of the candidate-set slack) at failure
     probability DELTA, "practical" drives a LinearModel with capacity (the
     tuned stand-in for the log-class-size term) and eta (gradient schedule).
-    record_iterations keeps the exact mode's per-iteration audit trail.
     """
 
     mode: str = "practical"
     gamma0: float = 1.0
     capacity: float = 0.01
     eta: float = 0.1
-    record_iterations: bool = False
 
     def __post_init__(self):
         if self.mode not in ("exact", "practical"):
@@ -151,26 +150,15 @@ class AlgoConfig:
 class TracePoint:
     """State after consuming `consumed` online examples: cumulative queries
     and the classifier the run would output if stopped there. Callers score
-    it; the queries of each iteration are the differences between points."""
+    it; the queries of each iteration are the differences between points.
+    Exact mode's candidates are the sorted members the classifier was chosen
+    from: V_0 is the whole class, V_k what the last shrink kept. Practical
+    mode has no candidate set and leaves it None."""
 
     consumed: int
     queries: int
     classifier: object
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """Exact-mode audit trail for one iteration: the candidate set before and
-    after the update and the weighted sample it saw."""
-
-    k: int
-    candidates_before: tuple[int, ...]
-    candidates_after: tuple[int, ...]
-    erm_index: int
-    erm_value: float
-    sigma_value: float
-    xi: float
-    sample: WeightedSample
+    candidates: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -183,7 +171,6 @@ class RunResult:
     decisions: tuple[str, ...]
     trace: tuple[TracePoint, ...]
     seed: int
-    iterations: tuple[IterationRecord, ...] | None = None
 
 
 class _ExactSteps:
@@ -207,13 +194,13 @@ class _ExactSteps:
         self.store = SplitRows(self.pool_q0[rows], z, y, rows)
         self.candidates = np.arange(len(hclass))
         self.xi = float(self.pool_q0.min())
-        self.iterations: list[IterationRecord] | None = [] if cfg.record_iterations else None
 
     def fit(self, sample: WeightedSample):
+        """(ERM, its estimate, the candidates it was chosen from)."""
         # shrink prunes from these same losses: same sample, same candidates
         self.losses = weighted_losses(self.hclass, sample, self.candidates)
-        self.erm_index, self.erm_value = best_candidate(self.candidates, self.losses)
-        return self.hclass.member(self.erm_index), self.erm_value
+        self.erm_index, erm_value = best_candidate(self.candidates, self.losses)
+        return self.hclass.member(self.erm_index), erm_value, tuple(self.candidates.tolist())
 
     def shrink(self, k: int, sample: WeightedSample, xi: float, segment: slice):
         """Prune the candidates after fit; (xi_next, region mask, ERM
@@ -224,27 +211,14 @@ class _ExactSteps:
             sigma_value = sigma((sample.m, sample.n), xi, len(hclass), delta_k / 2.0)
         else:
             sigma_value = math.inf
-        before = self.candidates
         # each member's share of the sample it labels unlike the ERM: an exact
         # integer over the sample size, as a mean gives, and 0 on no sample
         counts = np.bincount(sample.rows, minlength=len(hclass.pool))
-        rho = (hclass.labels[before] != hclass.labels[erm_index]) @ counts / max(sample.z.size, 1)
-        self.candidates = prune_candidates(before, self.losses, delta_bound(sigma_value, rho, self.cfg.gamma0))
+        rho = (hclass.labels[self.candidates] != hclass.labels[erm_index]) @ counts / max(sample.z.size, 1)
+        slack = delta_bound(sigma_value, rho, self.cfg.gamma0)
+        self.candidates = prune_candidates(self.candidates, self.losses, slack)
         pool_mask = exact_dis_test(hclass, self.candidates, slice(None))
         xi_next = float(self.pool_q0[pool_mask].min()) if pool_mask.any() else 1.0
-        if self.iterations is not None:
-            self.iterations.append(
-                IterationRecord(
-                    k=k,
-                    candidates_before=tuple(before.tolist()),
-                    candidates_after=tuple(self.candidates.tolist()),
-                    erm_index=erm_index,
-                    erm_value=self.erm_value,
-                    sigma_value=sigma_value,
-                    xi=xi,
-                    sample=sample,
-                )
-            )
         positions = self.store.rows[segment]
         return xi_next, pool_mask[positions], hclass.labels[erm_index, positions]
 
@@ -272,7 +246,6 @@ class _PracticalSteps:
         self.m = len(logged)
         self.stepsize: float | None = None
         self.xi = float(logged.q0.min(initial=1.0))
-        self.iterations = None
 
     def score(self, weights: np.ndarray) -> np.ndarray:
         """Every store record's score, each with its CSR row's own bits."""
@@ -291,7 +264,7 @@ class _PracticalSteps:
         self.scores = self.score(self.model.weights)
         # ties (score exactly 0) go to label 1, a NaN score predicts 0
         self.erm_value = mis_error(self.scores[sample.rows] >= 0.0, sample)
-        return self.model, self.erm_value
+        return self.model, self.erm_value, None
 
     def shrink(self, k: int, sample: WeightedSample, xi: float, segment: slice):
         """(xi_next, margin mask, predictions) at the store's online records
@@ -330,13 +303,8 @@ def _run_disagreement_core(
     debias: bool,
 ) -> RunResult:
     m, n = len(logged), len(online)
-    if n == 0:
-        if m < 3:
-            raise ValueError(f"need at least 3 logged examples, got {m}")
-        K, n_parts, m_parts, alpha = 0, (), (m,), math.inf
-    else:
-        plan = plan_partition(m, n)
-        K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
+    plan = plan_partition(m, n)
+    K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
     steps = _STEPS[cfg.mode](hypothesis_space, cfg, logged, online, policy)
     store = steps.store
 
@@ -363,8 +331,8 @@ def _run_disagreement_core(
 
     for k in range(K + 1):
         # best candidate on S~_k
-        current, erm_value = steps.fit(sample)
-        trace.append(TracePoint(consumed, queries, current))
+        current, erm_value, candidates = steps.fit(sample)
+        trace.append(TracePoint(consumed, queries, current, candidates))
         if k == K:
             break
 
@@ -397,7 +365,6 @@ def _run_disagreement_core(
         decisions=tuple(decisions),
         trace=tuple(trace),
         seed=seed,
-        iterations=None if steps.iterations is None else tuple(steps.iterations),
     )
 
 
@@ -434,24 +401,24 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
     store = steps.store
     own = np.concatenate((store.q0[:m], np.ones(n)))
     sample = WeightedSample.phase_weighted(store.rows, store.z, store.y, own, m, n)
-    trace: list[TracePoint] = []
 
     # a gradient pass continues from the warm model, an exact fit refits the
     # whole sample: the candidates are still the whole class, so it is the ERM
     if cfg.mode == "exact":
         warm = WeightedSample.phase_weighted(store.rows[:m], store.z[:m], store.y[:m], store.q0[:m], m, 0)
-        trace.append(TracePoint(0, 0, steps.fit(warm)[0]))
-        final, final_value = steps.fit(sample)
+        warm_fit, _, candidates = steps.fit(warm)
+        first = TracePoint(0, 0, warm_fit, candidates)
+        final, final_value, candidates = steps.fit(sample)
     else:
         revealed = np.flatnonzero(logged.z)
         weights = 1.0 / logged.q0[revealed]
         model = ogd_update(hypothesis_space, logged.table[revealed], logged.y[revealed], weights, cfg.eta)
-        trace.append(TracePoint(0, 0, model))
+        first = TracePoint(0, 0, model)
         final = ogd_update(model, online.table, online.y, np.ones(n), cfg.eta)
         # ties (score exactly 0) go to label 1, a NaN score predicts 0
         final_value = mis_error(steps.score(final.weights) >= 0.0, sample)
+        candidates = None
 
-    trace.append(TracePoint(n, n, final))
     return RunResult(
         final_classifier=final,
         final_value=final_value,
@@ -459,9 +426,8 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
         inferred_count=0,
         skipped_count=0,
         decisions=tuple([QUERY] * n),
-        trace=tuple(trace),
+        trace=(first, TracePoint(n, n, final, candidates)),
         seed=seed,
-        iterations=None,
     )
 
 

@@ -117,6 +117,10 @@ def random_instance(
     """Seeded random fixture on dyadic grids (masses in 1/128ths, p1 in
     1/32nds, q0 in 1/64ths, all masses positive, member rows distinct).
     force_low_propensity plants one q0 value at or below 3/64."""
+    if not 1 <= pool_size <= 128:
+        raise ValueError(f"pool_size must lie in [1, 128], one 1/128 mass unit per point at least, got {pool_size}")
+    if class_size < 1:
+        raise ValueError(f"class_size must be at least 1, got {class_size}")
     if class_size > 2**pool_size:
         raise ValueError("cannot place that many distinct members on the pool")
     rng = derive_rng(seed, "fixture")

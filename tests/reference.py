@@ -204,11 +204,8 @@ def practical_run(
     again, all with the weights fit left. Decisions are made record by
     record."""
     m, n = len(logged), len(online)
-    if n == 0:
-        K, n_parts, m_parts, alpha = 0, (), (m,), math.inf
-    else:
-        plan = plan_partition(m, n)
-        K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
+    plan = plan_partition(m, n)
+    K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
     rows = scipy.sparse.vstack((logged.rows, online.rows), format="csr")
     q0 = np.concatenate((logged.q0, online.q0))
     z = np.concatenate((logged.z, online.z))

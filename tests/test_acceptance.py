@@ -100,16 +100,15 @@ class TestAcceptance:
             rng = derive_rng(seed, "exact-world")
             logged = instance.draw_logged(rng, 800)
             online = instance.draw_examples(rng, 63)
-            cfg = AlgoConfig(mode="exact", gamma0=0.5,
-                             record_iterations=True)
+            cfg = AlgoConfig(mode="exact", gamma0=0.5)
             result = run_idbal(logged, online, instance.logging_policy(),
                                instance.classifiers, cfg, seed)
             previous: tuple[int, ...] = tuple(range(len(instance.classifiers)))
-            for record in result.iterations:
-                if not set(record.candidates_after) <= set(previous):
+            for point in result.trace:
+                if not set(point.candidates) <= set(previous):
                     nested = False
-                previous = record.candidates_after
-            if instance.h_star_index in result.iterations[-1].candidates_after:
+                previous = point.candidates
+            if instance.h_star_index in result.trace[-1].candidates:
                 kept += 1
         elapsed = time.time() - start
         passed = kept >= 85 and nested and elapsed <= 120.0

@@ -259,8 +259,8 @@ class TestReport:
             "--out", str(tmp_path),
         ])
         assert code == 0
-        assert (tmp_path / "summary.csv").read_bytes() == (sweep_out / "summary.csv").read_bytes()
-        assert (tmp_path / "curves.csv").read_bytes() == (sweep_out / "curves.csv").read_bytes()
+        for name in ("summary.csv", "curves.csv", "pairwise.csv"):
+            assert (tmp_path / name).read_bytes() == (sweep_out / name).read_bytes(), name
         assert "best AUC" in capsys.readouterr().out
 
     @pytest.mark.parametrize("edit, message", [

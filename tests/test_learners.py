@@ -10,9 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
+from idbal import learners
 from idbal.data import SplitRows, SyntheticSpec, apply_logging, generate_synthetic, parse_sparse_dataset, split_dataset
 from idbal.harness import PolicySpec, RepeatData, log_split, prepare_repeat
-from idbal.hypotheses import LinearModel, classification_error, weighted_losses
+from idbal.estimators import delta_bound
+from idbal.hypotheses import LinearModel, classification_error, prune_candidates, weighted_losses
 from idbal.learners import (
     ALGORITHMS,
     INFER,
@@ -98,10 +100,14 @@ class TestPartitionPlan:
             plan_partition(3, 100)
 
     def test_too_little_data_rejected(self):
-        with pytest.raises(ValueError):
-            plan_partition(2, 5)
-        with pytest.raises(ValueError):
-            plan_partition(9, 0)
+        for m, n in ((2, 5), (2, 0), (9, -1)):
+            with pytest.raises(ValueError):
+                plan_partition(m, n)
+        # an empty stream plans the warm fit alone, and has no alpha to warn about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = plan_partition(9, 0)
+        assert (plan.K, plan.n_parts, plan.m_parts, plan.alpha) == (0, (), (9,), math.inf)
 
 
 class TestDebiasRule:
@@ -293,68 +299,116 @@ class TestExactRuns:
     def test_candidates_nested_and_erm_retained(self):
         for seed in range(8):
             inst, logged, online = self._world(seed)
-            cfg = AlgoConfig(mode="exact", gamma0=0.5, record_iterations=True)
+            cfg = AlgoConfig(mode="exact", gamma0=0.5)
             res = run_idbal(logged, online, inst.logging_policy(), inst.classifiers, cfg, seed)
-            previous = tuple(range(len(inst.classifiers)))
-            for rec in res.iterations:
-                assert rec.candidates_before == previous
-                assert set(rec.candidates_after) <= set(rec.candidates_before)
-                assert rec.erm_index in rec.candidates_after
-                previous = rec.candidates_after
+            assert res.trace[0].candidates == tuple(range(len(inst.classifiers)))
+            for point, after in zip(res.trace, res.trace[1:]):
+                assert set(after.candidates) <= set(point.candidates)
+                # the ERM survives the shrink that follows its own fit
+                assert point.classifier.index in after.candidates
 
-    def test_pruning_matches_the_member_loop(self):
-        # each recorded iteration again, member by member: rho as the mean
-        # disagreement with the ERM over the sample's table columns, the
-        # slack from the scalar bound, the pruning from a callable
+    def test_pruning_matches_the_member_loop(self, monkeypatch):
+        # each shrink again, member by member: rho as the mean disagreement
+        # with the ERM over the sample's table columns, the slack from the
+        # scalar bound, the pruning from a callable. The run hands over each
+        # fit's sample, each shrink's sigma and its sets through its own calls.
+        samples, sigmas, sets = [], [], []
+
+        def losses_spy(hclass, sample, candidates):
+            samples.append(sample)
+            return weighted_losses(hclass, sample, candidates)
+
+        def bound_spy(sigma_value, rho, gamma0):
+            sigmas.append(sigma_value)
+            return delta_bound(sigma_value, rho, gamma0)
+
+        def prune_spy(candidates, losses, slack):
+            kept = prune_candidates(candidates, losses, slack)
+            sets.append((tuple(candidates.tolist()), tuple(kept.tolist())))
+            return kept
+
+        monkeypatch.setattr(learners, "weighted_losses", losses_spy)
+        monkeypatch.setattr(learners, "delta_bound", bound_spy)
+        monkeypatch.setattr(learners, "prune_candidates", prune_spy)
         pruned = 0
         for seed in range(12):
             inst, logged, online = self._world(seed, m=[9, 40, 400][seed % 3], n=[15, 31][seed % 2])
             hclass = inst.classifiers
             for gamma0 in np.geomspace(0.01, 4.0, 25).tolist():
-                cfg = AlgoConfig(mode="exact", gamma0=gamma0, record_iterations=True)
+                cfg = AlgoConfig(mode="exact", gamma0=gamma0)
                 for runner in (run_idbal, run_dbalwm, run_dbalw):
+                    del samples[:], sigmas[:], sets[:]
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", UserWarning)  # alpha < 1 on the smallest worlds
                         res = runner(logged, online, inst.logging_policy(), hclass, cfg, seed)
-                    for rec in res.iterations:
-                        before = rec.candidates_before
-                        losses = weighted_losses(hclass, rec.sample, np.array(before))
-                        if rec.sample.z.size:
-                            preds = hclass.labels[:, rec.sample.rows]
-                            rho = (preds[list(before)] != preds[rec.erm_index]).mean(axis=1)
+                    assert len(samples) == len(res.trace) == len(sigmas) + 1 == len(sets) + 1
+                    for k, ((before, after), sigma_value) in enumerate(zip(sets, sigmas)):
+                        assert (before, after) == (res.trace[k].candidates, res.trace[k + 1].candidates)
+                        sample, erm_index = samples[k], res.trace[k].classifier.index
+                        losses = weighted_losses(hclass, sample, np.array(before))
+                        if sample.z.size:
+                            preds = hclass.labels[:, sample.rows]
+                            rho = (preds[list(before)] != preds[erm_index]).mean(axis=1)
                         else:
                             rho = np.zeros(len(before))
                         slack_of = {
-                            index: math.inf if math.isinf(rec.sigma_value)
-                            else gamma0 * (rec.sigma_value + math.sqrt(rec.sigma_value * r))
+                            index: math.inf if math.isinf(sigma_value)
+                            else gamma0 * (sigma_value + math.sqrt(sigma_value * r))
                             for index, r in zip(before, rho.tolist())
                         }
                         expected = prune_by_threshold(before, losses, lambda i, best: slack_of[i])
-                        assert expected == rec.candidates_after
-                        pruned += len(rec.candidates_after) < len(rec.candidates_before)
+                        assert expected == after
+                        pruned += len(after) < len(before)
         assert pruned > 20
 
     def test_final_classifier_comes_from_last_candidate_set(self):
         inst, logged, online = self._world(3)
-        cfg = AlgoConfig(mode="exact", gamma0=0.5, record_iterations=True)
+        cfg = AlgoConfig(mode="exact", gamma0=0.5)
         res = run_idbal(logged, online, inst.logging_policy(), inst.classifiers, cfg, 3)
-        assert res.final_classifier.index in res.iterations[-1].candidates_after
+        assert res.trace[-1].classifier is res.final_classifier
+        assert res.final_classifier.index in res.trace[-1].candidates
 
     def test_inference_points_have_unanimous_candidates(self):
         # a label is imputed only outside the current disagreement region,
-        # where by definition every surviving candidate predicts alike
+        # where by definition every surviving candidate predicts alike; the
+        # set active over a segment is the one the next trace point was
+        # chosen from
         for seed in range(6):
             inst, logged, online = self._world(seed, m=600, n=63)
-            cfg = AlgoConfig(mode="exact", gamma0=0.5, record_iterations=True)
+            cfg = AlgoConfig(mode="exact", gamma0=0.5)
             res = run_idbal(logged, online, inst.logging_policy(), inst.classifiers, cfg, seed)
-            # candidate sets only shrink, so unanimity inside the final set
-            # is implied by unanimity inside whichever set was active at the
-            # moment of inference; asserting on the final set is sufficient
-            final_set = res.iterations[-1].candidates_after
-            for decision, ex in zip(res.decisions, online):
-                if decision == INFER:
-                    column = inst.classifiers.labels[list(final_set), inst.classifiers.positions([ex.x])[0]]
-                    assert column.min() == column.max()
+            positions = inst.classifiers.positions([ex.x for ex in online])
+            inferred = 0
+            for point, after in zip(res.trace, res.trace[1:]):
+                for j in range(point.consumed, after.consumed):
+                    if res.decisions[j] == INFER:
+                        column = inst.classifiers.labels[list(after.candidates), positions[j]]
+                        assert column.min() == column.max()
+                        inferred += 1
+            assert inferred == res.inferred_count
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_trace_carries_the_candidate_sets(self, name):
+        # exact mode: V_0 is the whole class, each set lies inside the one
+        # before and holds its own point's classifier; practical mode has none
+        runner = ALGORITHMS[name]
+        cfg, shrunk = AlgoConfig(mode="exact", gamma0=0.5), 0
+        for seed in range(4):
+            inst, logged, online = self._world(seed)
+            for stream in (online, online[:0]):
+                res = runner(logged, stream, inst.logging_policy(), inst.classifiers, cfg, seed)
+                assert res.trace[0].candidates == tuple(range(len(inst.classifiers)))
+                for before, point in zip(res.trace, res.trace[1:]):
+                    assert set(point.candidates) <= set(before.candidates)
+                for point in res.trace:
+                    assert point.classifier.index in point.candidates
+                shrunk += len(res.trace[-1].candidates) < len(inst.classifiers)
+        assert (shrunk > 0) == (name != "passive")
+        split, policy, logged = _practical_setup(7)
+        cfg = AlgoConfig(mode="practical", capacity=40.96, eta=0.0064)
+        for stream in (split.online[:64], split.online[:0]):
+            res = runner(logged, stream, policy, LinearModel.zeros(6), cfg, 0)
+            assert [p.candidates for p in res.trace] == [None] * len(res.trace)
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_exact_mode_demands_finite_class(self, name):

@@ -63,6 +63,28 @@ class TestDiscreteInstance:
             rows = {tuple(row) for row in inst.classifiers.labels}
             assert len(rows) == len(inst.classifiers)
 
+    @pytest.mark.parametrize(
+        "sizes, argument",
+        [
+            ({"pool_size": 0}, "pool_size"),
+            ({"pool_size": -2}, "pool_size"),
+            ({"pool_size": 129}, "pool_size"),
+            ({"class_size": 0}, "class_size"),
+            ({"class_size": -1}, "class_size"),
+        ],
+        ids=["empty-pool", "negative-pool", "pool-over-128", "empty-class", "negative-class"],
+    )
+    def test_bad_sizes_name_the_argument(self, sizes, argument):
+        # masses are whole 1/128 units, at least one per pool point
+        with pytest.raises(ValueError, match=argument):
+            random_instance(0, **sizes)
+
+    def test_size_limits_accepted(self):
+        for pool_size, class_size in ((1, 1), (1, 2), (128, 3)):
+            inst = random_instance(0, pool_size=pool_size, class_size=class_size)
+            assert len(inst.pool) == pool_size and len(inst.classifiers) == class_size
+            assert np.all(inst.masses >= 1.0 / 128.0) and inst.masses.sum() == 1.0
+
     @pytest.mark.parametrize("field", ["masses", "p1", "q0"])
     def test_non_finite_entries_rejected(self, field):
         inst = _hand_instance()
