@@ -9,24 +9,23 @@ Subcommands:
 
 All subcommands accept --config FILE with flat 'key = value' lines, and any
 config key can be overridden inline as '--key value' (e.g. --seed 7
---policy.name uniform). gen-data's and verify's short flags (--count,
---trials, ...) are other names for their keys and override the file too.
-Output defaults to ./out or $IDBAL_OUTDIR.
+--policy.name uniform); that is the only way to set a key on the command
+line. gen-data reads only the data.* keys. Output defaults to ./out or
+$IDBAL_OUTDIR.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from .data import SyntheticSpec, format_sparse_dataset, generate_synthetic
 from .harness import (
-    CONFIG_KEYS,
     ProtocolResult,
     apply_overrides,
     config_to_experiment,
     config_values,
-    default_output_dir,
     load_dataset,
     parse_config_text,
     prepare_repeat,
@@ -42,19 +41,20 @@ from .hypotheses import classification_error
 from .learners import ALGORITHMS, AlgoConfig
 from .oracle import run_verification_suite
 
+OUTPUT_DIR_ENV = "IDBAL_OUTDIR"
+
 
 def _load_config(args: argparse.Namespace, extra: list[str]) -> dict[str, str]:
-    """The config file's keys, overridden by the inline ones: first the short
-    flags (whose dest is a config key), then the '--key value' pairs."""
+    """The config file's keys, overridden by the inline '--key value' pairs."""
     config: dict[str, str] = {}
     if args.config:
         config = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-    flags = [item for key, value in vars(args).items() if key in CONFIG_KEYS for item in (f"--{key}", value)]
-    return apply_overrides(config, flags + extra)
+    return apply_overrides(config, extra)
 
 
 def _out_dir(config: dict[str, str]) -> Path:
-    return config_values(config, "output").get("out") or default_output_dir()
+    """The out key, else $IDBAL_OUTDIR, else ./out."""
+    return config_values(config, "output").get("out") or Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
 
 
 def _cmd_gen_data(args: argparse.Namespace, extra: list[str]) -> int:
@@ -64,7 +64,8 @@ def _cmd_gen_data(args: argparse.Namespace, extra: list[str]) -> int:
     out_path = Path(args.target)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(format_sparse_dataset(data), encoding="utf-8")
-    print(f"wrote {len(data)} examples ({spec.dim} features) to {out_path}")
+    # only the data.* keys reach the spec: the master seed (--seed) is not data.seed
+    print(f"wrote {len(data)} examples ({spec.dim} features, data.seed {spec.seed}) to {out_path}")
     return 0
 
 
@@ -73,8 +74,7 @@ def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
     run = config_values(config, "run")
     algorithm = run.get("algorithm", "idbal")
     if algorithm not in ALGORITHMS:
-        print(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}")
     # split, logging and seed come from the same reader a sweep uses
     experiment = config_to_experiment(config)
     algo = AlgoConfig(**config_values(config, "algo"))
@@ -153,13 +153,6 @@ def _cmd_report(args: argparse.Namespace, extra: list[str]) -> int:
     return 0
 
 
-def _add_aliases(parser: argparse.ArgumentParser, *pairs: tuple[str, str]) -> None:
-    """Short flags that are other names for config keys: no defaults of
-    their own, and like '--key value' they override the config file."""
-    for flag, key in pairs:
-        parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, help=f"same as --{key}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idbal",
@@ -167,32 +160,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "benchmarks, single runs, and verification checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="FILE", help="flat 'key = value' config file")
 
-    gen = sub.add_parser("gen-data", help="write a synthetic sparse dataset")
+    gen = sub.add_parser("gen-data", parents=[config], help="write a synthetic sparse dataset")
     gen.add_argument("--out", dest="target", metavar="FILE", required=True, help="output text file")
-    _add_aliases(gen, ("--count", "data.count"), ("--dim", "data.dim"), ("--flip-prob", "data.flip_prob"),
-                 ("--seed", "data.seed"))
-    gen.add_argument("--config")
     gen.set_defaults(func=_cmd_gen_data)
 
-    run = sub.add_parser("run", help="run one algorithm on one split")
-    run.add_argument("--config")
+    run = sub.add_parser("run", parents=[config], help="run one algorithm on one split")
     run.set_defaults(func=_cmd_run)
 
-    sweep = sub.add_parser("sweep", help="paired benchmark over the parameter grid")
-    sweep.add_argument("--config")
+    sweep = sub.add_parser("sweep", parents=[config], help="paired benchmark over the parameter grid")
     sweep.add_argument("--quick", action="store_true",
                        help="small grids, fewer repeats, two extra small datasets")
     sweep.set_defaults(func=_cmd_sweep)
 
-    verify = sub.add_parser("verify", help="estimator and region self-checks")
-    verify.add_argument("--config")
-    _add_aliases(verify, ("--fixtures", "verify.fixtures"), ("--trials", "verify.trials"))
+    verify = sub.add_parser("verify", parents=[config], help="estimator and region self-checks")
     verify.set_defaults(func=_cmd_verify)
 
-    rep = sub.add_parser("report", help="rebuild CSV reports from records.json")
+    rep = sub.add_parser("report", parents=[config], help="rebuild CSV reports from records.json")
     rep.add_argument("--records", required=True)
-    rep.add_argument("--config")
     rep.set_defaults(func=_cmd_report)
     return parser
 

@@ -194,7 +194,7 @@ class SyntheticSpec:
             raise ValueError("flip_prob must be in [0, 0.5)")
 
 
-def parse_sparse_dataset(text: str | bytes) -> LabeledRows:
+def parse_sparse_dataset(text: str) -> LabeledRows:
     """Parse 'label index:value index:value ...' lines into rows.
 
     Labels may be {0,1} or {-1,+1} (mixed is fine); -1 maps to 0. Indices are
@@ -205,8 +205,6 @@ def parse_sparse_dataset(text: str | bytes) -> LabeledRows:
     order, so the matrix is as wide as the largest index with a non-zero
     value, plus the bias column.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     labels: list[int] = []
     indptr, indices, values = [0], [], []
     for line_number, raw in enumerate(text.split("\n"), start=1):

@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -85,19 +84,12 @@ __all__ = [
     "config_values",
     "apply_overrides",
     "config_to_experiment",
-    "default_output_dir",
 ]
 
 DEFAULT_CAPACITY_GRID: tuple[float, ...] = tuple(0.01 * 2**k for k in range(0, 19, 2))
 DEFAULT_ETA_GRID: tuple[float, ...] = tuple(0.0001 * 2**k for k in range(0, 19, 2))
 QUICK_CAPACITY_GRID: tuple[float, ...] = tuple(0.01 * 2**k for k in (0, 6, 12, 18))
 QUICK_ETA_GRID: tuple[float, ...] = tuple(0.0001 * 2**k for k in (0, 6, 12, 18))
-
-OUTPUT_DIR_ENV = "IDBAL_OUTDIR"
-
-
-def default_output_dir() -> Path:
-    return Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
 
 
 @dataclass(frozen=True)
@@ -204,8 +196,6 @@ class BestChoice:
 @dataclass(frozen=True)
 class ProtocolResult:
     records: tuple[RunRecord, ...]
-    curves: dict
-    aucs: dict
     best: dict
 
 
@@ -408,16 +398,6 @@ def auc(points: Sequence[CurvePoint]) -> float:
     return total
 
 
-# worked example kept next to the implementation: area of the three-point
-# curve below is 0.5*(1.0+0.5)*10 + 0.5*(0.5+0.25)*20 = 7.5 + 7.5
-EXAMPLE_CURVE: tuple[CurvePoint, ...] = (
-    CurvePoint(0, 0.0, 1.0),
-    CurvePoint(1, 10.0, 0.5),
-    CurvePoint(2, 30.0, 0.25),
-)
-EXAMPLE_CURVE_AREA: float = 15.0
-
-
 def grid_order(capacity: float | None, eta: float) -> tuple[float, float]:
     """Sort key of a grid point: passive's None capacity first, then C,
     then eta. Best-point ties and report rows both follow it."""
@@ -567,14 +547,14 @@ def records_from_json(text: str) -> tuple[RunRecord, ...]:
 
 
 def rebuild_result(records: Iterable[RunRecord]) -> ProtocolResult:
-    """Recompute curves, AUCs, and best choices from raw records."""
+    """Recompute each grid point's curve and AUC from raw records, and
+    keep each (dataset, algorithm)'s best choice."""
     records_tuple = tuple(records)
-    curves = aggregate_curves(records_tuple)
-    aucs = {key: auc(points) for key, points in curves.items()}
+    aucs = {key: auc(points) for key, points in aggregate_curves(records_tuple).items()}
     best = {}
     for dataset, algorithm in sorted({(r.dataset, r.algorithm) for r in records_tuple}):
         best[(dataset, algorithm)] = best_auc(aucs, dataset, algorithm)
-    return ProtocolResult(records=records_tuple, curves=curves, aucs=aucs, best=best)
+    return ProtocolResult(records=records_tuple, best=best)
 
 
 # --- flat key = value configuration ---------------------------------------

@@ -277,11 +277,10 @@ def prune_candidates(candidates: np.ndarray, losses: np.ndarray, slack) -> np.nd
     return candidates[kept]
 
 
-def exact_dis_test(hypothesis_class: FiniteClass, candidates: np.ndarray, positions: np.ndarray | slice) -> np.ndarray:
-    """Mask over the given pool positions (an index array, or a slice such
-    as the whole pool's): True where some pair of candidate members
+def exact_dis_test(hypothesis_class: FiniteClass, candidates: np.ndarray) -> np.ndarray:
+    """Mask over the pool: True where some pair of candidate members
     disagrees."""
-    columns = hypothesis_class.labels[candidates][:, positions]
+    columns = hypothesis_class.labels[candidates]
     return columns.min(axis=0) != columns.max(axis=0)
 
 

@@ -87,8 +87,8 @@ def plan_partition(m: int, n: int) -> PartitionPlan:
     K = ceil(log2(n + 1)); online sizes are 1, 2, 4, ... with the last
     truncated so they sum to n; logged sizes are floor(alpha * n_k) with the
     slack folded into m_0, so they always sum to m. alpha < 1 (more online
-    than two-thirds of the logged mass) is allowed but makes the debiasing
-    rule vacuous, so it draws a warning.
+    than two-thirds of the logged mass) is allowed; it makes the debiasing
+    rule vacuous, which run_idbal warns about.
     """
     if m < 3:
         raise ValueError(f"need at least 3 logged examples, got {m}")
@@ -100,11 +100,6 @@ def plan_partition(m: int, n: int) -> PartitionPlan:
     n_parts = [2 ** (k - 1) for k in range(1, K + 1)]
     n_parts[-1] = n - sum(n_parts[:-1])
     alpha = 2.0 * m / (3.0 * n)
-    if alpha < 1.0:
-        warnings.warn(
-            f"alpha = 2m/3n = {alpha:.4g} < 1: the debiasing rule never skips",
-            stacklevel=2,
-        )
     m_rest = [int(alpha * nk) for nk in n_parts]
     m_parts = [m - sum(m_rest)] + m_rest
     return PartitionPlan(K=K, n_parts=tuple(n_parts), m_parts=tuple(m_parts), alpha=alpha)
@@ -217,7 +212,7 @@ class _ExactSteps:
         rho = (hclass.labels[self.candidates] != hclass.labels[erm_index]) @ counts / max(sample.z.size, 1)
         slack = delta_bound(sigma_value, rho, self.cfg.gamma0)
         self.candidates = prune_candidates(self.candidates, self.losses, slack)
-        pool_mask = exact_dis_test(hclass, self.candidates, slice(None))
+        pool_mask = exact_dis_test(hclass, self.candidates)
         xi_next = float(self.pool_q0[pool_mask].min()) if pool_mask.any() else 1.0
         positions = self.store.rows[segment]
         return xi_next, pool_mask[positions], hclass.labels[erm_index, positions]
@@ -305,6 +300,13 @@ def _run_disagreement_core(
     m, n = len(logged), len(online)
     plan = plan_partition(m, n)
     K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
+    if debias and alpha < 1.0:
+        # stacklevel 3 is the caller of run_idbal, the only runner that debiases
+        warnings.warn(
+            f"alpha = 2m/3n = {alpha:.4g} < 1 for m = {m} logged and n = {n} online points: the debiasing "
+            "rule never skips; fewer online or more logged points raise alpha",
+            stacklevel=3,
+        )
     steps = _STEPS[cfg.mode](hypothesis_space, cfg, logged, online, policy)
     store = steps.store
 

@@ -144,9 +144,6 @@ class TablePolicy(LoggingPolicy):
         except KeyError:
             raise ValueError("instance not covered by the table policy") from None
 
-    def __len__(self) -> int:
-        return len(self._table)
-
 
 def _checked(p: np.ndarray) -> np.ndarray:
     outside = ~((0.0 <= p) & (p <= 1.0))

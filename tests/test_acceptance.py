@@ -11,8 +11,6 @@ import pytest
 
 from idbal.data import FeatureVector, RowTable, SyntheticSpec, generate_synthetic, split_dataset
 from idbal.harness import (
-    EXAMPLE_CURVE,
-    EXAMPLE_CURVE_AREA,
     QUICK_CAPACITY_GRID,
     QUICK_ETA_GRID,
     CurvePoint,
@@ -236,12 +234,13 @@ class TestAcceptance:
             theirs = float(np.trapezoid(e_bar, n_bar))
             if theirs != 0.0:
                 worst = max(worst, abs(ours - theirs) / abs(theirs))
-        hand = auc(EXAMPLE_CURVE)
+        # worked example: 0.5*(1.0+0.5)*10 + 0.5*(0.5+0.25)*20 = 7.5 + 7.5
+        hand = auc((CurvePoint(0, 0.0, 1.0), CurvePoint(1, 10.0, 0.5), CurvePoint(2, 30.0, 0.25)))
         elapsed = time.time() - start
-        passed = worst <= 1e-12 and hand == EXAMPLE_CURVE_AREA and elapsed <= 5.0
+        passed = worst <= 1e-12 and hand == 15.0 and elapsed <= 5.0
         _verdict(9, "curve area oracle", passed,
                  f"worst relative gap {worst:.2e} over 1000 random curves "
-                 f"(need <= 1e-12), worked example {hand} == {EXAMPLE_CURVE_AREA}; "
+                 f"(need <= 1e-12), worked example {hand} == 15.0; "
                  f"{elapsed:.1f}s of 5s")
         assert passed
 

@@ -3,6 +3,7 @@ config file plumbing, inline overrides, and error exit codes."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import inspect
 import json
 import math
@@ -12,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from idbal import harness
-from idbal.cli import _out_dir, main
+from idbal.cli import OUTPUT_DIR_ENV, _out_dir, main
 from idbal.data import parse_sparse_dataset, row_keys
-from idbal.harness import CONFIG_KEYS, CONFIG_TABLE, OUTPUT_DIR_ENV, config_to_experiment
+from idbal.harness import CONFIG_KEYS, CONFIG_TABLE, config_to_experiment
 from idbal.learners import AlgoConfig
 from idbal.oracle import run_verification_suite
 
@@ -47,7 +48,7 @@ def sweep_out(tmp_path_factory):
 class TestGenData:
     def test_writes_parseable_dataset(self, tmp_path, capsys):
         target = tmp_path / "toy.txt"
-        code = main(["gen-data", "--out", str(target), "--count", "50", "--dim", "4", "--seed", "1"])
+        code = main(["gen-data", "--out", str(target), "--data.count", "50", "--data.dim", "4", "--data.seed", "1"])
         assert code == 0
         data = parse_sparse_dataset(target.read_text(encoding="utf-8"))
         assert len(data) == 50
@@ -64,9 +65,19 @@ class TestGenData:
         config = tmp_path / "gen.cfg"
         config.write_text("data.count = 30\ndata.dim = 3\n", encoding="utf-8")
         target = tmp_path / "toy.txt"
-        assert main(["gen-data", "--config", str(config), "--count", "50", "--out", str(target)]) == 0
+        assert main(["gen-data", "--config", str(config), "--data.count", "50", "--out", str(target)]) == 0
         assert len(parse_sparse_dataset(target.read_text(encoding="utf-8"))) == 50
-        assert "50 examples (3 features)" in capsys.readouterr().out
+        assert "50 examples (3 features, data.seed 0)" in capsys.readouterr().out
+
+    def test_data_seed_sets_the_draw_and_the_master_seed_does_not(self, tmp_path, capsys):
+        target, size = tmp_path / "toy.txt", ["--data.count", "50", "--data.dim", "4"]
+        assert main(["gen-data", *size, "--data.seed", "3", "--out", str(target)]) == 0
+        # the bytes the removed short flags '--count 50 --dim 4 --seed 3' wrote
+        assert hashlib.blake2b(target.read_bytes(), digest_size=8).hexdigest() == "513c648d749d5209"
+        assert "(4 features, data.seed 3)" in capsys.readouterr().out
+        # gen-data reads only the data.* keys: the master seed leaves data.seed at 0
+        assert main(["gen-data", *size, "--seed", "3", "--out", str(target)]) == 0
+        assert "(4 features, data.seed 0)" in capsys.readouterr().out
 
     def test_missing_out_flag_exits(self):
         with pytest.raises(SystemExit):
@@ -132,7 +143,8 @@ class TestRun:
         """Args for a run on a gen-data file under a table policy written over
         its rows' keys, all of them or all but row drop."""
         data_path = tmp_path / "data.txt"
-        assert main(["gen-data", "--out", str(data_path), "--count", "300", "--dim", "4", "--seed", "2"]) == 0
+        assert main(["gen-data", "--out", str(data_path), "--data.count", "300", "--data.dim", "4",
+                     "--data.seed", "2"]) == 0
         keys = row_keys(parse_sparse_dataset(data_path.read_text(encoding="utf-8")).matrix)
         table_path = tmp_path / "table.csv"
         lines = [f"{key},{0.25 + 0.5 * (i % 2)!r}" for i, key in enumerate(keys) if i != drop]
@@ -154,7 +166,7 @@ class TestRun:
 
     def test_unknown_algorithm_exits_two(self, tmp_path, capsys):
         assert main(self._args(tmp_path, "--algo.name", "boosting")) == 2
-        assert "unknown algorithm" in capsys.readouterr().err
+        assert "error: unknown algorithm 'boosting'" in capsys.readouterr().err
 
     def test_dangling_override_exits_two(self, tmp_path, capsys):
         assert main(["run", "--horizon"]) == 2
@@ -296,8 +308,8 @@ class TestVerify:
         code = main([
             "verify",
             "--seed", "0",
-            "--fixtures", "2",
-            "--trials", "2000",
+            "--verify.fixtures", "2",
+            "--verify.trials", "2000",
             "--out", str(tmp_path),
         ])
         assert code == 0
@@ -319,20 +331,20 @@ class TestVerify:
             return []
 
         monkeypatch.setattr("idbal.cli.run_verification_suite", suite)
-        args = ["verify", "--config", str(config), "--seed", "0", "--trials", "3000", "--out", str(tmp_path)]
+        args = ["verify", "--config", str(config), "--seed", "0", "--verify.trials", "3000", "--out", str(tmp_path)]
         assert main(args) == 0
         assert calls == [(0, 1, 3000)]
         capsys.readouterr()
 
     def test_output_dir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env-out"))
-        code = main(["verify", "--seed", "0", "--fixtures", "1", "--trials", "1000"])
+        code = main(["verify", "--seed", "0", "--verify.fixtures", "1", "--verify.trials", "1000"])
         assert code == 0
         assert (tmp_path / "env-out" / "checks.csv").exists()
         capsys.readouterr()
 
     def test_no_fixtures_exits_two(self, tmp_path, capsys):
-        code = main(["verify", "--fixtures", "-3", "--trials", "200", "--out", str(tmp_path)])
+        code = main(["verify", "--verify.fixtures", "-3", "--verify.trials", "200", "--out", str(tmp_path)])
         assert code == 2
         captured = capsys.readouterr()
         assert "error: fixtures must be at least 1, got -3" in captured.err
@@ -341,7 +353,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_too_few_trials_exits_two(self, tmp_path, capsys, trials):
-        code = main(["verify", "--fixtures", "2", "--trials", trials, "--out", str(tmp_path)])
+        code = main(["verify", "--verify.fixtures", "2", "--verify.trials", trials, "--out", str(tmp_path)])
         assert code == 2
         assert f"error: trials must be at least 1, got {trials}" in capsys.readouterr().err
         assert not (tmp_path / "checks.csv").exists()
@@ -359,6 +371,13 @@ class TestUnknownKeys:
         assert "unknown config key 'trails'" in captured.err
         assert "checks passed" not in captured.out
         assert not (tmp_path / "verify").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [("gen-data", "--count", "5"), ("verify", "--fixtures", "2")])
+    def test_short_flag_is_an_unknown_key(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        assert main([command, flag, value, "--out", str(out)]) == 2
+        assert f"unknown config key {flag[2:]!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_in_config_file_exits_two(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

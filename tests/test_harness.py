@@ -647,8 +647,7 @@ class TestReport:
     def test_rebuild_from_records(self, tiny_protocol):
         cfg, result = tiny_protocol
         rebuilt = rebuild_result(result.records)
-        assert rebuilt.best == result.best
-        assert rebuilt.curves == result.curves
+        assert rebuilt == result
 
 
 class TestConfigParsing:

@@ -606,12 +606,12 @@ class TestExactDisagreement:
         hclass, pool = _tiny_class()
         candidates = np.array([0, 2])
         # 0 vs 1 at pool point 1, both say 0 at pool point 0
-        assert exact_dis_test(hclass, candidates, np.array([1, 0])).tolist() == [True, False]
+        assert exact_dis_test(hclass, candidates)[[1, 0]].tolist() == [True, False]
 
     def test_singleton_never_disagrees(self):
         hclass, pool = _tiny_class()
         candidates = np.array([1])
-        assert not exact_dis_test(hclass, candidates, np.arange(len(pool))).any()
+        assert exact_dis_test(hclass, candidates).tolist() == [False] * len(pool)
 
 
 def _in_region(model: LinearModel, x: FeatureVector, *args) -> bool:

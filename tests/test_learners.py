@@ -69,9 +69,7 @@ class TestPartitionPlan:
         for _ in range(200):
             m = int(rng.integers(3, 4000))
             n = int(rng.integers(1, 3000))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                plan = plan_partition(m, n)
+            plan = plan_partition(m, n)
             assert sum(plan.m_parts) == m
             assert sum(plan.n_parts) == n
             assert len(plan.m_parts) == plan.K + 1
@@ -96,14 +94,25 @@ class TestPartitionPlan:
                 assert plan.m_parts[0] == m - j * n
 
     def test_alpha_below_one_warns(self):
-        with pytest.warns(UserWarning):
-            plan_partition(3, 100)
+        # plan_partition is arithmetic; run_idbal, the only runner with a skip
+        # rule, warns at its caller's line, and run_dbalwm does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert plan_partition(3, 100).alpha < 1.0
+        split, policy, logged = _practical_setup(4)
+        args = (logged[:9], split.online[:64], policy, LinearModel.zeros(6), AlgoConfig(capacity=0.64, eta=0.0064))
+        with pytest.warns(UserWarning, match="m = 9 logged and n = 64 online points") as caught:
+            run_idbal(*args)
+        assert [w.filename for w in caught] == [__file__]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_dbalwm(*args)
 
     def test_too_little_data_rejected(self):
         for m, n in ((2, 5), (2, 0), (9, -1)):
             with pytest.raises(ValueError):
                 plan_partition(m, n)
-        # an empty stream plans the warm fit alone, and has no alpha to warn about
+        # an empty stream plans the warm fit alone, at an infinite alpha
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             plan = plan_partition(9, 0)
