@@ -10,7 +10,8 @@ Subcommands:
 All subcommands accept --config FILE with flat 'key = value' lines, and any
 config key can be overridden inline as '--key value' (e.g. --seed 7
 --policy.name uniform); that is the only way to set a key on the command
-line. gen-data reads only the data.* keys. Output defaults to ./out or
+line. gen-data rejects every key but data.count, data.dim, data.flip_prob
+and data.seed. Output defaults to ./out or
 $IDBAL_OUTDIR.
 """
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from .data import SyntheticSpec, format_sparse_dataset, generate_synthetic
 from .harness import (
+    CONFIG_TABLE,
     ProtocolResult,
     apply_overrides,
     config_to_experiment,
@@ -59,12 +61,15 @@ def _out_dir(config: dict[str, str]) -> Path:
 
 def _cmd_gen_data(args: argparse.Namespace, extra: list[str]) -> int:
     config = _load_config(args, extra)
+    unread = sorted(key for key in config if CONFIG_TABLE[key][0] != "synthetic")
+    if unread:
+        raise ValueError(f"gen-data reads only data.count, data.dim, data.flip_prob and data.seed, "
+                         f"not {', '.join(map(repr, unread))}")
     spec = SyntheticSpec(**config_values(config, "synthetic"))
     data = generate_synthetic(spec)
     out_path = Path(args.target)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(format_sparse_dataset(data), encoding="utf-8")
-    # only the data.* keys reach the spec: the master seed (--seed) is not data.seed
     print(f"wrote {len(data)} examples ({spec.dim} features, data.seed {spec.seed}) to {out_path}")
     return 0
 

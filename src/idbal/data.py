@@ -93,12 +93,6 @@ class FeatureVector:
         """Canonical text form, also used as the instance id in table policies."""
         return " ".join(f"{i}:{v!r}" for i, v in self._items)
 
-    def __iter__(self) -> Iterator[tuple[int, float]]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FeatureVector) and self._items == other._items
 
@@ -133,7 +127,6 @@ class Example:
 
 class LabelSource(Enum):
     QUERIED = "queried"
-    INFERRED = "inferred"
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,8 +134,8 @@ class LoggedTriple:
     """An instance with a reveal bit; the label exists only when z = 1.
 
     label_source records where a revealed label came from: the labeler
-    (QUERIED, the default when z = 1) or a prediction (INFERRED). The
-    learners build no records, so their inferred labels never appear here.
+    (QUERIED, the default and only source when z = 1). The learners build
+    no records, so their inferred labels never appear here.
     """
 
     x: FeatureVector

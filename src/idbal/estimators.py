@@ -82,10 +82,11 @@ def mis_error(predictions, sample: WeightedSample) -> float:
     """Sum of 1{h(x) != y} * z / denominator over the sample's records, given
     the predictions h(x), one 0/1 label per record.
 
-    Unbiased for the true error when denominators are m*q0(x) + n*q1(x) and
-    never smaller in variance than either single-phase weighting. Summed in
-    record order (cumsum, unlike np.sum's pairwise order), so it equals a
-    per-record loop bit for bit.
+    Unbiased for the true error when denominators are m*q0(x) + n*q1(x);
+    its variance was never larger than the per-phase weighting's on any
+    seeded exact-mode world measured, which is a measurement, not a proof.
+    Summed in record order (cumsum, unlike np.sum's pairwise order), so it
+    equals a per-record loop bit for bit.
     """
     predictions = np.asarray(predictions)
     if predictions.shape != sample.z.shape:
@@ -98,7 +99,8 @@ def mis_error(predictions, sample: WeightedSample) -> float:
 def sigma(sizes: tuple[int, int], xi: float, hypothesis_count: int, delta: float) -> float:
     """Deviation scale ln(hypothesis_count / delta) / (m*xi + n) where xi
     lower-bounds the logging propensity over the region of interest and
-    delta is the failure probability."""
+    delta is the failure probability. With no effective sample (m*xi + n =
+    0) nothing is known, and the scale is +inf."""
     m, n = sizes
     if m < 0 or n < 0:
         raise ValueError("phase sizes cannot be negative")
@@ -109,8 +111,8 @@ def sigma(sizes: tuple[int, int], xi: float, hypothesis_count: int, delta: float
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     denominator = m * xi + n
-    if denominator <= 0.0:
-        raise ValueError("zero effective sample size (empty-segment configuration)")
+    if denominator == 0.0:
+        return math.inf
     return math.log(hypothesis_count / delta) / denominator
 
 

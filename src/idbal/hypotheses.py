@@ -17,7 +17,7 @@ import math
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -159,10 +159,9 @@ def ogd_update(model: LinearModel, rows: RowTable, labels, importance_weights, e
 @dataclass(frozen=True, slots=True)
 class TableClassifier:
     """A single member of a FiniteClass, by index: its predictions on the
-    class's pool are the owner's labels[index] row. Members of one class
-    are equal when their indices are; a class equals only itself."""
+    class's pool are the class's labels[index] row. Members are equal when
+    their indices are."""
 
-    owner: "FiniteClass" = field(repr=False)
     index: int
 
 
@@ -191,11 +190,10 @@ class FiniteClass:
         self.pool: tuple[FeatureVector, ...] = tuple(pool)
         self.labels: np.ndarray = table.astype(np.int8)
         self.labels.flags.writeable = False  # the mistake table below is derived from it
-        self._positions: dict[FeatureVector, int] = {x: i for i, x in enumerate(self.pool)}
-        if len(self._positions) != len(self.pool):
+        if len(set(self.pool)) != len(self.pool):
             raise ValueError("pool instances must be distinct")
         # the pool holds its objects, so their ids stay unique while it lives
-        self._positions_by_id: dict[int, int] = {id(x): i for i, x in enumerate(self.pool)}
+        self._positions: dict[int, int] = {id(x): i for i, x in enumerate(self.pool)}
         # parsed from the canonical keys, so row_keys(rows) gives them back
         self._rows = parse_sparse_dataset("".join(f"0 {x.key()}\n" for x in self.pool)).matrix
         self._mistakes = np.stack((self.labels != 0, self.labels != 1), axis=2).reshape(len(self), -1)
@@ -215,18 +213,15 @@ class FiniteClass:
     def member(self, index: int) -> TableClassifier:
         if not 0 <= index < len(self):
             raise ValueError(f"member index {index} out of range")
-        return TableClassifier(self, index)
+        return TableClassifier(index)
 
     def positions(self, instances: Sequence[FeatureVector]) -> np.ndarray:
-        """Pool positions of the instances: the pool's own objects are found
-        by identity, without hashing; an equal copy falls back to a hashed
-        lookup, and an instance outside the pool is a ValueError."""
-        found = list(map(self._positions_by_id.get, map(id, instances)))
+        """Pool positions of the instances, which must be the pool's own
+        objects: they are found by identity, without hashing, so any other
+        object, an equal copy too, is a ValueError."""
+        found = list(map(self._positions.get, map(id, instances)))
         if None in found:
-            try:
-                found = [self._positions[x] if i is None else i for x, i in zip(instances, found)]
-            except KeyError:
-                raise ValueError("instance is not in the class's pool") from None
+            raise ValueError("instance is not in the class's pool (an equal copy is not a pool object)")
         return np.array(found, dtype=np.intp)
 
 
@@ -252,10 +247,9 @@ def weighted_losses(hypothesis_class: FiniteClass, sample: WeightedSample, candi
     candidates (sorted member indices), read off the class's mistake table
     at each revealed record's code 2 * position + label. The gathered
     (candidates x records) bool matrix is C-contiguous, as a gather from
-    labels would be, so the product sums each loss in the same order."""
+    labels would be, so the product sums each loss in the same order. A
+    sample with no revealed record gathers no column, so every loss is 0."""
     live = sample.z == 1
-    if not live.any():
-        return np.zeros(len(candidates))
     codes = 2 * sample.rows[live] + sample.y[live]
     return np.take(hypothesis_class.mistakes[candidates], codes, axis=1) @ (1.0 / sample.denominator[live])
 

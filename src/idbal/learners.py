@@ -173,7 +173,7 @@ class _ExactSteps:
     set (sorted member indices), which then keeps the members within the
     deviation slack of it; the region is the pool points where the survivors
     disagree. The store holds the logged triples then the online Examples;
-    its rows, which samples hold, are their pool positions, hashed once."""
+    its rows, which samples hold, are their pool positions, looked up once."""
 
     def __init__(self, hclass: FiniteClass, cfg: AlgoConfig, logged, online, policy: LoggingPolicy):
         if not isinstance(hclass, FiniteClass):
@@ -202,10 +202,8 @@ class _ExactSteps:
         predictions) at the store's online records in segment."""
         hclass, erm_index = self.hclass, self.erm_index
         delta_k = DELTA / ((k + 1) * (k + 2))
-        if sample.m * xi + sample.n > 0.0:
-            sigma_value = sigma((sample.m, sample.n), xi, len(hclass), delta_k / 2.0)
-        else:
-            sigma_value = math.inf
+        # no effective sample makes sigma, hence every slack, infinite: all stay
+        sigma_value = sigma((sample.m, sample.n), xi, len(hclass), delta_k / 2.0)
         # each member's share of the sample it labels unlike the ERM: an exact
         # integer over the sample size, as a mean gives, and 0 on no sample
         counts = np.bincount(sample.rows, minlength=len(hclass.pool))

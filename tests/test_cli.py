@@ -75,9 +75,24 @@ class TestGenData:
         # the bytes the removed short flags '--count 50 --dim 4 --seed 3' wrote
         assert hashlib.blake2b(target.read_bytes(), digest_size=8).hexdigest() == "513c648d749d5209"
         assert "(4 features, data.seed 3)" in capsys.readouterr().out
-        # gen-data reads only the data.* keys: the master seed leaves data.seed at 0
-        assert main(["gen-data", *size, "--seed", "3", "--out", str(target)]) == 0
-        assert "(4 features, data.seed 0)" in capsys.readouterr().out
+        # gen-data reads only data.count/dim/flip_prob/seed: the master seed is
+        # an error, named, and nothing is written
+        stray = tmp_path / "stray.txt"
+        assert main(["gen-data", *size, "--seed", "3", "--out", str(stray)]) == 2
+        assert "not 'seed'" in capsys.readouterr().err and not stray.exists()
+
+    # inline --out is gen-data's own target flag, so the out key comes from a file
+    @pytest.mark.parametrize(
+        "key, where",
+        [("policy.name", "inline"), ("data.source", "inline"), ("repeats", "inline"),
+         ("policy.name", "file"), ("out", "file")],
+    )
+    def test_unread_key_exits_two_before_writing(self, tmp_path, capsys, key, where):
+        target, config = tmp_path / "toy.txt", tmp_path / "gen.cfg"
+        config.write_text("data.count = 30\n" + (f"{key} = uniform\n" if where == "file" else ""), encoding="utf-8")
+        inline = [f"--{key}", "uniform"] if where == "inline" else []
+        assert main(["gen-data", "--config", str(config), *inline, "--out", str(target)]) == 2
+        assert f"not {key!r}" in capsys.readouterr().err and not target.exists()
 
     def test_missing_out_flag_exits(self):
         with pytest.raises(SystemExit):
@@ -111,6 +126,17 @@ class TestRun:
     def test_passive_runs_too(self, tmp_path, capsys):
         assert main(self._args(tmp_path, "--algo.name", "passive")) == 0
         assert "algorithm passive" in capsys.readouterr().out
+
+    def test_readme_example_prints_what_the_readme_says(self, tmp_path, capsys):
+        # the README shows this command and says it skips 91 of its 256 points;
+        # a change to that output must update the README too
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        args = ["run", "--algo.name", "idbal", "--algo.capacity", "2621.44", "--algo.eta", "0.0064",
+                "--data.count", "2400", "--data.dim", "10", "--policy.name", "uniform", "--horizon", "256"]
+        assert "idbal " + " ".join(args) in re.sub(r"\\\n\s*", "", readme)
+        assert "skips 91 of its 256 points" in " ".join(readme.split())
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        assert "algorithm idbal: 160 queries, 5 inferred, 91 skipped" in capsys.readouterr().out
 
     def test_matches_the_sweep_at_the_same_grid_point(self, sweep_out, tmp_path):
         # run and sweep make a grid point's run through one path, so the

@@ -103,7 +103,7 @@ class TestRecords:
 
     def test_records_are_slotted_and_pickle(self):
         x = FeatureVector({1: 1.0, 3: -2.5})
-        records = [Example(x, 1), LoggedTriple(x, 0), LoggedTriple(x, 1, 0), LoggedTriple(x, 1, 1, LabelSource.INFERRED)]
+        records = [Example(x, 1), LoggedTriple(x, 0), LoggedTriple(x, 1, 0)]
         for record in records:
             assert not hasattr(record, "__dict__")
             back = pickle.loads(pickle.dumps(record))

@@ -156,9 +156,12 @@ class TestBounds:
         # ln(8 / 0.5) / (2 * 1 + 2) = ln(16) / 4
         np.testing.assert_allclose(sigma((2, 2), 1.0, 8, 0.5), math.log(16.0) / 4.0)
 
-    def test_sigma_zero_mass_rejected(self):
-        with pytest.raises(ValueError):
-            sigma((0, 0), 0.5, 4, 0.5)
+    def test_sigma_zero_mass_is_infinite(self):
+        # no effective sample, from no records or from a zero floor on the
+        # logged ones, bounds nothing: the slack is infinite, not NaN
+        for sizes, xi in (((0, 0), 0.5), ((40, 0), 0.0)):
+            assert sigma(sizes, xi, 4, 0.5) == math.inf
+            assert delta_bound(sigma(sizes, xi, 4, 0.5), 0.3, 1.0) == math.inf
 
     def test_sigma_decreasing_in_sample_size(self):
         values = [sigma((m, m), 0.5, 8, 0.1) for m in (1, 2, 4, 8, 16)]

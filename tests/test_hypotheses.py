@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from idbal.data import Example, FeatureVector, LabeledRows, RowTable, SplitRows, parse_sparse_dataset, row_keys
-from idbal.estimators import WeightedSample
+from idbal.estimators import WeightedSample, mis_error
 import idbal.hypotheses as hypotheses
 from idbal.hypotheses import (
     FiniteClass,
@@ -25,7 +25,9 @@ from idbal.hypotheses import (
     prune_candidates,
     weighted_losses,
 )
+from idbal.oracle import random_instance
 from idbal.policies import margins
+from idbal.rng import derive_rng
 
 from reference import (
     csr_pass,
@@ -417,13 +419,11 @@ class TestFiniteClass:
         assert hclass.labels[hclass.member(2).index, position] == 1
         assert hclass.labels[hclass.member(0).index, position] == 0
 
-    def test_members_compare_by_class_and_index(self):
-        hclass, pool = _tiny_class()
-        twin = FiniteClass(pool, hclass.labels)
+    def test_members_compare_by_index(self):
+        hclass, _ = _tiny_class()
         member = hclass.member(2)
         assert member == hclass.member(2) and hash(member) == hash(hclass.member(2))
-        assert member != hclass.member(1) and member != twin.member(2)
-        assert member.owner is hclass and member.index == 2
+        assert member != hclass.member(1) and member.index == 2
         assert repr(member) == "TableClassifier(index=2)"
         with pytest.raises(AttributeError):
             member.index = 1
@@ -438,9 +438,11 @@ class TestFiniteClass:
     def test_positions_of_pool_objects_and_equal_copies(self):
         hclass, pool = _tiny_class()
         assert hclass.positions([pool[2], pool[0], pool[2]]).tolist() == [2, 0, 2]
+        # only the pool's own objects are found: an equal copy is not one
         copy = FeatureVector({1: 2.0})
         assert copy is not pool[1] and copy == pool[1]
-        assert hclass.positions([pool[3], copy]).tolist() == [3, 1]
+        with pytest.raises(ValueError, match="not in the class's pool"):
+            hclass.positions([pool[3], copy])
         assert hclass.positions([]).dtype == np.intp
 
     def test_rows_hold_the_pool_by_key(self):
@@ -599,6 +601,31 @@ class TestErmAndCandidates:
             expected = gathered_losses(hclass, sample, candidates)
             assert losses.dtype == expected.dtype and losses.shape == (count,)
             assert losses.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("weighting", ["balanced", "phase"])
+    def test_losses_are_each_members_estimate(self, weighting):
+        # the exact ERM ranks members by weighted_losses, the oracle's
+        # unbiasedness checks read mis_error: they must be one estimate. The
+        # two sum in different orders, so they agree to rounding, not bits
+        checked = 0
+        for seed in range(20):
+            inst = random_instance(seed, pool_size=8, class_size=32, force_low_propensity=seed % 2 == 1)
+            hclass, rng = inst.classifiers, derive_rng(seed, "losses-are-estimates")
+            for m, n in ((400, 0), (1000, 127), (60, 255)):
+                rows = rng.choice(len(inst.pool), m + n, p=inst.masses)
+                q1 = rng.uniform(0.05, 1.0, len(inst.pool))[rows]
+                z = np.concatenate((rng.random(m) < inst.q0[rows[:m]], rng.random(n) < q1[m:]))
+                y = rng.random(m + n) < inst.p1[rows]
+                if weighting == "balanced":
+                    sample = WeightedSample.balanced(rows, z, y, inst.q0[rows], q1, m, n)
+                else:
+                    own = np.where(np.arange(m + n) < m, inst.q0[rows], q1)
+                    sample = WeightedSample.phase_weighted(rows, z, y, own, m, n)
+                losses = weighted_losses(hclass, sample, np.arange(len(hclass)))
+                estimates = [mis_error(hclass.labels[h, sample.rows], sample) for h in range(len(hclass))]
+                np.testing.assert_allclose(losses, estimates, rtol=1e-12, atol=0.0)
+                checked += len(hclass)
+        assert checked == 20 * 3 * 32
 
 
 class TestExactDisagreement:

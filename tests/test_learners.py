@@ -13,7 +13,7 @@ import pytest
 from idbal import learners
 from idbal.data import SplitRows, SyntheticSpec, apply_logging, generate_synthetic, parse_sparse_dataset, split_dataset
 from idbal.harness import PolicySpec, RepeatData, log_split, prepare_repeat
-from idbal.estimators import delta_bound
+from idbal.estimators import delta_bound, sigma
 from idbal.hypotheses import LinearModel, classification_error, prune_candidates, weighted_losses
 from idbal.learners import (
     ALGORITHMS,
@@ -29,7 +29,7 @@ from idbal.learners import (
     run_idbal,
     run_passive,
 )
-from idbal.oracle import random_instance
+from idbal.oracle import dis_region, random_instance
 from idbal.policies import (
     IdenticalPolicy,
     MarginPolicy,
@@ -432,7 +432,6 @@ class TestExactRuns:
         res = run_passive((), online, inst.logging_policy(), inst.classifiers, cfg, 1)
         assert res.query_count == len(online) and res.decisions == (QUERY,) * len(online)
         assert 0 <= res.final_classifier.index < len(inst.classifiers)
-        assert res.final_classifier.owner is inst.classifiers
 
     @pytest.mark.parametrize("runner", [run_idbal, run_passive])
     @pytest.mark.parametrize(
@@ -470,6 +469,61 @@ class TestExactRuns:
         assert a.decisions == b.decisions
         assert a.final_classifier.index == b.final_classifier.index
         assert a.skipped_count == 0
+
+    def test_decisions_follow_the_oracle_geometry(self):
+        # the paper's rule point by point: over segment k the learner holds
+        # V = trace[k+1].candidates, whose disagreement region and propensity
+        # floor the oracle gives. A point is skipped iff the learner debiases
+        # and its q0 exceeds the floor by more than 1/alpha; otherwise it is
+        # queried inside the region and inferred outside it
+        m, n = 1000, 127
+        plan = plan_partition(m, n)
+        seen = {QUERY: 0, INFER: 0, SKIP: 0}
+        for seed in range(30):
+            inst = random_instance(seed, pool_size=8, class_size=32, force_low_propensity=seed % 2 == 1)
+            rng = derive_rng(seed, "oracle-decisions")
+            logged, online = inst.draw_logged(rng, m), inst.draw_examples(rng, n)
+            where = {x: p for p, x in enumerate(inst.pool)}
+            points = [where[ex.x] for ex in online]
+            for gamma0 in (0.25, 1.0):
+                cfg = AlgoConfig(mode="exact", gamma0=gamma0)
+                for runner, debias in ((run_dbalw, False), (run_dbalwm, False), (run_idbal, True)):
+                    res = runner(logged, online, inst.logging_policy(), inst.classifiers, cfg, seed)
+                    expected, start = [], 0
+                    for k, size in enumerate(plan.n_parts):
+                        region = set(dis_region(inst, res.trace[k + 1].candidates))
+                        floor = min((inst.q0[p] for p in region), default=1.0)
+                        for p in points[start:start + size]:
+                            if debias and inst.q0[p] > floor + 1.0 / plan.alpha:
+                                expected.append(SKIP)
+                            else:
+                                expected.append(QUERY if p in region else INFER)
+                        start += size
+                    assert res.decisions == tuple(expected)
+                    for decision in expected:
+                        seen[decision] += 1
+        assert min(seen.values()) > 1000
+
+    @pytest.mark.parametrize("name", ["dbalw", "dbalwm", "idbal"])
+    def test_no_evidence_keeps_the_whole_class(self, name, monkeypatch):
+        # a pool point logged with q0 = 0 puts the first floor xi at 0, and
+        # the first sample has no online record, so m*xi + n = 0: sigma is
+        # infinite, so is every slack, and the first shrink keeps every member
+        sigmas = []
+
+        def sigma_spy(*args):
+            sigmas.append(sigma(*args))
+            return sigmas[-1]
+
+        monkeypatch.setattr(learners, "sigma", sigma_spy)
+        base = random_instance(3, pool_size=6, class_size=16)
+        inst = dataclasses.replace(base, q0=np.where(np.arange(6) == 2, 0.0, base.q0))
+        rng = derive_rng(3, "no-evidence")
+        logged, online = inst.draw_logged(rng, 400), inst.draw_examples(rng, 63)
+        cfg = AlgoConfig(mode="exact", gamma0=0.25)
+        res = ALGORITHMS[name](logged, online, inst.logging_policy(), inst.classifiers, cfg, 3)
+        assert sigmas[0] == math.inf and math.isfinite(sigmas[-1])
+        assert res.trace[1].candidates == tuple(range(len(inst.classifiers)))
 
     def test_runs_are_pinned(self):
         # blake2b-128 over every run's counts, final member and decisions on
