@@ -168,12 +168,48 @@ class RunResult:
     seed: int
 
 
+# The last exact store built from tuples: (hclass, logged, online, arrays).
+# It holds its key objects, so none of their ids is reused while it is kept.
+_last_store: tuple | None = None
+
+
+def _exact_store(hclass: FiniteClass, logged, online) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, z, y) over the logged triples then the online Examples: pool
+    positions, reveal bits and labels (0 where hidden). A call with the same
+    class and the same logged and online tuples, by identity, as the last
+    call gets that call's read-only arrays: a tuple of frozen records cannot
+    change, and positions go by the records' pool objects. Other sequences
+    are converted anew and not kept."""
+    global _last_store
+    last = _last_store
+    if last is not None and last[0] is hclass and last[1] is logged and last[2] is online:
+        return last[3]
+    for name, part, kind in (("logged", logged, LoggedTriple), ("online", online, Example)):
+        # a z = 0 triple among the online records would store its hidden label as a revealed 0
+        bad = next((i for i, r in enumerate(part) if not isinstance(r, kind)), None)
+        if bad is not None:
+            raise TypeError(f"{name} record {bad}: expected {kind.__name__}, got {type(part[bad]).__name__}")
+    records = (*logged, *online)
+    rows = hclass.positions([r.x for r in records])
+    # online Examples are always revealed; a z = 0 triple has y None, stored as 0
+    z = np.array([r.z for r in logged] + [1] * len(online), dtype=np.int8)
+    y = np.array([r.y or 0 for r in records], dtype=np.int8)
+    arrays = (rows, z, y)
+    if type(logged) is tuple and type(online) is tuple:
+        for a in arrays:
+            a.flags.writeable = False
+        _last_store = (hclass, logged, online, arrays)
+    return arrays
+
+
 class _ExactSteps:
     """Exact mode over a FiniteClass: the weighted ERM within the candidate
     set (sorted member indices), which then keeps the members within the
     deviation slack of it; the region is the pool points where the survivors
     disagree. The store holds the logged triples then the online Examples;
-    its rows, which samples hold, are their pool positions, looked up once."""
+    its rows, which samples hold, are their pool positions, looked up once
+    per (class, logged, online) tuple triple. The policy's q0 is read on
+    every run."""
 
     def __init__(self, hclass: FiniteClass, cfg: AlgoConfig, logged, online, policy: LoggingPolicy):
         if not isinstance(hclass, FiniteClass):
@@ -181,11 +217,7 @@ class _ExactSteps:
         self.hclass = hclass
         self.cfg = cfg
         self.pool_q0 = policy_prob(policy, hclass.rows)
-        records = (*logged, *online)
-        rows = hclass.positions([r.x for r in records])
-        # online Examples are always revealed; a z = 0 triple has y None, stored as 0
-        z = np.array([r.z for r in logged] + [1] * len(online), dtype=np.int8)
-        y = np.array([r.y or 0 for r in records], dtype=np.int8)
+        rows, z, y = _exact_store(hclass, logged, online)
         self.store = SplitRows(self.pool_q0[rows], z, y, rows)
         self.candidates = np.arange(len(hclass))
         self.xi = float(self.pool_q0.min())

@@ -50,7 +50,8 @@ class DiscreteInstance:
     """A finite generative problem: pool instances with masses, conditional
     label probabilities, a finite hypothesis class over the pool, and the
     logging propensity at each pool instance. pool must equal the class's
-    pool, in order; the instance keeps the class's tuple."""
+    pool, in order; the instance keeps the class's tuple. Draws are tuples,
+    so exact-mode runs over one draw share one store."""
 
     pool: tuple[FeatureVector, ...]
     masses: np.ndarray
@@ -93,19 +94,19 @@ class DiscreteInstance:
     def logging_policy(self) -> TablePolicy:
         return TablePolicy({x.key(): float(p) for x, p in zip(self.pool, self.q0)})
 
-    def draw_examples(self, rng: np.random.Generator, count: int) -> list[Example]:
+    def draw_examples(self, rng: np.random.Generator, count: int) -> tuple[Example, ...]:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)
         labels = rng.random(count) < self.p1[picks]
-        return [Example(self.pool[i], int(y)) for i, y in zip(picks, labels)]
+        return tuple(Example(self.pool[i], int(y)) for i, y in zip(picks, labels))
 
-    def draw_logged(self, rng: np.random.Generator, count: int) -> list[LoggedTriple]:
+    def draw_logged(self, rng: np.random.Generator, count: int) -> tuple[LoggedTriple, ...]:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)
         labels = rng.random(count) < self.p1[picks]
         reveals = rng.random(count) < self.q0[picks]
-        return [
+        return tuple(
             LoggedTriple(self.pool[i], 1, int(y), LabelSource.QUERIED) if z else LoggedTriple(self.pool[i], 0)
             for i, y, z in zip(picks, labels, reveals)
-        ]
+        )
 
 
 def random_instance(

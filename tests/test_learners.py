@@ -11,10 +11,19 @@ import numpy as np
 import pytest
 
 from idbal import learners
-from idbal.data import SplitRows, SyntheticSpec, apply_logging, generate_synthetic, parse_sparse_dataset, split_dataset
+from idbal.data import (
+    FeatureVector,
+    LoggedTriple,
+    SplitRows,
+    SyntheticSpec,
+    apply_logging,
+    generate_synthetic,
+    parse_sparse_dataset,
+    split_dataset,
+)
 from idbal.harness import PolicySpec, RepeatData, log_split, prepare_repeat
 from idbal.estimators import delta_bound, sigma
-from idbal.hypotheses import LinearModel, classification_error, prune_candidates, weighted_losses
+from idbal.hypotheses import FiniteClass, LinearModel, classification_error, prune_candidates, weighted_losses
 from idbal.learners import (
     ALGORITHMS,
     INFER,
@@ -547,6 +556,86 @@ class TestExactRuns:
                     seen[decision] += 1
         assert seen == {QUERY: 2131, INFER: 1646, SKIP: 287}
         assert digest.hexdigest() == "1c15b3c85f27c49baf1ca65ec9d64831"
+
+
+class TestExactStore:
+    """The exact store's record checks and its one-entry memo: runs over the
+    same class and tuples share one conversion, anything else converts anew."""
+
+    def _world(self, m: int = 100, n: int = 15):
+        inst = random_instance(1, pool_size=5, class_size=8)
+        rng = derive_rng(1, "x")
+        return inst, inst.draw_logged(rng, m), inst.draw_examples(rng, n)
+
+    def test_a_hidden_label_is_not_an_online_label(self):
+        # a z = 0 triple passed as an online record used to be stored as a
+        # revealed label 0, so passive counted it as a query and fit on it
+        inst, logged, online = self._world()
+        hidden = tuple(r for r in logged if r.z == 0)[:15]
+        args = (inst.logging_policy(), inst.classifiers, AlgoConfig(mode="exact"))
+        for runner in ALGORITHMS.values():
+            with pytest.raises(TypeError, match="online record 0: expected Example, got LoggedTriple"):
+                runner(logged, hidden, *args)
+        with pytest.raises(TypeError, match="online record 3: expected Example"):
+            run_passive(logged, (*online[:3], hidden[0], *online[4:]), *args)
+        with pytest.raises(TypeError, match="logged record 7: expected LoggedTriple, got Example"):
+            run_passive((*logged[:7], online[0], *logged[8:]), online, *args)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_tuples_run_like_lists(self, name):
+        inst, logged, online = self._world(m=400, n=31)
+        runner = ALGORITHMS[name]
+        args = (inst.logging_policy(), inst.classifiers, AlgoConfig(mode="exact", gamma0=0.5), 1)
+        fresh = runner(list(logged), list(online), *args)
+        runner(logged, online, *args)
+        served = runner(logged, online, *args)
+        assert served == fresh
+
+    def test_one_lookup_per_tuple_pair(self, monkeypatch):
+        calls = []
+        positions = FiniteClass.positions
+
+        def positions_spy(hclass, instances):
+            calls.append(len(instances))
+            return positions(hclass, instances)
+
+        monkeypatch.setattr(FiniteClass, "positions", positions_spy)
+        inst, logged, online = self._world()
+        args = (inst.logging_policy(), inst.classifiers, AlgoConfig(mode="exact"))
+        for runner in ALGORITHMS.values():
+            runner(logged, online, *args)
+        assert calls == [115]
+        for runner in ALGORITHMS.values():
+            runner(list(logged), list(online), *args)
+        assert calls == [115] * 5
+
+    def test_kept_arrays_are_read_only(self):
+        inst, logged, online = self._world()
+        arrays = learners._exact_store(inst.classifiers, logged, online)
+        assert learners._exact_store(inst.classifiers, logged, online) is arrays
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert learners._exact_store(inst.classifiers, list(logged), online) is not arrays
+
+    def test_equal_pool_copies_are_not_served(self):
+        inst, logged, online = self._world()
+        twin = FiniteClass(tuple(FeatureVector(x.items) for x in inst.pool), inst.classifiers.labels)
+        assert twin.pool == inst.pool
+        cfg = AlgoConfig(mode="exact")
+        run_passive(logged, online, inst.logging_policy(), inst.classifiers, cfg)
+        with pytest.raises(ValueError, match="not in the class's pool"):
+            run_passive(logged, online, inst.logging_policy(), twin, cfg)
+
+    def test_a_list_changed_in_place_is_read_again(self):
+        inst, logged, online = self._world()
+        args = (inst.logging_policy(), inst.classifiers, AlgoConfig(mode="exact"))
+        records = list(logged)
+        before = run_passive(records, online, *args)
+        records[:] = [LoggedTriple(r.x, 1, 1 - r.y) if r.z else r for r in logged]
+        after = run_passive(records, online, *args)
+        assert after == run_passive(tuple(records), online, *args)
+        assert after.final_classifier != before.final_classifier
 
 
 class TestIsWeighting:
