@@ -210,11 +210,6 @@ class FiniteClass:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def member(self, index: int) -> TableClassifier:
-        if not 0 <= index < len(self):
-            raise ValueError(f"member index {index} out of range")
-        return TableClassifier(index)
-
     def positions(self, instances: Sequence[FeatureVector]) -> np.ndarray:
         """Pool positions of the instances, which must be the pool's own
         objects: they are found by identity, without hashing, so any other

@@ -34,6 +34,7 @@ from .estimators import WeightedSample, delta_bound, mis_error, sigma
 from .hypotheses import (
     FiniteClass,
     LinearModel,
+    TableClassifier,
     approx_dis_mask,
     best_candidate,
     exact_dis_test,
@@ -86,17 +87,16 @@ def plan_partition(m: int, n: int) -> PartitionPlan:
 
     K = ceil(log2(n + 1)); online sizes are 1, 2, 4, ... with the last
     truncated so they sum to n; logged sizes are floor(alpha * n_k) with the
-    slack folded into m_0, so they always sum to m. alpha < 1 (more online
-    than two-thirds of the logged mass) is allowed; it makes the debiasing
-    rule vacuous, which run_idbal warns about.
+    slack folded into m_0, so they always sum to m. Any m, n >= 0 plans:
+    m = 0 gives all-zero logged segments and alpha = 0, which only the
+    debiasing rule cannot take. alpha < 1 (more online than two-thirds of
+    the logged mass) makes that rule vacuous, which run_idbal warns about.
     """
-    if m < 3:
-        raise ValueError(f"need at least 3 logged examples, got {m}")
-    if n < 0:
-        raise ValueError(f"online example count cannot be negative, got {n}")
+    if m < 0 or n < 0:
+        raise ValueError(f"example counts cannot be negative, got m = {m} logged and n = {n} online")
     if n == 0:
         return PartitionPlan(K=0, n_parts=(), m_parts=(m,), alpha=math.inf)
-    K = max(1, math.ceil(math.log2(n + 1)))
+    K = math.ceil(math.log2(n + 1))
     n_parts = [2 ** (k - 1) for k in range(1, K + 1)]
     n_parts[-1] = n - sum(n_parts[:-1])
     alpha = 2.0 * m / (3.0 * n)
@@ -227,7 +227,7 @@ class _ExactSteps:
         # shrink prunes from these same losses: same sample, same candidates
         self.losses = weighted_losses(self.hclass, sample, self.candidates)
         self.erm_index, erm_value = best_candidate(self.candidates, self.losses)
-        return self.hclass.member(self.erm_index), erm_value, tuple(self.candidates.tolist())
+        return TableClassifier(self.erm_index), erm_value, tuple(self.candidates.tolist())
 
     def shrink(self, k: int, sample: WeightedSample, xi: float, segment: slice):
         """Prune the candidates after fit; (xi_next, region mask, ERM
@@ -330,6 +330,8 @@ def _run_disagreement_core(
     m, n = len(logged), len(online)
     plan = plan_partition(m, n)
     K, n_parts, m_parts, alpha = plan.K, plan.n_parts, plan.m_parts, plan.alpha
+    if debias and m == 0:
+        raise ValueError("the debiasing rule needs logged data, got m = 0 logged points")
     if debias and alpha < 1.0:
         # stacklevel 3 is the caller of run_idbal, the only runner that debiases
         warnings.warn(

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Example, FeatureVector, LabelSource, LoggedTriple
+from .data import Example, FeatureVector, LoggedTriple
 from .estimators import WeightedSample, mis_error
 from .hypotheses import FiniteClass
 from .policies import TablePolicy
@@ -104,7 +104,7 @@ class DiscreteInstance:
         labels = rng.random(count) < self.p1[picks]
         reveals = rng.random(count) < self.q0[picks]
         return tuple(
-            LoggedTriple(self.pool[i], 1, int(y), LabelSource.QUERIED) if z else LoggedTriple(self.pool[i], 0)
+            LoggedTriple(self.pool[i], 1, int(y)) if z else LoggedTriple(self.pool[i], 0)
             for i, y, z in zip(picks, labels, reveals)
         )
 
@@ -354,19 +354,19 @@ class CheckRow:
 
 
 def run_verification_suite(seed: int, fixtures: int = 20, trials: int = 20000) -> list[CheckRow]:
-    """Self-contained estimator and geometry checks over at least one
-    fixture; returns one row per check. The estimator rows are exact sums
-    over the cell table; trials sets the concentration check's draws (at
-    least 4,000)."""
+    """Self-contained estimator checks over at least one fixture; returns
+    one row per check. The estimator rows are exact sums over the cell
+    table; trials sets the concentration check's draws (at least 4,000)."""
     _check_trials(trials)
     if fixtures < 1:
         raise ValueError(f"fixtures must be at least 1, got {fixtures}")
     rows: list[CheckRow] = []
+    m = n = 8
     for i in range(fixtures):
         instance = random_instance(seed=seed * 1000 + i, force_low_propensity=True)
         h = i % len(instance.classifiers)
         truth = float(instance.true_errors[h])
-        moments = {name: exact_moments(instance, h, m=8, n=8, estimator=name) for name in ("mis", "is")}
+        moments = {name: exact_moments(instance, h, m, n, estimator=name) for name in ("mis", "is")}
         for estimator, (mean, _) in moments.items():
             bias = abs(mean - truth)
             rows.append(
@@ -380,12 +380,16 @@ def run_verification_suite(seed: int, fixtures: int = 20, trials: int = 20000) -
             )
         var_is, var_mis = moments["is"][1], moments["mis"][1]
         ratio = var_mis / var_is if var_is > 0.0 else (0.0 if var_mis == 0.0 else math.inf)
+        # Veach and Guibas (SIGGRAPH 1995), Theorem 1: at equal sample counts the balance
+        # heuristic's variance exceeds any other combination's, per-phase weighting's
+        # included, by at most (1/min(m, n) - 1/(m + n)) times the squared mean
+        bound = var_is + (1.0 / min(m, n) - 1.0 / (m + n)) * truth**2
         rows.append(
             CheckRow(
                 name=f"variance-dominance-{i}",
-                passed=ratio <= 1.05,
+                passed=var_mis <= bound,
                 statistic=ratio,
-                threshold=1.05,
+                threshold=bound / var_is if var_is > 0.0 else math.inf,
                 details=f"var_is {var_is:.6g} var_mis {var_mis:.6g}",
             )
         )
@@ -398,23 +402,6 @@ def run_verification_suite(seed: int, fixtures: int = 20, trials: int = 20000) -
             statistic=rate.slope,
             threshold=-0.5,
             details=" ".join(f"{q:.4g}" for q in rate.quantiles),
-        )
-    )
-    monotone_fail = 0
-    for i in range(10):
-        instance = random_instance(seed=seed * 31 + i)
-        r0 = 2.0 * instance.nu
-        base = adjusted_dis_coefficient(instance, r0, 1.0)
-        for alpha in (2.0, 4.0, 8.0):
-            if adjusted_dis_coefficient(instance, r0, alpha) > base + 1e-12:
-                monotone_fail += 1
-    rows.append(
-        CheckRow(
-            name="theta-alpha-monotone",
-            passed=monotone_fail == 0,
-            statistic=float(monotone_fail),
-            threshold=0.0,
-            details="theta(r0, alpha) <= theta(r0, 1) over 10 fixtures",
         )
     )
     return rows

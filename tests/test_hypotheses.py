@@ -15,6 +15,7 @@ import idbal.hypotheses as hypotheses
 from idbal.hypotheses import (
     FiniteClass,
     LinearModel,
+    TableClassifier,
     approx_dis_mask,
     best_candidate,
     classification_error,
@@ -416,14 +417,13 @@ class TestFiniteClass:
     def test_member_prediction(self):
         hclass, pool = _tiny_class()
         position = hclass.positions([pool[1]])[0]
-        assert hclass.labels[hclass.member(2).index, position] == 1
-        assert hclass.labels[hclass.member(0).index, position] == 0
+        assert hclass.labels[TableClassifier(2).index, position] == 1
+        assert hclass.labels[TableClassifier(0).index, position] == 0
 
     def test_members_compare_by_index(self):
-        hclass, _ = _tiny_class()
-        member = hclass.member(2)
-        assert member == hclass.member(2) and hash(member) == hash(hclass.member(2))
-        assert member != hclass.member(1) and member.index == 2
+        member = TableClassifier(2)
+        assert member == TableClassifier(2) and hash(member) == hash(TableClassifier(2))
+        assert member != TableClassifier(1) and member.index == 2
         assert repr(member) == "TableClassifier(index=2)"
         with pytest.raises(AttributeError):
             member.index = 1

@@ -118,14 +118,29 @@ class TestPartitionPlan:
             run_dbalwm(*args)
 
     def test_too_little_data_rejected(self):
-        for m, n in ((2, 5), (2, 0), (9, -1)):
-            with pytest.raises(ValueError):
+        # only a negative count is too little: m = 0, 1 and 2 plan
+        for m, n in ((-1, 5), (-1, 0), (9, -1)):
+            with pytest.raises(ValueError, match="cannot be negative"):
                 plan_partition(m, n)
-        # an empty stream plans the warm fit alone, at an infinite alpha
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert [plan_partition(m, 5).m_parts for m in (0, 1, 2)] == [(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)]
+            # an empty stream plans the warm fit alone, at an infinite alpha
             plan = plan_partition(9, 0)
         assert (plan.K, plan.n_parts, plan.m_parts, plan.alpha) == (0, (), (9,), math.inf)
+
+    def test_empty_logged_set_plans_online_only(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(301):
+                plan = plan_partition(0, n)
+                assert plan.m_parts == (0,) * (plan.K + 1)
+                assert plan.alpha == (math.inf if n == 0 else 0.0)
+                assert plan.n_parts == plan_partition(3, n).n_parts
+                # m_0 >= 1 for m >= 1, as the m_k (k >= 1) sum to at most 2m/3;
+                # one point and two points past n = 1 keep them all in m_0
+                assert plan_partition(1, n).m_parts[0] == 1
+                assert plan_partition(2, n).m_parts[0] == (1 if n == 1 else 2)
 
 
 class TestDebiasRule:
@@ -231,13 +246,17 @@ class TestPracticalRuns:
         assert res.final_classifier.steps == logged.z.sum()
 
     def test_tiny_logged_set_rejected_without_online(self):
+        # two logged points and no stream run the warm fit alone; no logged
+        # point leaves the debiasing rule without an alpha
         policy = IdenticalPolicy(0.5)
         data = generate_synthetic(SyntheticSpec(count=2, dim=3, seed=0))
         q0 = np.full(2, 0.5)
         logged = SplitRows.from_labeled(data, q0, apply_logging(q0, seed=0))
         cfg = AlgoConfig(mode="practical", capacity=0.01, eta=0.01)
-        with pytest.raises(ValueError):
-            run_idbal(logged, logged[:0], policy, LinearModel.zeros(3), cfg, 0)
+        res = run_idbal(logged, logged[:0], policy, LinearModel.zeros(3), cfg, 0)
+        assert (res.query_count, res.decisions, len(res.trace)) == (0, (), 1)
+        with pytest.raises(ValueError, match="m = 0"):
+            run_idbal(logged[:0], logged, policy, LinearModel.zeros(3), cfg, 0)
 
     def test_runs_are_pinned(self):
         # blake2b-128 over every run's counts, decisions, final value (repr)
@@ -556,6 +575,55 @@ class TestExactRuns:
                     seen[decision] += 1
         assert seen == {QUERY: 2131, INFER: 1646, SKIP: 287}
         assert digest.hexdigest() == "1c15b3c85f27c49baf1ca65ec9d64831"
+
+
+class TestEmptyLoggedSet:
+    """m = 0: dbalw and dbalwm are the online-only learner, idbal refuses."""
+
+    def _exact(self):
+        inst = random_instance(0, pool_size=6, class_size=16)
+        online = inst.draw_examples(derive_rng(0, "online-only"), 127)
+        policies = (inst.logging_policy(), IdenticalPolicy(0.5), UniformGroupsPolicy(0.05, 0.25, 0.75, group_seed=2))
+        return inst.classifiers, online, policies
+
+    def _practical(self):
+        data = generate_synthetic(SyntheticSpec(count=600, dim=6, flip_prob=0.1, seed=3))
+        split = split_dataset(len(data), (0.2, 0.5), seed=4)
+        policies = [UniformGroupsPolicy(*p, group_seed=0) for p in ((0.05, 0.2, 0.8), (0.5, 0.5, 0.5), (0.9, 0.1, 0.3))]
+        return [log_split(data, split, policy, 5) for policy in policies]
+
+    @pytest.mark.parametrize("runner", [run_dbalw, run_dbalwm])
+    def test_logging_policy_cannot_enter_exact(self, runner):
+        hclass, online, policies = self._exact()
+        cfg = AlgoConfig(mode="exact", gamma0=0.25)
+        runs = [runner((), online, policy, hclass, cfg, 0) for policy in policies]
+        assert INFER in runs[0].decisions and runs[0].query_count < len(online)
+        for res in runs[1:]:
+            assert res.decisions == runs[0].decisions
+            assert [p.candidates for p in res.trace] == [p.candidates for p in runs[0].trace]
+            assert res.final_classifier == runs[0].final_classifier
+
+    @pytest.mark.parametrize("runner", [run_dbalw, run_dbalwm])
+    def test_logging_policy_cannot_enter_practical(self, runner):
+        cfg = AlgoConfig(mode="practical", capacity=40.96, eta=0.0256)
+        logs = self._practical()
+        assert len({tuple(rows.online.q0) for rows in logs}) == 3
+        runs = [runner(rows.logged[:0], rows.online[:128], rows.policy, LinearModel.zeros(6), cfg, 0) for rows in logs]
+        assert INFER in runs[0].decisions and runs[0].query_count > 1
+        for res in runs[1:]:
+            assert res.decisions == runs[0].decisions
+            assert np.array_equal(res.final_classifier.weights, runs[0].final_classifier.weights)
+
+    def test_idbal_refuses_before_warning(self):
+        # alpha = 0 < 1 would warn; the refusal comes first, in both modes
+        hclass, online, policies = self._exact()
+        rows = self._practical()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="debiasing rule needs logged data, got m = 0"):
+                run_idbal((), online, policies[0], hclass, AlgoConfig(mode="exact"), 0)
+            with pytest.raises(ValueError, match="debiasing rule needs logged data, got m = 0"):
+                run_idbal(rows.logged[:0], rows.online[:64], rows.policy, LinearModel.zeros(6), AlgoConfig(), 0)
 
 
 class TestExactStore:

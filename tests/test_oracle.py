@@ -213,7 +213,7 @@ class TestMonteCarlo:
             digest.update(f"{row.name}|{row.passed}|{row.statistic!r}|{row.details}\n".encode())
         rate = concentration_rate(random_instance(0), (0, 1), (512,), trials=20000, seed=0)
         digest.update(repr(rate.quantiles).encode())
-        assert digest.hexdigest() == "208e6703d268988e210f541176ee014e"
+        assert digest.hexdigest() == "b957a145e4d4da216412862435536606"
 
     def test_mis_unbiased_quick(self):
         inst = random_instance(1)
@@ -230,6 +230,25 @@ class TestMonteCarlo:
         _, var_is = exact_moments(inst, inst.h_star_index, m=40, n=40, estimator="is")
         _, var_mis = exact_moments(inst, inst.h_star_index, m=40, n=40)
         assert var_mis <= 1.05 * var_is
+
+    def test_variance_threshold_is_the_balance_bound(self):
+        # Veach and Guibas (1995), Theorem 1: var_mis <= var_is + (1/min(m, n) - 1/(m + n)) mu^2
+        rows = {row.name: row for row in run_verification_suite(seed=0, fixtures=3, trials=1)}
+        for i in range(3):
+            inst = random_instance(seed=i, force_low_propensity=True)
+            h = i % len(inst.classifiers)
+            var_is = exact_moments(inst, h, m=8, n=8, estimator="is")[1]
+            bound = var_is + (1.0 / 8 - 1.0 / 16) * inst.true_errors[h] ** 2
+            assert rows[f"variance-dominance-{i}"].threshold == bound / var_is
+        rng = np.random.default_rng(5)
+        for seed in range(200):
+            inst = random_instance(seed=100 + seed, pool_size=int(rng.integers(3, 7)), force_low_propensity=seed % 2 == 1)
+            m, n = (int(k) for k in rng.integers(1, 40, 2))
+            q1 = rng.integers(1, 65, len(inst.pool)) / 64.0
+            h = int(rng.integers(len(inst.classifiers)))
+            var_mis = exact_moments(inst, h, m=m, n=n, q1=q1)[1]
+            var_is = exact_moments(inst, h, m=m, n=n, q1=q1, estimator="is")[1]
+            assert var_mis <= var_is + (1.0 / min(m, n) - 1.0 / (m + n)) * inst.true_errors[h] ** 2, seed
 
     def test_concentration_slope_band(self):
         inst = random_instance(4)
@@ -258,8 +277,7 @@ class TestMonteCarlo:
         assert len(rate.quantiles) == 1
         rows = run_verification_suite(seed=0, fixtures=1, trials=1)
         assert [row.name for row in rows] == [
-            "unbiasedness-mis-0", "unbiasedness-is-0", "variance-dominance-0",
-            "concentration-slope", "theta-alpha-monotone",
+            "unbiasedness-mis-0", "unbiasedness-is-0", "variance-dominance-0", "concentration-slope",
         ]
         assert rows[3] == run_verification_suite(seed=0, fixtures=1, trials=4000)[3]
 
@@ -341,4 +359,3 @@ class TestVerificationSuite:
         assert any("unbiasedness-mis" in n for n in names)
         assert any("variance-dominance" in n for n in names)
         assert "concentration-slope" in names
-        assert "theta-alpha-monotone" in names
