@@ -82,13 +82,6 @@ class FeatureVector:
     def items(self) -> tuple[tuple[int, float], ...]:
         return self._items
 
-    def max_index(self) -> int:
-        """Largest populated index; 0 for the empty vector."""
-        return self._items[-1][0] if self._items else 0
-
-    def squared_norm(self) -> float:
-        return sum(v * v for _, v in self._items)
-
     def key(self) -> str:
         """Canonical text form, also used as the instance id in table policies."""
         return " ".join(f"{i}:{v!r}" for i, v in self._items)

@@ -159,7 +159,6 @@ class TracePoint:
 @dataclass(frozen=True)
 class RunResult:
     final_classifier: object
-    final_value: float
     query_count: int
     inferred_count: int
     skipped_count: int
@@ -223,19 +222,20 @@ class _ExactSteps:
         self.xi = float(self.pool_q0.min())
 
     def fit(self, sample: WeightedSample):
-        """(ERM, its estimate, the candidates it was chosen from)."""
+        """(ERM, the candidates it was chosen from)."""
         # shrink prunes from these same losses: same sample, same candidates
         self.losses = weighted_losses(self.hclass, sample, self.candidates)
-        self.erm_index, erm_value = best_candidate(self.candidates, self.losses)
-        return TableClassifier(self.erm_index), erm_value, tuple(self.candidates.tolist())
+        self.erm_index, _ = best_candidate(self.candidates, self.losses)
+        return TableClassifier(self.erm_index), tuple(self.candidates.tolist())
 
-    def shrink(self, k: int, sample: WeightedSample, xi: float, segment: slice):
-        """Prune the candidates after fit; (xi_next, region mask, ERM
-        predictions) at the store's online records in segment."""
+    def shrink(self, k: int, sample: WeightedSample, segment: slice):
+        """Prune the candidates after fit; (xi, region mask, ERM predictions)
+        at the store's online records in segment, where xi, also kept for
+        the next shrink, is the pool floor of q0 over the new region."""
         hclass, erm_index = self.hclass, self.erm_index
         delta_k = DELTA / ((k + 1) * (k + 2))
         # no effective sample makes sigma, hence every slack, infinite: all stay
-        sigma_value = sigma((sample.m, sample.n), xi, len(hclass), delta_k / 2.0)
+        sigma_value = sigma((sample.m, sample.n), self.xi, len(hclass), delta_k / 2.0)
         # each member's share of the sample it labels unlike the ERM: an exact
         # integer over the sample size, as a mean gives, and 0 on no sample
         counts = np.bincount(sample.rows, minlength=len(hclass.pool))
@@ -243,9 +243,9 @@ class _ExactSteps:
         slack = delta_bound(sigma_value, rho, self.cfg.gamma0)
         self.candidates = prune_candidates(self.candidates, self.losses, slack)
         pool_mask = exact_dis_test(hclass, self.candidates)
-        xi_next = float(self.pool_q0[pool_mask].min()) if pool_mask.any() else 1.0
+        self.xi = float(self.pool_q0[pool_mask].min()) if pool_mask.any() else 1.0
         positions = self.store.rows[segment]
-        return xi_next, pool_mask[positions], hclass.labels[erm_index, positions]
+        return self.xi, pool_mask[positions], hclass.labels[erm_index, positions]
 
 
 class _PracticalSteps:
@@ -253,8 +253,9 @@ class _PracticalSteps:
     instead of an ERM, and the margin test instead of a candidate set. The
     store joins the logged then the online records, whose q0 the splits
     carry (the policy is not read), and their row tables; samples hold store
-    positions. Fit scores every record once, with the weights it fits, and
-    the iteration reads every score off that product."""
+    positions. Fit only trains; shrink scores every record once, with the
+    weights fit left, and reads the estimate, the logged floor and the
+    segment's mask off that one product."""
 
     def __init__(self, model: LinearModel, cfg: AlgoConfig, logged: SplitRows, online: SplitRows, policy):
         if not isinstance(model, LinearModel):
@@ -272,10 +273,6 @@ class _PracticalSteps:
         self.stepsize: float | None = None
         self.xi = float(logged.q0.min(initial=1.0))
 
-    def score(self, weights: np.ndarray) -> np.ndarray:
-        """Every store record's score, each with its CSR row's own bits."""
-        return np.concatenate([rows @ weights for rows in self.parts])
-
     def fit(self, sample: WeightedSample):
         revealed = np.flatnonzero(sample.z)
         if revealed.size:
@@ -286,26 +283,27 @@ class _PracticalSteps:
             self.model = ogd_update(self.model, rows, sample.y[revealed], weights, self.cfg.eta)
             # steps just advanced, so this is the stepsize the last step used
             self.stepsize = ogd_stepsize(self.model.steps, self.cfg.eta)
-        self.scores = self.score(self.model.weights)
-        # ties (score exactly 0) go to label 1, a NaN score predicts 0
-        self.erm_value = mis_error(self.scores[sample.rows] >= 0.0, sample)
-        return self.model, self.erm_value, None
+        return self.model, None
 
-    def shrink(self, k: int, sample: WeightedSample, xi: float, segment: slice):
-        """(xi_next, margin mask, predictions) at the store's online records
-        in segment, all from the model fit left; xi_next is the floor over
-        the logged records inside the margin."""
+    def shrink(self, k: int, sample: WeightedSample, segment: slice):
+        """(xi, margin mask, predictions) at the store's online records in
+        segment, all from the model fit left; xi, also kept for the next
+        shrink, is the floor over the logged records inside the margin."""
         m, store = self.m, self.store
-        scores = self.scores[segment]
-        effective = sample.m * xi + sample.n
+        # every store record's score, each with its CSR row's own bits
+        all_scores = np.concatenate([rows @ self.model.weights for rows in self.parts])
+        scores = all_scores[segment]
+        effective = sample.m * self.xi + sample.n
         if effective <= 0.0:
             # no effective mass yet: treat everything as contested
             return self.xi, np.ones(scores.size, dtype=bool), scores >= 0.0
+        # ties (score exactly 0) go to label 1, a NaN score predicts 0
+        erm_value = mis_error(all_scores[sample.rows] >= 0.0, sample)
         stepsize = self.stepsize if self.stepsize is not None else ogd_stepsize(self.model.steps + 1, self.cfg.eta)
-        mask_args = (stepsize, self.cfg.capacity, self.erm_value, effective, sample.m + sample.n)
-        logged_mask = approx_dis_mask(self.scores[:m], store.norms[:m], *mask_args)
-        xi_next = float(store.q0[:m][logged_mask].min()) if logged_mask.any() else 1.0
-        return xi_next, approx_dis_mask(scores, store.norms[segment], *mask_args), scores >= 0.0
+        mask_args = (stepsize, self.cfg.capacity, erm_value, effective, sample.m + sample.n)
+        logged_mask = approx_dis_mask(all_scores[:m], store.norms[:m], *mask_args)
+        self.xi = float(store.q0[:m][logged_mask].min()) if logged_mask.any() else 1.0
+        return self.xi, approx_dis_mask(scores, store.norms[segment], *mask_args), scores >= 0.0
 
 
 # each mode's steps build the run's store; only run_passive reads cfg.mode again
@@ -356,7 +354,6 @@ def _run_disagreement_core(
     # S~_0 = T0^(0): no online mass yet, so both weightings coincide
     head = np.arange(m_parts[0])
     sample = build_sample(head, store.z[head], store.y[head], np.zeros(head.size), m_parts[0], 0)
-    xi = steps.xi
 
     decisions: list[str] = []
     trace: list[TracePoint] = []
@@ -365,7 +362,7 @@ def _run_disagreement_core(
 
     for k in range(K + 1):
         # best candidate on S~_k
-        current, erm_value, candidates = steps.fit(sample)
+        current, candidates = steps.fit(sample)
         trace.append(TracePoint(consumed, queries, current, candidates))
         if k == K:
             break
@@ -373,10 +370,10 @@ def _run_disagreement_core(
         # shrink to the disagreement region, then consume online segment
         # k+1: query inside it, impute the current prediction outside it
         lo, hi = consumed, consumed + n_parts[k]
-        xi_next, in_region, guesses = steps.shrink(k, sample, xi, slice(m + lo, m + hi))
+        xi, in_region, guesses = steps.shrink(k, sample, slice(m + lo, m + hi))
         # S~_{k+1} = T0^(k+1) plus the fresh online segment
         index = np.concatenate((np.arange(logged_starts[k + 1], logged_starts[k + 2]), m + np.arange(lo, hi)))
-        bits = debias_rule(store.q0[index], xi_next, alpha) if debias else np.ones(index.size, dtype=np.int8)
+        bits = debias_rule(store.q0[index], xi, alpha) if debias else np.ones(index.size, dtype=np.int8)
         fresh = index >= m
         codes = bits[fresh] * (1 + in_region)
         decisions.extend(_DECISIONS[c] for c in codes.tolist())
@@ -388,11 +385,9 @@ def _run_disagreement_core(
         y = store.y[index]
         y[fresh] = np.where(in_region, y[fresh], guesses)
         sample = build_sample(index, np.where(fresh, bits, store.z[index]), y, bits, m_parts[k + 1], hi - lo)
-        xi = xi_next
 
     return RunResult(
         final_classifier=current,
-        final_value=erm_value,
         query_count=queries,
         inferred_count=inferred,
         skipped_count=skipped,
@@ -433,29 +428,25 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
     m, n = len(logged), len(online)
     steps = _STEPS[cfg.mode](hypothesis_space, cfg, logged, online, policy)
     store = steps.store
-    own = np.concatenate((store.q0[:m], np.ones(n)))
-    sample = WeightedSample.phase_weighted(store.rows, store.z, store.y, own, m, n)
 
     # a gradient pass continues from the warm model, an exact fit refits the
     # whole sample: the candidates are still the whole class, so it is the ERM
     if cfg.mode == "exact":
         warm = WeightedSample.phase_weighted(store.rows[:m], store.z[:m], store.y[:m], store.q0[:m], m, 0)
-        warm_fit, _, candidates = steps.fit(warm)
+        warm_fit, candidates = steps.fit(warm)
         first = TracePoint(0, 0, warm_fit, candidates)
-        final, final_value, candidates = steps.fit(sample)
+        own = np.concatenate((store.q0[:m], np.ones(n)))
+        final, candidates = steps.fit(WeightedSample.phase_weighted(store.rows, store.z, store.y, own, m, n))
     else:
         revealed = np.flatnonzero(logged.z)
         weights = 1.0 / logged.q0[revealed]
         model = ogd_update(hypothesis_space, logged.table[revealed], logged.y[revealed], weights, cfg.eta)
         first = TracePoint(0, 0, model)
         final = ogd_update(model, online.table, online.y, np.ones(n), cfg.eta)
-        # ties (score exactly 0) go to label 1, a NaN score predicts 0
-        final_value = mis_error(steps.score(final.weights) >= 0.0, sample)
         candidates = None
 
     return RunResult(
         final_classifier=final,
-        final_value=final_value,
         query_count=n,
         inferred_count=0,
         skipped_count=0,

@@ -199,9 +199,9 @@ def practical_run(
     debias: bool,
 ) -> RunResult:
     """The practical disagreement learner, one iteration at a time: each
-    sample holds a CSR copy of its rows, fit scores that copy, and the
-    region scores a copy of the next online segment and every logged row
-    again, all with the weights fit left. Decisions are made record by
+    sample holds a CSR copy of its rows, and the region scores that copy
+    for the estimate, a copy of the next online segment and every logged
+    row again, all with the weights fit left. Decisions are made record by
     record."""
     m, n = len(logged), len(online)
     plan = plan_partition(m, n)
@@ -232,7 +232,6 @@ def practical_run(
             weights = (sample.m + sample.n) / sample.denominator[revealed]
             model = ogd_update(model, RowTable.from_csr(sample.rows[revealed]), sample.y[revealed], weights, cfg.eta)
             stepsize = ogd_stepsize(model.steps, cfg.eta)
-        erm_value = model_mis_error(model, sample)
         trace.append(TracePoint(consumed, queries, model))
         if k == K:
             break
@@ -244,7 +243,7 @@ def practical_run(
             xi_next, in_region = float(logged.q0.min()), np.ones(hi - lo, dtype=bool)
         else:
             step = stepsize if stepsize is not None else ogd_stepsize(model.steps + 1, cfg.eta)
-            args = (step, cfg.capacity, erm_value, effective, mk + nk)
+            args = (step, cfg.capacity, model_mis_error(model, sample), effective, mk + nk)
             logged_mask = approx_dis_mask(logged.rows @ model.weights, logged.norms, *args)
             xi_next = float(logged.q0[logged_mask].min()) if logged_mask.any() else 1.0
             in_region = approx_dis_mask(scores, online.norms[lo:hi], *args)
@@ -275,7 +274,6 @@ def practical_run(
 
     return RunResult(
         final_classifier=model,
-        final_value=erm_value,
         query_count=queries,
         inferred_count=inferred,
         skipped_count=skipped,
@@ -288,24 +286,16 @@ def practical_run(
 def practical_passive(
     logged: SplitRows, online: SplitRows, model: LinearModel, cfg: AlgoConfig, seed: int
 ) -> RunResult:
-    """The passive learner, its estimate scored over a CSR copy of every row."""
-    m, n = len(logged), len(online)
+    """The passive learner: a gradient pass over the revealed logged rows,
+    then one over every online row."""
+    n = len(online)
     revealed = np.flatnonzero(logged.z)
     warm = ogd_update(
         model, RowTable.from_csr(logged.rows[revealed]), logged.y[revealed], 1.0 / logged.q0[revealed], cfg.eta
     )
     final = ogd_update(warm, RowTable.from_csr(online.rows), online.y, np.ones(n), cfg.eta)
-    sample = WeightedSample.phase_weighted(
-        scipy.sparse.vstack((logged.rows, online.rows), format="csr"),
-        np.concatenate((logged.z, online.z)),
-        np.concatenate((logged.y, online.y)),
-        np.concatenate((logged.q0, np.ones(n))),
-        m,
-        n,
-    )
     return RunResult(
         final_classifier=final,
-        final_value=model_mis_error(final, sample),
         query_count=n,
         inferred_count=0,
         skipped_count=0,

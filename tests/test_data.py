@@ -47,7 +47,6 @@ class TestFeatureVector:
     def test_sorted_storage_and_zero_dropping(self):
         v = FeatureVector({3: 1.5, 1: -2.0, 7: 0.0})
         assert v.items == ((1, -2.0), (3, 1.5))
-        assert v.max_index() == 3
 
     def test_equality_and_hash_ignore_zero_entries(self):
         a = FeatureVector({1: 1.0, 5: 0.0})
@@ -70,10 +69,6 @@ class TestFeatureVector:
             FeatureVector({1: float("nan")})
         with pytest.raises(ValueError):
             FeatureVector({1: float("inf")})
-
-    def test_squared_norm(self):
-        v = FeatureVector({1: 3.0, 4: 4.0})
-        assert v.squared_norm() == 25.0
 
     def test_key_is_canonical(self):
         a = FeatureVector({2: 0.5, 9: -1.25})
@@ -146,7 +141,7 @@ class TestTextFormat:
                 indices = rng.choice(np.arange(1, 40), size=rng.integers(1, 8), replace=False)
                 x = FeatureVector({int(i): float(v) for i, v in zip(indices, rng.normal(size=len(indices)))})
                 examples.append(Example(x, int(rng.integers(0, 2))))
-            rows = labeled_rows(examples, max(ex.x.max_index() for ex in examples))
+            rows = labeled_rows(examples, max(ex.x.items[-1][0] for ex in examples))
             text = format_sparse_dataset(rows)
             assert text == "".join(f"{ex.y} {ex.x.key()}\n" for ex in examples)
             _same_rows(parse_sparse_dataset(text), rows)
@@ -169,7 +164,7 @@ class TestTextFormat:
             label, *tokens = line.split()
             pairs = [(int(t.partition(":")[0]), float(t.partition(":")[2])) for t in tokens]
             examples.append(Example(FeatureVector(pairs), 1 if label == "1" else 0))
-        dim = max(ex.x.max_index() for ex in examples)
+        dim = max(ex.x.items[-1][0] if ex.x.items else 0 for ex in examples)
         rows = parse_sparse_dataset("\n".join(lines))
         assert rows.dim == dim < 40
         _same_rows(rows, labeled_rows(examples, dim))

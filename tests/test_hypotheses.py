@@ -644,7 +644,7 @@ class TestExactDisagreement:
 def _in_region(model: LinearModel, x: FeatureVector, *args) -> bool:
     """The margin test for one instance, written from its formula."""
     stepsize, capacity, erm_loss, effective_n, sample_count = args
-    gap = abs(2.0 * raw_score(model.weights, x)) / (stepsize * (1.0 + x.squared_norm()))
+    gap = abs(2.0 * raw_score(model.weights, x)) / (stepsize * (1.0 + sum(v * v for _, v in x.items)))
     radius = math.sqrt(capacity * erm_loss / effective_n) + capacity * math.log(sample_count) / effective_n
     return gap <= radius
 

@@ -37,7 +37,7 @@ def _vec(seed: int, dim: int = 4) -> FeatureVector:
 
 
 def _rows(*xs: FeatureVector):
-    return stack_rows(xs, max(1, *(x.max_index() for x in xs)))
+    return stack_rows(xs, max(1, *(x.items[-1][0] if x.items else 0 for x in xs)))
 
 
 class TestIdentical:
