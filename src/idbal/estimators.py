@@ -35,7 +35,7 @@ class WeightedSample:
     labels y, and the positive denominator each z = 1 record is divided by,
     plus the nominal phase sizes (m logged, n online) the denominators were
     built from. y is stored as 0 wherever z = 0, so a hidden label cannot be
-    read back."""
+    read back; neither it nor a hidden record's denominator is checked."""
 
     rows: object
     z: np.ndarray
@@ -52,14 +52,18 @@ class WeightedSample:
         if not self.rows.shape[0] == z.size == y.size == denominator.size:
             raise ValueError("propensity sequences must align with the records")
         revealed = z == 1
-        if not (revealed | (z == 0)).all():
+        # each bit equals its own z == 1 test exactly when it is 0 or 1
+        if not (z == revealed).all():
             raise ValueError("reveal bits must be 0 or 1")
-        if not ((y[revealed] == 0) | (y[revealed] == 1)).all():
+        # a hidden record's label is neither checked nor stored
+        labels = revealed & (y == 1)
+        if (revealed & (y != labels)).any():
             raise ValueError("z = 1 record must carry a 0/1 label")
-        if (denominator[revealed] <= 0.0).any():
+        # a NaN denominator is not positive either
+        if (revealed & ~(denominator > 0.0)).any():
             raise ValueError("z = 1 record has non-positive denominator")
-        object.__setattr__(self, "z", z.astype(np.int8))
-        object.__setattr__(self, "y", np.where(revealed, y, 0).astype(np.int8))
+        object.__setattr__(self, "z", revealed.astype(np.int8))
+        object.__setattr__(self, "y", labels.astype(np.int8))
         object.__setattr__(self, "denominator", denominator)
 
     @classmethod

@@ -172,9 +172,9 @@ class FiniteClass:
     disagreement checks, and weighted empirical errors reduce to array
     lookups. Members are addressed by their index. rows holds the pool as
     CSR rows, bias in column 0, so a logging policy scores it like a dataset.
-    mistakes is the read-only (members x 2*pool) bool table whose column
-    2p + y is labels[:, p] != y: each member's loss on a record at pool
-    position p with label y.
+    mistakes is the read-only (members x 2*pool) float64 0/1 table whose
+    column 2p + y is labels[:, p] != y: each member's loss on a record at
+    pool position p with label y, stored as the float the loss product reads.
     """
 
     def __init__(self, pool: Sequence[FeatureVector], labels: np.ndarray):
@@ -196,7 +196,7 @@ class FiniteClass:
         self._positions: dict[int, int] = {id(x): i for i, x in enumerate(self.pool)}
         # parsed from the canonical keys, so row_keys(rows) gives them back
         self._rows = parse_sparse_dataset("".join(f"0 {x.key()}\n" for x in self.pool)).matrix
-        self._mistakes = np.stack((self.labels != 0, self.labels != 1), axis=2).reshape(len(self), -1)
+        self._mistakes = np.stack((self.labels != 0, self.labels != 1), axis=2).reshape(len(self), -1).astype(float)
         self._mistakes.flags.writeable = False
 
     @property
@@ -241,10 +241,11 @@ def weighted_losses(hypothesis_class: FiniteClass, sample: WeightedSample, candi
     """Estimator value per candidate over the sample, in the order of
     candidates (sorted member indices), read off the class's mistake table
     at each revealed record's code 2 * position + label. The gathered
-    (candidates x records) bool matrix is C-contiguous, as a gather from
-    labels would be, so the product sums each loss in the same order. A
-    sample with no revealed record gathers no column, so every loss is 0."""
-    live = sample.z == 1
+    (candidates x records) float64 matrix is the C-contiguous one that the
+    product would cast a bool gather from labels to, so each loss is summed
+    in the same order, to the bit. A sample with no revealed record gathers
+    no column, so every loss is 0."""
+    live = np.flatnonzero(sample.z)
     codes = 2 * sample.rows[live] + sample.y[live]
     return np.take(hypothesis_class.mistakes[candidates], codes, axis=1) @ (1.0 / sample.denominator[live])
 

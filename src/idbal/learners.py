@@ -376,7 +376,7 @@ def _run_disagreement_core(
         bits = debias_rule(store.q0[index], xi, alpha) if debias else np.ones(index.size, dtype=np.int8)
         fresh = index >= m
         codes = bits[fresh] * (1 + in_region)
-        decisions.extend(_DECISIONS[c] for c in codes.tolist())
+        decisions.extend(map(_DECISIONS.__getitem__, codes.tolist()))
         seg_skipped, seg_inferred, seg_queries = np.bincount(codes, minlength=3).tolist()
         queries += seg_queries
         inferred += seg_inferred

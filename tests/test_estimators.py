@@ -38,7 +38,55 @@ def _predict(model: LinearModel, sample: WeightedSample) -> np.ndarray:
     return _rows(sample.z.size)[sample.rows] @ model.weights >= 0.0
 
 
+BITS = "reveal bits must be 0 or 1"
+LABEL = "z = 1 record must carry a 0/1 label"
+DENOMINATOR = "z = 1 record has non-positive denominator"
+
+
+def _case(name: str, expected, z=(1, 0), y=(1, 1), denominator=(0.5, 0.25)):
+    """A two-record WeightedSample case, record 0 revealed and record 1
+    hidden unless z says otherwise; expected is the ValueError's message or
+    the stored (z, y, denominator)."""
+    return pytest.param(np.array(z), np.array(y), np.array(denominator), expected, id=name)
+
+
+ACCEPT_REJECT = [
+    _case("bit 0", ([0, 0], [0, 0], [0.5, 0.25]), z=(0, 0)),
+    _case("bit 1", ([1, 0], [1, 0], [0.5, 0.25]), z=(1, 0)),
+    _case("bit 2", BITS, z=(2, 0)),
+    _case("bit -1", BITS, z=(-1, 0)),
+    _case("bit 0.5", BITS, z=(0.5, 0)),
+    _case("bit nan", BITS, z=(math.nan, 0)),
+    _case("bit True", ([1, 0], [1, 0], [0.5, 0.25]), z=(True, False)),
+    _case("revealed label 0", ([1, 0], [0, 0], [0.5, 0.25]), y=(0, 1)),
+    _case("revealed label 1", ([1, 0], [1, 0], [0.5, 0.25]), y=(1, 1)),
+    _case("revealed label 2", LABEL, y=(2, 1)),
+    _case("revealed label nan", LABEL, y=(math.nan, 1)),
+    *(_case(f"hidden label {v}", ([1, 0], [1, 0], [0.5, 0.25]), y=(1, v)) for v in (0, 1, 2, math.nan)),
+    _case("revealed denominator 0", DENOMINATOR, denominator=(0.0, 0.25)),
+    _case("revealed denominator -1", DENOMINATOR, denominator=(-1.0, 0.25)),
+    _case("revealed denominator nan", DENOMINATOR, denominator=(math.nan, 0.25)),
+    _case("revealed denominator inf", ([1, 0], [1, 0], [math.inf, 0.25]), denominator=(math.inf, 0.25)),
+    *(
+        _case(f"hidden denominator {v}", ([1, 0], [1, 0], [0.5, v]), denominator=(0.5, v))
+        for v in (0.0, -1.0, math.nan, math.inf)
+    ),
+]
+
+
 class TestWeightedSample:
+    @pytest.mark.parametrize("z, y, denominator, expected", ACCEPT_REJECT)
+    def test_accept_reject_table(self, z, y, denominator, expected):
+        # a revealed NaN denominator would make every weighted loss NaN and
+        # the ERM silently member 0, so it is rejected like a zero one
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                WeightedSample(np.arange(2), z, y, denominator, m=2, n=0)
+            return
+        sample = WeightedSample(np.arange(2), z, y, denominator, m=2, n=0)
+        for stored, want, dtype in zip((sample.z, sample.y, sample.denominator), expected, (np.int8, np.int8, float)):
+            assert stored.dtype == dtype and stored.tobytes() == np.array(want, dtype=dtype).tobytes()
+
     def test_balanced_denominators(self):
         sample = _sample([1, 1], [0, 1], [0.2, 0.5], [1.0, 0.0], m=3, n=4)
         assert sample.denominator.tolist() == [3 * 0.2 + 4 * 1.0, 3 * 0.5]

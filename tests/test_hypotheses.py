@@ -458,7 +458,7 @@ class TestFiniteClass:
         labels = rng.integers(0, 2, (9, 6))
         hclass = FiniteClass([FeatureVector({1: float(i)}) for i in range(6)], labels)
         table = hclass.mistakes
-        assert table.dtype == bool and table.shape == (9, 12)
+        assert table.dtype == np.float64 and table.shape == (9, 12)
         for p in range(6):
             for y in (0, 1):
                 assert (table[:, 2 * p + y] == (labels[:, p] != y)).all()
