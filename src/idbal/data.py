@@ -7,7 +7,8 @@ and logging yields one reveal bit per row; a hidden label (z = 0) is stored
 as 0, so nothing downstream can touch a label that the logging policy hid.
 The per-instance records (FeatureVector, Example, LoggedTriple) describe the
 exact mode's finite pools; no learner builds them, since a run keeps its
-queried and inferred labels in arrays.
+queried and inferred labels in arrays. Example and LoggedTriple each store
+two slots, x and y: a triple's reveal bit and label source follow from y.
 """
 from __future__ import annotations
 
@@ -106,49 +107,76 @@ def _canonical_label(token: str, line_number: int) -> int:
     return 1 if value == 1.0 else 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Example:
     """A fully labeled instance."""
 
+    __slots__ = ("x", "y")
     x: FeatureVector
     y: int
 
-    def __post_init__(self):
-        if self.y not in (0, 1):
-            raise ValueError(f"label {self.y!r} must be 0 or 1")
+    def __init__(self, x: FeatureVector, y: int):
+        if y not in (0, 1):
+            raise ValueError(f"label {y!r} must be 0 or 1")
+        _set_example_x(self, x)
+        _set_example_y(self, y)
+
+    def __reduce__(self):
+        return Example, (self.x, self.y)
 
 
 class LabelSource(Enum):
     QUERIED = "queried"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LoggedTriple:
     """An instance with a reveal bit; the label exists only when z = 1.
 
-    label_source records where a revealed label came from: the labeler
-    (QUERIED, the default and only source when z = 1). The learners build
-    no records, so their inferred labels never appear here.
+    Only x and y are stored: the reveal bit z is 1 exactly when y is not
+    None, and label_source, where a revealed label came from, is the
+    labeler (QUERIED, the only source) exactly when z = 1, so both are
+    read-only properties. The constructor still takes z and label_source
+    and checks them against y. The learners build no records, so their
+    inferred labels never appear here.
     """
 
+    __slots__ = ("x", "y")
     x: FeatureVector
-    z: int
-    y: int | None = None
-    label_source: LabelSource | None = None
+    y: int | None
 
-    def __post_init__(self):
-        if self.z not in (0, 1):
-            raise ValueError(f"reveal bit {self.z!r} must be 0 or 1")
-        if self.z == 1:
-            if self.y not in (0, 1):
+    def __init__(self, x: FeatureVector, z: int, y: int | None = None, label_source: LabelSource | None = None):
+        if z not in (0, 1):
+            raise ValueError(f"reveal bit {z!r} must be 0 or 1")
+        if z == 1:
+            if y not in (0, 1):
                 raise ValueError("z = 1 record must carry a 0/1 label")
-            if self.label_source is None:
-                object.__setattr__(self, "label_source", LabelSource.QUERIED)
+            if label_source is not None and label_source is not LabelSource.QUERIED:
+                raise ValueError(f"label source {label_source!r} must be LabelSource.QUERIED or None")
         else:
-            if self.y is not None:
+            if y is not None:
                 raise ValueError("z = 0 record must not carry a label")
-            if self.label_source is not None:
+            if label_source is not None:
                 raise ValueError("z = 0 record cannot have a label source")
+        _set_triple_x(self, x)
+        _set_triple_y(self, y)
+
+    @property
+    def z(self) -> int:
+        return 0 if self.y is None else 1
+
+    @property
+    def label_source(self) -> LabelSource | None:
+        return None if self.y is None else LabelSource.QUERIED
+
+    def __reduce__(self):
+        return LoggedTriple, (self.x, self.z, self.y)
+
+
+# The frozen records' __setattr__ refuses every name, so their constructors
+# store through the slot descriptors
+_set_example_x, _set_example_y = Example.x.__set__, Example.y.__set__
+_set_triple_x, _set_triple_y = LoggedTriple.x.__set__, LoggedTriple.y.__set__
 
 
 @dataclass(frozen=True)

@@ -156,13 +156,17 @@ def ogd_update(model: LinearModel, rows: RowTable, labels, importance_weights, e
     return result
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TableClassifier:
     """A single member of a FiniteClass, by index: its predictions on the
     class's pool are the class's labels[index] row. Members are equal when
     their indices are."""
 
+    __slots__ = ("index",)
     index: int
+
+    def __reduce__(self):
+        return TableClassifier, (self.index,)
 
 
 class FiniteClass:
@@ -214,10 +218,10 @@ class FiniteClass:
         """Pool positions of the instances, which must be the pool's own
         objects: they are found by identity, without hashing, so any other
         object, an equal copy too, is a ValueError."""
-        found = list(map(self._positions.get, map(id, instances)))
-        if None in found:
-            raise ValueError("instance is not in the class's pool (an equal copy is not a pool object)")
-        return np.array(found, dtype=np.intp)
+        try:
+            return np.fromiter(map(self._positions.__getitem__, map(id, instances)), np.intp, len(instances))
+        except KeyError:
+            raise ValueError("instance is not in the class's pool (an equal copy is not a pool object)") from None
 
 
 def classification_error(model: LinearModel, data: LabeledRows) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -185,14 +186,16 @@ def _exact_store(hclass: FiniteClass, logged, online) -> tuple[np.ndarray, np.nd
         return last[3]
     for name, part, kind in (("logged", logged, LoggedTriple), ("online", online, Example)):
         # a z = 0 triple among the online records would store its hidden label as a revealed 0
-        bad = next((i for i, r in enumerate(part) if not isinstance(r, kind)), None)
-        if bad is not None:
+        if not all(map(isinstance, part, repeat(kind))):
+            bad = next(i for i, r in enumerate(part) if not isinstance(r, kind))
             raise TypeError(f"{name} record {bad}: expected {kind.__name__}, got {type(part[bad]).__name__}")
     records = (*logged, *online)
     rows = hclass.positions([r.x for r in records])
-    # online Examples are always revealed; a z = 0 triple has y None, stored as 0
-    z = np.array([r.z for r in logged] + [1] * len(online), dtype=np.int8)
-    y = np.array([r.y or 0 for r in records], dtype=np.int8)
+    # a triple's z is 1 exactly when its y is not None, and an Example's y is
+    # never None; a hidden y is stored as 0
+    labels = [r.y for r in records]
+    z = np.array([y is not None for y in labels], dtype=np.int8)
+    y = np.array([y or 0 for y in labels], dtype=np.int8)
     arrays = (rows, z, y)
     if type(logged) is tuple and type(online) is tuple:
         for a in arrays:

@@ -96,16 +96,18 @@ class DiscreteInstance:
 
     def draw_examples(self, rng: np.random.Generator, count: int) -> tuple[Example, ...]:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)
-        labels = rng.random(count) < self.p1[picks]
-        return tuple(Example(self.pool[i], int(y)) for i, y in zip(picks, labels))
+        labels = (rng.random(count) < self.p1[picks]).astype(np.int8)
+        pool = self.pool
+        return tuple(Example(pool[i], y) for i, y in zip(picks.tolist(), labels.tolist()))
 
     def draw_logged(self, rng: np.random.Generator, count: int) -> tuple[LoggedTriple, ...]:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)
-        labels = rng.random(count) < self.p1[picks]
+        labels = (rng.random(count) < self.p1[picks]).astype(np.int8)
         reveals = rng.random(count) < self.q0[picks]
+        pool = self.pool
         return tuple(
-            LoggedTriple(self.pool[i], 1, int(y)) if z else LoggedTriple(self.pool[i], 0)
-            for i, y, z in zip(picks, labels, reveals)
+            LoggedTriple(pool[i], 1, y) if z else LoggedTriple(pool[i], 0)
+            for i, y, z in zip(picks.tolist(), labels.tolist(), reveals.tolist())
         )
 
 

@@ -5,8 +5,8 @@ CSR rows: stacking FeatureVectors into rows, the in-order score, the
 per-example error loop and the margin policies' per-instance formulas. Also
 the finite class's losses gathered from its label table, the candidate
 pruning that took its slack from a callable, the oracle's disagreement
-coefficient by plain enumeration, and the
-practical learners as they ran before samples held store positions: every
+coefficient by plain enumeration, the oracle's record draws built from
+numpy scalars, and the practical learners as they ran before samples held store positions: every
 sample a CSR copy of its rows, scored on its own; the gradient pass as
 it ran over CSR arrays before passes read row tables; and the canonical row
 keys as one list, built from the whole matrix at once. Importable from any
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse
 
-from idbal.data import Example, FeatureVector, LabeledRows, RowTable, SplitRows
+from idbal.data import Example, FeatureVector, LabeledRows, LabelSource, LoggedTriple, RowTable, SplitRows
 from idbal.estimators import WeightedSample
 from idbal.hypotheses import (
     FiniteClass,
@@ -178,6 +178,26 @@ def independent_coefficient(instance, r0: float) -> float:
         ball = labels[distances <= r + 1e-15]
         best = max(best, float(instance.masses[ball.min(axis=0) != ball.max(axis=0)].sum()) / r)
     return best
+
+
+def scalar_draw_examples(instance, rng: np.random.Generator, count: int) -> tuple[Example, ...]:
+    """DiscreteInstance.draw_examples as it was before draws iterated lists:
+    each record built from the numpy scalars of the same draws."""
+    picks = rng.choice(len(instance.pool), size=count, p=instance.masses)
+    labels = rng.random(count) < instance.p1[picks]
+    return tuple(Example(instance.pool[i], int(y)) for i, y in zip(picks, labels))
+
+
+def scalar_draw_logged(instance, rng: np.random.Generator, count: int) -> tuple[LoggedTriple, ...]:
+    """DiscreteInstance.draw_logged, built from numpy scalars with the label
+    source named, as the constructor took it when it was a stored field."""
+    picks = rng.choice(len(instance.pool), size=count, p=instance.masses)
+    labels = rng.random(count) < instance.p1[picks]
+    reveals = rng.random(count) < instance.q0[picks]
+    return tuple(
+        LoggedTriple(instance.pool[i], 1, int(y), LabelSource.QUERIED) if z else LoggedTriple(instance.pool[i], 0)
+        for i, y, z in zip(picks, labels, reveals)
+    )
 
 
 def model_mis_error(model: LinearModel, sample: WeightedSample) -> float:

@@ -4,6 +4,7 @@ records they replace."""
 from __future__ import annotations
 
 import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from idbal.data import (
     split_dataset,
     synthetic_separator,
 )
-from idbal.hypotheses import LinearModel
+from idbal.hypotheses import LinearModel, TableClassifier
 from idbal.learners import AlgoConfig, run_passive
 from idbal.policies import IdenticalPolicy
 from idbal.rng import derive_rng
@@ -106,6 +107,47 @@ class TestRecords:
         assert pickle.loads(pickle.dumps(records[2])).label_source is LabelSource.QUERIED
         with pytest.raises(AttributeError):
             records[1].z = 1
+
+    def test_triple_stores_only_x_and_y(self):
+        # z and label_source follow from y; a third slot would grow every record
+        assert LoggedTriple.__slots__ == ("x", "y")
+        assert Example.__slots__ == ("x", "y")
+
+    @pytest.mark.parametrize(
+        "z, y, label_source",
+        [(0, None, None), (1, 0, None), (1, 1, None), (1, 0, LabelSource.QUERIED), (1, 1, LabelSource.QUERIED)],
+    )
+    def test_derived_fields_and_equality(self, z, y, label_source):
+        x = FeatureVector({1: 1.0})
+        t = LoggedTriple(x, z, y, label_source)
+        assert (t.z, t.y) == (z, y)
+        assert t.label_source is (LabelSource.QUERIED if z else None)
+        default = LoggedTriple(x, z, y)
+        assert t == default and hash(t) == hash(default)
+        assert t != LoggedTriple(x, 1 - z, None if z else 1)
+
+    @pytest.mark.parametrize("label_source", ["bogus", "queried", 1, LabelSource])
+    def test_revealed_triple_rejects_other_sources(self, label_source):
+        with pytest.raises(ValueError, match="label source"):
+            LoggedTriple(FeatureVector({1: 1.0}), 1, 1, label_source)
+
+    @pytest.mark.parametrize(
+        "make, field, other",
+        [
+            (lambda: Example(FeatureVector({1: 1.0}), 1), "y", "z"),
+            (lambda: LoggedTriple(FeatureVector({1: 1.0}), 0), "y", "w"),
+            (lambda: LoggedTriple(FeatureVector({1: 1.0}), 1, 0), "x", "z"),
+            (lambda: TableClassifier(3), "index", "owner"),
+        ],
+        ids=["Example", "LoggedTriple-hidden", "LoggedTriple-revealed", "TableClassifier"],
+    )
+    def test_every_assignment_is_frozen(self, make, field, other):
+        record = make()
+        for name in (field, other):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, 1)
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record)
 
 
 class TestTextFormat:

@@ -27,7 +27,7 @@ from idbal.oracle import (
     s_region,
 )
 
-from reference import independent_coefficient
+from reference import independent_coefficient, scalar_draw_examples, scalar_draw_logged
 
 
 def _hand_instance() -> DiscreteInstance:
@@ -107,6 +107,16 @@ class TestDiscreteInstance:
         for seed in range(5):
             inst = random_instance(seed, force_low_propensity=True)
             assert inst.q0.min() <= 3.0 / 64.0
+
+    @pytest.mark.parametrize("seed", [3, 17, 1000])
+    def test_draws_equal_the_records_built_from_numpy_scalars(self, seed):
+        inst = random_instance(seed, pool_size=8, class_size=16)
+        for draw, reference in ((inst.draw_logged, scalar_draw_logged), (inst.draw_examples, scalar_draw_examples)):
+            got = draw(np.random.default_rng(seed), 500)
+            want = reference(inst, np.random.default_rng(seed), 500)
+            assert got == want
+            assert all(a.x is b.x for a, b in zip(got, want))
+            assert {type(r.y) for r in got} <= {int, type(None)}
 
     def test_true_error_matches_slow_recount(self):
         rng = np.random.default_rng(4)
