@@ -4,7 +4,7 @@ Subcommands:
   gen-data  write a synthetic sparse dataset to a text file
   run       one algorithm on one split; prints the query/error trace
   sweep     full paired benchmark protocol; writes summary.csv and curves.csv
-  verify    exact-arithmetic and Monte Carlo self-checks; writes checks.csv
+  verify    exact-arithmetic estimator self-checks; writes checks.csv
   report    rebuild summary/curves from a saved records.json
 
 All subcommands accept --config FILE with flat 'key = value' lines, and any

@@ -86,9 +86,15 @@ def mis_error(predictions, sample: WeightedSample) -> float:
     """Sum of 1{h(x) != y} * z / denominator over the sample's records, given
     the predictions h(x), one 0/1 label per record.
 
-    Unbiased for the true error when denominators are m*q0(x) + n*q1(x);
-    its variance was never larger than the per-phase weighting's on any
-    seeded exact-mode world measured, which is a measurement, not a proof.
+    Unbiased for the true error when denominators are m*q0(x) + n*q1(x),
+    and then its variance is at most the per-phase weighting's whenever q0
+    and q1 are positive wherever mu(x) * f(x, y) > 0 (f the 0/1 loss). Proof
+    sketch: Var = S - m*a0^2 - n*a1^2, S the total second moment and a0, a1
+    the per-record phase means with m*a0 + n*a1 = err. Per point,
+    Cauchy-Schwarz gives (m+n)^2 <= (m*q0 + n*q1) * (m/q0 + n/q1), so the
+    balanced S is at most the per-phase S; and the per-phase a0 = a1 =
+    err/(m+n) minimise m*a0^2 + n*a1^2, so per-phase subtracts the least.
+    Equality needs q0 = q1 wherever mu * f > 0.
     Summed in record order (cumsum, unlike np.sum's pairwise order), so it
     equals a per-record loop bit for bit.
     """
@@ -130,7 +136,7 @@ def delta_bound(sigma_value: float, rho, gamma0: float):
     rho = np.asarray(rho, dtype=float)
     if not 0.0 < gamma0 < math.inf:
         raise ValueError("gamma0 must be positive and finite")
-    if sigma_value < 0.0:
+    if not sigma_value >= 0.0:
         raise ValueError("sigma must be nonnegative")
     if not ((0.0 <= rho) & (rho <= 1.0)).all():
         raise ValueError("rho is a disagreement fraction in [0, 1]")

@@ -233,6 +233,10 @@ def build_policy(
 
 def horizon_schedule(base: int, growth: int, online_size: int) -> list[int]:
     """base * growth^i for i = 0, 1, ... while the horizon fits the stream."""
+    if base < 1:
+        raise ValueError(f"horizon base must be at least 1, got {base}")
+    if growth < 2:
+        raise ValueError(f"horizon growth must be at least 2, got {growth}")
     if base > online_size:
         raise ValueError(f"smallest horizon {base} exceeds the online split ({online_size})")
     horizons = []
@@ -616,7 +620,6 @@ CONFIG_TABLE: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "horizon": ("run", "horizon", int),
     "repeat": ("run", "repeat", int),
     "verify.fixtures": ("verify", "fixtures", int),
-    "verify.trials": ("verify", "trials", int),
     "out": ("output", "out", Path),
 }
 CONFIG_KEYS = frozenset(CONFIG_TABLE)

@@ -113,7 +113,7 @@ def debias_rule(q0_at_x, xi: float, alpha: float) -> np.ndarray:
     q0 = np.asarray(q0_at_x, dtype=float)
     if not ((0.0 <= q0) & (q0 <= 1.0)).all() or not 0.0 <= xi <= 1.0:
         raise ValueError("propensities must be probabilities")
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     return (q0 <= xi + 1.0 / alpha).astype(np.int8)
 

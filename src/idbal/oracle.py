@@ -6,10 +6,9 @@ regions read off those distances as masks over the pool. The estimator
 checks read one cell table per (instance, m, n, q1): a record's cell is its
 phase, pool point, label and reveal bit, and its value comes from the
 library's estimator (`WeightedSample` and `mis_error` on a one-record
-sample). An estimator's mean and variance are exact sums over that table;
-only the concentration quantile is drawn, as multinomial record counts per
-cell. The learners never call into this module; it exists to verify them
-and the estimators.
+sample). An estimator's mean and variance are exact sums over that table,
+and nothing is drawn. The learners never call into this module; it exists
+to verify them and the estimators.
 
 Masses and propensities from `random_instance` live on dyadic grids
 (denominators 128 and 64), so sums and comparisons are exact in floating
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -38,8 +37,6 @@ __all__ = [
     "s_region",
     "adjusted_dis_coefficient",
     "exact_moments",
-    "RateReport",
-    "concentration_rate",
     "CheckRow",
     "run_verification_suite",
 ]
@@ -166,7 +163,7 @@ def _region(labels: np.ndarray) -> np.ndarray:
 
 
 def _s_mask(instance: DiscreteInstance, region: np.ndarray, alpha: float) -> np.ndarray:
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     return region & (instance.q0 <= instance.q0[region].min(initial=math.inf) + 1.0 / alpha)
 
@@ -227,18 +224,17 @@ def adjusted_dis_coefficient(instance: DiscreteInstance, r0: float, alpha: float
 
 
 def _cell_table(
-    instance: DiscreteInstance, m: int, n: int, q1, columns: Sequence[tuple[int, str]]
+    instance: DiscreteInstance, m: int, n: int, q1, h: int, estimator: str
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """(records, probabilities, values) for each phase that has records,
-    logged then online, with one value column per (member, estimator) pair
-    in columns; the estimator is "mis" (balanced) or "is" (per-phase).
+    logged then online: one value per cell, the named estimator's ("mis"
+    balanced, "is" per-phase) of member h's error.
 
     A record's cell is its pool point, label and reveal bit. Records are
     independent and a record's contribution depends only on its cell, so the
-    table fixes each estimator's distribution. A cell's value is the
+    table fixes the estimator's distribution. A cell's value is the
     library's: mis_error on a one-record WeightedSample. Cells of probability
-    0 are dropped (a z = 1 record at q = 0 has no valid denominator) and
-    cells with equal values are merged, so a draw has few categories."""
+    0 are dropped (a z = 1 record at q = 0 has no valid denominator)."""
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError(f"m and n must be non-negative with m + n at least 1, got m={m}, n={n}")
     q0 = instance.q0
@@ -247,42 +243,31 @@ def _cell_table(
         raise ValueError("q1 must have one entry per pool instance")
     if not ((q1 >= 0.0) & (q1 <= 1.0)).all():
         raise ValueError("q1 must be probabilities")
-    for h, estimator in columns:
-        _check_member(instance, h)
-        if estimator not in ("mis", "is"):
-            raise ValueError(f"unknown estimator {estimator!r}")
+    _check_member(instance, h)
+    if estimator not in ("mis", "is"):
+        raise ValueError(f"unknown estimator {estimator!r}")
     point = np.repeat(np.arange(len(instance.pool)), 4)
     y = np.tile([0, 0, 1, 1], len(instance.pool))
     z = np.tile([0, 1], 2 * len(instance.pool))
     label_prob = np.where(y == 1, instance.p1[point], 1.0 - instance.p1[point])
-    labels = instance.classifiers.labels
+    predictions = instance.classifiers.labels[h]
     tables = []
     for records, q_own in ((m, q0), (n, q1)):
         if records == 0:
             continue
         prob = instance.masses[point] * label_prob * np.where(z == 1, q_own[point], 1.0 - q_own[point])
         cells = np.flatnonzero(prob > 0.0)
-        values = np.empty((cells.size, len(columns)))
+        values = np.empty(cells.size)
         for row, k in enumerate(cells):
             at, z_k, y_k = point[k : k + 1], z[k : k + 1], y[k : k + 1]
-            values[row] = [
-                mis_error(
-                    labels[h, at],
-                    WeightedSample.balanced(at, z_k, y_k, q0[at], q1[at], m, n)
-                    if estimator == "mis"
-                    else WeightedSample.phase_weighted(at, z_k, y_k, q_own[at], m, n),
-                )
-                for h, estimator in columns
-            ]
-        distinct, inverse = np.unique(values, axis=0, return_inverse=True)
-        tables.append((records, np.bincount(inverse.ravel(), weights=prob[cells]), distinct))
+            values[row] = mis_error(
+                predictions[at],
+                WeightedSample.balanced(at, z_k, y_k, q0[at], q1[at], m, n)
+                if estimator == "mis"
+                else WeightedSample.phase_weighted(at, z_k, y_k, q_own[at], m, n),
+            )
+        tables.append((records, prob[cells], values))
     return tables
-
-
-def _draw_estimates(tables, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """(trials, columns) estimates from a cell table: each trial's per-value
-    record counts are one multinomial draw per phase, logged phase first."""
-    return sum(rng.multinomial(records, prob, size=trials) @ values for records, prob, values in tables)
 
 
 def exact_moments(
@@ -297,53 +282,11 @@ def exact_moments(
     per-phase) of member h's error over m logged and n online records: each
     phase adds its record count times one record's mean and variance."""
     mean = variance = 0.0
-    for records, prob, values in _cell_table(instance, m, n, q1, [(h, estimator)]):
-        record_mean = prob @ values[:, 0]
+    for records, prob, values in _cell_table(instance, m, n, q1, h, estimator):
+        record_mean = prob @ values
         mean += records * record_mean
-        variance += records * (prob @ (values[:, 0] - record_mean) ** 2)
+        variance += records * (prob @ (values - record_mean) ** 2)
     return float(mean), float(variance)
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-
-
-@dataclass(frozen=True)
-class RateReport:
-    effective_sizes: tuple[int, ...]
-    quantiles: tuple[float, ...]
-    slope: float
-
-
-def concentration_rate(
-    instance: DiscreteInstance,
-    pair: tuple[int, int],
-    effective_sizes: Sequence[int],
-    trials: int,
-    seed: int = 0,
-    q1: np.ndarray | None = None,
-) -> RateReport:
-    """Empirical 0.9-quantile of the deviation of the estimated error gap
-    between two members from the true gap, at m = n = N for each N, plus the
-    fitted log-log slope (about -1/2 when concentration goes as 1/sqrt(N))."""
-    _check_trials(trials)
-    if any(size < 1 for size in effective_sizes):
-        raise ValueError(f"effective_sizes must each be at least 1, got {list(effective_sizes)}")
-    _check_member(instance, *pair)
-    gap_true = instance.true_errors[pair[0]] - instance.true_errors[pair[1]]
-    quantiles: list[float] = []
-    for size_index, size in enumerate(effective_sizes):
-        tables = _cell_table(instance, size, size, q1, [(h, "mis") for h in pair])
-        est = _draw_estimates(tables, trials, derive_rng(seed, "mc-rate", size_index))
-        quantiles.append(float(np.quantile(np.abs((est[:, 0] - est[:, 1]) - gap_true), 0.9)))
-    sizes = np.asarray(effective_sizes, dtype=float)
-    quant = np.asarray(quantiles)
-    if len(set(sizes)) < 2 or (quant <= 0.0).any():  # no line through fewer than two points
-        slope = math.nan
-    else:
-        slope = float(np.polyfit(np.log(sizes), np.log(quant), 1)[0])
-    return RateReport(tuple(int(s) for s in effective_sizes), tuple(quantiles), slope)
 
 
 @dataclass(frozen=True)
@@ -355,11 +298,12 @@ class CheckRow:
     details: str
 
 
-def run_verification_suite(seed: int, fixtures: int = 20, trials: int = 20000) -> list[CheckRow]:
-    """Self-contained estimator checks over at least one fixture; returns
-    one row per check. The estimator rows are exact sums over the cell
-    table; trials sets the concentration check's draws (at least 4,000)."""
-    _check_trials(trials)
+def run_verification_suite(seed: int, fixtures: int = 20, trials: int | None = None) -> list[CheckRow]:
+    """Self-contained estimator checks over at least one fixture: three rows
+    per fixture, each an exact sum over the cell table, so the rows are a
+    pure function of (seed, fixtures). trials is accepted and not read:
+    perfbench's exact-oracle workload passes it, and the keyword goes when
+    that workload stops passing it, together with the learners' seed."""
     if fixtures < 1:
         raise ValueError(f"fixtures must be at least 1, got {fixtures}")
     rows: list[CheckRow] = []
@@ -382,28 +326,14 @@ def run_verification_suite(seed: int, fixtures: int = 20, trials: int = 20000) -
             )
         var_is, var_mis = moments["is"][1], moments["mis"][1]
         ratio = var_mis / var_is if var_is > 0.0 else (0.0 if var_mis == 0.0 else math.inf)
-        # Veach and Guibas (SIGGRAPH 1995), Theorem 1: at equal sample counts the balance
-        # heuristic's variance exceeds any other combination's, per-phase weighting's
-        # included, by at most (1/min(m, n) - 1/(m + n)) times the squared mean
-        bound = var_is + (1.0 / min(m, n) - 1.0 / (m + n)) * truth**2
+        # var_mis <= var_is is proved (see mis_error); 1e-12 leaves room for rounding only
         rows.append(
             CheckRow(
                 name=f"variance-dominance-{i}",
-                passed=var_mis <= bound,
+                passed=var_mis <= var_is * (1.0 + 1e-12),
                 statistic=ratio,
-                threshold=bound / var_is if var_is > 0.0 else math.inf,
+                threshold=1.0 + 1e-12,
                 details=f"var_is {var_is:.6g} var_mis {var_mis:.6g}",
             )
         )
-    instance = random_instance(seed=seed, pool_size=6, class_size=8)
-    rate = concentration_rate(instance, (0, 1), [32, 64, 128, 256, 512], trials=max(trials, 4000), seed=seed)
-    rows.append(
-        CheckRow(
-            name="concentration-slope",
-            passed=bool(-0.65 <= rate.slope <= -0.35) if math.isfinite(rate.slope) else False,
-            statistic=rate.slope,
-            threshold=-0.5,
-            details=" ".join(f"{q:.4g}" for q in rate.quantiles),
-        )
-    )
     return rows

@@ -7,7 +7,7 @@ single integer seed. The rule:
 
 truncated to 64 bits, fed to numpy's PCG64. Distinct paths give independent
 streams, so one master seed can drive dataset generation and splitting,
-logging simulation, the coarse policy fit and the oracle's Monte Carlo draws
+logging simulation, the coarse policy fit and the oracle's random fixtures
 without accidental coupling, and any single stage can be replayed in
 isolation. The learners draw no randomness.
 """

@@ -335,53 +335,46 @@ class TestVerify:
             "verify",
             "--seed", "0",
             "--verify.fixtures", "2",
-            "--verify.trials", "2000",
             "--out", str(tmp_path),
         ])
         assert code == 0
         with open(tmp_path / "checks.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["name", "passed", "statistic", "threshold", "details"]
-        assert len(rows) > 1
+        assert len(rows) == 1 + 3 * 2
+        assert all(row[3] == "1" for row in rows[1:] if row[0].startswith("variance-dominance"))
         # a details cell with commas in it is quoted, so every row reads back whole
         assert all(len(row) == 5 and row[1] == "1" for row in rows[1:])
         assert "checks passed" in capsys.readouterr().out
 
     def test_inline_flags_beat_the_config_file(self, tmp_path, monkeypatch, capsys):
         config = tmp_path / "verify.cfg"
-        config.write_text("seed = 5\nverify.fixtures = 1\nverify.trials = 100\n", encoding="utf-8")
+        config.write_text("seed = 5\nverify.fixtures = 1\n", encoding="utf-8")
         calls = []
 
-        def suite(seed, fixtures, trials):
-            calls.append((seed, fixtures, trials))
+        def suite(seed, fixtures):
+            calls.append((seed, fixtures))
             return []
 
         monkeypatch.setattr("idbal.cli.run_verification_suite", suite)
-        args = ["verify", "--config", str(config), "--seed", "0", "--verify.trials", "3000", "--out", str(tmp_path)]
+        args = ["verify", "--config", str(config), "--seed", "0", "--verify.fixtures", "3", "--out", str(tmp_path)]
         assert main(args) == 0
-        assert calls == [(0, 1, 3000)]
+        assert calls == [(0, 3)]
         capsys.readouterr()
 
     def test_output_dir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env-out"))
-        code = main(["verify", "--seed", "0", "--verify.fixtures", "1", "--verify.trials", "1000"])
+        code = main(["verify", "--seed", "0", "--verify.fixtures", "1"])
         assert code == 0
         assert (tmp_path / "env-out" / "checks.csv").exists()
         capsys.readouterr()
 
     def test_no_fixtures_exits_two(self, tmp_path, capsys):
-        code = main(["verify", "--verify.fixtures", "-3", "--verify.trials", "200", "--out", str(tmp_path)])
+        code = main(["verify", "--verify.fixtures", "-3", "--out", str(tmp_path)])
         assert code == 2
         captured = capsys.readouterr()
         assert "error: fixtures must be at least 1, got -3" in captured.err
         assert "checks passed" not in captured.out
-        assert not (tmp_path / "checks.csv").exists()
-
-    @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_too_few_trials_exits_two(self, tmp_path, capsys, trials):
-        code = main(["verify", "--verify.fixtures", "2", "--verify.trials", trials, "--out", str(tmp_path)])
-        assert code == 2
-        assert f"error: trials must be at least 1, got {trials}" in capsys.readouterr().err
         assert not (tmp_path / "checks.csv").exists()
 
 
@@ -475,7 +468,7 @@ class TestDefaults:
             for key, word in zip(keys, words):
                 assert type(values[key])(word.group(1) or word.group(2)) == values[key], key
                 checked.append(key)
-        assert len(checked) >= 24, checked
+        assert len(checked) >= 23, checked
 
 
 class TestParserErrors:

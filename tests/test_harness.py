@@ -68,6 +68,16 @@ class TestHorizonSchedule:
         with pytest.raises(ValueError):
             horizon_schedule(100, 2, 99)
 
+    @pytest.mark.parametrize(
+        "base, growth, message",
+        [(0, 2, "horizon base must be at least 1, got 0"), (-4, 2, "horizon base must be at least 1, got -4"),
+         (10, 1, "horizon growth must be at least 2, got 1"), (10, 0, "horizon growth must be at least 2, got 0")],
+    )
+    def test_schedule_that_never_ends_rejected(self, base, growth, message):
+        # each of these would append forever
+        with pytest.raises(ValueError, match=message):
+            horizon_schedule(base, growth, 100)
+
     def test_schedule_properties(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

@@ -38,7 +38,7 @@ from idbal.learners import (
     run_idbal,
     run_passive,
 )
-from idbal.oracle import dis_region, random_instance
+from idbal.oracle import adjusted_dis_coefficient, dis_region, random_instance, s_region
 from idbal.policies import (
     IdenticalPolicy,
     MarginPolicy,
@@ -163,6 +163,22 @@ class TestDebiasRule:
             debias_rule(0.5, -0.1, 2.0)
         with pytest.raises(ValueError):
             debias_rule(0.5, 0.1, 0.0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: debias_rule([0.1, 0.5], 0.1, math.nan), "alpha must be positive"),
+            (lambda: s_region(random_instance(0), range(6), math.nan), "alpha must be positive"),
+            (lambda: adjusted_dis_coefficient(random_instance(0), 2 * random_instance(0).nu + 0.01, math.nan),
+             "alpha must be positive"),
+            (lambda: delta_bound(math.nan, 0.5, 1.0), "sigma must be nonnegative"),
+        ],
+        ids=["debias_rule", "s_region", "adjusted_dis_coefficient", "delta_bound"],
+    )
+    def test_nan_alpha_or_sigma_rejected(self, call, message):
+        # a NaN fails every comparison, so a "<= 0" guard would let it through
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestAlgoConfig:
