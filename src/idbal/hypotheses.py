@@ -243,15 +243,19 @@ def classification_error(model: LinearModel, data: LabeledRows) -> float:
 
 def weighted_losses(hypothesis_class: FiniteClass, sample: WeightedSample, candidates: np.ndarray) -> np.ndarray:
     """Estimator value per candidate over the sample, in the order of
-    candidates (sorted member indices), read off the class's mistake table
-    at each revealed record's code 2 * position + label. The gathered
-    (candidates x records) float64 matrix is the C-contiguous one that the
-    product would cast a bool gather from labels to, so each loss is summed
-    in the same order, to the bit. A sample with no revealed record gathers
-    no column, so every loss is 0."""
+    candidates (sorted member indices). A record's loss depends only on its
+    cell, code 2 * position + label, so each revealed record's weight
+    1 / denominator is summed into its cell first (one bincount over the
+    2 * pool codes), and one product of the class's mistake table with those
+    totals gives every member's loss. Each equals the member's mis_error up
+    to rounding; a sample with no revealed record makes every loss 0. A
+    position outside the pool, negative or past its end, is a ValueError."""
     live = np.flatnonzero(sample.z)
     codes = 2 * sample.rows[live] + sample.y[live]
-    return np.take(hypothesis_class.mistakes[candidates], codes, axis=1) @ (1.0 / sample.denominator[live])
+    mistakes = hypothesis_class.mistakes
+    # a negative code fails the bincount, one past the pool the product
+    cells = np.bincount(codes, weights=1.0 / sample.denominator[live], minlength=mistakes.shape[1])
+    return (mistakes @ cells)[candidates]
 
 
 def best_candidate(candidates: np.ndarray, losses: np.ndarray) -> tuple[int, float]:
@@ -300,7 +304,7 @@ def approx_dis_mask(
     current model's own weighted estimate, and effective_n is the
     propensity-adjusted sample size m*xi + n. A NaN score is never inside.
     """
-    if stepsize <= 0.0 or capacity <= 0.0 or effective_n <= 0.0:
+    if not (stepsize > 0.0 and capacity > 0.0 and effective_n > 0.0):
         raise ValueError("stepsize, capacity, and effective_n must be positive")
     # an overflowing gap is +inf, outside the region, as the test intends
     with np.errstate(over="ignore"):

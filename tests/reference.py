@@ -23,7 +23,6 @@ import scipy.sparse
 from idbal.data import Example, FeatureVector, LabeledRows, LabelSource, LoggedTriple, RowTable, SplitRows
 from idbal.estimators import WeightedSample
 from idbal.hypotheses import (
-    FiniteClass,
     LinearModel,
     approx_dis_mask,
     ogd_stepsize,
@@ -135,16 +134,6 @@ def sparse_libsvm_text(seed: int, rows: int, dim: int, nnz: int) -> str:
         features = " ".join(f"{i + 1}:{v:.4f}" for i, v in zip(index, value))
         lines.append(f"{'+1' if label else '-1'} {features}")
     return "\n".join(lines) + "\n"
-
-
-def gathered_losses(hclass: FiniteClass, sample: WeightedSample, candidates: np.ndarray) -> np.ndarray:
-    """weighted_losses as it gathered from the label table: one np.ix_ read
-    of the candidates' labels at the revealed records' positions."""
-    live = sample.z == 1
-    if not live.any():
-        return np.zeros(len(candidates))
-    mistakes = hclass.labels[np.ix_(candidates, sample.rows[live])] != sample.y[live]
-    return mistakes @ (1.0 / sample.denominator[live])
 
 
 def prune_by_threshold(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from idbal.rng import derive_rng
 from reference import (
     csr_pass,
     example_error,
-    gathered_losses,
     labeled_rows,
     prune_by_threshold,
     raw_score,
@@ -576,7 +576,11 @@ class TestErmAndCandidates:
 
     @pytest.mark.parametrize("revealed", ["none", "one", "some", "over-4000"])
     @pytest.mark.parametrize("subset", ["single", "some", "all"])
-    def test_losses_equal_the_label_gather_to_the_bit(self, revealed, subset):
+    def test_losses_are_the_exact_sums_to_rounding(self, revealed, subset):
+        # each loss is a float sum of the float weights 1 / denominator over
+        # the member's mistaken revealed records: R records summed into
+        # 2 * pool cells, then 2 * pool products, so it lies within
+        # (R + 2 * pool) * 2^-53 relative of the exact sum, and is 0 on none
         rng = np.random.default_rng(17)
         for _ in range(8):
             members, pool = int(rng.integers(1, 80)), int(rng.integers(1, 16))
@@ -598,9 +602,31 @@ class TestErmAndCandidates:
             count = {"single": 1, "some": int(rng.integers(1, members + 1)), "all": members}[subset]
             candidates = np.sort(rng.choice(members, count, replace=False))
             losses = weighted_losses(hclass, sample, candidates)
-            expected = gathered_losses(hclass, sample, candidates)
-            assert losses.dtype == expected.dtype and losses.shape == (count,)
-            assert losses.tobytes() == expected.tobytes()
+            assert losses.dtype == np.float64 and losses.shape == (count,)
+            live = np.flatnonzero(sample.z)
+            # exact totals per (position, label) cell; a member's exact sum
+            # adds the totals of the cells it mislabels
+            weights = (1.0 / sample.denominator[live]).tolist()
+            cells = {}
+            for p, y, w in zip(sample.rows[live].tolist(), sample.y[live].tolist(), weights):
+                cells[p, y] = cells.get((p, y), Fraction(0)) + Fraction(w)
+            tolerance = Fraction(len(live) + 2 * pool, 2**53)
+            for member, loss in zip(candidates.tolist(), losses.tolist()):
+                wrong = [total for (p, y), total in cells.items() if hclass.labels[member, p] != y]
+                if not wrong:
+                    assert loss == 0.0
+                    continue
+                exact = sum(wrong)
+                assert abs(Fraction(loss) - exact) <= tolerance * exact
+
+    @pytest.mark.parametrize("position", [-1, -3, 3, 7])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_position_outside_the_pool_rejected(self, position, label):
+        # a negative position must not wrap round to another point's cell
+        hclass = FiniteClass([FeatureVector({1: float(i)}) for i in range(3)], [[0, 1, 0], [1, 1, 0]])
+        sample = WeightedSample(np.array([position, 0]), np.ones(2, dtype=int), np.array([label, 0]), np.ones(2), 2, 0)
+        with pytest.raises(ValueError):
+            weighted_losses(hclass, sample, np.arange(2))
 
     @pytest.mark.parametrize("weighting", ["balanced", "phase"])
     def test_losses_are_each_members_estimate(self, weighting):
@@ -675,6 +701,14 @@ class TestApproxDisagreement:
             warnings.simplefilter("error")
             mask = approx_dis_mask(scores, np.ones(5), 1.0, 1.0, 0.1, 10.0, 10)
         assert mask.tolist() == [False, False, False, False, True]
+
+    @pytest.mark.parametrize("name", ["stepsize", "capacity", "effective_n"])
+    def test_nan_stepsize_capacity_or_effective_n_rejected(self, name):
+        # NaN must not pass the guard and put every row outside the region
+        args = [0.5, 0.5, 0.1, 10.0, 10]
+        args[{"stepsize": 0, "capacity": 1, "effective_n": 3}[name]] = math.nan
+        with pytest.raises(ValueError, match="must be positive"):
+            approx_dis_mask(np.array([0.0, 0.01]), np.ones(2), *args)
 
     def test_mask_matches_the_formula_exactly(self):
         # rows with index gaps, an empty row and the two hand cases above;
