@@ -8,7 +8,7 @@ as 0, so nothing downstream can touch a label that the logging policy hid.
 The per-instance records (FeatureVector, Example, LoggedTriple) describe the
 exact mode's finite pools; no learner builds them, since a run keeps its
 queried and inferred labels in arrays. Example and LoggedTriple each store
-two slots, x and y: a triple's reveal bit and label source follow from y.
+two slots, x and y: a triple's reveal bit follows from y.
 """
 from __future__ import annotations
 
@@ -134,11 +134,10 @@ class LoggedTriple:
     """An instance with a reveal bit; the label exists only when z = 1.
 
     Only x and y are stored: the reveal bit z is 1 exactly when y is not
-    None, and label_source, where a revealed label came from, is the
-    labeler (QUERIED, the only source) exactly when z = 1, so both are
-    read-only properties. The constructor still takes z and label_source
-    and checks them against y. The learners build no records, so their
-    inferred labels never appear here.
+    None, a read-only property. The constructor still takes z, and the
+    source of a revealed label (QUERIED, the labeler, or None), and checks
+    both against y. The learners build no records, so their inferred
+    labels never appear here.
     """
 
     __slots__ = ("x", "y")
@@ -164,10 +163,6 @@ class LoggedTriple:
     @property
     def z(self) -> int:
         return 0 if self.y is None else 1
-
-    @property
-    def label_source(self) -> LabelSource | None:
-        return None if self.y is None else LabelSource.QUERIED
 
     def __reduce__(self):
         return LoggedTriple, (self.x, self.z, self.y)

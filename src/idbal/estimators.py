@@ -15,6 +15,7 @@ zero reveal probability on an unrevealed record is harmless.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +28,21 @@ __all__ = [
 ]
 
 
+# The least denominator whose weight 1/denominator is finite: 1/(1/max)
+# itself rounds up past the largest float
+_LEAST_DENOMINATOR = math.nextafter(1.0 / sys.float_info.max, 1.0)
+
+
 @dataclass(frozen=True)
 class WeightedSample:
     """A weighted sample as aligned arrays: the records' rows (where the
     hypothesis space finds them: positions into the run's store for a linear
     model, pool positions for a finite class), reveal bits z,
     labels y, and the positive denominator each z = 1 record is divided by,
-    plus the nominal phase sizes (m logged, n online) the denominators were
-    built from. y is stored as 0 wherever z = 0, so a hidden label cannot be
-    read back; neither it nor a hidden record's denominator is checked."""
+    never so small that its weight 1/denominator overflows, plus the nominal
+    phase sizes (m logged, n online) the denominators were built from. y is
+    stored as 0 wherever z = 0, so a hidden label cannot be read back;
+    neither it nor a hidden record's denominator is checked."""
 
     rows: object
     z: np.ndarray
@@ -59,9 +66,10 @@ class WeightedSample:
         labels = revealed & (y == 1)
         if (revealed & (y != labels)).any():
             raise ValueError("z = 1 record must carry a 0/1 label")
-        # a NaN denominator is not positive either
-        if (revealed & ~(denominator > 0.0)).any():
-            raise ValueError("z = 1 record has non-positive denominator")
+        # a NaN denominator is not positive either, and one below the floor
+        # has an infinite weight, whose 0 * inf makes a loss NaN
+        if (revealed & ~(denominator >= _LEAST_DENOMINATOR)).any():
+            raise ValueError("z = 1 record has non-positive denominator, or one whose weight 1/denominator overflows")
         object.__setattr__(self, "z", revealed.astype(np.int8))
         object.__setattr__(self, "y", labels.astype(np.int8))
         object.__setattr__(self, "denominator", denominator)

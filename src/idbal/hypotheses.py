@@ -249,12 +249,16 @@ def weighted_losses(hypothesis_class: FiniteClass, sample: WeightedSample, candi
     2 * pool codes), and one product of the class's mistake table with those
     totals gives every member's loss. Each equals the member's mis_error up
     to rounding; a sample with no revealed record makes every loss 0. A
-    position outside the pool, negative or past its end, is a ValueError."""
+    position outside the pool, negative or past its end, is a ValueError,
+    and so is a cell total that overflows, which would make 0 * inf a NaN
+    loss."""
     live = np.flatnonzero(sample.z)
     codes = 2 * sample.rows[live] + sample.y[live]
     mistakes = hypothesis_class.mistakes
     # a negative code fails the bincount, one past the pool the product
     cells = np.bincount(codes, weights=1.0 / sample.denominator[live], minlength=mistakes.shape[1])
+    if not np.isfinite(cells).all():
+        raise ValueError("a cell's total weight overflows")
     return (mistakes @ cells)[candidates]
 
 

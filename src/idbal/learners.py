@@ -165,7 +165,6 @@ class RunResult:
     skipped_count: int
     decisions: tuple[str, ...]
     trace: tuple[TracePoint, ...]
-    seed: int
 
 
 # The last exact store built from tuples: (hclass, logged, online, arrays).
@@ -323,7 +322,6 @@ def _run_disagreement_core(
     policy: LoggingPolicy,
     hypothesis_space: FiniteClass | LinearModel,
     cfg: AlgoConfig,
-    seed: int,
     *,
     weighting: str,
     debias: bool,
@@ -396,33 +394,26 @@ def _run_disagreement_core(
         skipped_count=skipped,
         decisions=tuple(decisions),
         trace=tuple(trace),
-        seed=seed,
     )
 
 
+# Each runner takes a sixth argument, seed, and reads nothing from it: a run
+# draws nothing. perfbench's exact-oracle workload passes one, and the
+# parameter goes when that workload stops passing it.
 def run_idbal(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0) -> RunResult:
     """Balanced weighting plus the debiasing query rule (the full algorithm)."""
-    return _run_disagreement_core(
-        logged, online, policy, hypothesis_space, cfg, seed,
-        weighting="mis", debias=True,
-    )
+    return _run_disagreement_core(logged, online, policy, hypothesis_space, cfg, weighting="mis", debias=True)
 
 
 def run_dbalwm(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0) -> RunResult:
     """Balanced weighting, no debiasing: every online point in the current
     segment is taken (queried inside the region, imputed outside)."""
-    return _run_disagreement_core(
-        logged, online, policy, hypothesis_space, cfg, seed,
-        weighting="mis", debias=False,
-    )
+    return _run_disagreement_core(logged, online, policy, hypothesis_space, cfg, weighting="mis", debias=False)
 
 
 def run_dbalw(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0) -> RunResult:
     """Per-phase importance weighting, no debiasing."""
-    return _run_disagreement_core(
-        logged, online, policy, hypothesis_space, cfg, seed,
-        weighting="is", debias=False,
-    )
+    return _run_disagreement_core(logged, online, policy, hypothesis_space, cfg, weighting="is", debias=False)
 
 
 def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed: int = 0) -> RunResult:
@@ -455,7 +446,6 @@ def run_passive(logged, online, policy, hypothesis_space, cfg: AlgoConfig, seed:
         skipped_count=0,
         decisions=tuple([QUERY] * n),
         trace=(first, TracePoint(n, n, final, candidates)),
-        seed=seed,
     )
 
 

@@ -1,13 +1,13 @@
 """Brute-force ground truth on small discrete problems.
 
 Everything here is deliberately exhaustive: true errors by summing over the
-pool, a center's distance to each member as one masked sum, and balls and
-regions read off those distances as masks over the pool. The estimator
-checks read one cell table per (instance, m, n, q1): a record's cell is its
-phase, pool point, label and reveal bit, and its value comes from the
-library's estimator (`WeightedSample` and `mis_error` on a one-record
-sample). An estimator's mean and variance are exact sums over that table,
-and nothing is drawn. The learners never call into this module; it exists
+pool, regions as masks over the pool, and the disagreement coefficient's
+balls read off h*'s distance to each member, one masked sum each. The
+estimator checks read one cell table per (instance, m, n, q1): a record's
+cell is its phase, pool point, label and reveal bit, and its value comes
+from the library's estimator (`WeightedSample` and `mis_error` on a
+one-record sample). An estimator's mean and variance are exact sums over
+that table, and nothing is drawn. The learners never call into this module; it exists
 to verify them and the estimators.
 
 Masses and propensities from `random_instance` live on dyadic grids
@@ -31,8 +31,6 @@ from .rng import derive_rng
 __all__ = [
     "DiscreteInstance",
     "random_instance",
-    "disagreement_mass",
-    "dis_ball",
     "dis_region",
     "s_region",
     "adjusted_dis_coefficient",
@@ -122,7 +120,7 @@ def random_instance(
     if class_size < 1:
         raise ValueError(f"class_size must be at least 1, got {class_size}")
     if class_size > 2**pool_size:
-        raise ValueError("cannot place that many distinct members on the pool")
+        raise ValueError(f"class_size {class_size} exceeds the {2**pool_size} distinct labelings of the pool")
     rng = derive_rng(seed, "fixture")
     pool = tuple(FeatureVector({1: float(i + 1)}) for i in range(pool_size))
     counts = np.ones(pool_size, dtype=int)
@@ -150,13 +148,6 @@ def _check_member(instance: DiscreteInstance, *members: int) -> None:
             raise ValueError(f"member index {h} outside [0, {count})")
 
 
-def _distances(instance: DiscreteInstance, center: int) -> np.ndarray:
-    """The center's disagreement mass with each member, one masked sum each."""
-    _check_member(instance, center)
-    labels, masses = instance.classifiers.labels, instance.masses
-    return np.array([masses[row != labels[center]].sum() for row in labels])
-
-
 def _region(labels: np.ndarray) -> np.ndarray:
     """Pool mask where some pair of the label rows disagrees (none for no rows)."""
     return (labels != labels[:1]).any(axis=0)
@@ -166,17 +157,6 @@ def _s_mask(instance: DiscreteInstance, region: np.ndarray, alpha: float) -> np.
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     return region & (instance.q0 <= instance.q0[region].min(initial=math.inf) + 1.0 / alpha)
-
-
-def disagreement_mass(instance: DiscreteInstance, i: int, j: int) -> float:
-    """Mass of the pool points where members i and j differ."""
-    _check_member(instance, j)
-    return float(_distances(instance, i)[j])
-
-
-def dis_ball(instance: DiscreteInstance, center: int, radius: float) -> tuple[int, ...]:
-    """Members within disagreement mass radius of the center."""
-    return tuple(np.flatnonzero(_distances(instance, center) <= radius).tolist())
 
 
 def dis_region(instance: DiscreteInstance, members: Iterable[int]) -> tuple[int, ...]:
@@ -203,23 +183,25 @@ def adjusted_dis_coefficient(instance: DiscreteInstance, r0: float, alpha: float
     The ball is piecewise constant in r and 1/r is decreasing, so the
     supremum is attained either at one of the achievable disagreement-mass
     values above r0 or in the limit r -> r0 from above; both are enumerated.
+    At r0 = 0 the limit adds nothing: the members at distance 0 agree with h*
+    on every point of positive mass, so their region has mass 0.
     """
     if not 0.0 <= r0 < math.inf:
         raise ValueError(f"r0 must be finite and non-negative, got {r0}")
     if r0 < 2.0 * instance.nu - 1e-12:
         raise ValueError("r0 must be at least twice the best achievable error")
-    distances = _distances(instance, instance.h_star_index)
+    labels, masses = instance.classifiers.labels, instance.masses
+    star = labels[instance.h_star_index]
+    # h*'s disagreement mass with each member, one masked sum each
+    distances = np.array([masses[row != star].sum() for row in labels])
 
     def mass_at(radius: float) -> float:
-        kept = _s_mask(instance, _region(instance.classifiers.labels[distances <= radius]), alpha)
-        return float(instance.masses[kept].sum())
+        kept = _s_mask(instance, _region(labels[distances <= radius]), alpha)
+        return float(masses[kept].sum())
 
     best = max((mass_at(r) / r for r in np.unique(distances[distances > r0]).tolist()), default=0.0)
-    limit_mass = mass_at(r0)
     if r0 > 0.0:
-        best = max(best, limit_mass / r0)
-    elif limit_mass > 0.0:
-        best = math.inf
+        best = max(best, mass_at(r0) / r0)
     return best
 
 

@@ -202,7 +202,6 @@ def practical_run(
     online: SplitRows,
     model: LinearModel,
     cfg: AlgoConfig,
-    seed: int,
     *,
     weighting: str,
     debias: bool,
@@ -288,13 +287,10 @@ def practical_run(
         skipped_count=skipped,
         decisions=tuple(decisions),
         trace=tuple(trace),
-        seed=seed,
     )
 
 
-def practical_passive(
-    logged: SplitRows, online: SplitRows, model: LinearModel, cfg: AlgoConfig, seed: int
-) -> RunResult:
+def practical_passive(logged: SplitRows, online: SplitRows, model: LinearModel, cfg: AlgoConfig) -> RunResult:
     """The passive learner: a gradient pass over the revealed logged rows,
     then one over every online row."""
     n = len(online)
@@ -310,5 +306,4 @@ def practical_passive(
         skipped_count=0,
         decisions=(QUERY,) * n,
         trace=(TracePoint(0, 0, warm), TracePoint(n, n, final)),
-        seed=seed,
     )

@@ -59,6 +59,11 @@ class TestFeatureVector:
         with pytest.raises(ValueError):
             FeatureVector([(1, 1.0), (1, 2.0)])
 
+    @pytest.mark.parametrize("index", [1.0, "1", True, None])
+    def test_non_integer_index_rejected(self, index):
+        with pytest.raises(ValueError, match="is not an integer"):
+            FeatureVector({index: 1.0})
+
     def test_nonpositive_index_rejected(self):
         with pytest.raises(ValueError):
             FeatureVector({0: 1.0})
@@ -91,11 +96,7 @@ class TestRecords:
         with pytest.raises(ValueError):
             LoggedTriple(FeatureVector({1: 1.0}), 0, 1)
         t = LoggedTriple(FeatureVector({1: 1.0}), 0)
-        assert t.y is None and t.label_source is None
-
-    def test_revealed_default_source_is_queried(self):
-        t = LoggedTriple(FeatureVector({1: 1.0}), 1, 0)
-        assert t.label_source is LabelSource.QUERIED
+        assert t.y is None
 
     def test_records_are_slotted_and_pickle(self):
         x = FeatureVector({1: 1.0, 3: -2.5})
@@ -104,12 +105,11 @@ class TestRecords:
             assert not hasattr(record, "__dict__")
             back = pickle.loads(pickle.dumps(record))
             assert back == record and type(back) is type(record)
-        assert pickle.loads(pickle.dumps(records[2])).label_source is LabelSource.QUERIED
         with pytest.raises(AttributeError):
             records[1].z = 1
 
     def test_triple_stores_only_x_and_y(self):
-        # z and label_source follow from y; a third slot would grow every record
+        # z follows from y; a third slot would grow every record
         assert LoggedTriple.__slots__ == ("x", "y")
         assert Example.__slots__ == ("x", "y")
 
@@ -121,10 +121,18 @@ class TestRecords:
         x = FeatureVector({1: 1.0})
         t = LoggedTriple(x, z, y, label_source)
         assert (t.z, t.y) == (z, y)
-        assert t.label_source is (LabelSource.QUERIED if z else None)
         default = LoggedTriple(x, z, y)
         assert t == default and hash(t) == hash(default)
         assert t != LoggedTriple(x, 1 - z, None if z else 1)
+
+    @pytest.mark.parametrize("z", [2, -1, 0.5, None, "1"])
+    def test_bad_reveal_bit_rejected(self, z):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            LoggedTriple(FeatureVector({1: 1.0}), z, 1)
+
+    def test_hidden_triple_has_no_label_source(self):
+        with pytest.raises(ValueError, match="z = 0 record cannot have a label source"):
+            LoggedTriple(FeatureVector({1: 1.0}), 0, None, LabelSource.QUERIED)
 
     @pytest.mark.parametrize("label_source", ["bogus", "queried", 1, LabelSource])
     def test_revealed_triple_rejects_other_sources(self, label_source):
@@ -174,6 +182,16 @@ class TestTextFormat:
     def test_bad_label_rejected(self):
         with pytest.raises(ParseError):
             parse_sparse_dataset("2 1:1.0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 1:1.0\nyes 1:1.0\n", "line 2: label 'yes' is not numeric"),
+        ("1 2:1.0 2:0.5\n", "line 1: duplicate feature index 2"),
+        ("0 1:1.0\n1 1:nan\n", "line 2: non-finite value at index 1"),
+        ("1 3:-inf\n", "line 1: non-finite value at index 3"),
+    ], ids=["label-word", "repeated-index", "nan-value", "infinite-value"])
+    def test_malformed_line_names_its_fault(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_sparse_dataset(text)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(7)
@@ -292,6 +310,16 @@ class TestSynthetic:
         clean = (data.matrix.toarray()[:, 1:] @ synthetic_separator(spec) >= 0.0).astype(int)
         assert clean.tolist() == data.labels.tolist()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("count", 0, "count must be positive"),
+        ("dim", 0, "dim must be positive"),
+        ("flip_prob", -0.1, r"flip_prob must be in \[0, 0.5\)"),
+        ("flip_prob", 0.5, r"flip_prob must be in \[0, 0.5\)"),
+    ], ids=["no-rows", "no-features", "negative-flip", "flip-half"])
+    def test_bad_spec_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(**{field: value})
+
     @pytest.mark.parametrize("count, dim", [(600, 30), (200, 300), (1, 1)])
     def test_rows_match_the_record_stack(self, count, dim):
         spec = SyntheticSpec(count=count, dim=dim, flip_prob=0.2, seed=count + dim)
@@ -306,6 +334,16 @@ class TestSplit:
         assert len(split.online) == 400
         combined = np.concatenate((split.test, split.logged, split.online))
         assert sorted(combined.tolist()) == list(range(1000))
+
+    @pytest.mark.parametrize("count, fractions, message", [
+        (100, (0.0, 0.5), "fractions must lie strictly between 0 and 1"),
+        (100, (0.2, 1.0), "fractions must lie strictly between 0 and 1"),
+        (100, (float("nan"), 0.5), "fractions must lie strictly between 0 and 1"),
+        (2, (0.2, 0.5), "need at least 3 examples to split, got 2"),
+    ], ids=["no-test", "all-logged", "nan-test", "two-rows"])
+    def test_bad_split_rejected(self, count, fractions, message):
+        with pytest.raises(ValueError, match=message):
+            split_dataset(count, fractions)
 
     def test_deterministic_and_seed_sensitive(self):
         a = split_dataset(200, (0.2, 0.5), seed=5)

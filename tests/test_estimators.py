@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +42,10 @@ def _predict(model: LinearModel, sample: WeightedSample) -> np.ndarray:
 BITS = "reveal bits must be 0 or 1"
 LABEL = "z = 1 record must carry a 0/1 label"
 DENOMINATOR = "z = 1 record has non-positive denominator"
+OVERFLOW = "weight 1/denominator overflows"
+# the least denominator whose weight 1/denominator is finite: 1/(1/max)
+# rounds past the largest float
+LEAST = math.nextafter(1.0 / sys.float_info.max, 1.0)
 
 
 def _case(name: str, expected, z=(1, 0), y=(1, 1), denominator=(0.5, 0.25)):
@@ -67,9 +72,11 @@ ACCEPT_REJECT = [
     _case("revealed denominator -1", DENOMINATOR, denominator=(-1.0, 0.25)),
     _case("revealed denominator nan", DENOMINATOR, denominator=(math.nan, 0.25)),
     _case("revealed denominator inf", ([1, 0], [1, 0], [math.inf, 0.25]), denominator=(math.inf, 0.25)),
+    _case("revealed denominator below the least", OVERFLOW, denominator=(math.nextafter(LEAST, 0.0), 0.25)),
+    _case("revealed denominator least", ([1, 0], [1, 0], [LEAST, 0.25]), denominator=(LEAST, 0.25)),
     *(
         _case(f"hidden denominator {v}", ([1, 0], [1, 0], [0.5, v]), denominator=(0.5, v))
-        for v in (0.0, -1.0, math.nan, math.inf)
+        for v in (0.0, -1.0, math.nan, math.inf, 1e-310)
     ),
 ]
 
@@ -86,6 +93,10 @@ class TestWeightedSample:
         sample = WeightedSample(np.arange(2), z, y, denominator, m=2, n=0)
         for stored, want, dtype in zip((sample.z, sample.y, sample.denominator), expected, (np.int8, np.int8, float)):
             assert stored.dtype == dtype and stored.tobytes() == np.array(want, dtype=dtype).tobytes()
+
+    def test_least_denominator_is_the_overflow_boundary(self):
+        assert 1.0 / LEAST == 1.7976931348623143e308
+        assert 1.0 / math.nextafter(LEAST, 0.0) == math.inf
 
     def test_balanced_denominators(self):
         sample = _sample([1, 1], [0, 1], [0.2, 0.5], [1.0, 0.0], m=3, n=4)
@@ -256,6 +267,17 @@ class TestBounds:
         ):
             with pytest.raises(ValueError):
                 delta_bound(sigma_value, rho, 1.0)
+
+    @pytest.mark.parametrize("sizes, xi, message", [
+        ((-1, 2), 0.5, "phase sizes cannot be negative"),
+        ((2, -1), 0.5, "phase sizes cannot be negative"),
+        ((2, 2), -0.25, "xi must be a probability"),
+        ((2, 2), 1.5, "xi must be a probability"),
+        ((2, 2), math.nan, "xi must be a probability"),
+    ], ids=["negative-m", "negative-n", "negative-xi", "xi-over-1", "nan-xi"])
+    def test_sigma_rejects_bad_sizes_and_floors(self, sizes, xi, message):
+        with pytest.raises(ValueError, match=message):
+            sigma(sizes, xi, 8, 0.1)
 
     def test_bound_config_validation(self):
         # the bound's constants: gamma0 > 0, delta in (0, 1), at least one hypothesis

@@ -777,6 +777,21 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**{"datasets": self._dataset(), field: value})
 
+    @pytest.mark.parametrize("field, value", [("repeats", 0), ("horizon_base", 0), ("horizon_growth", 1)])
+    def test_rejects_no_repeats_or_a_bad_schedule(self, field, value):
+        with pytest.raises(ValueError, match="repeats and horizon_base must be >= 1, growth >= 2"):
+            ExperimentConfig(**{"datasets": self._dataset(), field: value})
+
+    @pytest.mark.parametrize("name", ["Uniform", "margin", ""])
+    def test_unknown_policy_rejected(self, name):
+        with pytest.raises(ValueError, match=f"unknown policy '{name}'"):
+            PolicySpec(name=name)
+
+    def test_table_policy_needs_a_path(self):
+        data = load_dataset(self._dataset()[0])
+        with pytest.raises(ValueError, match="table policy needs table_path"):
+            harness.build_policy(PolicySpec(name="table"), data, "toy", 0, data.matrix)
+
     def test_requires_positive_workers(self):
         with pytest.raises(ValueError):
             ExperimentConfig(datasets=self._dataset(), workers=0)

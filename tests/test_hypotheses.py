@@ -95,6 +95,16 @@ class TestLinearModel:
         model = LinearModel(np.zeros(2))
         assert margins(model, stack_rows([FeatureVector({1: 5.0})], 1)).tolist() == [0.0]
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LinearModel(np.zeros((2, 2))), "weights must be a non-empty 1-d array"),
+        (lambda: LinearModel(np.zeros(0)), "weights must be a non-empty 1-d array"),
+        (lambda: LinearModel(np.zeros(2), -1), "steps cannot be negative"),
+        (lambda: LinearModel.zeros(0), "dim must be positive"),
+    ], ids=["2-d", "empty", "negative-steps", "no-features"])
+    def test_bad_shapes_and_counts_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestStepsizeSchedule:
     def test_first_update_value(self):
@@ -428,6 +438,24 @@ class TestFiniteClass:
         with pytest.raises(AttributeError):
             member.index = 1
 
+    @pytest.mark.parametrize("labels, message", [
+        (np.zeros(4, dtype=np.int8), r"labels must be a \(members, pool\) table"),
+        (np.zeros((2, 3), dtype=np.int8), "label table width must match pool size"),
+        (np.zeros((0, 4), dtype=np.int8), "class must contain at least one member"),
+        (np.full((2, 4), 2, dtype=np.int8), "labels must be 0/1"),
+    ], ids=["1-d", "narrow", "no-members", "label-2"])
+    def test_bad_label_tables_rejected(self, labels, message):
+        _, pool = _tiny_class()
+        with pytest.raises(ValueError, match=message):
+            FiniteClass(pool, labels)
+
+    def test_repeated_pool_instance_rejected(self):
+        # an equal copy counts as a repeat: both would have one key
+        _, pool = _tiny_class()
+        for repeat in (pool[0], FeatureVector({1: 1.0})):
+            with pytest.raises(ValueError, match="pool instances must be distinct"):
+                FiniteClass([*pool, repeat], np.zeros((1, 5), dtype=np.int8))
+
     def test_unknown_instance_rejected(self):
         hclass, _ = _tiny_class()
         with pytest.raises(ValueError, match="not in the class's pool"):
@@ -628,6 +656,26 @@ class TestErmAndCandidates:
         with pytest.raises(ValueError):
             weighted_losses(hclass, sample, np.arange(2))
 
+    def test_an_infinite_weight_is_rejected_before_it_is_scored(self):
+        # a revealed denominator of 1e-310 has weight inf: 0 * inf made the
+        # losses [inf, nan, nan], so the ERM was member 1 at loss NaN and
+        # pruning dropped member 2, the true minimiser
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                WeightedSample.balanced(
+                    np.arange(3), np.ones(3, dtype=int), np.array([1, 0, 0]), [1e-310, 0.5, 0.5], np.zeros(3), 1, 0
+                )
+
+    def test_an_overflowing_cell_total_is_rejected(self):
+        # each weight 1e308 is finite, their cell's total is not
+        hclass = FiniteClass([FeatureVector({1: float(i)}) for i in range(3)], [[0, 0, 0], [1, 1, 1], [1, 0, 0]])
+        sample = WeightedSample(np.zeros(2, dtype=int), np.ones(2, dtype=int), np.ones(2, dtype=int), [1e-308] * 2, 2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                weighted_losses(hclass, sample, np.arange(3))
+
     @pytest.mark.parametrize("weighting", ["balanced", "phase"])
     def test_losses_are_each_members_estimate(self, weighting):
         # the exact ERM ranks members by weighted_losses, the oracle's
@@ -799,6 +847,13 @@ class TestClassificationError:
             with np.errstate(invalid="ignore"):
                 assert example_error(weights, examples) == error
             assert classification_error(model, rows) == error
+
+    def test_no_rows_or_no_linear_model_rejected(self):
+        rows = labeled_rows([Example(FeatureVector({1: 1.0}), 1)], 1)
+        with pytest.raises(ValueError, match="error undefined on an empty example list"):
+            classification_error(LinearModel.zeros(1), rows[:0])
+        with pytest.raises(TypeError, match="row-form examples need a LinearModel"):
+            classification_error(TableClassifier(0), rows)
 
     def test_rows_reject_wide_features_and_width_mismatch(self):
         rows = labeled_rows([Example(FeatureVector({2: 1.0}), 1)], 4)

@@ -182,6 +182,11 @@ class TestDebiasRule:
 
 
 class TestAlgoConfig:
+    @pytest.mark.parametrize("mode", ["Exact", "linear", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+            AlgoConfig(mode=mode)
+
     @pytest.mark.parametrize("field", ["capacity", "eta", "gamma0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_non_positive_or_non_finite_rejected(self, field, value):
@@ -230,12 +235,25 @@ class TestPracticalRuns:
             assert res.trace[-1].classifier is res.final_classifier
 
     def test_deterministic_given_seed(self):
+        # a run draws nothing, so the sixth argument, seed, is not read: in
+        # both modes every runner's run at seed 5 equals its run at seed 6
         split, policy, logged = _practical_setup(3)
         cfg = AlgoConfig(mode="practical", capacity=2621.44, eta=0.0064)
-        a = run_idbal(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, 5)
-        b = run_idbal(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, 5)
-        assert a.decisions == b.decisions
-        np.testing.assert_array_equal(a.final_classifier.weights, b.final_classifier.weights)
+        inst = random_instance(3, pool_size=5, class_size=8)
+        rng = derive_rng(3, "exact-world")
+        exact = (inst.draw_logged(rng, 400), inst.draw_examples(rng, 31), inst.logging_policy(), inst.classifiers)
+
+        def plain(result: RunResult) -> RunResult:
+            """The run with each linear model as (weight bytes, steps), which == compares."""
+            def model(m: LinearModel):
+                return m.weights.tobytes(), m.steps
+            trace = tuple(dataclasses.replace(p, classifier=model(p.classifier)) for p in result.trace)
+            return dataclasses.replace(result, final_classifier=model(result.final_classifier), trace=trace)
+
+        for name, runner in ALGORITHMS.items():
+            a, b = (runner(logged, split.online[:64], policy, LinearModel.zeros(6), cfg, seed) for seed in (5, 6))
+            assert plain(a) == plain(b), name
+            assert runner(*exact, AlgoConfig(mode="exact"), 5) == runner(*exact, AlgoConfig(mode="exact"), 6), name
 
     def test_degenerate_logging_makes_debias_vacuous(self):
         # reveal probability identically 1: the skip rule can never fire and
@@ -822,12 +840,11 @@ class TestStoreScores:
             for name, runner in ALGORITHMS.items():
                 got = runner(prepared.logged, online, policy, LinearModel.zeros(dim), cfg, 3)
                 if name == "passive":
-                    want = practical_passive(prepared.logged, online, LinearModel.zeros(dim), cfg, 3)
+                    want = practical_passive(prepared.logged, online, LinearModel.zeros(dim), cfg)
                 else:
                     weighting, debias = _REFERENCE_VARIANTS[name]
                     want = practical_run(
-                        prepared.logged, online, LinearModel.zeros(dim), cfg, 3,
-                        weighting=weighting, debias=debias,
+                        prepared.logged, online, LinearModel.zeros(dim), cfg, weighting=weighting, debias=debias
                     )
                 for field in dataclasses.fields(RunResult):
                     a, b = getattr(got, field.name), getattr(want, field.name)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,9 +14,7 @@ from idbal.hypotheses import FiniteClass
 from idbal.oracle import (
     DiscreteInstance,
     adjusted_dis_coefficient,
-    dis_ball,
     dis_region,
-    disagreement_mass,
     exact_moments,
     random_instance,
     run_verification_suite,
@@ -68,8 +65,9 @@ class TestDiscreteInstance:
             ({"pool_size": 129}, "pool_size"),
             ({"class_size": 0}, "class_size"),
             ({"class_size": -1}, "class_size"),
+            ({"pool_size": 2, "class_size": 5}, "class_size 5 exceeds the 4 distinct labelings"),
         ],
-        ids=["empty-pool", "negative-pool", "pool-over-128", "empty-class", "negative-class"],
+        ids=["empty-pool", "negative-pool", "pool-over-128", "empty-class", "negative-class", "class-over-labelings"],
     )
     def test_bad_sizes_name_the_argument(self, sizes, argument):
         # masses are whole 1/128 units, at least one per pool point
@@ -77,7 +75,7 @@ class TestDiscreteInstance:
             random_instance(0, **sizes)
 
     def test_size_limits_accepted(self):
-        for pool_size, class_size in ((1, 1), (1, 2), (128, 3)):
+        for pool_size, class_size in ((1, 1), (1, 2), (2, 4), (128, 3)):
             inst = random_instance(0, pool_size=pool_size, class_size=class_size)
             assert len(inst.pool) == pool_size and len(inst.classifiers) == class_size
             assert np.all(inst.masses >= 1.0 / 128.0) and inst.masses.sum() == 1.0
@@ -89,6 +87,21 @@ class TestDiscreteInstance:
         arrays[field] = arrays[field].copy()
         arrays[field][1] = math.nan
         with pytest.raises(ValueError, match="finite"):
+            DiscreteInstance(pool=inst.pool, classifiers=inst.classifiers, **arrays)
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("masses", [0.5, 0.5], "one entry per pool instance"),
+        ("p1", [0.0, 1.0, 0.25, 0.5], "one entry per pool instance"),
+        ("q0", [[0.5, 0.125, 1.0]], "one entry per pool instance"),
+        ("masses", [0.75, 0.5, -0.25], "masses must be nonnegative and sum to 1"),
+        ("masses", [0.5, 0.25, 0.125], "masses must be nonnegative and sum to 1"),
+        ("p1", [0.0, 1.25, 0.25], "p1 and q0 must be probabilities"),
+        ("q0", [0.5, -0.125, 1.0], "p1 and q0 must be probabilities"),
+    ], ids=["short-masses", "long-p1", "2-d-q0", "negative-mass", "mass-below-1", "p1-over-1", "negative-q0"])
+    def test_bad_arrays_rejected(self, field, values, message):
+        inst = _hand_instance()
+        arrays = {"masses": inst.masses, "p1": inst.p1, "q0": inst.q0, field: np.array(values)}
+        with pytest.raises(ValueError, match=message):
             DiscreteInstance(pool=inst.pool, classifiers=inst.classifiers, **arrays)
 
     def test_class_over_a_permuted_pool_rejected(self):
@@ -129,23 +142,8 @@ class TestDiscreteInstance:
 
 
 class TestRegionGeometry:
-    def test_disagreement_mass_hand(self):
-        inst = _hand_instance()
-        # members 0 and 1 differ only at point 2 (mass 0.25)
-        np.testing.assert_allclose(disagreement_mass(inst, 0, 1), 0.25)
-        # members 0 and 2 differ at points 0 and 1
-        np.testing.assert_allclose(disagreement_mass(inst, 0, 2), 0.75)
-        assert disagreement_mass(inst, 1, 1) == 0.0
-
-    def test_symmetry(self):
-        inst = random_instance(3)
-        for i, j in combinations(range(len(inst.classifiers)), 2):
-            assert disagreement_mass(inst, i, j) == disagreement_mass(inst, j, i)
-
     def test_ball_and_region_hand(self):
         inst = _hand_instance()
-        assert dis_ball(inst, 0, 0.3) == (0, 1)
-        assert dis_ball(inst, 0, 1.0) == (0, 1, 2)
         # region of {0, 1}: they differ only at pool point 2
         assert dis_region(inst, (0, 1)) == (2,)
         assert dis_region(inst, (0,)) == ()
@@ -154,11 +152,9 @@ class TestRegionGeometry:
         # a negative index used to wrap around to the last member or point
         inst = _hand_instance()
         with pytest.raises(ValueError, match="member index -1 outside"):
-            dis_ball(inst, -1, 0.5)
-        with pytest.raises(ValueError, match="member index -1 outside"):
             dis_region(inst, (-1, 0))
         with pytest.raises(ValueError, match="member index 3 outside"):
-            disagreement_mass(inst, 0, len(inst.classifiers))
+            dis_region(inst, (0, len(inst.classifiers)))
         with pytest.raises(ValueError, match="pool index outside"):
             s_region(inst, (-1,), 2.0)
         with pytest.raises(ValueError, match="pool index outside"):
@@ -192,6 +188,27 @@ class TestAdjustedCoefficient:
             base = adjusted_dis_coefficient(inst, r0, alpha=1.0)
             for alpha in (2.0, 4.0, 8.0):
                 assert adjusted_dis_coefficient(inst, r0, alpha) <= base + 1e-12
+
+    def test_zero_radius_on_noiseless_worlds(self):
+        # nu = 0 (p1 is member 0's labelling), so r0 = 0 is allowed. The
+        # members at distance 0 agree with h* wherever there is mass, even a
+        # member planted to differ from it at a point of mass 0, so the
+        # limit r -> 0 adds nothing and the coefficient stays finite
+        for seed in range(10):
+            base = random_instance(seed, pool_size=8, class_size=64)
+            masses = base.masses.copy()
+            masses[1] += masses[0]
+            masses[0] = 0.0
+            labels = np.vstack((base.classifiers.labels, base.classifiers.labels[:1]))
+            labels[-1, 0] = 1 - labels[-1, 0]
+            for weights, hclass in ((base.masses, base.classifiers), (masses, FiniteClass(base.pool, labels))):
+                inst = DiscreteInstance(
+                    pool=base.pool, masses=weights, p1=hclass.labels[0].astype(float), classifiers=hclass, q0=base.q0
+                )
+                assert inst.nu == 0.0 and inst.h_star_index == 0
+                value = adjusted_dis_coefficient(inst, 0.0, alpha=1.0)
+                assert math.isfinite(value) and value > 0.0
+                np.testing.assert_allclose(value, independent_coefficient(inst, 0.0), rtol=1e-12)
 
     def test_radius_floor_validated(self):
         inst = random_instance(0)
@@ -267,6 +284,22 @@ class TestMonteCarlo:
         rows = run_verification_suite(seed=0, fixtures=1, trials=1)
         assert [row.name for row in rows] == ["unbiasedness-mis-0", "unbiasedness-is-0", "variance-dominance-0"]
         assert rows == run_verification_suite(seed=0, fixtures=1) == run_verification_suite(0, 1, trials=20000)
+
+    @pytest.mark.parametrize("estimator", ["mis", "is"])
+    def test_one_phase_moments(self, estimator):
+        # with m = 0 or n = 0 one phase of N records has them all: a wrong
+        # revealed record at x weighs 1/(N q(x)) and has probability w(x) q(x),
+        # w(x) = mass(x) P(h errs at x), so the mean is the true error err =
+        # sum w and the variance is (sum w/q - err^2) / N
+        inst = random_instance(2, force_low_propensity=True)
+        q1 = np.linspace(0.25, 1.0, len(inst.pool))
+        h = 3
+        w = inst.masses * np.where(inst.classifiers.labels[h] == 1, 1.0 - inst.p1, inst.p1)
+        err = float(inst.true_errors[h])
+        for m, n, q in ((0, 12, q1), (12, 0, inst.q0)):
+            mean, variance = exact_moments(inst, h, m=m, n=n, q1=q1, estimator=estimator)
+            assert abs(mean - err) <= 1e-12
+            np.testing.assert_allclose(variance, (float((w / q).sum()) - err**2) / (m + n), rtol=1e-12)
 
     @pytest.mark.parametrize("m, n", [(0, 0), (-3, 5), (5, -1)])
     def test_bad_sample_sizes_rejected(self, m, n):

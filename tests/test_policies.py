@@ -58,6 +58,12 @@ class TestUniformGroups:
         seen = set(policy.probs(_rows(*(_vec(i) for i in range(200)))).tolist())
         assert seen == {0.005, 0.05, 0.5}
 
+    @pytest.mark.parametrize("levels", [(-0.1, 0.05, 0.5), (0.005, 1.5, 0.5), (0.005, 0.05, math.nan)],
+                             ids=["negative-low", "mid-over-1", "nan-high"])
+    def test_probability_domain(self, levels):
+        with pytest.raises(ValueError, match="group probabilities must be probabilities"):
+            UniformGroupsPolicy(*levels, group_seed=0)
+
     def test_group_depends_on_seed(self):
         rows = _rows(*(_vec(i) for i in range(50)))
         a = UniformGroupsPolicy(0.005, 0.05, 0.5, group_seed=0).probs(rows).tolist()
@@ -189,6 +195,11 @@ class TestTablePolicy:
         with pytest.raises(ValueError, match="not covered"):
             policy.probs(_rows(x, _vec(1)))
 
+    @pytest.mark.parametrize("p", [-0.25, 1.5, math.nan])
+    def test_probability_domain(self, p):
+        with pytest.raises(ValueError, match="for '1:0.5' out of range"):
+            TablePolicy({"1:0.5": p})
+
     def test_lookup_across_key_blocks(self):
         # 600 rows span three blocks of keys; the last row alone is missing
         rows = generate_synthetic(SyntheticSpec(count=600, dim=3, seed=5)).matrix
@@ -226,6 +237,16 @@ class TestTablePolicy:
     def test_load_names_the_bad_row(self, row, message):
         text = f"instance,probability\n2:1.0,0.5\n{row}\n"
         with pytest.raises(ValueError, match=f"^row 3: {message}"):
+            load_table_policy(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "must start with 'instance,probability'"),
+        ("probability,instance\n1:0.5,0.5\n", "must start with 'instance,probability'"),
+        ("instance,probability\n1:0.5,0.5,0.25\n", "^row 2: expected 2 columns"),
+        ("instance,probability\n1:0.5,0.5\n2:0.5\n", "^row 3: expected 2 columns"),
+    ], ids=["empty", "swapped-header", "three-columns", "one-column"])
+    def test_load_rejects_a_bad_header_or_width(self, text, message):
+        with pytest.raises(ValueError, match=message):
             load_table_policy(text)
 
     @pytest.mark.parametrize("first, second", [("1:0.5", "1:0.5"), ("2:0.5 1:0.25", "1:0.25 2:0.5 3:0")],
@@ -277,6 +298,24 @@ class TestCoarseModelAndCalibration:
         rows = _rows(*(_vec(i, dim=2) for i in range(10)))
         with pytest.raises(ValueError):
             calibrate_scale("certainty", model, rows, target=0.5)
+
+    @pytest.mark.parametrize("kind, count, target, message", [
+        ("certainty", 0, 0.1, "calibration needs at least one instance"),
+        ("certainty", 10, 0.0, "target must lie strictly between 0 and 1"),
+        ("uncertainty", 10, 1.0, "target must lie strictly between 0 and 1"),
+        ("certainty", 10, math.nan, "target must lie strictly between 0 and 1"),
+        ("identical", 10, 0.1, "unknown margin policy kind 'identical'"),
+    ], ids=["no-rows", "target-0", "target-1", "nan-target", "unknown-kind"])
+    def test_calibration_rejects_bad_arguments(self, kind, count, target, message):
+        rows = _rows(*(_vec(i, dim=2) for i in range(10)))[:count]
+        with pytest.raises(ValueError, match=message):
+            calibrate_scale(kind, LinearModel(np.array([0.0, 1.0, -1.0])), rows, target)
+
+    def test_target_met_at_scale_zero_returns_zero(self):
+        # certainty at scale 0 reveals nothing: a mean of 0 is within the
+        # tolerance of a 1e-10 target, so no root is searched for
+        rows = _rows(*(_vec(i, dim=2) for i in range(10)))
+        assert calibrate_scale("certainty", LinearModel(np.array([0.0, 1.0, -1.0])), rows, 1e-10) == 0.0
 
     def test_calibrated_scales_are_pinned(self):
         # the values brentq returned while it was imported at module level
