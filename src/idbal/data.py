@@ -8,7 +8,10 @@ as 0, so nothing downstream can touch a label that the logging policy hid.
 The per-instance records (FeatureVector, Example, LoggedTriple) describe the
 exact mode's finite pools; no learner builds them, since a run keeps its
 queried and inferred labels in arrays. Example and LoggedTriple each store
-two slots, x and y: a triple's reveal bit follows from y.
+two slots, x and y: a triple's reveal bit follows from y. A record is a
+shared value, one per (vector, z, y): the vector owns its five records, made
+on first use, and every constructor call returns one of them, so a draw of
+any length holds at most five records per pool point.
 """
 from __future__ import annotations
 
@@ -56,10 +59,11 @@ class FeatureVector:
     """Immutable sparse feature map from 1-based index to float value.
 
     Zero-valued entries are dropped at construction, so two vectors that
-    differ only in explicit zeros compare equal and hash alike.
+    differ only in explicit zeros compare equal and hash alike. The vector
+    owns its shared records (see records), and pickles by its items alone.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_records")
 
     def __init__(self, entries: Mapping[int, float] | Iterable[tuple[int, float]]):
         pairs = entries.items() if isinstance(entries, Mapping) else entries
@@ -78,10 +82,25 @@ class FeatureVector:
             if val != 0.0:
                 seen[idx] = val
         self._items = tuple(sorted(seen.items()))
+        self._records = None
 
     @property
     def items(self) -> tuple[tuple[int, float], ...]:
         return self._items
+
+    @property
+    def records(self) -> tuple:
+        """The vector's five shared records, by cell: LoggedTriple(x, 0),
+        LoggedTriple(x, 1, 0), LoggedTriple(x, 1, 1), Example(x, 0) and
+        Example(x, 1). Made on first read and kept with the vector, so both
+        are freed together; the record constructors return these objects."""
+        records = self._records
+        if records is None:
+            records = self._records = (
+                *(_new_record(LoggedTriple, self, y) for y in (None, 0, 1)),
+                *(_new_record(Example, self, y) for y in (0, 1)),
+            )
+        return records
 
     def key(self) -> str:
         """Canonical text form, also used as the instance id in table policies."""
@@ -96,6 +115,9 @@ class FeatureVector:
     def __repr__(self) -> str:
         return f"FeatureVector({{{', '.join(f'{i}: {v}' for i, v in self._items)}}})"
 
+    def __reduce__(self):
+        return FeatureVector, (self._items,)
+
 
 def _canonical_label(token: str, line_number: int) -> int:
     try:
@@ -107,19 +129,19 @@ def _canonical_label(token: str, line_number: int) -> int:
     return 1 if value == 1.0 else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Example:
-    """A fully labeled instance."""
+    """A fully labeled instance: the shared record x.records[3 + y], which
+    every call with the same vector and label returns."""
 
     __slots__ = ("x", "y")
     x: FeatureVector
     y: int
 
-    def __init__(self, x: FeatureVector, y: int):
+    def __new__(cls, x: FeatureVector, y: int):
         if y not in (0, 1):
             raise ValueError(f"label {y!r} must be 0 or 1")
-        _set_example_x(self, x)
-        _set_example_y(self, y)
+        return _records_of(x)[3 + int(y)]
 
     def __reduce__(self):
         return Example, (self.x, self.y)
@@ -129,22 +151,23 @@ class LabelSource(Enum):
     QUERIED = "queried"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LoggedTriple:
     """An instance with a reveal bit; the label exists only when z = 1.
 
     Only x and y are stored: the reveal bit z is 1 exactly when y is not
     None, a read-only property. The constructor still takes z, and the
     source of a revealed label (QUERIED, the labeler, or None), and checks
-    both against y. The learners build no records, so their inferred
-    labels never appear here.
+    both against y. It returns the shared record x.records[1 + y], whose
+    label is the int that y equals, or x.records[0] for a hidden one. The
+    learners build no records, so their inferred labels never appear here.
     """
 
     __slots__ = ("x", "y")
     x: FeatureVector
     y: int | None
 
-    def __init__(self, x: FeatureVector, z: int, y: int | None = None, label_source: LabelSource | None = None):
+    def __new__(cls, x: FeatureVector, z: int, y: int | None = None, label_source: LabelSource | None = None):
         if z not in (0, 1):
             raise ValueError(f"reveal bit {z!r} must be 0 or 1")
         if z == 1:
@@ -152,13 +175,12 @@ class LoggedTriple:
                 raise ValueError("z = 1 record must carry a 0/1 label")
             if label_source is not None and label_source is not LabelSource.QUERIED:
                 raise ValueError(f"label source {label_source!r} must be LabelSource.QUERIED or None")
-        else:
-            if y is not None:
-                raise ValueError("z = 0 record must not carry a label")
-            if label_source is not None:
-                raise ValueError("z = 0 record cannot have a label source")
-        _set_triple_x(self, x)
-        _set_triple_y(self, y)
+            return _records_of(x)[1 + int(y)]
+        if y is not None:
+            raise ValueError("z = 0 record must not carry a label")
+        if label_source is not None:
+            raise ValueError("z = 0 record cannot have a label source")
+        return _records_of(x)[0]
 
     @property
     def z(self) -> int:
@@ -168,10 +190,20 @@ class LoggedTriple:
         return LoggedTriple, (self.x, self.z, self.y)
 
 
-# The frozen records' __setattr__ refuses every name, so their constructors
-# store through the slot descriptors
-_set_example_x, _set_example_y = Example.x.__set__, Example.y.__set__
-_set_triple_x, _set_triple_y = LoggedTriple.x.__set__, LoggedTriple.y.__set__
+def _records_of(x: FeatureVector) -> tuple:
+    if not isinstance(x, FeatureVector):
+        raise TypeError(f"x must be a FeatureVector, got {type(x).__name__}")
+    # the slot first: the property call is only needed to make the records
+    return x._records or x.records
+
+
+def _new_record(cls: type, x: FeatureVector, y: int | None):
+    # the frozen records' __setattr__ refuses every name, so the fields are
+    # stored through the slot descriptors
+    record = object.__new__(cls)
+    cls.x.__set__(record, x)
+    cls.y.__set__(record, y)
+    return record
 
 
 @dataclass(frozen=True)

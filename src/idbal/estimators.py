@@ -104,14 +104,20 @@ def mis_error(predictions, sample: WeightedSample) -> float:
     err/(m+n) minimise m*a0^2 + n*a1^2, so per-phase subtracts the least.
     Equality needs q0 = q1 wherever mu * f > 0.
     Summed in record order (cumsum, unlike np.sum's pairwise order), so it
-    equals a per-record loop bit for bit.
+    equals a per-record loop bit for bit. A sum that overflows is a
+    ValueError: the weights are positive, so it does exactly when the total
+    is not finite.
     """
     predictions = np.asarray(predictions)
     if predictions.shape != sample.z.shape:
         raise ValueError("predictions must align with the sample's records")
     wrong = (sample.z == 1) & (predictions != sample.y)
     # the leading 0.0 makes an empty sum 0.0
-    return float(np.cumsum(np.append(0.0, 1.0 / sample.denominator[wrong]))[-1])
+    with np.errstate(over="ignore"):
+        loss = float(np.cumsum(np.append(0.0, 1.0 / sample.denominator[wrong]))[-1])
+    if not math.isfinite(loss):
+        raise ValueError("the sample's weighted loss overflows")
+    return loss
 
 
 def sigma(sizes: tuple[int, int], xi: float, hypothesis_count: int, delta: float) -> float:

@@ -179,6 +179,9 @@ class FiniteClass:
     mistakes is the read-only (members x 2*pool) float64 0/1 table whose
     column 2p + y is labels[:, p] != y: each member's loss on a record at
     pool position p with label y, stored as the float the loss product reads.
+    record_codes maps the id of each pool vector's shared record to its cell
+    code 5p + c, c its index in the vector's records; the class holds its
+    pool, and the pool its records, so no id is reused while the class lives.
     """
 
     def __init__(self, pool: Sequence[FeatureVector], labels: np.ndarray):
@@ -196,8 +199,7 @@ class FiniteClass:
         self.labels.flags.writeable = False  # the mistake table below is derived from it
         if len(set(self.pool)) != len(self.pool):
             raise ValueError("pool instances must be distinct")
-        # the pool holds its objects, so their ids stay unique while it lives
-        self._positions: dict[int, int] = {id(x): i for i, x in enumerate(self.pool)}
+        self._record_codes: dict[int, int] | None = None
         # parsed from the canonical keys, so row_keys(rows) gives them back
         self._rows = parse_sparse_dataset("".join(f"0 {x.key()}\n" for x in self.pool)).matrix
         self._mistakes = np.stack((self.labels != 0, self.labels != 1), axis=2).reshape(len(self), -1).astype(float)
@@ -214,14 +216,13 @@ class FiniteClass:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def positions(self, instances: Sequence[FeatureVector]) -> np.ndarray:
-        """Pool positions of the instances, which must be the pool's own
-        objects: they are found by identity, without hashing, so any other
-        object, an equal copy too, is a ValueError."""
-        try:
-            return np.fromiter(map(self._positions.__getitem__, map(id, instances)), np.intp, len(instances))
-        except KeyError:
-            raise ValueError("instance is not in the class's pool (an equal copy is not a pool object)") from None
+    @property
+    def record_codes(self) -> dict[int, int]:
+        """id of a pool vector's shared record -> its cell code; built on the
+        first read."""
+        if self._record_codes is None:
+            self._record_codes = {id(r): 5 * p + c for p, x in enumerate(self.pool) for c, r in enumerate(x.records)}
+        return self._record_codes
 
 
 def classification_error(model: LinearModel, data: LabeledRows) -> float:
@@ -250,15 +251,18 @@ def weighted_losses(hypothesis_class: FiniteClass, sample: WeightedSample, candi
     totals gives every member's loss. Each equals the member's mis_error up
     to rounding; a sample with no revealed record makes every loss 0. A
     position outside the pool, negative or past its end, is a ValueError,
-    and so is a cell total that overflows, which would make 0 * inf a NaN
-    loss."""
+    and so is a sample whose total revealed weight overflows: an infinite
+    cell would make 0 * inf a NaN loss, and every loss is a 0/1-weighted
+    part of the total, so a finite total keeps each loss finite."""
     live = np.flatnonzero(sample.z)
     codes = 2 * sample.rows[live] + sample.y[live]
     mistakes = hypothesis_class.mistakes
     # a negative code fails the bincount, one past the pool the product
     cells = np.bincount(codes, weights=1.0 / sample.denominator[live], minlength=mistakes.shape[1])
-    if not np.isfinite(cells).all():
-        raise ValueError("a cell's total weight overflows")
+    with np.errstate(over="ignore"):
+        total = cells.sum()
+    if not math.isfinite(total):
+        raise ValueError("the sample's total revealed weight overflows")
     return (mistakes @ cells)[candidates]
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -174,33 +174,46 @@ _last_store: tuple | None = None
 
 def _exact_store(hclass: FiniteClass, logged, online) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, z, y) over the logged triples then the online Examples: pool
-    positions, reveal bits and labels (0 where hidden). A call with the same
+    positions, reveal bits and labels (0 where hidden). Each record is one
+    of its vector's shared records, so one C-level map reads its cell code
+    5 * position + cell off hclass.record_codes by identity, and integer
+    arithmetic on the codes gives all three arrays. A call with the same
     class and the same logged and online tuples, by identity, as the last
     call gets that call's read-only arrays: a tuple of frozen records cannot
-    change, and positions go by the records' pool objects. Other sequences
-    are converted anew and not kept."""
+    change. Other sequences are converted anew and not kept."""
     global _last_store
     last = _last_store
     if last is not None and last[0] is hclass and last[1] is logged and last[2] is online:
         return last[3]
-    for name, part, kind in (("logged", logged, LoggedTriple), ("online", online, Example)):
-        # a z = 0 triple among the online records would store its hidden label as a revealed 0
-        if not all(map(isinstance, part, repeat(kind))):
-            bad = next(i for i, r in enumerate(part) if not isinstance(r, kind))
-            raise TypeError(f"{name} record {bad}: expected {kind.__name__}, got {type(part[bad]).__name__}")
-    records = (*logged, *online)
-    rows = hclass.positions([r.x for r in records])
-    # a triple's z is 1 exactly when its y is not None, and an Example's y is
-    # never None; a hidden y is stored as 0
-    labels = [r.y for r in records]
-    z = np.array([y is not None for y in labels], dtype=np.int8)
-    y = np.array([y or 0 for y in labels], dtype=np.int8)
+    m, code = len(logged), hclass.record_codes.__getitem__
+    try:
+        codes = np.fromiter(map(code, map(id, chain(logged, online))), np.intp, m + len(online))
+    except KeyError:
+        raise _store_error(logged, online) from None
+    rows, cells = np.divmod(codes, 5)
+    # cells 0-2 are the hidden and revealed triples, 3-4 the Examples: a z =
+    # 0 triple among the online records would store its hidden label as a
+    # revealed 0
+    if (cells[:m] > 2).any() or (cells[m:] < 3).any():
+        raise _store_error(logged, online)
+    z = (cells != 0).astype(np.int8)
+    y = ((cells == 2) | (cells == 4)).astype(np.int8)
     arrays = (rows, z, y)
     if type(logged) is tuple and type(online) is tuple:
         for a in arrays:
             a.flags.writeable = False
         _last_store = (hclass, logged, online, arrays)
     return arrays
+
+
+def _store_error(logged, online) -> Exception:
+    """The error for records that have no cell code of the right kind: the
+    first record of the wrong type, else one off the class's pool."""
+    for name, part, kind in (("logged", logged, LoggedTriple), ("online", online, Example)):
+        for i, r in enumerate(part):
+            if not isinstance(r, kind):
+                return TypeError(f"{name} record {i}: expected {kind.__name__}, got {type(r).__name__}")
+    return ValueError("instance is not in the class's pool (an equal copy is not a pool object)")
 
 
 class _ExactSteps:

@@ -92,18 +92,20 @@ class DiscreteInstance:
     def draw_examples(self, rng: np.random.Generator, count: int) -> tuple[Example, ...]:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)
         labels = (rng.random(count) < self.p1[picks]).astype(np.int8)
-        pool = self.pool
-        return tuple(Example(pool[i], y) for i, y in zip(picks.tolist(), labels.tolist()))
+        # Example(x, y) is cell 3 + y of the vector's shared records
+        return self._records(5 * picks + 3 + labels)
 
     def draw_logged(self, rng: np.random.Generator, count: int) -> tuple[LoggedTriple, ...]:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)
         labels = (rng.random(count) < self.p1[picks]).astype(np.int8)
         reveals = rng.random(count) < self.q0[picks]
-        pool = self.pool
-        return tuple(
-            LoggedTriple(pool[i], 1, y) if z else LoggedTriple(pool[i], 0)
-            for i, y, z in zip(picks.tolist(), labels.tolist(), reveals.tolist())
-        )
+        # a hidden triple is cell 0, a revealed one cell 1 + y
+        return self._records(5 * picks + reveals * (1 + labels))
+
+    def _records(self, codes: np.ndarray) -> tuple:
+        """The pool's shared records at the cell codes 5 * position + cell."""
+        records = tuple(r for x in self.pool for r in x.records)
+        return tuple(map(records.__getitem__, codes.tolist()))
 
 
 def random_instance(

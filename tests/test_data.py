@@ -3,6 +3,7 @@ logging simulation, and the row layout, compared with the per-record
 records they replace."""
 from __future__ import annotations
 
+import gc
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -138,6 +139,51 @@ class TestRecords:
     def test_revealed_triple_rejects_other_sources(self, label_source):
         with pytest.raises(ValueError, match="label source"):
             LoggedTriple(FeatureVector({1: 1.0}), 1, 1, label_source)
+
+    def test_records_are_shared_per_vector_and_cell(self):
+        x = FeatureVector({1: 1.0})
+        assert LoggedTriple(x, 1, 1) is LoggedTriple(x, 1, 1, LabelSource.QUERIED)
+        made = (LoggedTriple(x, 0), LoggedTriple(x, 1, 0), LoggedTriple(x, 1, 1), Example(x, 0), Example(x, 1))
+        assert len(x.records) == 5 and all(a is b for a, b in zip(made, x.records))
+        # a label given as a bool or a numpy integer is stored as the int it equals
+        for label in (True, np.int8(1), np.int64(1), 1.0):
+            for record in (Example(x, label), LoggedTriple(x, 1, label)):
+                assert record.y == 1 and type(record.y) is int
+        # records on equal but distinct vectors are equal values, not one object
+        twin = FeatureVector({1: 1.0})
+        for make in (lambda v: LoggedTriple(v, 0), lambda v: LoggedTriple(v, 1, 0), lambda v: Example(v, 1)):
+            assert make(twin) == make(x) and hash(make(twin)) == hash(make(x))
+            assert make(twin) is not make(x) and make(twin).x is twin
+
+    def test_a_record_unpickles_as_the_shared_record_of_its_vector(self):
+        x = FeatureVector({2: 0.5, 4: -1.0})
+        for record in x.records:
+            back = pickle.loads(pickle.dumps(record))
+            assert back == record and back.x is not x and back in back.x.records
+            vector, shared = pickle.loads(pickle.dumps((x, record)))
+            assert shared.x is vector and vector.records[x.records.index(record)] is shared
+        # a vector pickles by its items alone, whether its records exist or not
+        assert x.__reduce__() == (FeatureVector, (x.items,))
+        assert pickle.dumps(x) == pickle.dumps(FeatureVector(x.items))
+
+    def test_a_dropped_vector_frees_its_records(self):
+        def live() -> int:
+            return sum(type(o) in (FeatureVector, LoggedTriple, Example) for o in gc.get_objects())
+
+        gc.collect()
+        before = live()
+        x = FeatureVector({1: 0.25})
+        kept = (LoggedTriple(x, 1, 0), Example(x, 1))
+        assert live() == before + 6
+        del x, kept
+        gc.collect()
+        assert live() == before
+
+    @pytest.mark.parametrize("x", [None, "1:1.0", ((1, 1.0),), {1: 1.0}], ids=["None", "str", "tuple", "dict"])
+    def test_non_vector_x_rejected(self, x):
+        for make in (lambda: LoggedTriple(x, 0), lambda: LoggedTriple(x, 1, 1), lambda: Example(x, 0)):
+            with pytest.raises(TypeError, match=f"x must be a FeatureVector, got {type(x).__name__}"):
+                make()
 
     @pytest.mark.parametrize(
         "make, field, other",

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,15 @@ class TestMisError:
         sample = _sample([1, 1, 0], [1, 0, 1], [0.5, 0.25, 0.5], [0.0] * 3, m=3, n=0)
         for predictions in ([False, True, False], np.array([0, 1, 0])):
             assert mis_error(predictions, sample) == 1.0 / 1.5 + 1.0 / 0.75
+
+    def test_an_overflowing_loss_is_rejected(self):
+        # each weight 1.5e308 is finite, the sum of the two mistakes is not
+        sample = WeightedSample(np.arange(2), np.ones(2, dtype=int), np.ones(2, dtype=int), [1e-308 / 1.5] * 2, 2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mis_error([0, 1], sample) == 1.0 / (1e-308 / 1.5)
+            with pytest.raises(ValueError, match="weighted loss overflows"):
+                mis_error([0, 0], sample)
 
     def test_matches_the_record_loop_exactly(self):
         # the per-record loop mis_error replaced: predict with the scalar score and

@@ -10,7 +10,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from idbal.data import Example, FeatureVector, LabeledRows, RowTable, SplitRows, parse_sparse_dataset, row_keys
+from idbal.data import (
+    Example,
+    FeatureVector,
+    LabeledRows,
+    LoggedTriple,
+    RowTable,
+    SplitRows,
+    parse_sparse_dataset,
+    row_keys,
+)
 from idbal.estimators import WeightedSample, mis_error
 import idbal.hypotheses as hypotheses
 from idbal.hypotheses import (
@@ -27,6 +36,7 @@ from idbal.hypotheses import (
     prune_candidates,
     weighted_losses,
 )
+from idbal.learners import _exact_store
 from idbal.oracle import random_instance
 from idbal.policies import margins
 from idbal.rng import derive_rng
@@ -426,7 +436,7 @@ def _tiny_class() -> tuple[FiniteClass, list[FeatureVector]]:
 class TestFiniteClass:
     def test_member_prediction(self):
         hclass, pool = _tiny_class()
-        position = hclass.positions([pool[1]])[0]
+        position = hclass.record_codes[id(Example(pool[1], 1))] // 5
         assert hclass.labels[TableClassifier(2).index, position] == 1
         assert hclass.labels[TableClassifier(0).index, position] == 0
 
@@ -457,21 +467,25 @@ class TestFiniteClass:
                 FiniteClass([*pool, repeat], np.zeros((1, 5), dtype=np.int8))
 
     def test_unknown_instance_rejected(self):
-        hclass, _ = _tiny_class()
+        hclass, pool = _tiny_class()
+        stranger = Example(FeatureVector({1: 99.0}), 1)
         with pytest.raises(ValueError, match="not in the class's pool"):
-            hclass.positions([FeatureVector({1: 99.0})])
+            _exact_store(hclass, (), (stranger,))
         with pytest.raises(ValueError, match="not in the class's pool"):
-            hclass.positions([hclass.pool[0], FeatureVector({1: 99.0})])
+            _exact_store(hclass, (LoggedTriple(pool[0], 0),), (Example(pool[0], 0), stranger))
 
     def test_positions_of_pool_objects_and_equal_copies(self):
         hclass, pool = _tiny_class()
-        assert hclass.positions([pool[2], pool[0], pool[2]]).tolist() == [2, 0, 2]
+        # every shared record of a pool vector has the code 5 * position + cell
+        assert hclass.record_codes == {id(r): 5 * p + c for p, x in enumerate(pool) for c, r in enumerate(x.records)}
+        online = (Example(pool[2], 1), Example(pool[0], 0), Example(pool[2], 0))
+        assert _exact_store(hclass, (), online)[0].tolist() == [2, 0, 2]
         # only the pool's own objects are found: an equal copy is not one
         copy = FeatureVector({1: 2.0})
         assert copy is not pool[1] and copy == pool[1]
         with pytest.raises(ValueError, match="not in the class's pool"):
-            hclass.positions([pool[3], copy])
-        assert hclass.positions([]).dtype == np.intp
+            _exact_store(hclass, (), (Example(pool[3], 1), Example(copy, 1)))
+        assert _exact_store(hclass, (), ())[0].dtype == np.intp
 
     def test_rows_hold_the_pool_by_key(self):
         pool = [FeatureVector({2: 0.1, 5: -1e-3}), FeatureVector({}), FeatureVector({1: 3.0, 7: 1 / 3})]
@@ -674,6 +688,15 @@ class TestErmAndCandidates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
+                weighted_losses(hclass, sample, np.arange(3))
+
+    def test_an_overflowing_loss_is_rejected(self):
+        # each cell total 1.5e308 is finite, member 0's loss, their sum, is not
+        hclass = FiniteClass([FeatureVector({1: float(i)}) for i in range(3)], [[0, 0, 0], [1, 1, 1], [1, 0, 0]])
+        sample = WeightedSample(np.arange(2), np.ones(2, dtype=int), np.ones(2, dtype=int), [1e-308 / 1.5] * 2, 2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="total revealed weight overflows"):
                 weighted_losses(hclass, sample, np.arange(3))
 
     @pytest.mark.parametrize("weighting", ["balanced", "phase"])

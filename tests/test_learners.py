@@ -468,7 +468,7 @@ class TestExactRuns:
             inst, logged, online = self._world(seed, m=600, n=63)
             cfg = AlgoConfig(mode="exact", gamma0=0.5)
             res = run_idbal(logged, online, inst.logging_policy(), inst.classifiers, cfg, seed)
-            positions = inst.classifiers.positions([ex.x for ex in online])
+            positions = [inst.pool.index(ex.x) for ex in online]
             inferred = 0
             for point, after in zip(res.trace, res.trace[1:]):
                 for j in range(point.consumed, after.consumed):
@@ -731,21 +731,26 @@ class TestExactStore:
         assert served == fresh
 
     def test_one_lookup_per_tuple_pair(self, monkeypatch):
-        calls = []
-        positions = FiniteClass.positions
+        # a conversion makes new arrays, a memo hit returns the kept ones
+        converted = []
+        store = learners._exact_store
 
-        def positions_spy(hclass, instances):
-            calls.append(len(instances))
-            return positions(hclass, instances)
+        def store_spy(hclass, logged, online):
+            arrays = store(hclass, logged, online)
+            if not converted or arrays is not converted[-1]:
+                converted.append(arrays)
+            return arrays
 
-        monkeypatch.setattr(FiniteClass, "positions", positions_spy)
+        monkeypatch.setattr(learners, "_exact_store", store_spy)
         inst, logged, online = self._world()
         args = (inst.logging_policy(), inst.classifiers, AlgoConfig(mode="exact"))
         for runner in ALGORITHMS.values():
             runner(logged, online, *args)
+        calls = [rows.size for rows, _, _ in converted]
         assert calls == [115]
         for runner in ALGORITHMS.values():
             runner(list(logged), list(online), *args)
+        calls = [rows.size for rows, _, _ in converted]
         assert calls == [115] * 5
 
     def test_kept_arrays_are_read_only(self):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from idbal.data import FeatureVector
+from idbal.data import Example, FeatureVector, LoggedTriple
 from idbal.estimators import WeightedSample
 from idbal.hypotheses import FiniteClass
 from idbal.oracle import (
@@ -127,6 +127,18 @@ class TestDiscreteInstance:
             assert got == want
             assert all(a.x is b.x for a, b in zip(got, want))
             assert {type(r.y) for r in got} <= {int, type(None)}
+
+    def test_draws_hold_one_record_per_cell(self):
+        # a draw of any length holds only the pool vectors' shared records:
+        # 3 triples and 2 Examples per point at most
+        inst = random_instance(4, pool_size=5, class_size=8)
+        rng = np.random.default_rng(4)
+        logged, online = inst.draw_logged(rng, 4000), inst.draw_examples(rng, 4000)
+        shared = {id(r) for x in inst.pool for r in x.records}
+        for draw, kind, most in ((logged, LoggedTriple, 15), (online, Example, 10)):
+            distinct = {id(r): r for r in draw}
+            assert len(distinct) <= most and distinct.keys() <= shared
+            assert all(type(r) is kind for r in distinct.values())
 
     def test_true_error_matches_slow_recount(self):
         rng = np.random.default_rng(4)
