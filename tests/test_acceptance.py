@@ -45,7 +45,7 @@ def exact_fixtures():
     start = time.time()
     rows = []
     for seed in range(20):
-        instance = random_instance(seed, force_low_propensity=True)
+        instance = random_instance(seed, family="low")
         member = seed % len(instance.classifiers)
         exact = {name: exact_moments(instance, member, m=60, n=40, estimator=name) for name in ("is", "mis")}
         rows.append((exact, float(instance.true_errors[member])))
@@ -79,7 +79,7 @@ class TestAcceptance:
         sizes = (32, 128, 512)
         gap = 0.0
         for seed in range(20):
-            instance = random_instance(seed, force_low_propensity=True)
+            instance = random_instance(seed, family="low")
             member = seed % len(instance.classifiers)
             for estimator in ("mis", "is"):
                 spread = [exact_moments(instance, member, m=size, n=size, estimator=estimator)[1] ** 0.5

@@ -706,7 +706,7 @@ class TestErmAndCandidates:
         # two sum in different orders, so they agree to rounding, not bits
         checked = 0
         for seed in range(20):
-            inst = random_instance(seed, pool_size=8, class_size=32, force_low_propensity=seed % 2 == 1)
+            inst = random_instance(seed, pool_size=8, class_size=32, family="low" if seed % 2 else "dyadic")
             hclass, rng = inst.classifiers, derive_rng(seed, "losses-are-estimates")
             for m, n in ((400, 0), (1000, 127), (60, 255)):
                 rows = rng.choice(len(inst.pool), m + n, p=inst.masses)

@@ -562,7 +562,7 @@ class TestExactRuns:
         plan = plan_partition(m, n)
         seen = {QUERY: 0, INFER: 0, SKIP: 0}
         for seed in range(30):
-            inst = random_instance(seed, pool_size=8, class_size=32, force_low_propensity=seed % 2 == 1)
+            inst = random_instance(seed, pool_size=8, class_size=32, family="low" if seed % 2 else "dyadic")
             rng = derive_rng(seed, "oracle-decisions")
             logged, online = inst.draw_logged(rng, m), inst.draw_examples(rng, n)
             where = {x: p for p, x in enumerate(inst.pool)}
@@ -586,6 +586,27 @@ class TestExactRuns:
                         seen[decision] += 1
         assert min(seen.values()) > 1000
 
+    def test_runs_on_worlds_with_holes(self):
+        # two pool points the log never reveals: their logged records are all
+        # hidden, and each learner still runs without a warning, accounts for
+        # every online point and ends on a member of its last candidate set
+        m, n = 4000, 255
+        cfg = AlgoConfig(mode="exact")
+        for seed in range(30):
+            inst = random_instance(seed, pool_size=8, class_size=64, family="holes")
+            holes = {inst.pool[p] for p in np.flatnonzero(inst.q0 == 0.0).tolist()}
+            rng = derive_rng(seed, "holes-world")
+            logged, online = inst.draw_logged(rng, m), inst.draw_examples(rng, n)
+            assert any(r.x in holes for r in logged)
+            assert all(r.z == 0 for r in logged if r.x in holes)
+            for name in sorted(ALGORITHMS):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    res = ALGORITHMS[name](logged, online, inst.logging_policy(), inst.classifiers, cfg, seed)
+                assert res.query_count + res.inferred_count + res.skipped_count == n == len(res.decisions)
+                assert 0 <= res.final_classifier.index < len(inst.classifiers)
+                assert res.final_classifier.index in res.trace[-1].candidates
+
     @pytest.mark.parametrize("name", ["dbalw", "dbalwm", "idbal"])
     def test_loop_reads_steps_through_store_fit_and_shrink(self, name, monkeypatch):
         # the loop's whole view of a mode: real exact steps behind a wrapper
@@ -595,7 +616,7 @@ class TestExactRuns:
                 steps = learners._ExactSteps(*args)
                 self.store, self.fit, self.shrink = steps.store, steps.fit, steps.shrink
 
-        inst = random_instance(2, pool_size=6, class_size=16, force_low_propensity=True)
+        inst = random_instance(2, pool_size=6, class_size=16, family="low")
         rng = derive_rng(2, "narrow-steps")
         logged, online = inst.draw_logged(rng, 600), inst.draw_examples(rng, 63)
         cfg = AlgoConfig(mode="exact", gamma0=0.25)
@@ -633,7 +654,7 @@ class TestExactRuns:
         seen = {QUERY: 0, INFER: 0, SKIP: 0}
         cfg = AlgoConfig(mode="exact", gamma0=0.25)
         for seed in range(8):
-            inst = random_instance(seed, pool_size=6, class_size=16, force_low_propensity=seed % 2 == 1)
+            inst = random_instance(seed, pool_size=6, class_size=16, family="low" if seed % 2 else "dyadic")
             rng = derive_rng(seed, "pinned-exact-world")
             logged = inst.draw_logged(rng, 1000)
             online = inst.draw_examples(rng, 127)

@@ -113,10 +113,49 @@ class TestDiscreteInstance:
             DiscreteInstance(pool=inst.pool, masses=inst.masses, p1=inst.p1, classifiers=permuted, q0=inst.q0)
         assert inst.pool is inst.classifiers.pool
 
-    def test_forced_low_propensity(self):
-        for seed in range(5):
-            inst = random_instance(seed, force_low_propensity=True)
-            assert inst.q0.min() <= 3.0 / 64.0
+    def test_dyadic_and_low_draws_are_pinned(self):
+        # blake2b-128 over masses, p1, labels and q0 of 200 worlds; the hex was
+        # captured on the boolean flag that planted the low point before the
+        # families replaced it
+        digest = hashlib.blake2b(digest_size=16)
+        for pool_size, class_size in ((6, 8), (8, 64)):
+            for family in ("dyadic", "low"):
+                for seed in range(50):
+                    inst = random_instance(seed, pool_size=pool_size, class_size=class_size, family=family)
+                    for values in (inst.masses, inst.p1, inst.classifiers.labels, inst.q0):
+                        digest.update(values.tobytes())
+        assert digest.hexdigest() == "3679ce1fcc2711a2bdbc3bd1c9c0c2a7"
+
+    def test_families_share_the_world_and_follow_their_rules(self):
+        for seed in range(50):
+            worlds = {
+                family: random_instance(seed, pool_size=8, class_size=64, family=family)
+                for family in ("dyadic", "low", "grouped", "identical", "holes")
+            }
+            base = worlds["dyadic"]
+            for inst in worlds.values():
+                assert np.array_equal(inst.masses, base.masses) and np.array_equal(inst.p1, base.p1)
+                assert np.array_equal(inst.classifiers.labels, base.classifiers.labels)
+            moved = np.flatnonzero(worlds["low"].q0 != base.q0)
+            assert moved.size <= 1 and worlds["low"].q0.min() <= 3.0 / 64.0
+            assert (worlds["low"].q0[moved] <= 3.0 / 64.0).all()
+            grouped = worlds["grouped"].q0
+            assert set(grouped.tolist()) <= {0.005, 0.05, 0.5}
+            assert (worlds["identical"].q0 == 0.05).all()
+            holes = worlds["holes"].q0
+            assert (holes == 0.0).sum() == 2 and np.array_equal(holes[holes > 0.0], grouped[holes > 0.0])
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(
+            ValueError, match="unknown q0 family 'flat'; families are 'dyadic', 'low', 'grouped', 'identical', 'holes'"
+        ):
+            random_instance(0, family="flat")
+
+    def test_holes_need_three_points(self):
+        for pool_size in (1, 2):
+            with pytest.raises(ValueError, match="'holes' family needs a pool_size of at least 3, got"):
+                random_instance(0, pool_size=pool_size, class_size=2, family="holes")
+        assert (random_instance(0, pool_size=3, class_size=2, family="holes").q0 > 0.0).sum() == 1
 
     @pytest.mark.parametrize("seed", [3, 17, 1000])
     def test_draws_equal_the_records_built_from_numpy_scalars(self, seed):
@@ -263,7 +302,7 @@ class TestMonteCarlo:
         assert all(rows[f"variance-dominance-{i}"].threshold == 1.0 + 1e-12 for i in range(3))
         rng = np.random.default_rng(5)
         for seed in range(200):
-            inst = random_instance(seed=100 + seed, pool_size=int(rng.integers(3, 7)), force_low_propensity=seed % 2 == 1)
+            inst = random_instance(seed=100 + seed, pool_size=int(rng.integers(3, 7)), family="low" if seed % 2 else "dyadic")
             m, n = (int(k) for k in rng.integers(1, 40, 2))
             q1 = rng.integers(1, 65, len(inst.pool)) / 64.0
             h = int(rng.integers(len(inst.classifiers)))
@@ -277,7 +316,7 @@ class TestMonteCarlo:
         # balanced variance strictly smaller
         rng = np.random.default_rng(7)
         for seed in range(20):
-            inst = random_instance(seed=300 + seed, force_low_propensity=seed % 2 == 1)
+            inst = random_instance(seed=300 + seed, family="low" if seed % 2 else "dyadic")
             m, n = (int(k) for k in rng.integers(1, 40, 2))
             h = seed % len(inst.classifiers)
             var_mis = exact_moments(inst, h, m=m, n=n, q1=inst.q0)[1]
@@ -303,7 +342,7 @@ class TestMonteCarlo:
         # revealed record at x weighs 1/(N q(x)) and has probability w(x) q(x),
         # w(x) = mass(x) P(h errs at x), so the mean is the true error err =
         # sum w and the variance is (sum w/q - err^2) / N
-        inst = random_instance(2, force_low_propensity=True)
+        inst = random_instance(2, family="low")
         q1 = np.linspace(0.25, 1.0, len(inst.pool))
         h = 3
         w = inst.masses * np.where(inst.classifiers.labels[h] == 1, 1.0 - inst.p1, inst.p1)
@@ -341,7 +380,7 @@ class TestMonteCarlo:
             exact_moments(inst, h, m=5, n=5)
 
     def test_a_wrong_library_weight_fails_the_checks(self, monkeypatch):
-        inst = random_instance(1, force_low_propensity=True)
+        inst = random_instance(1, family="low")
         h = 1
         assert abs(exact_moments(inst, h, m=8, n=8)[0] - inst.true_errors[h]) <= 1e-12
 
@@ -356,7 +395,7 @@ class TestMonteCarlo:
         assert [rows[f"unbiasedness-{name}-{i}"] for name in ("mis", "is") for i in range(3)] == [False] * 3 + [True] * 3
 
     def test_zero_online_propensities(self):
-        inst = random_instance(2, force_low_propensity=True)
+        inst = random_instance(2, family="low")
         q1 = _q1_with_zeros(inst)
         h = 3
         assert (inst.q0 > 0.0).all() and (q1 == 0.0).any()
@@ -364,6 +403,24 @@ class TestMonteCarlo:
         _, var_is = exact_moments(inst, h, m=10, n=10, q1=q1, estimator="is")
         assert abs(mean - inst.true_errors[h]) <= 1e-12
         assert var_is > 0.0 and var_mis > 0.0
+
+    def test_holes_bias_only_the_per_phase_estimator(self):
+        # two points the log never reveals: the balanced estimator's online
+        # phase still covers them, so it stays unbiased; the per-phase one
+        # drops the logged phase's share m/(m + n) of h's error mass there
+        m, n = 40, 8
+        biased = 0
+        for seed in range(50):
+            inst = random_instance(seed, pool_size=8, class_size=16, family="holes")
+            holes = inst.q0 == 0.0
+            for h in range(len(inst.classifiers)):
+                truth = float(inst.true_errors[h])
+                error_mass = inst.masses * np.where(inst.classifiers.labels[h] == 1, 1.0 - inst.p1, inst.p1)
+                assert abs(exact_moments(inst, h, m=m, n=n)[0] - truth) <= 1e-12
+                bias = exact_moments(inst, h, m=m, n=n, estimator="is")[0] - truth
+                assert abs(bias + m / (m + n) * float(error_mass[holes].sum())) <= 1e-12
+                biased += bias < -1e-3
+        assert biased > 400
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="unknown estimator 'nope'"):
