@@ -10,10 +10,9 @@ one-record sample). An estimator's mean and variance are exact sums over
 that table, and nothing is drawn. The learners never call into this module; it exists
 to verify them and the estimators.
 
-Masses from `random_instance` live on a dyadic grid (denominator 128), and
-so do the propensities of its "dyadic" and "low" families (denominator 64),
-so on those worlds sums and comparisons are exact in floating point and
-independently coded oracles can agree to the last bit.
+Masses and propensities from `random_instance` live on dyadic grids
+(denominators 128 and 64), so sums and comparisons are exact in floating
+point and independently coded oracles can agree to the last bit.
 """
 from __future__ import annotations
 
@@ -109,59 +108,21 @@ class DiscreteInstance:
         return tuple(map(records.__getitem__, codes.tolist()))
 
 
-def _plant_low(rng: np.random.Generator, q0: np.ndarray) -> np.ndarray:
-    # the right side is evaluated first: the value is drawn before the point
-    q0[rng.integers(0, q0.size)] = rng.integers(1, 4) / 64.0
-    return q0
-
-
-def _grouped(rng: np.random.Generator, q0: np.ndarray) -> np.ndarray:
-    return np.array((0.005, 0.05, 0.5))[rng.integers(0, 3, q0.size)]
-
-
-def _holes(rng: np.random.Generator, q0: np.ndarray) -> np.ndarray:
-    q0 = _grouped(rng, q0)
-    q0[rng.choice(q0.size, 2, replace=False)] = 0.0
-    return q0
-
-
-# random_instance's q0 families: name -> (smallest pool, rule). A rule maps
-# the fixture stream and the dyadic q0 just drawn from it to the family's q0
-_Q0_FAMILIES = {
-    "dyadic": (1, lambda rng, q0: q0),
-    "low": (1, _plant_low),
-    "grouped": (1, _grouped),
-    "identical": (1, lambda rng, q0: np.full(q0.size, 0.05)),
-    "holes": (3, _holes),
-}
-
-
 def random_instance(
     seed: int,
     pool_size: int = 6,
     class_size: int = 8,
     family: str = "dyadic",
 ) -> DiscreteInstance:
-    """Seeded random fixture: masses in 1/128ths, all positive, p1 in 1/32nds,
-    member rows distinct, and q0 drawn by the named family's rule:
-
-    - "dyadic": q0 in 1/64ths, from 1/64 to 1;
-    - "low": "dyadic" with one point's q0 replaced by 1/64, 2/64 or 3/64;
-    - "grouped": each point's q0 one of the levels 0.005, 0.05 and 0.5;
-    - "identical": q0 = 0.05 everywhere;
-    - "holes": "grouped" with two points' q0 set to 0, points the log never
-      reveals (a pool of at least 3 points).
-
-    Every family draws the dyadic q0 first and then its own values from the
-    same stream, so one seed gives the same masses, p1 and class in every
-    family."""
-    if family not in _Q0_FAMILIES:
-        raise ValueError(f"unknown q0 family {family!r}; families are {', '.join(map(repr, _Q0_FAMILIES))}")
-    smallest, rule = _Q0_FAMILIES[family]
+    """Seeded random fixture on dyadic grids (masses in 1/128ths, p1 in
+    1/32nds, q0 in 1/64ths, all masses positive, member rows distinct).
+    family names the q0 draw: "dyadic" draws q0 from 1/64 to 1; "low" then
+    replaces one point's q0 by 1/64, 2/64 or 3/64. A seed gives the same
+    masses, p1 and class in both."""
+    if family not in ("dyadic", "low"):
+        raise ValueError(f"unknown q0 family {family!r}; families are 'dyadic', 'low'")
     if not 1 <= pool_size <= 128:
         raise ValueError(f"pool_size must lie in [1, 128], one 1/128 mass unit per point at least, got {pool_size}")
-    if pool_size < smallest:
-        raise ValueError(f"the {family!r} family needs a pool_size of at least {smallest}, got {pool_size}")
     if class_size < 1:
         raise ValueError(f"class_size must be at least 1, got {class_size}")
     if class_size > 2**pool_size:
@@ -179,7 +140,9 @@ def random_instance(
         if row not in taken:
             taken.add(row)
             rows.append(row)
-    q0 = rule(rng, rng.integers(1, 65, pool_size) / 64.0)
+    q0 = rng.integers(1, 65, pool_size) / 64.0
+    if family == "low":
+        q0[rng.integers(0, pool_size)] = rng.integers(1, 4) / 64.0
     hclass = FiniteClass(pool, np.array(rows, dtype=np.int8))
     return DiscreteInstance(pool=pool, masses=masses, p1=p1, classifiers=hclass, q0=q0)
 

@@ -525,7 +525,7 @@ class TestExactRuns:
         base = random_instance(5, pool_size=5, class_size=8)
         q0 = policy_prob(policy, base.classifiers.rows)
         inst = dataclasses.replace(base, q0=q0)
-        table = TablePolicy({x.key(): float(p) for x, p in zip(inst.pool, q0)})
+        table = inst.logging_policy()
         rng = derive_rng(5, "any-policy")
         logged, online = inst.draw_logged(rng, 400), inst.draw_examples(rng, 31)
         cfg = AlgoConfig(mode="exact", gamma0=0.5)
@@ -593,8 +593,10 @@ class TestExactRuns:
         m, n = 4000, 255
         cfg = AlgoConfig(mode="exact")
         for seed in range(30):
-            inst = random_instance(seed, pool_size=8, class_size=64, family="holes")
-            holes = {inst.pool[p] for p in np.flatnonzero(inst.q0 == 0.0).tolist()}
+            base = random_instance(seed, pool_size=8, class_size=64)
+            picks = np.random.default_rng(seed).choice(8, 2, replace=False)
+            inst = dataclasses.replace(base, q0=np.where(np.isin(np.arange(8), picks), 0.0, base.q0))
+            holes = {inst.pool[p] for p in picks.tolist()}
             rng = derive_rng(seed, "holes-world")
             logged, online = inst.draw_logged(rng, m), inst.draw_examples(rng, n)
             assert any(r.x in holes for r in logged)
