@@ -10,9 +10,9 @@ Subcommands:
 All subcommands accept --config FILE with flat 'key = value' lines, and any
 config key can be overridden inline as '--key value' (e.g. --seed 7
 --policy.name uniform); that is the only way to set a key on the command
-line. gen-data rejects every key but data.count, data.dim, data.flip_prob
-and data.seed. Output defaults to ./out or
-$IDBAL_OUTDIR.
+line. A key may be set once in the file and once inline, the inline value
+winning. Each subcommand rejects every key it does not read (see
+_COMMAND_KEYS). Output defaults to ./out or $IDBAL_OUTDIR.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from pathlib import Path
 from .data import SyntheticSpec, format_sparse_dataset, generate_synthetic
 from .harness import (
     CONFIG_TABLE,
+    ExperimentConfig,
     ProtocolResult,
     apply_overrides,
     config_to_experiment,
@@ -46,12 +47,35 @@ from .oracle import run_verification_suite
 OUTPUT_DIR_ENV = "IDBAL_OUTDIR"
 
 
+def _named(*names: str) -> set[str]:
+    """The config keys named, or prefixed, by the given words."""
+    return {key for key in CONFIG_TABLE if key.partition(".")[0] in names}
+
+
+# The config keys each subcommand reads; gen-data's --out flag is its own
+# target, not the out key.
+_COMMAND_KEYS = {
+    "gen-data": {"data.count", "data.dim", "data.flip_prob", "data.seed"},
+    "run": _named("data", "policy", "split", "seed", "algo", "horizon", "repeat", "out"),
+    "sweep": _named("data", "policy", "split", "seed", "sweep", "repeats", "workers", "out"),
+    "verify": {"seed", "verify.fixtures", "out"},
+    "report": {"out"},
+}
+
+
 def _load_config(args: argparse.Namespace, extra: list[str]) -> dict[str, str]:
-    """The config file's keys, overridden by the inline '--key value' pairs."""
+    """The config file's keys, overridden by the inline '--key value' pairs;
+    a key the subcommand does not read, from either source, is an error."""
     config: dict[str, str] = {}
     if args.config:
         config = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-    return apply_overrides(config, extra)
+    config = apply_overrides(config, extra)
+    reads = _COMMAND_KEYS[args.command]
+    unread = sorted(set(config) - reads)
+    if unread:
+        raise ValueError(f"{args.command} reads only {', '.join(sorted(reads))}, "
+                         f"not {', '.join(map(repr, unread))}")
+    return config
 
 
 def _out_dir(config: dict[str, str]) -> Path:
@@ -61,10 +85,6 @@ def _out_dir(config: dict[str, str]) -> Path:
 
 def _cmd_gen_data(args: argparse.Namespace, extra: list[str]) -> int:
     config = _load_config(args, extra)
-    unread = sorted(key for key in config if CONFIG_TABLE[key][0] != "synthetic")
-    if unread:
-        raise ValueError(f"gen-data reads only data.count, data.dim, data.flip_prob and data.seed, "
-                         f"not {', '.join(map(repr, unread))}")
     spec = SyntheticSpec(**config_values(config, "synthetic"))
     data = generate_synthetic(spec)
     out_path = Path(args.target)
@@ -135,7 +155,8 @@ def _cmd_sweep(args: argparse.Namespace, extra: list[str]) -> int:
 def _cmd_verify(args: argparse.Namespace, extra: list[str]) -> int:
     config = _load_config(args, extra)
     # the suite runs at the master seed a sweep of this config would use
-    rows = run_verification_suite(config_to_experiment(config).master_seed, **config_values(config, "verify"))
+    seed = config_values(config, "experiment").get("master_seed", ExperimentConfig.master_seed)
+    rows = run_verification_suite(seed, **config_values(config, "verify"))
     checks_path = write_csv(
         _out_dir(config) / "checks.csv",
         ("name", "passed", "statistic", "threshold", "details"),

@@ -509,8 +509,10 @@ def records_from_json(text: str) -> tuple[RunRecord, ...]:
     type, a negative count, more queries than its horizon, a test error
     outside [0, 1] (NaN included), an algorithm not in ALGORITHMS, an eta
     that is not positive and finite, a capacity that is set for passive or
-    otherwise not positive and finite, or the grid point and horizon of an
-    earlier row, is a ValueError naming its 1-based row (and the field)."""
+    otherwise not positive and finite, the grid point and horizon of an
+    earlier row, or another horizon than an earlier row's at the same
+    dataset and horizon_index, is a ValueError naming its 1-based row (and
+    the field)."""
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("records must be a JSON list of objects")
@@ -518,6 +520,7 @@ def records_from_json(text: str) -> tuple[RunRecord, ...]:
     # the JSON values each RunRecord annotation accepts; a bool is never one
     kinds = {"str": (str,), "int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
     seen: dict[tuple, int] = {}  # row number by (dataset, ..., horizon_index)
+    horizons: dict[tuple, tuple[int, int]] = {}  # (row number, horizon) by (dataset, horizon_index)
     for number, row in enumerate(rows, start=1):
         if not isinstance(row, dict):
             raise ValueError(f"row {number}: not a JSON object")
@@ -547,6 +550,11 @@ def records_from_json(text: str) -> tuple[RunRecord, ...]:
         key = tuple(row[name] for name in ("dataset", "algorithm", "capacity", "eta", "repeat", "horizon_index"))
         if seen.setdefault(key, number) != number:
             raise ValueError(f"row {number}: repeats row {seen[key]}'s grid point {key}")
+        # a dataset's online split has one size, so all its runs share one schedule
+        first = horizons.setdefault((row["dataset"], row["horizon_index"]), (number, row["horizon"]))
+        if first[1] != row["horizon"]:
+            raise ValueError(f"row {number}: horizon {row['horizon']} at {row['dataset']!r} horizon_index "
+                             f"{row['horizon_index']} differs from row {first[0]}'s horizon {first[1]}")
     return tuple(RunRecord(**row) for row in rows)
 
 
@@ -565,8 +573,10 @@ def rebuild_result(records: Iterable[RunRecord]) -> ProtocolResult:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat 'key = value' lines; '#' comments and blank lines ignored."""
+    """Flat 'key = value' lines; '#' comments and blank lines ignored. A key
+    set on two lines is a ValueError naming both."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}  # each key's line number
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -574,7 +584,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"config line {line_number}: expected 'key = value'")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if lines.setdefault(key, line_number) != line_number:
+            raise ValueError(f"config line {line_number}: key {key!r} repeats line {lines[key]}")
+        out[key] = value.strip()
     return out
 
 
@@ -642,13 +655,17 @@ def config_values(config: dict[str, str], target: str) -> dict[str, object]:
 
 def apply_overrides(config: dict[str, str], pairs: Sequence[str]) -> dict[str, str]:
     """Overlay '--key value' pairs from the command line onto a config dict;
-    a key outside CONFIG_KEYS, from either source, is an error."""
+    a key outside CONFIG_KEYS, from either source, is an error, and so is a
+    key given in two pairs (a pair may override the config's key)."""
     merged = dict(config)
     if len(pairs) % 2 != 0:
         raise ValueError("overrides must come in '--key value' pairs")
-    for flag, value in zip(pairs[::2], pairs[1::2]):
+    given: dict[str, int] = {}  # each key's 1-based pair number
+    for number, (flag, value) in enumerate(zip(pairs[::2], pairs[1::2]), start=1):
         if not flag.startswith("--"):
             raise ValueError(f"expected '--key', got {flag!r}")
+        if given.setdefault(flag[2:], number) != number:
+            raise ValueError(f"inline pair {number}: key {flag[2:]!r} repeats pair {given[flag[2:]]}")
         merged[flag[2:]] = value
     unknown = sorted(set(merged) - CONFIG_KEYS)
     if unknown:

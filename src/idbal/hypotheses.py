@@ -179,9 +179,10 @@ class FiniteClass:
     mistakes is the read-only (members x 2*pool) float64 0/1 table whose
     column 2p + y is labels[:, p] != y: each member's loss on a record at
     pool position p with label y, stored as the float the loss product reads.
-    record_codes maps the id of each pool vector's shared record to its cell
-    code 5p + c, c its index in the vector's records; the class holds its
-    pool, and the pool its records, so no id is reused while the class lives.
+    The constructor builds these and records, the pool's shared records five
+    per point in cell order, so a record's index is its cell code 5p + c;
+    record_codes maps each record's id to it. The class holds the records,
+    so no id is reused while the class lives.
     """
 
     def __init__(self, pool: Sequence[FeatureVector], labels: np.ndarray):
@@ -199,11 +200,12 @@ class FiniteClass:
         self.labels.flags.writeable = False  # the mistake table below is derived from it
         if len(set(self.pool)) != len(self.pool):
             raise ValueError("pool instances must be distinct")
-        self._record_codes: dict[int, int] | None = None
         # parsed from the canonical keys, so row_keys(rows) gives them back
         self._rows = parse_sparse_dataset("".join(f"0 {x.key()}\n" for x in self.pool)).matrix
         self._mistakes = np.stack((self.labels != 0, self.labels != 1), axis=2).reshape(len(self), -1).astype(float)
         self._mistakes.flags.writeable = False
+        self.records: tuple = tuple(r for x in self.pool for r in x.records)
+        self.record_codes: dict[int, int] = {id(r): i for i, r in enumerate(self.records)}
 
     @property
     def rows(self):
@@ -215,14 +217,6 @@ class FiniteClass:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    @property
-    def record_codes(self) -> dict[int, int]:
-        """id of a pool vector's shared record -> its cell code; built on the
-        first read."""
-        if self._record_codes is None:
-            self._record_codes = {id(r): 5 * p + c for p, x in enumerate(self.pool) for c, r in enumerate(x.records)}
-        return self._record_codes
 
 
 def classification_error(model: LinearModel, data: LabeledRows) -> float:

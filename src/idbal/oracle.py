@@ -45,8 +45,9 @@ class DiscreteInstance:
     """A finite generative problem: pool instances with masses, conditional
     label probabilities, a finite hypothesis class over the pool, and the
     logging propensity at each pool instance. pool must equal the class's
-    pool, in order; the instance keeps the class's tuple. Draws are tuples,
-    so exact-mode runs over one draw share one store."""
+    pool, in order; the instance keeps the class's tuple. The constructor
+    sets true_errors, h_star_index and nu once, read-only like the fields.
+    Draws are tuples, so exact-mode runs over one draw share one store."""
 
     pool: tuple[FeatureVector, ...]
     masses: np.ndarray
@@ -71,20 +72,10 @@ class DiscreteInstance:
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "q0", q0)
-        errors = self.classifiers.labels * (1.0 - p1) + (1 - self.classifiers.labels) * p1
-        object.__setattr__(self, "_true_errors", errors @ masses)
-
-    @property
-    def true_errors(self) -> np.ndarray:
-        return self._true_errors
-
-    @property
-    def h_star_index(self) -> int:
-        return int(np.argmin(self._true_errors))  # first minimum: lowest index
-
-    @property
-    def nu(self) -> float:
-        return float(self._true_errors[self.h_star_index])
+        errors = (self.classifiers.labels * (1.0 - p1) + (1 - self.classifiers.labels) * p1) @ masses
+        object.__setattr__(self, "true_errors", errors)
+        object.__setattr__(self, "h_star_index", int(np.argmin(errors)))  # first minimum: lowest index
+        object.__setattr__(self, "nu", float(errors[self.h_star_index]))
 
     def logging_policy(self) -> TablePolicy:
         return TablePolicy(dict(zip(row_keys(self.classifiers.rows), self.q0.tolist())))
@@ -93,19 +84,14 @@ class DiscreteInstance:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)
         labels = (rng.random(count) < self.p1[picks]).astype(np.int8)
         # Example(x, y) is cell 3 + y of the vector's shared records
-        return self._records(5 * picks + 3 + labels)
+        return tuple(map(self.classifiers.records.__getitem__, (5 * picks + 3 + labels).tolist()))
 
     def draw_logged(self, rng: np.random.Generator, count: int) -> tuple[LoggedTriple, ...]:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)
         labels = (rng.random(count) < self.p1[picks]).astype(np.int8)
         reveals = rng.random(count) < self.q0[picks]
         # a hidden triple is cell 0, a revealed one cell 1 + y
-        return self._records(5 * picks + reveals * (1 + labels))
-
-    def _records(self, codes: np.ndarray) -> tuple:
-        """The pool's shared records at the cell codes 5 * position + cell."""
-        records = tuple(r for x in self.pool for r in x.records)
-        return tuple(map(records.__getitem__, codes.tolist()))
+        return tuple(map(self.classifiers.records.__getitem__, (5 * picks + reveals * (1 + labels)).tolist()))
 
 
 def random_instance(

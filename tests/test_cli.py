@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from idbal import harness
-from idbal.cli import OUTPUT_DIR_ENV, _out_dir, main
+from idbal.cli import _COMMAND_KEYS, OUTPUT_DIR_ENV, _out_dir, main
 from idbal.data import parse_sparse_dataset, row_keys
 from idbal.harness import CONFIG_KEYS, CONFIG_TABLE, config_to_experiment
 from idbal.learners import AlgoConfig
@@ -101,18 +101,19 @@ class TestGenData:
 
 class TestRun:
     def _args(self, tmp_path, *extra):
-        return [
-            "run",
-            "--data.count", "300",
-            "--data.dim", "4",
-            "--policy.name", "identical",
-            "--policy.p", "0.5",
-            "--algo.capacity", "0.64",
-            "--algo.eta", "0.0064",
-            "--horizon", "32",
-            "--out", str(tmp_path),
-            *extra,
-        ]
+        """run's args, each extra '--key value' pair in place of its default:
+        a key given twice inline is an error."""
+        pairs = {
+            "--data.count": "300",
+            "--data.dim": "4",
+            "--policy.name": "identical",
+            "--policy.p": "0.5",
+            "--algo.capacity": "0.64",
+            "--algo.eta": "0.0064",
+            "--horizon": "32",
+            "--out": str(tmp_path),
+        } | dict(zip(extra[::2], extra[1::2]))
+        return ["run", *(word for pair in pairs.items() for word in pair)]
 
     def test_prints_trace_and_writes_csv(self, tmp_path, capsys):
         assert main(self._args(tmp_path, "--algo.name", "idbal")) == 0
@@ -328,6 +329,18 @@ class TestReport:
         assert f"error: row {len(rows) + 1}: repeats row 1's grid point" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
+    def test_a_second_horizon_at_one_index_exits_two(self, sweep_out, tmp_path, capsys):
+        # a third repeat of the first row's grid point, run on a longer schedule
+        rows = json.loads((sweep_out / "records.json").read_text(encoding="utf-8"))
+        first = rows[0]
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps(rows + [first | {"repeat": 2, "horizon": 2 * first["horizon"]}]),
+                           encoding="utf-8")
+        assert main(["report", "--records", str(records), "--out", str(tmp_path / "report")]) == 2
+        assert (f"error: row {len(rows) + 1}: horizon {2 * first['horizon']} at 'synthetic' horizon_index "
+                f"{first['horizon_index']} differs from row 1's horizon {first['horizon']}") in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
 
 class TestVerify:
     def test_small_suite_passes(self, tmp_path, capsys):
@@ -405,9 +418,63 @@ class TestUnknownKeys:
         assert "unknown config key 'sweep.repeats'" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_key_repeated_in_the_file_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "verify.cfg"
+        config.write_text("seed = 1\nverify.fixtures = 1\nseed = 2\n", encoding="utf-8")
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "verify")]) == 2
+        assert "error: config line 3: key 'seed' repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "verify").exists()
+
+    def test_key_repeated_inline_exits_two(self, tmp_path, capsys):
+        args = ["verify", "--seed", "1", "--verify.fixtures", "1", "--seed", "2", "--out", str(tmp_path / "verify")]
+        assert main(args) == 2
+        assert "error: inline pair 3: key 'seed' repeats pair 1" in capsys.readouterr().err
+        assert not (tmp_path / "verify").exists()
+
     def test_known_keys_are_the_readme_table_plus_repeat(self):
         documented = {key for keys, _ in _readme_config_rows() for key in keys}
         assert CONFIG_KEYS == documented | {"repeat"}
+
+
+class TestUnreadKeys:
+    def test_each_command_reads_its_own_keys(self):
+        sweep_only = {key for key in CONFIG_KEYS if key.startswith("sweep.")} | {"repeats", "workers"}
+        run_only = {key for key in CONFIG_KEYS if key.startswith("algo.")} | {"horizon", "repeat"}
+        assert _COMMAND_KEYS["verify"] == {"seed", "verify.fixtures", "out"}
+        assert _COMMAND_KEYS["report"] == {"out"}
+        assert _COMMAND_KEYS["gen-data"] == {"data.count", "data.dim", "data.flip_prob", "data.seed"}
+        assert _COMMAND_KEYS["run"] == CONFIG_KEYS - sweep_only - {"verify.fixtures"}
+        assert _COMMAND_KEYS["sweep"] == CONFIG_KEYS - run_only - {"verify.fixtures"}
+
+    @pytest.mark.parametrize("command, args, key", [
+        ("run", ["--data.count", "300", "--horizon", "20", "--sweep.eta_grid", "0.5"], "sweep.eta_grid"),
+        ("run", ["--repeats", "3"], "repeats"),
+        ("run", ["--workers", "2"], "workers"),
+        ("run", ["--verify.fixtures", "2"], "verify.fixtures"),
+        ("sweep", ["--algo.eta", "0.5"], "algo.eta"),
+        ("sweep", ["--horizon", "20"], "horizon"),
+        ("sweep", ["--repeat", "1"], "repeat"),
+        ("verify", ["--verify.fixtures", "1", "--algo.eta", "0.5"], "algo.eta"),
+        ("verify", ["--data.source", "flie"], "data.source"),
+        ("verify", ["--sweep.eta_grid", "-1"], "sweep.eta_grid"),
+        ("report", ["--seed", "3"], "seed"),
+    ])
+    def test_unread_key_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch, command, args, key):
+        for name in ("run_point", "run_protocol", "run_verification_suite", "records_from_json"):
+            monkeypatch.setattr(f"idbal.cli.{name}", lambda *a, **k: pytest.fail("work started"))
+        records = ["--records", str(tmp_path / "records.json")] if command == "report" else []
+        out = tmp_path / "out"
+        assert main([command, *records, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command} reads only ") and err.endswith(f", not {key!r}\n")
+        assert not out.exists()
+
+    def test_unread_key_in_the_file_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("data.count = 300\nsweep.algorithms = passive\nrepeats = 2\n", encoding="utf-8")
+        assert main(["run", "--config", str(config), "--horizon", "20", "--out", str(tmp_path / "run")]) == 2
+        assert "not 'repeats', 'sweep.algorithms'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 def _readme_config_rows() -> list[tuple[list[str], str]]:

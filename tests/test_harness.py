@@ -636,12 +636,15 @@ class TestReport:
         ([RECORD_ROW | {"algorithm": "idbal", "capacity": 1, "eta": 1},
           RECORD_ROW | {"algorithm": "idbal", "capacity": 1.0, "eta": 1.0}],
          "row 2: repeats row 1's grid point ('d', 'idbal', 1.0, 1.0, 0, 0)"),
+        ([RECORD_ROW, RECORD_ROW | {"dataset": "e", "horizon": 20}, RECORD_ROW | {"repeat": 1, "horizon": 20}],
+         "row 3: horizon 20 at 'd' horizon_index 0 differs from row 1's horizon 10"),
     ], ids=["missing-fields", "unknown-field", "renamed-field", "not-an-object", "not-a-list", "text-count",
             "bool-count", "float-count", "null-eta", "text-error", "text-capacity", "number-name",
             "negative-repeat", "negative-horizon", "negative-queries", "negative-horizon-index",
             "queries-over-horizon", "nan-error", "infinite-error", "negative-error", "error-above-one",
             "unknown-algorithm", "nan-eta", "infinite-eta", "zero-eta", "passive-capacity", "null-capacity",
-            "negative-capacity", "nan-capacity", "repeated-point", "repeated-point-as-float"])
+            "negative-capacity", "nan-capacity", "repeated-point", "repeated-point-as-float",
+            "two-horizons-at-one-index"])
     def test_malformed_records_name_the_row(self, rows, message):
         with pytest.raises(ValueError) as caught:
             records_from_json(json.dumps(rows))
@@ -659,6 +662,16 @@ class TestReport:
         rebuilt = rebuild_result(result.records)
         assert rebuilt == result
 
+    def test_horizons_are_one_schedule_per_dataset(self):
+        # datasets differ in their online split, so each has its own schedule;
+        # every algorithm, grid point and repeat of one dataset shares it
+        rows = [RECORD_ROW, RECORD_ROW | {"horizon_index": 1, "horizon": 20},
+                RECORD_ROW | {"dataset": "e", "horizon": 16}, RECORD_ROW | {"dataset": "e", "horizon_index": 1},
+                RECORD_ROW | {"algorithm": "idbal", "capacity": 1.0, "repeat": 3, "queries": 2}]
+        assert [(r.dataset, r.horizon_index, r.horizon) for r in records_from_json(json.dumps(rows))] == [
+            ("d", 0, 10), ("d", 1, 20), ("e", 0, 16), ("e", 1, 10), ("d", 0, 10)
+        ]
+
 
 class TestConfigParsing:
     def test_key_value_lines_with_comments(self):
@@ -670,9 +683,22 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 3"):
             parse_config_text("a = 1\n# fine\nbroken line\n")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError, match="^config line 2: key 'seed' repeats line 1$"):
+            parse_config_text("seed = 1\nseed = 2")
+        with pytest.raises(ValueError, match="^config line 4: key 'repeats' repeats line 2$"):
+            parse_config_text("seed = 1\nrepeats=3\n# repeats = 4\n  repeats = 3  \n")
+
     def test_overrides_merge_and_win(self):
         merged = apply_overrides({"repeats": "3"}, ["--repeats", "5", "--seed", "2"])
         assert merged == {"repeats": "5", "seed": "2"}
+
+    def test_repeated_inline_key_names_both_pairs(self):
+        with pytest.raises(ValueError, match="^inline pair 2: key 'seed' repeats pair 1$"):
+            apply_overrides({}, ["--seed", "1", "--seed", "2"])
+        # the file's key may be overridden once, not twice
+        with pytest.raises(ValueError, match="^inline pair 3: key 'seed' repeats pair 1$"):
+            apply_overrides({"seed": "0"}, ["--seed", "1", "--repeats", "2", "--seed", "1"])
 
     def test_odd_override_pairs_rejected(self):
         with pytest.raises(ValueError):

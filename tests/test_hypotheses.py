@@ -487,6 +487,27 @@ class TestFiniteClass:
             _exact_store(hclass, (), (Example(pool[3], 1), Example(copy, 1)))
         assert _exact_store(hclass, (), ())[0].dtype == np.intp
 
+    def test_records_sit_at_their_cell_codes(self):
+        cells = [(LoggedTriple, None), (LoggedTriple, 0), (LoggedTriple, 1), (Example, 0), (Example, 1)]
+        for seed in range(20):
+            inst = random_instance(seed)
+            hclass = inst.classifiers
+            assert len(hclass.records) == len(hclass.record_codes) == 5 * len(hclass.pool)
+            for i, record in enumerate(hclass.records):
+                assert hclass.record_codes[id(record)] == i
+                assert record.x is hclass.pool[i // 5] and (type(record), record.y) == cells[i % 5]
+            rng = np.random.default_rng(seed)
+            drawn = inst.draw_logged(rng, 300) + inst.draw_examples(rng, 300)
+            # the cell codes the two draws encode, from a copy of their random stream
+            copy = np.random.default_rng(seed)
+            picks = copy.choice(len(inst.pool), size=300, p=inst.masses)
+            labels = copy.random(300) < inst.p1[picks]
+            codes = (5 * picks + (copy.random(300) < inst.q0[picks]) * (1 + labels)).tolist()
+            picks = copy.choice(len(inst.pool), size=300, p=inst.masses)
+            codes += (5 * picks + 3 + (copy.random(300) < inst.p1[picks])).tolist()
+            assert all(record is hclass.records[code] for record, code in zip(drawn, codes, strict=True))
+            assert [hclass.record_codes[id(record)] for record in drawn] == codes
+
     def test_rows_hold_the_pool_by_key(self):
         pool = [FeatureVector({2: 0.1, 5: -1e-3}), FeatureVector({}), FeatureVector({1: 3.0, 7: 1 / 3})]
         hclass = FiniteClass(pool, np.zeros((2, 3), dtype=np.int8))

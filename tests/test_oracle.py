@@ -47,6 +47,41 @@ class TestDiscreteInstance:
         assert inst.h_star_index == 0
         np.testing.assert_allclose(inst.nu, e0)
 
+    def test_truths_are_read_only(self):
+        inst = random_instance(3, pool_size=8, class_size=16)
+        for name in ("true_errors", "h_star_index", "nu"):
+            with pytest.raises(AttributeError):
+                setattr(inst, name, getattr(inst, name))
+
+    @staticmethod
+    def _hand_truths(inst: DiscreteInstance) -> tuple[list[float], int, float]:
+        """Each member's error summed point by point over the pool; masses and
+        p1 are dyadic, so every product and sum is exact."""
+        masses, p1 = inst.masses.tolist(), inst.p1.tolist()
+        errors = [
+            sum(mass * (q if label == 0 else 1.0 - q) for mass, q, label in zip(masses, p1, row))
+            for row in inst.classifiers.labels.tolist()
+        ]
+        return errors, errors.index(min(errors)), min(errors)
+
+    def test_truths_equal_a_hand_sum_over_the_pool(self):
+        for seed in range(20):
+            inst = random_instance(seed, pool_size=8, class_size=16)
+            errors, h_star, nu = self._hand_truths(inst)
+            assert inst.true_errors.tolist() == errors
+            assert type(inst.h_star_index) is int and inst.h_star_index == h_star
+            assert type(inst.nu) is float and inst.nu == nu
+
+    def test_replace_recomputes_the_truths(self):
+        inst = random_instance(5, pool_size=8, class_size=16)
+        # 1 - p1 everywhere turns each member's error e into 1 - e, so h* moves
+        # to the first member of largest error
+        flipped = dataclasses.replace(inst, p1=1.0 - inst.p1)
+        errors, h_star, nu = self._hand_truths(flipped)
+        assert flipped.true_errors.tolist() == errors == (1.0 - inst.true_errors).tolist()
+        assert flipped.h_star_index == h_star == int(np.argmax(inst.true_errors)) != inst.h_star_index
+        assert flipped.nu == nu == 1.0 - float(inst.true_errors.max())
+
     def test_random_instances_are_dyadic(self):
         for seed in range(10):
             inst = random_instance(seed)
