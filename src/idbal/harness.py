@@ -675,20 +675,36 @@ def apply_overrides(config: dict[str, str], pairs: Sequence[str]) -> dict[str, s
 
 def _main_dataset(synthetic: dict, source: str = "synthetic", path: str | None = None) -> DatasetSpec:
     """The dataset the data.* keys describe: synthetic data with the given
-    SyntheticSpec fields, or the text file at path when source is 'file'."""
+    SyntheticSpec fields, or the text file at path when source is 'file'. A
+    key the chosen source does not read is a ValueError."""
     if source == "synthetic":
+        if path is not None:
+            raise ValueError("data.source = synthetic does not read 'data.path'")
         return DatasetSpec(name="synthetic", synthetic=SyntheticSpec(**synthetic))
     if source != "file":
         raise ValueError(f"unknown data.source {source!r}; choose 'synthetic' or 'file'")
+    if synthetic:
+        raise ValueError(f"data.source = file does not read {', '.join(repr('data.' + k) for k in synthetic)}")
     if not path:
         raise ValueError("data.source = file needs data.path")
     return DatasetSpec(name=Path(path).stem, path=path)
 
 
+# The policy.* keys besides policy.name that each logging policy reads
+_POLICY_KEYS = {
+    "identical": {"policy.p"},
+    "uniform": {"policy.p0", "policy.p1", "policy.p2", "policy.group_seed"},
+    "uncertainty": {"policy.scale", "policy.target"},
+    "certainty": {"policy.scale", "policy.target"},
+    "table": {"policy.table"},
+}
+
+
 def config_to_experiment(config: dict[str, str], quick: bool = False) -> ExperimentConfig:
     """Build the sweep configuration from a flat config dict. quick adds two
     small companion datasets and shrinks the defaults of repeats and both
-    grids; keys the config sets still win."""
+    grids; keys the config sets still win. A policy.* key the chosen policy
+    does not read is a ValueError."""
     datasets = (_main_dataset(config_values(config, "synthetic"), **config_values(config, "dataset")),)
     shrunk = {}
     if quick:
@@ -697,8 +713,12 @@ def config_to_experiment(config: dict[str, str], quick: bool = False) -> Experim
             DatasetSpec(name="synthetic-tiny", synthetic=SyntheticSpec(1000, 5, 0.1, seed=2)),
         )
         shrunk = {"repeats": 5, "capacity_grid": QUICK_CAPACITY_GRID, "eta_grid": QUICK_ETA_GRID}
-    return ExperimentConfig(
-        datasets=datasets,
-        policy=PolicySpec(**config_values(config, "policy")),
-        **(shrunk | config_values(config, "experiment")),
-    )
+    policy = PolicySpec(**config_values(config, "policy"))
+    reads, reader = _POLICY_KEYS[policy.name], f"policy.name = {policy.name}"
+    if "policy.scale" in reads and policy.scale is not None:
+        # build_policy ignores a margin policy's target once a scale is given
+        reads, reader = reads - {"policy.target"}, f"{reader} with policy.scale set"
+    unread = sorted(key for key in config if key.startswith("policy.") and key != "policy.name" and key not in reads)
+    if unread:
+        raise ValueError(f"{reader} does not read {', '.join(map(repr, unread))}")
+    return ExperimentConfig(datasets=datasets, policy=policy, **(shrunk | config_values(config, "experiment")))

@@ -3,12 +3,13 @@
 Everything here is deliberately exhaustive: true errors by summing over the
 pool, regions as masks over the pool, and the disagreement coefficient's
 balls read off h*'s distance to each member, one masked sum each. The
-estimator checks read one cell table per (instance, m, n, q1): a record's
-cell is its phase, pool point, label and reveal bit, and its value comes
-from the library's estimator (`WeightedSample` and `mis_error` on a
-one-record sample). An estimator's mean and variance are exact sums over
-that table, and nothing is drawn. The learners never call into this module; it exists
-to verify them and the estimators.
+estimator checks enumerate cells: a record's cell is its phase, pool point,
+label and reveal bit. Each phase builds one library `WeightedSample` over
+its cells, and a cell's value is the class's mistake-table entry over the
+sample's denominator, as the exact learners score it. An estimator's mean
+and variance are exact sums over the cells, and nothing is drawn. The
+learners never call into this module; it exists to verify them and the
+estimators.
 
 Masses and propensities from `random_instance` live on dyadic grids
 (denominators 128 and 64), so sums and comparisons are exact in floating
@@ -23,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .data import Example, FeatureVector, LoggedTriple, row_keys
-from .estimators import WeightedSample, mis_error
+from .estimators import WeightedSample
 from .hypotheses import FiniteClass
 from .policies import TablePolicy
 from .rng import derive_rng
@@ -197,18 +198,24 @@ def adjusted_dis_coefficient(instance: DiscreteInstance, r0: float, alpha: float
     return best
 
 
-def _cell_table(
-    instance: DiscreteInstance, m: int, n: int, q1, h: int, estimator: str
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(records, probabilities, values) for each phase that has records,
-    logged then online: one value per cell, the named estimator's ("mis"
-    balanced, "is" per-phase) of member h's error.
+def exact_moments(
+    instance: DiscreteInstance,
+    h: int,
+    m: int,
+    n: int,
+    q1: np.ndarray | None = None,
+    estimator: str = "mis",
+) -> tuple[float, float]:
+    """Exact (mean, variance) of the named estimator ("mis" balanced, "is"
+    per-phase) of member h's error over m logged and n online records: each
+    phase adds its record count times one record's mean and variance.
 
-    A record's cell is its pool point, label and reveal bit. Records are
-    independent and a record's contribution depends only on its cell, so the
-    table fixes the estimator's distribution. A cell's value is the
-    library's: mis_error on a one-record WeightedSample. Cells of probability
-    0 are dropped (a z = 1 record at q = 0 has no valid denominator)."""
+    A record's cell is its pool point, label and reveal bit; records are
+    independent and each contributes a value fixed by its cell. Each phase
+    builds one library sample (WeightedSample) over its cells of positive
+    probability; a z = 1 cell at q = 0 has no valid denominator. A revealed
+    cell's value is h's entry in the class's mistake table over the sample's
+    denominator, the exact learners' loss; a hidden cell's is 0."""
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError(f"m and n must be non-negative with m + n at least 1, got m={m}, n={n}")
     q0 = instance.q0
@@ -220,43 +227,23 @@ def _cell_table(
     _check_member(instance, h)
     if estimator not in ("mis", "is"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    # cell 4p + 2y + z
     point = np.repeat(np.arange(len(instance.pool)), 4)
     y = np.tile([0, 0, 1, 1], len(instance.pool))
     z = np.tile([0, 1], 2 * len(instance.pool))
     label_prob = np.where(y == 1, instance.p1[point], 1.0 - instance.p1[point])
-    predictions = instance.classifiers.labels[h]
-    tables = []
+    mistakes = instance.classifiers.mistakes[h]
+    mean = variance = 0.0
     for records, q_own in ((m, q0), (n, q1)):
         if records == 0:
             continue
         prob = instance.masses[point] * label_prob * np.where(z == 1, q_own[point], 1.0 - q_own[point])
-        cells = np.flatnonzero(prob > 0.0)
-        values = np.empty(cells.size)
-        for row, k in enumerate(cells):
-            at, z_k, y_k = point[k : k + 1], z[k : k + 1], y[k : k + 1]
-            values[row] = mis_error(
-                predictions[at],
-                WeightedSample.balanced(at, z_k, y_k, q0[at], q1[at], m, n)
-                if estimator == "mis"
-                else WeightedSample.phase_weighted(at, z_k, y_k, q_own[at], m, n),
-            )
-        tables.append((records, prob[cells], values))
-    return tables
-
-
-def exact_moments(
-    instance: DiscreteInstance,
-    h: int,
-    m: int,
-    n: int,
-    q1: np.ndarray | None = None,
-    estimator: str = "mis",
-) -> tuple[float, float]:
-    """Exact (mean, variance) of the named estimator ("mis" balanced, "is"
-    per-phase) of member h's error over m logged and n online records: each
-    phase adds its record count times one record's mean and variance."""
-    mean = variance = 0.0
-    for records, prob, values in _cell_table(instance, m, n, q1, h, estimator):
+        kept = prob > 0.0
+        prob, at, cell_z, cell_y = prob[kept], point[kept], z[kept], y[kept]
+        sample = (WeightedSample.balanced(at, cell_z, cell_y, q0[at], q1[at], m, n) if estimator == "mis"
+                  else WeightedSample.phase_weighted(at, cell_z, cell_y, q_own[at], m, n))
+        # column 2p + y of h's mistake row; a hidden record's stored label is 0
+        values = np.divide(mistakes[2 * at + sample.y], sample.denominator, out=np.zeros(at.size), where=sample.z == 1)
         record_mean = prob @ values
         mean += records * record_mean
         variance += records * (prob @ (values - record_mean) ** 2)
@@ -274,7 +261,7 @@ class CheckRow:
 
 def run_verification_suite(seed: int, fixtures: int = 20, trials: int | None = None) -> list[CheckRow]:
     """Self-contained estimator checks over at least one fixture: three rows
-    per fixture, each an exact sum over the cell table, so the rows are a
+    per fixture, each an exact sum over exact_moments' cells, so the rows are a
     pure function of (seed, fixtures). trials is accepted and not read:
     perfbench's exact-oracle workload passes it, and the keyword goes when
     that workload stops passing it, together with the learners' seed."""

@@ -6,11 +6,12 @@ per-example error loop and the margin policies' per-instance formulas. Also
 the finite class's losses gathered from its label table, the candidate
 pruning that took its slack from a callable, the oracle's disagreement
 coefficient by plain enumeration, the oracle's record draws built from
-numpy scalars, and the practical learners as they ran before samples held store positions: every
-sample a CSR copy of its rows, scored on its own; the gradient pass as
-it ran over CSR arrays before passes read row tables; and the canonical row
-keys as one list, built from the whole matrix at once. Importable from any
-test module, because pytest puts this directory on sys.path.
+numpy scalars, its exact moments from a one-record sample per cell, and
+the practical learners as they ran before samples held store positions:
+every sample a CSR copy of its rows, scored on its own; the gradient pass
+as it ran over CSR arrays before passes read row tables; and the canonical
+row keys as one list, built from the whole matrix at once. Importable from
+any test module, because pytest puts this directory on sys.path.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.sparse
 
 from idbal.data import Example, FeatureVector, LabeledRows, LabelSource, LoggedTriple, RowTable, SplitRows
-from idbal.estimators import WeightedSample
+from idbal.estimators import WeightedSample, mis_error
 from idbal.hypotheses import (
     LinearModel,
     approx_dis_mask,
@@ -187,6 +188,40 @@ def scalar_draw_logged(instance, rng: np.random.Generator, count: int) -> tuple[
         LoggedTriple(instance.pool[i], 1, int(y), LabelSource.QUERIED) if z else LoggedTriple(instance.pool[i], 0)
         for i, y, z in zip(picks, labels, reveals)
     )
+
+
+def cell_moments(instance, h: int, m: int, n: int, q1=None, estimator: str = "mis") -> tuple[float, float]:
+    """exact_moments as it valued each cell on its own: mis_error of member
+    h's predictions on a one-record WeightedSample, then the same per-phase
+    sums of record count times one record's mean and variance. Takes valid
+    arguments only."""
+    q0 = instance.q0
+    q1 = np.ones(len(instance.pool)) if q1 is None else np.asarray(q1, dtype=float)
+    point = np.repeat(np.arange(len(instance.pool)), 4)
+    y = np.tile([0, 0, 1, 1], len(instance.pool))
+    z = np.tile([0, 1], 2 * len(instance.pool))
+    label_prob = np.where(y == 1, instance.p1[point], 1.0 - instance.p1[point])
+    predictions = instance.classifiers.labels[h]
+    mean = variance = 0.0
+    for records, q_own in ((m, q0), (n, q1)):
+        if records == 0:
+            continue
+        prob = instance.masses[point] * label_prob * np.where(z == 1, q_own[point], 1.0 - q_own[point])
+        cells = np.flatnonzero(prob > 0.0)
+        values = np.empty(cells.size)
+        for row, k in enumerate(cells):
+            at, z_k, y_k = point[k : k + 1], z[k : k + 1], y[k : k + 1]
+            values[row] = mis_error(
+                predictions[at],
+                WeightedSample.balanced(at, z_k, y_k, q0[at], q1[at], m, n)
+                if estimator == "mis"
+                else WeightedSample.phase_weighted(at, z_k, y_k, q_own[at], m, n),
+            )
+        prob = prob[cells]
+        record_mean = prob @ values
+        mean += records * record_mean
+        variance += records * (prob @ (values - record_mean) ** 2)
+    return float(mean), float(variance)
 
 
 def model_mis_error(model: LinearModel, sample: WeightedSample) -> float:

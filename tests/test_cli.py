@@ -223,6 +223,30 @@ class TestRun:
         assert f"error: scale cannot be negative or non-finite, got {scale}" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("command, args, message", [
+        ("run", ["--policy.name", "uniform", "--policy.p", "7"], "policy.name = uniform does not read 'policy.p'"),
+        ("run", ["--policy.name", "uniform", "--policy.target", "5"],
+         "policy.name = uniform does not read 'policy.target'"),
+        ("run", ["--policy.name", "identical", "--policy.scale", "4"],
+         "policy.name = identical does not read 'policy.scale'"),
+        ("run", ["--policy.name", "identical", "--policy.table", "nowhere.csv"],
+         "policy.name = identical does not read 'policy.table'"),
+        ("sweep", ["--policy.name", "uniform", "--policy.p", "7"], "policy.name = uniform does not read 'policy.p'"),
+        ("run", ["--data.source", "synthetic", "--data.path", "nowhere.txt"],
+         "data.source = synthetic does not read 'data.path'"),
+        ("sweep", ["--data.source", "file", "--data.path", "nowhere.txt"],
+         "data.source = file does not read 'data.count'"),
+    ])
+    def test_key_the_policy_or_source_does_not_read_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                              command, args, message):
+        for name in ("prepare_repeat", "run_protocol"):
+            monkeypatch.setattr(f"idbal.cli.{name}", lambda *a, **k: pytest.fail("work started"))
+        horizon = ["--horizon", "20"] if command == "run" else []
+        out = tmp_path / "out"
+        assert main([command, "--data.count", "300", *horizon, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_data_source_exits_two(self, tmp_path, capsys):
         args = ["run", "--data.source", "flie", "--data.count", "300", "--horizon", "20", "--out", str(tmp_path)]
         assert main(args) == 2

@@ -767,6 +767,52 @@ class TestConfigToExperiment:
         with pytest.raises(ValueError):
             config_to_experiment({"sweep.algorithms": "gradient-boost"})
 
+    @pytest.mark.parametrize("config", [{"data.path": "nowhere.txt"}, {"data.source": "synthetic", "data.path": ""}])
+    def test_synthetic_source_rejects_a_path(self, config):
+        with pytest.raises(ValueError, match="^data.source = synthetic does not read 'data.path'$"):
+            config_to_experiment(config)
+
+    def test_file_source_rejects_the_synthetic_keys(self):
+        config = {"data.source": "file", "data.path": "toy.txt", "data.seed": "3", "data.count": "50"}
+        with pytest.raises(ValueError, match="^data.source = file does not read 'data.count', 'data.seed'$"):
+            config_to_experiment(config)
+        for key in ("data.dim", "data.flip_prob"):
+            with pytest.raises(ValueError, match=f"^data.source = file does not read '{key}'$"):
+                config_to_experiment({"data.source": "file", "data.path": "toy.txt", key: "1"})
+
+    @pytest.mark.parametrize("config, message", [
+        ({"policy.name": "uniform", "policy.p": "7"}, "policy.name = uniform does not read 'policy.p'"),
+        ({"policy.name": "uniform", "policy.target": "5"}, "policy.name = uniform does not read 'policy.target'"),
+        ({"policy.name": "identical", "policy.scale": "4"}, "policy.name = identical does not read 'policy.scale'"),
+        ({"policy.name": "identical", "policy.table": "nowhere.csv"},
+         "policy.name = identical does not read 'policy.table'"),
+        ({"policy.p0": "0.1"}, "policy.name = identical does not read 'policy.p0'"),
+        ({"policy.name": "table", "policy.table": "t.csv", "policy.p": "0.5"},
+         "policy.name = table does not read 'policy.p'"),
+        ({"policy.name": "uncertainty", "policy.p2": "0.5", "policy.group_seed": "3"},
+         "policy.name = uncertainty does not read 'policy.group_seed', 'policy.p2'"),
+        ({"policy.name": "certainty", "policy.scale": "4", "policy.target": "0.2"},
+         "policy.name = certainty with policy.scale set does not read 'policy.target'"),
+    ], ids=["uniform-p", "uniform-target", "identical-scale", "identical-table", "default-p0", "table-p",
+            "uncertainty-groups", "scaled-target"])
+    def test_policy_key_the_policy_does_not_read_rejected(self, config, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_to_experiment(config)
+
+    @pytest.mark.parametrize("config, fields", [
+        ({"policy.p": "0.5"}, {"name": "identical", "p": 0.5}),
+        ({"policy.name": "uniform", "policy.p0": "0.1", "policy.p1": "0.2", "policy.p2": "0.3",
+          "policy.group_seed": "4"}, {"p0": 0.1, "p1": 0.2, "p2": 0.3, "group_seed": 4}),
+        ({"policy.name": "uncertainty", "policy.target": "0.2"}, {"scale": None, "calibration_target": 0.2}),
+        # an empty scale is unset, so the target is read
+        ({"policy.name": "uncertainty", "policy.scale": "", "policy.target": "0.2"}, {"calibration_target": 0.2}),
+        ({"policy.name": "certainty", "policy.scale": "4"}, {"scale": 4.0}),
+        ({"policy.name": "table", "policy.table": "t.csv"}, {"table_path": "t.csv"}),
+    ], ids=["identical", "uniform", "uncertainty", "empty-scale", "certainty", "table"])
+    def test_policy_keys_the_policy_reads_accepted(self, config, fields):
+        policy = config_to_experiment(config).policy
+        assert {name: getattr(policy, name) for name in fields} == fields
+
 
 class TestExperimentConfigValidation:
     def _dataset(self):

@@ -22,7 +22,7 @@ from idbal.oracle import (
     s_region,
 )
 
-from reference import independent_coefficient, scalar_draw_examples, scalar_draw_logged
+from reference import cell_moments, independent_coefficient, scalar_draw_examples, scalar_draw_logged
 
 
 def _hand_instance() -> DiscreteInstance:
@@ -411,6 +411,38 @@ class TestMonteCarlo:
         assert abs(mean - inst.true_errors[h]) > 1e-3
         rows = {row.name: row.passed for row in run_verification_suite(seed=0, fixtures=3)}
         assert [rows[f"unbiasedness-{name}-{i}"] for name in ("mis", "is") for i in range(3)] == [False] * 3 + [True] * 3
+
+    def test_moments_equal_the_per_cell_reference(self):
+        # one sample per phase gives each cell the IEEE 1.0/d of its own
+        # one-record sample, summed in the same order, so == holds
+        rng = np.random.default_rng(11)
+        for seed in range(100):
+            family = ("dyadic", "low")[seed % 2]
+            base = random_instance(seed=500 + seed, pool_size=int(rng.integers(3, 9)), family=family)
+            size = len(base.pool)
+            # every fifth world has two points the log never reveals
+            holes = np.isin(np.arange(size), rng.choice(size, 2, replace=False)) & (seed % 5 == 4)
+            inst = dataclasses.replace(base, q0=np.where(holes, 0.0, base.q0))
+            m, n = (int(k) for k in rng.integers(1, 40, 2))
+            m, n = ((0, n), (m, 0), (m, n), (m, n), (m, n))[seed % 5]
+            q1 = (None, rng.integers(1, 65, size) / 64.0, rng.integers(0, 3, size) / 2.0)[seed % 3]
+            h = int(rng.integers(len(inst.classifiers)))
+            for estimator in ("mis", "is"):
+                assert exact_moments(inst, h, m, n, q1, estimator) == cell_moments(inst, h, m, n, q1, estimator), seed
+
+    def test_moments_read_the_mistake_table(self):
+        # the mean sums the class's mistake table, which the exact learners
+        # score with: swapping point p's two label columns flips h's loss there
+        inst = random_instance(3, family="low")
+        h = 2
+        errs = np.where(inst.classifiers.labels[h] == 1, 1.0 - inst.p1, inst.p1)
+        p = int(np.argmax(inst.masses * np.abs(1.0 - 2.0 * errs)))
+        assert inst.masses[p] * abs(1.0 - 2.0 * errs[p]) > 1e-3
+        corrupted = inst.classifiers.mistakes.copy()
+        corrupted[:, [2 * p, 2 * p + 1]] = corrupted[:, [2 * p + 1, 2 * p]]
+        inst.classifiers._mistakes = corrupted
+        mean, _ = exact_moments(inst, h, m=8, n=8)
+        assert abs(mean - inst.true_errors[h]) > 1e-3
 
     def test_zero_online_propensities(self):
         inst = random_instance(2, family="low")
