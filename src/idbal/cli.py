@@ -79,7 +79,7 @@ def _load_config(args: argparse.Namespace, extra: list[str]) -> dict[str, str]:
 
 
 def _out_dir(config: dict[str, str]) -> Path:
-    """The out key, else $IDBAL_OUTDIR, else ./out."""
+    """The out key, else $IDBAL_OUTDIR, else ./out; an empty out is unset."""
     return config_values(config, "output").get("out") or Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
 
 
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", parents=[config], help="paired benchmark over the parameter grid")
     sweep.add_argument("--quick", action="store_true",
-                       help="small grids, fewer repeats, two extra small datasets")
+                       help="4x4 grid and 5 repeats unless keys set them; no extra datasets")
     sweep.set_defaults(func=_cmd_sweep)
 
     verify = sub.add_parser("verify", parents=[config], help="estimator and region self-checks")

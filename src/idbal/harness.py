@@ -573,8 +573,8 @@ def rebuild_result(records: Iterable[RunRecord]) -> ProtocolResult:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat 'key = value' lines; '#' comments and blank lines ignored. A key
-    set on two lines is a ValueError naming both."""
+    """Flat 'key = value' lines; blank lines and lines starting with '#' are
+    ignored. A key set on two lines is a ValueError naming both."""
     out: dict[str, str] = {}
     lines: dict[str, int] = {}  # each key's line number
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -633,7 +633,7 @@ CONFIG_TABLE: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "horizon": ("run", "horizon", int),
     "repeat": ("run", "repeat", int),
     "verify.fixtures": ("verify", "fixtures", int),
-    "out": ("output", "out", Path),
+    "out": ("output", "out", lambda text: Path(text) if text else None),
 }
 CONFIG_KEYS = frozenset(CONFIG_TABLE)
 
@@ -701,18 +701,12 @@ _POLICY_KEYS = {
 
 
 def config_to_experiment(config: dict[str, str], quick: bool = False) -> ExperimentConfig:
-    """Build the sweep configuration from a flat config dict. quick adds two
-    small companion datasets and shrinks the defaults of repeats and both
-    grids; keys the config sets still win. A policy.* key the chosen policy
-    does not read is a ValueError."""
+    """Build the sweep configuration from a flat config dict: one dataset,
+    the one the data.* keys describe. quick shrinks the defaults of repeats
+    and both grids; keys the config sets still win. A policy.* key the
+    chosen policy does not read is a ValueError."""
     datasets = (_main_dataset(config_values(config, "synthetic"), **config_values(config, "dataset")),)
-    shrunk = {}
-    if quick:
-        datasets += (
-            DatasetSpec(name="synthetic-small", synthetic=SyntheticSpec(1500, 10, 0.1, seed=1)),
-            DatasetSpec(name="synthetic-tiny", synthetic=SyntheticSpec(1000, 5, 0.1, seed=2)),
-        )
-        shrunk = {"repeats": 5, "capacity_grid": QUICK_CAPACITY_GRID, "eta_grid": QUICK_ETA_GRID}
+    shrunk = {"repeats": 5, "capacity_grid": QUICK_CAPACITY_GRID, "eta_grid": QUICK_ETA_GRID} if quick else {}
     policy = PolicySpec(**config_values(config, "policy"))
     reads, reader = _POLICY_KEYS[policy.name], f"policy.name = {policy.name}"
     if "policy.scale" in reads and policy.scale is not None:

@@ -406,6 +406,19 @@ class TestVerify:
         assert (tmp_path / "env-out" / "checks.csv").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("env", [True, False], ids=["env-set", "env-unset"])
+    def test_empty_out_is_unset(self, tmp_path, capsys, monkeypatch, env):
+        # an empty out falls back to $IDBAL_OUTDIR, else ./out, not the working directory
+        monkeypatch.chdir(tmp_path)
+        if env:
+            monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "env-out"))
+        else:
+            monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        assert main(["verify", "--seed", "0", "--verify.fixtures", "1", "--out", ""]) == 0
+        assert (tmp_path / ("env-out" if env else "out") / "checks.csv").exists()
+        assert not (tmp_path / "checks.csv").exists()
+        capsys.readouterr()
+
     def test_no_fixtures_exits_two(self, tmp_path, capsys):
         code = main(["verify", "--verify.fixtures", "-3", "--out", str(tmp_path)])
         assert code == 2

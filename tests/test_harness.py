@@ -296,6 +296,38 @@ class TestRunProtocol:
         assert run_protocol(cfg).records == result.records
         assert len(calls) == len(result.records)
 
+    def test_two_datasets(self, tmp_path):
+        # each dataset is split, logged, scheduled, scored and reported on its own
+        cfg = ExperimentConfig(
+            datasets=(
+                DatasetSpec(name="big", synthetic=SyntheticSpec(count=240, dim=4, flip_prob=0.1, seed=3)),
+                DatasetSpec(name="small", synthetic=SyntheticSpec(count=120, dim=3, flip_prob=0.1, seed=4)),
+            ),
+            policy=PolicySpec(name="identical", p=0.5),
+            algorithms=("passive", "idbal"),
+            repeats=2,
+            horizon_base=8,
+            capacity_grid=(0.64,),
+            eta_grid=(0.0064,),
+            master_seed=7,
+        )
+        result = run_protocol(cfg)
+        # online splits of 72 and 36 points
+        horizons = {name: sorted({r.horizon for r in result.records if r.dataset == name}) for name in ("big", "small")}
+        assert horizons == {"big": [8, 16, 32, 64], "small": [8, 16, 32]}
+        assert len(result.records) == 2 * 2 * (4 + 3)
+        digests = {}
+        for r in result.records:
+            digests.setdefault((r.dataset, r.repeat), set()).add(r.data_digest)
+        assert len(digests) == 4 and all(len(d) == 1 for d in digests.values())
+        assert digests["big", 0] != digests["small", 0] and digests["big", 1] != digests["small", 1]
+        assert set(result.best) == {(name, algo) for name in ("big", "small") for algo in cfg.algorithms}
+        paths = report(result, tmp_path)
+        for name in ("summary", "pairwise"):
+            rows = paths[name].read_text(encoding="utf-8").splitlines()[1:]
+            assert {row.split(",")[0] for row in rows} == {"big", "small"}, name
+        assert rebuild_result(records_from_json(records_to_json(result.records))).best == result.best
+
     @pytest.mark.parametrize("policy", ["uncertainty", "certainty"])
     def test_margin_policy_scores_features_the_coarse_model_never_saw(self, tmp_path, policy):
         # 400 rows over features 1..5, plus feature 6 on one logged row that
@@ -725,7 +757,20 @@ class TestConfigToExperiment:
         assert cfg.repeats == 5
         assert cfg.capacity_grid == QUICK_CAPACITY_GRID
         assert cfg.eta_grid == QUICK_ETA_GRID
-        assert [d.name for d in cfg.datasets] == ["synthetic", "synthetic-small", "synthetic-tiny"]
+        assert [d.name for d in cfg.datasets] == ["synthetic"]
+
+    def test_quick_profile_yields_to_config_keys(self):
+        cfg = config_to_experiment({"repeats": "2", "sweep.eta_grid": "0.1", "data.count": "500"}, quick=True)
+        assert (cfg.repeats, cfg.capacity_grid, cfg.eta_grid) == (2, QUICK_CAPACITY_GRID, (0.1,))
+        assert [(d.name, d.synthetic.count) for d in cfg.datasets] == [("synthetic", 500)]
+
+    def test_quick_profile_schedules_horizons_where_the_skip_rule_can_act(self):
+        # idbal can skip a point only where alpha = 2m/3n >= 1
+        cfg = config_to_experiment({}, quick=True)
+        for spec in cfg.datasets:
+            split = split_dataset(spec.synthetic.count, (cfg.test_fraction, cfg.logged_fraction))
+            for h in horizon_schedule(cfg.horizon_base, cfg.horizon_growth, len(split.online)):
+                assert learners.plan_partition(len(split.logged), h).alpha >= 1.0, (spec.name, h)
 
     def test_grid_extremes(self):
         np.testing.assert_allclose(DEFAULT_CAPACITY_GRID[0], 0.01)

@@ -297,8 +297,8 @@ def _q1_with_zeros(instance):
 
 class TestMonteCarlo:
     def test_outputs_are_pinned(self):
-        # Every check row of a small suite, each an exact sum over the cell
-        # table in cell order; changing that order or a cell's value moves the hex.
+        # Every check row of a small suite, each an exact sum over exact_moments'
+        # per-phase cells; changing that order or a cell's value moves the hex.
         digest = hashlib.blake2b(digest_size=16)
         for row in run_verification_suite(0, 3):
             digest.update(f"{row.name}|{row.passed}|{row.statistic!r}|{row.details}\n".encode())
