@@ -3,9 +3,10 @@
 Subcommands:
   gen-data  write a synthetic sparse dataset to a text file
   run       one algorithm on one split; prints the query/error trace
-  sweep     full paired benchmark protocol; writes summary.csv and curves.csv
+  sweep     full paired benchmark protocol; writes summary.csv, curves.csv,
+            pairwise.csv and records.json
   verify    exact-arithmetic estimator self-checks; writes checks.csv
-  report    rebuild summary/curves from a saved records.json
+  report    rebuild summary/curves/pairwise from a saved records.json
 
 All subcommands accept --config FILE with flat 'key = value' lines, and any
 config key can be overridden inline as '--key value' (e.g. --seed 7
@@ -130,14 +131,14 @@ def _cmd_run(args: argparse.Namespace, extra: list[str]) -> int:
 
 
 def _print_best(result: ProtocolResult, paths: dict[str, Path]) -> None:
-    """Print each (dataset, algorithm)'s best grid point and where the
-    summary and curves went; sweep and report both end with this."""
+    """Print each (dataset, algorithm)'s best grid point and every file
+    written, by name; sweep and report both end with this."""
     for (dataset, algorithm), choice in sorted(result.best.items()):
         cap = "-" if choice.capacity is None else f"{choice.capacity:.6g}"
         print(f"{dataset:>16} {algorithm:>8}: best AUC {choice.auc:.6g} "
               f"(C={cap}, eta={choice.eta:.6g})")
-    print(f"summary written to {paths['summary']}")
-    print(f"curves written to {paths['curves']}")
+    for name, path in paths.items():
+        print(f"{name} written to {path}")
 
 
 def _cmd_sweep(args: argparse.Namespace, extra: list[str]) -> int:
@@ -146,9 +147,9 @@ def _cmd_sweep(args: argparse.Namespace, extra: list[str]) -> int:
     result = run_protocol(experiment)
     out = _out_dir(config)
     paths = report(result, out)
-    (out / "records.json").write_text(records_to_json(result.records), encoding="utf-8")
+    paths["records"] = out / "records.json"
+    paths["records"].write_text(records_to_json(result.records), encoding="utf-8")
     _print_best(result, paths)
-    print(f"records written to {out / 'records.json'}")
     return 0
 
 

@@ -263,11 +263,11 @@ def log_split(data: LabeledRows, split: DataSplit, policy: LoggingPolicy, seed: 
     """Score the split's logged and online rows under the policy, draw the
     logged part's reveal bits with the given seed, and cut the test rows."""
     logged, online = data[split.logged], data[split.online]
-    q0 = policy_prob(policy, logged.matrix)
+    q0 = policy_prob(policy, logged)
     return RepeatData(
         policy,
         SplitRows.from_labeled(logged, q0, apply_logging(q0, seed)),
-        SplitRows.from_labeled(online, policy_prob(policy, online.matrix)),
+        SplitRows.from_labeled(online, policy_prob(policy, online)),
         data[split.test],
     )
 

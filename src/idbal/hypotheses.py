@@ -175,7 +175,8 @@ class FiniteClass:
     Stored as a (members x pool) 0/1 label table: membership tests,
     disagreement checks, and weighted empirical errors reduce to array
     lookups. Members are addressed by their index. rows holds the pool as
-    CSR rows, bias in column 0, so a logging policy scores it like a dataset.
+    LabeledRows (bias in column 0, every label 0), so a logging policy
+    scores it like a dataset, and its row_seeds memo lives with the class.
     mistakes is the read-only (members x 2*pool) float64 0/1 table whose
     column 2p + y is labels[:, p] != y: each member's loss on a record at
     pool position p with label y, stored as the float the loss product reads.
@@ -200,15 +201,15 @@ class FiniteClass:
         self.labels.flags.writeable = False  # the mistake table below is derived from it
         if len(set(self.pool)) != len(self.pool):
             raise ValueError("pool instances must be distinct")
-        # parsed from the canonical keys, so row_keys(rows) gives them back
-        self._rows = parse_sparse_dataset("".join(f"0 {x.key()}\n" for x in self.pool)).matrix
+        # parsed from the canonical keys, so row_keys(rows.matrix) gives them back
+        self._rows = parse_sparse_dataset("".join(f"0 {x.key()}\n" for x in self.pool))
         self._mistakes = np.stack((self.labels != 0, self.labels != 1), axis=2).reshape(len(self), -1).astype(float)
         self._mistakes.flags.writeable = False
         self.records: tuple = tuple(r for x in self.pool for r in x.records)
         self.record_codes: dict[int, int] = {id(r): i for i, r in enumerate(self.records)}
 
     @property
-    def rows(self):
+    def rows(self) -> LabeledRows:
         return self._rows
 
     @property

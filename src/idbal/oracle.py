@@ -79,7 +79,7 @@ class DiscreteInstance:
         object.__setattr__(self, "nu", float(errors[self.h_star_index]))
 
     def logging_policy(self) -> TablePolicy:
-        return TablePolicy(dict(zip(row_keys(self.classifiers.rows), self.q0.tolist())))
+        return TablePolicy(dict(zip(row_keys(self.classifiers.rows.matrix), self.q0.tolist())))
 
     def draw_examples(self, rng: np.random.Generator, count: int) -> tuple[Example, ...]:
         picks = rng.choice(len(self.pool), size=count, p=self.masses)

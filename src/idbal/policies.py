@@ -4,8 +4,10 @@ A policy maps each instance to the probability that its label was recorded
 during the logging phase. Besides the constant policy there are group-based
 and margin-based families, the latter driven by a coarse linear model fitted
 on a small slice of the data, plus an explicit per-instance table for finite
-pools. Every policy scores a block of CSR rows at once: a LabeledRows
-matrix, or a finite class's pool (FiniteClass.rows).
+pools. Every policy scores a block of LabeledRows at once: a dataset, a
+split cut from one, or a finite class's pool (FiniteClass.rows). The group
+policy reads the rows' memoized seeds (LabeledRows.row_seeds), so a row is
+hashed once per dataset and group seed however many repeats score it.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import scipy.sparse
 
 from .data import LabeledRows, ParseError, RowTable, parse_sparse_dataset, row_keys
 from .hypotheses import LinearModel, ogd_update
-from .rng import child_seed, derive_rng
+from .rng import derive_rng
 
 __all__ = [
     "LoggingPolicy",
@@ -39,9 +41,9 @@ __all__ = [
 
 class LoggingPolicy:
     """Base class; subclasses implement probs(rows), one value in [0, 1] per
-    row."""
+    row of a LabeledRows."""
 
-    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
+    def probs(self, rows: LabeledRows) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -55,15 +57,15 @@ class IdenticalPolicy(LoggingPolicy):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be a probability")
 
-    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
-        return np.full(rows.shape[0], self.p)
+    def probs(self, rows: LabeledRows) -> np.ndarray:
+        return np.full(len(rows), self.p)
 
 
 @dataclass(frozen=True)
 class UniformGroupsPolicy(LoggingPolicy):
     """Instances fall into three fixed groups, each with its own constant
     reveal probability: child_seed(group_seed, key) mod 3 of the canonical
-    key (see row_keys), whatever the dataset's order."""
+    key (see LabeledRows.row_seeds), whatever the dataset's order."""
 
     p0: float
     p1: float
@@ -75,9 +77,8 @@ class UniformGroupsPolicy(LoggingPolicy):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("group probabilities must be probabilities")
 
-    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
-        levels = (self.p0, self.p1, self.p2)
-        return np.fromiter((levels[child_seed(self.group_seed, k) % 3] for k in row_keys(rows)), float, rows.shape[0])
+    def probs(self, rows: LabeledRows) -> np.ndarray:
+        return np.array((self.p0, self.p1, self.p2))[rows.row_seeds(self.group_seed) % 3]
 
 
 def margins(model: LinearModel, rows: scipy.sparse.csr_array) -> np.ndarray:
@@ -123,8 +124,8 @@ class MarginPolicy(LoggingPolicy):
         if not 0.0 <= self.scale < math.inf:
             raise ValueError(f"scale cannot be negative or non-finite, got {self.scale}")
 
-    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
-        return _MARGIN_PROBS[self.kind](self.scale, margins(self.model, rows))
+    def probs(self, rows: LabeledRows) -> np.ndarray:
+        return _MARGIN_PROBS[self.kind](self.scale, margins(self.model, rows.matrix))
 
 
 class TablePolicy(LoggingPolicy):
@@ -138,9 +139,9 @@ class TablePolicy(LoggingPolicy):
                 raise ValueError(f"probability {p!r} for {key!r} out of range")
         self._table = dict(table)
 
-    def probs(self, rows: scipy.sparse.csr_array) -> np.ndarray:
+    def probs(self, rows: LabeledRows) -> np.ndarray:
         try:
-            return np.fromiter((self._table[key] for key in row_keys(rows)), float, rows.shape[0])
+            return np.fromiter((self._table[key] for key in row_keys(rows.matrix)), float, len(rows))
         except KeyError:
             raise ValueError("instance not covered by the table policy") from None
 
@@ -152,7 +153,7 @@ def _checked(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def policy_prob(policy: LoggingPolicy, rows) -> np.ndarray:
+def policy_prob(policy: LoggingPolicy, rows: LabeledRows) -> np.ndarray:
     """Evaluate the policy on a block of rows and enforce the [0, 1]
     contract elementwise; NaN is rejected."""
     return _checked(np.asarray(policy.probs(rows), dtype=float))

@@ -264,10 +264,24 @@ class TestRun:
         assert "error: the test split is empty" in err and "split.test_fraction" in err
 
 
+def _printed_files(out: str) -> list[tuple[str, str]]:
+    """The (name, path) of every 'NAME written to PATH' line."""
+    return re.findall(r"^(\w+) written to (.+)$", out, re.MULTILINE)
+
+
 class TestSweep:
     def test_writes_all_outputs(self, sweep_out):
         for name in ("summary.csv", "curves.csv", "pairwise.csv", "records.json"):
             assert (sweep_out / name).exists()
+
+    def test_prints_every_file_it_wrote(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SWEEP_CONFIG, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        names = ("summary.csv", "curves.csv", "pairwise.csv", "records.json")
+        assert _printed_files(capsys.readouterr().out) == [(Path(n).stem, str(out / n)) for n in names]
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
 
     def test_summary_mentions_both_algorithms(self, sweep_out):
         rows = (sweep_out / "summary.csv").read_text(encoding="utf-8").splitlines()
@@ -325,6 +339,12 @@ class TestReport:
         for name in ("summary.csv", "curves.csv", "pairwise.csv"):
             assert (tmp_path / name).read_bytes() == (sweep_out / name).read_bytes(), name
         assert "best AUC" in capsys.readouterr().out
+
+    def test_prints_every_file_it_wrote(self, sweep_out, tmp_path, capsys):
+        assert main(["report", "--records", str(sweep_out / "records.json"), "--out", str(tmp_path)]) == 0
+        names = ("summary.csv", "curves.csv", "pairwise.csv")
+        assert _printed_files(capsys.readouterr().out) == [(Path(n).stem, str(tmp_path / n)) for n in names]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda row: {"dataset": row["dataset"], "algorithm": row["algorithm"]}, "row 1: missing fields ['capacity',"),

@@ -30,8 +30,8 @@ from idbal.data import (
 )
 from idbal.hypotheses import LinearModel, TableClassifier
 from idbal.learners import AlgoConfig, run_passive
-from idbal.policies import IdenticalPolicy
-from idbal.rng import derive_rng
+from idbal.policies import IdenticalPolicy, UniformGroupsPolicy, policy_prob
+from idbal.rng import child_seed, derive_rng
 
 from reference import labeled_rows, whole_row_keys
 
@@ -311,6 +311,84 @@ class TestRowKeyBlocks:
         keys = row_keys(generate_synthetic(SyntheticSpec(count=300, dim=3, seed=1)).matrix)
         assert iter(keys) is keys
         assert len(list(keys)) == 300
+
+
+def _counted_child_seed(monkeypatch) -> list[int]:
+    """Count the data module's child_seed calls, the row seeds' hashes."""
+    calls = [0]
+
+    def counted(seed, *path):
+        calls[0] += 1
+        return child_seed(seed, *path)
+
+    monkeypatch.setattr("idbal.data.child_seed", counted)
+    return calls
+
+
+class TestRowSeeds:
+    """LabeledRows.row_seeds against child_seed over row_keys, however the
+    rows were cut and whichever rows were hashed before."""
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_cuts_and_copies_read_the_reference(self, seed):
+        levels = (0.005, 0.05, 0.5)
+        policy = UniformGroupsPolicy(*levels, group_seed=seed)
+
+        def check(rows: LabeledRows) -> None:
+            expected = [child_seed(seed, key) for key in row_keys(rows.matrix)]
+            assert rows.row_seeds(seed).tolist() == expected
+            assert policy_prob(policy, rows).tolist() == [levels[s % 3] for s in expected]
+
+        data = generate_synthetic(SyntheticSpec(count=600, dim=3, seed=4))
+        part = data[np.arange(100, 400)]
+        # the cut first, so the root finds half of its memo filled
+        check(part)
+        check(data)
+        check(part[::-3])
+        check(part[::-3][[4, 4, 0]])
+        copy = pickle.loads(pickle.dumps(part[50:]))
+        check(copy)
+        check(copy[[249, 0]])
+        check(pickle.loads(pickle.dumps(generate_synthetic(SyntheticSpec(count=50, dim=3, seed=4))))[10:])
+
+    def test_a_row_is_hashed_once_per_seed(self, monkeypatch):
+        data = generate_synthetic(SyntheticSpec(count=300, dim=3, seed=4))
+        calls = _counted_child_seed(monkeypatch)
+        data[:100].row_seeds(1)
+        assert calls == [100]
+        # rows 50, 52, ..., 298: those from 100 on are new
+        data[50:][::2].row_seeds(1)
+        assert calls == [200]
+        data.row_seeds(1)
+        assert calls == [300]
+        data[::-1][7:].row_seeds(1)
+        assert calls == [300]
+        data.row_seeds(2)
+        assert calls == [600]
+
+    def test_equal_datasets_do_not_share_seeds(self, monkeypatch):
+        spec = SyntheticSpec(count=200, dim=3, seed=4)
+        first, second = generate_synthetic(spec), generate_synthetic(spec)
+        calls = _counted_child_seed(monkeypatch)
+        first.row_seeds(0)
+        second.row_seeds(0)
+        LabeledRows(first.matrix, first.labels).row_seeds(0)
+        assert calls == [600]
+        assert first.row_seeds(0).tolist() == second.row_seeds(0).tolist()
+
+    def test_a_zero_seed_is_hashed_again(self, monkeypatch):
+        # 0 marks a row not yet hashed, so a row whose seed is 0 is hashed
+        # again, never read as missing
+        calls = []
+
+        def stub(seed, key):
+            calls.append(key)
+            return 0 if key == "1:2.0" else 7
+
+        monkeypatch.setattr("idbal.data.child_seed", stub)
+        rows = parse_sparse_dataset("1 1:2.0\n0 1:3.0\n")
+        assert rows.row_seeds(0).tolist() == [0, 7] and calls == ["1:2.0", "1:3.0"]
+        assert rows.row_seeds(0).tolist() == [0, 7] and calls == ["1:2.0", "1:3.0", "1:2.0"]
 
 
 def _synthetic_examples(spec: SyntheticSpec) -> list[Example]:

@@ -13,7 +13,7 @@ import pytest
 import idbal.harness as harness
 import idbal.hypotheses as hypotheses
 import idbal.learners as learners
-from idbal.data import SyntheticSpec, split_dataset
+from idbal.data import SyntheticSpec, generate_synthetic, split_dataset
 from idbal.harness import (
     DEFAULT_CAPACITY_GRID,
     DEFAULT_ETA_GRID,
@@ -249,6 +249,30 @@ def tiny_protocol():
         master_seed=7,
     )
     return cfg, run_protocol(cfg)
+
+
+class TestRowSeedMemo:
+    def test_repeats_hash_each_row_once(self, monkeypatch):
+        # uniform groups read each row's seed from the dataset's memo: a
+        # repeat hashes only the rows that no earlier repeat scored
+        data = generate_synthetic(SyntheticSpec(count=600, dim=4, seed=3))
+        spec, fractions = PolicySpec(name="uniform", group_seed=5), (0.2, 0.5)
+        scored = [
+            np.concatenate((split.logged, split.online))
+            for split in (split_dataset(600, fractions, seed=child_seed(7, "toy", r, "split")) for r in (0, 1))
+        ]
+        calls = []
+        monkeypatch.setattr("idbal.data.child_seed", lambda seed, *path: calls.append(path) or child_seed(seed, *path))
+        first = prepare_repeat(data, spec, "toy", 7, 0, fractions)
+        assert len(calls) == len(first.logged) + len(first.online) == scored[0].size
+        again = prepare_repeat(data, spec, "toy", 7, 0, fractions)
+        assert len(calls) == scored[0].size
+        second = prepare_repeat(data, spec, "toy", 7, 1, fractions)
+        assert len(calls) == scored[0].size + np.setdiff1d(scored[1], scored[0]).size
+        fresh = generate_synthetic(SyntheticSpec(count=600, dim=4, seed=3))
+        for ours, theirs in ((first, again), (second, prepare_repeat(fresh, spec, "toy", 7, 1, fractions))):
+            assert ours.logged.q0.tolist() == theirs.logged.q0.tolist()
+            assert ours.online.q0.tolist() == theirs.online.q0.tolist()
 
 
 class TestRunProtocol:

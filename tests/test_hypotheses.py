@@ -511,8 +511,9 @@ class TestFiniteClass:
     def test_rows_hold_the_pool_by_key(self):
         pool = [FeatureVector({2: 0.1, 5: -1e-3}), FeatureVector({}), FeatureVector({1: 3.0, 7: 1 / 3})]
         hclass = FiniteClass(pool, np.zeros((2, 3), dtype=np.int8))
-        assert list(row_keys(hclass.rows)) == [x.key() for x in hclass.pool]
-        assert hclass.rows.shape == (3, 8) and hclass.rows[:, [0]].toarray().ravel().tolist() == [1.0] * 3
+        rows = hclass.rows.matrix
+        assert list(row_keys(rows)) == [x.key() for x in hclass.pool]
+        assert rows.shape == (3, 8) and rows[:, [0]].toarray().ravel().tolist() == [1.0] * 3
         with pytest.raises(AttributeError):
             hclass.rows = None
 

@@ -14,7 +14,7 @@ import pytest
 
 import idbal
 from idbal import policies
-from idbal.data import FeatureVector, SyntheticSpec, generate_synthetic, row_keys, split_dataset
+from idbal.data import FeatureVector, LabeledRows, SyntheticSpec, generate_synthetic, row_keys, split_dataset
 from idbal.hypotheses import LinearModel
 from idbal.policies import (
     IdenticalPolicy,
@@ -36,8 +36,13 @@ def _vec(seed: int, dim: int = 4) -> FeatureVector:
     return FeatureVector({i + 1: float(v) for i, v in enumerate(rng.uniform(-1, 1, dim))})
 
 
-def _rows(*xs: FeatureVector):
-    return stack_rows(xs, max(1, *(x.items[-1][0] if x.items else 0 for x in xs)))
+def _labeled(matrix) -> LabeledRows:
+    """CSR rows as a policy scores them, every label 0."""
+    return LabeledRows(matrix, np.zeros(matrix.shape[0], dtype=np.int8))
+
+
+def _rows(*xs: FeatureVector) -> LabeledRows:
+    return _labeled(stack_rows(xs, max(1, *(x.items[-1][0] if x.items else 0 for x in xs))))
 
 
 class TestIdentical:
@@ -78,7 +83,7 @@ class TestUniformGroups:
 
     def test_probabilities_are_pinned(self):
         # a change to the group hash would move every uniform-groups sweep
-        rows = generate_synthetic(SyntheticSpec(count=24, dim=3, seed=4)).matrix
+        rows = generate_synthetic(SyntheticSpec(count=24, dim=3, seed=4))
         low, mid, high = 0.005, 0.05, 0.5
         assert policy_prob(UniformGroupsPolicy(low, mid, high, group_seed=9), rows).tolist() == [
             low, mid, mid, mid, mid, low, mid, low, mid, mid, low, mid,
@@ -92,7 +97,7 @@ class TestMarginPolicies:
         policy = MarginPolicy("uncertainty", 2.0, model)
         on_boundary = FeatureVector({2: 1.0})  # weight on index 1 is the only nonzero
         far = FeatureVector({1: 5.0})
-        near, away = policy.probs(stack_rows([on_boundary, far], 4)).tolist()
+        near, away = policy.probs(_labeled(stack_rows([on_boundary, far], 4))).tolist()
         assert near == 1.0
         assert away < 1e-8
 
@@ -119,7 +124,7 @@ class TestMarginPolicies:
         model = LinearModel(np.array([0.5, -2.0, 1.0]))
         xs = [FeatureVector({1: 1.0, 5: 3.0}), FeatureVector({6: 2.0}), FeatureVector({2: 0.25})]
         expected = [uncertainty_prob(1.5, model.weights, x) for x in xs]
-        assert MarginPolicy("uncertainty", 1.5, model).probs(stack_rows(xs, 6)).tolist() == expected
+        assert MarginPolicy("uncertainty", 1.5, model).probs(_labeled(stack_rows(xs, 6))).tolist() == expected
 
     @pytest.mark.parametrize("kind, scale, message", [
         ("identical", 1.0, "unknown margin policy kind 'identical'"),
@@ -147,7 +152,7 @@ class TestRowParity:
     def test_margin_policies_match_the_scalar_formulas(self):
         dim = 12
         xs = self._instances(dim)
-        rows = stack_rows(xs, dim)
+        rows = _labeled(stack_rows(xs, dim))
         rng = np.random.default_rng(29)
         models = [LinearModel.zeros(dim), LinearModel(rng.normal(size=dim + 1))]
         models += [LinearModel(rng.normal(size=dim + 1) * 10.0 ** k) for k in (-3, 0, 2)]
@@ -162,22 +167,22 @@ class TestRowParity:
         xs = self._instances(8)
         policy = UniformGroupsPolicy(0.005, 0.05, 0.5, group_seed=11)
         expected = [(0.005, 0.05, 0.5)[child_seed(11, x.key()) % 3] for x in xs]
-        assert policy_prob(policy, stack_rows(xs, 8)).tolist() == expected
+        assert policy_prob(policy, _labeled(stack_rows(xs, 8))).tolist() == expected
 
     def test_group_scoring_holds_one_block_of_keys(self):
         # the 2,400 logged rows of the 6000x30 paired benchmark; keying them
         # all as Python objects at once peaked at 4.6 MiB
         data = generate_synthetic(SyntheticSpec(count=6000, dim=30, flip_prob=0.1, seed=0))
-        rows = data.matrix[split_dataset(len(data), (0.2, 0.5), seed=child_seed(0, "synthetic", 0, "split")).logged]
+        rows = data[split_dataset(len(data), (0.2, 0.5), seed=child_seed(0, "synthetic", 0, "split")).logged]
         policy = UniformGroupsPolicy(0.005, 0.05, 0.5, group_seed=0)
-        expected = [(0.005, 0.05, 0.5)[child_seed(0, key) % 3] for key in row_keys(rows)]
+        expected = [(0.005, 0.05, 0.5)[child_seed(0, key) % 3] for key in row_keys(rows.matrix)]
         tracemalloc.start()
         try:
             probs = policy.probs(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.shape[0] == 2400 and probs.tolist() == expected
+        assert len(rows) == 2400 and probs.tolist() == expected
         assert peak <= 1.5e6
 
     def test_row_keys_match_instance_keys(self):
@@ -202,8 +207,8 @@ class TestTablePolicy:
 
     def test_lookup_across_key_blocks(self):
         # 600 rows span three blocks of keys; the last row alone is missing
-        rows = generate_synthetic(SyntheticSpec(count=600, dim=3, seed=5)).matrix
-        keys = list(row_keys(rows))
+        rows = generate_synthetic(SyntheticSpec(count=600, dim=3, seed=5))
+        keys = list(row_keys(rows.matrix))
         policy = TablePolicy({key: 1.0 / (i % 7 + 1) for i, key in enumerate(keys[:-1])})
         assert policy.probs(rows[:-1]).tolist() == [1.0 / (i % 7 + 1) for i in range(599)]
         with pytest.raises(ValueError, match="not covered"):
@@ -287,15 +292,15 @@ class TestCoarseModelAndCalibration:
     def test_calibration_hits_target(self):
         data = generate_synthetic(SyntheticSpec(count=800, dim=6, seed=2))
         model = fit_coarse_model(data, seed=3)
-        rows = data.matrix[:400]
+        rows = data[:400]
         for kind in ("uncertainty", "certainty"):
-            scale = calibrate_scale(kind, model, rows, target=0.1)
+            scale = calibrate_scale(kind, model, rows.matrix, target=0.1)
             mean = float(np.mean(policy_prob(MarginPolicy(kind, scale, model), rows)))
             assert abs(mean - 0.1) < 1e-6
 
     def test_unreachable_target_rejected(self):
         model = LinearModel(np.zeros(3))  # margin 0 everywhere
-        rows = _rows(*(_vec(i, dim=2) for i in range(10)))
+        rows = _rows(*(_vec(i, dim=2) for i in range(10))).matrix
         with pytest.raises(ValueError):
             calibrate_scale("certainty", model, rows, target=0.5)
 
@@ -307,14 +312,14 @@ class TestCoarseModelAndCalibration:
         ("identical", 10, 0.1, "unknown margin policy kind 'identical'"),
     ], ids=["no-rows", "target-0", "target-1", "nan-target", "unknown-kind"])
     def test_calibration_rejects_bad_arguments(self, kind, count, target, message):
-        rows = _rows(*(_vec(i, dim=2) for i in range(10)))[:count]
+        rows = _rows(*(_vec(i, dim=2) for i in range(10))).matrix[:count]
         with pytest.raises(ValueError, match=message):
             calibrate_scale(kind, LinearModel(np.array([0.0, 1.0, -1.0])), rows, target)
 
     def test_target_met_at_scale_zero_returns_zero(self):
         # certainty at scale 0 reveals nothing: a mean of 0 is within the
         # tolerance of a 1e-10 target, so no root is searched for
-        rows = _rows(*(_vec(i, dim=2) for i in range(10)))
+        rows = _rows(*(_vec(i, dim=2) for i in range(10))).matrix
         assert calibrate_scale("certainty", LinearModel(np.array([0.0, 1.0, -1.0])), rows, 1e-10) == 0.0
 
     def test_calibrated_scales_are_pinned(self):
