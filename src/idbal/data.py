@@ -5,15 +5,15 @@ a bias column plus its labels. Labels are {0, 1} internally; {-1, +1} is
 accepted on input and mapped to {0, 1}. Splits are arrays of row positions
 and logging yields one reveal bit per row; a hidden label (z = 0) is stored
 as 0, so nothing downstream can touch a label that the logging policy hid.
-A dataset memoizes each row's seed for the group policy, and every cut of
-it reads the same memo (LabeledRows.row_seeds). The per-instance records
-(FeatureVector, Example, LoggedTriple) describe the exact mode's finite
-pools; no learner builds them, since a run keeps its queried and inferred
-labels in arrays. Example and LoggedTriple each store two slots, x and y: a
-triple's reveal bit follows from y. A record is a shared value, one per
-(vector, z, y): the vector owns its five records, made on first use, and
-every constructor call returns one of them, so a draw of any length holds at
-most five records per pool point.
+A dataset memoizes each row's seed for the group policy
+(LabeledRows.row_seeds); a cut of it is a fresh dataset with its own memo.
+The per-instance records (FeatureVector, Example, LoggedTriple) describe the
+exact mode's finite pools; no learner builds them, since a run keeps its
+queried and inferred labels in arrays. Example and LoggedTriple each store
+two slots, x and y: a triple's reveal bit follows from y. A record is a
+shared value, one per (vector, z, y): the vector owns its five records, made
+on first use, and every constructor call returns one of them, so a draw of
+any length holds at most five records per pool point.
 """
 from __future__ import annotations
 
@@ -126,7 +126,7 @@ def _canonical_label(token: str, line_number: int) -> int:
         value = float(token)
     except ValueError:
         raise ParseError(line_number, f"label {token!r} is not numeric") from None
-    if value not in (-1.0, 0.0, 1.0) or not value.is_integer():
+    if value not in (-1.0, 0.0, 1.0):
         raise ParseError(line_number, f"label {token!r} is not in {{0,1}} or {{-1,+1}}")
     return 1 if value == 1.0 else 0
 
@@ -364,17 +364,13 @@ def row_keys(rows: scipy.sparse.csr_array) -> Iterator[str]:
 class LabeledRows:
     """A dataset as one (N, dim+1) CSR matrix, with the constant 1 bias in
     column 0 and each row's features in index order, plus the 0/1 labels.
-    Indexing with a slice or an index array cuts rows and labels alike. A
-    cut remembers its root, the uncut dataset it came from, and its row
-    positions there, so every cut shares the root's row_seeds memo."""
+    Indexing with a slice or an index array cuts rows and labels alike into
+    a fresh dataset, with a memo of its own (see row_seeds)."""
 
     matrix: scipy.sparse.csr_array
     labels: np.ndarray
 
     def __post_init__(self):
-        # a new dataset is its own root; __getitem__ re-points its cuts
-        object.__setattr__(self, "_root", None)
-        object.__setattr__(self, "_positions", None)
         object.__setattr__(self, "_row_seeds", {})
 
     def __len__(self) -> int:
@@ -386,36 +382,20 @@ class LabeledRows:
         return self.matrix.shape[1] - 1
 
     def __getitem__(self, index: slice | np.ndarray) -> "LabeledRows":
-        part = LabeledRows(self.matrix[index], self.labels[index])
-        root, positions = self._place()
-        object.__setattr__(part, "_root", root)
-        object.__setattr__(part, "_positions", positions[index])
-        object.__setattr__(part, "_row_seeds", self._row_seeds)
-        return part
-
-    def _place(self) -> tuple["LabeledRows", np.ndarray]:
-        """The root dataset and this one's row positions in it."""
-        if self._root is None:
-            return self, np.arange(len(self))
-        return self._root, self._positions
+        return LabeledRows(self.matrix[index], self.labels[index])
 
     def row_seeds(self, seed: int) -> np.ndarray:
         """child_seed(seed, key) of each row's canonical key (see row_keys),
-        as uint64. The root keeps one uint64 per row and seed, filled only
-        for the rows asked for, so a row is keyed and hashed once however
-        many cuts and calls read it, so rows must not be edited in place
-        after a call. A 0 marks a row not yet hashed: a row whose seed is 0
-        is hashed again at each call, to the same value."""
-        root, positions = self._place()
-        memo = self._row_seeds.get(seed)
-        if memo is None:
-            memo = self._row_seeds[seed] = np.zeros(len(root), dtype=np.uint64)
-        seeds = memo[positions]
-        todo = np.flatnonzero(seeds == 0)
-        if todo.size:
-            rows = self.matrix if todo.size == seeds.size else self.matrix[todo]
-            seeds[todo] = np.fromiter((child_seed(seed, key) for key in row_keys(rows)), np.uint64, todo.size)
-            memo[positions[todo]] = seeds[todo]
+        as uint64. The first call for a seed hashes every row and keeps the
+        read-only array, one uint64 per row, which later calls return, so
+        rows must not be edited in place after a call."""
+        seeds = self._row_seeds.get(seed)
+        if seeds is None:
+            seeds = self._row_seeds[seed] = np.fromiter(
+                (child_seed(seed, key) for key in row_keys(self.matrix)), np.uint64, len(self)
+            )
+        # set on every read, since a pickled copy loads its memo writable
+        seeds.flags.writeable = False
         return seeds
 
 

@@ -260,14 +260,16 @@ class RepeatData:
 
 
 def log_split(data: LabeledRows, split: DataSplit, policy: LoggingPolicy, seed: int) -> RepeatData:
-    """Score the split's logged and online rows under the policy, draw the
-    logged part's reveal bits with the given seed, and cut the test rows."""
-    logged, online = data[split.logged], data[split.online]
-    q0 = policy_prob(policy, logged)
+    """Score the whole dataset under the policy once (q0 belongs to a row,
+    so a table must cover the test rows too), cut the logged and online
+    rows with their propensities, draw the logged part's reveal bits with
+    the given seed, and cut the test rows."""
+    q0 = policy_prob(policy, data)
+    logged_q0 = q0[split.logged]
     return RepeatData(
         policy,
-        SplitRows.from_labeled(logged, q0, apply_logging(q0, seed)),
-        SplitRows.from_labeled(online, policy_prob(policy, online)),
+        SplitRows.from_labeled(data[split.logged], logged_q0, apply_logging(logged_q0, seed)),
+        SplitRows.from_labeled(data[split.online], q0[split.online]),
         data[split.test],
     )
 
@@ -361,7 +363,8 @@ def run_protocol(cfg: ExperimentConfig) -> ProtocolResult:
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_repeat, *zip(*tasks)))
+            # as many chunks as workers: a chunk unpickles the dataset and its row-seed memo once
+            chunks = list(pool.map(_run_repeat, *zip(*tasks), chunksize=-(-len(tasks) // workers)))
     else:
         chunks = [_run_repeat(*task) for task in tasks]
     return rebuild_result(record for chunk in chunks for record in chunk)

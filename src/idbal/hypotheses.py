@@ -176,7 +176,8 @@ class FiniteClass:
     disagreement checks, and weighted empirical errors reduce to array
     lookups. Members are addressed by their index. rows holds the pool as
     LabeledRows (bias in column 0, every label 0), so a logging policy
-    scores it like a dataset, and its row_seeds memo lives with the class.
+    scores the whole pool like a dataset, and its row_seeds memo lives
+    with the class.
     mistakes is the read-only (members x 2*pool) float64 0/1 table whose
     column 2p + y is labels[:, p] != y: each member's loss on a record at
     pool position p with label y, stored as the float the loss product reads.

@@ -4,10 +4,11 @@ A policy maps each instance to the probability that its label was recorded
 during the logging phase. Besides the constant policy there are group-based
 and margin-based families, the latter driven by a coarse linear model fitted
 on a small slice of the data, plus an explicit per-instance table for finite
-pools. Every policy scores a block of LabeledRows at once: a dataset, a
-split cut from one, or a finite class's pool (FiniteClass.rows). The group
-policy reads the rows' memoized seeds (LabeledRows.row_seeds), so a row is
-hashed once per dataset and group seed however many repeats score it.
+pools. Every policy scores a block of LabeledRows at once, a dataset or a
+finite class's pool (FiniteClass.rows), each row on its own, so a cut's
+scores are the dataset's scores at the cut's positions. The group policy
+reads the rows' memoized seeds (LabeledRows.row_seeds), so a row is hashed
+once per dataset and group seed however many repeats score the dataset.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ class IdenticalPolicy(LoggingPolicy):
 class UniformGroupsPolicy(LoggingPolicy):
     """Instances fall into three fixed groups, each with its own constant
     reveal probability: child_seed(group_seed, key) mod 3 of the canonical
-    key (see LabeledRows.row_seeds), whatever the dataset's order."""
+    key, read off the rows' memo (LabeledRows.row_seeds), whatever their order."""
 
     p0: float
     p1: float

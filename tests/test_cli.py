@@ -14,10 +14,11 @@ import pytest
 
 from idbal import harness
 from idbal.cli import _COMMAND_KEYS, OUTPUT_DIR_ENV, _out_dir, main
-from idbal.data import parse_sparse_dataset, row_keys
+from idbal.data import parse_sparse_dataset, row_keys, split_dataset
 from idbal.harness import CONFIG_KEYS, CONFIG_TABLE, config_to_experiment
 from idbal.learners import AlgoConfig
 from idbal.oracle import run_verification_suite
+from idbal.rng import child_seed
 
 SWEEP_CONFIG = """
 # tiny paired sweep
@@ -186,9 +187,16 @@ class TestRun:
         assert trace[0] == "consumed,queries,test_error" and len(trace) > 1
 
     def test_table_policy_missing_a_row_exits_two(self, tmp_path, capsys):
-        # 3 of the 300 rows are test rows, which no policy scores; row 0 is
-        # a logged or online row at this seed
+        # row 0 is a logged or online row at this seed; 3 of the 300 rows
+        # are test rows
         assert main(self._table_args(tmp_path, drop=0)) == 2
+        assert "not covered" in capsys.readouterr().err
+
+    def test_table_policy_missing_a_test_row_exits_two(self, tmp_path, capsys):
+        # q0 belongs to a row, whichever split it lands in, so a table must
+        # cover the test rows too; the file dataset data.txt is named "data"
+        test = split_dataset(300, (0.01, 0.5), seed=child_seed(0, "data", 0, "split")).test
+        assert main(self._table_args(tmp_path, drop=int(test[0]))) == 2
         assert "not covered" in capsys.readouterr().err
 
     def test_unknown_algorithm_exits_two(self, tmp_path, capsys):

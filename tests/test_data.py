@@ -327,7 +327,7 @@ def _counted_child_seed(monkeypatch) -> list[int]:
 
 class TestRowSeeds:
     """LabeledRows.row_seeds against child_seed over row_keys, however the
-    rows were cut and whichever rows were hashed before."""
+    rows were cut or copied."""
 
     @pytest.mark.parametrize("seed", [0, 9])
     def test_cuts_and_copies_read_the_reference(self, seed):
@@ -341,30 +341,33 @@ class TestRowSeeds:
 
         data = generate_synthetic(SyntheticSpec(count=600, dim=3, seed=4))
         part = data[np.arange(100, 400)]
-        # the cut first, so the root finds half of its memo filled
         check(part)
         check(data)
         check(part[::-3])
         check(part[::-3][[4, 4, 0]])
         copy = pickle.loads(pickle.dumps(part[50:]))
         check(copy)
+        assert not pickle.loads(pickle.dumps(copy)).row_seeds(seed).flags.writeable
         check(copy[[249, 0]])
         check(pickle.loads(pickle.dumps(generate_synthetic(SyntheticSpec(count=50, dim=3, seed=4))))[10:])
 
     def test_a_row_is_hashed_once_per_seed(self, monkeypatch):
+        # the first call for a seed hashes every row; a cut is a fresh
+        # dataset, which hashes its own rows
         data = generate_synthetic(SyntheticSpec(count=300, dim=3, seed=4))
         calls = _counted_child_seed(monkeypatch)
-        data[:100].row_seeds(1)
-        assert calls == [100]
-        # rows 50, 52, ..., 298: those from 100 on are new
-        data[50:][::2].row_seeds(1)
-        assert calls == [200]
         data.row_seeds(1)
         assert calls == [300]
-        data[::-1][7:].row_seeds(1)
+        # later calls return the kept array, which no caller may edit
+        assert not data.row_seeds(1).flags.writeable
         assert calls == [300]
         data.row_seeds(2)
         assert calls == [600]
+        part = data[50:][::2]
+        part.row_seeds(1)
+        assert calls == [725]
+        part.row_seeds(1)
+        assert calls == [725]
 
     def test_equal_datasets_do_not_share_seeds(self, monkeypatch):
         spec = SyntheticSpec(count=200, dim=3, seed=4)
@@ -375,20 +378,6 @@ class TestRowSeeds:
         LabeledRows(first.matrix, first.labels).row_seeds(0)
         assert calls == [600]
         assert first.row_seeds(0).tolist() == second.row_seeds(0).tolist()
-
-    def test_a_zero_seed_is_hashed_again(self, monkeypatch):
-        # 0 marks a row not yet hashed, so a row whose seed is 0 is hashed
-        # again, never read as missing
-        calls = []
-
-        def stub(seed, key):
-            calls.append(key)
-            return 0 if key == "1:2.0" else 7
-
-        monkeypatch.setattr("idbal.data.child_seed", stub)
-        rows = parse_sparse_dataset("1 1:2.0\n0 1:3.0\n")
-        assert rows.row_seeds(0).tolist() == [0, 7] and calls == ["1:2.0", "1:3.0"]
-        assert rows.row_seeds(0).tolist() == [0, 7] and calls == ["1:2.0", "1:3.0", "1:2.0"]
 
 
 def _synthetic_examples(spec: SyntheticSpec) -> list[Example]:

@@ -253,22 +253,17 @@ def tiny_protocol():
 
 class TestRowSeedMemo:
     def test_repeats_hash_each_row_once(self, monkeypatch):
-        # uniform groups read each row's seed from the dataset's memo: a
-        # repeat hashes only the rows that no earlier repeat scored
+        # a repeat scores the whole dataset, whose memo keeps each row's
+        # group seed: the first repeat hashes every row, later ones none
         data = generate_synthetic(SyntheticSpec(count=600, dim=4, seed=3))
         spec, fractions = PolicySpec(name="uniform", group_seed=5), (0.2, 0.5)
-        scored = [
-            np.concatenate((split.logged, split.online))
-            for split in (split_dataset(600, fractions, seed=child_seed(7, "toy", r, "split")) for r in (0, 1))
-        ]
         calls = []
         monkeypatch.setattr("idbal.data.child_seed", lambda seed, *path: calls.append(path) or child_seed(seed, *path))
         first = prepare_repeat(data, spec, "toy", 7, 0, fractions)
-        assert len(calls) == len(first.logged) + len(first.online) == scored[0].size
+        assert len(calls) == len(data)
         again = prepare_repeat(data, spec, "toy", 7, 0, fractions)
-        assert len(calls) == scored[0].size
         second = prepare_repeat(data, spec, "toy", 7, 1, fractions)
-        assert len(calls) == scored[0].size + np.setdiff1d(scored[1], scored[0]).size
+        assert len(calls) == len(data)
         fresh = generate_synthetic(SyntheticSpec(count=600, dim=4, seed=3))
         for ours, theirs in ((first, again), (second, prepare_repeat(fresh, spec, "toy", 7, 1, fractions))):
             assert ours.logged.q0.tolist() == theirs.logged.q0.tolist()
@@ -401,12 +396,14 @@ class TestRunProtocol:
         )
         assert run_protocol(parallel).records == result.records
 
-    @pytest.mark.parametrize("workers, repeats, pool_size", [(100_000, 2, 2), (3, 2, 2), (2, 3, 2), (4, 1, None)],
+    @pytest.mark.parametrize("workers, repeats, pool_size, chunksize",
+                             [(100_000, 2, 2, 1), (3, 2, 2, 1), (2, 3, 2, 2), (4, 1, None, None)],
                              ids=["huge", "one-extra", "fewer-workers", "serial"])
-    def test_pool_never_outnumbers_the_tasks(self, tiny_protocol, monkeypatch, workers, repeats, pool_size):
-        # the fake pool maps in this process and records its size: a real
-        # pool starts every process it may use at its first submit
-        sizes = []
+    def test_pool_never_outnumbers_the_tasks(self, tiny_protocol, monkeypatch, workers, repeats, pool_size, chunksize):
+        # the fake pool maps in this process and records its size and chunk
+        # size: a real pool starts every process it may use at its first
+        # submit, and pickles each chunk's dataset once
+        sizes, chunksizes = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -418,13 +415,15 @@ class TestRunProtocol:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize):
+                chunksizes.append(chunksize)
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg, result = tiny_protocol
         records = run_protocol(dataclasses.replace(cfg, repeats=repeats, workers=workers)).records
         assert sizes == ([] if pool_size is None else [pool_size])
+        assert chunksizes == ([] if chunksize is None else [chunksize])
         shared = min(repeats, cfg.repeats)
         assert [r for r in records if r.repeat < shared] == [r for r in result.records if r.repeat < shared]
 

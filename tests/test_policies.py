@@ -14,7 +14,15 @@ import pytest
 
 import idbal
 from idbal import policies
-from idbal.data import FeatureVector, LabeledRows, SyntheticSpec, generate_synthetic, row_keys, split_dataset
+from idbal.data import (
+    FeatureVector,
+    LabeledRows,
+    SyntheticSpec,
+    generate_synthetic,
+    parse_sparse_dataset,
+    row_keys,
+    split_dataset,
+)
 from idbal.hypotheses import LinearModel
 from idbal.policies import (
     IdenticalPolicy,
@@ -28,7 +36,7 @@ from idbal.policies import (
 )
 from idbal.rng import child_seed
 
-from reference import certainty_prob, stack_rows, uncertainty_prob
+from reference import certainty_prob, sparse_libsvm_text, stack_rows, uncertainty_prob
 
 
 def _vec(seed: int, dim: int = 4) -> FeatureVector:
@@ -184,6 +192,27 @@ class TestRowParity:
             tracemalloc.stop()
         assert len(rows) == 2400 and probs.tolist() == expected
         assert peak <= 1.5e6
+
+    @pytest.mark.parametrize("name", ["identical", "uniform", "uncertainty", "certainty", "table"])
+    def test_a_cut_scores_as_the_dataset_does(self, name):
+        # a repeat scores the whole dataset once and cuts q0 at the split's
+        # positions, which gives the split's own scores only if each row is
+        # scored on its own
+        data = parse_sparse_dataset(sparse_libsvm_text(seed=7, rows=700, dim=40, nnz=6))
+        # 30 features against the rows' 40, so the margins drop columns
+        model = LinearModel(np.random.default_rng(31).normal(size=31))
+        policy = {
+            "identical": IdenticalPolicy(0.05),
+            "uniform": UniformGroupsPolicy(0.005, 0.05, 0.5, group_seed=3),
+            "uncertainty": MarginPolicy("uncertainty", 0.37, model),
+            "certainty": MarginPolicy("certainty", 4.0, model),
+            "table": TablePolicy({key: 1.0 / (i % 7 + 1) for i, key in enumerate(row_keys(data.matrix))}),
+        }[name]
+        q0 = policy_prob(policy, data)
+        assert len(set(q0.tolist())) > 1 or name == "identical"
+        split = split_dataset(len(data), (0.2, 0.5), seed=11)
+        for positions in (split.logged, split.online, split.test):
+            assert policy_prob(policy, data[positions]).tolist() == q0[positions].tolist()
 
     def test_row_keys_match_instance_keys(self):
         # 0.1 and 1e-3 are floats whose numpy scalar repr differs from repr()
